@@ -2,7 +2,8 @@
 # vet, gofmt cleanliness, the project's own static-analysis suite
 # (cmd/noclint), build, the full test suite under the race detector
 # (the synthesis sweep is concurrent by default, so races are
-# first-class failures), a single-iteration routing-benchmark smoke
+# first-class failures), vet and tests of the benchmark's own module,
+# a single-iteration routing-benchmark smoke
 # run so a broken benchmark cannot sit unnoticed until the next perf
 # pass, a power-state fault-campaign smoke run on the paper's D26
 # case study, a survivability smoke run (k=1 synthesis must absorb
@@ -11,9 +12,9 @@
 # and warm-started re-synthesis must stay bit-identical to cold).
 GO ?= go
 
-.PHONY: ci vet fmt lint surface build test race bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke
+.PHONY: ci vet fmt lint surface build test race bench-module bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke
 
-ci: vet fmt lint surface build race bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke
+ci: vet fmt lint surface build race bench-module bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +57,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-module vets and tests the repo benchmark, which is a Go module
+# of its own (benchmark/, `replace nocvi => ../`): the root `go test
+# ./...` skips nested modules, so without this step an engine API change
+# that breaks the benchmark would only surface when the benchmark runs.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # BENCH_LANES picks the -cpu lanes for the benchmark targets, capped at
 # the machine's CPU count: measuring a "parallel speedup" on lanes wider

@@ -353,3 +353,29 @@ func TestLoaderRejectsMissingDir(t *testing.T) {
 		t.Fatal("expected an error for a pattern with no Go files")
 	}
 }
+
+// TestWalkSkipsNestedModules: the recursive pattern stops at a
+// directory holding its own go.mod, as the go tool's ./... does.
+func TestWalkSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, body string) {
+		p := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module outer\n")
+	write("a/a.go", "package a\n")
+	write("nested/go.mod", "module outer/nested\n")
+	write("nested/b.go", "package b\n")
+	dirs := map[string]bool{}
+	if err := walkGoDirs(root, false, dirs); err != nil {
+		t.Fatal(err)
+	}
+	if !dirs[filepath.Join(root, "a")] || len(dirs) != 1 {
+		t.Fatalf("walked %v, want only the outer module's package a", dirs)
+	}
+}

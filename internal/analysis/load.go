@@ -86,8 +86,9 @@ func modulePath(gomod string) (string, error) {
 // deterministic (sorted import path) order. Supported patterns are a
 // plain relative directory ("./cmd/noclint") and the recursive form
 // ("./...", "./internal/..."), mirroring the go tool. Directories named
-// testdata or vendor and directories starting with "." or "_" are
-// skipped by the recursive form.
+// testdata or vendor, directories starting with "." or "_", and nested
+// modules (directories holding their own go.mod) are skipped by the
+// recursive form.
 func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -154,6 +155,13 @@ func walkGoDirs(base string, tests bool, out map[string]bool) error {
 		if p != base && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if p != base {
+			// A nested go.mod starts another module, which the go tool's
+			// ./... leaves out too.
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		ok, err := hasGoFiles(p, tests)
 		if err != nil {

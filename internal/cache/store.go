@@ -48,7 +48,13 @@ import (
 // options digest, routed topologies can carry backup paths, and the
 // campaign report grew zero-re-route accounting, so v2 entries no
 // longer describe the engine surface.
-const EngineVersion = 3
+//
+// v4: one sweep driver for Synthesize and SynthesizeSweep — results are
+// bit-identical, but the hot path was restructured (lazy partition
+// table, shared claiming loop and panic boundary), so the surface digest
+// moved and a stopped sweep now reports Partial only when the context
+// actually cut it short.
+const EngineVersion = 4
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

@@ -184,11 +184,13 @@ func Synthesize(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Librar
 }
 
 // SynthesizeSweep is core.SynthesizeSweep behind the cache, with the
-// same contract as Synthesize. Because the sweep resolves its whole
-// per-island partition table up front, a repeated sweep whose spec and
-// options are unchanged — but whose key differs (say a different
-// Limit) — still warm-starts every partition from disk and skips
-// partition resolution entirely.
+// same contract as Synthesize. The sweep resolves its per-island
+// partition table lazily, one (island, switch count) cut at a time as
+// candidates first need it, and every cut goes through the disk-backed
+// partition layer: a repeated sweep whose spec and options are
+// unchanged — but whose key differs (say a different Limit) —
+// warm-starts every cut an earlier sweep already made and only
+// computes the ones it is first to reach.
 func SynthesizeSweep(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Library, opt core.Options, sw core.SweepOptions) (*core.SweepResult, error) {
 	if s == nil {
 		return core.SynthesizeSweep(ctx, spec, lib, opt, sw)

@@ -3,31 +3,10 @@ package core
 import (
 	"nocvi/internal/floorplan"
 	"nocvi/internal/graph"
-	"nocvi/internal/model"
 	"nocvi/internal/partition"
 	"nocvi/internal/route"
-	"nocvi/internal/soc"
 	"nocvi/internal/topology"
 )
-
-// sweepEnv is the read-only context shared by every worker of one
-// synthesis sweep: the spec, the library, the step-1/2 outcomes and the
-// pre-sorted flow list. Workers never write through it.
-type sweepEnv struct {
-	spec        *soc.Spec
-	lib         *model.Library
-	opt         Options
-	freqs       []float64
-	midFreq     float64
-	islandCores [][]soc.CoreID
-	flows       []soc.Flow // decreasing-bandwidth order, shared read-only
-
-	// pruner is the shared incumbent bound of the branch-and-bound
-	// layer; nil when pruning is off (Options.NoPrune, or a
-	// MaxDesignPoints cap in Synthesize). Its atomic slots are the one
-	// piece of sweep-wide state workers write through the env.
-	pruner *incumbentPruner
-}
 
 // buildContext is one worker's reusable build arena: the pooled
 // topology under construction, the router (with its subgraph cache and
@@ -51,17 +30,14 @@ type buildContext struct {
 	router  *route.Router      // nil until first use
 	scratch graph.Scratch      // pinned to router, replaces pool traffic
 	fp      floorplan.Scratch
-	part    partition.Scratch // worker-owned min-cut buffers for first-touch vecParts resolution
+	part    partition.Scratch // worker-owned min-cut buffers for first-touch partition-table entries
 
-	// pruneIdx is the current candidate's sweep index, set before each
-	// evaluation; buildPoint's staged bound check only accepts incumbent
-	// witnesses with a strictly smaller index. The zero value disables
-	// staged pruning (nothing precedes candidate 0), which is exactly
-	// right for fresh contexts such as the sweep winners' rebuild.
-	// stagePruned is buildPoint's out-of-band flag that its error was
-	// errStagePruned; safeEval transfers it onto the outcome.
-	pruneIdx    uint64
-	stagePruned bool
+	// pruneIdx bounds the incumbent witnesses buildPoint's staged bound
+	// check accepts (strictly smaller candidate indices), set before
+	// each evaluation. The zero value disables staged pruning (nothing
+	// precedes candidate 0), which is exactly right for fresh contexts
+	// such as the sweep winners' rebuild.
+	pruneIdx uint64
 }
 
 // newBuildContext creates an empty arena for one worker. Buffers grow

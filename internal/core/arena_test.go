@@ -11,64 +11,17 @@ import (
 	"nocvi/internal/bench"
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
-	"nocvi/internal/vcg"
 )
 
-// newTestSweep mirrors SynthesizeContext's setup up to the sweep
-// itself, exposing the environment, partitioner and candidate list so
-// tests can drive buildPoint directly.
-func newTestSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, *partitioner, []candidate) {
+// mustEnv runs the sweeps' prologue, exposing the environment and its
+// partition table so tests can drive buildPoint and the sweep driver directly.
+func mustEnv(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options) *sweepEnv {
 	t.Helper()
-	freqs, maxSizes, err := IslandClocks(spec, lib)
+	env, err := newSweepEnv(spec, lib, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nIsl := len(spec.Islands)
-	minSw := make([]int, nIsl)
-	islandCores := make([][]soc.CoreID, nIsl)
-	maxCores := 0
-	for j := 0; j < nIsl; j++ {
-		islandCores[j] = spec.CoresIn(soc.IslandID(j))
-		usable := maxSizes[j] - 1
-		if usable < 1 {
-			t.Fatalf("island %d infeasible", j)
-		}
-		minSw[j] = (len(islandCores[j]) + usable - 1) / usable
-		if minSw[j] < 1 {
-			minSw[j] = 1
-		}
-		if len(islandCores[j]) > maxCores {
-			maxCores = len(islandCores[j])
-		}
-	}
-	vcgs, err := vcg.BuildAll(spec, opt.alpha())
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxMid := opt.MaxIntermediateSwitches
-	if maxMid <= 0 {
-		maxMid = maxCores
-	}
-	if !opt.AllowIntermediate {
-		maxMid = 0
-	}
-	midFreq := lib.FreqGridHz
-	for _, f := range freqs {
-		if f > midFreq {
-			midFreq = f
-		}
-	}
-	env := &sweepEnv{
-		spec:        spec,
-		lib:         lib,
-		opt:         opt,
-		freqs:       freqs,
-		midFreq:     midFreq,
-		islandCores: islandCores,
-		flows:       spec.SortFlowsByBandwidth(),
-	}
-	parter := newPartitioner(vcgs, maxSizes, opt)
-	return env, parter, enumerateCandidates(minSw, islandCores, maxCores, maxMid)
+	return env
 }
 
 // sameBuiltPoint asserts two independently built design points are
@@ -112,26 +65,32 @@ func TestArenaNoStateLeak(t *testing.T) {
 	spec := miniSoC()
 	lib := model.Default65nm()
 	opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}
-	env, parter, cands := newTestSweep(t, spec, lib, opt)
+	env := mustEnv(t, spec, lib, opt)
+	space := env.diagonal()
 
-	// Pick one feasible candidate per distinct counts vector, up to
-	// four, then replay the first again (A-B-...-A). Vectors are
+	// Pick the mid=0 candidate of each feasible diagonal vector, up to
+	// four, then replay the first again (A-B-...-A). Partitions are
 	// resolved through a dedicated arena's partition scratch — the
 	// worker-side first-touch path, reusing one scratch across every
-	// vector — so the replayed builds consume partitions computed off
-	// an already-dirtied scratch, exactly as a sweep worker would see.
-	var picks []candidate
-	seen := map[*vecParts]bool{}
+	// entry — so the replayed builds consume partitions computed off an
+	// already-dirtied scratch, exactly as a sweep worker would see.
+	type pick struct {
+		counts []int
+		parts  [][]int
+		mid    int
+	}
+	var picks []pick
 	resolver := newBuildContext(env)
-	for _, c := range cands {
-		parter.resolve(c.vec, &resolver.part)
-		if c.vec.err != nil || seen[c.vec] {
-			continue
+	for idx := uint64(0); idx < space.Size() && len(picks) < 4; idx += uint64(space.midDim) {
+		c := pick{counts: make([]int, len(spec.Islands))}
+		c.mid = space.Decode(idx, c.counts)
+		for j, k := range c.counts {
+			if e := env.table.entry(j, k, &resolver.part); e.err == nil {
+				c.parts = append(c.parts, e.part)
+			}
 		}
-		seen[c.vec] = true
-		picks = append(picks, c)
-		if len(picks) == 4 {
-			break
+		if len(c.parts) == len(c.counts) {
+			picks = append(picks, c)
 		}
 	}
 	if len(picks) < 2 {
@@ -141,13 +100,13 @@ func TestArenaNoStateLeak(t *testing.T) {
 
 	shared := newBuildContext(env)
 	for i, c := range picks {
-		fresh, err := buildPoint(newBuildContext(env), c.vec.counts, c.vec.parts, c.mid)
+		fresh, err := buildPoint(newBuildContext(env), c.counts, c.parts, c.mid)
 		if err != nil {
-			t.Fatalf("pick %d (%v/%d): fresh build failed: %v", i, c.vec.counts, c.mid, err)
+			t.Fatalf("pick %d (%v/%d): fresh build failed: %v", i, c.counts, c.mid, err)
 		}
-		reused, err := buildPoint(shared, c.vec.counts, c.vec.parts, c.mid)
+		reused, err := buildPoint(shared, c.counts, c.parts, c.mid)
 		if err != nil {
-			t.Fatalf("pick %d (%v/%d): arena build failed: %v", i, c.vec.counts, c.mid, err)
+			t.Fatalf("pick %d (%v/%d): arena build failed: %v", i, c.counts, c.mid, err)
 		}
 		sameBuiltPoint(t, "pick "+string(rune('0'+i)), fresh, reused)
 		if fresh.Top == reused.Top {
@@ -160,8 +119,8 @@ func TestArenaNoStateLeak(t *testing.T) {
 // unsynchronized moments — before, during and after the worker pool's
 // lifetime — and asserts that every goroutine the sweep spawned has
 // drained afterwards. Run under -race this also exercises the
-// cancellation paths of the chunk coordinator and the atomic claiming
-// loop.
+// cancellation checks between the sweep driver's rounds and in the atomic
+// claiming loop.
 func TestMidSweepCancellationDrainsWorkers(t *testing.T) {
 	spec, err := bench.Islanded("d26_media")
 	if err != nil {
@@ -176,8 +135,8 @@ func TestMidSweepCancellationDrainsWorkers(t *testing.T) {
 			_, err := SynthesizeContext(ctx, spec, lib, Options{
 				AllowIntermediate: true,
 				Workers:           8,
-				// A cap forces chunked dispatch, covering the
-				// cancellation checks between chunks too.
+				// A cap forces rounds of dispatch, covering the
+				// cancellation checks between rounds too.
 				MaxDesignPoints: 20,
 			})
 			done <- err
@@ -206,64 +165,56 @@ func TestMidSweepCancellationDrainsWorkers(t *testing.T) {
 	}
 }
 
-// TestVectorResolutionRace hammers the first-touch once latch that
-// replaced coordinator-side partition resolution: for each distinct
-// counts-vector, a pack of goroutines calls resolve at the same
+// TestPartitionEntryRace hammers the first-touch once latch of the
+// lazy partition table: for each (island, switch count) entry the
+// diagonal space can reach, a pack of goroutines calls entry at the same
 // instant, each through its own worker arena's partition scratch.
-// Exactly one racer runs the resolution; every racer must then observe
-// the same immutable partition set, equal to a serial resolution on a
-// fresh partitioner. Under -race this is the regression test proving
-// the latch publishes vecParts safely with no coordinator in the loop.
-func TestVectorResolutionRace(t *testing.T) {
+// Exactly one racer resolves the entry; every racer must then observe
+// the same immutable cut and bound pieces, equal to a serial resolution
+// on a fresh table. Under -race this is the regression test proving the
+// latch publishes entries safely with no coordinator in the loop.
+func TestPartitionEntryRace(t *testing.T) {
 	spec := miniSoC()
 	lib := model.Default65nm()
 	opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}
-	env, parter, cands := newTestSweep(t, spec, lib, opt)
-	_, refParter, _ := newTestSweep(t, spec, lib, opt)
-
-	var vecs []*vecParts
-	seen := map[*vecParts]bool{}
-	for _, c := range cands {
-		if !seen[c.vec] {
-			seen[c.vec] = true
-			vecs = append(vecs, c.vec)
-		}
-	}
-	if len(vecs) < 2 {
-		t.Fatalf("want several distinct vectors, got %d", len(vecs))
-	}
+	env := mustEnv(t, spec, lib, opt)
+	ref := mustEnv(t, spec, lib, opt)
 
 	const racers = 32
-	for _, vec := range vecs {
-		var start, done sync.WaitGroup
-		start.Add(1)
-		views := make([][][]int, racers)
-		errs := make([]error, racers)
-		for r := 0; r < racers; r++ {
-			done.Add(1)
-			bc := newBuildContext(env)
-			go func(r int, bc *buildContext) {
-				defer done.Done()
-				start.Wait()
-				parter.resolve(vec, &bc.part)
-				views[r] = vec.parts
-				errs[r] = vec.err
-			}(r, bc)
-		}
-		start.Done()
-		done.Wait()
+	raced := 0
+	for j, cores := range env.islandCores {
+		for k := env.minSwitches[j]; k <= len(cores); k++ {
+			raced++
+			var start, done sync.WaitGroup
+			start.Add(1)
+			views := make([]*partEntry, racers)
+			for r := 0; r < racers; r++ {
+				done.Add(1)
+				bc := newBuildContext(env)
+				go func(r int, bc *buildContext) {
+					defer done.Done()
+					start.Wait()
+					views[r] = env.table.entry(j, k, &bc.part)
+				}(r, bc)
+			}
+			start.Done()
+			done.Wait()
 
-		ref := &vecParts{counts: vec.counts}
-		refParter.resolve(ref, nil)
-		for r := 0; r < racers; r++ {
-			if (errs[r] == nil) != (ref.err == nil) {
-				t.Fatalf("vector %v racer %d: err %v, serial reference err %v",
-					vec.counts, r, errs[r], ref.err)
-			}
-			if !reflect.DeepEqual(views[r], ref.parts) {
-				t.Fatalf("vector %v racer %d saw partitions %v, serial reference %v",
-					vec.counts, r, views[r], ref.parts)
+			want := ref.table.entry(j, k, nil)
+			for r, got := range views {
+				if (got.err == nil) != (want.err == nil) {
+					t.Fatalf("island %d k=%d racer %d: err %v, serial reference err %v", j, k, r, got.err, want.err)
+				}
+				if !reflect.DeepEqual(got.part, want.part) || got.piece != want.piece ||
+					got.cross != want.cross || got.infeas != want.infeas {
+					t.Fatalf("island %d k=%d racer %d saw %v (%g/%d/%v), serial reference %v (%g/%d/%v)",
+						j, k, r, got.part, got.piece, got.cross, got.infeas,
+						want.part, want.piece, want.cross, want.infeas)
+				}
 			}
 		}
+	}
+	if raced < 4 {
+		t.Fatalf("want several table entries, raced %d", raced)
 	}
 }

@@ -1,7 +1,8 @@
 // Admissible lower bounds and incumbent pruning — the branch-and-bound
-// layer of the design-space sweeps.
+// layer of the sweep driver (driver.go), shared by both candidate
+// spaces.
 //
-// Every candidate of the sweep is a (switch-count vector, intermediate
+// Every candidate of a sweep is a (switch-count vector, intermediate
 // switch count) pair. Before the expensive buildPoint pipeline runs,
 // this layer computes two candidate-local lower bounds from the spec and
 // the candidate's partitions alone:
@@ -24,17 +25,23 @@
 // completed, violation-free point can never discard an argmin winner or
 // a Pareto-front member: the dominating point beats everything the
 // candidate could have become. Exact metric ties are never pruned,
-// which keeps the argmin tie-break chains intact. The same arithmetic
-// yields fast infeasibility proofs (port-capacity and minimum-latency
-// checks) that skip partitioning entirely.
+// which keeps the argmin tie-break chains intact. The per-island terms
+// (islandPiece) are computed once per (island, switch count) entry of
+// the partition table and summed per candidate in island order, then
+// folded by combine. The same arithmetic yields fast infeasibility
+// proofs (port-capacity and minimum-latency checks) that the sweep driver
+// runs before a candidate touches the table, so a doomed candidate is
+// never partitioned.
 //
 // The incumbent is shared across workers through a few atomic slots
 // that only ever tighten (CAS min-loops under different scalarization
 // keys). Which worker published an incumbent first is schedule-
-// dependent, so pruning decisions alone would not be reproducible;
-// Synthesize therefore re-checks every completed candidate canonically
-// at fold time (see prunedBy and collect), which makes Points identical
-// for every worker count, and the streaming sweep's collectors are
+// dependent, so pruning decisions alone would not be reproducible. The
+// two collectors deal with that differently: Synthesize's ordered
+// collector only accepts earlier-index witnesses and re-checks every
+// completed candidate canonically at fold time (see prunedBy and
+// orderedCollector.collect), which makes Points identical for every
+// worker count; SynthesizeSweep's streaming collectors are
 // winner-invariant under any sound removal (see stream.go). PruneStats
 // reports what happened; it is bookkeeping, never part of a result's
 // identity.
@@ -263,21 +270,6 @@ func (be *boundsEnv) islandInfeasible(j, k int) bool {
 	return be.interEgress[j] > capW || be.interIngress[j] > capW
 }
 
-// vectorInfeasible is the pre-partition infeasibility check for one
-// switch-count vector: a provably-doomed vector is skipped before any
-// min-cut runs.
-func (be *boundsEnv) vectorInfeasible(counts []int) bool {
-	if be.specInfeasible {
-		return true
-	}
-	for j, k := range counts {
-		if be.islandInfeasible(j, k) {
-			return true
-		}
-	}
-	return false
-}
-
 // islandPiece computes island j's contribution to the candidate-local
 // bounds once its partition is known: the summed minimum switch dynamic
 // power (each switch at least its attached cores plus one boundary port
@@ -348,27 +340,6 @@ func (be *boundsEnv) combine(swPowerW float64, crossFlows int) (powerLB, latLB f
 		latLB = (be.latSumBase + step*float64(crossFlows)) / float64(be.nFlows)
 	}
 	return powerLB, latLB
-}
-
-// vectorBounds assembles one counts-vector's bounds from its resolved
-// partitions. skip reports provable infeasibility; the bounds are then
-// meaningless.
-func (be *boundsEnv) vectorBounds(counts []int, parts [][]int) (powerLB, latLB float64, skip bool) {
-	if be.specInfeasible {
-		return 0, 0, true
-	}
-	var sw float64
-	cross := 0
-	for j, k := range counts {
-		pw, c, bad := be.islandPiece(j, k, parts[j])
-		if bad {
-			return 0, 0, true
-		}
-		sw += pw
-		cross += c
-	}
-	powerLB, latLB = be.combine(sw, cross)
-	return powerLB, latLB, false
 }
 
 // pruneSlot is one published incumbent: the exact headline metrics of a
@@ -456,10 +427,11 @@ func (ip *incumbentPruner) dominates(beforeIdx uint64, powerLB, latencyLB float6
 // (the worker's witness is either kept, or was itself discarded by a
 // kept point that strictly dominates it transitively), which is what
 // keeps Points identical across worker counts.
-func prunedBy(kept []DesignPoint, c candidate, dp *DesignPoint, linkExact bool) uint8 {
+func prunedBy(kept []DesignPoint, out evalOutcome, linkExact bool) uint8 {
 	if len(kept) == 0 {
 		return pruneNone
 	}
+	dp := out.dp
 	b := dp.NoCPower
 	if !linkExact {
 		b.LinkDynW = 0 // bit-equal to the stage-2 power.NoCSansLinkWires sum
@@ -472,7 +444,7 @@ func prunedBy(kept []DesignPoint, c candidate, dp *DesignPoint, linkExact bool) 
 			continue
 		}
 		qp, ql := q.NoCPower.DynW(), q.MeanLatencyCycles
-		if qp < c.vec.powerLB && ql < c.vec.latLB {
+		if qp < out.powerLB && ql < out.latLB {
 			return pruneBound
 		}
 		if qp < p2 && ql < l2 {

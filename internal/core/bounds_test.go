@@ -33,31 +33,36 @@ func TestBoundsAdmissibility(t *testing.T) {
 		spec := specgen.Random(seed, specgen.Options{MaxCores: 18, MaxIslands: 4})
 		for _, sk := range []bool{false, true} {
 			opt := boundsOpt(sk)
-			env, parter, cands := newTestSweep(t, spec, lib, opt)
-			parter.bounds = newBoundsEnv(spec, lib, opt, env.freqs, env.islandCores)
+			env := mustEnv(t, spec, lib, opt)
+			space := env.diagonal()
 			bc := newBuildContext(env)
+			counts := make([]int, len(spec.Islands))
+			parts := make([][]int, len(counts))
 			built := 0
-			for _, c := range cands {
-				parter.resolve(c.vec, &bc.part)
-				if c.vec.err != nil {
+			for idx := uint64(0); idx < space.Size(); idx++ {
+				// No incumbent: evaluate prunes only on the infeasibility
+				// proofs, and prices and builds every other candidate.
+				mid := space.Decode(idx, counts)
+				out := env.evaluate(bc, idx, counts, parts, mid)
+				if out.pruned == pruneBound {
+					if buildAnyway(env, bc, counts, mid) != nil {
+						t.Fatalf("seed %d sk=%v: candidate %v/%d proved infeasible but built a valid point",
+							seed, sk, counts, mid)
+					}
 					continue
 				}
-				dp, err := buildPoint(bc, c.vec.counts, c.vec.parts, c.mid)
-				if err != nil {
+				dp := out.dp
+				if dp == nil {
 					continue
 				}
 				built++
-				if c.vec.skip {
-					t.Fatalf("seed %d sk=%v: vector %v proved infeasible but built a valid point",
-						seed, sk, c.vec.counts)
-				}
-				if p := dp.NoCPower.DynW(); c.vec.powerLB > p {
+				if p := dp.NoCPower.DynW(); out.powerLB > p {
 					t.Errorf("seed %d sk=%v %v mid=%d: powerLB %.9g > exact %.9g",
-						seed, sk, c.vec.counts, c.mid, c.vec.powerLB, p)
+						seed, sk, counts, mid, out.powerLB, p)
 				}
-				if l := dp.MeanLatencyCycles; c.vec.latLB > l {
+				if l := dp.MeanLatencyCycles; out.latLB > l {
 					t.Errorf("seed %d sk=%v %v mid=%d: latencyLB %.9g > exact %.9g",
-						seed, sk, c.vec.counts, c.mid, c.vec.latLB, l)
+						seed, sk, counts, mid, out.latLB, l)
 				}
 			}
 			if built == 0 {
@@ -65,6 +70,24 @@ func TestBoundsAdmissibility(t *testing.T) {
 			}
 		}
 	}
+}
+
+// buildAnyway builds a candidate the infeasibility proofs skipped,
+// cutting its partitions on demand; nil when it cannot be built.
+func buildAnyway(env *sweepEnv, bc *buildContext, counts []int, mid int) *DesignPoint {
+	parts := make([][]int, len(counts))
+	for j, k := range counts {
+		e := env.table.entry(j, k, &bc.part)
+		if e.err != nil {
+			return nil
+		}
+		parts[j] = e.part
+	}
+	dp, err := buildPoint(bc, counts, parts, mid)
+	if err != nil {
+		return nil
+	}
+	return dp
 }
 
 // frontValues projects a result's Pareto-optimal (power, latency) pairs.

@@ -24,15 +24,10 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"nocvi/internal/deadlock"
 	"nocvi/internal/floorplan"
@@ -94,9 +89,10 @@ type Options struct {
 	// serially. The normalization lives in one place (Options.workers);
 	// the CLIs pass the flag through untouched, so `-workers 0` means
 	// the same thing everywhere. Every worker count yields identical
-	// results — same Points, same order, same metrics — because
-	// candidates are enumerated up front and collected in deterministic
-	// sweep order regardless of completion order.
+	// results — same Points, same order, same metrics — because every
+	// candidate is an index of the design space that any worker decodes
+	// on the fly, and outcomes are folded in index order regardless of
+	// completion order.
 	Workers int
 
 	// NoPrune disables the admissible-bound pruning layer (bounds.go):
@@ -135,7 +131,7 @@ type Options struct {
 	Survivability int
 
 	// PartitionBacking, when non-nil, supplies a persistence layer for
-	// island j's partition cache: newPartitioner calls it once per
+	// island j's partition cache: newPartTable calls it once per
 	// island with the partition options the island's cache actually
 	// uses (MaxPartSize already clamped to the island's max switch
 	// size), and attaches the returned Backing. The content-addressed
@@ -398,139 +394,38 @@ func SynthesizeContext(ctx context.Context, spec *soc.Spec, lib *model.Library, 
 	return relaxedSynthesize(ctx, spec, lib, opt, err)
 }
 
-// synthesizeAttempt is one unrelaxed run of Algorithm 1 on one spec.
+// synthesizeAttempt is one unrelaxed run of Algorithm 1 on one spec:
+// steps 3-17 over the diagonal space, evaluated by the sweep driver and
+// folded in index order by the ordered collector, so the outcome is
+// identical for every worker count.
 func synthesizeAttempt(ctx context.Context, spec *soc.Spec, lib *model.Library, opt Options) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := lib.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	// Survivability is normalized into the router options here — the
-	// core knob is canonical, so a caller-set Router.Survivability is
-	// overwritten — and every worker reads the normalized copy through
-	// the shared env.
-	if opt.Survivability < 0 {
-		opt.Survivability = 0
-	}
-	opt.Router.Survivability = opt.Survivability
-	res := &Result{Spec: spec}
-
-	// Step 1: island NoC clocks and max switch sizes.
-	freqs, maxSizes, err := IslandClocks(spec, lib)
+	env, err := newSweepEnv(spec, lib, opt)
 	if err != nil {
 		return nil, err
 	}
-	res.IslandFreqHz = freqs
-	res.MaxSwitchSize = maxSizes
-
-	// Step 2: minimum switch count per island. A direct switch must
-	// keep one port free for inter-switch links, hence the -1.
-	nIsl := len(spec.Islands)
-	res.MinSwitches = make([]int, nIsl)
-	islandCores := make([][]soc.CoreID, nIsl)
-	for j := 0; j < nIsl; j++ {
-		islandCores[j] = spec.CoresIn(soc.IslandID(j))
-		n := len(islandCores[j])
-		usable := maxSizes[j] - 1
-		if usable < 1 {
-			return nil, fmt.Errorf("core: island %d needs %.0f MHz, too fast for any usable switch: %w",
-				j, freqs[j]/1e6, ErrInfeasible)
-		}
-		res.MinSwitches[j] = (n + usable - 1) / usable
-		if res.MinSwitches[j] < 1 {
-			res.MinSwitches[j] = 1
-		}
+	res := &Result{Spec: spec, IslandFreqHz: env.freqs, MaxSwitchSize: env.maxSizes, MinSwitches: env.minSwitches}
+	// The incumbent pruner requires an uncapped sweep: under
+	// MaxDesignPoints the truncation point must count every feasible
+	// point, so only the infeasibility fast checks apply there (they are
+	// result-neutral: a skipped candidate could never build). A capped
+	// sweep folds in rounds of workers*4 indices so it stops close to
+	// the cap instead of evaluating the whole space.
+	env.ordered = true
+	if env.bounds != nil && opt.MaxDesignPoints == 0 {
+		env.pruner = &incumbentPruner{}
 	}
-
-	// Build per-island VCGs once.
-	vcgs, err := vcg.BuildAll(spec, opt.alpha())
-	if err != nil {
-		return nil, err
+	space := env.diagonal()
+	size := space.Size()
+	round := size
+	if opt.MaxDesignPoints > 0 {
+		round = min(size, uint64(opt.workers()*4))
 	}
-
-	maxCores := 0
-	for j := range islandCores {
-		if len(islandCores[j]) > maxCores {
-			maxCores = len(islandCores[j])
-		}
-	}
-	maxMid := opt.MaxIntermediateSwitches
-	if maxMid <= 0 {
-		maxMid = maxCores
-	}
-	if !opt.AllowIntermediate {
-		maxMid = 0
-	}
-
-	midFreq := lib.FreqGridHz
-	for _, f := range freqs {
-		if f > midFreq {
-			midFreq = f
-		}
-	}
-
-	// Steps 4-17, restructured for parallel evaluation: enumerate every
-	// unique (switch-count vector, intermediate-switch count) candidate
-	// in sweep order first, then evaluate buildPoint over a bounded
-	// worker pool — each worker building inside its own reusable arena —
-	// collecting results back in candidate order so the outcome is
-	// identical for every worker count.
-	cands := enumerateCandidates(res.MinSwitches, islandCores, maxCores, maxMid)
-
-	// Step 11 memoization: the min-cut partition of island j into k
-	// switches depends only on (j, k), so it is computed once and shared
-	// by every mid value and every counts-vector assigning j the same k.
-	// Each counts vector's assembled partition set lives in its vecParts,
-	// resolved first-touch by whichever worker claims a candidate of the
-	// vector (once latch, deterministic result); after resolution the
-	// read path is lock-free.
-	parter := newPartitioner(vcgs, maxSizes, opt)
-
-	env := &sweepEnv{
-		spec:        spec,
-		lib:         lib,
-		opt:         opt,
-		freqs:       freqs,
-		midFreq:     midFreq,
-		islandCores: islandCores,
-		flows:       spec.SortFlowsByBandwidth(),
-	}
-	// The branch-and-bound layer (bounds.go): candidate-local lower
-	// bounds and infeasibility proofs always come with the bounds env;
-	// the incumbent pruner additionally requires an uncapped sweep —
-	// under MaxDesignPoints the truncation point must count every
-	// feasible point, so only the infeasibility fast checks apply there
-	// (they are result-neutral: a skipped candidate could never build).
-	if !opt.NoPrune {
-		parter.bounds = newBoundsEnv(spec, lib, opt, freqs, islandCores)
-		if opt.MaxDesignPoints == 0 {
-			env.pruner = &incumbentPruner{}
-		}
-	}
-	eval := func(bc *buildContext, c candidate) *DesignPoint {
-		if c.vec.err != nil {
-			return nil // attempted but infeasible: no k-way cut fits
-		}
-		dp, err := buildPoint(bc, c.vec.counts, c.vec.parts, c.mid)
-		if err != nil {
-			if errors.Is(err, errStagePruned) {
-				bc.stagePruned = true
-			}
-			return nil
-		}
-		return dp
-	}
-
-	sweep := synthesizeParallel
-	if opt.workers() == 1 {
-		sweep = synthesizeSerial
-	}
-	sweep(ctx, res, cands, opt, env, parter, eval)
-	if res.Partial {
+	col := &orderedCollector{res: res, env: env, total: size, outs: make([]evalOutcome, round)}
+	if env.drive(ctx, space, size, round, col) {
 		// Cut short by the context: everything found so far is the answer.
 		// An empty partial result is still a result, not an error — the
 		// caller asked the sweep to stop, and it did.
+		res.Partial, res.StopReason = true, stopReason(ctx)
 		return res, nil
 	}
 	if res.Truncated {
@@ -544,190 +439,33 @@ func synthesizeAttempt(ctx context.Context, spec *soc.Spec, lib *model.Library, 
 	return res, nil
 }
 
-// candidate is one (switch-count vector, intermediate-switch count)
-// combination of the design-space sweep. Candidates sharing a counts
-// vector share one vecParts.
-type candidate struct {
-	vec *vecParts
-	mid int
+// orderedCollector is Synthesize's collector: it buffers each round's
+// outcomes by index and folds them into the Result in index order, so
+// Points, Explored, Feasible, Truncated and Errors never depend on
+// completion order.
+type orderedCollector struct {
+	res   *Result
+	env   *sweepEnv
+	total uint64
+	lo    uint64        // first index of the current round
+	outs  []evalOutcome // the current round's outcomes, at idx - lo
 }
 
-// vecParts is one distinct switch-count vector of the sweep together
-// with its memoized per-island partitions. It is resolved lazily by
-// the first worker that claims a candidate referencing it, under the
-// once latch (partitioner.resolve); resolution is deterministic per
-// vector — the engines depend only on (graph, k, options) — so which
-// worker runs it is immaterial. once.Do's happens-before edge
-// publishes counts/parts/err to every later reader, so the read path
-// after resolve stays lock-free.
-type vecParts struct {
-	counts []int
-	parts  [][]int
-	err    error
-
-	// powerLB and latLB are the vector's admissible lower bounds, and
-	// skip its provable-infeasibility verdict, computed during resolve
-	// when the bounds layer is active (see bounds.go). A skipped vector
-	// is never partitioned. Deterministic per vector, like parts.
-	powerLB float64
-	latLB   float64
-	skip    bool
-
-	once sync.Once
+func (c *orderedCollector) add(_ int, _ *buildContext, idx uint64, _ []int, _ int, out evalOutcome) {
+	c.outs[idx-c.lo] = out
 }
 
-// enumerateCandidates lists the sweep's candidates in deterministic
-// order: counts-vectors as the serial sweep visits them (uniformly
-// incremented from the per-island minimum, clamped at one switch per
-// core, deduplicated), with the intermediate-switch count ascending
-// within each vector.
-func enumerateCandidates(minSwitches []int, islandCores [][]soc.CoreID, maxCores, maxMid int) []candidate {
-	nIsl := len(minSwitches)
-	seen := make(map[string]bool)
-	var cands []candidate
-	for i := 0; i <= maxCores; i++ {
-		counts := make([]int, nIsl)
-		saturated := true
-		for j := 0; j < nIsl; j++ {
-			k := minSwitches[j] + i
-			if k >= len(islandCores[j]) {
-				k = len(islandCores[j])
-			} else {
-				saturated = false
-			}
-			counts[j] = k
-		}
-		key := countsKey(counts)
-		if !seen[key] {
-			seen[key] = true
-			vec := &vecParts{counts: counts}
-			for m := 0; m <= maxMid; m++ {
-				cands = append(cands, candidate{vec: vec, mid: m})
-			}
-		}
-		if saturated {
-			break
+func (c *orderedCollector) fold(lo, hi uint64) bool {
+	for i := lo; i < hi; i++ {
+		if c.collect(c.outs[i-lo]) {
+			return true
 		}
 	}
-	return cands
+	c.lo = hi
+	return false
 }
 
-// evalOutcome is one candidate's evaluation: a valid design point, a
-// recovered panic, a prune verdict, or none of those (the candidate was
-// infeasible).
-type evalOutcome struct {
-	dp     *DesignPoint
-	err    *CandidateError
-	pruned uint8 // pruneNone, pruneBound or pruneStage
-}
-
-// testHookEvalStart, when non-nil, runs at the top of every candidate
-// evaluation — inside the panic boundary, on the evaluating goroutine.
-// Tests use it to inject panics into chosen candidates and to cancel
-// contexts after a deterministic number of evaluations. Always nil in
-// production; set it only in tests that run sweeps sequentially.
-var testHookEvalStart func(counts []int, mid int)
-
-// safeEval evaluates one candidate behind a panic boundary. A panic is
-// converted into a CandidateError carrying the candidate's parameters
-// and a normalized stack, and the worker's arena is dropped — a panic
-// can leave the pooled topology, router or floorplan scratch half
-// mutated, so the next candidate starts from fresh allocations.
-func safeEval(bc *buildContext, c candidate, eval func(*buildContext, candidate) *DesignPoint) (out evalOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = evalOutcome{err: &CandidateError{
-				SwitchCounts: append([]int(nil), c.vec.counts...),
-				MidSwitches:  c.mid,
-				//noclint:ignore bannedcall stringifying a recovered panic value, off the hot path
-				Panic: fmt.Sprint(r),
-				Stack: normalizeStack(debug.Stack()),
-			}}
-			*bc = buildContext{env: bc.env}
-		}
-	}()
-	if testHookEvalStart != nil {
-		testHookEvalStart(c.vec.counts, c.mid)
-	}
-	out = evalOutcome{dp: eval(bc, c)}
-	if bc.stagePruned {
-		bc.stagePruned = false
-		out.pruned = pruneStage
-	}
-	return out
-}
-
-// evalCandidate runs the full per-candidate pipeline on one worker:
-// resolve the vector (partitions plus bounds), apply the pre-evaluation
-// prune checks, evaluate behind the panic boundary, and publish a
-// completed violation-free point to the incumbent pruner. idx is the
-// candidate's position in sweep order; incumbent dominance only ever
-// uses strictly earlier witnesses, so the worker-side decision here is
-// always implied by the canonical fold-time decision in collect.
-func evalCandidate(bc *buildContext, c candidate, idx int, parter *partitioner, env *sweepEnv, eval func(*buildContext, candidate) *DesignPoint) evalOutcome {
-	parter.resolve(c.vec, &bc.part)
-	if c.vec.skip {
-		return evalOutcome{pruned: pruneBound} // provably infeasible, partitioning skipped
-	}
-	if env.pruner != nil && c.vec.err == nil &&
-		env.pruner.dominates(uint64(idx), c.vec.powerLB, c.vec.latLB) {
-		return evalOutcome{pruned: pruneBound}
-	}
-	bc.pruneIdx = uint64(idx)
-	out := safeEval(bc, c, eval)
-	if env.pruner != nil && out.dp != nil && out.dp.WireViolations == 0 {
-		env.pruner.publish(uint64(idx), out.dp.NoCPower.DynW(), out.dp.MeanLatencyCycles)
-	}
-	return out
-}
-
-// normalizeStack reduces a debug.Stack dump to the frames between the
-// panic site and the evaluation boundary. The goroutine header,
-// argument values, code offsets and runtime frames are stripped, and
-// the walk stops at safeEval itself — everything below it differs
-// between the serial and parallel sweeps. The same panic therefore
-// yields a byte-identical stack on any worker count, which is what lets
-// Result.Errors compare equal across sweep configurations.
-func normalizeStack(stack []byte) string {
-	lines := strings.Split(string(stack), "\n")
-	var b strings.Builder
-	for i := 0; i < len(lines); i++ {
-		line := lines[i]
-		if line == "" || strings.HasPrefix(line, "goroutine ") || strings.HasPrefix(line, "\t") {
-			continue // header, or a location line of a skipped frame
-		}
-		fn := line
-		if j := strings.IndexByte(fn, '('); j >= 0 {
-			fn = fn[:j]
-		}
-		if fn == "nocvi/internal/core.safeEval" || fn == "nocvi/internal/core.sweepEval" {
-			break // evaluation boundary: frames below depend on sweep mode
-		}
-		if fn == "panic" || strings.HasPrefix(fn, "runtime.") ||
-			strings.HasPrefix(fn, "runtime/debug.") ||
-			strings.HasPrefix(fn, "nocvi/internal/core.safeEval.func") ||
-			strings.HasPrefix(fn, "nocvi/internal/core.sweepEval.func") {
-			continue
-		}
-		loc := ""
-		if i+1 < len(lines) && strings.HasPrefix(lines[i+1], "\t") {
-			loc = strings.TrimSpace(lines[i+1])
-			if j := strings.LastIndex(loc, " +0x"); j >= 0 {
-				loc = loc[:j]
-			}
-			i++
-		}
-		b.WriteString(fn)
-		if loc != "" {
-			b.WriteString("\n\t")
-			b.WriteString(loc)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// collect folds one evaluated candidate into the result in sweep order.
+// collect folds one evaluated candidate into the result in index order.
 // It returns true when the sweep should stop (MaxDesignPoints reached).
 // Every attempted candidate counts toward Explored — whether it was
 // pruned, its partitioning failed, its routing/floorplanning was
@@ -741,8 +479,8 @@ func normalizeStack(stack []byte) string {
 // workers managed to prune cheaply is not. A worker-side prune always
 // implies the canonical discard, so pruning can only move a candidate
 // between the PruneStats buckets, never into Points.
-func collect(res *Result, out evalOutcome, c candidate, total int, env *sweepEnv) (stop bool) {
-	opt := env.opt
+func (c *orderedCollector) collect(out evalOutcome) (stop bool) {
+	res, opt := c.res, c.env.opt
 	res.Explored++
 	switch out.pruned {
 	case pruneBound:
@@ -762,8 +500,8 @@ func collect(res *Result, out evalOutcome, c candidate, total int, env *sweepEnv
 		return false
 	}
 	res.PruneStats.Feasible++
-	if env.pruner != nil {
-		switch prunedBy(res.Points, c, out.dp, env.opt.Floorplan.SkipAnnotate) {
+	if c.env.pruner != nil {
+		switch prunedBy(res.Points, out, opt.Floorplan.SkipAnnotate) {
 		case pruneBound:
 			res.PruneStats.BoundPruned++
 			return false
@@ -776,121 +514,10 @@ func collect(res *Result, out evalOutcome, c candidate, total int, env *sweepEnv
 	res.Feasible++
 	res.Points = append(res.Points, *out.dp)
 	if opt.MaxDesignPoints > 0 && len(res.Points) >= opt.MaxDesignPoints {
-		res.Truncated = res.Explored < total
+		res.Truncated = uint64(res.Explored) < c.total
 		return true
 	}
 	return false
-}
-
-// markPartial stamps a context-stopped sweep onto the result. The
-// folded prefix stays; only the stop metadata changes.
-func markPartial(ctx context.Context, res *Result) {
-	res.Partial = true
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		res.StopReason = StopDeadline
-	} else {
-		res.StopReason = StopCanceled
-	}
-}
-
-// synthesizeSerial is the Workers=1 path: one candidate at a time, in
-// order, built inside a single arena, stopping as soon as
-// MaxDesignPoints is met. Partitions are resolved lazily so a truncated
-// sweep never partitions vectors beyond the stopping point. On context
-// cancellation the candidates already folded stay on the result, which
-// is marked Partial.
-func synthesizeSerial(ctx context.Context, res *Result, cands []candidate, opt Options, env *sweepEnv, parter *partitioner, eval func(*buildContext, candidate) *DesignPoint) {
-	bc := newBuildContext(env)
-	for i, c := range cands {
-		if ctx.Err() != nil {
-			markPartial(ctx, res)
-			return
-		}
-		if collect(res, evalCandidate(bc, c, i, parter, env, eval), c, len(cands), env) {
-			return
-		}
-	}
-}
-
-// synthesizeParallel fans candidates out over opt.workers() goroutines,
-// each owning one reusable build arena for the whole sweep. Candidates
-// are claimed from an atomic cursor — no dispatch channel, no producer
-// goroutine — and their outcomes folded into the result strictly in
-// candidate order, so Points, Explored, Feasible, Truncated and Errors
-// are identical to the serial path. Chunking bounds the work wasted
-// beyond the stopping point when MaxDesignPoints is set; without a cap
-// the whole space is one chunk.
-//
-// Counts-vector partitions are resolved by the workers themselves: the
-// first worker to claim a candidate of an unresolved vector runs the
-// resolution through its own partition scratch under the vector's once
-// latch (see partitioner.resolve). The coordinator does no per-
-// candidate work at all — the serial resolve loop it used to run here
-// kept every worker idle while it min-cut every island of every
-// vector, which put a serial term ahead of each chunk (Amdahl's law
-// made the d48 sweep nearly flat across worker counts).
-//
-// On cancellation the evaluated candidates form a contiguous prefix —
-// claims are issued in candidate order by the cursor, and a worker that
-// claims an index always finishes evaluating it before checking the
-// context again — so folding indices [0, next) yields exactly the
-// prefix a serial sweep of the same spec would have produced.
-func synthesizeParallel(ctx context.Context, res *Result, cands []candidate, opt Options, env *sweepEnv, parter *partitioner, eval func(*buildContext, candidate) *DesignPoint) {
-	workers := opt.workers()
-	chunk := len(cands)
-	if opt.MaxDesignPoints > 0 && workers*4 < chunk {
-		chunk = workers * 4
-	}
-	arenas := make([]*buildContext, workers)
-	for lo := 0; lo < len(cands); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		if ctx.Err() != nil {
-			markPartial(ctx, res)
-			return
-		}
-		outs := make([]evalOutcome, hi-lo)
-		var next atomic.Int64 // next unclaimed index into outs
-		var wg sync.WaitGroup
-		for w := 0; w < workers && w < hi-lo; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				bc := arenas[w]
-				if bc == nil {
-					bc = newBuildContext(env)
-					arenas[w] = bc
-				}
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(outs) {
-						return
-					}
-					outs[i] = evalCandidate(bc, cands[lo+i], lo+i, parter, env, eval)
-				}
-			}(w)
-		}
-		wg.Wait()
-		done := len(outs)
-		if ctx.Err() != nil {
-			// Every claimed index was evaluated; claims stop on
-			// cancellation, so [0, next) is the evaluated prefix.
-			if n := int(next.Load()); n < done {
-				done = n
-			}
-		}
-		for i := 0; i < done; i++ {
-			if collect(res, outs[i], cands[lo+i], len(cands), env) {
-				return
-			}
-		}
-		if ctx.Err() != nil {
-			markPartial(ctx, res)
-			return
-		}
-	}
 }
 
 // IslandClocks implements step 1: the NoC clock of each island is fixed
@@ -919,97 +546,6 @@ func IslandClocks(spec *soc.Spec, lib *model.Library) (freqs []float64, maxSizes
 		}
 	}
 	return freqs, maxSizes, nil
-}
-
-// countsKey encodes a switch-count vector into a compact map key. Each
-// element is appended as a uvarint; varints are prefix codes, so the
-// concatenation of two distinct vectors can never collide. Unlike the
-// fmt.Sprint key it replaces, it performs no reflection and allocates
-// nothing but the final string.
-func countsKey(counts []int) string {
-	var stack [64]byte
-	buf := stack[:0]
-	for _, c := range counts {
-		buf = binary.AppendUvarint(buf, uint64(c))
-	}
-	return string(buf)
-}
-
-// partitioner memoizes step 11 at two levels: one partition.Cache per
-// island (keyed by switch count) and the assembled per-counts-vector
-// partition set, stored in the vector's vecParts. Resolution is
-// worker-side and first-touch: whichever goroutine first claims a
-// candidate of an unresolved vector resolves it through its own
-// partition scratch, under the vector's once latch; later claimers of
-// the same vector wait on the latch (rarely — vectors resolve in
-// microseconds) and then read the immutable result without any lock.
-type partitioner struct {
-	caches []*partition.Cache
-
-	// bounds, when non-nil, activates the branch-and-bound layer's
-	// per-vector work inside resolve: the pre-partition infeasibility
-	// proof (a provably-doomed vector is never partitioned at all) and
-	// the admissible lower bounds stored on the vecParts.
-	bounds *boundsEnv
-}
-
-// newPartitioner builds one cache per island VCG, with the same
-// engine selection and MaxPartSize clamping the serial flow applied per
-// call. The undirected VCG views are materialized once, up front.
-func newPartitioner(vcgs []*vcg.VCG, maxSizes []int, opt Options) *partitioner {
-	// A nil engine selects the cache's scratch-pooled built-in KWay.
-	var engine partition.Engine
-	if opt.SpectralPartition {
-		engine = partition.SpectralKWay
-	}
-	caches := make([]*partition.Cache, len(vcgs))
-	for j, v := range vcgs {
-		pOpt := opt.Partition
-		cap := maxSizes[j] - 1
-		if pOpt.MaxPartSize == 0 || cap < pOpt.MaxPartSize {
-			pOpt.MaxPartSize = cap
-		}
-		caches[j] = partition.NewCache(v.Undirected(), engine, pOpt)
-		if opt.PartitionBacking != nil {
-			// The backing receives the clamped options the cache runs
-			// with, so its keys cover exactly the identity that
-			// determines the cut.
-			if b := opt.PartitionBacking(j, pOpt); b != nil {
-				caches[j].SetBacking(b)
-			}
-		}
-	}
-	return &partitioner{caches: caches}
-}
-
-// resolve fills in the per-island partitions of one counts-vector,
-// min-cut partitioning every island's VCG into the requested switch
-// counts through the caller's scratch (nil falls back to the caches'
-// internal serialized scratch). Safe to call from any number of
-// goroutines: the vector's once latch runs the resolution exactly
-// once, and after resolve returns, v is immutable. Results do not
-// depend on which caller wins the latch — both engines are
-// deterministic functions of (graph, k, options).
-func (p *partitioner) resolve(v *vecParts, sc *partition.Scratch) {
-	v.once.Do(func() {
-		if p.bounds != nil && p.bounds.vectorInfeasible(v.counts) {
-			v.skip = true // provably infeasible: partitioning skipped entirely
-			return
-		}
-		parts := make([][]int, len(p.caches))
-		for j, c := range p.caches {
-			var err error
-			parts[j], err = c.PartitionScratch(v.counts[j], sc)
-			if err != nil {
-				v.err = err
-				return // v.parts stays nil: the vector is infeasible
-			}
-		}
-		v.parts = parts
-		if p.bounds != nil {
-			v.powerLB, v.latLB, v.skip = p.bounds.vectorBounds(v.counts, parts)
-		}
-	})
 }
 
 // buildPoint constructs, routes, floorplans and costs one candidate

@@ -354,29 +354,3 @@ func TestAutoVoltage(t *testing.T) {
 		t.Fatalf("DVS design invalid: %v", err)
 	}
 }
-
-// countsKey replaced a fmt.Sprint key: it must stay injective — two
-// distinct vectors must never encode to the same key, including the
-// digit-boundary adversaries that would collide under naive decimal
-// concatenation ([1,23] vs [12,3]) and prefix pairs ([7] vs [7,0]).
-func TestCountsKeyInjective(t *testing.T) {
-	vecs := [][]int{
-		{}, {0}, {7}, {7, 0}, {0, 7},
-		{1, 23}, {12, 3}, {123}, {1, 2, 3},
-		{127}, {128}, {1, 28}, {12, 8},
-		{300, 5}, {3, 5}, {30, 5},
-	}
-	seen := make(map[string][]int)
-	for _, v := range vecs {
-		k := countsKey(v)
-		if prev, ok := seen[k]; ok {
-			t.Fatalf("countsKey collision: %v and %v both encode to %q", prev, v, k)
-		}
-		seen[k] = v
-	}
-	// Same vector must round-trip to the same key (map memoization
-	// depends on it).
-	if countsKey([]int{4, 1, 1}) != countsKey([]int{4, 1, 1}) {
-		t.Fatal("countsKey is not deterministic")
-	}
-}

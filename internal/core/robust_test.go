@@ -375,20 +375,22 @@ func TestNormalizeStack(t *testing.T) {
 runtime/debug.Stack()
 	/usr/local/go/src/runtime/debug/stack.go:26 +0x5e
 nocvi/internal/core.safeEval.func1()
-	/root/repo/internal/core/core.go:500 +0x88
+	/src/nocvi/internal/core/driver.go:300 +0x88
 panic({0x5a3c80?, 0x6f1d30?})
 	/usr/local/go/src/runtime/panic.go:792 +0x132
 nocvi/internal/core.buildPoint(0xc0001b2000, {0xc00001c0a8, 0x3, 0x3}, ...)
-	/root/repo/internal/core/core.go:700 +0x1a4
-nocvi/internal/core.safeEval(0xc0001b2000, {0xc000112e10?, 0x0?}, 0xc000127c98)
-	/root/repo/internal/core/core.go:520 +0xde
-nocvi/internal/core.synthesizeParallel.func1(0x0)
-	/root/repo/internal/core/core.go:610 +0x10c
-created by nocvi/internal/core.synthesizeParallel in goroutine 1
-	/root/repo/internal/core/core.go:600 +0x4f3
+	/src/nocvi/internal/core/core.go:700 +0x1a4
+nocvi/internal/core.safeEval(0xc0001b2000, {0xc00001c0a8, 0x3, 0x3}, {0xc000112e10, 0x3, 0x3}, 0x1)
+	/src/nocvi/internal/core/driver.go:316 +0xde
+nocvi/internal/core.(*sweepEnv).evaluate(0xc000180000, 0xc0001b2000, 0x7, {0xc00001c0a8, 0x3, 0x3}, ...)
+	/src/nocvi/internal/core/driver.go:288 +0x2a4
+nocvi/internal/core.(*sweepEnv).drive.func1(0x0, 0xc0001b2000)
+	/src/nocvi/internal/core/driver.go:410 +0x10c
+created by nocvi/internal/core.(*sweepEnv).drive in goroutine 1
+	/src/nocvi/internal/core/driver.go:400 +0x4f3
 `)
 	got := normalizeStack(raw)
-	want := "nocvi/internal/core.buildPoint\n\t/root/repo/internal/core/core.go:700\n"
+	want := "nocvi/internal/core.buildPoint\n\t/src/nocvi/internal/core/core.go:700\n"
 	if got != want {
 		t.Fatalf("normalizeStack:\n%q\nwant\n%q", got, want)
 	}

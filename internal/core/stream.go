@@ -2,27 +2,19 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"nocvi/internal/model"
-	"nocvi/internal/partition"
 	"nocvi/internal/soc"
-	"nocvi/internal/vcg"
 )
 
 // SweepOptions configures SynthesizeSweep, the full-factorial streaming
 // sweep. Unlike Synthesize's diagonal walk (every island's switch count
 // incremented in lockstep), the streaming sweep enumerates the cross
 // product of per-island switch-count ranges — spaces that reach millions
-// of design points on 100+-core, 10+-island SoCs — without ever
-// materializing a candidate list: workers draw index ranges from an
-// atomic cursor and decode each index on the fly.
+// of design points on 100+-core, 10+-island SoCs.
 type SweepOptions struct {
 	// WidthPerIsland caps how many switch-count values each island
 	// contributes, counted up from the island's minimum feasible count.
@@ -74,9 +66,11 @@ type SweepPoint struct {
 // SweepResult is the outcome of a streaming sweep. Completed sweeps are
 // byte-identical for every worker count: the collectors are order-
 // independent (total-order argmin, exact Pareto merge, index-sorted
-// errors). Partial results of a canceled sweep cover whichever indices
-// were evaluated before the stop and may differ across worker counts;
-// Partial says so.
+// errors). A sweep stopped by its context (Partial) has evaluated
+// exactly the index prefix [0, Explored): under Options.NoPrune it
+// equals a sweep with Limit = Explored apart from the stop fields
+// (Truncated, Partial, StopReason). Where the prefix ends depends on
+// when the stop landed.
 type SweepResult struct {
 	Spec *soc.Spec
 
@@ -130,8 +124,9 @@ type SweepResult struct {
 	// contribution to this sweep (see Result.CacheStats); all-zero when
 	// the run bypassed the cache. WarmStarts counts partition-table
 	// entries loaded from disk instead of resolved — a repeated sweep
-	// skips partition resolution entirely. Never encoded and zeroed in
-	// digests, so cached and fresh sweeps compare byte-identical.
+	// recomputes no cut an earlier sweep of the spec already made. Never
+	// encoded and zeroed in digests, so cached and fresh sweeps compare
+	// byte-identical.
 	CacheStats CacheStats
 
 	// PruneStats is the branch-and-bound layer's disposition of the
@@ -140,66 +135,6 @@ type SweepResult struct {
 	// CacheStats it is run bookkeeping — never encoded, zeroed in
 	// digests and comparisons.
 	PruneStats PruneStats
-}
-
-// sweepSpace is the enumeration geometry: per-island switch-count
-// ranges plus the mid dimension, with mid varying fastest.
-type sweepSpace struct {
-	min    []int // per-island lowest switch count
-	width  []int // per-island range width (>= 1)
-	midDim int   // maxMid + 1
-}
-
-// size returns the cross-product size, saturating at MaxUint64.
-func (s *sweepSpace) size() uint64 {
-	total := uint64(s.midDim)
-	for _, w := range s.width {
-		if total > math.MaxUint64/uint64(w) {
-			return math.MaxUint64
-		}
-		total *= uint64(w)
-	}
-	return total
-}
-
-// decode writes candidate idx's switch counts into counts (len =
-// islands) and returns its mid value. Index 0 is every island at its
-// minimum with mid 0; incrementing the index advances mid first.
-func (s *sweepSpace) decode(idx uint64, counts []int) (mid int) {
-	mid = int(idx % uint64(s.midDim))
-	idx /= uint64(s.midDim)
-	for j := len(s.width) - 1; j >= 0; j-- {
-		w := uint64(s.width[j])
-		counts[j] = s.min[j] + int(idx%w)
-		idx /= w
-	}
-	return mid
-}
-
-// partTable holds the pre-resolved per-island partitions the workers
-// read lock-free: entry [j][w] is island j cut into min[j]+w switches.
-// The table is sized by the sum of range widths — a few hundred entries
-// even for million-point spaces — and filled before workers start, so
-// the hot loop does no cache probes and takes no locks.
-type partTable struct {
-	space *sweepSpace
-	parts [][]partEntry
-}
-
-type partEntry struct {
-	part []int
-	err  error
-
-	// Branch-and-bound annotations, filled only when pruning is on:
-	// piece and cross are islandPiece's power/latency contributions for
-	// this (island, count) cut, summed per candidate by the workers;
-	// infeas marks a cut proven unable to validate (stage-0 port
-	// arithmetic, or a cross-switch flow no link can serve), in which
-	// case part may be nil — provably-doomed entries skip min-cut
-	// resolution entirely.
-	piece  float64
-	cross  int
-	infeas bool
 }
 
 // sweepBetter is the total order behind both argmins: fewest wire
@@ -313,61 +248,44 @@ func (sc *sweepCollector) addError(idx uint64, ce *CandidateError) {
 	}
 }
 
-// sweepEval builds one decoded candidate behind a panic boundary,
-// summarizes it, and reclaims the arena's topology (the full design
-// point never escapes, so the pooled storage is reused — the sweep
-// allocates no topology per point after warm-up). counts and parts are
-// worker-owned scratch reused across calls.
-func sweepEval(bc *buildContext, counts []int, parts [][]int, mid int, idx uint64, col *sweepCollector) {
-	defer func() {
-		if r := recover(); r != nil {
-			col.addError(idx, &CandidateError{
-				SwitchCounts: append([]int(nil), counts...),
-				MidSwitches:  mid,
-				//noclint:ignore bannedcall stringifying a recovered panic value, off the hot path
-				Panic: fmt.Sprint(r),
-				Stack: normalizeStack(debug.Stack()),
-			})
-			*bc = buildContext{env: bc.env}
-		}
-	}()
-	if testHookEvalStart != nil {
-		testHookEvalStart(counts, mid)
+// streamCollectors is SynthesizeSweep's collector: one bounded-memory
+// sweepCollector per worker, merged after the sweep. It keeps only the
+// SweepPoint summary of a feasible point and hands the point's topology
+// back to the worker's arena, so the sweep allocates no topology per
+// point after warm-up. Nothing it keeps depends on order, so it never
+// needs a fold.
+type streamCollectors []*sweepCollector
+
+func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, counts []int, mid int, out evalOutcome) {
+	col := cs[w]
+	col.explored++
+	switch {
+	case out.pruned == pruneBound:
+		col.pruneBound++
+	case out.pruned == pruneStage:
+		col.pruneStage++
+	case out.err != nil:
+		col.addError(idx, out.err)
+	case out.dp != nil:
+		col.addFeasible(SweepPoint{
+			Index:          idx,
+			SwitchCounts:   append([]int(nil), counts...),
+			MidSwitches:    mid,
+			PowerW:         out.dp.NoCPower.DynW(),
+			LatencyCycles:  out.dp.MeanLatencyCycles,
+			AreaMM2:        out.dp.NoCAreaMM2,
+			WireViolations: out.dp.WireViolations,
+		})
+		bc.top = out.dp.Top // reclaim: the point was summarized, not published
 	}
-	// Staged pruning accepts any published incumbent: the sweep's
-	// collectors are winner-invariant under strictly-dominated removals
-	// (the witness beats the removed point on every selection key), so no
-	// index ordering is needed. The panic reset zeroes pruneIdx, hence
-	// the per-call re-arm.
-	bc.pruneIdx = math.MaxUint64
-	dp, err := buildPoint(bc, counts, parts, mid)
-	bc.stagePruned = false
-	if err != nil {
-		if errors.Is(err, errStagePruned) {
-			col.pruneStage++
-		}
-		return // infeasible or pruned: nothing retained
-	}
-	p := SweepPoint{
-		Index:          idx,
-		SwitchCounts:   append([]int(nil), counts...),
-		MidSwitches:    mid,
-		PowerW:         dp.NoCPower.DynW(),
-		LatencyCycles:  dp.MeanLatencyCycles,
-		AreaMM2:        dp.NoCAreaMM2,
-		WireViolations: dp.WireViolations,
-	}
-	bc.top = dp.Top // reclaim: the point was summarized, not published
-	if pr := bc.env.pruner; pr != nil && p.WireViolations == 0 {
-		pr.publish(idx, p.PowerW, p.LatencyCycles)
-	}
-	col.addFeasible(p)
 }
+
+func (streamCollectors) fold(lo, hi uint64) bool { return false }
 
 // SynthesizeSweep runs Algorithm 1 over the full cross product of
 // per-island switch-count ranges — the design space Synthesize's
-// diagonal walk only samples — streaming candidates through a bounded
-// worker pool. No candidate list is ever materialized: workers claim
+// diagonal walk only samples — through the same streaming driver as
+// Synthesize. No candidate list is ever materialized: workers claim
 // index blocks from an atomic cursor and decode each index in place,
 // so a 10⁶-point space costs the same memory as a 10²-point one. Only
 // compact SweepPoint summaries are retained (argmins plus the Pareto
@@ -389,61 +307,17 @@ func sweepEval(bc *buildContext, counts []int, parts [][]int, mid int, idx uint6
 // SweepResult.Explored still covers every index; PruneStats says how
 // each was dispositioned.
 func SynthesizeSweep(ctx context.Context, spec *soc.Spec, lib *model.Library, opt Options, sw SweepOptions) (*SweepResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := lib.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	// Same survivability normalization as synthesizeAttempt: the core
-	// knob is canonical and flows to every worker's router via the env.
-	if opt.Survivability < 0 {
-		opt.Survivability = 0
-	}
-	opt.Router.Survivability = opt.Survivability
-	freqs, maxSizes, err := IslandClocks(spec, lib)
+	env, err := newSweepEnv(spec, lib, opt)
 	if err != nil {
 		return nil, err
 	}
-	nIsl := len(spec.Islands)
-	space := &sweepSpace{min: make([]int, nIsl), width: make([]int, nIsl)}
-	islandCores := make([][]soc.CoreID, nIsl)
-	maxCores := 0
-	for j := 0; j < nIsl; j++ {
-		islandCores[j] = spec.CoresIn(soc.IslandID(j))
-		n := len(islandCores[j])
-		usable := maxSizes[j] - 1
-		if usable < 1 {
-			return nil, fmt.Errorf("core: island %d needs %.0f MHz, too fast for any usable switch: %w",
-				j, freqs[j]/1e6, ErrInfeasible)
-		}
-		lo := (n + usable - 1) / usable
-		if lo < 1 {
-			lo = 1
-		}
-		hi := n
-		if hi < lo {
-			hi = lo
-		}
-		if sw.WidthPerIsland > 0 && lo+sw.WidthPerIsland-1 < hi {
-			hi = lo + sw.WidthPerIsland - 1
-		}
-		space.min[j] = lo
-		space.width[j] = hi - lo + 1
-		if n > maxCores {
-			maxCores = n
-		}
-	}
-	maxMid := opt.MaxIntermediateSwitches
-	if maxMid <= 0 {
-		maxMid = maxCores
-	}
-	if !opt.AllowIntermediate {
-		maxMid = 0
-	}
-	space.midDim = maxMid + 1
+	return env.sweep(ctx, sw)
+}
 
-	res := &SweepResult{Spec: spec, Size: space.size()}
+// sweep is SynthesizeSweep after the prologue.
+func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, error) {
+	space := env.factorial(sw.WidthPerIsland)
+	res := &SweepResult{Spec: env.spec, Size: space.Size()}
 	limit := res.Size
 	if sw.Limit > 0 && sw.Limit < limit {
 		limit = sw.Limit
@@ -452,149 +326,14 @@ func SynthesizeSweep(ctx context.Context, spec *soc.Spec, lib *model.Library, op
 	if res.Size == math.MaxUint64 && sw.Limit == 0 {
 		return nil, fmt.Errorf("core: sweep space size overflows uint64; set SweepOptions.Limit")
 	}
-
-	vcgs, err := vcg.BuildAll(spec, opt.alpha())
-	if err != nil {
-		return nil, err
-	}
-	parter := newPartitioner(vcgs, maxSizes, opt)
-
-	// The branch-and-bound layer: a bounds environment for the
-	// candidate-local lower bounds and a shared incumbent the workers
-	// tighten. Both off under Options.NoPrune.
-	var be *boundsEnv
-	if !opt.NoPrune {
-		be = newBoundsEnv(spec, lib, opt, freqs, islandCores)
-	}
-
-	// Pre-resolve every per-island partition the space can reference —
-	// the sum of range widths, a few hundred cuts at most — so workers
-	// read the table lock-free. An island/k pair that cannot be cut is
-	// stored as an error; candidates touching it count as evaluated but
-	// infeasible, matching Synthesize's accounting. With pruning on,
-	// each entry also carries its bound contributions, and cuts the
-	// stage-0 port arithmetic proves unable to validate skip min-cut
-	// resolution entirely.
-	table := &partTable{space: space, parts: make([][]partEntry, nIsl)}
-	var psc partition.Scratch
-	for j := 0; j < nIsl; j++ {
-		table.parts[j] = make([]partEntry, space.width[j])
-		for w := 0; w < space.width[j]; w++ {
-			k := space.min[j] + w
-			if be != nil && be.islandInfeasible(j, k) {
-				table.parts[j][w] = partEntry{infeas: true}
-				continue
-			}
-			part, err := parter.caches[j].PartitionScratch(k, &psc)
-			e := partEntry{part: part, err: err}
-			if be != nil && err == nil {
-				e.piece, e.cross, e.infeas = be.islandPiece(j, k, part)
-			}
-			table.parts[j][w] = e
-		}
-	}
-
-	midFreq := lib.FreqGridHz
-	for _, f := range freqs {
-		if f > midFreq {
-			midFreq = f
-		}
-	}
-	env := &sweepEnv{
-		spec:        spec,
-		lib:         lib,
-		opt:         opt,
-		freqs:       freqs,
-		midFreq:     midFreq,
-		islandCores: islandCores,
-		flows:       spec.SortFlowsByBandwidth(),
-	}
-	if be != nil {
+	if env.bounds != nil {
 		env.pruner = &incumbentPruner{}
 	}
-
-	workers := opt.workers()
-	if uint64(workers) > limit {
-		workers = int(limit)
+	cols := make(streamCollectors, env.opt.workers())
+	for w := range cols {
+		cols[w] = &sweepCollector{errCap: sw.maxErrors()}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	block := limit / uint64(workers*16)
-	if block < 64 {
-		block = 64
-	}
-	if block > 4096 {
-		block = 4096
-	}
-
-	specBad := be != nil && be.specInfeasible
-	cols := make([]*sweepCollector, workers)
-	var cursor atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		col := &sweepCollector{errCap: sw.maxErrors()}
-		cols[w] = col
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bc := newBuildContext(env)
-			counts := make([]int, nIsl)
-			parts := make([][]int, nIsl)
-			for ctx.Err() == nil {
-				hi := cursor.Add(block)
-				lo := hi - block
-				if lo >= limit {
-					return
-				}
-				if hi > limit {
-					hi = limit
-				}
-				for idx := lo; idx < hi; idx++ {
-					mid := space.decode(idx, counts)
-					col.explored++
-					if specBad {
-						col.pruneBound++
-						continue // every candidate provably infeasible
-					}
-					ok := true
-					infeas := false
-					var swLB float64
-					crossLB := 0
-					for j := 0; j < nIsl; j++ {
-						e := &table.parts[j][counts[j]-space.min[j]]
-						if e.infeas {
-							infeas = true
-							break
-						}
-						if e.err != nil {
-							ok = false
-							break
-						}
-						parts[j] = e.part
-						swLB += e.piece
-						crossLB += e.cross
-					}
-					if infeas {
-						col.pruneBound++
-						continue // a cut proven unable to validate
-					}
-					if !ok {
-						continue // no k-way cut fits: attempted, infeasible
-					}
-					if pruner := env.pruner; pruner != nil {
-						pLB, lLB := be.combine(swLB, crossLB)
-						if pruner.dominates(math.MaxUint64, pLB, lLB) {
-							col.pruneBound++
-							continue
-						}
-					}
-					sweepEval(bc, counts, parts, mid, idx, col)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	partial := env.drive(ctx, space, limit, limit, cols)
 
 	// Merge the per-worker collectors. Every reduction is order-
 	// independent: the argmins under a total order, the front by exact
@@ -643,16 +382,12 @@ func SynthesizeSweep(ctx context.Context, spec *soc.Spec, lib *model.Library, op
 	res.BestPowerPoint = bestP
 	res.BestLatencyPoint = bestL
 
-	if ctx.Err() != nil {
-		res.Partial = true
-		if ctx.Err() == context.DeadlineExceeded {
-			res.StopReason = StopDeadline
-		} else {
-			res.StopReason = StopCanceled
-		}
-	} else if res.Truncated {
+	switch {
+	case partial:
+		res.Partial, res.StopReason = true, stopReason(ctx)
+	case res.Truncated:
 		res.StopReason = StopTruncated
-	} else {
+	default:
 		res.StopReason = StopComplete
 	}
 
@@ -662,14 +397,13 @@ func SynthesizeSweep(ctx context.Context, spec *soc.Spec, lib *model.Library, op
 		if p == nil {
 			return nil
 		}
-		bc := newBuildContext(env)
-		counts := make([]int, nIsl)
-		parts := make([][]int, nIsl)
-		mid := space.decode(p.Index, counts)
-		for j := 0; j < nIsl; j++ {
-			parts[j] = table.parts[j][counts[j]-space.min[j]].part
+		counts := make([]int, len(env.islandCores))
+		parts := make([][]int, len(counts))
+		mid := space.Decode(p.Index, counts)
+		for j, k := range counts {
+			parts[j] = env.table.entry(j, k, nil).part
 		}
-		dp, err := buildPoint(bc, counts, parts, mid)
+		dp, err := buildPoint(newBuildContext(env), counts, parts, mid)
 		if err != nil {
 			panic(fmt.Sprintf("core: sweep winner %v/mid=%d failed rebuild: %v", counts, mid, err)) //noclint:ignore bannedcall cold-path invariant panic, not a cache key
 		}

@@ -6,8 +6,8 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
@@ -17,11 +17,11 @@ import (
 // oracleSweep enumerates the streaming sweep's space with plain nested
 // loops — island 0 slowest, mid fastest, an incrementing counter as the
 // index — and evaluates every candidate through fresh build contexts.
-// It shares no code with sweepSpace.decode or the collectors, so it is
+// It shares no code with factorialSpace.Decode or the collectors, so it is
 // an independent check of the enumeration geometry and the reductions.
 func oracleSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options, width int) (feasible []SweepPoint, evaluated uint64) {
 	t.Helper()
-	env, parter, _ := newTestSweep(t, spec, lib, opt)
+	env := mustEnv(t, spec, lib, opt)
 	freqs, maxSizes, err := IslandClocks(spec, lib)
 	_ = freqs
 	if err != nil {
@@ -66,7 +66,7 @@ func oracleSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options, 
 			for mid := 0; mid <= maxMid; mid++ {
 				ok := true
 				for i := 0; i < nIsl; i++ {
-					p, err := parter.caches[i].Partition(counts[i])
+					p, err := env.table.caches[i].Partition(counts[i])
 					if err != nil {
 						ok = false
 						break
@@ -314,25 +314,35 @@ func TestSweepSinglePointSpace(t *testing.T) {
 }
 
 // TestSweepCancellation stops a sweep mid-flight and checks it degrades
-// to an honestly-labeled partial result instead of failing.
+// to an honestly-labeled partial result instead of failing — one that
+// covers exactly the index prefix [0, Explored): under NoPrune it equals
+// a sweep limited to Explored candidates once the stop fields agree.
 func TestSweepCancellation(t *testing.T) {
 	spec := specgen.Large(3, 40, 6)
 	lib := model.Default65nm()
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	res, err := SynthesizeSweep(ctx, spec, lib, Options{Workers: 4}, SweepOptions{})
+	defer cancel()
+	var evals atomic.Int64
+	withEvalHook(t, func(counts []int, mid int) {
+		if evals.Add(1) == 40 {
+			cancel()
+		}
+	})
+	opt := Options{Workers: 4, NoPrune: true}
+	res, err := SynthesizeSweep(ctx, spec, lib, opt, SweepOptions{})
 	if err != nil {
 		t.Fatalf("canceled sweep must return a partial result, got %v", err)
 	}
-	if res.Explored >= res.Size {
-		t.Skip("sweep finished before the cancel landed")
+	if res.Explored == 0 || res.Explored >= res.Size {
+		t.Fatalf("explored %d of %d: not a strict non-empty prefix", res.Explored, res.Size)
 	}
-	if !res.Partial || res.StopReason != StopCanceled {
-		t.Fatalf("partial metadata wrong: partial=%v reason=%q", res.Partial, res.StopReason)
+	if !res.Partial || res.StopReason != StopCanceled || res.Truncated {
+		t.Fatalf("partial metadata wrong: partial=%v reason=%q truncated=%v", res.Partial, res.StopReason, res.Truncated)
 	}
+	testHookEvalStart = nil
+	limited := sweepOnce(t, spec, lib, opt, SweepOptions{Limit: res.Explored})
+	limited.Truncated, limited.Partial, limited.StopReason = res.Truncated, res.Partial, res.StopReason
+	sameSweep(t, "canceled vs limited", res, limited)
 }
 
 // TestSweepPanicsIdenticalAcrossWorkers injects panics into a fixed

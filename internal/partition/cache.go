@@ -107,7 +107,7 @@ func NewCache(g *graph.Undirected, engine Engine, opt Options) *Cache {
 
 // SetBacking attaches a persistence layer consulted between the
 // in-memory map and the engine. Call before the cache is shared across
-// goroutines (newPartitioner attaches it at construction time); a nil
+// goroutines (the core sweep attaches it at construction time); a nil
 // backing restores pure in-memory behaviour.
 func (c *Cache) SetBacking(b Backing) { c.backing = b }
 
