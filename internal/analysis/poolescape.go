@@ -7,7 +7,8 @@ import (
 )
 
 // PoolEscape flags pooled arena state — the worker scratch family
-// (graph.Scratch, partition.Scratch, floorplan.Scratch) and the
+// (graph.Scratch, partition.Scratch, floorplan.Scratch,
+// deadlock.Scratch, power.Scratch) and the
 // Reset-recycled engine objects (topology.Topology, route.Router) —
 // whose reference escapes its arena lifetime. The PR 4/6 arena
 // discipline hands each sweep worker a buildContext that owns its
@@ -35,8 +36,9 @@ import (
 // than leak.
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
-	Doc: "flags pooled arena references (graph/partition/floorplan " +
-		"Scratch, topology.Topology, route.Router) escaping the arena: " +
+	Doc: "flags pooled arena references (graph/partition/floorplan/" +
+		"deadlock/power Scratch, topology.Topology, route.Router) " +
+		"escaping the arena: " +
 		"stored into a global, stored into a non-arena struct field, or " +
 		"returned past the pooling boundary",
 	Run: runPoolEscape,
@@ -49,6 +51,8 @@ var pooledTypes = map[[2]string]bool{
 	{"graph", "Scratch"}:     true,
 	{"partition", "Scratch"}: true,
 	{"floorplan", "Scratch"}: true,
+	{"deadlock", "Scratch"}:  true,
+	{"power", "Scratch"}:     true,
 	{"topology", "Topology"}: true,
 	{"route", "Router"}:      true,
 }

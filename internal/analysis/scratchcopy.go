@@ -7,7 +7,8 @@ import (
 )
 
 // ScratchCopy flags by-value copies of the worker scratch types —
-// graph.Scratch, partition.Scratch, floorplan.Scratch — and of any
+// graph.Scratch, partition.Scratch, floorplan.Scratch,
+// deadlock.Scratch, power.Scratch — and of any
 // struct that embeds one of them as a non-pointer field (the sweep's
 // buildContext, for example). The scratch structs are the per-worker
 // arenas the parallel sweep's zero-allocation steady state rests on:
@@ -35,7 +36,7 @@ import (
 var ScratchCopy = &Analyzer{
 	Name: "scratchcopy",
 	Doc: "flags by-value copies of the worker scratch arenas " +
-		"(graph.Scratch, partition.Scratch, floorplan.Scratch and " +
+		"(graph, partition, floorplan, deadlock and power Scratch and " +
 		"structs embedding them); a copy duplicates pinned buffers and " +
 		"aliases interior pointers across workers",
 	Run: runScratchCopy,
@@ -49,6 +50,8 @@ var scratchOwnerPkgs = map[string]bool{
 	"graph":     true,
 	"partition": true,
 	"floorplan": true,
+	"deadlock":  true,
+	"power":     true,
 }
 
 func runScratchCopy(p *Pass) {

@@ -4,7 +4,9 @@
 package worker
 
 import (
+	"fixture/poolescape/deadlock"
 	"fixture/poolescape/graph"
+	"fixture/poolescape/power"
 	"fixture/poolescape/route"
 	"fixture/poolescape/topology"
 )
@@ -14,6 +16,8 @@ import (
 // boundary itself, not an escape.
 type buildContext struct {
 	scratch graph.Scratch
+	dl      deadlock.Scratch
+	pw      power.Scratch
 	top     *topology.Topology
 	router  *route.Router
 }
@@ -23,10 +27,12 @@ type buildContext struct {
 type Server struct {
 	router *route.Router
 	tops   map[string]*topology.Topology
+	power  *power.Scratch
 }
 
 var leakedTop *topology.Topology
 var leakedScratch *graph.Scratch
+var leakedDeadlock *deadlock.Scratch
 var registry = map[string]*route.Router{}
 
 func globalEscape(bc *buildContext) {
@@ -35,6 +41,14 @@ func globalEscape(bc *buildContext) {
 
 func globalAddrEscape(bc *buildContext) {
 	leakedScratch = &bc.scratch // want poolescape "graph.Scratch reference stored into package-level var leakedScratch"
+}
+
+func globalDeadlockEscape(bc *buildContext) {
+	leakedDeadlock = &bc.dl // want poolescape "deadlock.Scratch reference stored into package-level var leakedDeadlock"
+}
+
+func powerFieldEscape(s *Server, bc *buildContext) {
+	s.power = &bc.pw // want poolescape "power.Scratch reference stored into field power of non-arena type worker.Server"
 }
 
 func globalIndexEscape(bc *buildContext, name string) {
@@ -91,5 +105,5 @@ func localUse(bc *buildContext) int {
 	t := takeTop(bc)
 	r := takeRouter(bc)
 	_ = r
-	return t.Routers + len(bc.scratch.Buf)
+	return t.Routers + len(bc.scratch.Buf) + len(bc.dl.Succ) + len(bc.pw.Traffic)
 }

@@ -3,13 +3,24 @@
 // composite-literal initialization are not.
 package worker
 
-import "fixture/scratchcopy/graph"
+import (
+	"fixture/scratchcopy/deadlock"
+	"fixture/scratchcopy/graph"
+	"fixture/scratchcopy/power"
+)
 
 // workerCtx embeds a scratch by value, so copying the context copies
 // the arena: containment is transitive.
 type workerCtx struct {
 	id int
 	sc graph.Scratch
+}
+
+// arenaCtx holds the deadlock and power scratch by value, like the
+// sweep's buildContext: copying it copies both arenas.
+type arenaCtx struct {
+	dl deadlock.Scratch
+	pw *power.Scratch
 }
 
 // refCtx holds the arena by pointer; copying it shares, not copies.
@@ -23,6 +34,27 @@ func use(s graph.Scratch) { // want scratchcopy "parameter takes graph.Scratch b
 }
 
 func usePtr(s *graph.Scratch) { s.Reset() }
+
+func check(sc deadlock.Scratch) { // want scratchcopy "parameter takes deadlock.Scratch by value"
+	_ = sc
+}
+
+func checkPtr(sc *deadlock.Scratch) { _ = sc }
+
+func cost() power.Scratch { // want scratchcopy "result returns power.Scratch by value"
+	return power.Scratch{}
+}
+
+func arenas(a *arenaCtx) {
+	checkPtr(&a.dl)
+	dl := a.dl // want scratchcopy "assignment copies deadlock.Scratch"
+	_ = dl
+	pw := *a.pw // want scratchcopy "assignment copies power.Scratch"
+	_ = pw
+	dup := *a // want scratchcopy "assignment copies worker.arenaCtx"
+	_ = dup
+	*a = arenaCtx{} // zero reset through a composite literal: clean
+}
 
 func produce() graph.Scratch { // want scratchcopy "result returns graph.Scratch by value"
 	var s graph.Scratch

@@ -54,7 +54,12 @@ import (
 // table, shared claiming loop and panic boundary), so the surface digest
 // moved and a stopped sweep now reports Partial only when the context
 // actually cut it short.
-const EngineVersion = 4
+//
+// v5: the deadlock check, power breakdown and placement draw on the
+// worker arena — results are bit-identical, but the hot path moved
+// (CSR channel dependency graph, scratch-backed traffic accumulators,
+// recycled placements), so the surface digest moved with it.
+const EngineVersion = 5
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

@@ -1,35 +1,42 @@
 package core
 
 import (
+	"nocvi/internal/deadlock"
 	"nocvi/internal/floorplan"
 	"nocvi/internal/graph"
 	"nocvi/internal/partition"
+	"nocvi/internal/power"
 	"nocvi/internal/route"
 	"nocvi/internal/topology"
 )
 
 // buildContext is one worker's reusable build arena: the pooled
 // topology under construction, the router (with its subgraph cache and
-// pinned Dijkstra scratch) and the floorplanner's scratch buffers, all
-// recycled across the candidates the worker evaluates. One buildContext
-// must not be used by two goroutines concurrently.
+// pinned Dijkstra scratch), and the deadlock checker's, floorplanner's
+// and power model's scratch buffers, all recycled across the candidates
+// the worker evaluates. One buildContext must not be used by two
+// goroutines concurrently.
 //
 // The reset discipline that keeps reuse invisible: the topology is
 // Reset before every build and surrendered (bc.top = nil) the moment it
 // escapes into a DesignPoint, so published results never alias arena
-// storage; the router's Reset re-targets it at the fresh topology with
-// semantics identical to route.New; the floorplan scratch only ever
-// holds temporaries that die inside one Place call. Every candidate
-// therefore observes exactly the state a fresh allocation would give
-// it, which is what keeps the sweep bit-identical to the serial,
-// arena-free path.
+// storage; a collector that only summarizes the point hands the
+// topology and placement back (bc.top, bc.fp.Recycle), and they are
+// cleared before reuse; the router's Reset re-targets it at the fresh
+// topology with semantics identical to route.New; the deadlock, power
+// and floorplan scratch otherwise hold only temporaries that die inside
+// one call. Every candidate therefore observes exactly the state a
+// fresh allocation would give it, which is what keeps the sweep
+// bit-identical to the serial, arena-free path.
 type buildContext struct {
 	env *sweepEnv
 
 	top     *topology.Topology // nil until first use or after handoff
 	router  *route.Router      // nil until first use
 	scratch graph.Scratch      // pinned to router, replaces pool traffic
+	dl      deadlock.Scratch
 	fp      floorplan.Scratch
+	pw      power.Scratch
 	part    partition.Scratch // worker-owned min-cut buffers for first-touch partition-table entries
 
 	// pruneIdx bounds the incumbent witnesses buildPoint's staged bound

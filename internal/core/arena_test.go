@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -9,7 +10,10 @@ import (
 	"time"
 
 	"nocvi/internal/bench"
+	"nocvi/internal/deadlock"
+	"nocvi/internal/floorplan"
 	"nocvi/internal/model"
+	"nocvi/internal/power"
 	"nocvi/internal/soc"
 )
 
@@ -57,32 +61,96 @@ func sameBuiltPoint(t *testing.T, label string, a, b *DesignPoint) {
 
 // TestArenaNoStateLeak drives one shared buildContext through
 // candidates with different switch-count vectors — the situation where
-// a stale core list, route buffer or subgraph surviving a Reset would
-// corrupt the next build — and checks every point against a build from
-// a fresh, never-used arena. The A-B-A order makes the first candidate
-// also rebuild on an arena dirtied by a differently-shaped one.
+// a stale core list, route buffer, subgraph, deadlock or power buffer
+// surviving a Reset would corrupt the next build — and checks every
+// point against a build from a fresh, never-used arena. The
+// A-B-...-B-A order grows and then shrinks the switch and link counts,
+// and makes the first candidate also rebuild on an arena dirtied by
+// differently-shaped ones.
+//
+// It runs three ways: the ordered path, which publishes every point;
+// the streaming collector's path, which hands each summarized point's
+// topology and placement back to the arena so the next build refills
+// them; and the streaming path under SkipAnnotate with a pruner armed,
+// where the point's NoCPower is the staged pre-floorplan breakdown —
+// compared against a fresh arena without a pruner, which costs the
+// point after floorplanning instead.
 func TestArenaNoStateLeak(t *testing.T) {
 	spec := miniSoC()
 	lib := model.Default65nm()
-	opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}
-	env := mustEnv(t, spec, lib, opt)
-	space := env.diagonal()
+	for _, mode := range []struct {
+		name           string
+		skip, stream   bool
+		stagedNoCPower bool
+	}{
+		{name: "ordered"},
+		{name: "stream", stream: true},
+		{name: "stream/skip-annotate", skip: true, stream: true, stagedNoCPower: true},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}
+			opt.Floorplan.SkipAnnotate = mode.skip
+			env := mustEnv(t, spec, lib, opt)
+			picks := arenaPicks(t, env)
 
-	// Pick the mid=0 candidate of each feasible diagonal vector, up to
-	// four, then replay the first again (A-B-...-A). Partitions are
-	// resolved through a dedicated arena's partition scratch — the
-	// worker-side first-touch path, reusing one scratch across every
-	// entry — so the replayed builds consume partitions computed off an
-	// already-dirtied scratch, exactly as a sweep worker would see.
-	type pick struct {
-		counts []int
-		parts  [][]int
-		mid    int
+			sharedEnv := env
+			if mode.stagedNoCPower {
+				sharedEnv = mustEnv(t, spec, lib, opt)
+				sharedEnv.pruner = &incumbentPruner{} // armed, never dominates: nothing is published
+			}
+			shared := newBuildContext(sharedEnv)
+			cols := streamCollectors{&sweepCollector{errCap: 1}}
+			var recycled *DesignPoint
+			for i, c := range picks {
+				label := fmt.Sprintf("pick %d (%v/%d)", i, c.counts, c.mid)
+				fresh, err := buildPoint(newBuildContext(env), c.counts, c.parts, c.mid)
+				if err != nil {
+					t.Fatalf("%s: fresh build failed: %v", label, err)
+				}
+				reused, err := buildPoint(shared, c.counts, c.parts, c.mid)
+				if err != nil {
+					t.Fatalf("%s: arena build failed: %v", label, err)
+				}
+				sameBuiltPoint(t, label, fresh, reused)
+				if fresh.Top == reused.Top {
+					t.Fatal("arena handed out the same topology twice")
+				}
+				if recycled != nil && (reused.Top != recycled.Top || reused.Placement != recycled.Placement) {
+					t.Fatalf("%s: the collector's reclaimed topology and placement were not reused", label)
+				}
+				if mode.stream {
+					cols.add(0, shared, uint64(i), c.counts, c.mid, evalOutcome{dp: reused})
+					recycled = reused
+				}
+			}
+			if mode.stream && cols[0].feasible != uint64(len(picks)) {
+				t.Fatalf("collector summarized %d of %d points", cols[0].feasible, len(picks))
+			}
+		})
 	}
-	var picks []pick
+}
+
+// arenaPick is one candidate of TestArenaNoStateLeak's replay.
+type arenaPick struct {
+	counts []int
+	parts  [][]int
+	mid    int
+}
+
+// arenaPicks selects the mid=0 candidate of up to four feasible
+// diagonal vectors, then replays them in reverse down to the first
+// (A-B-C-D-C-B-A). Partitions are resolved through a dedicated arena's
+// partition scratch — the worker-side first-touch path, reusing one
+// scratch across every entry — so the replayed builds consume
+// partitions computed off an already-dirtied scratch, exactly as a
+// sweep worker would see.
+func arenaPicks(t *testing.T, env *sweepEnv) []arenaPick {
+	t.Helper()
+	space := env.diagonal()
+	var picks []arenaPick
 	resolver := newBuildContext(env)
 	for idx := uint64(0); idx < space.Size() && len(picks) < 4; idx += uint64(space.midDim) {
-		c := pick{counts: make([]int, len(spec.Islands))}
+		c := arenaPick{counts: make([]int, len(env.spec.Islands))}
 		c.mid = space.Decode(idx, c.counts)
 		for j, k := range c.counts {
 			if e := env.table.entry(j, k, &resolver.part); e.err == nil {
@@ -96,23 +164,10 @@ func TestArenaNoStateLeak(t *testing.T) {
 	if len(picks) < 2 {
 		t.Fatalf("need at least two distinct feasible counts vectors, got %d", len(picks))
 	}
-	picks = append(picks, picks[0])
-
-	shared := newBuildContext(env)
-	for i, c := range picks {
-		fresh, err := buildPoint(newBuildContext(env), c.counts, c.parts, c.mid)
-		if err != nil {
-			t.Fatalf("pick %d (%v/%d): fresh build failed: %v", i, c.counts, c.mid, err)
-		}
-		reused, err := buildPoint(shared, c.counts, c.parts, c.mid)
-		if err != nil {
-			t.Fatalf("pick %d (%v/%d): arena build failed: %v", i, c.counts, c.mid, err)
-		}
-		sameBuiltPoint(t, "pick "+string(rune('0'+i)), fresh, reused)
-		if fresh.Top == reused.Top {
-			t.Fatal("arena handed out the same topology twice")
-		}
+	for i := len(picks) - 2; i >= 0; i-- {
+		picks = append(picks, picks[i])
 	}
+	return picks
 }
 
 // TestMidSweepCancellationDrainsWorkers cancels sweeps at racy,
@@ -216,5 +271,48 @@ func TestPartitionEntryRace(t *testing.T) {
 	}
 	if raced < 4 {
 		t.Fatalf("want several table entries, raced %d", raced)
+	}
+}
+
+// TestWarmArenaAllocatesNothing is the zero-allocation guard for the
+// per-candidate tail of buildPoint: once a worker's arena has costed a
+// point, the deadlock check, both power breakdowns and a placement
+// refilled from a recycled one allocate nothing on that point again.
+func TestWarmArenaAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	env := mustEnv(t, miniSoC(), model.Default65nm(), Options{AllowIntermediate: true, MaxIntermediateSwitches: 2})
+	picks := arenaPicks(t, env)
+	c := picks[len(picks)/2] // the largest candidate
+	bc := newBuildContext(env)
+	dp, err := buildPoint(bc, c.counts, c.parts, c.mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := dp.Top
+	bc.fp.Recycle(dp.Placement)
+	for _, stage := range []struct {
+		name string
+		fn   func()
+	}{
+		{"deadlock.CheckWith", func() {
+			if err := deadlock.CheckWith(top, &bc.dl); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"power.NoCWith", func() { _ = power.NoCWith(top, &bc.pw) }},
+		{"power.NoCSansLinkWires", func() { _ = power.NoCSansLinkWires(top, &bc.pw) }},
+		{"floorplan.PlaceWith (recycled)", func() {
+			pl, err := floorplan.PlaceWith(top, env.opt.Floorplan, &bc.fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bc.fp.Recycle(pl)
+		}},
+	} {
+		if n := testing.AllocsPerRun(50, stage.fn); n != 0 {
+			t.Errorf("%s: %v allocations per warm call, want 0", stage.name, n)
+		}
 	}
 }

@@ -551,7 +551,8 @@ func IslandClocks(spec *soc.Spec, lib *model.Library) (freqs []float64, maxSizes
 // buildPoint constructs, routes, floorplans and costs one candidate
 // design inside the worker's arena. An error means the point is
 // infeasible. On success the built topology and placement are handed
-// off to the returned DesignPoint and the arena forgets them; on
+// off to the returned DesignPoint and the arena forgets them (a
+// collector that only summarizes the point may hand both back); on
 // failure they stay pooled for the next candidate.
 func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*DesignPoint, error) {
 	env := bc.env
@@ -601,7 +602,7 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 	}
 	// A design point whose routes could deadlock is invalid; the island
 	// discipline makes this rare, but it is verified, not assumed.
-	if err := deadlock.Check(top); err != nil {
+	if err := deadlock.CheckWith(top, &bc.dl); err != nil {
 		return nil, err
 	}
 
@@ -612,13 +613,17 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 	// lengths stay at the power model's default so the pre-floorplan
 	// breakdown is the post-floorplan one bit-for-bit. If an earlier
 	// incumbent strictly dominates both, floorplanning and validation
-	// cannot save this candidate.
+	// cannot save this candidate. Under SkipAnnotate the staged
+	// breakdown is kept as the point's NoCPower.
+	var nocPower power.Breakdown
+	staged := false
 	if pr := env.pruner; pr != nil {
 		var stagePowerW float64
 		if opt.Floorplan.SkipAnnotate {
-			stagePowerW = power.NoC(top).DynW()
+			nocPower, staged = power.NoCWith(top, &bc.pw), true
+			stagePowerW = nocPower.DynW()
 		} else {
-			stagePowerW = power.NoCSansLinkWires(top).DynW()
+			stagePowerW = power.NoCSansLinkWires(top, &bc.pw).DynW()
 		}
 		if pr.dominates(bc.pruneIdx, stagePowerW, top.MeanZeroLoadLatency()) {
 			return nil, errStagePruned
@@ -644,13 +649,16 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 	if err := top.Validate(); err != nil {
 		return nil, err
 	}
+	if !staged {
+		nocPower = power.NoCWith(top, &bc.pw)
+	}
 
 	dp := &DesignPoint{
 		Top:               top,
 		Placement:         pl,
 		SwitchCounts:      append([]int(nil), counts...),
 		MidSwitches:       mid,
-		NoCPower:          power.NoC(top),
+		NoCPower:          nocPower,
 		MeanLatencyCycles: top.MeanZeroLoadLatency(),
 		NoCAreaMM2:        power.NoCAreaMM2(top),
 		WireViolations:    len(floorplan.WireDelayViolations(top, pl)),

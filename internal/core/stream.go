@@ -251,9 +251,9 @@ func (sc *sweepCollector) addError(idx uint64, ce *CandidateError) {
 // streamCollectors is SynthesizeSweep's collector: one bounded-memory
 // sweepCollector per worker, merged after the sweep. It keeps only the
 // SweepPoint summary of a feasible point and hands the point's topology
-// back to the worker's arena, so the sweep allocates no topology per
-// point after warm-up. Nothing it keeps depends on order, so it never
-// needs a fold.
+// and placement back to the worker's arena, so the sweep allocates
+// neither per point after warm-up. Nothing it keeps depends on order,
+// so it never needs a fold.
 type streamCollectors []*sweepCollector
 
 func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, counts []int, mid int, out evalOutcome) {
@@ -276,7 +276,9 @@ func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, counts []int
 			AreaMM2:        out.dp.NoCAreaMM2,
 			WireViolations: out.dp.WireViolations,
 		})
-		bc.top = out.dp.Top // reclaim: the point was summarized, not published
+		// Reclaim: the point was summarized, not published.
+		bc.top = out.dp.Top
+		bc.fp.Recycle(out.dp.Placement)
 	}
 }
 

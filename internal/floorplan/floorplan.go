@@ -78,7 +78,9 @@ type Placement struct {
 // the centroid point accumulator. A zero Scratch is ready to use; one
 // Scratch must not be used by two goroutines concurrently. Sweeps that
 // floorplan many candidate topologies reuse one Scratch per worker so
-// each placement allocates only the Placement it returns.
+// each placement allocates only the Placement it returns — and not
+// even that when the caller hands a finished placement back through
+// Recycle.
 type Scratch struct {
 	areas []float64
 	order []int
@@ -90,6 +92,45 @@ type Scratch struct {
 	// the shuttle buffer, leaving the caller's order untouched.
 	ids []int
 	tmp []int
+
+	// spare is a placement handed back by Recycle, refilled by the
+	// next placement drawn through this Scratch.
+	spare *Placement
+}
+
+// Recycle hands p back to sc: the next PlaceWith through sc refills
+// p's slices instead of allocating a new Placement. The caller must not
+// use p afterwards.
+func (sc *Scratch) Recycle(p *Placement) { sc.spare = p }
+
+// takePlacement returns a placement sized for the given counts with
+// every slice zeroed: the recycled spare when there is one, a fresh
+// allocation otherwise.
+func (sc *Scratch) takePlacement(nIsl, nCores, nSwitches, nLinks int) *Placement {
+	p := sc.spare
+	sc.spare = nil
+	if p == nil {
+		p = &Placement{}
+	}
+	*p = Placement{
+		IslandRects:  zeroed(p.IslandRects, nIsl),
+		CorePos:      zeroed(p.CorePos, nCores),
+		SwitchPos:    zeroed(p.SwitchPos, nSwitches),
+		NILengthMM:   zeroed(p.NILengthMM, nCores),
+		LinkLengthMM: zeroed(p.LinkLengthMM, nLinks),
+	}
+	return p
+}
+
+// zeroed returns buf resized to n zero elements, reusing its storage
+// when large enough. The result is never nil, even for n == 0.
+func zeroed[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Place floorplans the topology. Every core must be attached to a
@@ -99,7 +140,9 @@ func Place(top *topology.Topology, opt Options) (*Placement, error) {
 }
 
 // PlaceWith is Place drawing temporary buffers from sc, which may be
-// reused across calls. The returned Placement does not alias sc.
+// reused across calls. The returned Placement does not alias sc's
+// temporaries; it is the placement last handed back through
+// sc.Recycle, refilled, when there is one, and fresh otherwise.
 func PlaceWith(top *topology.Topology, opt Options, sc *Scratch) (*Placement, error) {
 	return placeWithOrder(top, opt, nil, sc)
 }
@@ -148,21 +191,14 @@ func placeWithOrder(top *topology.Topology, opt Options, order []int, sc *Scratc
 	} else if len(order) != nIsl {
 		return nil, fmt.Errorf("floorplan: order has %d entries for %d islands", len(order), nIsl)
 	}
-	rects := make([]Rect, nIsl)
+	p := sc.takePlacement(nIsl, len(spec.Cores), len(top.Switches), len(top.Links))
+	p.Die = die
+	rects := p.IslandRects
 	sc.ids = append(sc.ids[:0], order...)
 	if cap(sc.tmp) < nIsl {
 		sc.tmp = make([]int, nIsl)
 	}
 	sliceRegions(die, sc.ids, areas, rects, sc.tmp[:nIsl])
-
-	p := &Placement{
-		Die:          die,
-		IslandRects:  rects,
-		CorePos:      make([]Point, len(spec.Cores)),
-		SwitchPos:    make([]Point, len(top.Switches)),
-		NILengthMM:   make([]float64, len(spec.Cores)),
-		LinkLengthMM: make([]float64, len(top.Links)),
-	}
 
 	// Place cores per island, grouped by their switch so that a
 	// switch's clients sit in adjacent cells.

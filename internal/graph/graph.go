@@ -617,91 +617,3 @@ func (g *Directed) InducedSubgraph(keep []bool) (*Directed, []int) {
 	}
 	return sub, toOld
 }
-
-// HasCycle reports whether the directed graph contains a cycle, using
-// iterative three-color DFS. It also returns one witness cycle (a vertex
-// sequence v0, v1, ..., v0) when found, nil otherwise.
-func (g *Directed) HasCycle() (bool, []int) {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int8, g.n)
-	parent := make([]int, g.n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	type frame struct {
-		v   int
-		idx int
-	}
-	for s := 0; s < g.n; s++ {
-		if color[s] != white {
-			continue
-		}
-		stack := []frame{{v: s}}
-		color[s] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.idx < len(g.adj[f.v]) {
-				u := g.adj[f.v][f.idx].to
-				f.idx++
-				switch color[u] {
-				case white:
-					color[u] = gray
-					parent[u] = f.v
-					stack = append(stack, frame{v: u})
-				case gray:
-					// Found a back edge f.v -> u where u is an ancestor of
-					// f.v: the cycle is u -> ... -> f.v -> u. The parent
-					// chain yields the u..f.v path in reverse, so collect
-					// it after the anchor and flip that portion only.
-					cycle := []int{u}
-					for v := f.v; v != u && v != -1; v = parent[v] {
-						cycle = append(cycle, v)
-					}
-					for i, j := 1, len(cycle)-1; i < j; i, j = i+1, j-1 {
-						cycle[i], cycle[j] = cycle[j], cycle[i]
-					}
-					cycle = append(cycle, u)
-					return true, cycle
-				}
-			} else {
-				color[f.v] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return false, nil
-}
-
-// TopoSort returns a topological order of the vertices, or an error
-// witness (false) when the graph is cyclic.
-func (g *Directed) TopoSort() ([]int, bool) {
-	indeg := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.adj[u] {
-			indeg[e.to]++
-		}
-	}
-	var queue []int
-	for v := 0; v < g.n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order := make([]int, 0, g.n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, e := range g.adj[v] {
-			indeg[e.to]--
-			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	return order, len(order) == g.n
-}

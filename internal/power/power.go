@@ -63,9 +63,25 @@ func (s System) TotalW() float64 {
 // denominator of the paper's "3% of SoC active power" overhead claim.
 func (s System) ActiveDynW() float64 { return s.CoreDynW + s.NoC.DynW() }
 
+// Scratch holds the breakdown's reusable working buffer: the switch,
+// link and NI traffic accumulators, carved out of one slice. A zero
+// Scratch is ready to use; one Scratch must not be used by two
+// goroutines concurrently. Sweeps that cost many candidate topologies
+// reuse one Scratch per worker so a breakdown allocates nothing once
+// the buffer has grown.
+type Scratch struct {
+	traffic []float64
+}
+
 // NoC computes the NoC power breakdown with every island powered.
 func NoC(top *topology.Topology) Breakdown {
 	return nocPower(top, nil)
+}
+
+// NoCWith is NoC drawing its traffic accumulators from sc, which may be
+// reused across calls.
+func NoCWith(top *topology.Topology, sc *Scratch) Breakdown {
+	return nocPowerWires(top, nil, nil, true, sc)
 }
 
 // NoCSansLinkWires computes the breakdown of a routed topology with the
@@ -76,8 +92,10 @@ func NoC(top *topology.Topology) Breakdown {
 // routing but before floorplanning: at that point the switch, NI and
 // FIFO terms are final (none depends on wire lengths) and the link-wire
 // terms — which only ever add power — are admissibly bounded by zero.
-func NoCSansLinkWires(top *topology.Topology) Breakdown {
-	return nocPowerWires(top, nil, nil, false)
+// The traffic accumulators come from sc, which may be reused across
+// calls.
+func NoCSansLinkWires(top *topology.Topology, sc *Scratch) Breakdown {
+	return nocPowerWires(top, nil, nil, false, sc)
 }
 
 // NoCWithShutdown computes the NoC breakdown with the islands marked in
@@ -113,7 +131,7 @@ func islandOff(off []bool, id soc.IslandID) bool {
 }
 
 func nocPower(top *topology.Topology, off []bool) Breakdown {
-	return nocPowerWires(top, off, nil, true)
+	return nocPowerWires(top, off, nil, true, nil)
 }
 
 // nocPowerMode computes the breakdown with an optional traffic-mode
@@ -121,20 +139,31 @@ func nocPower(top *topology.Topology, off []bool) Breakdown {
 // map carry traffic, at the map's bandwidths (a use case is a subset of
 // the merged flows the topology was synthesized for).
 func nocPowerMode(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]float64) Breakdown {
-	return nocPowerWires(top, off, modeBW, true)
+	return nocPowerWires(top, off, modeBW, true, nil)
 }
 
 // nocPowerWires is the single accumulation loop behind every breakdown
-// variant; wires=false skips only the link dynamic/leakage terms.
-func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]float64, wires bool) Breakdown {
+// variant; wires=false skips only the link dynamic/leakage terms. The
+// traffic accumulators come from sc (nil allocates a fresh buffer).
+func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]float64, wires bool, sc *Scratch) Breakdown {
 	var b Breakdown
 	lib := top.Lib
 	spec := top.Spec
 
-	// Active traffic per switch, link and core NI under the mask.
-	swTraffic := make([]float64, len(top.Switches))
-	linkTraffic := make([]float64, len(top.Links))
-	niTraffic := make([]float64, len(spec.Cores))
+	// Active traffic per switch, link and core NI under the mask, in
+	// one cleared buffer.
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	ns, nl, nc := len(top.Switches), len(top.Links), len(spec.Cores)
+	if cap(sc.traffic) < ns+nl+nc {
+		sc.traffic = make([]float64, ns+nl+nc)
+	}
+	buf := sc.traffic[:ns+nl+nc]
+	clear(buf)
+	swTraffic := buf[:ns:ns]
+	linkTraffic := buf[ns : ns+nl : ns+nl]
+	niTraffic := buf[ns+nl:]
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
 		if islandOff(off, spec.IslandOf[r.Flow.Src]) || islandOff(off, spec.IslandOf[r.Flow.Dst]) {
