@@ -7,14 +7,15 @@
 # run so a broken benchmark cannot sit unnoticed until the next perf
 # pass, a power-state fault-campaign smoke run on the paper's D26
 # case study, a survivability smoke run (k=1 synthesis must absorb
-# every single-link fault with zero re-routing), and a result-cache
-# smoke run (second synthesis of an unchanged spec must be a full hit,
-# and warm-started re-synthesis must stay bit-identical to cold).
+# every single-link fault with zero re-routing), a result-cache smoke
+# run (second synthesis of an unchanged spec must be a full hit, and a
+# miss on an edited spec must stay bit-identical to a fresh run), and a
+# bounded fuzz run of the cache decoder.
 GO ?= go
 
-.PHONY: ci vet fmt lint surface build test race bench-module bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke
+.PHONY: ci vet fmt lint surface build test race bench-module bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
 
-ci: vet fmt lint surface build race bench-module bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke
+ci: vet fmt lint surface build race bench-module bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -144,8 +145,9 @@ survive-smoke:
 # cache-smoke gates the content-addressed result cache end-to-end:
 #   1. nocsynth twice against one cache dir — the second run of the
 #      unchanged spec must report a full hit;
-#   2. the warm-start identity tests — an edited spec re-synthesized
-#      from cached partitions must be byte-identical to a cold run;
+#   2. the cached-vs-fresh identity tests — a miss on an edited spec,
+#      run against a store holding the original, must be byte-identical
+#      to a fresh run;
 #   3. the SynthesizeCached bench lanes through bench2json -cache-floor:
 #      the full hit must be at least 5x faster than the cold run.
 cache-smoke:
@@ -155,7 +157,7 @@ cache-smoke:
 	{ echo "$$out" | grep -q '^cache: full hit' || \
 		{ echo "cache-smoke: second run was not a full hit:"; echo "$$out" | head -2; false; }; } || rc=1; \
 	rm -rf $$dir; exit $$rc
-	$(GO) test -run 'TestWarmStartIdenticalToCold|TestSynthesizeCachedIdentityOnSuite' ./internal/cache/
+	$(GO) test -run 'TestEditedSpecMissIdenticalToFresh|TestSynthesizeCachedIdentityOnSuite' ./internal/cache/
 	$(GO) test -bench=SynthesizeCached -benchtime=3x -run='^$$' . | $(GO) run ./tools/bench2json -o '' -cache-floor 5
 
 # prune-smoke gates the branch-and-bound layer end-to-end: the winner
@@ -168,3 +170,11 @@ cache-smoke:
 prune-smoke:
 	$(GO) test -run 'TestSynthesizeOracleIdentity|TestBoundsAdmissibility' ./internal/core/
 	$(GO) test -bench=SynthesizePrune -benchtime=3x -run='^$$' . | $(GO) run ./tools/bench2json -o '' -prune-floor 1.3
+
+# fuzz-smoke runs the cache decoder's native fuzz target for a bounded
+# time: bytes read back from the store size the decoder's slices, so
+# any input must end in an error or a codec fixed point, never a panic.
+# The committed corpus lives in internal/cache/testdata/fuzz; a crasher
+# found here is written there and becomes a permanent regression seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/cache/

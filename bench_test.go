@@ -295,15 +295,12 @@ func BenchmarkSynthesizePrune(b *testing.B) {
 }
 
 // BenchmarkSynthesizeCached measures the content-addressed result cache
-// on the D26 case study in its three regimes:
+// on the D26 case study in its two regimes:
 //
-//	cold      — empty store: full synthesis plus encode-and-publish, the
-//	            price of the first run;
-//	warm      — unchanged spec: the whole run collapses to one probe and
-//	            a decode (the >=5x full-hit acceptance lane);
-//	oneisland — one intra-island flow edited per iteration: every run is
-//	            a genuine miss, but untouched islands warm-start from
-//	            cached partitions instead of re-resolving.
+//	cold — empty store: full synthesis plus encode-and-publish, the
+//	       price of the first run;
+//	warm — unchanged spec: the whole run collapses to one probe and a
+//	       decode (the >=5x full-hit acceptance lane).
 func BenchmarkSynthesizeCached(b *testing.B) {
 	spec, err := bench.D26Islands(viplace.MethodLogical, 6)
 	if err != nil {
@@ -350,42 +347,6 @@ func BenchmarkSynthesizeCached(b *testing.B) {
 			}
 		}
 	})
-	b.Run("oneisland", func(b *testing.B) {
-		store := open(b)
-		if _, err := cache.Synthesize(ctx, store, spec, lib, opt); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Shrink one intra-island flow by a unique factor: a fresh
-			// spec digest every iteration (guaranteed miss), feasibility
-			// preserved, and every other island's VCG digest untouched.
-			edited := scaleOneIslandFlow(b, spec, 1-1e-9*float64(i+1))
-			res, err := cache.Synthesize(ctx, store, edited, lib, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.CacheStats.Misses != 1 || res.CacheStats.WarmStarts == 0 {
-				b.Fatalf("oneisland lane did not warm-start: %+v", res.CacheStats)
-			}
-		}
-	})
-}
-
-// scaleOneIslandFlow clones the spec with the first intra-island flow's
-// bandwidth scaled.
-func scaleOneIslandFlow(b *testing.B, spec *soc.Spec, scale float64) *soc.Spec {
-	clone := *spec
-	clone.Flows = append([]soc.Flow(nil), spec.Flows...)
-	for i := range clone.Flows {
-		f := &clone.Flows[i]
-		if spec.IslandOf[f.Src] == spec.IslandOf[f.Dst] {
-			f.BandwidthBps *= scale
-			return &clone
-		}
-	}
-	b.Fatal("spec has no intra-island flow to edit")
-	return nil
 }
 
 // BenchmarkRouteAll measures the routing inner loop — the per-candidate

@@ -8,7 +8,7 @@
 //
 //	noclint [-C dir] [-tests] [-unused] [-list] [-json] [-workers n]
 //	        [-why file:line] [-surface check|update] [-surface-file path]
-//	        [-cache-dir dir] [-no-cache] [patterns...]
+//	        [patterns...]
 //
 // Patterns follow the go tool's directory forms ("./...", the default,
 // or "./internal/core"). Diagnostics print one per line as
@@ -33,32 +33,20 @@
 // reachable hot-path source — and compares it against the checked-in
 // sum file, demanding a cache.EngineVersion bump when the surface
 // moved; -surface update re-records the file.
-//
-// With a cache directory configured (-cache-dir or $NOCVI_CACHE_DIR),
-// the whole run's report is cached keyed by a digest of every .go file
-// and go.mod under the module root plus the flags and analyzer suite,
-// so a re-lint of an unchanged tree replays instantly. -workers only
-// changes scheduling, never the report (pinned by test), so it stays
-// out of the key.
 package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"nocvi/internal/analysis"
-	"nocvi/internal/cache"
-	"nocvi/internal/specio"
 )
 
 func main() {
@@ -77,8 +65,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 	why := fs.String("why", "", "explain how the function at file:line is reachable from an engine root, then exit")
 	surface := fs.String("surface", "", `engine-surface digest mode: "check" or "update"`)
 	surfaceFile := fs.String("surface-file", filepath.Join("artifacts", "engine-surface.sum"), "surface sum file, relative to the module root")
-	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory (default $"+cache.EnvDir+"; empty = off)")
-	noCache := fs.Bool("no-cache", false, "disable the result cache even when configured")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -107,24 +93,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 	}
 	if *surface != "" {
 		return runSurface(stdout, stderr, &out, loader, *surface, filepath.Join(loader.Root, *surfaceFile))
-	}
-
-	store, err := cache.Resolve(*cacheDir, *noCache)
-	if err != nil {
-		fmt.Fprintf(&out, "noclint: %v\n", err)
-		return emit(stderr, stderr, &out, 2)
-	}
-	var key specio.Digest
-	if store != nil {
-		key, err = runKey(loader.Root, *tests, *unused, *jsonOut, fs.Args())
-		if err != nil {
-			// besteffort: an unreadable tree will fail loudly in the
-			// loader below; here it only costs the cache probe.
-			store = nil
-		} else if blob, ok := store.Get(cache.ClassLint, key); ok && len(blob) >= 1 && blob[0] < 2 {
-			out.Write(blob[1:])
-			return emit(stdout, stderr, &out, int(blob[0]))
-		}
 	}
 
 	pkgs, err := loader.LoadPatterns(fs.Args()...)
@@ -160,10 +128,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 	code := 0
 	if len(diags) > 0 {
 		code = 1
-	}
-	if store != nil {
-		// besteffort: a failed publish only costs a future re-lint.
-		store.Put(cache.ClassLint, key, append([]byte{byte(code)}, out.Bytes()...))
 	}
 	return emit(stdout, stderr, &out, code)
 }
@@ -294,55 +258,6 @@ func runSurface(stdout, stderr io.Writer, out *bytes.Buffer, loader *analysis.Lo
 	}
 	fmt.Fprintf(out, "engine surface unchanged: version %d, %d hot-path functions\n", current.EngineVersion, current.Functions)
 	return emit(stdout, stderr, out, 0)
-}
-
-// runKey digests every .go file and go.mod under root (lexical WalkDir
-// order) together with the flags, patterns and analyzer suite: any
-// source edit, flag change, or analyzer addition changes the key.
-// -workers is deliberately absent: the report is byte-identical at
-// every pool width.
-func runKey(root string, tests, unused, jsonOut bool, patterns []string) (specio.Digest, error) {
-	h := sha256.New()
-	// besteffort: hash.Hash writes are documented never to fail.
-	fmt.Fprintf(h, "nocvi-lint-v2|tests=%t|unused=%t|json=%t|patterns=%q|", tests, unused, jsonOut, patterns)
-	for _, a := range analysis.Analyzers {
-		// besteffort: hash.Hash writes are documented never to fail.
-		fmt.Fprintf(h, "%s|", a.Name)
-	}
-	err := fs.WalkDir(os.DirFS(root), ".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(name, ".") {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") && name != "go.mod" {
-			return nil
-		}
-		data, err := os.ReadFile(filepath.Join(root, path))
-		if err != nil {
-			return err
-		}
-		// besteffort: hash.Hash writes are documented never to fail.
-		fmt.Fprintf(h, "%s|", path)
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(data)))
-		// besteffort: hash.Hash writes are documented never to fail.
-		h.Write(n[:])
-		// besteffort: hash.Hash writes are documented never to fail.
-		h.Write(data)
-		return nil
-	})
-	var key specio.Digest
-	if err != nil {
-		return key, err
-	}
-	copy(key[:], h.Sum(nil))
-	return key, nil
 }
 
 // emit flushes the buffered report to w; a failed flush trumps the

@@ -324,81 +324,6 @@ func TestSurfaceGate(t *testing.T) {
 	}
 }
 
-// countFiles counts regular files under dir recursively.
-func countFiles(t *testing.T, dir string) int {
-	t.Helper()
-	n := 0
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			n++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// TestLintCacheInvalidation pins the negative path of the PR 7 lint
-// cache: editing a .go file, adding a file, and changing go.mod must
-// each miss the cache and produce a fresh report.
-func TestLintCacheInvalidation(t *testing.T) {
-	mod := copyFixtureMod(t)
-	cacheDir := t.TempDir()
-	lint := func() (string, int) {
-		out, _, code := runNoclint(t, "-C", mod, "-cache-dir", cacheDir, "./...")
-		return out, code
-	}
-
-	first, code := lint()
-	if code != 1 {
-		t.Fatalf("cold run: code = %d, want 1:\n%s", code, first)
-	}
-	entries := countFiles(t, cacheDir)
-	if entries == 0 {
-		t.Fatal("cold run published nothing to the cache")
-	}
-	if again, _ := lint(); again != first {
-		t.Fatalf("warm replay diverged:\n--- cold ---\n%s\n--- warm ---\n%s", first, again)
-	}
-	if countFiles(t, cacheDir) != entries {
-		t.Fatal("warm replay must not add cache entries")
-	}
-
-	// Editing an existing .go file: the new finding must appear.
-	editFile(t, filepath.Join(mod, "clean", "clean.go"), "func Add(a, b int) int { return a + b }",
-		"func Add(a, b int) int { return a + b }\n\nfunc Same(a, b float64) bool { return a == b }")
-	out, code := lint()
-	if code != 1 || !strings.Contains(out, "clean/clean.go") || !strings.Contains(out, "floateq") {
-		t.Fatalf("edited file: stale report served (code %d):\n%s", code, out)
-	}
-
-	// Adding a new file: its finding must appear.
-	if err := os.WriteFile(filepath.Join(mod, "clean", "extra.go"),
-		[]byte("package clean\n\nfunc Close(a, b float64) bool { return a == b }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, code = lint()
-	if code != 1 || !strings.Contains(out, "clean/extra.go") {
-		t.Fatalf("added file: stale report served (code %d):\n%s", code, out)
-	}
-
-	// Changing go.mod: the report is unchanged, but the run must be
-	// fresh — a new cache entry under a new key, not a replay.
-	before := countFiles(t, cacheDir)
-	editFile(t, filepath.Join(mod, "go.mod"), "go 1.22", "go 1.22\n// lint-cache invalidation probe")
-	if _, code = lint(); code != 1 {
-		t.Fatalf("go.mod edit: code = %d, want 1", code)
-	}
-	if after := countFiles(t, cacheDir); after <= before {
-		t.Fatalf("go.mod edit must miss the cache and publish a fresh entry (before %d, after %d)", before, after)
-	}
-}
-
 // BenchmarkAnalyzeModule measures the wall-clock of the analyzer pass
 // itself — every registered analyzer over every package of the real
 // module, packages fanned out to the worker pool — with loading and

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nocvi/internal/core"
 	"nocvi/internal/floorplan"
@@ -94,6 +95,39 @@ func (e *enc) strs(vs []string) {
 type dec struct {
 	b   []byte
 	err error
+
+	// sws and lks are the unused tails of the current path chunks that
+	// switchPath and linkPath carve route paths from.
+	sws []topology.SwitchID
+	lks []topology.LinkID
+}
+
+// pathChunk is the number of entries one path-chunk allocation holds.
+const pathChunk = 512
+
+// switchPath returns an n-entry switch path carved out of the current
+// chunk, starting a new chunk when it runs short, so a decoded result
+// costs a few allocations for its paths instead of one per route. The
+// slice is capped at n: an append by its owner reallocates instead of
+// overwriting the next path.
+func (d *dec) switchPath(n int) []topology.SwitchID {
+	if len(d.sws) < n {
+		d.sws = make([]topology.SwitchID, max(n, pathChunk))
+	}
+	p := d.sws[:n:n]
+	d.sws = d.sws[n:]
+	return p
+}
+
+// linkPath is switchPath for link paths. A zero-length path is still
+// non-nil: nil links mean something else to the codec.
+func (d *dec) linkPath(n int) []topology.LinkID {
+	if d.lks == nil || len(d.lks) < n {
+		d.lks = make([]topology.LinkID, max(n, pathChunk))
+	}
+	p := d.lks[:n:n]
+	d.lks = d.lks[n:]
+	return p
 }
 
 func (d *dec) fail() {
@@ -263,6 +297,7 @@ func DecodeResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.Result
 	res.Relaxations = d.strs()
 	res.Errors = decodeCandidateErrors(d)
 	nPts := d.length()
+	res.Points = slices.Grow(res.Points, nPts)
 	for i := 0; i < nPts && d.err == nil; i++ {
 		dp, err := decodePoint(d, spec, lib)
 		if err != nil {
@@ -447,7 +482,11 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		top.AddNoCIsland(freqs[len(freqs)-1], volts[len(volts)-1])
 	}
 
+	// Each collection is grown to its encoded count up front. length()
+	// caps every count at the remaining input, so a corrupt count costs
+	// a bounded allocation, and growing a nil slice by zero keeps it nil.
 	nSw := d.length()
+	top.Switches = slices.Grow(top.Switches, nSw)
 	for i := 0; i < nSw && d.err == nil; i++ {
 		island := d.int()
 		indirect := d.bool()
@@ -460,6 +499,26 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	nCores := d.length()
 	if d.err != nil || nCores != len(spec.Cores) {
 		return nil, errCorrupt
+	}
+	// Size each switch's core list up front: count the attachments on a
+	// look-ahead copy of the reader, then carve the lists from one slab,
+	// so AttachCore's appends never reallocate. Switches without cores
+	// keep a nil list.
+	look := *d
+	perSw := make([]int, nSw)
+	attached := 0
+	for c := 0; c < nCores; c++ {
+		if sw := look.int(); sw >= 0 && sw < nSw {
+			perSw[sw]++
+			attached++
+		}
+	}
+	coreSlab := make([]soc.CoreID, attached)
+	for sw, n := range perSw {
+		if n > 0 {
+			top.Switches[sw].Cores = coreSlab[:0:n]
+			coreSlab = coreSlab[n:]
+		}
 	}
 	for c := 0; c < nCores; c++ {
 		sw := d.int()
@@ -478,6 +537,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	}
 
 	nLinks := d.length()
+	top.ReserveLinks(nLinks)
 	for i := 0; i < nLinks && d.err == nil; i++ {
 		from, to := d.int(), d.int()
 		length := d.f64()
@@ -495,6 +555,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	}
 
 	nRoutes := d.length()
+	top.Routes = slices.Grow(top.Routes, nRoutes)
 	for i := 0; i < nRoutes && d.err == nil; i++ {
 		var flow soc.Flow
 		flow.Src = soc.CoreID(d.int())
@@ -509,7 +570,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		if d.err != nil || nPath == 0 {
 			return nil, errCorrupt
 		}
-		sws := make([]topology.SwitchID, nPath)
+		sws := d.switchPath(nPath)
 		for p := range sws {
 			sw := d.int()
 			if sw < 0 || sw >= nSw {
@@ -523,7 +584,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		}
 		var links []topology.LinkID
 		if linksNotNil {
-			links = make([]topology.LinkID, nPath-1)
+			links = d.linkPath(nPath - 1)
 			for p := 0; p+1 < nPath; p++ {
 				lid, ok := top.FindLink(sws[p], sws[p+1])
 				if !ok {
@@ -552,7 +613,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 			if d.err != nil || nbPath == 0 {
 				return nil, errCorrupt
 			}
-			bsws := make([]topology.SwitchID, nbPath)
+			bsws := d.switchPath(nbPath)
 			for p := range bsws {
 				sw := d.int()
 				if sw < 0 || sw >= nSw {
@@ -566,7 +627,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 			}
 			var bLinks []topology.LinkID
 			if bLinksNotNil {
-				bLinks = make([]topology.LinkID, nbPath-1)
+				bLinks = d.linkPath(nbPath - 1)
 				for p := 0; p+1 < nbPath; p++ {
 					lid, ok := top.FindLink(bsws[p], bsws[p+1])
 					if !ok {
@@ -779,8 +840,7 @@ func DecodeSweepResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.S
 // construction. Two results digest equal exactly when every
 // caller-visible field — points, topologies, placements, float metrics
 // bit patterns, errors, stop metadata — is identical. The identity
-// tests use it to prove warm-started and cached results byte-identical
-// to cold runs.
+// tests use it to prove cached results byte-identical to fresh runs.
 func ResultDigest(res *core.Result) specio.Digest {
 	return sha256.Sum256(EncodeResult(res))
 }

@@ -170,22 +170,6 @@ func TestDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-func TestPartitionPayloadRoundTrip(t *testing.T) {
-	e := &enc{}
-	e.u64(codecVersion)
-	e.ints([]int{0, 1, 1, 0, 2})
-	part, err := decodePartition(e.b)
-	if err != nil || !reflect.DeepEqual(part, []int{0, 1, 1, 0, 2}) {
-		t.Fatalf("round trip: %v, %v", part, err)
-	}
-	if _, err := decodePartition(e.b[:len(e.b)-1]); err == nil {
-		t.Fatal("truncated partition decoded")
-	}
-	if _, err := decodePartition(append(append([]byte(nil), e.b...), 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-}
-
 // TestResultCodecRoundTripSurvivable extends the round-trip proof to
 // topologies carrying backup routes: the Backups arrays (covered by the
 // Routes DeepEqual in sameTopology) must survive the codec bit-exactly,

@@ -7,14 +7,16 @@
 // (internal/specio) plus the engine version IS the result a fresh run
 // would compute, byte for byte.
 //
-// Three artifact classes are cached: full synthesis results
-// (Synthesize and SynthesizeSweep), per-island partition vectors (the
-// warm-start substrate for incremental re-synthesis — see synth.go),
-// and fault-campaign reports. Entries are published atomically
-// (write to a temp file, then rename), reads verify a payload checksum
-// so a truncated or corrupted entry degrades to a miss rather than an
-// error, and the store evicts least-recently-used entries once a size
-// bound is exceeded — never an entry a reader currently has in flight.
+// Two artifact kinds are cached: full synthesis results (Synthesize
+// and SynthesizeSweep) and fault-campaign reports. A miss runs the
+// engine in full. No intermediate engine state (such as per-island
+// partitions) is persisted: min-cutting the islands is about 1.4% of a
+// D26 miss, less than reading and writing an entry per cut costs.
+// Entries are published atomically (write to a temp file, then rename),
+// reads verify a payload checksum so a truncated or corrupted entry
+// degrades to a miss rather than an error, and the store evicts
+// least-recently-used entries once a size bound is exceeded — never an
+// entry a reader currently has in flight.
 package cache
 
 import (
@@ -59,16 +61,19 @@ import (
 // worker arena — results are bit-identical, but the hot path moved
 // (CSR channel dependency graph, scratch-backed traffic accumulators,
 // recycled placements), so the surface digest moved with it.
-const EngineVersion = 5
+//
+// v6: partition warm-start removed — results are bit-identical, but a
+// miss no longer probes or writes per-island partition entries and the
+// decoder presizes what it rebuilds, so the hot path (partition.Cache,
+// the partition table, the result decoder) moved.
+const EngineVersion = 6
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.
 const (
-	ClassResult    = "result"
-	ClassSweep     = "sweep"
-	ClassPartition = "part"
-	ClassCampaign  = "campaign"
-	ClassLint      = "lint"
+	ClassResult   = "result"
+	ClassSweep    = "sweep"
+	ClassCampaign = "campaign"
 )
 
 // EnvDir is the environment variable consulted for a cache directory

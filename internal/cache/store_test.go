@@ -53,14 +53,14 @@ func TestStoreSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := keyOf("persist")
-	if err := s.Put(ClassPartition, k, []byte("vec")); err != nil {
+	if err := s.Put(ClassCampaign, k, []byte("vec")); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.Get(ClassPartition, k)
+	got, ok := s2.Get(ClassCampaign, k)
 	if !ok || string(got) != "vec" {
 		t.Fatalf("reopen lost entry: %q, %v", got, ok)
 	}

@@ -4,24 +4,21 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"sync/atomic"
 
 	"nocvi/internal/core"
 	"nocvi/internal/fault"
 	"nocvi/internal/model"
-	"nocvi/internal/partition"
 	"nocvi/internal/soc"
 	"nocvi/internal/specio"
 	"nocvi/internal/topology"
-	"nocvi/internal/vcg"
 )
 
 // ResultKey is the content address of a full synthesis run: the spec
 // and options digests combined under the engine and codec versions.
 // Anything that can change the result changes the key; anything that
-// provably cannot (worker count, backing wiring) is excluded by
-// specio.OptionsDigest, which is what lets a -workers 8 run hit an
-// entry produced at -workers 1.
+// provably cannot (the worker count) is excluded by specio.OptionsDigest,
+// which is what lets a -workers 8 run hit an entry produced at
+// -workers 1.
 func ResultKey(spec *soc.Spec, lib *model.Library, opt core.Options) specio.Digest {
 	return specio.CombineDigests("nocvi-result", EngineVersion,
 		[]specio.Digest{specio.SpecDigest(spec), specio.OptionsDigest(opt, lib)},
@@ -58,103 +55,11 @@ func CampaignKey(top *topology.Topology, opt fault.CampaignOptions) specio.Diges
 		[]int64{codecVersion, int64(opt.MaxStates), sim, int64(opt.Survivability)})
 }
 
-// resolvedAlpha mirrors core's treatment of the Alpha option: zero is
-// the unset sentinel and resolves to the paper's default.
-func resolvedAlpha(opt core.Options) float64 {
-	if opt.Alpha == 0 { //noclint:ignore floateq 0 is the documented unset sentinel for Alpha, resolved exactly like core's Options.alpha
-		return vcg.DefaultAlpha
-	}
-	return opt.Alpha
-}
-
-// islandBacking persists one island's partition table in the store. It
-// implements partition.Backing over keys derived from the island's VCG
-// digest — the exact inputs (local flow structure, spec-wide
-// normalization extrema, alpha) that determine the partitioner's graph
-// — plus the engine selection and the clamped partition options core
-// hands the factory. Edits to other islands leave the VCG digest, and
-// therefore every key, unchanged: that is the warm-start property.
-type islandBacking struct {
-	s        *Store
-	base     specio.Digest
-	spectral int64
-	pOpt     partition.Options
-	warm     *atomic.Int64
-}
-
-func (b *islandBacking) key(k int) specio.Digest {
-	return specio.CombineDigests("nocvi-part", EngineVersion,
-		[]specio.Digest{b.base},
-		[]int64{b.spectral, int64(b.pOpt.MaxPartSize), int64(b.pOpt.Passes), int64(k)})
-}
-
-func (b *islandBacking) Load(k int) ([]int, bool) {
-	blob, ok := b.s.Get(ClassPartition, b.key(k))
-	if !ok {
-		return nil, false
-	}
-	part, err := decodePartition(blob)
-	if err != nil {
-		return nil, false // malformed payload degrades to a miss
-	}
-	b.warm.Add(1)
-	return part, true
-}
-
-func (b *islandBacking) Store(k int, part []int) {
-	e := &enc{}
-	e.u64(codecVersion)
-	e.ints(part)
-	// besteffort: a failed partition publish only costs a future warm-start.
-	b.s.Put(ClassPartition, b.key(k), e.b)
-}
-
-func decodePartition(blob []byte) ([]int, error) {
-	d := &dec{b: blob}
-	if v := d.u64(); d.err == nil && v != codecVersion {
-		return nil, errCorrupt
-	}
-	part := d.ints()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, errCorrupt
-	}
-	return part, nil
-}
-
-// partitionBacking builds the core.Options.PartitionBacking factory for
-// one run: a per-island disk backing sharing one warm-start counter.
-// Returns nil when the store is nil, leaving the engine's behaviour
-// untouched.
-func partitionBacking(s *Store, spec *soc.Spec, opt core.Options, warm *atomic.Int64) func(int, partition.Options) partition.Backing {
-	if s == nil {
-		return nil
-	}
-	alpha := resolvedAlpha(opt)
-	spectral := int64(0)
-	if opt.SpectralPartition {
-		spectral = 1
-	}
-	return func(island int, pOpt partition.Options) partition.Backing {
-		return &islandBacking{
-			s:        s,
-			base:     specio.IslandVCGDigest(spec, soc.IslandID(island), alpha),
-			spectral: spectral,
-			pOpt:     pOpt,
-			warm:     warm,
-		}
-	}
-}
-
 // Synthesize is core.SynthesizeContext behind the content-addressed
 // cache. A nil store is a transparent pass-through. On a full hit the
 // decoded result is byte-identical to a fresh run (CacheStats aside,
 // which is run bookkeeping, zeroed in digests). On a miss the engine
-// runs with a disk-backed partition layer, so islands whose VCGs are
-// unchanged since any earlier run warm-start from their cached
-// partition tables; the finished result is then published for the next
+// runs in full and the finished result is published for the next
 // caller. Partial results (context cancellation) are never published.
 func Synthesize(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Library, opt core.Options) (*core.Result, error) {
 	if s == nil {
@@ -168,13 +73,9 @@ func Synthesize(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Librar
 		}
 		// Checksum-valid but undecodable (stale codec): treat as a miss.
 	}
-	var warm atomic.Int64
-	if opt.PartitionBacking == nil {
-		opt.PartitionBacking = partitionBacking(s, spec, opt, &warm)
-	}
 	res, err := core.SynthesizeContext(ctx, spec, lib, opt)
 	if res != nil {
-		res.CacheStats = core.CacheStats{Misses: 1, WarmStarts: int(warm.Load())}
+		res.CacheStats = core.CacheStats{Misses: 1}
 	}
 	if err == nil && res != nil && !res.Partial {
 		// besteffort: a failed publish only costs a future cache miss.
@@ -184,13 +85,7 @@ func Synthesize(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Librar
 }
 
 // SynthesizeSweep is core.SynthesizeSweep behind the cache, with the
-// same contract as Synthesize. The sweep resolves its per-island
-// partition table lazily, one (island, switch count) cut at a time as
-// candidates first need it, and every cut goes through the disk-backed
-// partition layer: a repeated sweep whose spec and options are
-// unchanged — but whose key differs (say a different Limit) —
-// warm-starts every cut an earlier sweep already made and only
-// computes the ones it is first to reach.
+// same contract as Synthesize.
 func SynthesizeSweep(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Library, opt core.Options, sw core.SweepOptions) (*core.SweepResult, error) {
 	if s == nil {
 		return core.SynthesizeSweep(ctx, spec, lib, opt, sw)
@@ -202,13 +97,9 @@ func SynthesizeSweep(ctx context.Context, s *Store, spec *soc.Spec, lib *model.L
 			return res, nil
 		}
 	}
-	var warm atomic.Int64
-	if opt.PartitionBacking == nil {
-		opt.PartitionBacking = partitionBacking(s, spec, opt, &warm)
-	}
 	res, err := core.SynthesizeSweep(ctx, spec, lib, opt, sw)
 	if res != nil {
-		res.CacheStats = core.CacheStats{Misses: 1, WarmStarts: int(warm.Load())}
+		res.CacheStats = core.CacheStats{Misses: 1}
 	}
 	if err == nil && res != nil && !res.Partial {
 		// besteffort: a failed publish only costs a future cache miss.

@@ -12,7 +12,6 @@ import (
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
-	"nocvi/internal/specio"
 )
 
 // TestSynthesizeCachedIdentityOnSuite is the headline acceptance test:
@@ -116,12 +115,11 @@ func editIsland(t *testing.T, spec *soc.Spec, island soc.IslandID) *soc.Spec {
 	return nil
 }
 
-// TestWarmStartIdenticalToCold is the incremental re-synthesis proof:
-// synthesize spec A against a store, edit one island, and synthesize
-// the edited spec B against the same store. The B run must warm-start
-// (loading the untouched islands' partitions from disk) and still be
-// byte-identical to a cold B run that computes everything.
-func TestWarmStartIdenticalToCold(t *testing.T) {
+// TestEditedSpecMissIdenticalToFresh is the spec-edit proof: synthesize
+// spec A against a store, edit one island, and synthesize the edited
+// spec B against the same store. The B run must miss (nothing of A's
+// entry may leak into it) and be byte-identical to a storeless B run.
+func TestEditedSpecMissIdenticalToFresh(t *testing.T) {
 	lib := model.Default65nm()
 	ctx := context.Background()
 	specA := bench.D26()
@@ -135,75 +133,28 @@ func TestWarmStartIdenticalToCold(t *testing.T) {
 		if _, err := Synthesize(ctx, s, specA, lib, opt); err != nil {
 			t.Fatal(err)
 		}
-		warm, err := Synthesize(ctx, s, specB, lib, opt)
+		missed, err := Synthesize(ctx, s, specB, lib, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.CacheStats.Hits != 0 || warm.CacheStats.Misses != 1 {
-			t.Fatalf("workers=%d: edited spec should miss: %+v", workers, warm.CacheStats)
+		if missed.CacheStats.Hits != 0 || missed.CacheStats.Misses != 1 {
+			t.Fatalf("workers=%d: edited spec should miss: %+v", workers, missed.CacheStats)
 		}
 
-		cold, err := Synthesize(ctx, nil, specB, lib, opt)
+		fresh, err := Synthesize(ctx, nil, specB, lib, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wd, cd := ResultDigest(warm), ResultDigest(cold); wd != cd {
-			t.Fatalf("workers=%d: warm-start result differs from cold: %s vs %s",
-				workers, wd.Short(), cd.Short())
+		if md, fd := ResultDigest(missed), ResultDigest(fresh); md != fd {
+			t.Fatalf("workers=%d: edited-spec miss differs from a fresh run: %s vs %s",
+				workers, md.Short(), fd.Short())
 		}
-	}
-}
-
-// TestWarmStartLoadsUntouchedIslands pins the warm-start mechanism
-// itself on a multi-island spec: after synthesizing A, the edited-B
-// run must report WarmStarts > 0 (untouched islands' partition tables
-// served from disk).
-func TestWarmStartLoadsUntouchedIslands(t *testing.T) {
-	lib := model.Default65nm()
-	ctx := context.Background()
-	specA, err := bench.Islanded("d26_media")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specA.Islands) < 2 {
-		t.Fatalf("want a multi-island suite spec, got %d islands", len(specA.Islands))
-	}
-	specB := editIsland(t, specA, 0)
-
-	s := openTest(t, StoreOptions{})
-	opt := testOptions()
-	first, err := Synthesize(ctx, s, specA, lib, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CacheStats.WarmStarts != 0 {
-		t.Fatalf("first run warm-started from an empty store: %+v", first.CacheStats)
-	}
-	warm, err := Synthesize(ctx, s, specB, lib, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.CacheStats.WarmStarts == 0 {
-		t.Fatalf("edited run loaded no partitions from disk: %+v", warm.CacheStats)
-	}
-
-	// A repeat of the A spec with different result-affecting options
-	// (different key, same partition space) warm-starts everything it
-	// needs — partitions are keyed by island content, not run identity.
-	opt2 := opt
-	opt2.MaxIntermediateSwitches = 1
-	rerun, err := Synthesize(ctx, s, specA, lib, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rerun.CacheStats.Hits != 0 || rerun.CacheStats.WarmStarts == 0 {
-		t.Fatalf("option-changed rerun should miss but warm-start: %+v", rerun.CacheStats)
 	}
 }
 
 // TestSweepCached covers the streaming path: a repeated sweep is a full
 // hit with an identical result; a sweep with a different Limit misses
-// but warm-starts its whole partition table from disk.
+// and matches a storeless sweep of that Limit.
 func TestSweepCached(t *testing.T) {
 	lib := model.Default65nm()
 	ctx := context.Background()
@@ -235,8 +186,8 @@ func TestSweepCached(t *testing.T) {
 		t.Fatal("sweep digests differ across cold/miss/hit")
 	}
 
-	// Different Limit: a different sweep key, but the same partition
-	// space — the run must skip partition resolution via warm starts.
+	// Different Limit: a different sweep key, so a miss that must not
+	// be served from the first sweep's entry.
 	sw2 := sw
 	sw2.Limit = first.Explored / 2
 	if sw2.Limit == 0 {
@@ -246,8 +197,15 @@ func TestSweepCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limited.CacheStats.Hits != 0 || limited.CacheStats.WarmStarts == 0 {
-		t.Fatalf("limited sweep should miss but warm-start its partition table: %+v", limited.CacheStats)
+	if limited.CacheStats.Hits != 0 || limited.CacheStats.Misses != 1 {
+		t.Fatalf("limited sweep should miss: %+v", limited.CacheStats)
+	}
+	limitedFresh, err := SynthesizeSweep(ctx, nil, spec, lib, opt, sw2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if SweepResultDigest(limited) != SweepResultDigest(limitedFresh) {
+		t.Fatal("limited sweep miss differs from a storeless sweep")
 	}
 }
 
@@ -336,31 +294,5 @@ func TestKeySensitivity(t *testing.T) {
 
 	if SweepKey(spec, lib, opt, core.SweepOptions{}) == SweepKey(spec, lib, opt, core.SweepOptions{Limit: 5}) {
 		t.Fatal("Limit did not change the sweep key")
-	}
-}
-
-// TestIslandVCGDigestLocality pins the warm-start property at the
-// digest level: an edit inside island 1 changes island 1's digest and
-// leaves island 0's untouched, provided the spec-wide normalization
-// extrema are unchanged.
-func TestIslandVCGDigestLocality(t *testing.T) {
-	spec, err := bench.Islanded("d26_media")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spec.Islands) < 2 {
-		t.Fatalf("want >= 2 islands, got %d", len(spec.Islands))
-	}
-	edited := editIsland(t, spec, 1)
-
-	d0a := specio.IslandVCGDigest(spec, 0, 0.6)
-	d0b := specio.IslandVCGDigest(edited, 0, 0.6)
-	if d0a != d0b {
-		t.Fatal("edit in island 1 changed island 0's VCG digest")
-	}
-	d1a := specio.IslandVCGDigest(spec, 1, 0.6)
-	d1b := specio.IslandVCGDigest(edited, 1, 0.6)
-	if d1a == d1b {
-		t.Fatal("edit in island 1 left island 1's VCG digest unchanged")
 	}
 }

@@ -129,19 +129,6 @@ type Options struct {
 	// into Router.Survivability, overwriting whatever the caller put
 	// there — and it participates in cache-key digests.
 	Survivability int
-
-	// PartitionBacking, when non-nil, supplies a persistence layer for
-	// island j's partition cache: newPartTable calls it once per
-	// island with the partition options the island's cache actually
-	// uses (MaxPartSize already clamped to the island's max switch
-	// size), and attaches the returned Backing. The content-addressed
-	// result cache wires this up to warm-start re-synthesis; see
-	// internal/cache. Backed partitions are bit-identical to computed
-	// ones — the engines are deterministic and loads are shape-checked
-	// — so this field is result-neutral and, like Workers, excluded
-	// from cache-key digests. A nil return for an island leaves that
-	// island's cache purely in-memory.
-	PartitionBacking func(island int, pOpt partition.Options) partition.Backing
 }
 
 func (o Options) alpha() float64 {
@@ -309,9 +296,10 @@ func (s PruneStats) Pruned() int { return s.BoundPruned + s.StagePruned }
 
 // CacheStats counts the cache layer's contribution to one synthesis
 // run (see internal/cache). Hits counts full-result cache hits (the
-// run did no synthesis at all), Misses full-result lookups that fell
-// through to the engine, and WarmStarts the per-island partitions that
-// were loaded from the cache instead of recomputed during a miss.
+// run did no synthesis at all) and Misses full-result lookups that fell
+// through to the engine. WarmStarts is always zero: the per-island
+// partition persistence it counted was removed, and the field remains
+// only because the repo benchmark still reports it.
 type CacheStats struct {
 	Hits       int
 	Misses     int
@@ -322,10 +310,6 @@ type CacheStats struct {
 func (s CacheStats) String() string {
 	if s.Hits > 0 {
 		return "full hit"
-	}
-	if s.WarmStarts > 0 {
-		//noclint:ignore bannedcall report rendering, not a cache key; runs once per CLI invocation
-		return fmt.Sprintf("miss, warm-started %d partition(s)", s.WarmStarts)
 	}
 	return "miss"
 }

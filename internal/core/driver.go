@@ -235,9 +235,9 @@ type partEntry struct {
 }
 
 // newPartTable builds one partition.Cache per island VCG — engine
-// selection, MaxPartSize clamped to the island's max switch size, and
-// the optional persistence backing — behind an empty table. The
-// undirected VCG views are materialized once, up front.
+// selection and MaxPartSize clamped to the island's max switch size —
+// behind an empty table. The undirected VCG views are materialized
+// once, up front.
 func newPartTable(env *sweepEnv, vcgs []*vcg.VCG) *partTable {
 	// A nil engine selects the cache's scratch-pooled built-in KWay.
 	var engine partition.Engine
@@ -252,14 +252,6 @@ func newPartTable(env *sweepEnv, vcgs []*vcg.VCG) *partTable {
 			pOpt.MaxPartSize = cap
 		}
 		t.caches[j] = partition.NewCache(v.Undirected(), engine, pOpt)
-		if env.opt.PartitionBacking != nil {
-			// The backing receives the clamped options the cache runs
-			// with, so its keys cover exactly the identity that
-			// determines the cut.
-			if b := env.opt.PartitionBacking(j, pOpt); b != nil {
-				t.caches[j].SetBacking(b)
-			}
-		}
 		// Both spaces keep k within [0, max(n_j, min_j)].
 		t.entries[j] = make([]partEntry, max(len(env.islandCores[j]), env.minSwitches[j])+1)
 	}

@@ -122,11 +122,8 @@ type SweepResult struct {
 
 	// CacheStats reports the content-addressed cache layer's
 	// contribution to this sweep (see Result.CacheStats); all-zero when
-	// the run bypassed the cache. WarmStarts counts partition-table
-	// entries loaded from disk instead of resolved — a repeated sweep
-	// recomputes no cut an earlier sweep of the spec already made. Never
-	// encoded and zeroed in digests, so cached and fresh sweeps compare
-	// byte-identical.
+	// the run bypassed the cache. Never encoded and zeroed in digests,
+	// so cached and fresh sweeps compare byte-identical.
 	CacheStats CacheStats
 
 	// PruneStats is the branch-and-bound layer's disposition of the

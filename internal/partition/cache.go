@@ -9,33 +9,6 @@ import (
 // Engine is a k-way partitioning function (KWay or SpectralKWay).
 type Engine func(g *graph.Undirected, k int, opt Options) ([]int, error)
 
-// Backing is an optional persistence layer under a Cache: a durable
-// store of previously computed partitions, consulted on in-memory
-// misses before the engine runs and written through after a compute.
-// The content-addressed result cache (internal/cache) implements it to
-// warm-start re-synthesis — a spec edit that leaves an island untouched
-// reloads that island's cuts from disk instead of re-partitioning.
-//
-// A Backing must be safe for concurrent use (sweep workers miss
-// concurrently) and must only return partitions that were stored for
-// the exact same (graph, engine, options) identity — the caller keys
-// its store by a content digest of those. Both engines are
-// deterministic, so a correctly keyed load is bit-identical to the
-// compute it replaces; Cache still shape-checks every load and falls
-// back to computing when a loaded vector is malformed, so a corrupt
-// store degrades to a miss, never to a wrong result.
-type Backing interface {
-	// Load returns the stored canonical partition for part count k,
-	// or false when the store has none.
-	Load(k int) ([]int, bool)
-
-	// Store persists the canonical partition computed for part count
-	// k. Errors are not persisted; an infeasible k is cheap to
-	// rediscover. Store may be called multiple times for one k by
-	// racing workers — the payload is identical each time.
-	Store(k int, part []int)
-}
-
 // Cache memoizes k-way partitions of one fixed graph under fixed
 // options and a fixed engine, keyed by the part count k. The synthesis
 // sweep re-partitions the same island VCG for every intermediate-switch
@@ -62,10 +35,6 @@ type Cache struct {
 
 	mu  sync.Mutex
 	byK map[int]cacheEntry
-
-	// backing, when non-nil, persists partitions across processes; see
-	// SetBacking.
-	backing Backing
 
 	// misses counts engine invocations (not lookups); see Stats.
 	misses int
@@ -105,32 +74,6 @@ func NewCache(g *graph.Undirected, engine Engine, opt Options) *Cache {
 	return c
 }
 
-// SetBacking attaches a persistence layer consulted between the
-// in-memory map and the engine. Call before the cache is shared across
-// goroutines (the core sweep attaches it at construction time); a nil
-// backing restores pure in-memory behaviour.
-func (c *Cache) SetBacking(b Backing) { c.backing = b }
-
-// loadBacked consults the backing for k and validates the shape of
-// what it returns: the right vertex count and every label in [0, k).
-// Anything malformed is discarded — the engine recomputes — so a
-// corrupt or mis-keyed store can cost time but never correctness. A
-// valid load is re-canonicalized (idempotent for the canonical vectors
-// Store receives) so downstream consumers keep the Canonical contract
-// even against a hand-edited store.
-func (c *Cache) loadBacked(k int) ([]int, bool) {
-	part, ok := c.backing.Load(k)
-	if !ok || len(part) != c.g.N() {
-		return nil, false
-	}
-	for _, p := range part {
-		if p < 0 || p >= k {
-			return nil, false
-		}
-	}
-	return Canonical(part, k), true
-}
-
 // Partition returns the canonical k-way partition of the cached graph,
 // computing it on first use. Errors are memoized too: an infeasible k
 // (e.g. k*MaxPartSize < n) fails once and every later lookup returns
@@ -153,21 +96,6 @@ func (c *Cache) PartitionScratch(k int, sc *Scratch) ([]int, error) {
 	if ok {
 		return e.part, e.err
 	}
-	// Backing probe, outside the byK lock like the compute below: a
-	// validated load is bit-identical to the compute it replaces (the
-	// store is keyed by the graph/engine/options identity), so racing
-	// loaders and computers still agree and first-store-wins holds.
-	if c.backing != nil {
-		if part, ok := c.loadBacked(k); ok {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			if prev, ok := c.byK[k]; ok {
-				return prev.part, prev.err
-			}
-			c.byK[k] = cacheEntry{part: part}
-			return part, nil
-		}
-	}
 	// Compute outside the byK lock; determinism makes a racing
 	// duplicate computation identical.
 	var part []int
@@ -187,11 +115,6 @@ func (c *Cache) PartitionScratch(k int, sc *Scratch) ([]int, error) {
 	}
 	if err == nil {
 		part = Canonical(part, k)
-		if c.backing != nil {
-			// Write-through before publication; a racing duplicate
-			// stores identical bytes, so order is immaterial.
-			c.backing.Store(k, part)
-		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

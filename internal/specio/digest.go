@@ -161,12 +161,11 @@ func encodeLibrary(e *denc, l *model.Library) {
 //     cache entry;
 //   - fields the engine guarantees are result-neutral are excluded:
 //     Workers (every worker count yields byte-identical results — the
-//     guarantee the identity tests pin) and PartitionBacking (cache
-//     wiring; backed partitions are bit-identical to computed ones).
-//     Excluding them is what makes a cache entry written at -workers 8
-//     a legitimate hit at -workers 1. Router.Survivability is likewise
-//     excluded: the engine normalizes the canonical Options.Survivability
-//     over it, so encoding both would double-count one knob.
+//     guarantee the identity tests pin). Excluding it is what makes a
+//     cache entry written at -workers 8 a legitimate hit at -workers 1.
+//     Router.Survivability is likewise excluded: the engine normalizes
+//     the canonical Options.Survivability over it, so encoding both
+//     would double-count one knob.
 //
 // v3 added Options.Survivability (the k disjoint-backup-routes
 // constraint), which changes results whenever nonzero.
@@ -206,39 +205,6 @@ func OptionsDigest(opt core.Options, lib *model.Library) Digest {
 	}
 	e.int(surv)
 	encodeLibrary(e, lib)
-	return e.sum()
-}
-
-// IslandVCGDigest returns the canonical digest of everything island
-// isl's min-cut partition depends on: the island's vertex count, its
-// intra-island flows in spec order (local vertex indices, so renaming
-// or editing *other* islands leaves this digest unchanged — the
-// property incremental re-synthesis rests on), and the VCG weighting
-// inputs — alpha plus the spec-wide bandwidth/latency extrema that
-// normalize every edge weight (vcg.EdgeWeight).
-func IslandVCGDigest(s *soc.Spec, isl soc.IslandID, alpha float64) Digest {
-	e := &denc{}
-	e.str("nocvi-vcg-v1")
-	cores := s.CoresIn(isl)
-	idx := make(map[soc.CoreID]int, len(cores))
-	for i, c := range cores {
-		idx[c] = i
-	}
-	e.u64(uint64(len(cores)))
-	e.f64(alpha)
-	e.f64(s.MaxFlowBandwidth())
-	e.f64(s.MinLatencyConstraint())
-	for _, f := range s.Flows {
-		si, sok := idx[f.Src]
-		di, dok := idx[f.Dst]
-		if !sok || !dok {
-			continue
-		}
-		e.int(si)
-		e.int(di)
-		e.f64(f.BandwidthBps)
-		e.f64(f.MaxLatencyCycles)
-	}
 	return e.sum()
 }
 

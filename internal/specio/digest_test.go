@@ -74,9 +74,6 @@ func TestLibraryAndOptionsDigestGoldens(t *testing.T) {
 	if got := OptionsDigest(opt, lib).String(); got != "0035e6453430ee981179f50903fd1c85fa885d757c41251b71d246205b0099d9" {
 		t.Errorf("bench options digest %s", got)
 	}
-	if got := IslandVCGDigest(bench.D26(), 0, 0.6).String(); got != "157c939b09b9149b8c6e8d07ede6c168de9f516ab20eef347519ee599f129ab3" {
-		t.Errorf("d26 island-0 VCG digest %s", got)
-	}
 }
 
 // TestSpecDigestValueIdentity: the digest depends only on values, not

@@ -13,6 +13,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
@@ -385,6 +386,18 @@ func (t *Topology) EnsureLink(from, to SwitchID) (LinkID, error) {
 		return id, nil
 	}
 	return t.addLink(from, to)
+}
+
+// ReserveLinks makes room for n more links in Links and in the link
+// index, so a caller that knows its link count up front (the result
+// cache's decoder) adds them without regrowing either.
+func (t *Topology) ReserveLinks(n int) {
+	t.Links = slices.Grow(t.Links, n)
+	idx := make(map[linkKey]LinkID, len(t.Links)+n)
+	for _, l := range t.Links {
+		idx[linkKey{l.From, l.To}] = l.ID
+	}
+	t.linkIdx = idx
 }
 
 // addLink appends a link the index has already proven absent.

@@ -300,8 +300,8 @@ func RunCampaign(top *Topology, opt CampaignOptions) (*Campaign, error) {
 // engine is bit-deterministic, results can be cached by a canonical
 // digest of their inputs and served back byte-identical to a fresh run.
 type (
-	// Cache is an on-disk content-addressed store of synthesis results,
-	// per-island partition tables and fault-campaign reports.
+	// Cache is an on-disk content-addressed store of synthesis results
+	// and fault-campaign reports.
 	Cache = cache.Store
 	// CacheOptions configures OpenCache.
 	CacheOptions = cache.StoreOptions
@@ -326,9 +326,9 @@ func ResolveCache(dir string, disable bool) (*Cache, error) { return cache.Resol
 
 // SynthesizeCached is SynthesizeContext behind a result cache: a
 // repeated run is served from the store byte-identical to a fresh one,
-// and a run over an edited spec warm-starts from the cached partition
-// tables of every untouched island. A nil cache is a transparent
-// pass-through.
+// and any other run (an edited spec or changed options) is a miss that
+// synthesizes in full and publishes its result. A nil cache is a
+// transparent pass-through.
 func SynthesizeCached(ctx context.Context, s *Cache, spec *Spec, lib *Library, opt Options) (*Result, error) {
 	return cache.Synthesize(ctx, s, spec, lib, opt)
 }

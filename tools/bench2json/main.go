@@ -88,15 +88,13 @@ type efficiency struct {
 }
 
 // cacheSummary condenses the BenchmarkSynthesizeCached lanes: the
-// cold / warm / oneisland timings and the ratios that matter — how much
-// a full hit saves, and how much warm-starting saves a genuine miss.
+// cold / warm timings and the ratio that matters — how much a full hit
+// saves.
 type cacheSummary struct {
-	Procs            int     `json:"gomaxprocs"`
-	ColdNs           float64 `json:"cold_ns_per_op"`
-	WarmNs           float64 `json:"warm_ns_per_op"`
-	OneIslandNs      float64 `json:"oneisland_ns_per_op,omitempty"`
-	FullHitSpeedup   float64 `json:"full_hit_speedup"`
-	WarmStartSpeedup float64 `json:"warmstart_speedup,omitempty"`
+	Procs          int     `json:"gomaxprocs"`
+	ColdNs         float64 `json:"cold_ns_per_op"`
+	WarmNs         float64 `json:"warm_ns_per_op"`
+	FullHitSpeedup float64 `json:"full_hit_speedup"`
 }
 
 // pruneSummary condenses the SynthesizePrune lanes: the branch-and-
@@ -149,7 +147,7 @@ type record struct {
 	// so when that leaves nothing to report.
 	Efficiency     map[string]efficiency `json:"parallel_efficiency,omitempty"`
 	EfficiencyNote string                `json:"efficiency_note,omitempty"`
-	// Cache holds the SynthesizeCached cold/warm/oneisland ratios,
+	// Cache holds the SynthesizeCached cold/warm ratio,
 	// computed from Current when present, else Baseline.
 	Cache *cacheSummary `json:"cache,omitempty"`
 	// Prune holds the SynthesizePrune branch-and-bound ratios, computed
@@ -571,11 +569,9 @@ func efficiencies(results map[string]result) map[string]efficiency {
 	return out
 }
 
-// cacheSummaryFrom extracts the SynthesizeCached/{cold,warm,oneisland}
-// lanes from a result set and condenses them into ratios, using the
-// widest GOMAXPROCS lane that measured both cold and warm. Speedups are
-// cold/warm (the full-hit payoff) and cold/oneisland (what
-// warm-starting saves a genuine one-island-edit miss). nil when the
+// cacheSummaryFrom extracts the SynthesizeCached/{cold,warm} lanes from
+// a result set and condenses them into the cold/warm full-hit speedup,
+// using the widest GOMAXPROCS lane that measured both. nil when the
 // lanes are absent.
 func cacheSummaryFrom(results map[string]result) *cacheSummary {
 	perLane := make(map[int]*cacheSummary)
@@ -603,8 +599,6 @@ func cacheSummaryFrom(results map[string]result) *cacheSummary {
 			cs.ColdNs = r.NsPerOp
 		case "warm":
 			cs.WarmNs = r.NsPerOp
-		case "oneisland":
-			cs.OneIslandNs = r.NsPerOp
 		}
 	}
 	var best *cacheSummary
@@ -620,9 +614,6 @@ func cacheSummaryFrom(results map[string]result) *cacheSummary {
 		return nil
 	}
 	best.FullHitSpeedup = round2(best.ColdNs / best.WarmNs)
-	if best.OneIslandNs > 0 {
-		best.WarmStartSpeedup = round2(best.ColdNs / best.OneIslandNs)
-	}
 	return best
 }
 
