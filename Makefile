@@ -9,8 +9,9 @@
 # case study, a survivability smoke run (k=1 synthesis must absorb
 # every single-link fault with zero re-routing), a result-cache smoke
 # run (second synthesis of an unchanged spec must be a full hit, and a
-# miss on an edited spec must stay bit-identical to a fresh run), and a
-# bounded fuzz run of the cache decoder.
+# miss on an edited spec must stay bit-identical to a fresh run), and
+# bounded fuzz runs of the cache decoder, the store's blob framing and
+# the spec-to-synthesis boundary.
 GO ?= go
 
 .PHONY: ci vet fmt lint surface build test race bench-module bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
@@ -171,10 +172,19 @@ prune-smoke:
 	$(GO) test -run 'TestSynthesizeOracleIdentity|TestBoundsAdmissibility' ./internal/core/
 	$(GO) test -bench=SynthesizePrune -benchtime=3x -run='^$$' . | $(GO) run ./tools/bench2json -o '' -prune-floor 1.3
 
-# fuzz-smoke runs the cache decoder's native fuzz target for a bounded
-# time: bytes read back from the store size the decoder's slices, so
-# any input must end in an error or a codec fixed point, never a panic.
-# The committed corpus lives in internal/cache/testdata/fuzz; a crasher
+# fuzz-smoke runs each native fuzz target for a bounded time, one after
+# another (go test -fuzz takes one target at a time):
+#   - FuzzDecodeResult: bytes read back from the store size the result
+#     decoder's slices, so any input must end in an error or a codec
+#     fixed point, never a panic;
+#   - FuzzDecodeBlob: the store's entry framing must yield a payload
+#     matching its checksum, or a miss;
+#   - FuzzSpecSynthesize: spec JSON through validation into synthesis
+#     must end in an error or a best point that validates and is
+#     deadlock-free.
+# The committed corpora live in each package's testdata/fuzz; a crasher
 # found here is written there and becomes a permanent regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecSynthesize$$' -fuzztime 10s ./internal/specio/

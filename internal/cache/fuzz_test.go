@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc64"
 	"testing"
 
 	"nocvi/internal/bench"
@@ -46,6 +50,42 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if ResultDigest(again) != ResultDigest(res) {
 			t.Fatal("decoded result is not a codec fixed point")
+		}
+	})
+}
+
+// FuzzDecodeBlob feeds arbitrary bytes to the store's entry framing,
+// the first thing Get does with a file read back from disk. The
+// contract: a blob either decodes to a payload whose CRC-64 matches the
+// header — and which frames back to exactly the same bytes — or is a
+// miss; a read error is always a miss. Never a panic.
+//
+// Seeds are framed payloads; testdata/fuzz/FuzzDecodeBlob holds small
+// hand-made inputs for the header, the magic and the checksum. Run with
+//
+//	go test -run '^$' -fuzz FuzzDecodeBlob -fuzztime 10s ./internal/cache
+func FuzzDecodeBlob(f *testing.F) {
+	f.Add(encodeBlob(nil))
+	f.Add(encodeBlob([]byte("a framed payload")))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if _, ok := decodeBlob(blob, errors.New("read failed")); ok {
+			t.Fatal("a read error decoded as a hit")
+		}
+		payload, ok := decodeBlob(blob, nil)
+		if !ok {
+			if payload != nil {
+				t.Fatal("a miss returned a payload")
+			}
+			return
+		}
+		if len(blob) < blobHeaderLen || !bytes.Equal(blob[:len(blobMagic)], blobMagic) {
+			t.Fatal("a blob without the header decoded as a hit")
+		}
+		if binary.BigEndian.Uint64(blob[len(blobMagic):blobHeaderLen]) != crc64.Checksum(payload, crcTable) {
+			t.Fatal("a payload decoded whose checksum does not match the header")
+		}
+		if !bytes.Equal(encodeBlob(payload), blob) {
+			t.Fatal("decoded payload does not frame back to the same blob")
 		}
 	})
 }

@@ -64,9 +64,14 @@ import (
 //
 // v6: partition warm-start removed — results are bit-identical, but a
 // miss no longer probes or writes per-island partition entries and the
-// decoder presizes what it rebuilds, so the hot path (partition.Cache,
+// decoder presizes what it rebuilds, so the hot path (the min-cut memo,
 // the partition table, the result decoder) moved.
-const EngineVersion = 6
+//
+// v7: options only tests set deleted — results are bit-identical, but
+// the partition table became the one min-cut memo (computing through
+// the worker's partition.Scratch) and the router's cost terms lost
+// their option lookups, so the hot path moved.
+const EngineVersion = 7
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.
@@ -327,11 +332,7 @@ func (s *Store) Put(class string, key specio.Digest, payload []byte) error {
 		s.mu.Unlock()
 	}
 
-	blob := make([]byte, 0, blobHeaderLen+len(payload))
-	blob = append(blob, blobMagic...)
-	blob = binary.BigEndian.AppendUint64(blob, crc64.Checksum(payload, crcTable))
-	blob = append(blob, payload...)
-
+	blob := encodeBlob(payload)
 	tmp, err := os.CreateTemp(classDir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
@@ -418,6 +419,15 @@ func (s *Store) Dir() string {
 		return ""
 	}
 	return s.dir
+}
+
+// encodeBlob frames payload as an entry file: magic, the payload's
+// CRC-64 and the payload.
+func encodeBlob(payload []byte) []byte {
+	blob := make([]byte, 0, blobHeaderLen+len(payload))
+	blob = append(blob, blobMagic...)
+	blob = binary.BigEndian.AppendUint64(blob, crc64.Checksum(payload, crcTable))
+	return append(blob, payload...)
 }
 
 // decodeBlob validates a raw entry file and returns its payload.

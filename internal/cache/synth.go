@@ -29,7 +29,7 @@ func ResultKey(spec *soc.Spec, lib *model.Library, opt core.Options) specio.Dige
 func SweepKey(spec *soc.Spec, lib *model.Library, opt core.Options, sw core.SweepOptions) specio.Digest {
 	return specio.CombineDigests("nocvi-sweep", EngineVersion,
 		[]specio.Digest{specio.SpecDigest(spec), specio.OptionsDigest(opt, lib)},
-		[]int64{codecVersion, int64(sw.WidthPerIsland), int64(sw.Limit), int64(sw.MaxErrors)})
+		[]int64{codecVersion, int64(sw.WidthPerIsland), int64(sw.Limit)})
 }
 
 // TopologyDigest is the content digest of a concrete routed design:

@@ -13,6 +13,7 @@ import (
 	"nocvi/internal/deadlock"
 	"nocvi/internal/floorplan"
 	"nocvi/internal/model"
+	"nocvi/internal/partition"
 	"nocvi/internal/power"
 	"nocvi/internal/soc"
 )
@@ -255,7 +256,7 @@ func TestPartitionEntryRace(t *testing.T) {
 			start.Done()
 			done.Wait()
 
-			want := ref.table.entry(j, k, nil)
+			want := ref.table.entry(j, k, &partition.Scratch{})
 			for r, got := range views {
 				if (got.err == nil) != (want.err == nil) {
 					t.Fatalf("island %d k=%d racer %d: err %v, serial reference err %v", j, k, r, got.err, want.err)

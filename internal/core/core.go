@@ -69,11 +69,6 @@ type Options struct {
 	// Partition passes through to the min-cut partitioner.
 	Partition partition.Options
 
-	// SpectralPartition selects recursive spectral bisection instead of
-	// the Fiduccia–Mattheyses engine for the core-to-switch min-cut
-	// (Algorithm 1 step 11).
-	SpectralPartition bool
-
 	// AutoVoltage scales each island's NoC supply down to the lowest
 	// voltage that meets its clock (model.VoltageForFreq) instead of
 	// using the spec island's nominal supply — the voltage-island

@@ -298,30 +298,6 @@ func TestRefinePlacement(t *testing.T) {
 	}
 }
 
-func TestSpectralPartitionOption(t *testing.T) {
-	spec := miniSoC()
-	res, err := Synthesize(spec, model.Default65nm(), Options{
-		SpectralPartition: true,
-		AllowIntermediate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := res.Best()
-	if err := best.Top.Validate(); err != nil {
-		t.Fatalf("spectral-partitioned design invalid: %v", err)
-	}
-	// Both engines must land in the same power ballpark on this SoC.
-	fm, err := Synthesize(spec, model.Default65nm(), Options{AllowIntermediate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := best.NoCPower.DynW(), fm.Best().NoCPower.DynW()
-	if a > b*1.5 || b > a*1.5 {
-		t.Fatalf("engines diverge wildly: spectral %g vs FM %g", a, b)
-	}
-}
-
 func TestAutoVoltage(t *testing.T) {
 	spec := miniSoC()
 	lib := model.Default65nm()

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nocvi/internal/graph"
 	"nocvi/internal/model"
 	"nocvi/internal/partition"
 	"nocvi/internal/soc"
@@ -209,14 +210,15 @@ func (s *factorialSpace) Decode(idx uint64, counts []int) (mid int) {
 // is island j's VCG min-cut into k switches with its branch-and-bound
 // pieces. Entries are resolved lazily by the first worker that needs
 // one, through that worker's partition scratch, under the entry's once
-// latch; both engines are deterministic functions of (graph, k,
-// options), so which worker wins the latch is immaterial, and once.Do's
+// latch; the cut is a deterministic function of (graph, k, options),
+// so which worker wins the latch is immaterial, and once.Do's
 // happens-before edge lets every later reader go lock-free. A candidate
 // only touches the table after the infeasibility proofs passed, so
 // nothing is cut that no surviving candidate needs. The table has
 // Σ_j (n_j + 1) entries.
 type partTable struct {
-	caches  []*partition.Cache
+	graphs  []*graph.Undirected // island VCGs, undirected
+	opts    []partition.Options // per island, MaxPartSize clamped
 	bounds  *boundsEnv
 	entries [][]partEntry
 }
@@ -234,24 +236,19 @@ type partEntry struct {
 	infeas bool
 }
 
-// newPartTable builds one partition.Cache per island VCG — engine
-// selection and MaxPartSize clamped to the island's max switch size —
-// behind an empty table. The undirected VCG views are materialized
-// once, up front.
+// newPartTable materializes each island VCG's undirected view and its
+// partitioner options — MaxPartSize clamped to the island's max switch
+// size — behind an empty table.
 func newPartTable(env *sweepEnv, vcgs []*vcg.VCG) *partTable {
-	// A nil engine selects the cache's scratch-pooled built-in KWay.
-	var engine partition.Engine
-	if env.opt.SpectralPartition {
-		engine = partition.SpectralKWay
-	}
-	t := &partTable{caches: make([]*partition.Cache, len(vcgs)), bounds: env.bounds, entries: make([][]partEntry, len(vcgs))}
+	n := len(vcgs)
+	t := &partTable{graphs: make([]*graph.Undirected, n), opts: make([]partition.Options, n), bounds: env.bounds, entries: make([][]partEntry, n)}
 	for j, v := range vcgs {
 		pOpt := env.opt.Partition
 		cap := env.maxSizes[j] - 1
 		if pOpt.MaxPartSize == 0 || cap < pOpt.MaxPartSize {
 			pOpt.MaxPartSize = cap
 		}
-		t.caches[j] = partition.NewCache(v.Undirected(), engine, pOpt)
+		t.graphs[j], t.opts[j] = v.Undirected(), pOpt
 		// Both spaces keep k within [0, max(n_j, min_j)].
 		t.entries[j] = make([]partEntry, max(len(env.islandCores[j]), env.minSwitches[j])+1)
 	}
@@ -259,11 +256,11 @@ func newPartTable(env *sweepEnv, vcgs []*vcg.VCG) *partTable {
 }
 
 // entry returns island j cut into k switches, resolving it through sc
-// on first touch (nil sc falls back to the cache's serialized scratch).
+// on first touch.
 func (t *partTable) entry(j, k int, sc *partition.Scratch) *partEntry {
 	e := &t.entries[j][k]
 	e.once.Do(func() {
-		e.part, e.err = t.caches[j].PartitionScratch(k, sc)
+		e.part, e.err = sc.KWay(t.graphs[j], k, t.opts[j])
 		if t.bounds != nil && e.err == nil {
 			e.piece, e.cross, e.infeas = t.bounds.islandPiece(j, k, e.part)
 		}

@@ -175,9 +175,11 @@ func TestSweepSpecInfeasibleCutsNothing(t *testing.T) {
 	if res.Explored != res.Size || res.PruneStats.BoundPruned != int(res.Explored) {
 		t.Fatalf("want all %d candidates bound-pruned, got explored=%d %+v", res.Size, res.Explored, res.PruneStats)
 	}
-	for j, c := range env.table.caches {
-		if n := c.Stats(); n != 0 {
-			t.Fatalf("island %d: %d partitions computed for a provably infeasible spec", j, n)
+	for j, row := range env.table.entries {
+		for k := range row {
+			if e := &row[k]; e.part != nil || e.err != nil {
+				t.Fatalf("island %d k=%d: partition resolved for a provably infeasible spec", j, k)
+			}
 		}
 	}
 }

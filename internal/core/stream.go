@@ -28,19 +28,11 @@ type SweepOptions struct {
 	// enumeration order, so results stay deterministic. Limit is
 	// required when the space size saturates uint64.
 	Limit uint64
-
-	// MaxErrors caps the recorded CandidateErrors (0 = 32). The errors
-	// kept are the ones with the smallest candidate indices; the total
-	// count is always reported.
-	MaxErrors int
 }
 
-func (o SweepOptions) maxErrors() int {
-	if o.MaxErrors <= 0 {
-		return 32
-	}
-	return o.MaxErrors
-}
+// maxSweepErrors caps SweepResult.Errors: the errors kept are the ones
+// with the smallest candidate indices; ErrorCount is the true total.
+const maxSweepErrors = 32
 
 // SweepPoint is the compact summary of one feasible candidate that the
 // streaming sweep retains: the candidate's identity and its headline
@@ -111,7 +103,8 @@ type SweepResult struct {
 	Front []SweepPoint
 
 	// Errors holds the recovered candidate panics with the smallest
-	// indices, at most MaxErrors of them; ErrorCount is the true total.
+	// indices, at most maxSweepErrors (32) of them; ErrorCount is the
+	// true total.
 	// Panics are the one exception to cross-worker identity under
 	// pruning: whether a panicking candidate is pruned before it can
 	// panic depends on incumbent timing, so a sweep that records errors
@@ -330,7 +323,7 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 	}
 	cols := make(streamCollectors, env.opt.workers())
 	for w := range cols {
-		cols[w] = &sweepCollector{errCap: sw.maxErrors()}
+		cols[w] = &sweepCollector{errCap: maxSweepErrors}
 	}
 	partial := env.drive(ctx, space, limit, limit, cols)
 
@@ -372,9 +365,7 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 	}
 	res.Front = pruneFront(front)
 	sort.Slice(errs, func(i, j int) bool { return errs[i].idx < errs[j].idx })
-	if len(errs) > sw.maxErrors() {
-		errs = errs[:sw.maxErrors()]
-	}
+	errs = errs[:min(len(errs), maxSweepErrors)]
 	for _, e := range errs {
 		res.Errors = append(res.Errors, e.ce)
 	}
@@ -396,13 +387,14 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 		if p == nil {
 			return nil
 		}
+		bc := newBuildContext(env)
 		counts := make([]int, len(env.islandCores))
 		parts := make([][]int, len(counts))
 		mid := space.Decode(p.Index, counts)
 		for j, k := range counts {
-			parts[j] = env.table.entry(j, k, nil).part
+			parts[j] = env.table.entry(j, k, &bc.part).part
 		}
-		dp, err := buildPoint(newBuildContext(env), counts, parts, mid)
+		dp, err := buildPoint(bc, counts, parts, mid)
 		if err != nil {
 			panic(fmt.Sprintf("core: sweep winner %v/mid=%d failed rebuild: %v", counts, mid, err)) //noclint:ignore bannedcall cold-path invariant panic, not a cache key
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nocvi/internal/model"
+	"nocvi/internal/partition"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
 )
@@ -60,13 +61,14 @@ func oracleSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options, 
 	idx := uint64(0)
 	counts := make([]int, nIsl)
 	parts := make([][]int, nIsl)
+	var sc partition.Scratch
 	var walk func(j int)
 	walk = func(j int) {
 		if j == nIsl {
 			for mid := 0; mid <= maxMid; mid++ {
 				ok := true
 				for i := 0; i < nIsl; i++ {
-					p, err := env.table.caches[i].Partition(counts[i])
+					p, err := sc.KWay(env.table.graphs[i], counts[i], env.table.opts[i])
 					if err != nil {
 						ok = false
 						break
@@ -345,45 +347,59 @@ func TestSweepCancellation(t *testing.T) {
 	sameSweep(t, "canceled vs limited", res, limited)
 }
 
-// TestSweepPanicsIdenticalAcrossWorkers injects panics into a fixed
-// subset of candidates and checks the error channel of the streaming
-// sweep: bounded recording, true total count, smallest-index selection,
-// all byte-identical across worker counts.
+// TestSweepPanicsIdenticalAcrossWorkers injects panics into more than
+// maxSweepErrors candidates and checks the error channel of the
+// streaming sweep: the true total count, exactly the maxSweepErrors
+// smallest panicking indices kept in index order, all byte-identical
+// across worker counts.
 func TestSweepPanicsIdenticalAcrossWorkers(t *testing.T) {
 	spec := miniSoC()
 	lib := model.Default65nm()
 	withEvalHook(t, func(counts []int, mid int) {
-		if mid == 1 {
+		if mid >= 1 {
 			panic("injected: sweep candidate blew up")
 		}
 	})
 	// NoPrune: whether a panicking candidate gets pruned before it can
 	// panic depends on incumbent timing, so the error channel is only
 	// schedule-independent on the unpruned path (see SweepResult.Errors).
-	opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 2, Workers: 1, NoPrune: true}
-	sw := SweepOptions{MaxErrors: 3}
-	base := sweepOnce(t, spec, lib, opt, sw)
-	if base.ErrorCount == 0 {
-		t.Fatal("no injected panic was recorded")
+	opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 3, Workers: 1, NoPrune: true}
+
+	// The panicking indices in enumeration order, decoded independently
+	// of the sweep's collectors.
+	space := mustEnv(t, spec, lib, opt).factorial(0)
+	type cand struct {
+		counts []int
+		mid    int
 	}
-	if len(base.Errors) > 3 {
-		t.Fatalf("error cap not honored: %d recorded", len(base.Errors))
+	var panicking []cand
+	for idx := uint64(0); idx < space.Size(); idx++ {
+		counts := make([]int, len(spec.Islands))
+		if mid := space.Decode(idx, counts); mid >= 1 {
+			panicking = append(panicking, cand{counts, mid})
+		}
 	}
-	if base.ErrorCount > 3 && len(base.Errors) != 3 {
-		t.Fatalf("want the 3 smallest-index errors kept, got %d of %d", len(base.Errors), base.ErrorCount)
+	if len(panicking) <= maxSweepErrors {
+		t.Fatalf("fixture panics on %d candidates, want more than %d", len(panicking), maxSweepErrors)
 	}
-	for _, e := range base.Errors {
-		if e.MidSwitches != 1 {
-			t.Fatalf("recorded error for mid=%d, only mid=1 panics were injected", e.MidSwitches)
+
+	base := sweepOnce(t, spec, lib, opt, SweepOptions{})
+	if base.ErrorCount != uint64(len(panicking)) {
+		t.Fatalf("ErrorCount %d, want %d", base.ErrorCount, len(panicking))
+	}
+	if len(base.Errors) != maxSweepErrors {
+		t.Fatalf("want the %d smallest-index errors kept, got %d", maxSweepErrors, len(base.Errors))
+	}
+	for i, e := range base.Errors {
+		if want := panicking[i]; !equalInts(e.SwitchCounts, want.counts) || e.MidSwitches != want.mid {
+			t.Fatalf("error %d is %v/mid=%d, want %v/mid=%d", i, e.SwitchCounts, e.MidSwitches, want.counts, want.mid)
 		}
 		if e.Stack == "" || e.Panic == "" {
 			t.Fatalf("error not normalized: %+v", e)
 		}
 	}
-	for _, workers := range []int{2, 8} {
-		opt.Workers = workers
-		sameSweep(t, fmt.Sprintf("panics workers=%d", workers), base, sweepOnce(t, spec, lib, opt, sw))
-	}
+	opt.Workers = 4
+	sameSweep(t, "panics workers=4", base, sweepOnce(t, spec, lib, opt, SweepOptions{}))
 }
 
 // TestSweepMillionPoints is the scale proof: a 100+-core, 10+-island

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nocvi/internal/bench"
 	"nocvi/internal/model"
 	"nocvi/internal/pareto"
 	"nocvi/internal/soc"
@@ -213,5 +214,55 @@ func TestSynthesizeOracleIdentitySurvivable(t *testing.T) {
 				assertSamePoints(t, label, workers, first, res)
 			}
 		}
+	}
+}
+
+// TestBestPowerMonotoneInSurvivability is a metamorphic property over
+// the bundled suite, with and without intermediate switches: raising
+// the survivability k only adds constraints (k's primaries are k=0's,
+// plus links opened for backups), so the best design point's power
+// never decreases as k grows, and once some k is infeasible every
+// larger k is too. cutSpec2 without intermediate switches, infeasible
+// from k=1 on, exercises the second half.
+func TestBestPowerMonotoneInSurvivability(t *testing.T) {
+	lib := model.Default65nm()
+	specs := []*soc.Spec{cutSpec2()}
+	for _, name := range bench.Names() {
+		spec, err := bench.Islanded(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	sawInfeasible := false
+	for _, spec := range specs {
+		for _, opt := range []Options{{}, {AllowIntermediate: true, MaxIntermediateSwitches: 2}} {
+			prev, infeasibleAt := 0.0, -1
+			for k := 0; k <= 2; k++ {
+				opt.Survivability = k
+				res, err := Synthesize(spec, lib, opt)
+				switch {
+				case errors.Is(err, ErrInfeasible):
+					if infeasibleAt < 0 {
+						infeasibleAt = k
+					}
+					sawInfeasible = true
+					continue
+				case err != nil:
+					t.Fatalf("%s k=%d: %v", spec.Name, k, err)
+				case infeasibleAt >= 0:
+					t.Fatalf("%s mid=%v: k=%d is feasible but k=%d was not", spec.Name, opt.AllowIntermediate, k, infeasibleAt)
+				}
+				p := res.Best().NoCPower.DynW()
+				if p < prev {
+					t.Fatalf("%s mid=%v: best power fell from %g W at k=%d to %g W at k=%d",
+						spec.Name, opt.AllowIntermediate, prev, k-1, p, k)
+				}
+				prev = p
+			}
+		}
+	}
+	if !sawInfeasible {
+		t.Fatal("no spec became infeasible: the infeasibility half went unchecked")
 	}
 }

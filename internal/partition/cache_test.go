@@ -25,29 +25,42 @@ func cacheTestGraph() *graph.Undirected {
 func TestCacheMatchesDirectKWay(t *testing.T) {
 	g := cacheTestGraph()
 	c := NewCache(g, nil, Options{})
+	var sc Scratch
 	for k := 1; k <= 6; k++ {
 		direct, err := KWay(g, k, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := fmt.Sprint(Canonical(direct, k))
-		for pass := 0; pass < 2; pass++ { // second pass must hit the cache
-			got, err := c.Partition(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != want {
-				t.Fatalf("k=%d pass %d: %v, want %v", k, pass, got, want)
-			}
+		first, err := c.Partition(k)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if c.Stats() != 6 {
-		t.Fatalf("expected 6 cache entries, got %d", c.Stats())
+		again, err := c.Partition(k) // must hit the cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(first) != want || &again[0] != &first[0] {
+			t.Fatalf("k=%d: %v then %v, want %v handed out twice", k, first, again, want)
+		}
+		// The scratch path returns the same canonical cut.
+		scratched, err := sc.KWay(g, k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(scratched) != want {
+			t.Fatalf("k=%d: Scratch.KWay %v, want %v", k, scratched, want)
+		}
 	}
 }
 
 func TestCacheMemoizesErrors(t *testing.T) {
-	c := NewCache(cacheTestGraph(), nil, Options{MaxPartSize: 2})
+	calls := 0
+	counting := func(g *graph.Undirected, k int, opt Options) ([]int, error) {
+		calls++
+		return KWay(g, k, opt)
+	}
+	c := NewCache(cacheTestGraph(), counting, Options{MaxPartSize: 2})
 	for pass := 0; pass < 2; pass++ {
 		if _, err := c.Partition(3); err == nil { // 3*2 < 12 vertices
 			t.Fatal("infeasible k accepted")
@@ -56,8 +69,8 @@ func TestCacheMemoizesErrors(t *testing.T) {
 	if _, err := c.Partition(6); err != nil { // 6*2 == 12: feasible
 		t.Fatal(err)
 	}
-	if c.Stats() != 2 {
-		t.Fatalf("expected 2 entries (one error, one partition), got %d", c.Stats())
+	if calls != 2 {
+		t.Fatalf("expected 2 engine calls (one error, one partition), got %d", calls)
 	}
 }
 

@@ -23,19 +23,11 @@ type Options struct {
 	// MaxPartSize caps the number of vertices per part. Zero means
 	// unbounded. KWay returns an error when k*MaxPartSize < n.
 	MaxPartSize int
-
-	// Passes bounds the number of FM improvement passes per bisection
-	// and the number of k-way refinement sweeps. Zero selects the
-	// default of 8.
-	Passes int
 }
 
-func (o Options) passes() int {
-	if o.Passes <= 0 {
-		return 8
-	}
-	return o.Passes
-}
+// passes bounds the number of FM improvement passes per bisection and
+// the number of k-way refinement sweeps.
+const passes = 8
 
 // KWay partitions the vertices of g into k non-empty balanced parts
 // minimizing the total cut weight. The returned slice maps each vertex to
@@ -48,8 +40,8 @@ func KWay(g *graph.Undirected, k int, opt Options) ([]int, error) {
 
 // kwayScratch pools the working storage of KWay invocations: every
 // slice and map the bisection/refinement machinery needs, grown once
-// and reused across calls. A Cache running the built-in engine holds
-// one, so the dozens of engine invocations of a synthesis sweep share
+// and reused across calls. Each synthesis worker holds one (inside a
+// Scratch), so the dozens of engine invocations of a sweep share
 // buffers instead of allocating ~7 slices per bisection. One scratch
 // must not be used by two goroutines concurrently.
 type kwayScratch struct {
@@ -112,7 +104,7 @@ func kwayWith(g *graph.Undirected, k int, opt Options, sc *kwayScratch) ([]int, 
 	if sc.idxOf == nil {
 		sc.idxOf = make(map[int]int, n)
 	}
-	recursiveBisect(g, sc.vertices, k, 0, part, opt, sc, sc.tmp)
+	recursiveBisect(g, sc.vertices, k, 0, part, sc, sc.tmp)
 	refineKWay(g, part, k, opt, sc)
 	return part, nil
 }
@@ -121,7 +113,7 @@ func kwayWith(g *graph.Undirected, k int, opt Options, sc *kwayScratch) ([]int, 
 // writing assignments into part. vertices is permuted in place (side A
 // becomes a prefix, side B a suffix, both keeping their relative
 // order), with tmp — parallel to vertices — as the shuttle buffer.
-func recursiveBisect(g *graph.Undirected, vertices []int, k, base int, part []int, opt Options, sc *kwayScratch, tmp []int) {
+func recursiveBisect(g *graph.Undirected, vertices []int, k, base int, part []int, sc *kwayScratch, tmp []int) {
 	if k == 1 {
 		for _, v := range vertices {
 			part[v] = base
@@ -138,7 +130,7 @@ func recursiveBisect(g *graph.Undirected, vertices []int, k, base int, part []in
 	if len(vertices)-sizeA < kB {
 		sizeA = len(vertices) - kB
 	}
-	sideA := bisect(g, vertices, sizeA, opt, sc)
+	sideA := bisect(g, vertices, sizeA, sc)
 	// Stable in-place split: A-group to tmp's prefix in vertices order,
 	// B-group to its suffix in reverse, then copy back un-reversed.
 	na, nb := 0, 0
@@ -155,15 +147,15 @@ func recursiveBisect(g *graph.Undirected, vertices []int, k, base int, part []in
 	for i := 0; i < nb; i++ {
 		vertices[na+i] = tmp[len(vertices)-1-i]
 	}
-	recursiveBisect(g, vertices[:na], kA, base, part, opt, sc, tmp[:na])
-	recursiveBisect(g, vertices[na:], kB, base+kA, part, opt, sc, tmp[na:])
+	recursiveBisect(g, vertices[:na], kA, base, part, sc, tmp[:na])
+	recursiveBisect(g, vertices[na:], kB, base+kA, part, sc, tmp[na:])
 }
 
 // bisect splits the given vertex subset into side A (true) of exactly
 // sizeA vertices and side B, minimizing the cut between them within g.
 // The result is indexed parallel to vertices; it lives in sc.side and
 // is only valid until the next bisect call on the same scratch.
-func bisect(g *graph.Undirected, vertices []int, sizeA int, opt Options, sc *kwayScratch) []bool {
+func bisect(g *graph.Undirected, vertices []int, sizeA int, sc *kwayScratch) []bool {
 	n := len(vertices)
 	sc.side = growBools(sc.side, n)
 	side := sc.side
@@ -235,7 +227,7 @@ func bisect(g *graph.Undirected, vertices []int, sizeA int, opt Options, sc *kwa
 	// FM passes with exact balance: each pass performs tentative swaps
 	// (one A->B and one B->A move per step keeps sizes constant), then
 	// rolls back to the best prefix.
-	for pass := 0; pass < opt.passes(); pass++ {
+	for pass := 0; pass < passes; pass++ {
 		if !fmSwapPass(g, vertices, idxOf, side, sc) {
 			break
 		}
@@ -336,7 +328,7 @@ func fmSwapPass(g *graph.Undirected, vertices []int, idxOf map[int]int, side []b
 // refineKWay sweeps vertices, moving each to the part that most reduces
 // the cut while keeping every part within [1, cap] and within balance
 // bounds ceil(n/k) (+MaxPartSize if tighter). Deterministic and runs
-// opt.passes() sweeps at most.
+// passes sweeps at most.
 func refineKWay(g *graph.Undirected, part []int, k int, opt Options, sc *kwayScratch) {
 	n := len(part)
 	if k <= 1 {
@@ -359,7 +351,7 @@ func refineKWay(g *graph.Undirected, part []int, k int, opt Options, sc *kwayScr
 	}
 	sc.conn = growFloats(sc.conn, k)
 	conn := sc.conn
-	for pass := 0; pass < opt.passes(); pass++ {
+	for pass := 0; pass < passes; pass++ {
 		improved := false
 		for v := 0; v < n; v++ {
 			cur := part[v]

@@ -32,12 +32,12 @@ func SpectralKWay(g *graph.Undirected, k int, opt Options) ([]int, error) {
 		vertices[i] = i
 	}
 	sc := &kwayScratch{}
-	spectralRecurse(g, vertices, k, 0, part, opt, sc)
+	spectralRecurse(g, vertices, k, 0, part, sc)
 	refineKWay(g, part, k, opt, sc)
 	return part, nil
 }
 
-func spectralRecurse(g *graph.Undirected, vertices []int, k, base int, part []int, opt Options, sc *kwayScratch) {
+func spectralRecurse(g *graph.Undirected, vertices []int, k, base int, part []int, sc *kwayScratch) {
 	if k == 1 {
 		for _, v := range vertices {
 			part[v] = base
@@ -96,8 +96,8 @@ func spectralRecurse(g *graph.Undirected, vertices []int, k, base int, part []in
 			vb = append(vb, v)
 		}
 	}
-	spectralRecurse(g, va, kA, base, part, opt, sc)
-	spectralRecurse(g, vb, kB, base+kA, part, opt, sc)
+	spectralRecurse(g, va, kA, base, part, sc)
+	spectralRecurse(g, vb, kB, base+kA, part, sc)
 }
 
 // fiedlerVector approximates the Fiedler vector of the subgraph induced

@@ -39,13 +39,9 @@ type refRouter struct {
 
 func newRefRouter(top *topology.Topology, opt route.Options) *refRouter {
 	r := &refRouter{top: top, opt: opt, minLat: top.Spec.MinLatencyConstraint()}
-	if opt.MaxSwitchSize != nil {
-		r.maxSz = opt.MaxSwitchSize
-	} else {
-		r.maxSz = make([]int, top.NumIslands())
-		for i := range r.maxSz {
-			r.maxSz[i] = top.Lib.MaxSwitchSize(top.IslandFreqHz[i])
-		}
+	r.maxSz = make([]int, top.NumIslands())
+	for i := range r.maxSz {
+		r.maxSz[i] = top.Lib.MaxSwitchSize(top.IslandFreqHz[i])
 	}
 	n := len(top.Switches)
 	r.g = graph.NewDirected(n)
@@ -159,20 +155,6 @@ func (r *refRouter) hopLatency(u, v topology.SwitchID) float64 {
 	return lat
 }
 
-func (r *refRouter) estLen() float64 {
-	if r.opt.EstLinkLengthMM <= 0 {
-		return 2.0
-	}
-	return r.opt.EstLinkLengthMM
-}
-
-func (r *refRouter) latW() float64 {
-	if r.opt.LatencyWeightW <= 0 {
-		return 1e-3
-	}
-	return r.opt.LatencyWeightW
-}
-
 func (r *refRouter) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) float64 {
 	lib := r.top.Lib
 	su, sv := &r.top.Switches[u], &r.top.Switches[v]
@@ -180,15 +162,10 @@ func (r *refRouter) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) f
 	bw := f.BandwidthBps
 
 	lid, exists := r.refFindLink(u, v)
-	var pressure float64
 	if exists {
 		l := r.top.Links[lid]
 		if l.TrafficBps+bw > l.CapacityBps*(1+1e-9) {
 			return graph.Inf
-		}
-		if r.opt.BalanceLoad && l.CapacityBps > 0 {
-			u := (l.TrafficBps + bw) / l.CapacityBps
-			pressure = u * u
 		}
 	} else if r.opt.NoNewLinks {
 		return graph.Inf
@@ -211,14 +188,14 @@ func (r *refRouter) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) f
 	vMax := math.Max(su.VoltageV, sv.VoltageV)
 	eBit := lib.SwitchEnergyBase + lib.SwitchEnergyPerPort*float64(r.refSwitchSize(v))
 	pw := bw * 8 * eBit * lib.VoltageScaleDynamic(sv.VoltageV)
-	pw += lib.LinkDynPowerW(r.estLen(), vMax, bw)
+	pw += lib.LinkDynPowerW(2.0, vMax, bw)
 	if crossing {
 		pw += lib.FIFODynPowerW(su.VoltageV, sv.VoltageV, bw)
 	}
 	if !exists {
 		pw += lib.SwitchIdlePerPortHz * (su.FreqHz + sv.FreqHz) * lib.VoltageScaleDynamic(vMax)
 		pw += lib.SwitchLeakPowerW(1, su.VoltageV) + lib.SwitchLeakPowerW(1, sv.VoltageV)
-		pw += lib.LinkLeakPowerW(r.estLen(), vMax)
+		pw += lib.LinkLeakPowerW(2.0, vMax)
 		if crossing {
 			pw += lib.FIFOLeakPowerW(su.VoltageV, sv.VoltageV)
 		}
@@ -228,7 +205,7 @@ func (r *refRouter) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) f
 	if f.MaxLatencyCycles > 0 && r.minLat > 0 {
 		tightness = r.minLat / f.MaxLatencyCycles
 	}
-	return pw*(1+pressure) + r.latW()*tightness*r.hopLatency(u, v)
+	return pw + 1e-3*tightness*r.hopLatency(u, v)
 }
 
 func (r *refRouter) shortest(f soc.Flow, src, dst topology.SwitchID, latOnly bool) []topology.SwitchID {
@@ -366,7 +343,7 @@ func compareRouting(t *testing.T, label string, spec *soc.Spec, lib *model.Libra
 
 // TestRoutingEquivalenceSuite covers every bundled benchmark across
 // skeleton shapes (tight and relaxed switch counts, with and without
-// intermediate switches) and router options.
+// intermediate switches).
 func TestRoutingEquivalenceSuite(t *testing.T) {
 	lib := model.Default65nm()
 	for _, name := range bench.Names() {
@@ -380,7 +357,6 @@ func TestRoutingEquivalenceSuite(t *testing.T) {
 				compareRouting(t, label, spec, lib, extra, mid, route.Options{})
 			}
 		}
-		compareRouting(t, name+"/balance", spec, lib, 1, 2, route.Options{BalanceLoad: true})
 	}
 }
 

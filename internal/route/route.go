@@ -28,32 +28,12 @@ import (
 	"nocvi/internal/topology"
 )
 
-// Options tunes the router's cost function.
+// Options tunes the router.
 type Options struct {
-	// EstLinkLengthMM is the pre-floorplan estimate of an inter-switch
-	// wire length used in the power term. Zero selects 2 mm.
-	EstLinkLengthMM float64
-
-	// LatencyWeightW converts one cycle of path latency (scaled by the
-	// flow's constraint tightness) into watts for the linear cost
-	// combination. Zero selects 1 mW/cycle.
-	LatencyWeightW float64
-
-	// MaxSwitchSize optionally overrides the per-island switch size
-	// bound (indexed by island ID including the intermediate island).
-	// Nil derives the bounds from each island's clock via the library.
-	MaxSwitchSize []int
-
 	// NoNewLinks restricts routing to links that already exist in the
 	// topology — used to re-route traffic on fabricated silicon (fault
 	// recovery analysis), where wires cannot be added.
 	NoNewLinks bool
-
-	// BalanceLoad adds a congestion-pressure term to existing links
-	// proportional to their projected utilization, spreading traffic
-	// over parallel paths instead of piling onto the first cheapest
-	// one. Costs a little power (less reuse), buys capacity headroom.
-	BalanceLoad bool
 
 	// Survivability requires k additional link-disjoint island-legal
 	// routes per multi-hop flow: after every primary route is committed
@@ -67,25 +47,20 @@ type Options struct {
 	Survivability int
 }
 
-func (o Options) estLen() float64 {
-	if o.EstLinkLengthMM <= 0 {
-		return 2.0
-	}
-	return o.EstLinkLengthMM
-}
+// estLinkLengthMM is the pre-floorplan estimate of an inter-switch wire
+// length used in the power term.
+const estLinkLengthMM = 2.0
 
-func (o Options) latW() float64 {
-	if o.LatencyWeightW <= 0 {
-		return 1e-3
-	}
-	return o.LatencyWeightW
-}
+// latencyWeightW converts one cycle of path latency (scaled by the
+// flow's constraint tightness) into watts for the linear cost
+// combination.
+const latencyWeightW = 1e-3
 
 // Router routes flows over a topology under construction.
 type Router struct {
 	top    *topology.Topology
 	opt    Options
-	maxSz  []int   // per island
+	maxSz  []int   // per island, derived from its clock
 	minLat float64 // tightest latency constraint of the spec
 
 	// subs caches one admissible candidate subgraph per (source island,
@@ -156,45 +131,30 @@ var scratchPool = sync.Pool{New: func() any { return new(graph.Scratch) }}
 // contain all switches and core attachments; links and routes are added
 // by the router.
 func New(top *topology.Topology, opt Options) *Router {
-	r := &Router{
-		top:    top,
-		opt:    opt,
-		minLat: top.Spec.MinLatencyConstraint(),
-		subs:   make(map[islPair]*subgraph),
-	}
-	if opt.MaxSwitchSize != nil {
-		r.maxSz = opt.MaxSwitchSize
-	} else {
-		r.maxSz = make([]int, top.NumIslands())
-		for i := range r.maxSz {
-			r.maxSz[i] = top.Lib.MaxSwitchSize(top.IslandFreqHz[i])
-		}
-	}
+	r := &Router{opt: opt, subs: make(map[islPair]*subgraph)}
 	r.costFn = func(u, v int, _ float64) float64 {
 		return r.edgeCost(r.curSub.verts[u], r.curSub.verts[v], r.curFlow, r.latOnly)
 	}
+	r.Reset(top)
 	return r
 }
 
 // Reset re-targets the router at a new topology under the same options,
 // recycling the subgraph cache, the per-island size bounds and the cost
-// closure of the previous candidate. After Reset the router behaves
-// exactly like New(top, opt) with the original opt: the synthesis
-// arena's identity guarantee rests on that equivalence.
+// closure of the previous candidate. New is Reset on an empty router,
+// so after Reset the router behaves exactly like New(top, opt) with the
+// original opt: the synthesis arena's identity guarantee rests on that
+// equivalence.
 func (r *Router) Reset(top *topology.Topology) {
 	r.top = top
 	r.minLat = top.Spec.MinLatencyConstraint()
-	if r.opt.MaxSwitchSize != nil {
-		r.maxSz = r.opt.MaxSwitchSize
-	} else {
-		n := top.NumIslands()
-		if cap(r.maxSz) < n {
-			r.maxSz = make([]int, n)
-		}
-		r.maxSz = r.maxSz[:n]
-		for i := range r.maxSz {
-			r.maxSz[i] = top.Lib.MaxSwitchSize(top.IslandFreqHz[i])
-		}
+	n := top.NumIslands()
+	if cap(r.maxSz) < n {
+		r.maxSz = make([]int, n)
+	}
+	r.maxSz = r.maxSz[:n]
+	for i := range r.maxSz {
+		r.maxSz[i] = top.Lib.MaxSwitchSize(top.IslandFreqHz[i])
 	}
 	//noclint:ignore maprange freelist harvest order is invisible: subgraphFor fully refills a recycled subgraph, so any order yields identical routing
 	for _, s := range r.subs {
@@ -445,7 +405,6 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 	bw := f.BandwidthBps
 
 	lid, exists := r.top.FindLink(u, v)
-	var pressure float64
 	if exists {
 		for _, ex := range r.exclude {
 			if ex == lid {
@@ -455,10 +414,6 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 		l := r.top.Links[lid]
 		if l.TrafficBps+bw > l.CapacityBps*(1+1e-9) {
 			return graph.Inf
-		}
-		if r.opt.BalanceLoad && l.CapacityBps > 0 {
-			u := (l.TrafficBps + bw) / l.CapacityBps
-			pressure = u * u // quadratic: near-full links repel strongly
 		}
 	} else if r.opt.NoNewLinks {
 		return graph.Inf
@@ -483,7 +438,7 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 	vMax := math.Max(su.VoltageV, sv.VoltageV)
 	eBit := lib.SwitchEnergyBase + lib.SwitchEnergyPerPort*float64(r.top.SwitchSize(v))
 	power := bw * 8 * eBit * lib.VoltageScaleDynamic(sv.VoltageV)
-	power += lib.LinkDynPowerW(r.opt.estLen(), vMax, bw)
+	power += lib.LinkDynPowerW(estLinkLengthMM, vMax, bw)
 	if crossing {
 		power += lib.FIFODynPowerW(su.VoltageV, sv.VoltageV, bw)
 	}
@@ -492,7 +447,7 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 		// port + wire leakage, converter leakage when crossing.
 		power += lib.SwitchIdlePerPortHz * (su.FreqHz + sv.FreqHz) * lib.VoltageScaleDynamic(vMax)
 		power += lib.SwitchLeakPowerW(1, su.VoltageV) + lib.SwitchLeakPowerW(1, sv.VoltageV)
-		power += lib.LinkLeakPowerW(r.opt.estLen(), vMax)
+		power += lib.LinkLeakPowerW(estLinkLengthMM, vMax)
 		if crossing {
 			power += lib.FIFOLeakPowerW(su.VoltageV, sv.VoltageV)
 		}
@@ -504,7 +459,7 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 	if f.MaxLatencyCycles > 0 && r.minLat > 0 {
 		tightness = r.minLat / f.MaxLatencyCycles
 	}
-	return power*(1+pressure) + r.opt.latW()*tightness*r.hopLatency(u, v)
+	return power + latencyWeightW*tightness*r.hopLatency(u, v)
 }
 
 // shortest runs Dijkstra over the flow's admissible subgraph. It

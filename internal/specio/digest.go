@@ -67,13 +67,6 @@ func (e *denc) str(s string) {
 	e.b = append(e.b, s...)
 }
 
-func (e *denc) ints(vs []int) {
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		e.int(v)
-	}
-}
-
 func (e *denc) sum() Digest { return sha256.Sum256(e.b) }
 
 // SpecDigest returns the canonical digest of a synthesis problem
@@ -168,10 +161,13 @@ func encodeLibrary(e *denc, l *model.Library) {
 //     would double-count one knob.
 //
 // v3 added Options.Survivability (the k disjoint-backup-routes
-// constraint), which changes results whenever nonzero.
+// constraint), which changes results whenever nonzero. v4 dropped the
+// fields of options deleted when their defaults became engine
+// constants: the partition engine selection, the router's cost and
+// switch-size overrides and its load balancing, and the FM pass count.
 func OptionsDigest(opt core.Options, lib *model.Library) Digest {
 	e := &denc{}
-	e.str("nocvi-opt-v3")
+	e.str("nocvi-opt-v4")
 	alpha := opt.Alpha
 	if alpha == 0 { //noclint:ignore floateq 0 is the documented unset sentinel for Alpha, resolved like Options.alpha does
 		alpha = vcg.DefaultAlpha
@@ -185,17 +181,10 @@ func OptionsDigest(opt core.Options, lib *model.Library) Digest {
 	}
 	e.f64(midV)
 	e.int(opt.MaxDesignPoints)
-	e.f64(opt.Router.EstLinkLengthMM)
-	e.f64(opt.Router.LatencyWeightW)
-	e.bool(opt.Router.MaxSwitchSize != nil)
-	e.ints(opt.Router.MaxSwitchSize)
 	e.bool(opt.Router.NoNewLinks)
-	e.bool(opt.Router.BalanceLoad)
 	e.f64(opt.Floorplan.WhitespaceFrac)
 	e.bool(opt.Floorplan.SkipAnnotate)
 	e.int(opt.Partition.MaxPartSize)
-	e.int(opt.Partition.Passes)
-	e.bool(opt.SpectralPartition)
 	e.bool(opt.AutoVoltage)
 	e.bool(opt.NoPrune)
 	e.bool(opt.Relax)

@@ -67,11 +67,11 @@ func TestLibraryAndOptionsDigestGoldens(t *testing.T) {
 	if got := LibraryDigest(lib).String(); got != "fe2b2b57460ecad98b520b7b7c149932541bfddc7e9a1c9d76b0230c65032d06" {
 		t.Errorf("library digest %s", got)
 	}
-	if got := OptionsDigest(core.Options{}, lib).String(); got != "5be7cc44c12a6d17585a7bf31b97aae404a00a2795cf6b83b17aab90131a1e2a" {
+	if got := OptionsDigest(core.Options{}, lib).String(); got != "dbfe875b337f2474fa1fde0e58868132e5829b8f0168d83f50044bc3785f1beb" {
 		t.Errorf("zero options digest %s", got)
 	}
 	opt := core.Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}
-	if got := OptionsDigest(opt, lib).String(); got != "0035e6453430ee981179f50903fd1c85fa885d757c41251b71d246205b0099d9" {
+	if got := OptionsDigest(opt, lib).String(); got != "47acab8c7b4ef8d45dd8ee3a22751b4f7c0a82e417f2a36637277e5ba6237b27" {
 		t.Errorf("bench options digest %s", got)
 	}
 }
