@@ -81,10 +81,13 @@ BENCH_LANES := $(shell if [ $(NPROC) -ge 8 ]; then echo 1,2,4,8; \
 # bench re-measures the routing fast path and the full synthesis sweep
 # across the real -cpu lanes, folding the numbers into
 # BENCH_routing.json and BENCH_synthesize.json next to their preserved
-# pre-optimization baselines.
+# pre-optimization baselines. The d26 fault campaign runs at one
+# campaign worker, so it is measured in the default lane only, into
+# BENCH_fault.json.
 bench:
 	$(GO) test -bench=RouteAll -cpu=$(BENCH_LANES) -benchmem -run='^$$' . | $(GO) run ./tools/bench2json -o BENCH_routing.json
 	$(GO) test -bench='SynthesizeParallel|SynthesizeCached|SynthesizePrune' -cpu=$(BENCH_LANES) -benchmem -run='^$$' . | $(GO) run ./tools/bench2json -o BENCH_synthesize.json
+	$(GO) test -bench=RunCampaign -benchmem -run='^$$' . | $(GO) run ./tools/bench2json -o BENCH_fault.json
 	$(GO) test -bench='CallGraph|AnalyzeModule' -benchmem -run='^$$' ./internal/analysis/callgraph ./cmd/noclint | $(GO) run ./tools/bench2json -o BENCH_analysis.json
 
 # bench-analysis re-measures only the static-analysis lane: call-graph

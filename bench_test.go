@@ -16,6 +16,7 @@ import (
 	"nocvi/internal/cache"
 	"nocvi/internal/core"
 	"nocvi/internal/experiments"
+	"nocvi/internal/fault"
 	"nocvi/internal/floorplan"
 	"nocvi/internal/graph"
 	"nocvi/internal/model"
@@ -347,6 +348,41 @@ func BenchmarkSynthesizeCached(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRunCampaign measures the power-state fault campaign on the
+// paper's d26 case study, synthesized as survive-d26 builds it, at one
+// campaign worker. k=0 rebuilds and re-routes every link fault that
+// severs active traffic; k=1 absorbs every fault through the design's
+// pre-synthesized backups, a pure lookup. Allocation counts are
+// first-class output: run with -benchmem.
+func BenchmarkRunCampaign(b *testing.B) {
+	spec, err := bench.Islanded("d26_media")
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib := model.Default65nm()
+	for _, k := range []int{0, 1} {
+		b.Run(fmt.Sprintf("d26/k=%d", k), func(b *testing.B) {
+			res, err := core.Synthesize(spec, lib, core.Options{AllowIntermediate: true, Survivability: k})
+			if err != nil {
+				b.Fatal(err)
+			}
+			top := res.Best().Top
+			opt := fault.CampaignOptions{Workers: 1, Survivability: k}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := fault.RunCampaign(top, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !c.OK() {
+					b.Fatalf("k=%d campaign violated the shutdown invariant", k)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRouteAll measures the routing inner loop — the per-candidate

@@ -71,7 +71,11 @@ import (
 // the partition table became the one min-cut memo (computing through
 // the worker's partition.Scratch) and the router's cost terms lost
 // their option lookups, so the hot path moved.
-const EngineVersion = 7
+//
+// v8: the fault campaign and single-link sweep re-route every fault on
+// a per-worker arena (a recycled topology and router) — reports are
+// byte-identical, but the campaign's hot path moved.
+const EngineVersion = 8
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

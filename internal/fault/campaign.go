@@ -13,10 +13,12 @@ package fault
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
-	"nocvi/internal/route"
 	"nocvi/internal/sim"
 	"nocvi/internal/soc"
 	"nocvi/internal/topology"
@@ -160,7 +162,9 @@ func (c *Campaign) RestoreOff(top *topology.Topology) {
 }
 
 // RunCampaign evaluates the power-state fault campaign on a routed
-// topology.
+// topology. Each worker re-routes its link faults on one arena, and a
+// panic while evaluating a state is returned as a *StatePanicError
+// naming the state's mask.
 func RunCampaign(top *topology.Topology, opt CampaignOptions) (*Campaign, error) {
 	shutdownable := shutdownableIslands(top)
 	k := len(shutdownable)
@@ -174,16 +178,18 @@ func RunCampaign(top *topology.Topology, opt CampaignOptions) (*Campaign, error)
 	masks := enumerateStates(k, opt.maxStates())
 	c.Sampled = int64(len(masks)) < c.StateSpace
 
+	// The router wants flows in decreasing-bandwidth order; sort once
+	// and let every state filter its survivors out of the shared slice.
+	flows := top.Spec.SortFlowsByBandwidth()
+	arenas := make([]arena, opt.workers())
 	c.States = make([]StateOutcome, len(masks))
-	errs := make([]error, len(masks))
-	eval := func(i int) {
-		c.States[i], errs[i] = evalState(top, shutdownable, masks[i], opt)
-	}
-	runStates(len(masks), opt.workers(), eval)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := runStates(masks, len(arenas), func(w, i int) error {
+		var err error
+		c.States[i], err = evalState(&arenas[w], top, shutdownable, flows, masks[i], opt)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for i := range c.States {
@@ -212,36 +218,84 @@ func (o CampaignOptions) workers() int {
 	return o.Workers
 }
 
-// runStates evaluates eval(0..n-1) over the given worker count. States
-// are independent and results land at their own index, so any worker
+// StatePanicError is a panic recovered while evaluating one power
+// state. Error renders the mask and the panic value only, so the same
+// panic yields the same error on any worker count; Stack is the raw
+// stack of the panicking goroutine, for diagnosis.
+type StatePanicError struct {
+	Mask  uint64
+	Panic any
+	Stack []byte
+}
+
+func (e *StatePanicError) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fault: power state mask %#x panicked: %v", e.Mask, e.Panic)
+	return b.String()
+}
+
+// runStates evaluates eval(w, i) for every state index i of masks over
+// the given worker count; w in [0, workers) names the evaluating worker,
+// so eval can use that worker's arena. Workers claim indices in
+// ascending order and results land at their own index, so any worker
 // count produces the same report.
-func runStates(n, workers int, eval func(int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			eval(i)
+//
+// Each state runs behind a panic boundary: a panic becomes a
+// *StatePanicError naming the state's mask. The first failure stops new
+// claims and retires its worker, whose arena a panic may have left half
+// mutated. The error returned is the one at the lowest failing index,
+// which is the same on every worker count: every lower index was
+// claimed before it, and a claimed state always runs to completion.
+func runStates(masks []uint64, workers int, eval func(w, i int) error) error {
+	n := len(masks)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(w int) {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if errs[i] = evalSafely(masks[i], w, i, eval); errs[i] != nil {
+				failed.Store(true)
+				return
+			}
 		}
-		return
 	}
-	next := make(chan int)
-	done := make(chan struct{})
 	if workers > n {
 		workers = n
 	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range next {
-				eval(i)
-			}
-			done <- struct{}{}
-		}()
+	if workers <= 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				work(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	return nil
+}
+
+// evalSafely runs eval(w, i), recovering a panic into a
+// *StatePanicError for the state's mask.
+func evalSafely(mask uint64, w, i int, eval func(w, i int) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &StatePanicError{Mask: mask, Panic: r, Stack: debug.Stack()}
+		}
+	}()
+	return eval(w, i)
 }
 
 // shutdownableIslands lists the spec islands the design may gate, in
@@ -334,8 +388,9 @@ func stateLabel(spec *soc.Spec, off []bool) string {
 
 // evalState checks one power state: the shutdown invariant first, then
 // a single-link-failure sweep over the powered links with re-routing of
-// the surviving traffic only.
-func evalState(top *topology.Topology, shutdownable []soc.IslandID, mask uint64, opt CampaignOptions) (StateOutcome, error) {
+// the surviving traffic only, on the worker's arena a. flows holds the
+// spec's flows in decreasing-bandwidth order.
+func evalState(a *arena, top *topology.Topology, shutdownable []soc.IslandID, flows []soc.Flow, mask uint64, opt CampaignOptions) (StateOutcome, error) {
 	off := make([]bool, len(top.Spec.Islands))
 	for i, isl := range shutdownable {
 		if mask&(1<<uint(i)) != 0 {
@@ -361,8 +416,8 @@ func evalState(top *topology.Topology, shutdownable []soc.IslandID, mask uint64,
 		}
 	}
 
-	active := activeFlows(top.Spec, off)
-	s.ActiveFlows = len(active)
+	a.active = activeFlows(top.Spec, flows, off, a.active)
+	s.ActiveFlows = len(a.active)
 
 	// Single-link failures composed under the state: only powered links
 	// can fail meaningfully (a gated island's links are already off),
@@ -371,7 +426,7 @@ func evalState(top *topology.Topology, shutdownable []soc.IslandID, mask uint64,
 		if linkGated(top, l, off) {
 			continue
 		}
-		out, err := tryWithoutUnderState(top, l.ID, off, active, opt.Survivability)
+		out, err := tryWithoutUnderState(a, top, l.ID, off, opt.Survivability)
 		if err != nil {
 			return s, err
 		}
@@ -382,19 +437,18 @@ func evalState(top *topology.Topology, shutdownable []soc.IslandID, mask uint64,
 				s.ZeroReroute++
 			}
 		} else {
-			s.Unrecovered = append(s.Unrecovered, *out)
+			s.Unrecovered = append(s.Unrecovered, out)
 		}
 	}
 	sortOutcomes(s.Unrecovered)
 	return s, nil
 }
 
-// activeFlows filters the spec's flows (in decreasing-bandwidth order,
-// as the router requires) to those with both endpoints on surviving
-// islands.
-func activeFlows(spec *soc.Spec, off []bool) []soc.Flow {
-	sorted := spec.SortFlowsByBandwidth()
-	active := sorted[:0:0]
+// activeFlows filters sorted, the spec's flows in decreasing-bandwidth
+// order as the router requires, to those with both endpoints on
+// surviving islands. The result reuses buf's storage.
+func activeFlows(spec *soc.Spec, sorted []soc.Flow, off []bool, buf []soc.Flow) []soc.Flow {
+	active := buf[:0]
 	for _, f := range sorted {
 		if !off[spec.IslandOf[f.Src]] && !off[spec.IslandOf[f.Dst]] {
 			active = append(active, f)
@@ -413,14 +467,14 @@ func linkGated(top *topology.Topology, l topology.Link, off []bool) bool {
 }
 
 // tryWithoutUnderState is tryWithout composed with a power state: the
-// failed link is removed, and only the state's active flows are
-// re-routed over the surviving links. Routes that never used the link
-// are unaffected by its loss, so a failure with zero affected active
-// flows recovers trivially without a rebuild. With survivability >= 1
-// re-routing is off the table: every affected flow must fall back to a
-// pre-synthesized backup route, or the fault is unrecoverable.
-func tryWithoutUnderState(orig *topology.Topology, failed topology.LinkID, off []bool, active []soc.Flow, survivability int) (*LinkOutcome, error) {
-	out := &LinkOutcome{Link: failed}
+// failed link is removed, and only the state's active flows (a.active)
+// are re-routed over the surviving links. Routes that never used the
+// link are unaffected by its loss, so a failure with zero affected
+// active flows recovers trivially without a rebuild. With survivability
+// >= 1 re-routing is off the table: every affected flow must fall back
+// to a pre-synthesized backup route, or the fault is unrecoverable.
+func tryWithoutUnderState(a *arena, orig *topology.Topology, failed topology.LinkID, off []bool, survivability int) (LinkOutcome, error) {
+	out := LinkOutcome{Link: failed}
 	for ri := range orig.Routes {
 		r := &orig.Routes[ri]
 		if off[orig.Spec.IslandOf[r.Flow.Src]] || off[orig.Spec.IslandOf[r.Flow.Dst]] {
@@ -442,15 +496,15 @@ func tryWithoutUnderState(orig *topology.Topology, failed topology.LinkID, off [
 		return out, nil
 	}
 	if survivability >= 1 {
-		return recoverViaBackups(orig, failed, off, out)
+		return recoverViaBackups(orig, failed, off, out), nil
 	}
 
-	top, err := rebuildWithout(orig, failed)
+	r, err := a.rebuild(orig, failed)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	r := route.New(top, route.Options{NoNewLinks: true})
-	if err := r.RouteFlows(active); err != nil {
+	top := a.top
+	if err := r.RouteFlows(a.active); err != nil {
 		out.Reason = stableReason(err)
 		return out, nil
 	}
@@ -476,7 +530,7 @@ func tryWithoutUnderState(orig *topology.Topology, failed topology.LinkID, off [
 // recovery is a pure lookup, which is the run-time story the
 // survivability guarantee buys. The first flow with no usable backup
 // makes the fault unrecoverable.
-func recoverViaBackups(orig *topology.Topology, failed topology.LinkID, off []bool, out *LinkOutcome) (*LinkOutcome, error) {
+func recoverViaBackups(orig *topology.Topology, failed topology.LinkID, off []bool, out LinkOutcome) LinkOutcome {
 	for ri := range orig.Routes {
 		r := &orig.Routes[ri]
 		if off[orig.Spec.IslandOf[r.Flow.Src]] || off[orig.Spec.IslandOf[r.Flow.Dst]] {
@@ -496,12 +550,12 @@ func recoverViaBackups(orig *topology.Topology, failed topology.LinkID, off []bo
 			//noclint:ignore bannedcall unrecoverable-fault report message, not a cache key
 			out.Reason = fmt.Sprintf("fault: flow %d->%d has no backup route avoiding link %d",
 				r.Flow.Src, r.Flow.Dst, failed)
-			return out, nil
+			return out
 		}
 	}
 	out.Recovered = true
 	out.ZeroReroute = true
-	return out, nil
+	return out
 }
 
 // hasUsableBackup reports whether one of the route's pre-synthesized

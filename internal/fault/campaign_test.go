@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -227,5 +228,76 @@ func TestCampaignK0ReportUnchangedByContract(t *testing.T) {
 	}
 	if strings.Contains(rep.Format(), "zero re-routing") {
 		t.Fatal("k=0 formatted report mentions zero re-routing")
+	}
+}
+
+// TestRunStatesRecoversPanic is the campaign's panic boundary: a panic
+// while evaluating a power state comes back as an error naming that
+// state's mask instead of killing the process, the lowest failing index
+// wins, and the error is the same at any worker count.
+func TestRunStatesRecoversPanic(t *testing.T) {
+	masks := []uint64{0, 1, 2, 3, 5, 6, 7, 9}
+	for _, workers := range []int{1, 4} {
+		err := runStates(masks, workers, func(w, i int) error {
+			if w < 0 || w >= workers {
+				t.Errorf("worker index %d outside [0, %d)", w, workers)
+			}
+			if masks[i] == 5 || masks[i] == 9 {
+				panic("boom")
+			}
+			return nil
+		})
+		var pe *StatePanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: want a *StatePanicError, got %v", workers, err)
+		}
+		if pe.Mask != 5 || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: recovered mask %#x with %d stack bytes, want mask 0x5 and a stack", workers, pe.Mask, len(pe.Stack))
+		}
+		if want := "fault: power state mask 0x5 panicked: boom"; err.Error() != want {
+			t.Fatalf("workers=%d: error %q, want %q", workers, err, want)
+		}
+	}
+}
+
+// TestRunStatesLowestErrorWins: an ordinary error at a lower index is
+// reported ahead of a panic at a higher one, on any worker count.
+func TestRunStatesLowestErrorWins(t *testing.T) {
+	masks := []uint64{0, 1, 2, 3, 4, 5}
+	sentinel := errors.New("state 2 failed")
+	for _, workers := range []int{1, 4} {
+		err := runStates(masks, workers, func(w, i int) error {
+			switch i {
+			case 2:
+				return sentinel
+			case 4:
+				panic("boom")
+			}
+			return nil
+		})
+		if err != sentinel {
+			t.Fatalf("workers=%d: got %v, want the index-2 error", workers, err)
+		}
+	}
+}
+
+// TestCampaignAllocCeiling guards the arena: the d26 k=0 campaign
+// re-routes every link fault of every power state in one recycled
+// topology and router, so its allocations stay near the per-state
+// report storage (about 2,000). A fresh topology and router per fault
+// costs over 37,000, so the ceiling catches any per-fault allocation
+// creeping back.
+func TestCampaignAllocCeiling(t *testing.T) {
+	top := synthBench(t, "d26_media")
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		_, err = RunCampaign(top, CampaignOptions{Workers: 1})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("d26 k=0 campaign: %.0f allocs", allocs)
+	if allocs > 4000 {
+		t.Fatalf("d26 k=0 campaign made %.0f allocations, ceiling 4000", allocs)
 	}
 }

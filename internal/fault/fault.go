@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"nocvi/internal/graph"
 	"nocvi/internal/route"
 	"nocvi/internal/soc"
 	"nocvi/internal/topology"
@@ -56,18 +57,21 @@ func (r *Report) RecoverableFrac() float64 {
 
 // Analyze sweeps every link of the topology. Outcomes are sorted by
 // LinkID and Reason strings are single-line, so reports of the same
-// design are byte-identical across runs.
+// design are byte-identical across runs. Every fault is re-routed on
+// one arena, rebuilt in place per link.
 func Analyze(top *topology.Topology) (*Report, error) {
 	rep := &Report{Links: len(top.Links)}
+	var a arena
+	flows := top.Spec.SortFlowsByBandwidth()
 	for _, l := range top.Links {
-		out, err := tryWithout(top, l.ID)
+		out, err := tryWithout(&a, top, l.ID, flows)
 		if err != nil {
 			return nil, err
 		}
 		if out.Recovered {
 			rep.Recoverable++
 		}
-		rep.Outcomes = append(rep.Outcomes, *out)
+		rep.Outcomes = append(rep.Outcomes, out)
 	}
 	sortOutcomes(rep.Outcomes)
 	return rep, nil
@@ -91,9 +95,10 @@ func stableReason(err error) string {
 }
 
 // tryWithout rebuilds the design without the failed link and re-routes
-// everything over the surviving links.
-func tryWithout(orig *topology.Topology, failed topology.LinkID) (*LinkOutcome, error) {
-	out := &LinkOutcome{Link: failed}
+// every flow over the surviving links: RouteAll's sequence, with the
+// spec's flows sorted once per sweep (flows) instead of once per link.
+func tryWithout(a *arena, orig *topology.Topology, failed topology.LinkID, flows []soc.Flow) (LinkOutcome, error) {
+	out := LinkOutcome{Link: failed}
 	for ri := range orig.Routes {
 		for _, lid := range orig.Routes[ri].Links {
 			if lid == failed {
@@ -103,18 +108,15 @@ func tryWithout(orig *topology.Topology, failed topology.LinkID) (*LinkOutcome, 
 		}
 	}
 
-	top, err := rebuildWithout(orig, failed)
+	r, err := a.rebuild(orig, failed)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	r := route.New(top, route.Options{NoNewLinks: true})
-	if err := r.RouteAll(); err != nil {
-		out.Recovered = false
+	if err := r.RouteFlows(flows); err != nil {
 		out.Reason = stableReason(err)
 		return out, nil
 	}
-	if err := top.Validate(); err != nil {
-		out.Recovered = false
+	if err := a.top.Validate(); err != nil {
 		out.Reason = stableReason(err)
 		return out, nil
 	}
@@ -122,43 +124,80 @@ func tryWithout(orig *topology.Topology, failed topology.LinkID) (*LinkOutcome, 
 	return out, nil
 }
 
-// rebuildWithout reconstructs the design — same island settings,
-// switches and core attachments, traffic reset, no routes committed —
-// with every link except the failed one (pass a negative LinkID to keep
-// all links). Both the single-link sweep and the power-state campaign
-// re-route on topologies built here.
-func rebuildWithout(orig *topology.Topology, failed topology.LinkID) (*topology.Topology, error) {
-	top := topology.New(orig.Spec, orig.Lib)
+// arena is one worker's reusable fault-evaluation state. Every link
+// fault rebuilds the design into top, which Reset clears while keeping
+// the switch, link, route and link-index storage of the previous fault,
+// and re-routes on it with router, which Reset re-targets at the
+// rebuilt topology and which runs on the pinned scratch. active holds
+// the current power state's surviving flows. The zero value is ready:
+// the topology and router are built on the first rebuild, so a
+// survivable campaign, which never re-routes, never allocates them. An
+// arena belongs to one goroutine; a campaign gives each worker its own.
+type arena struct {
+	top     *topology.Topology
+	router  *route.Router
+	scratch graph.Scratch
+	active  []soc.Flow
+}
+
+// rebuild reconstructs orig without the failed link into the arena and
+// returns the arena's router, re-targeted at the rebuilt topology with
+// NoNewLinks: re-routing may use the surviving links only.
+func (a *arena) rebuild(orig *topology.Topology, failed topology.LinkID) (*route.Router, error) {
+	if a.top == nil {
+		a.top = topology.New(orig.Spec, orig.Lib)
+	}
+	if err := rebuildInto(a.top, orig, failed); err != nil {
+		return nil, err
+	}
+	if a.router == nil {
+		a.router = route.New(a.top, route.Options{NoNewLinks: true})
+		a.router.SetScratch(&a.scratch)
+	} else {
+		a.router.Reset(a.top)
+	}
+	return a.router, nil
+}
+
+// rebuildInto resets dst and reconstructs the design in it — same
+// island settings, switches and core attachments, traffic reset, no
+// routes committed — with every link except the failed one. Links after
+// the failed one are renumbered down by one, exactly as a fresh build
+// would number them, so routing on dst matches routing on a newly
+// allocated rebuild. Both the single-link sweep and the power-state
+// campaign re-route on topologies built here.
+func rebuildInto(dst, orig *topology.Topology, failed topology.LinkID) error {
+	dst.Reset()
 	for i := 0; i < len(orig.Spec.Islands); i++ {
-		top.SetIslandFreq(soc.IslandID(i), orig.IslandFreqHz[i])
-		top.SetIslandVoltage(soc.IslandID(i), orig.IslandVoltage[i])
+		dst.SetIslandFreq(soc.IslandID(i), orig.IslandFreqHz[i])
+		dst.SetIslandVoltage(soc.IslandID(i), orig.IslandVoltage[i])
 	}
 	if orig.NoCIsland != soc.NoIsland {
-		top.AddNoCIsland(orig.IslandFreqHz[orig.NoCIsland], orig.IslandVoltage[orig.NoCIsland])
+		dst.AddNoCIsland(orig.IslandFreqHz[orig.NoCIsland], orig.IslandVoltage[orig.NoCIsland])
 	}
 	for _, s := range orig.Switches {
-		id := top.AddSwitch(s.Island, s.Indirect)
+		id := dst.AddSwitch(s.Island, s.Indirect)
 		if id != s.ID {
-			return nil, fmt.Errorf("fault: switch renumbering (%d vs %d)", id, s.ID)
+			return fmt.Errorf("fault: switch renumbering (%d vs %d)", id, s.ID)
 		}
 	}
 	for c, sw := range orig.SwitchOf {
 		if sw < 0 {
 			continue
 		}
-		if err := top.AttachCore(soc.CoreID(c), sw); err != nil {
-			return nil, err
+		if err := dst.AttachCore(soc.CoreID(c), sw); err != nil {
+			return err
 		}
 	}
 	for _, l := range orig.Links {
 		if l.ID == failed {
 			continue
 		}
-		if _, err := top.AddLink(l.From, l.To); err != nil {
-			return nil, err
+		if _, err := dst.AddLink(l.From, l.To); err != nil {
+			return err
 		}
 	}
-	return top, nil
+	return nil
 }
 
 // Format renders the report.
