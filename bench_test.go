@@ -24,7 +24,6 @@ import (
 	"nocvi/internal/partition"
 	"nocvi/internal/route"
 	"nocvi/internal/sim"
-	"nocvi/internal/skeleton"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
 	"nocvi/internal/topology"
@@ -387,10 +386,11 @@ func BenchmarkRunCampaign(b *testing.B) {
 
 // BenchmarkRouteAll measures the routing inner loop — the per-candidate
 // cost of the design-space sweep — on benchmark SoCs of increasing
-// size. Each iteration rebuilds the unrouted switch skeleton (cheap,
-// O(switches)) and routes every flow (the hot path: Dijkstra per flow
-// with dynamic edge costs). Allocation counts are first-class output:
-// run with -benchmem.
+// size. The routed candidate is the engine's own: core.Unrouted at
+// step 1 of Synthesize's diagonal walk with two intermediate switches.
+// Each iteration clones that unrouted topology (cheap, O(switches)) and
+// routes every flow (the hot path: Dijkstra per flow with dynamic edge
+// costs). Allocation counts are first-class output: run with -benchmem.
 func BenchmarkRouteAll(b *testing.B) {
 	lib := model.Default65nm()
 	for _, name := range []string{"d16_industrial", "d26_media", "d48_network"} {
@@ -400,19 +400,19 @@ func BenchmarkRouteAll(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			// Partitioning runs once, outside the timed loop; each
-			// iteration re-instantiates the unrouted skeleton from the
+			// iteration re-instantiates the unrouted topology from the
 			// template (O(switches+cores)) and routes every flow.
-			tmpl, err := skeleton.Build(spec, lib, 1, 2)
+			tmpl, err := core.Unrouted(spec, lib, core.Options{AllowIntermediate: true}, 1, 2)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := route.New(cloneSkeleton(tmpl), route.Options{}).RouteAll(); err != nil {
+			if err := route.New(cloneUnrouted(tmpl), route.Options{}).RouteAll(); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := route.New(cloneSkeleton(tmpl), route.Options{}).RouteAll(); err != nil {
+				if err := route.New(cloneUnrouted(tmpl), route.Options{}).RouteAll(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -420,9 +420,9 @@ func BenchmarkRouteAll(b *testing.B) {
 	}
 }
 
-// cloneSkeleton rebuilds the unrouted switch/attachment structure of a
+// cloneUnrouted rebuilds the unrouted switch/attachment structure of a
 // topology: same islands, switches and NIs, no links, no routes.
-func cloneSkeleton(orig *topology.Topology) *topology.Topology {
+func cloneUnrouted(orig *topology.Topology) *topology.Topology {
 	top := topology.New(orig.Spec, orig.Lib)
 	for i := range orig.Spec.Islands {
 		top.SetIslandFreq(soc.IslandID(i), orig.IslandFreqHz[i])

@@ -75,7 +75,11 @@ import (
 // v8: the fault campaign and single-link sweep re-route every fault on
 // a per-worker arena (a recycled topology and router) — reports are
 // byte-identical, but the campaign's hot path moved.
-const EngineVersion = 8
+//
+// v9: buildPoint's construction moved into the helper it shares with
+// core.Unrouted, and the sweep's Pareto front became the exported
+// core.ParetoFront — results are bit-identical, but the hot path moved.
+const EngineVersion = 9
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

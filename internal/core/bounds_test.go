@@ -6,7 +6,6 @@ import (
 	"nocvi/internal/bench"
 	"nocvi/internal/floorplan"
 	"nocvi/internal/model"
-	"nocvi/internal/pareto"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
 )
@@ -93,12 +92,12 @@ func buildAnyway(env *sweepEnv, bc *buildContext, counts []int, mid int) *Design
 // frontValues projects a result's Pareto-optimal (power, latency) pairs.
 // Indices are dropped deliberately: pruning removes dominated interior
 // points, so positions shift while the front's values must not.
-func frontValues(res *Result) []pareto.Point {
-	pts := make([]pareto.Point, len(res.Points))
+func frontValues(res *Result) []SweepPoint {
+	pts := make([]SweepPoint, len(res.Points))
 	for i := range res.Points {
-		pts[i] = pareto.Point{Index: i, X: res.Points[i].NoCPower.DynW(), Y: res.Points[i].MeanLatencyCycles}
+		pts[i] = SweepPoint{Index: uint64(i), PowerW: res.Points[i].NoCPower.DynW(), LatencyCycles: res.Points[i].MeanLatencyCycles}
 	}
-	front := pareto.Front(pts)
+	front := ParetoFront(pts)
 	for i := range front {
 		front[i].Index = 0
 	}
@@ -172,7 +171,7 @@ func mustIslanded(t *testing.T, name string) *soc.Spec {
 // assertSameWinners checks the pruned result agrees with the oracle on
 // everything pruning promises to preserve: the argmin selections (full
 // power breakdown, latency, configuration) and the Pareto-front values.
-func assertSameWinners(t *testing.T, label string, workers int, ref *Result, refFront []pareto.Point, res *Result) {
+func assertSameWinners(t *testing.T, label string, workers int, ref *Result, refFront []SweepPoint, res *Result) {
 	t.Helper()
 	if res.Explored != ref.Explored {
 		t.Errorf("%s w=%d: explored %d vs oracle %d", label, workers, res.Explored, ref.Explored)
@@ -201,9 +200,9 @@ func assertSameWinners(t *testing.T, label string, workers int, ref *Result, ref
 		t.Fatalf("%s w=%d: front size %d vs oracle %d", label, workers, len(front), len(refFront))
 	}
 	for i := range front {
-		if front[i].X != refFront[i].X || front[i].Y != refFront[i].Y {
+		if front[i].PowerW != refFront[i].PowerW || front[i].LatencyCycles != refFront[i].LatencyCycles {
 			t.Errorf("%s w=%d: front[%d] (%.9g,%.9g) vs oracle (%.9g,%.9g)",
-				label, workers, i, front[i].X, front[i].Y, refFront[i].X, refFront[i].Y)
+				label, workers, i, front[i].PowerW, front[i].LatencyCycles, refFront[i].PowerW, refFront[i].LatencyCycles)
 		}
 	}
 }

@@ -535,42 +535,11 @@ func IslandClocks(spec *soc.Spec, lib *model.Library) (freqs []float64, maxSizes
 // failure they stay pooled for the next candidate.
 func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*DesignPoint, error) {
 	env := bc.env
-	lib, opt := env.lib, env.opt
+	opt := env.opt
 
 	top := bc.takeTop()
-	for j, f := range env.freqs {
-		top.SetIslandFreq(soc.IslandID(j), f)
-		if opt.AutoVoltage {
-			top.SetIslandVoltage(soc.IslandID(j), lib.VoltageForFreq(f))
-		}
-	}
-	// Direct switches per island, one per partition. AddSwitch assigns
-	// IDs sequentially, so island j's switches occupy the half-open ID
-	// range starting at the sum of the preceding islands' counts — no
-	// per-candidate ID table needed.
-	for j, k := range counts {
-		for p := 0; p < k; p++ {
-			top.AddSwitch(soc.IslandID(j), false)
-		}
-	}
-	base := 0
-	for j, k := range counts {
-		for i, c := range env.islandCores[j] {
-			if err := top.AttachCore(c, topology.SwitchID(base+parts[j][i])); err != nil {
-				return nil, err
-			}
-		}
-		base += k
-	}
-	if mid > 0 {
-		midV := opt.midVoltage()
-		if opt.AutoVoltage {
-			midV = lib.VoltageForFreq(env.midFreq)
-		}
-		ni := top.AddNoCIsland(env.midFreq, midV)
-		for p := 0; p < mid; p++ {
-			top.AddSwitch(ni, true)
-		}
+	if err := env.construct(top, counts, parts, mid); err != nil {
+		return nil, err
 	}
 
 	// Step 15: route flows in bandwidth order (pre-sorted once per
@@ -645,6 +614,89 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 	}
 	bc.top = nil // escaped into the design point: never reset again
 	return dp, nil
+}
+
+// construct fills the empty topology top with one candidate's
+// unrouted structure: island clocks (and, under AutoVoltage, supplies),
+// counts[j] direct switches per island, every core attached by its
+// island's cut parts[j], and mid indirect switches in the intermediate
+// NoC island when mid > 0. It is the one construction path behind both
+// buildPoint and Unrouted.
+func (env *sweepEnv) construct(top *topology.Topology, counts []int, parts [][]int, mid int) error {
+	lib, opt := env.lib, env.opt
+	for j, f := range env.freqs {
+		top.SetIslandFreq(soc.IslandID(j), f)
+		if opt.AutoVoltage {
+			top.SetIslandVoltage(soc.IslandID(j), lib.VoltageForFreq(f))
+		}
+	}
+	// Direct switches per island, one per partition. AddSwitch assigns
+	// IDs sequentially, so island j's switches occupy the half-open ID
+	// range starting at the sum of the preceding islands' counts — no
+	// per-candidate ID table needed.
+	for j, k := range counts {
+		for p := 0; p < k; p++ {
+			top.AddSwitch(soc.IslandID(j), false)
+		}
+	}
+	base := 0
+	for j, k := range counts {
+		for i, c := range env.islandCores[j] {
+			if err := top.AttachCore(c, topology.SwitchID(base+parts[j][i])); err != nil {
+				return err
+			}
+		}
+		base += k
+	}
+	if mid > 0 {
+		midV := opt.midVoltage()
+		if opt.AutoVoltage {
+			midV = lib.VoltageForFreq(env.midFreq)
+		}
+		ni := top.AddNoCIsland(env.midFreq, midV)
+		for p := 0; p < mid; p++ {
+			top.AddSwitch(ni, true)
+		}
+	}
+	return nil
+}
+
+// Unrouted builds candidate (step, mid) of Synthesize's diagonal walk
+// up to routing: the topology buildPoint would route, with island
+// clocks, switches, core attachments and the intermediate island, but
+// no links or routes. step raises every island above its minimum switch
+// count, counts[j] = min(min_j+step, n_j); mid is the indirect switch
+// count, within the intermediate sweep opt allows. Islands are cut
+// exactly as the sweep cuts them. A (step, mid) outside the walk, or a
+// cut that cannot fit, is an error. Routing the result with the spec's
+// bandwidth-sorted flows reproduces the engine's candidate.
+func Unrouted(spec *soc.Spec, lib *model.Library, opt Options, step, mid int) (*topology.Topology, error) {
+	opt.NoPrune = true // no bounds layer: nothing is priced or pruned
+	env, err := newSweepEnv(spec, lib, opt)
+	if err != nil {
+		return nil, err
+	}
+	space := env.diagonal()
+	if step < 0 || step >= space.vectors || mid < 0 || mid >= space.midDim {
+		return nil, fmt.Errorf("core: candidate step=%d mid=%d outside the diagonal walk (steps 0..%d, mid 0..%d)",
+			step, mid, space.vectors-1, space.midDim-1)
+	}
+	counts := make([]int, len(env.islandCores))
+	space.Decode(uint64(step)*uint64(space.midDim)+uint64(mid), counts)
+	parts := make([][]int, len(counts))
+	var sc partition.Scratch
+	for j, k := range counts {
+		e := env.table.entry(j, k, &sc)
+		if e.err != nil {
+			return nil, fmt.Errorf("core: island %d into %d switches: %w", j, k, e.err)
+		}
+		parts[j] = e.part
+	}
+	top := topology.New(spec, lib)
+	if err := env.construct(top, counts, parts, mid); err != nil {
+		return nil, err
+	}
+	return top, nil
 }
 
 // Best returns the design point with the lowest NoC dynamic power,

@@ -146,9 +146,9 @@ func TestDiagonalAndFactorialAgree(t *testing.T) {
 					t.Fatalf("%s: diagonal front has %d points, factorial %d", label, len(front), len(full.Front))
 				}
 				for i := range front {
-					if front[i].X != full.Front[i].PowerW || front[i].Y != full.Front[i].LatencyCycles {
+					if front[i].PowerW != full.Front[i].PowerW || front[i].LatencyCycles != full.Front[i].LatencyCycles {
 						t.Fatalf("%s: front[%d] (%g, %g) vs factorial (%g, %g)", label, i,
-							front[i].X, front[i].Y, full.Front[i].PowerW, full.Front[i].LatencyCycles)
+							front[i].PowerW, front[i].LatencyCycles, full.Front[i].PowerW, full.Front[i].LatencyCycles)
 					}
 				}
 			}

@@ -159,11 +159,14 @@ func sumCounts(counts []int) int {
 func powerOf(p *SweepPoint) float64   { return p.PowerW }
 func latencyOf(p *SweepPoint) float64 { return p.LatencyCycles }
 
-// pruneFront reduces pts to the exact Pareto front of (power, latency)
-// minimization, ascending by power, with equal (power, latency) pairs
-// collapsed to the lowest index. Sorting makes the result independent
-// of input order, which is what lets per-worker fronts merge exactly.
-func pruneFront(pts []SweepPoint) []SweepPoint {
+// ParetoFront reduces pts to the exact Pareto front of (PowerW,
+// LatencyCycles) minimization, ascending by power, with equal (power,
+// latency) pairs collapsed to the lowest Index. It sorts pts in place
+// and returns the front in pts' storage. Sorting makes the result
+// independent of input order, which is what lets per-worker fronts
+// merge exactly. Every front in the module — the streaming
+// collectors', the sweep merge's and the nocvi facade's — is this one.
+func ParetoFront(pts []SweepPoint) []SweepPoint {
 	sort.Slice(pts, func(i, j int) bool {
 		a, b := &pts[i], &pts[j]
 		if a.PowerW != b.PowerW { //noclint:ignore floateq exact dominance keeps the front bit-identical across worker counts
@@ -222,7 +225,7 @@ func (sc *sweepCollector) addFeasible(p SweepPoint) {
 	}
 	sc.front = append(sc.front, p)
 	if len(sc.front) >= frontBuffer {
-		sc.front = pruneFront(sc.front)
+		sc.front = ParetoFront(sc.front)
 	}
 }
 
@@ -363,7 +366,7 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 		// sweep byte-identical across worker counts.
 		res.Feasible = 0
 	}
-	res.Front = pruneFront(front)
+	res.Front = ParetoFront(front)
 	sort.Slice(errs, func(i, j int) bool { return errs[i].idx < errs[j].idx })
 	errs = errs[:min(len(errs), maxSweepErrors)]
 	for _, e := range errs {

@@ -7,7 +7,6 @@ import (
 
 	"nocvi/internal/bench"
 	"nocvi/internal/model"
-	"nocvi/internal/pareto"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
 )
@@ -183,7 +182,7 @@ func TestSynthesizeOracleIdentitySurvivable(t *testing.T) {
 			if refErr != nil && !errors.Is(refErr, ErrInfeasible) {
 				t.Fatalf("%s sk=%v: oracle: %v", spec.Name, sk, refErr)
 			}
-			var refFront []pareto.Point
+			var refFront []SweepPoint
 			if refErr == nil {
 				refFront = frontValues(ref)
 			}

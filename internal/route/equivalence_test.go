@@ -17,11 +17,11 @@ import (
 	"testing"
 
 	"nocvi/internal/bench"
+	"nocvi/internal/core"
 	"nocvi/internal/graph"
 	"nocvi/internal/model"
 	"nocvi/internal/power"
 	"nocvi/internal/route"
-	"nocvi/internal/skeleton"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
 	"nocvi/internal/topology"
@@ -266,26 +266,35 @@ func maxi(a, b int) int {
 	return b
 }
 
-// compareRouting builds the same skeleton twice (skeleton.Build is
+// unrouted builds the engine's own unrouted candidate at step extra of
+// Synthesize's diagonal walk with mid indirect switches (core.Unrouted):
+// the topology the sweep would route there. The intermediate sweep is
+// fixed at two switches, so specs whose largest island has one core
+// still offer mid = 2.
+func unrouted(spec *soc.Spec, lib *model.Library, extra, mid int) (*topology.Topology, error) {
+	return core.Unrouted(spec, lib, core.Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}, extra, mid)
+}
+
+// compareRouting builds the same candidate twice (core.Unrouted is
 // deterministic), routes one with the optimized router and one with
 // the reference, and demands exact equality — including exact float
 // equality on power and latency, since the optimization claims
 // bit-identical arithmetic, not approximate equivalence.
 func compareRouting(t *testing.T, label string, spec *soc.Spec, lib *model.Library, extra, mid int, opt route.Options) {
 	t.Helper()
-	optTop, err := skeleton.Build(spec, lib, extra, mid)
+	optTop, err := unrouted(spec, lib, extra, mid)
 	if err != nil {
-		t.Fatalf("%s: skeleton: %v", label, err)
+		t.Fatalf("%s: unrouted: %v", label, err)
 	}
-	refTop, err := skeleton.Build(spec, lib, extra, mid)
+	refTop, err := unrouted(spec, lib, extra, mid)
 	if err != nil {
-		t.Fatalf("%s: skeleton: %v", label, err)
+		t.Fatalf("%s: unrouted: %v", label, err)
 	}
 
 	optErr := route.New(optTop, opt).RouteAll()
 	refErr := newRefRouter(refTop, opt).routeAll()
 
-	// Infeasible skeletons must fail identically: same first
+	// Infeasible candidates must fail identically: same first
 	// unroutable flow, same message.
 	if (optErr == nil) != (refErr == nil) {
 		t.Fatalf("%s: optimized err=%v, reference err=%v", label, optErr, refErr)
@@ -342,7 +351,7 @@ func compareRouting(t *testing.T, label string, spec *soc.Spec, lib *model.Libra
 }
 
 // TestRoutingEquivalenceSuite covers every bundled benchmark across
-// skeleton shapes (tight and relaxed switch counts, with and without
+// candidate shapes (tight and relaxed switch counts, with and without
 // intermediate switches).
 func TestRoutingEquivalenceSuite(t *testing.T) {
 	lib := model.Default65nm()

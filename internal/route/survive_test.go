@@ -18,7 +18,6 @@ import (
 	"nocvi/internal/bench"
 	"nocvi/internal/model"
 	"nocvi/internal/route"
-	"nocvi/internal/skeleton"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
 	"nocvi/internal/topology"
@@ -156,15 +155,15 @@ func checkBackupsAgainstOracle(t *testing.T, label string, top *topology.Topolog
 	return protected
 }
 
-// routeSurvivable builds the skeleton and routes it at survivability k,
+// routeSurvivable builds the candidate and routes it at survivability k,
 // returning the topology or nil when the router reports infeasibility
 // (which the suite tolerates for tight shapes — the sweep layer's job is
 // to try other candidates).
 func routeSurvivable(t *testing.T, label string, spec *soc.Spec, lib *model.Library, extra, mid, k int) *topology.Topology {
 	t.Helper()
-	top, err := skeleton.Build(spec, lib, extra, mid)
+	top, err := unrouted(spec, lib, extra, mid)
 	if err != nil {
-		t.Fatalf("%s: skeleton: %v", label, err)
+		t.Fatalf("%s: unrouted: %v", label, err)
 	}
 	err = route.New(top, route.Options{Survivability: k}).RouteAll()
 	if err != nil {
@@ -179,7 +178,7 @@ func routeSurvivable(t *testing.T, label string, spec *soc.Spec, lib *model.Libr
 }
 
 // TestSurvivableBackupsMatchOracleSuite runs the oracle over every
-// bundled benchmark across skeleton shapes and survivability degrees.
+// bundled benchmark across candidate shapes and survivability degrees.
 func TestSurvivableBackupsMatchOracleSuite(t *testing.T) {
 	lib := model.Default65nm()
 	protected := 0
@@ -215,8 +214,12 @@ func TestSurvivableBackupsMatchOracleRandom(t *testing.T) {
 			MaxIslands: 2 + int(seed%5),     // 2..6
 		})
 		mid := int(seed % 3)
+		// One spare switch per island where the walk has that step; a
+		// spec of one-core islands (seed 14) is at one switch per core
+		// already, so its walk ends at step 0.
+		extra := min(1, len(spec.Cores)-len(spec.Islands))
 		label := fmt.Sprintf("seed=%d/cores=%d/mid=%d", seed, len(spec.Cores), mid)
-		top := routeSurvivable(t, label, spec, lib, 1, mid, 1)
+		top := routeSurvivable(t, label, spec, lib, extra, mid, 1)
 		if top == nil {
 			continue
 		}
@@ -237,7 +240,7 @@ func TestSurvivabilityPrimariesInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := skeleton.Build(spec, lib, 1, 2)
+		base, err := unrouted(spec, lib, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +275,7 @@ func TestSurvivabilityPrimariesInvariant(t *testing.T) {
 }
 
 // cutSpec is the degenerate single-link-cut instance: two cores in two
-// one-core islands, no intermediate island. Every skeleton has exactly
+// one-core islands, no intermediate island. Every candidate has exactly
 // one switch per island, so the flow's only island-legal path is the
 // single direct link — a second link-disjoint route cannot exist.
 func cutSpec() *soc.Spec {
@@ -298,7 +301,7 @@ func cutSpec() *soc.Spec {
 // island-legal path exists, so no disjoint second route ever could.
 func TestSingleLinkCutBackupInfeasible(t *testing.T) {
 	lib := model.Default65nm()
-	top, err := skeleton.Build(cutSpec(), lib, 0, 0)
+	top, err := unrouted(cutSpec(), lib, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,6 @@ import (
 	"nocvi/internal/mesh"
 	"nocvi/internal/model"
 	"nocvi/internal/netlist"
-	"nocvi/internal/pareto"
 	"nocvi/internal/power"
 	"nocvi/internal/sim"
 	"nocvi/internal/soc"
@@ -109,8 +108,6 @@ type (
 	SimConfig = sim.Config
 	// SimResult reports simulated delivery and latency.
 	SimResult = sim.Result
-	// ParetoPoint is a design point projected on two objectives.
-	ParetoPoint = pareto.Point
 	// PartitionMethod selects an island-assignment strategy.
 	PartitionMethod = viplace.Method
 )
@@ -233,19 +230,34 @@ func ScheduleSavings(top *Topology, s Schedule) (alwaysOnW, scheduledW, frac flo
 	return power.ScheduleSavings(top, s)
 }
 
+// ParetoPoint is a design point projected on two objectives: X is NoC
+// dynamic power (W), Y mean zero-load latency (cycles), and Index the
+// point's position in Result.Points.
+type ParetoPoint struct {
+	Index int
+	X, Y  float64
+}
+
 // ParetoFront projects the result's design points onto (NoC dynamic
 // power, mean zero-load latency) and returns the non-dominated front,
-// sorted by ascending power. Point indices refer into res.Points.
+// sorted by ascending power; points with equal coordinates collapse to
+// the lowest index. The front is core.ParetoFront's, the one the
+// streaming sweep reports.
 func ParetoFront(res *Result) []ParetoPoint {
-	pts := make([]pareto.Point, len(res.Points))
+	pts := make([]core.SweepPoint, len(res.Points))
 	for i := range res.Points {
-		pts[i] = pareto.Point{
-			Index: i,
-			X:     res.Points[i].NoCPower.DynW(),
-			Y:     res.Points[i].MeanLatencyCycles,
+		pts[i] = core.SweepPoint{
+			Index:         uint64(i),
+			PowerW:        res.Points[i].NoCPower.DynW(),
+			LatencyCycles: res.Points[i].MeanLatencyCycles,
 		}
 	}
-	return pareto.Front(pts)
+	front := core.ParetoFront(pts)
+	out := make([]ParetoPoint, len(front))
+	for i, p := range front {
+		out[i] = ParetoPoint{Index: int(p.Index), X: p.PowerW, Y: p.LatencyCycles}
+	}
+	return out
 }
 
 // Wormhole simulation: the flit-level engine with finite buffers and
