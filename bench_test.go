@@ -472,7 +472,7 @@ func BenchmarkFloorplanPlace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{MaxDesignPoints: 1})
+	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func BenchmarkSimulatorD26(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{MaxDesignPoints: 1})
+	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func BenchmarkWormholeD26(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{MaxDesignPoints: 1})
+	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func BenchmarkVerilogGeneration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{MaxDesignPoints: 1})
+	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -173,11 +173,7 @@ func run(ctx context.Context, cfg runConfig) error {
 	fmt.Printf("%s: %d cores, %d flows, %d islands (%s), intra-island bandwidth %.0f%%\n",
 		spec.Name, len(spec.Cores), len(spec.Flows), len(spec.Islands), method,
 		nocvi.IntraIslandBandwidth(spec)*100)
-	trunc := ""
-	if res.Truncated {
-		trunc = " (sweep truncated at the design-point cap)"
-	}
-	fmt.Printf("explored %d configurations, %d valid design points%s\n", res.Explored, res.Feasible, trunc)
+	fmt.Printf("explored %d configurations, %d valid design points\n", res.Explored, res.Feasible)
 	if pruned := res.PruneStats.Pruned(); pruned > 0 {
 		fmt.Printf("branch-and-bound pruned %d of %d candidates (%d bound, %d staged)\n",
 			pruned, res.Explored, res.PruneStats.BoundPruned, res.PruneStats.StagePruned)

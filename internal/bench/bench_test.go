@@ -163,7 +163,6 @@ func TestSuiteSynthesizes(t *testing.T) {
 		}
 		res, err := core.Synthesize(s, lib, core.Options{
 			AllowIntermediate: true,
-			MaxDesignPoints:   5,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -265,7 +265,7 @@ func EncodeResult(res *core.Result) []byte {
 	e.ints(res.MinSwitches)
 	e.u64(uint64(res.Explored))
 	e.u64(uint64(res.Feasible))
-	e.bool(res.Truncated)
+	e.bool(false) // the deleted Result.Truncated: kept so encodings and digests stay fixed
 	e.bool(res.Partial)
 	e.str(res.StopReason)
 	e.strs(res.Relaxations)
@@ -291,7 +291,9 @@ func DecodeResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.Result
 	res.MinSwitches = d.ints()
 	res.Explored = int(d.u64())
 	res.Feasible = int(d.u64())
-	res.Truncated = d.bool()
+	if d.bool() {
+		return nil, errCorrupt // EncodeResult never sets the old Truncated byte
+	}
 	res.Partial = d.bool()
 	res.StopReason = d.str()
 	res.Relaxations = d.strs()
@@ -716,8 +718,8 @@ func decodeRect(d *dec) floorplan.Rect {
 	return floorplan.Rect{X: d.f64(), Y: d.f64(), W: d.f64(), H: d.f64()}
 }
 
-// encodeSweepPoint / decodeSweepPoint handle the streaming sweep's
-// compact summaries.
+// encodeSweepPoint encodes one of the streaming sweep's compact
+// summaries.
 func encodeSweepPoint(e *enc, p *core.SweepPoint) {
 	e.bool(p != nil)
 	if p == nil {
@@ -732,23 +734,8 @@ func encodeSweepPoint(e *enc, p *core.SweepPoint) {
 	e.int(p.WireViolations)
 }
 
-func decodeSweepPoint(d *dec) *core.SweepPoint {
-	if !d.bool() {
-		return nil
-	}
-	p := &core.SweepPoint{}
-	p.Index = d.u64()
-	p.SwitchCounts = d.ints()
-	p.MidSwitches = d.int()
-	p.PowerW = d.f64()
-	p.LatencyCycles = d.f64()
-	p.AreaMM2 = d.f64()
-	p.WireViolations = d.int()
-	return p
-}
-
-// EncodeSweepResult serializes a streaming-sweep result (Spec and
-// CacheStats excluded, like EncodeResult).
+// EncodeSweepResult serializes a streaming-sweep result, Spec and
+// PruneStats excluded. Nothing decodes it: it exists to be digested.
 func EncodeSweepResult(res *core.SweepResult) []byte {
 	e := &enc{}
 	e.u64(codecVersion)
@@ -781,58 +768,6 @@ func EncodeSweepResult(res *core.SweepResult) []byte {
 		}
 	}
 	return e.b
-}
-
-// DecodeSweepResult is the inverse of EncodeSweepResult.
-func DecodeSweepResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.SweepResult, error) {
-	d := &dec{b: data}
-	if v := d.u64(); d.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("cache: sweep codec version %d, want %d", v, codecVersion)
-	}
-	res := &core.SweepResult{Spec: spec}
-	res.Size = d.u64()
-	res.Explored = d.u64()
-	res.Feasible = d.u64()
-	res.Truncated = d.bool()
-	res.Partial = d.bool()
-	res.StopReason = d.str()
-	res.BestPowerPoint = decodeSweepPoint(d)
-	res.BestLatencyPoint = decodeSweepPoint(d)
-	nFront := d.length()
-	for i := 0; i < nFront && d.err == nil; i++ {
-		p := decodeSweepPoint(d)
-		if p == nil {
-			return nil, errCorrupt
-		}
-		res.Front = append(res.Front, *p)
-	}
-	res.Errors = decodeCandidateErrors(d)
-	res.ErrorCount = d.u64()
-	if d.bool() {
-		dp, err := decodePoint(d, spec, lib)
-		if err != nil {
-			return nil, err
-		}
-		res.BestPower = dp
-	} else if d.err != nil {
-		return nil, d.err
-	}
-	if d.bool() {
-		res.BestLatency = res.BestPower
-	} else if d.bool() {
-		dp, err := decodePoint(d, spec, lib)
-		if err != nil {
-			return nil, err
-		}
-		res.BestLatency = dp
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, errCorrupt
-	}
-	return res, nil
 }
 
 // ResultDigest is the identity digest of a synthesis result: SHA-256

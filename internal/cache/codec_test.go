@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -34,8 +35,7 @@ func sameResult(t *testing.T, label string, want, got *core.Result) {
 		t.Fatalf("%s: digests differ", label)
 	}
 	if a.Explored != b.Explored || a.Feasible != b.Feasible ||
-		a.Truncated != b.Truncated || a.Partial != b.Partial ||
-		a.StopReason != b.StopReason {
+		a.Partial != b.Partial || a.StopReason != b.StopReason {
 		t.Fatalf("%s: accounting differs: %+v vs %+v", label, a, b)
 	}
 	if !reflect.DeepEqual(a.IslandFreqHz, b.IslandFreqHz) ||
@@ -108,33 +108,137 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSweepResultCodecRoundTrip(t *testing.T) {
+// TestSweepResultDigestSensitivity pins SweepResultDigest as an identity
+// over a real sweep: changing any field EncodeSweepResult writes —
+// accounting, stop metadata, either summary, the front, the errors, the
+// rebuilt winners and their aliasing — must change the digest.
+func TestSweepResultDigestSensitivity(t *testing.T) {
 	lib := model.Default65nm()
 	spec := smallSpec(t)
 	res, err := core.SynthesizeSweep(context.Background(), spec, lib, testOptions(), core.SweepOptions{WidthPerIsland: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := EncodeSweepResult(res)
-	dec, err := DecodeSweepResult(blob, spec, lib)
+	if res.BestPower == nil || res.BestLatency == nil || len(res.Front) == 0 {
+		t.Fatal("sweep found no winners: the mutations below would test nothing")
+	}
+	base := SweepResultDigest(res)
+	point := func(p *core.SweepPoint, edit func(*core.SweepPoint)) *core.SweepPoint {
+		q := *p
+		q.SwitchCounts = append([]int(nil), p.SwitchCounts...)
+		edit(&q)
+		return &q
+	}
+	design := func(r *core.SweepResult, edit func(*core.DesignPoint)) {
+		dp := *r.BestPower
+		edit(&dp)
+		if r.BestLatency == r.BestPower {
+			r.BestLatency = &dp
+		}
+		r.BestPower = &dp
+	}
+	mutations := []struct {
+		name string
+		edit func(r *core.SweepResult)
+	}{
+		{"Size", func(r *core.SweepResult) { r.Size++ }},
+		{"Explored", func(r *core.SweepResult) { r.Explored-- }},
+		{"Feasible", func(r *core.SweepResult) { r.Feasible++ }},
+		{"Truncated", func(r *core.SweepResult) { r.Truncated = !r.Truncated }},
+		{"Partial", func(r *core.SweepResult) { r.Partial = !r.Partial }},
+		{"StopReason", func(r *core.SweepResult) { r.StopReason = core.StopCanceled }},
+		{"BestPowerPoint.Index", func(r *core.SweepResult) {
+			r.BestPowerPoint = point(r.BestPowerPoint, func(p *core.SweepPoint) { p.Index++ })
+		}},
+		{"BestPowerPoint.SwitchCounts", func(r *core.SweepResult) {
+			r.BestPowerPoint = point(r.BestPowerPoint, func(p *core.SweepPoint) { p.SwitchCounts[0]++ })
+		}},
+		{"BestPowerPoint.MidSwitches", func(r *core.SweepResult) {
+			r.BestPowerPoint = point(r.BestPowerPoint, func(p *core.SweepPoint) { p.MidSwitches++ })
+		}},
+		{"BestPowerPoint.PowerW", func(r *core.SweepResult) {
+			r.BestPowerPoint = point(r.BestPowerPoint, func(p *core.SweepPoint) { p.PowerW *= 2 })
+		}},
+		{"BestPowerPoint.AreaMM2", func(r *core.SweepResult) {
+			r.BestPowerPoint = point(r.BestPowerPoint, func(p *core.SweepPoint) { p.AreaMM2 *= 2 })
+		}},
+		{"BestPowerPoint.WireViolations", func(r *core.SweepResult) {
+			r.BestPowerPoint = point(r.BestPowerPoint, func(p *core.SweepPoint) { p.WireViolations++ })
+		}},
+		{"BestPowerPoint nil", func(r *core.SweepResult) { r.BestPowerPoint = nil }},
+		{"BestLatencyPoint.LatencyCycles", func(r *core.SweepResult) {
+			r.BestLatencyPoint = point(r.BestLatencyPoint, func(p *core.SweepPoint) { p.LatencyCycles *= 2 })
+		}},
+		{"Front length", func(r *core.SweepResult) { r.Front = r.Front[:len(r.Front)-1] }},
+		{"Front point", func(r *core.SweepResult) {
+			r.Front = append([]core.SweepPoint(nil), r.Front...)
+			r.Front[0] = *point(&r.Front[0], func(p *core.SweepPoint) { p.PowerW *= 2 })
+		}},
+		{"Errors", func(r *core.SweepResult) {
+			r.Errors = append(r.Errors, core.CandidateError{SwitchCounts: []int{1}, Panic: "boom"})
+		}},
+		{"ErrorCount", func(r *core.SweepResult) { r.ErrorCount++ }},
+		{"BestPower metric", func(r *core.SweepResult) {
+			design(r, func(dp *core.DesignPoint) { dp.MeanLatencyCycles *= 2 })
+		}},
+		{"BestPower switch counts", func(r *core.SweepResult) {
+			design(r, func(dp *core.DesignPoint) { dp.SwitchCounts = append([]int{99}, dp.SwitchCounts[1:]...) })
+		}},
+		{"BestPower nil", func(r *core.SweepResult) { r.BestPower = nil }},
+		{"BestLatency aliasing", func(r *core.SweepResult) {
+			if r.BestLatency == r.BestPower {
+				dp := *r.BestPower
+				r.BestLatency = &dp
+			} else {
+				r.BestLatency = r.BestPower
+			}
+		}},
+	}
+	for _, m := range mutations {
+		r := *res
+		m.edit(&r)
+		if SweepResultDigest(&r) == base {
+			t.Errorf("changing %s left the sweep digest unchanged", m.name)
+		}
+	}
+	if SweepResultDigest(res) != base {
+		t.Fatal("a mutation leaked into the original sweep result")
+	}
+}
+
+// TestDecodeResultRejectsTruncatedByte pins the slot the deleted
+// Result.Truncated flag left in the encoding: EncodeResult always writes
+// false there, and DecodeResult refuses a set byte, so every blob that
+// decodes re-encodes to itself.
+func TestDecodeResultRejectsTruncatedByte(t *testing.T) {
+	lib := model.Default65nm()
+	spec := smallSpec(t)
+	res, err := core.Synthesize(spec, lib, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if SweepResultDigest(res) != SweepResultDigest(dec) {
-		t.Fatal("sweep digests differ after round trip")
-	}
-	if res.Size != dec.Size || res.Explored != dec.Explored || res.Feasible != dec.Feasible ||
-		res.StopReason != dec.StopReason || res.ErrorCount != dec.ErrorCount {
-		t.Fatalf("accounting differs: %+v vs %+v", res, dec)
-	}
-	if !reflect.DeepEqual(res.Front, dec.Front) ||
-		!reflect.DeepEqual(res.BestPowerPoint, dec.BestPowerPoint) ||
-		!reflect.DeepEqual(res.BestLatencyPoint, dec.BestLatencyPoint) {
-		t.Fatal("summaries differ")
-	}
-	// The BestLatency-aliases-BestPower in-memory shape must survive.
-	if (res.BestLatency == res.BestPower) != (dec.BestLatency == dec.BestPower) {
-		t.Fatal("best-point aliasing not preserved")
+	for _, r := range []*core.Result{{}, res} {
+		// The flag follows the version, the step-1/2 slices and the two
+		// counts.
+		e := &enc{}
+		e.u64(codecVersion)
+		e.f64s(r.IslandFreqHz)
+		e.ints(r.MaxSwitchSize)
+		e.ints(r.MinSwitches)
+		e.u64(uint64(r.Explored))
+		e.u64(uint64(r.Feasible))
+		pos := len(e.b)
+		blob := EncodeResult(r)
+		if blob[pos] != 0 {
+			t.Fatalf("EncodeResult wrote %#x in the truncation slot, want 0", blob[pos])
+		}
+		if _, err := DecodeResult(blob, spec, lib); err != nil {
+			t.Fatalf("unmodified encoding does not decode: %v", err)
+		}
+		blob[pos] = 1
+		if _, err := DecodeResult(blob, spec, lib); !errors.Is(err, errCorrupt) {
+			t.Fatalf("a set truncation byte decoded with err=%v, want errCorrupt", err)
+		}
 	}
 }
 

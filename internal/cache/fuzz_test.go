@@ -21,7 +21,8 @@ import (
 //
 // Seeds are the D26 encodings at survivability 0 and 1 (the latter
 // carries backup routes); testdata/fuzz/FuzzDecodeResult holds small
-// hand-made inputs for the header and the count caps. Run with
+// hand-made inputs for the header, the count caps and the set
+// truncation byte EncodeResult never writes. Run with
 //
 //	go test -run '^$' -fuzz FuzzDecodeResult -fuzztime 10s ./internal/cache
 func FuzzDecodeResult(f *testing.F) {

@@ -7,8 +7,8 @@
 // (internal/specio) plus the engine version IS the result a fresh run
 // would compute, byte for byte.
 //
-// Two artifact kinds are cached: full synthesis results (Synthesize
-// and SynthesizeSweep) and fault-campaign reports. A miss runs the
+// Two artifact kinds are cached: full synthesis results (Synthesize)
+// and fault-campaign reports. A miss runs the
 // engine in full. No intermediate engine state (such as per-island
 // partitions) is persisted: min-cutting the islands is about 1.4% of a
 // D26 miss, less than reading and writing an entry per cut costs.
@@ -79,13 +79,17 @@ import (
 // v9: buildPoint's construction moved into the helper it shares with
 // core.Unrouted, and the sweep's Pareto front became the exported
 // core.ParetoFront — results are bit-identical, but the hot path moved.
-const EngineVersion = 9
+//
+// v10: the design-point cap and Result's truncation flag deleted, and
+// the sweep driver runs in one pass — results and encoded bytes are
+// identical, but the driver and the collectors moved, and the options
+// digest dropped the cap (nocvi-opt-v5).
+const EngineVersion = 10
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.
 const (
 	ClassResult   = "result"
-	ClassSweep    = "sweep"
 	ClassCampaign = "campaign"
 )
 

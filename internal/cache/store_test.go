@@ -37,7 +37,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("got %q, %v; want %q", got, ok, payload)
 	}
 	// Same key in a different class is a distinct entry.
-	if _, ok := s.Get(ClassSweep, k); ok {
+	if _, ok := s.Get(ClassCampaign, k); ok {
 		t.Fatal("class collision")
 	}
 	st := s.StoreStats()

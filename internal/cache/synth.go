@@ -25,13 +25,6 @@ func ResultKey(spec *soc.Spec, lib *model.Library, opt core.Options) specio.Dige
 		[]int64{codecVersion})
 }
 
-// SweepKey extends ResultKey with the streaming sweep's shape knobs.
-func SweepKey(spec *soc.Spec, lib *model.Library, opt core.Options, sw core.SweepOptions) specio.Digest {
-	return specio.CombineDigests("nocvi-sweep", EngineVersion,
-		[]specio.Digest{specio.SpecDigest(spec), specio.OptionsDigest(opt, lib)},
-		[]int64{codecVersion, int64(sw.WidthPerIsland), int64(sw.Limit)})
-}
-
 // TopologyDigest is the content digest of a concrete routed design:
 // SHA-256 over the codec's canonical topology encoding.
 func TopologyDigest(top *topology.Topology) specio.Digest {
@@ -80,30 +73,6 @@ func Synthesize(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Librar
 	if err == nil && res != nil && !res.Partial {
 		// besteffort: a failed publish only costs a future cache miss.
 		s.Put(ClassResult, key, EncodeResult(res))
-	}
-	return res, err
-}
-
-// SynthesizeSweep is core.SynthesizeSweep behind the cache, with the
-// same contract as Synthesize.
-func SynthesizeSweep(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Library, opt core.Options, sw core.SweepOptions) (*core.SweepResult, error) {
-	if s == nil {
-		return core.SynthesizeSweep(ctx, spec, lib, opt, sw)
-	}
-	key := SweepKey(spec, lib, opt, sw)
-	if blob, ok := s.Get(ClassSweep, key); ok {
-		if res, err := DecodeSweepResult(blob, spec, lib); err == nil {
-			res.CacheStats = core.CacheStats{Hits: 1}
-			return res, nil
-		}
-	}
-	res, err := core.SynthesizeSweep(ctx, spec, lib, opt, sw)
-	if res != nil {
-		res.CacheStats = core.CacheStats{Misses: 1}
-	}
-	if err == nil && res != nil && !res.Partial {
-		// besteffort: a failed publish only costs a future cache miss.
-		s.Put(ClassSweep, key, EncodeSweepResult(res))
 	}
 	return res, err
 }

@@ -152,63 +152,6 @@ func TestEditedSpecMissIdenticalToFresh(t *testing.T) {
 	}
 }
 
-// TestSweepCached covers the streaming path: a repeated sweep is a full
-// hit with an identical result; a sweep with a different Limit misses
-// and matches a storeless sweep of that Limit.
-func TestSweepCached(t *testing.T) {
-	lib := model.Default65nm()
-	ctx := context.Background()
-	spec := smallSpec(t)
-	s := openTest(t, StoreOptions{})
-	opt := testOptions()
-	sw := core.SweepOptions{WidthPerIsland: 2}
-
-	first, err := SynthesizeSweep(ctx, s, spec, lib, opt, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CacheStats.Misses != 1 {
-		t.Fatalf("first sweep stats %+v", first.CacheStats)
-	}
-	second, err := SynthesizeSweep(ctx, s, spec, lib, opt, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.CacheStats.Hits != 1 {
-		t.Fatalf("second sweep stats %+v", second.CacheStats)
-	}
-	cold, err := SynthesizeSweep(ctx, nil, spec, lib, opt, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SweepResultDigest(first) != SweepResultDigest(second) ||
-		SweepResultDigest(second) != SweepResultDigest(cold) {
-		t.Fatal("sweep digests differ across cold/miss/hit")
-	}
-
-	// Different Limit: a different sweep key, so a miss that must not
-	// be served from the first sweep's entry.
-	sw2 := sw
-	sw2.Limit = first.Explored / 2
-	if sw2.Limit == 0 {
-		sw2.Limit = 1
-	}
-	limited, err := SynthesizeSweep(ctx, s, spec, lib, opt, sw2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if limited.CacheStats.Hits != 0 || limited.CacheStats.Misses != 1 {
-		t.Fatalf("limited sweep should miss: %+v", limited.CacheStats)
-	}
-	limitedFresh, err := SynthesizeSweep(ctx, nil, spec, lib, opt, sw2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SweepResultDigest(limited) != SweepResultDigest(limitedFresh) {
-		t.Fatal("limited sweep miss differs from a storeless sweep")
-	}
-}
-
 // TestCampaignCached proves fault-campaign reports round-trip through
 // the cache with the derived Off masks restored.
 func TestCampaignCached(t *testing.T) {
@@ -290,9 +233,5 @@ func TestKeySensitivity(t *testing.T) {
 	lib2.LinkWidthBits *= 2
 	if ResultKey(spec, &lib2, opt) == base {
 		t.Fatal("library change did not change the result key")
-	}
-
-	if SweepKey(spec, lib, opt, core.SweepOptions{}) == SweepKey(spec, lib, opt, core.SweepOptions{Limit: 5}) {
-		t.Fatal("Limit did not change the sweep key")
 	}
 }

@@ -175,8 +175,7 @@ func arenaPicks(t *testing.T, env *sweepEnv) []arenaPick {
 // unsynchronized moments — before, during and after the worker pool's
 // lifetime — and asserts that every goroutine the sweep spawned has
 // drained afterwards. Run under -race this also exercises the
-// cancellation checks between the sweep driver's rounds and in the atomic
-// claiming loop.
+// cancellation check in the sweep driver's atomic claiming loop.
 func TestMidSweepCancellationDrainsWorkers(t *testing.T) {
 	spec, err := bench.Islanded("d26_media")
 	if err != nil {
@@ -191,9 +190,6 @@ func TestMidSweepCancellationDrainsWorkers(t *testing.T) {
 			_, err := SynthesizeContext(ctx, spec, lib, Options{
 				AllowIntermediate: true,
 				Workers:           8,
-				// A cap forces rounds of dispatch, covering the
-				// cancellation checks between rounds too.
-				MaxDesignPoints: 20,
 			})
 			done <- err
 		}()

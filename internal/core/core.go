@@ -58,10 +58,6 @@ type Options struct {
 	// IntermediateVoltage supplies the NoC island; zero selects 1.0 V.
 	IntermediateVoltage float64
 
-	// MaxDesignPoints stops the sweep after this many valid points
-	// (0 = exhaustive).
-	MaxDesignPoints int
-
 	// Router and Floorplan pass through to the respective stages.
 	Router    route.Options
 	Floorplan floorplan.Options
@@ -99,9 +95,7 @@ type Options struct {
 	// (points not strictly dominated, in both power and latency, by an
 	// earlier violation-free point) instead of every feasible candidate.
 	// Because the two modes' Points differ, NoPrune participates in
-	// cache-key digests. MaxDesignPoints > 0 implies the incumbent layer
-	// is off (truncation counts every feasible point); the infeasibility
-	// fast checks still apply.
+	// cache-key digests.
 	NoPrune bool
 
 	// Relax opts into the degradation ladder: when the sweep finds no
@@ -193,7 +187,7 @@ type Result struct {
 	MinSwitches   []int
 
 	// Points holds the valid design points found: every one under
-	// Options.NoPrune (or a MaxDesignPoints cap), otherwise the
+	// Options.NoPrune, otherwise the
 	// canonical branch-and-bound subset — feasible points not strictly
 	// dominated, in both power and latency, by an earlier
 	// violation-free point (see bounds.go). Both forms are identical
@@ -207,11 +201,6 @@ type Result struct {
 	// Feasible counts the points kept on Points.
 	Explored, Feasible int
 
-	// Truncated reports that the sweep stopped early because
-	// MaxDesignPoints was reached: Explored and Feasible then reflect
-	// only the evaluated prefix of the design space, not all of it.
-	Truncated bool
-
 	// Partial reports that the sweep was cut short by context
 	// cancellation or deadline. The result then holds everything found
 	// up to the stopping point — exactly the prefix a serial sweep of
@@ -219,7 +208,7 @@ type Result struct {
 	Partial bool
 
 	// StopReason records why the sweep stopped: StopComplete,
-	// StopTruncated, StopCanceled or StopDeadline.
+	// StopCanceled or StopDeadline.
 	StopReason string
 
 	// Errors records candidates whose evaluation panicked. Each panic is
@@ -256,9 +245,8 @@ type Result struct {
 //
 //	Explored == Evaluated + BoundPruned + StagePruned
 //
-// holds for every run, and under Options.NoPrune (or a MaxDesignPoints
-// cap, which disables the incumbent layer) Evaluated == Explored with
-// the prune counters zero.
+// holds for every run, and under Options.NoPrune Evaluated == Explored
+// with the prune counters zero.
 type PruneStats struct {
 	// Evaluated counts candidates that were not pruned: fully built and
 	// costed (kept points and routing/floorplan-infeasible candidates
@@ -309,11 +297,14 @@ func (s CacheStats) String() string {
 	return "miss"
 }
 
-// StopReason values recorded on Result.StopReason.
+// StopReason values recorded on Result.StopReason and
+// SweepResult.StopReason.
 const (
 	// StopComplete: the sweep evaluated the entire candidate space.
 	StopComplete = "complete"
-	// StopTruncated: MaxDesignPoints was reached.
+	// StopTruncated: a streaming sweep stopped at SweepOptions.Limit.
+	// The string is part of every encoded sweep result, so changing it
+	// would move every sweep digest.
 	StopTruncated = "max-design-points"
 	// StopCanceled: the context was canceled mid-sweep.
 	StopCanceled = "canceled"
@@ -383,69 +374,46 @@ func synthesizeAttempt(ctx context.Context, spec *soc.Spec, lib *model.Library, 
 		return nil, err
 	}
 	res := &Result{Spec: spec, IslandFreqHz: env.freqs, MaxSwitchSize: env.maxSizes, MinSwitches: env.minSwitches}
-	// The incumbent pruner requires an uncapped sweep: under
-	// MaxDesignPoints the truncation point must count every feasible
-	// point, so only the infeasibility fast checks apply there (they are
-	// result-neutral: a skipped candidate could never build). A capped
-	// sweep folds in rounds of workers*4 indices so it stops close to
-	// the cap instead of evaluating the whole space.
 	env.ordered = true
-	if env.bounds != nil && opt.MaxDesignPoints == 0 {
+	if env.bounds != nil {
 		env.pruner = &incumbentPruner{}
 	}
 	space := env.diagonal()
 	size := space.Size()
-	round := size
-	if opt.MaxDesignPoints > 0 {
-		round = min(size, uint64(opt.workers()*4))
+	col := &orderedCollector{res: res, env: env, outs: make([]evalOutcome, size)}
+	done := env.drive(ctx, space, size, col)
+	for _, out := range col.outs[:done] {
+		col.collect(out)
 	}
-	col := &orderedCollector{res: res, env: env, total: size, outs: make([]evalOutcome, round)}
-	if env.drive(ctx, space, size, round, col) {
+	if done < size {
 		// Cut short by the context: everything found so far is the answer.
 		// An empty partial result is still a result, not an error — the
 		// caller asked the sweep to stop, and it did.
 		res.Partial, res.StopReason = true, stopReason(ctx)
 		return res, nil
 	}
-	if res.Truncated {
-		res.StopReason = StopTruncated
-	} else {
-		res.StopReason = StopComplete
-	}
+	res.StopReason = StopComplete
 	if len(res.Points) == 0 {
 		return res, fmt.Errorf("core: no valid design point for %q (explored %d): %w", spec.Name, res.Explored, ErrInfeasible)
 	}
 	return res, nil
 }
 
-// orderedCollector is Synthesize's collector: it buffers each round's
-// outcomes by index and folds them into the Result in index order, so
-// Points, Explored, Feasible, Truncated and Errors never depend on
-// completion order.
+// orderedCollector is Synthesize's collector: it buffers every outcome
+// by index, and synthesizeAttempt folds the evaluated prefix into the
+// Result in index order, so Points, Explored, Feasible and Errors never
+// depend on completion order.
 type orderedCollector struct {
-	res   *Result
-	env   *sweepEnv
-	total uint64
-	lo    uint64        // first index of the current round
-	outs  []evalOutcome // the current round's outcomes, at idx - lo
+	res  *Result
+	env  *sweepEnv
+	outs []evalOutcome // outcome of index i at outs[i]
 }
 
 func (c *orderedCollector) add(_ int, _ *buildContext, idx uint64, _ []int, _ int, out evalOutcome) {
-	c.outs[idx-c.lo] = out
-}
-
-func (c *orderedCollector) fold(lo, hi uint64) bool {
-	for i := lo; i < hi; i++ {
-		if c.collect(c.outs[i-lo]) {
-			return true
-		}
-	}
-	c.lo = hi
-	return false
+	c.outs[idx] = out
 }
 
 // collect folds one evaluated candidate into the result in index order.
-// It returns true when the sweep should stop (MaxDesignPoints reached).
 // Every attempted candidate counts toward Explored — whether it was
 // pruned, its partitioning failed, its routing/floorplanning was
 // infeasible, or its evaluation panicked (recorded on res.Errors).
@@ -458,45 +426,40 @@ func (c *orderedCollector) fold(lo, hi uint64) bool {
 // workers managed to prune cheaply is not. A worker-side prune always
 // implies the canonical discard, so pruning can only move a candidate
 // between the PruneStats buckets, never into Points.
-func (c *orderedCollector) collect(out evalOutcome) (stop bool) {
+func (c *orderedCollector) collect(out evalOutcome) {
 	res, opt := c.res, c.env.opt
 	res.Explored++
 	switch out.pruned {
 	case pruneBound:
 		res.PruneStats.BoundPruned++
-		return false
+		return
 	case pruneStage:
 		res.PruneStats.StagePruned++
-		return false
+		return
 	}
 	if out.err != nil {
 		res.PruneStats.Evaluated++
 		res.Errors = append(res.Errors, *out.err)
-		return false
+		return
 	}
 	if out.dp == nil {
 		res.PruneStats.Evaluated++
-		return false
+		return
 	}
 	res.PruneStats.Feasible++
 	if c.env.pruner != nil {
 		switch prunedBy(res.Points, out, opt.Floorplan.SkipAnnotate) {
 		case pruneBound:
 			res.PruneStats.BoundPruned++
-			return false
+			return
 		case pruneStage:
 			res.PruneStats.StagePruned++
-			return false
+			return
 		}
 	}
 	res.PruneStats.Evaluated++
 	res.Feasible++
 	res.Points = append(res.Points, *out.dp)
-	if opt.MaxDesignPoints > 0 && len(res.Points) >= opt.MaxDesignPoints {
-		res.Truncated = uint64(res.Explored) < c.total
-		return true
-	}
-	return false
 }
 
 // IslandClocks implements step 1: the NoC clock of each island is fixed

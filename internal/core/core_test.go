@@ -182,17 +182,6 @@ func TestBestSelectors(t *testing.T) {
 	}
 }
 
-func TestSynthesizeMaxDesignPoints(t *testing.T) {
-	spec := miniSoC()
-	res, err := Synthesize(spec, model.Default65nm(), Options{MaxDesignPoints: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("got %d points, want 3", len(res.Points))
-	}
-}
-
 func TestSynthesizeSingleIslandBaseline(t *testing.T) {
 	spec := miniSoC().MergedSingleIsland()
 	res, err := Synthesize(spec, model.Default65nm(), Options{})
@@ -276,7 +265,7 @@ func TestMeanLatencyGrowsWithIslandCount(t *testing.T) {
 
 func TestRefinePlacement(t *testing.T) {
 	spec := miniSoC()
-	res, err := Synthesize(spec, model.Default65nm(), Options{MaxDesignPoints: 1})
+	res, err := Synthesize(spec, model.Default65nm(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,10 @@ type sweepEnv struct {
 	table  *partTable
 
 	// pruner is the shared incumbent bound; nil when pruning is off
-	// (Options.NoPrune, or a MaxDesignPoints cap in Synthesize, whose
-	// truncation point must count every feasible point). ordered
-	// restricts its witnesses to earlier indices, which the ordered
-	// collector's fold re-derives canonically; the streaming collectors
-	// are winner-invariant under any witness and leave it false.
+	// (Options.NoPrune). ordered restricts its witnesses to earlier
+	// indices, which Synthesize's in-order fold re-derives canonically;
+	// the streaming collectors are winner-invariant under any witness
+	// and leave it false.
 	pruner  *incumbentPruner
 	ordered bool
 }
@@ -414,69 +413,50 @@ func normalizeStack(stack []byte) string {
 
 // collector receives one sweep's outcomes. add runs on the evaluating
 // worker's goroutine (w indexes the worker, bc is its arena) for every
-// evaluated index; fold runs on the driving goroutine after each round
-// over the round's evaluated indices [lo, hi), and true stops the sweep.
+// evaluated index.
 type collector interface {
 	add(w int, bc *buildContext, idx uint64, counts []int, mid int, out evalOutcome)
-	fold(lo, hi uint64) (stop bool)
 }
 
-// drive evaluates indices [0, limit) of the space across Options.Workers
-// goroutines, in rounds of at most round indices with a fold after each.
-// Within a round, workers claim contiguous index blocks from an atomic
-// cursor — no producer, no channel — and always finish a block they
-// claimed before looking at the context again, so whenever the sweep
-// stops the evaluated set is exactly the prefix [0, cursor): a canceled
-// sweep holds what a serial sweep of the same space would have found up
-// to that index. The block size follows from the round size and the
-// worker count, down to a single index on small spaces, so a stop never
-// overshoots by more than a sliver of the space. Each worker builds in
-// one arena for the whole sweep; one worker is the same path with one
-// goroutine. drive reports whether the context cut the sweep short.
-func (env *sweepEnv) drive(ctx context.Context, space candidateSpace, limit, round uint64, col collector) (partial bool) {
-	arenas := make([]*buildContext, env.opt.workers())
-	for lo := uint64(0); lo < limit; lo += round {
-		if ctx.Err() != nil {
-			return true
-		}
-		hi := lo + min(round, limit-lo)
-		n := int(min(uint64(len(arenas)), hi-lo))
-		block := min(max((hi-lo)/uint64(n*16), 1), 4096)
-		var cursor atomic.Uint64
-		cursor.Store(lo)
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			if arenas[w] == nil {
-				arenas[w] = newBuildContext(env)
-			}
-			wg.Add(1)
-			go func(w int, bc *buildContext) {
-				defer wg.Done()
-				counts := make([]int, len(env.islandCores))
-				parts := make([][]int, len(counts))
-				for ctx.Err() == nil {
-					b := cursor.Add(block)
-					a := b - block
-					if a >= hi {
-						return
-					}
-					for idx := a; idx < min(b, hi); idx++ {
-						mid := space.Decode(idx, counts)
-						col.add(w, bc, idx, counts, mid, env.evaluate(bc, idx, counts, parts, mid))
-					}
+// drive evaluates indices [0, limit) of the space, limit >= 1, across
+// Options.Workers goroutines in one pass. Workers claim contiguous
+// index blocks from an atomic cursor — no producer, no channel — and
+// always finish a block they claimed before looking at the context
+// again, so whenever the sweep stops the evaluated set is exactly the
+// prefix [0, done): a canceled sweep holds what a serial sweep of the
+// same space would have found up to that index. The block size follows
+// from the space size and the worker count, down to a single index on
+// small spaces, so a stop never overshoots by more than a sliver of the
+// space. Each worker builds in one arena for the whole sweep; one
+// worker is the same path with one goroutine. The sweep is partial
+// exactly when done < limit.
+func (env *sweepEnv) drive(ctx context.Context, space candidateSpace, limit uint64, col collector) (done uint64) {
+	n := int(min(uint64(env.opt.workers()), limit))
+	block := min(max(limit/uint64(n*16), 1), 4096)
+	var cursor atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			bc := newBuildContext(env)
+			counts := make([]int, len(env.islandCores))
+			parts := make([][]int, len(counts))
+			for ctx.Err() == nil {
+				b := cursor.Add(block)
+				a := b - block
+				if a >= limit {
+					return
 				}
-			}(w, arenas[w])
-		}
-		wg.Wait()
-		done := min(cursor.Load(), hi)
-		if col.fold(lo, done) {
-			return false
-		}
-		if done < hi {
-			return true
-		}
+				for idx := a; idx < min(b, limit); idx++ {
+					mid := space.Decode(idx, counts)
+					col.add(w, bc, idx, counts, mid, env.evaluate(bc, idx, counts, parts, mid))
+				}
+			}
+		}(w)
 	}
-	return false
+	wg.Wait()
+	return min(cursor.Load(), limit)
 }
 
 // stopReason maps the stopped context of a partial sweep onto

@@ -26,7 +26,6 @@ func TestSynthesizeRandomSpecs(t *testing.T) {
 		res, err := Synthesize(spec, lib, Options{
 			AllowIntermediate:       seed%2 == 0,
 			MaxIntermediateSwitches: 2,
-			MaxDesignPoints:         4,
 		})
 		if err != nil {
 			// A random spec may legitimately be unroutable (e.g. one
@@ -116,7 +115,7 @@ func TestRepartitionRandomSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, m, err)
 			}
-			if res, err := Synthesize(re, lib, Options{MaxDesignPoints: 1}); err == nil {
+			if res, err := Synthesize(re, lib, Options{}); err == nil {
 				ok++
 				if err := res.Best().Top.Validate(); err != nil {
 					t.Fatalf("seed %d %s: %v", seed, m, err)
@@ -135,7 +134,7 @@ func TestFloorplanRandomSpecs(t *testing.T) {
 	lib := model.Default65nm()
 	for seed := int64(200); seed < 220; seed++ {
 		spec := specgen.Random(seed, specgen.Options{MaxCores: 10})
-		res, err := Synthesize(spec, lib, Options{MaxDesignPoints: 1})
+		res, err := Synthesize(spec, lib, Options{})
 		if err != nil {
 			continue
 		}

@@ -16,9 +16,9 @@ import (
 // observable metric: counts, Points order, and per-point numbers.
 func samePoints(t *testing.T, label string, a, b *Result) {
 	t.Helper()
-	if a.Explored != b.Explored || a.Feasible != b.Feasible || a.Truncated != b.Truncated {
-		t.Fatalf("%s: accounting differs: explored %d/%d feasible %d/%d truncated %v/%v",
-			label, a.Explored, b.Explored, a.Feasible, b.Feasible, a.Truncated, b.Truncated)
+	if a.Explored != b.Explored || a.Feasible != b.Feasible {
+		t.Fatalf("%s: accounting differs: explored %d/%d feasible %d/%d",
+			label, a.Explored, b.Explored, a.Feasible, b.Feasible)
 	}
 	if len(a.Points) != len(b.Points) {
 		t.Fatalf("%s: %d vs %d points", label, len(a.Points), len(b.Points))
@@ -137,49 +137,6 @@ func TestExploredCountsFailedPartitions(t *testing.T) {
 	}
 	if free.Explored < free.Feasible || tight.Explored < tight.Feasible {
 		t.Fatal("explored < feasible")
-	}
-}
-
-// TestTruncatedFlag checks the MaxDesignPoints bookkeeping: a capped
-// sweep reports Truncated and an exhaustive (or uncapped) one does not,
-// and truncated serial/parallel runs still agree point for point.
-func TestTruncatedFlag(t *testing.T) {
-	spec := miniSoC()
-	lib := model.Default65nm()
-	full, err := Synthesize(spec, lib, Options{AllowIntermediate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Truncated {
-		t.Fatal("exhaustive sweep reported Truncated")
-	}
-
-	capped := Options{AllowIntermediate: true, MaxDesignPoints: 3}
-	capped.Workers = 1
-	serial, err := Synthesize(spec, lib, capped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Points) != 3 || !serial.Truncated {
-		t.Fatalf("want 3 points and Truncated, got %d points truncated=%v", len(serial.Points), serial.Truncated)
-	}
-	if serial.Explored >= full.Explored {
-		t.Fatal("truncated sweep explored the whole space")
-	}
-	capped.Workers = 8
-	parallel, err := Synthesize(spec, lib, capped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePoints(t, "capped", serial, parallel)
-
-	// A cap the sweep never reaches must not be reported as truncation.
-	loose, err := Synthesize(spec, lib, Options{AllowIntermediate: true, MaxDesignPoints: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Truncated {
-		t.Fatal("uncapped-in-practice sweep reported Truncated")
 	}
 }
 

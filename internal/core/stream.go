@@ -113,17 +113,10 @@ type SweepResult struct {
 	Errors     []CandidateError
 	ErrorCount uint64
 
-	// CacheStats reports the content-addressed cache layer's
-	// contribution to this sweep (see Result.CacheStats); all-zero when
-	// the run bypassed the cache. Never encoded and zeroed in digests,
-	// so cached and fresh sweeps compare byte-identical.
-	CacheStats CacheStats
-
 	// PruneStats is the branch-and-bound layer's disposition of the
 	// explored candidates (see Result.PruneStats). The counter split is
-	// schedule-dependent under the shared incumbent bound; like
-	// CacheStats it is run bookkeeping — never encoded, zeroed in
-	// digests and comparisons.
+	// schedule-dependent under the shared incumbent bound; it is run
+	// bookkeeping — never encoded, zeroed in digests and comparisons.
 	PruneStats PruneStats
 }
 
@@ -245,8 +238,7 @@ func (sc *sweepCollector) addError(idx uint64, ce *CandidateError) {
 // sweepCollector per worker, merged after the sweep. It keeps only the
 // SweepPoint summary of a feasible point and hands the point's topology
 // and placement back to the worker's arena, so the sweep allocates
-// neither per point after warm-up. Nothing it keeps depends on order,
-// so it never needs a fold.
+// neither per point after warm-up. Nothing it keeps depends on order.
 type streamCollectors []*sweepCollector
 
 func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, counts []int, mid int, out evalOutcome) {
@@ -275,8 +267,6 @@ func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, counts []int
 	}
 }
 
-func (streamCollectors) fold(lo, hi uint64) bool { return false }
-
 // SynthesizeSweep runs Algorithm 1 over the full cross product of
 // per-island switch-count ranges — the design space Synthesize's
 // diagonal walk only samples — through the same streaming driver as
@@ -288,8 +278,8 @@ func (streamCollectors) fold(lo, hi uint64) bool { return false }
 // sweep.
 //
 // Completed sweeps are byte-identical for every Options.Workers value.
-// Options.MaxDesignPoints and Options.Relax do not apply to the
-// streaming sweep; use SweepOptions.Limit to bound work.
+// Options.Relax does not apply to the streaming sweep; use
+// SweepOptions.Limit to bound work.
 //
 // Unless Options.NoPrune is set, the sweep runs branch-and-bound:
 // candidates whose admissible lower bounds (see bounds.go) are strictly
@@ -328,7 +318,7 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 	for w := range cols {
 		cols[w] = &sweepCollector{errCap: maxSweepErrors}
 	}
-	partial := env.drive(ctx, space, limit, limit, cols)
+	partial := env.drive(ctx, space, limit, cols) < limit
 
 	// Merge the per-worker collectors. Every reduction is order-
 	// independent: the argmins under a total order, the front by exact

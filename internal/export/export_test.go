@@ -16,7 +16,6 @@ func synthExample(t *testing.T) (*topology.Topology, *floorplan.Placement) {
 	t.Helper()
 	res, err := core.Synthesize(bench.Example(), model.Default65nm(), core.Options{
 		AllowIntermediate: true,
-		MaxDesignPoints:   2,
 	})
 	if err != nil {
 		t.Fatal(err)

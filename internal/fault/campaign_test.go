@@ -19,7 +19,7 @@ func synthBench(t *testing.T, name string) *topology.Topology {
 		t.Fatal(err)
 	}
 	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{
-		AllowIntermediate: true, MaxDesignPoints: 1,
+		AllowIntermediate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func synthSurvivable(t *testing.T, name string, k int) *topology.Topology {
 		t.Fatal(err)
 	}
 	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{
-		AllowIntermediate: true, MaxDesignPoints: 1, Survivability: k,
+		AllowIntermediate: true, Survivability: k,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func synthD26(t *testing.T) *core.DesignPoint {
 		t.Fatal(err)
 	}
 	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{
-		AllowIntermediate: true, MaxDesignPoints: 1,
+		AllowIntermediate: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package graph provides small, allocation-conscious directed and
 // undirected weighted graph types together with the algorithms the
 // synthesis flow needs: Dijkstra shortest paths with per-query edge
-// costs, breadth-first reachability, connected components, and simple
-// degree/weight bookkeeping.
+// costs, over a materialized graph or an implicit dense one, and the
+// undirected view min-cut partitioning works on.
 //
 // Vertices are dense integers in [0, N). The synthesis engine maps cores
 // and switches onto these indices.
@@ -26,7 +26,6 @@ type Edge struct {
 type Directed struct {
 	n   int
 	adj [][]halfEdge // outgoing
-	in  [][]halfEdge // incoming
 	m   int
 }
 
@@ -40,7 +39,7 @@ func NewDirected(n int) *Directed {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Directed{n: n, adj: make([][]halfEdge, n), in: make([][]halfEdge, n)}
+	return &Directed{n: n, adj: make([][]halfEdge, n)}
 }
 
 // N returns the number of vertices.
@@ -60,46 +59,11 @@ func (g *Directed) AddEdge(u, v int, w float64) {
 	for i := range g.adj[u] {
 		if g.adj[u][i].to == v {
 			g.adj[u][i].w += w
-			for j := range g.in[v] {
-				if g.in[v][j].to == u {
-					g.in[v][j].w += w
-					break
-				}
-			}
 			return
 		}
 	}
 	g.adj[u] = append(g.adj[u], halfEdge{to: v, w: w})
-	g.in[v] = append(g.in[v], halfEdge{to: u, w: w})
 	g.m++
-}
-
-// AddArc inserts u->v with weight w without scanning for an existing
-// edge. It is the bulk-construction fast path used by builders that
-// guarantee uniqueness themselves (e.g. nested loops over distinct
-// vertex pairs); inserting a duplicate arc corrupts the edge count and
-// makes iteration visit the pair twice. Self loops are rejected.
-func (g *Directed) AddArc(u, v int, w float64) {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		panic(fmt.Sprintf("graph: self loop on %d", u)) //noclint:ignore bannedcall cold-path validation panic, not a cache key
-	}
-	g.adj[u] = append(g.adj[u], halfEdge{to: v, w: w})
-	g.in[v] = append(g.in[v], halfEdge{to: u, w: w})
-	g.m++
-}
-
-// HasEdge reports whether u->v exists.
-func (g *Directed) HasEdge(u, v int) bool {
-	g.check(u)
-	g.check(v)
-	for _, e := range g.adj[u] {
-		if e.to == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Weight returns the weight of u->v, or 0 when absent.
@@ -122,20 +86,6 @@ func (g *Directed) Succ(u int, fn func(v int, w float64)) {
 	}
 }
 
-// Pred calls fn for every incoming edge of u.
-func (g *Directed) Pred(u int, fn func(v int, w float64)) {
-	g.check(u)
-	for _, e := range g.in[u] {
-		fn(e.to, e.w)
-	}
-}
-
-// OutDegree returns the number of outgoing edges of u.
-func (g *Directed) OutDegree(u int) int { g.check(u); return len(g.adj[u]) }
-
-// InDegree returns the number of incoming edges of u.
-func (g *Directed) InDegree(u int) int { g.check(u); return len(g.in[u]) }
-
 // Edges returns all edges in deterministic (source, insertion) order.
 func (g *Directed) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
@@ -145,17 +95,6 @@ func (g *Directed) Edges() []Edge {
 		}
 	}
 	return out
-}
-
-// TotalWeight sums the weights of all edges.
-func (g *Directed) TotalWeight() float64 {
-	var sum float64
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.adj[u] {
-			sum += e.w
-		}
-	}
-	return sum
 }
 
 // Undirect returns the undirected view of g: an edge {u,v} with weight
@@ -236,62 +175,6 @@ func (g *Undirected) Neighbors(u int, fn func(v int, w float64)) {
 	for _, e := range g.adj[u] {
 		fn(e.to, e.w)
 	}
-}
-
-// Degree returns the number of edges incident to u.
-func (g *Undirected) Degree(u int) int { return len(g.adj[u]) }
-
-// WeightedDegree returns the total incident edge weight of u.
-func (g *Undirected) WeightedDegree(u int) float64 {
-	var sum float64
-	for _, e := range g.adj[u] {
-		sum += e.w
-	}
-	return sum
-}
-
-// Components returns the connected components as a vertex->component map
-// and the component count. Component IDs are dense and assigned in
-// ascending order of their smallest vertex.
-func (g *Undirected) Components() (comp []int, count int) {
-	comp = make([]int, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var queue []int
-	for s := 0; s < g.n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = count
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, e := range g.adj[u] {
-				if comp[e.to] == -1 {
-					comp[e.to] = count
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
-}
-
-// CutWeight returns the total weight of edges crossing the given
-// bipartition (part[v] selects the side of v).
-func (g *Undirected) CutWeight(part []bool) float64 {
-	var cut float64
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.adj[u] {
-			if u < e.to && part[u] != part[e.to] {
-				cut += e.w
-			}
-		}
-	}
-	return cut
 }
 
 // Inf is the distance reported by Dijkstra for unreachable vertices.
@@ -454,72 +337,19 @@ func (s *Scratch) hpop() pqItem {
 	return it
 }
 
-// ShortestPathScratch is ShortestPath using caller-owned scratch state
-// and an early exit once dst is settled. It allocates nothing after the
-// scratch buffers have grown to the graph's size; the returned path
-// slice is owned by the scratch and only valid until its next query.
-// The result is identical to ShortestPath: same relaxation order, same
-// heap semantics, so equal-cost ties resolve the same way.
-func (g *Directed) ShortestPathScratch(sc *Scratch, src, dst int, cost CostFunc) ([]int, float64) {
-	g.check(src)
-	g.check(dst)
-	sc.begin(g.n)
-	sc.dist[src] = 0
-	sc.pred[src] = -1
-	sc.gen[src] = sc.cur
-	sc.hpush(pqItem{v: src, dist: 0})
-	for len(sc.h) > 0 {
-		it := sc.hpop()
-		if it.dist > sc.dist[it.v] {
-			continue // stale entry
-		}
-		if it.v == dst {
-			break // settled: dist and the pred chain are final
-		}
-		for _, e := range g.adj[it.v] {
-			c := e.w
-			if cost != nil {
-				c = cost(it.v, e.to, e.w)
-			}
-			if math.IsInf(c, 1) {
-				continue
-			}
-			if c < 0 {
-				panic("graph: negative edge cost in Dijkstra")
-			}
-			// An unstamped label reads as +Inf; nd itself can only be
-			// +Inf on pathological cost scales, where ShortestPath would
-			// not relax either.
-			if nd := it.dist + c; !math.IsInf(nd, 1) && (sc.gen[e.to] != sc.cur || nd < sc.dist[e.to]) {
-				sc.dist[e.to] = nd
-				sc.pred[e.to] = it.v
-				sc.gen[e.to] = sc.cur
-				sc.hpush(pqItem{v: e.to, dist: nd})
-			}
-		}
-	}
-	if sc.gen[dst] != sc.cur {
-		return nil, Inf
-	}
-	sc.path = sc.path[:0]
-	for v := dst; v != -1; v = sc.pred[v] {
-		sc.path = append(sc.path, v)
-	}
-	for i, j := 0, len(sc.path)-1; i < j; i, j = i+1, j-1 {
-		sc.path[i], sc.path[j] = sc.path[j], sc.path[i]
-	}
-	return sc.path, sc.dist[dst]
-}
-
-// ShortestPathDense runs the same algorithm as ShortestPathScratch over
-// an *implicit* dense graph on n vertices: an arc u->v exists for every
-// u != v with rank[u] <= rank[v] (nil rank means the complete graph),
-// and cost prices each arc (its static-weight argument is always 1).
-// Nothing is materialized, so callers with near-complete candidate
-// graphs skip building adjacency lists entirely. Neighbors are visited
-// in ascending vertex order — the order AddArc-built adjacency has when
-// arcs are inserted in ascending target order — so equal-cost ties
-// resolve identically to the materialized equivalent.
+// ShortestPathDense is ShortestPath over an *implicit* dense graph on
+// n vertices, on caller-owned scratch state and with an early exit once
+// dst is settled: an arc u->v exists for every u != v with rank[u] <=
+// rank[v] (nil rank means the complete graph), and cost prices each arc
+// (its static-weight argument is always 1). Nothing is materialized, so
+// callers with near-complete candidate graphs skip building adjacency
+// lists entirely, and nothing is allocated once the scratch buffers
+// have grown to n; the returned path slice is owned by the scratch and
+// only valid until its next query. Neighbors are visited in ascending
+// vertex order — the order AddEdge-built adjacency has when arcs are
+// inserted in ascending target order — and the heap replicates
+// container/heap, so equal-cost ties resolve identically to
+// ShortestPath on the materialized equivalent.
 func (sc *Scratch) ShortestPathDense(n int, rank []int8, src, dst int, cost CostFunc) ([]int, float64) {
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		panic(fmt.Sprintf("graph: vertex out of range [0,%d)", n)) //noclint:ignore bannedcall cold-path validation panic, not a cache key
@@ -571,49 +401,4 @@ func (sc *Scratch) ShortestPathDense(n int, rank []int8, src, dst int, cost Cost
 		sc.path[i], sc.path[j] = sc.path[j], sc.path[i]
 	}
 	return sc.path, sc.dist[dst]
-}
-
-// Reachable returns the set of vertices reachable from src (including
-// src) following directed edges.
-func (g *Directed) Reachable(src int) []bool {
-	g.check(src)
-	seen := make([]bool, g.n)
-	seen[src] = true
-	stack := []int{src}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[u] {
-			if !seen[e.to] {
-				seen[e.to] = true
-				stack = append(stack, e.to)
-			}
-		}
-	}
-	return seen
-}
-
-// InducedSubgraph returns the subgraph induced by keep (vertices with
-// keep[v]==true) plus the mapping from new to old vertex indices.
-func (g *Directed) InducedSubgraph(keep []bool) (*Directed, []int) {
-	if len(keep) != g.n {
-		panic("graph: keep mask length mismatch")
-	}
-	var toOld []int
-	toNew := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		if keep[v] {
-			toNew[v] = len(toOld)
-			toOld = append(toOld, v)
-		} else {
-			toNew[v] = -1
-		}
-	}
-	sub := NewDirected(len(toOld))
-	for _, e := range g.Edges() {
-		if keep[e.From] && keep[e.To] {
-			sub.AddEdge(toNew[e.From], toNew[e.To], e.Weight)
-		}
-	}
-	return sub, toOld
 }

@@ -14,26 +14,16 @@ func TestDirectedBasics(t *testing.T) {
 	if g.N() != 4 || g.M() != 2 {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Fatal("HasEdge wrong")
-	}
 	if w := g.Weight(0, 1); w != 3 {
 		t.Fatalf("Weight(0,1)=%g, want accumulated 3", w)
 	}
 	if w := g.Weight(2, 3); w != 0 {
 		t.Fatalf("absent edge weight = %g", w)
 	}
-	if g.OutDegree(0) != 1 || g.InDegree(2) != 1 || g.InDegree(0) != 0 {
-		t.Fatal("degree bookkeeping wrong")
-	}
-	if got := g.TotalWeight(); got != 6 {
-		t.Fatalf("TotalWeight=%g", got)
-	}
-	var succ, pred []int
+	var succ []int
 	g.Succ(0, func(v int, w float64) { succ = append(succ, v) })
-	g.Pred(2, func(v int, w float64) { pred = append(pred, v) })
-	if len(succ) != 1 || succ[0] != 1 || len(pred) != 1 || pred[0] != 1 {
-		t.Fatal("Succ/Pred iteration wrong")
+	if len(succ) != 1 || succ[0] != 1 {
+		t.Fatal("Succ iteration wrong")
 	}
 }
 
@@ -81,40 +71,10 @@ func TestUndirect(t *testing.T) {
 	if w := u.Weight(0, 1); w != 5 {
 		t.Fatalf("merged weight = %g, want 5", w)
 	}
-	if u.WeightedDegree(1) != 10 || u.Degree(1) != 2 {
-		t.Fatal("undirected degrees wrong")
-	}
-}
-
-func TestComponents(t *testing.T) {
-	u := NewUndirected(6)
-	u.AddEdge(0, 1, 1)
-	u.AddEdge(1, 2, 1)
-	u.AddEdge(4, 5, 1)
-	comp, n := u.Components()
-	if n != 3 {
-		t.Fatalf("component count = %d, want 3", n)
-	}
-	if comp[0] != comp[2] || comp[3] == comp[0] || comp[4] != comp[5] {
-		t.Fatalf("components = %v", comp)
-	}
-	// dense, ascending by smallest vertex
-	if comp[0] != 0 || comp[3] != 1 || comp[4] != 2 {
-		t.Fatalf("component numbering = %v", comp)
-	}
-}
-
-func TestCutWeight(t *testing.T) {
-	u := NewUndirected(4)
-	u.AddEdge(0, 1, 3)
-	u.AddEdge(2, 3, 4)
-	u.AddEdge(1, 2, 7)
-	cut := u.CutWeight([]bool{false, false, true, true})
-	if cut != 7 {
-		t.Fatalf("cut = %g, want 7", cut)
-	}
-	if c := u.CutWeight([]bool{false, true, false, true}); c != 14 {
-		t.Fatalf("cut = %g, want 14", c)
+	var nbrs []int
+	u.Neighbors(1, func(v int, w float64) { nbrs = append(nbrs, v) })
+	if len(nbrs) != 2 || u.Weight(1, 2) != 5 {
+		t.Fatalf("undirected neighbors of 1 = %v", nbrs)
 	}
 }
 
@@ -174,35 +134,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g := NewDirected(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 0, 1)
-	r := g.Reachable(0)
-	if !r[0] || !r[1] || !r[2] || r[3] {
-		t.Fatalf("reachable = %v", r)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := NewDirected(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(2, 3, 3)
-	sub, toOld := g.InducedSubgraph([]bool{true, false, true, true})
-	if sub.N() != 3 || sub.M() != 1 {
-		t.Fatalf("sub N=%d M=%d", sub.N(), sub.M())
-	}
-	if toOld[0] != 0 || toOld[1] != 2 || toOld[2] != 3 {
-		t.Fatalf("toOld=%v", toOld)
-	}
-	if sub.Weight(1, 2) != 3 {
-		t.Fatal("surviving edge lost its weight")
-	}
-	mustPanic(t, func() { g.InducedSubgraph([]bool{true}) })
-}
-
 // Property: Dijkstra distances satisfy the triangle inequality over every
 // edge: dist[v] <= dist[u] + w(u,v).
 func TestDijkstraRelaxationProperty(t *testing.T) {
@@ -233,37 +164,6 @@ func TestDijkstraRelaxationProperty(t *testing.T) {
 	}
 }
 
-// Property: cut weight of any bipartition is at most total edge weight,
-// and the cut of the all-false partition is zero.
-func TestCutWeightBounds(t *testing.T) {
-	f := func(seed int64, bits uint16) bool {
-		r := newLCG(seed)
-		n := 2 + int(r.next()%10)
-		u := NewUndirected(n)
-		var total float64
-		for i := 0; i < n*2; i++ {
-			a := int(r.next() % uint64(n))
-			b := int(r.next() % uint64(n))
-			if a == b {
-				continue
-			}
-			w := float64(r.next()%100) + 1
-			u.AddEdge(a, b, w)
-			total += w
-		}
-		part := make([]bool, n)
-		for i := range part {
-			part[i] = bits&(1<<uint(i)) != 0
-		}
-		cut := u.CutWeight(part)
-		zero := u.CutWeight(make([]bool, n))
-		return cut <= total+1e-9 && zero == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // lcg is a tiny deterministic generator for property tests (avoids
 // math/rand seeding boilerplate and keeps tests reproducible).
 type lcg struct{ s uint64 }
@@ -275,29 +175,50 @@ func (l *lcg) next() uint64 {
 	return l.s >> 11
 }
 
+// denseCost is a deterministic per-arc price for the dense-graph
+// tests: small integers force plenty of equal-cost ties, and about one
+// arc in seven is excluded (+Inf).
+func denseCost(seed int64) CostFunc {
+	return func(u, v int, w float64) float64 {
+		h := newLCG(seed ^ int64(u*131+v)).next()
+		if h%7 == 0 {
+			return Inf
+		}
+		return float64(h%5) + w
+	}
+}
+
 // TestShortestPathScratchMatches is the identity property behind the
-// router's scratch reuse: on random graphs — integer weights force
-// plenty of equal-cost ties — ShortestPathScratch must return exactly
-// the path and cost of ShortestPath, for every (src, dst) pair, with
-// one Scratch reused across all queries.
+// router's scratch Dijkstra: on random rank filters and arc prices,
+// (*Scratch).ShortestPathDense must return exactly the path and cost of
+// ShortestPath on the materialized equivalent — every arc u->v with
+// rank[u] <= rank[v], inserted with AddEdge in ascending target order —
+// for every (src, dst) pair, with one Scratch reused across all queries.
 func TestShortestPathScratchMatches(t *testing.T) {
 	var sc Scratch
 	f := func(seed int64) bool {
 		r := newLCG(seed)
 		n := 2 + int(r.next()%12)
-		g := NewDirected(n)
-		for i := 0; i < n*3; i++ {
-			u := int(r.next() % uint64(n))
-			v := int(r.next() % uint64(n))
-			if u == v {
-				continue
+		var rank []int8
+		if r.next()%4 != 0 {
+			rank = make([]int8, n)
+			for v := range rank {
+				rank[v] = int8(r.next() % 3)
 			}
-			g.AddEdge(u, v, float64(r.next()%5)+1)
 		}
+		g := NewDirected(n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && (rank == nil || rank[u] <= rank[v]) {
+					g.AddEdge(u, v, 1)
+				}
+			}
+		}
+		cost := denseCost(seed)
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				wantPath, wantCost := g.ShortestPath(src, dst, nil)
-				gotPath, gotCost := g.ShortestPathScratch(&sc, src, dst, nil)
+				wantPath, wantCost := g.ShortestPath(src, dst, cost)
+				gotPath, gotCost := sc.ShortestPathDense(n, rank, src, dst, cost)
 				if wantCost != gotCost {
 					t.Logf("seed %d %d->%d: cost %g vs %g", seed, src, dst, wantCost, gotCost)
 					return false
@@ -321,43 +242,51 @@ func TestShortestPathScratchMatches(t *testing.T) {
 	}
 }
 
-// TestShortestPathScratchCostFunc covers the per-query cost closure:
-// edges priced to +Inf are excluded, exactly as in ShortestPath.
+// TestShortestPathScratchCostFunc covers the per-query cost closure and
+// the rank filter: arcs priced to +Inf are excluded, exactly as in
+// ShortestPath, and no arc leads to a lower rank.
 func TestShortestPathScratchCostFunc(t *testing.T) {
-	g := NewDirected(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 3, 5)
+	// Arcs 0->1->3 cost 1 each, 0->2->3 cost 1+5; 0->1 is blocked.
+	price := map[[2]int]float64{{0, 1}: 1, {1, 3}: 1, {0, 2}: 1, {2, 3}: 5}
 	block := func(u, v int, w float64) float64 {
-		if u == 0 && v == 1 {
-			return Inf
+		if c, ok := price[[2]int{u, v}]; ok && !(u == 0 && v == 1) {
+			return c
 		}
-		return w
+		return Inf
 	}
 	var sc Scratch
-	path, cost := g.ShortestPathScratch(&sc, 0, 3, block)
+	path, cost := sc.ShortestPathDense(4, nil, 0, 3, block)
 	if cost != 6 || len(path) != 3 || path[1] != 2 {
 		t.Fatalf("blocked query returned %v cost %g", path, cost)
 	}
-	// Unreachable when every outgoing edge is blocked.
-	if p, c := g.ShortestPathScratch(&sc, 0, 3, func(int, int, float64) float64 { return Inf }); p != nil || !math.IsInf(c, 1) {
+	// Unreachable when every arc is blocked.
+	if p, c := sc.ShortestPathDense(4, nil, 0, 3, func(int, int, float64) float64 { return Inf }); p != nil || !math.IsInf(c, 1) {
 		t.Fatalf("fully blocked query returned %v cost %g", p, c)
 	}
+	// Vertex 2 ranks below 0, so the only remaining route is cut off.
+	if p, c := sc.ShortestPathDense(4, []int8{1, 1, 0, 1}, 0, 3, block); p != nil || !math.IsInf(c, 1) {
+		t.Fatalf("rank-filtered query returned %v cost %g", p, c)
+	}
+}
+
+// chain prices the arcs of the path 0->1->...->n-1 at 1 and excludes
+// every other arc of the dense graph.
+func chain(u, v int, w float64) float64 {
+	if v == u+1 {
+		return w
+	}
+	return Inf
 }
 
 // TestScratchGenerationWrap forces the uint32 generation counter to
 // wrap and checks stale labels from the previous epoch are not reused.
 func TestScratchGenerationWrap(t *testing.T) {
-	g := NewDirected(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
 	var sc Scratch
-	if _, c := g.ShortestPathScratch(&sc, 0, 2, nil); c != 2 {
+	if _, c := sc.ShortestPathDense(3, nil, 0, 2, chain); c != 2 {
 		t.Fatalf("cost %g before wrap", c)
 	}
 	sc.cur = ^uint32(0) // next begin() wraps to 0 and must hard-reset
-	if p, c := g.ShortestPathScratch(&sc, 0, 2, nil); c != 2 || len(p) != 3 {
+	if p, c := sc.ShortestPathDense(3, nil, 0, 2, chain); c != 2 || len(p) != 3 {
 		t.Fatalf("after wrap: path %v cost %g", p, c)
 	}
 	if sc.cur != 1 {
@@ -370,42 +299,9 @@ func TestScratchGenerationWrap(t *testing.T) {
 func TestScratchGrowsAcrossGraphs(t *testing.T) {
 	var sc Scratch
 	for _, n := range []int{3, 17, 5, 40, 2} {
-		g := NewDirected(n)
-		for v := 1; v < n; v++ {
-			g.AddEdge(v-1, v, 1)
-		}
-		p, c := g.ShortestPathScratch(&sc, 0, n-1, nil)
+		p, c := sc.ShortestPathDense(n, nil, 0, n-1, chain)
 		if c != float64(n-1) || len(p) != n {
 			t.Fatalf("n=%d: cost %g len %d", n, c, len(p))
 		}
-	}
-}
-
-// TestAddArcMatchesAddEdge checks the bulk fast path yields the same
-// graph as AddEdge when arcs are unique.
-func TestAddArcMatchesAddEdge(t *testing.T) {
-	a := NewDirected(5)
-	b := NewDirected(5)
-	for u := 0; u < 5; u++ {
-		for v := 0; v < 5; v++ {
-			if u == v {
-				continue
-			}
-			w := float64(u*5+v) + 0.5
-			a.AddEdge(u, v, w)
-			b.AddArc(u, v, w)
-		}
-	}
-	if a.M() != b.M() {
-		t.Fatalf("M %d vs %d", a.M(), b.M())
-	}
-	ae, be := a.Edges(), b.Edges()
-	for i := range ae {
-		if ae[i] != be[i] {
-			t.Fatalf("edge %d: %+v vs %+v", i, ae[i], be[i])
-		}
-	}
-	if a.InDegree(3) != b.InDegree(3) {
-		t.Fatal("in-degree bookkeeping differs")
 	}
 }

@@ -243,11 +243,6 @@ func (l *Library) LinkLeakPowerW(lengthMM, voltage float64) float64 {
 	return l.LinkLeakPerMMPerBit * float64(l.LinkWidthBits) * lengthMM * l.VoltageScaleLeakage(voltage)
 }
 
-// WireDelayCycles converts a wire length to cycles at the given clock.
-func (l *Library) WireDelayCycles(lengthMM, freqHz float64) float64 {
-	return lengthMM * l.WireDelayNsPerMM * 1e-9 * freqHz
-}
-
 // WireLengthBudgetMM returns the longest single-cycle wire at freqHz;
 // links longer than this violate timing (the paper uses unpipelined
 // links, so a link must traverse in one cycle).

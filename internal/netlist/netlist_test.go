@@ -18,7 +18,7 @@ func synth(t *testing.T) *core.DesignPoint {
 		t.Fatal(err)
 	}
 	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{
-		AllowIntermediate: true, MaxDesignPoints: 1,
+		AllowIntermediate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestGenerateAllBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Synthesize(spec, lib, core.Options{MaxDesignPoints: 1})
+		res, err := core.Synthesize(spec, lib, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

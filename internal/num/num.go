@@ -39,6 +39,3 @@ func Within(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // the same headroom as the long-standing a <= b*(1+Eps) capacity
 // idiom, extended to behave sanely at and below zero.
 func Leq(a, b float64) bool { return a <= b+scale(a, b) }
-
-// Geq reports a >= b within the default tolerance.
-func Geq(a, b float64) bool { return Leq(b, a) }

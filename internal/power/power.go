@@ -59,10 +59,6 @@ func (s System) TotalW() float64 {
 	return s.CoreDynW + s.CoreLeakW + s.NoC.TotalW()
 }
 
-// ActiveDynW returns system dynamic power (cores + NoC dynamic), the
-// denominator of the paper's "3% of SoC active power" overhead claim.
-func (s System) ActiveDynW() float64 { return s.CoreDynW + s.NoC.DynW() }
-
 // Scratch holds the breakdown's reusable working buffer: the switch,
 // link and NI traffic accumulators, carved out of one slice. A zero
 // Scratch is ready to use; one Scratch must not be used by two
@@ -96,13 +92,6 @@ func NoCWith(top *topology.Topology, sc *Scratch) Breakdown {
 // calls.
 func NoCSansLinkWires(top *topology.Topology, sc *Scratch) Breakdown {
 	return nocPowerWires(top, nil, nil, false, sc)
-}
-
-// NoCWithShutdown computes the NoC breakdown with the islands marked in
-// off power-gated. off is indexed by spec island ID; the intermediate
-// NoC island is never gated.
-func NoCWithShutdown(top *topology.Topology, off []bool) Breakdown {
-	return nocPower(top, off)
 }
 
 // SystemPower computes full-SoC power with every island on.

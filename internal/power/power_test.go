@@ -107,9 +107,6 @@ func TestSystemPower(t *testing.T) {
 	if s.TotalW() <= s.CoreDynW+s.CoreLeakW {
 		t.Fatal("system total must include the NoC")
 	}
-	if s.ActiveDynW() != s.CoreDynW+s.NoC.DynW() {
-		t.Fatal("ActiveDynW inconsistent")
-	}
 }
 
 func TestShutdownRemovesIslandPower(t *testing.T) {
@@ -183,8 +180,8 @@ func TestNoCArea(t *testing.T) {
 func TestMaskShorterThanIslands(t *testing.T) {
 	top := fixture(t)
 	// nil and short masks mean "all on" for the unlisted islands.
-	b1 := NoCWithShutdown(top, nil)
-	b2 := NoCWithShutdown(top, []bool{false})
+	b1 := SystemWithShutdown(top, nil)
+	b2 := SystemWithShutdown(top, []bool{false})
 	if b1 != b2 {
 		t.Fatal("short mask should behave as all-on for unlisted islands")
 	}

@@ -221,9 +221,6 @@ func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
 	return s
 }
 
-// MaxSwitchSizes exposes the per-island bound the router enforces.
-func (r *Router) MaxSwitchSizes() []int { return r.maxSz }
-
 // RouteAll routes every flow of the spec in decreasing bandwidth order,
 // mutating the topology. On failure the topology is left partially
 // routed and the error identifies the first flow that could not be

@@ -225,7 +225,7 @@ func TestMaxSwitchSizesDerived(t *testing.T) {
 	spec := threeIslandSpec()
 	top := build(t, spec, false)
 	r := New(top, Options{})
-	szs := r.MaxSwitchSizes()
+	szs := r.maxSz
 	if len(szs) != 3 {
 		t.Fatalf("sizes = %v", szs)
 	}

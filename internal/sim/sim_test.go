@@ -21,7 +21,6 @@ func synthD26(t *testing.T) *topology.Topology {
 	}
 	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{
 		AllowIntermediate: false,
-		MaxDesignPoints:   1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -201,20 +201,6 @@ func (s *Spec) CoresIn(isl IslandID) []CoreID {
 	return out
 }
 
-// FlowsBetween partitions the flow list by island relationship: intra
-// returns flows whose endpoints share an island, inter returns flows
-// that cross islands.
-func (s *Spec) FlowsBetween() (intra, inter []Flow) {
-	for _, f := range s.Flows {
-		if s.IslandOf[f.Src] == s.IslandOf[f.Dst] {
-			intra = append(intra, f)
-		} else {
-			inter = append(inter, f)
-		}
-	}
-	return intra, inter
-}
-
 // CoreByName returns the core with the given name, or false when absent.
 func (s *Spec) CoreByName(name string) (Core, bool) {
 	for _, c := range s.Cores {
@@ -241,15 +227,6 @@ func (s *Spec) TotalCoreDynPowerW() float64 {
 	var sum float64
 	for _, c := range s.Cores {
 		sum += c.DynPowerW
-	}
-	return sum
-}
-
-// TotalCoreLeakPowerW sums the leakage power of all cores.
-func (s *Spec) TotalCoreLeakPowerW() float64 {
-	var sum float64
-	for _, c := range s.Cores {
-		sum += c.LeakPowerW
 	}
 	return sum
 }

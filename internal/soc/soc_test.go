@@ -79,20 +79,6 @@ func TestCoresIn(t *testing.T) {
 	}
 }
 
-func TestFlowsBetween(t *testing.T) {
-	s := testSpec()
-	intra, inter := s.FlowsBetween()
-	if len(intra) != 1 {
-		t.Fatalf("intra = %v, want exactly the usb->dsp flow", intra)
-	}
-	if intra[0].Src != 3 || intra[0].Dst != 2 {
-		t.Fatalf("intra flow = %+v", intra[0])
-	}
-	if len(inter) != 3 {
-		t.Fatalf("inter count = %d, want 3", len(inter))
-	}
-}
-
 func TestAggregateCoreBandwidth(t *testing.T) {
 	s := testSpec()
 	eg, in := s.AggregateCoreBandwidth()
@@ -126,9 +112,6 @@ func TestTotals(t *testing.T) {
 	if got := s.TotalCoreDynPowerW(); math.Abs(got-0.65) > 1e-12 {
 		t.Fatalf("TotalCoreDynPowerW = %g", got)
 	}
-	if got := s.TotalCoreLeakPowerW(); math.Abs(got-0.10) > 1e-12 {
-		t.Fatalf("TotalCoreLeakPowerW = %g", got)
-	}
 	if got := s.TotalCoreAreaMM2(); got != 10 {
 		t.Fatalf("TotalCoreAreaMM2 = %g", got)
 	}
@@ -159,9 +142,8 @@ func TestMergedSingleIsland(t *testing.T) {
 			t.Fatalf("core %d not in island 0", c)
 		}
 	}
-	intra, inter := m.FlowsBetween()
-	if len(inter) != 0 || len(intra) != 4 {
-		t.Fatalf("merged spec still has inter-island flows: %d", len(inter))
+	if len(m.Flows) != 4 {
+		t.Fatalf("merged spec has %d flows, want all 4", len(m.Flows))
 	}
 }
 

@@ -165,9 +165,11 @@ func encodeLibrary(e *denc, l *model.Library) {
 // fields of options deleted when their defaults became engine
 // constants: the partition engine selection, the router's cost and
 // switch-size overrides and its load balancing, and the FM pass count.
+// v5 dropped the design-point cap, an option deleted because only
+// tests set it.
 func OptionsDigest(opt core.Options, lib *model.Library) Digest {
 	e := &denc{}
-	e.str("nocvi-opt-v4")
+	e.str("nocvi-opt-v5")
 	alpha := opt.Alpha
 	if alpha == 0 { //noclint:ignore floateq 0 is the documented unset sentinel for Alpha, resolved like Options.alpha does
 		alpha = vcg.DefaultAlpha
@@ -180,7 +182,6 @@ func OptionsDigest(opt core.Options, lib *model.Library) Digest {
 		midV = 1.0
 	}
 	e.f64(midV)
-	e.int(opt.MaxDesignPoints)
 	e.bool(opt.Router.NoNewLinks)
 	e.f64(opt.Floorplan.WhitespaceFrac)
 	e.bool(opt.Floorplan.SkipAnnotate)

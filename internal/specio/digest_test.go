@@ -67,11 +67,11 @@ func TestLibraryAndOptionsDigestGoldens(t *testing.T) {
 	if got := LibraryDigest(lib).String(); got != "fe2b2b57460ecad98b520b7b7c149932541bfddc7e9a1c9d76b0230c65032d06" {
 		t.Errorf("library digest %s", got)
 	}
-	if got := OptionsDigest(core.Options{}, lib).String(); got != "dbfe875b337f2474fa1fde0e58868132e5829b8f0168d83f50044bc3785f1beb" {
+	if got := OptionsDigest(core.Options{}, lib).String(); got != "717725453e2d261f37f6b1c2dfb6a8b2cea3480a221d8b3fbc709a6f769770f1" {
 		t.Errorf("zero options digest %s", got)
 	}
 	opt := core.Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}
-	if got := OptionsDigest(opt, lib).String(); got != "47acab8c7b4ef8d45dd8ee3a22751b4f7c0a82e417f2a36637277e5ba6237b27" {
+	if got := OptionsDigest(opt, lib).String(); got != "f7f27388ee3e5cbeecafd11152a6b9ca2a10d8e1ab6a66150b9e078c58188146" {
 		t.Errorf("bench options digest %s", got)
 	}
 }

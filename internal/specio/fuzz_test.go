@@ -11,8 +11,8 @@ import (
 )
 
 // FuzzSpecSynthesize drives arbitrary bytes through the spec boundary
-// into the engine: ReadSpec, Validate, then Synthesize stopped at the
-// first valid design point. Every input must end in an error or in a
+// into the engine: ReadSpec, Validate, then the full Synthesize sweep.
+// Every input must end in an error or in a
 // best point whose topology validates (shutdown invariant included)
 // and is deadlock-free — never in a panic.
 //
@@ -42,7 +42,7 @@ func FuzzSpecSynthesize(f *testing.F) {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("ReadSpec accepted a spec that does not validate: %v", err)
 		}
-		res, err := core.Synthesize(spec, lib, core.Options{MaxDesignPoints: 1, Workers: 1})
+		res, err := core.Synthesize(spec, lib, core.Options{Workers: 1})
 		if err != nil {
 			return
 		}

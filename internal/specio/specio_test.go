@@ -72,11 +72,11 @@ func TestRoundTripD26(t *testing.T) {
 	}
 	// A loaded spec must synthesize identically.
 	lib := model.Default65nm()
-	a, err := core.Synthesize(orig, lib, core.Options{MaxDesignPoints: 1})
+	a, err := core.Synthesize(orig, lib, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Synthesize(back, lib, core.Options{MaxDesignPoints: 1})
+	b, err := core.Synthesize(back, lib, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSaveLoadFiles(t *testing.T) {
 func TestWriteTopology(t *testing.T) {
 	spec := bench.Example()
 	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{
-		AllowIntermediate: true, MaxDesignPoints: 1,
+		AllowIntermediate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestWriteTopology(t *testing.T) {
 func TestTopologyRoundTrip(t *testing.T) {
 	spec := bench.Example()
 	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{
-		AllowIntermediate: true, MaxDesignPoints: 1,
+		AllowIntermediate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestTopologyRoundTrip(t *testing.T) {
 func TestReadTopologyErrors(t *testing.T) {
 	spec := bench.Example()
 	lib := model.Default65nm()
-	res, err := core.Synthesize(spec, lib, core.Options{MaxDesignPoints: 1})
+	res, err := core.Synthesize(spec, lib, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

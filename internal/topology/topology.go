@@ -444,42 +444,16 @@ func (t *Topology) SwitchSize(sw SwitchID) int {
 	return out
 }
 
-// SwitchTrafficBps returns the aggregate traffic through a switch
-// (bytes/s summed over routed flows that traverse it).
-func (t *Topology) SwitchTrafficBps(sw SwitchID) float64 {
-	var sum float64
-	for _, r := range t.Routes {
-		for _, s := range r.Switches {
-			if s == sw {
-				sum += r.Flow.BandwidthBps
-				break
-			}
-		}
-	}
-	return sum
-}
-
 // ZeroLoadLatencyCycles returns the zero-load latency of a route in NoC
 // cycles: the NI injection link, one switch traversal per hop, one cycle
 // per inter-switch link, the converter penalty per island crossing, and
 // the NI ejection link.
 func (t *Topology) ZeroLoadLatencyCycles(r *Route) float64 {
-	return t.pathZeroLoadLatency(r.Switches, r.Links)
-}
-
-// PathZeroLoadLatencyCycles is ZeroLoadLatencyCycles for a standalone
-// Path — the figure a backup route would deliver if a fault activated
-// it.
-func (t *Topology) PathZeroLoadLatencyCycles(p *Path) float64 {
-	return t.pathZeroLoadLatency(p.Switches, p.Links)
-}
-
-func (t *Topology) pathZeroLoadLatency(switches []SwitchID, links []LinkID) float64 {
 	lat := model.LinkTraversalCycles // NI -> first switch
-	for range switches {
+	for range r.Switches {
 		lat += model.SwitchTraversalCycles
 	}
-	for _, lid := range links {
+	for _, lid := range r.Links {
 		lat += model.LinkTraversalCycles
 		if t.Links[lid].CrossesIslands {
 			lat += model.FIFOCrossingCycles
@@ -781,32 +755,6 @@ func (t *Topology) checkIslandDiscipline(f soc.Flow, switches []SwitchID, srcIsl
 		prev = rk
 	}
 	return nil
-}
-
-// RoutesThroughIsland returns the indices of routes that traverse at
-// least one switch in the given island.
-func (t *Topology) RoutesThroughIsland(isl soc.IslandID) []int {
-	var out []int
-	for ri := range t.Routes {
-		for _, sw := range t.Routes[ri].Switches {
-			if t.Switches[sw].Island == isl {
-				out = append(out, ri)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// SwitchesIn returns the IDs of switches in the given island.
-func (t *Topology) SwitchesIn(isl soc.IslandID) []SwitchID {
-	var out []SwitchID
-	for _, s := range t.Switches {
-		if s.Island == isl {
-			out = append(out, s.ID)
-		}
-	}
-	return out
 }
 
 // MaxLinkUtilization returns the highest traffic/capacity ratio over all

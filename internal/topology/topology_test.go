@@ -159,16 +159,6 @@ func TestZeroLoadLatency(t *testing.T) {
 	}
 }
 
-func TestSwitchTraffic(t *testing.T) {
-	top := buildValid(t)
-	if got := top.SwitchTrafficBps(0); got != 450e6 {
-		t.Fatalf("switch0 traffic = %g, want 4.5e8", got)
-	}
-	if got := top.SwitchTrafficBps(1); got != 100e6 {
-		t.Fatalf("switch1 traffic = %g", got)
-	}
-}
-
 func TestRouteValidationErrors(t *testing.T) {
 	top := buildValid(t)
 	bad := []Route{
@@ -303,12 +293,6 @@ func TestIntermediateIslandSafe(t *testing.T) {
 
 func TestHelpers(t *testing.T) {
 	top := buildValid(t)
-	if got := top.RoutesThroughIsland(0); len(got) != 2 {
-		t.Fatalf("routes through island 0 = %v", got)
-	}
-	if got := top.SwitchesIn(1); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("switches in island 1 = %v", got)
-	}
 	if u := top.MaxLinkUtilization(); u <= 0 || u > 1 {
 		t.Fatalf("utilization = %g", u)
 	}

@@ -8,7 +8,6 @@ package verify
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"nocvi/internal/deadlock"
@@ -160,27 +159,4 @@ func (r *Report) Format() string {
 			isl.Name, isl.SurvivingFlows, isl.LostFlows, isl.SavedFrac*100, ok)
 	}
 	return b.String()
-}
-
-// RoundTripUtilization is a helper for tests: the utilization recomputed
-// from routes must match the link bookkeeping.
-func RoundTripUtilization(top *topology.Topology) float64 {
-	traffic := make([]float64, len(top.Links))
-	for ri := range top.Routes {
-		for _, l := range top.Routes[ri].Links {
-			traffic[l] += top.Routes[ri].Flow.BandwidthBps
-		}
-	}
-	var worst float64
-	for i, l := range top.Links {
-		if !num.Within(traffic[i], l.TrafficBps, 1e-6) {
-			return math.Inf(1) // bookkeeping broken
-		}
-		if l.CapacityBps > 0 {
-			if u := traffic[i] / l.CapacityBps; u > worst {
-				worst = u
-			}
-		}
-	}
-	return worst
 }

@@ -8,6 +8,8 @@ import (
 	"nocvi/internal/bench"
 	"nocvi/internal/core"
 	"nocvi/internal/model"
+	"nocvi/internal/num"
+	"nocvi/internal/topology"
 	"nocvi/internal/verify"
 	"nocvi/internal/viplace"
 )
@@ -19,7 +21,7 @@ func synth(t *testing.T) *core.DesignPoint {
 		t.Fatal(err)
 	}
 	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{
-		AllowIntermediate: true, MaxDesignPoints: 1,
+		AllowIntermediate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,14 +92,36 @@ func TestSignoffCatchesOverload(t *testing.T) {
 		t.Fatal("report should say FAIL")
 	}
 	// The round-trip helper must now disagree with the books.
-	if !math.IsInf(verify.RoundTripUtilization(dp.Top), 1) {
+	if !math.IsInf(roundTripUtilization(dp.Top), 1) {
 		t.Fatal("traffic bookkeeping corruption not detected")
 	}
 }
 
+// roundTripUtilization recomputes the worst link utilization from the
+// routes, or +Inf when a link's recorded traffic disagrees with the
+// routes crossing it: a check of the topology's traffic bookkeeping.
+func roundTripUtilization(top *topology.Topology) float64 {
+	traffic := make([]float64, len(top.Links))
+	for ri := range top.Routes {
+		for _, l := range top.Routes[ri].Links {
+			traffic[l] += top.Routes[ri].Flow.BandwidthBps
+		}
+	}
+	var worst float64
+	for i, l := range top.Links {
+		if !num.Within(traffic[i], l.TrafficBps, 1e-6) {
+			return math.Inf(1) // bookkeeping broken
+		}
+		if l.CapacityBps > 0 {
+			worst = max(worst, traffic[i]/l.CapacityBps)
+		}
+	}
+	return worst
+}
+
 func TestRoundTripUtilizationAgrees(t *testing.T) {
 	dp := synth(t)
-	rt := verify.RoundTripUtilization(dp.Top)
+	rt := roundTripUtilization(dp.Top)
 	if math.IsInf(rt, 1) {
 		t.Fatal("bookkeeping mismatch on a fresh design")
 	}

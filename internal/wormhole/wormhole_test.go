@@ -65,7 +65,7 @@ func synthD26(t *testing.T) *topology.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{MaxDesignPoints: 1})
+	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,9 @@ func SynthesizeContext(ctx context.Context, spec *Spec, lib *Library, opt Option
 // Result.Errors.
 type CandidateError = core.CandidateError
 
-// Result.StopReason values.
+// StopReason values. A Result carries StopComplete, StopCanceled or
+// StopDeadline; StopTruncated marks a streaming sweep stopped at its
+// limit.
 const (
 	StopComplete  = core.StopComplete
 	StopTruncated = core.StopTruncated

@@ -17,7 +17,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	res, err := nocvi.Synthesize(spec, nocvi.DefaultLibrary(), nocvi.Options{
 		AllowIntermediate: true,
-		MaxDesignPoints:   8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestPublicAPIUseCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nocvi.Synthesize(spec, nocvi.DefaultLibrary(), nocvi.Options{MaxDesignPoints: 1})
+	res, err := nocvi.Synthesize(spec, nocvi.DefaultLibrary(), nocvi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +196,8 @@ func TestPublicAPIParallelSynthesis(t *testing.T) {
 		t.Fatalf("worker count changed the result: %d/%d vs %d/%d points",
 			len(serial.Points), serial.Explored, len(parallel.Points), parallel.Explored)
 	}
-	if serial.Truncated || parallel.Truncated {
-		t.Fatal("exhaustive sweep reported Truncated")
+	if serial.StopReason != nocvi.StopComplete || parallel.StopReason != nocvi.StopComplete {
+		t.Fatalf("exhaustive sweep stopped early: %q/%q", serial.StopReason, parallel.StopReason)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -37,15 +37,14 @@
 // Passing an empty -o checks without touching any file.
 //
 // With -campaign FILE a power-state fault-campaign report (written by
-// `nocsynth -campaign-json`) is condensed into the record's "campaign"
-// section, keyed by design. Merging a report with invariant violations
-// always fails — a design that breaks the shutdown guarantee must not
-// be folded into the record silently — and -campaign-floor F
-// additionally asserts the aggregate link-fault recoverability. A
-// campaign-only invocation (no benchmark lines on stdin) is valid:
+// `nocsynth -campaign-json`) is checked: a report with invariant
+// violations always fails — a design that breaks the shutdown guarantee
+// must not pass silently — and -survive-floor F additionally asserts
+// the survivability contract of a k>=1 run. A campaign-only invocation
+// (no benchmark lines on stdin) is valid:
 //
 //	nocsynth -bench d26_media -campaign -campaign-json camp.json
-//	go run ./tools/bench2json -campaign camp.json -campaign-floor 0.5 -o '' </dev/null
+//	go run ./tools/bench2json -campaign camp.json -o '' </dev/null
 package main
 
 import (
@@ -110,26 +109,6 @@ type pruneSummary struct {
 	Speedup    float64 `json:"speedup_vs_noprune"`
 }
 
-// campaignSummary condenses one power-state fault-campaign report
-// (nocsynth -campaign-json) for the record's "campaign" section.
-type campaignSummary struct {
-	States              int     `json:"states"`
-	Sampled             bool    `json:"sampled,omitempty"`
-	InvariantViolations int     `json:"invariant_violations"`
-	LinkFaults          int     `json:"link_faults"`
-	RecoverableFrac     float64 `json:"recoverable_frac"`
-}
-
-// surviveSummary condenses the survivability side of a campaign report
-// produced by a k>=1 run: how many of the composed link faults were
-// absorbed by a pre-synthesized backup with zero re-routing.
-type surviveSummary struct {
-	Survivability   int     `json:"survivability"`
-	LinkFaults      int     `json:"link_faults"`
-	ZeroReroute     int     `json:"zero_reroute"`
-	ZeroRerouteFrac float64 `json:"zero_reroute_frac"`
-}
-
 type record struct {
 	// GoMaxProcs is the widest GOMAXPROCS lane of the most recent write;
 	// NumCPU the runtime.NumCPU of the measuring machine; Lanes every
@@ -153,11 +132,6 @@ type record struct {
 	// Prune holds the SynthesizePrune branch-and-bound ratios, computed
 	// from Current when present, else Baseline.
 	Prune *pruneSummary `json:"prune,omitempty"`
-	// Campaign holds the latest fault-campaign summary per design.
-	Campaign map[string]campaignSummary `json:"campaign,omitempty"`
-	// Survive holds the latest survivability summary per design, filled
-	// from campaign reports produced by k>=1 runs.
-	Survive map[string]surviveSummary `json:"survive,omitempty"`
 }
 
 func main() {
@@ -165,8 +139,7 @@ func main() {
 	section := flag.String("set", "auto", "section to write: baseline|current|auto (auto seeds the baseline on first run)")
 	floor := flag.Float64("floor", 0, "fail unless every workers= suite on stdin reaches this speedup over workers=1 (skipped with a note on GOMAXPROCS=1 data)")
 	requireProcs := flag.Int("require-procs", 0, "with -floor: fail unless the input has a GOMAXPROCS lane of at least this width")
-	campaignPath := flag.String("campaign", "", "fold a fault-campaign JSON report (nocsynth -campaign-json) into the record")
-	campaignFloor := flag.Float64("campaign-floor", 0, "fail unless the -campaign report's aggregate recoverability reaches this fraction")
+	campaignPath := flag.String("campaign", "", "check a fault-campaign JSON report (nocsynth -campaign-json): fail on any shutdown-invariant violation")
 	surviveFloor := flag.Float64("survive-floor", 0, "fail unless the -campaign report came from a survivability>=1 run with no non-recoverable link fault and a zero-re-route fraction of at least this value")
 	cacheFloor := flag.Float64("cache-floor", 0, "fail unless the SynthesizeCached lanes on stdin show at least this cold/warm full-hit speedup")
 	pruneFloor := flag.Float64("prune-floor", 0, "fail unless the SynthesizePrune lanes on stdin show at least this speedup over the exhaustive sweep, with a nonzero pruned fraction")
@@ -227,11 +200,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	campDesign, campSum := "", campaignSummary{}
-	var survSum *surviveSummary
 	if *campaignPath != "" {
-		campDesign, campSum, survSum, err = loadCampaign(*campaignPath, *campaignFloor, *surviveFloor)
-		if err != nil {
+		if err := loadCampaign(*campaignPath, *surviveFloor); err != nil {
 			fmt.Fprintln(os.Stderr, "bench2json:", err)
 			os.Exit(1)
 		}
@@ -251,7 +221,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	migrate(&rec)
 
 	dst := *section
 	if dst == "auto" {
@@ -291,18 +260,6 @@ func main() {
 			rec.Prune = ps
 		}
 	}
-	if campDesign != "" {
-		if rec.Campaign == nil {
-			rec.Campaign = make(map[string]campaignSummary)
-		}
-		rec.Campaign[campDesign] = campSum
-		if survSum != nil {
-			if rec.Survive == nil {
-				rec.Survive = make(map[string]surviveSummary)
-			}
-			rec.Survive[campDesign] = *survSum
-		}
-	}
 
 	data, err := json.MarshalIndent(&rec, "", "  ")
 	if err != nil {
@@ -316,55 +273,24 @@ func main() {
 	fmt.Printf("[wrote %s: %d benchmarks into %q]\n", *out, len(results), dst)
 }
 
-// migrate rewrites records from before lane-keying: bare benchmark
-// names gain the @pN suffix of the GOMAXPROCS the record says it was
-// measured at, so old baselines keep pairing with new lanes instead of
-// silently never matching again.
-func migrate(rec *record) {
-	procs := rec.GoMaxProcs
-	if procs <= 0 {
-		procs = 1
-	}
-	fix := func(m map[string]result) map[string]result {
-		if m == nil {
-			return nil
-		}
-		out := make(map[string]result, len(m))
-		for name, r := range m {
-			if !strings.Contains(name, "@p") {
-				name = fmt.Sprintf("%s@p%d", name, procs)
-			}
-			out[name] = r
-		}
-		return out
-	}
-	rec.Baseline = fix(rec.Baseline)
-	rec.Current = fix(rec.Current)
-}
-
 // loadCampaign reads a campaign report written by `nocsynth
-// -campaign-json`, verifies it (zero invariant violations always;
-// aggregate recoverability at least floor when floor > 0; the
-// survivability contract when surviveFloor > 0), and returns its design
-// name with the condensed summary. The survive summary is non-nil only
-// for reports produced by a survivability>=1 run.
+// -campaign-json` and verifies it: zero invariant violations always,
+// and the survivability contract when surviveFloor > 0.
 //
 // surviveFloor asserts the zero-re-route guarantee the -survive k
 // synthesis promises: the report must come from a k>=1 run, every
 // composed link fault must be recoverable (one non-recoverable fault is
 // a hard failure regardless of the fraction), and the fraction absorbed
 // with zero re-routing must reach the floor.
-func loadCampaign(path string, floor, surviveFloor float64) (string, campaignSummary, *surviveSummary, error) {
-	var sum campaignSummary
+func loadCampaign(path string, surviveFloor float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", sum, nil, err
+		return err
 	}
 	// The shape mirrors fault.Campaign's JSON; only the aggregate fields
 	// are read, so the per-state detail can evolve independently.
 	var rep struct {
 		Design              string            `json:"design"`
-		Sampled             bool              `json:"sampled"`
 		States              []json.RawMessage `json:"states"`
 		InvariantViolations int               `json:"invariant_violations"`
 		LinkFaults          int               `json:"link_faults"`
@@ -373,55 +299,34 @@ func loadCampaign(path string, floor, surviveFloor float64) (string, campaignSum
 		Survivability       int               `json:"survivability"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return "", sum, nil, fmt.Errorf("%s: %w", path, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	if rep.Design == "" || len(rep.States) == 0 {
-		return "", sum, nil, fmt.Errorf("%s: not a campaign report (no design or states)", path)
-	}
-	sum = campaignSummary{
-		States:              len(rep.States),
-		Sampled:             rep.Sampled,
-		InvariantViolations: rep.InvariantViolations,
-		LinkFaults:          rep.LinkFaults,
-		RecoverableFrac:     1,
-	}
-	if rep.LinkFaults > 0 {
-		sum.RecoverableFrac = round2(float64(rep.Recovered) / float64(rep.LinkFaults))
-	}
-	var surv *surviveSummary
-	if rep.Survivability >= 1 {
-		surv = &surviveSummary{
-			Survivability:   rep.Survivability,
-			LinkFaults:      rep.LinkFaults,
-			ZeroReroute:     rep.ZeroReroute,
-			ZeroRerouteFrac: 1,
-		}
-		if rep.LinkFaults > 0 {
-			surv.ZeroRerouteFrac = round2(float64(rep.ZeroReroute) / float64(rep.LinkFaults))
-		}
+		return fmt.Errorf("%s: not a campaign report (no design or states)", path)
 	}
 	if rep.InvariantViolations != 0 {
-		return "", sum, nil, fmt.Errorf("%s: %s violates the shutdown invariant in %d power state(s)",
+		return fmt.Errorf("%s: %s violates the shutdown invariant in %d power state(s)",
 			path, rep.Design, rep.InvariantViolations)
 	}
-	if floor > 0 && sum.RecoverableFrac < floor {
-		return "", sum, nil, fmt.Errorf("%s: %s aggregate recoverability %.2f below the %.2f floor",
-			path, rep.Design, sum.RecoverableFrac, floor)
+	if surviveFloor <= 0 {
+		return nil
 	}
-	if surviveFloor > 0 {
-		switch {
-		case surv == nil:
-			return "", sum, nil, fmt.Errorf("%s: -survive-floor %.2f: report was not produced by a survivability>=1 run",
-				path, surviveFloor)
-		case rep.Recovered < rep.LinkFaults:
-			return "", sum, nil, fmt.Errorf("%s: %s has %d non-recoverable link fault(s) — a survivability>=1 design must absorb every single-link fault",
-				path, rep.Design, rep.LinkFaults-rep.Recovered)
-		case surv.ZeroRerouteFrac < surviveFloor:
-			return "", sum, nil, fmt.Errorf("%s: %s zero-re-route fraction %.2f below the %.2f floor (%d/%d faults needed re-routing)",
-				path, rep.Design, surv.ZeroRerouteFrac, surviveFloor, rep.LinkFaults-rep.ZeroReroute, rep.LinkFaults)
-		}
+	zeroFrac := 1.0
+	if rep.LinkFaults > 0 {
+		zeroFrac = round2(float64(rep.ZeroReroute) / float64(rep.LinkFaults))
 	}
-	return rep.Design, sum, surv, nil
+	switch {
+	case rep.Survivability < 1:
+		return fmt.Errorf("%s: -survive-floor %.2f: report was not produced by a survivability>=1 run",
+			path, surviveFloor)
+	case rep.Recovered < rep.LinkFaults:
+		return fmt.Errorf("%s: %s has %d non-recoverable link fault(s) — a survivability>=1 design must absorb every single-link fault",
+			path, rep.Design, rep.LinkFaults-rep.Recovered)
+	case zeroFrac < surviveFloor:
+		return fmt.Errorf("%s: %s zero-re-route fraction %.2f below the %.2f floor (%d/%d faults needed re-routing)",
+			path, rep.Design, zeroFrac, surviveFloor, rep.LinkFaults-rep.ZeroReroute, rep.LinkFaults)
+	}
+	return nil
 }
 
 // parseBench extracts benchmark result lines from `go test -bench`

@@ -81,21 +81,6 @@ func TestSplitKey(t *testing.T) {
 	}
 }
 
-func TestMigrate(t *testing.T) {
-	rec := record{
-		GoMaxProcs: 1,
-		Baseline:   map[string]result{"RouteAll/d26": {NsPerOp: 5}},
-		Current:    map[string]result{"RouteAll/d26@p4": {NsPerOp: 4}},
-	}
-	migrate(&rec)
-	if _, ok := rec.Baseline["RouteAll/d26@p1"]; !ok {
-		t.Fatalf("legacy baseline key not migrated: %v", rec.Baseline)
-	}
-	if _, ok := rec.Current["RouteAll/d26@p4"]; !ok {
-		t.Fatalf("already-keyed record must pass through: %v", rec.Current)
-	}
-}
-
 func TestDeltas(t *testing.T) {
 	base := map[string]result{"a": {NsPerOp: 200, AllocsPerOp: 100}, "only_base": {NsPerOp: 1}}
 	cur := map[string]result{"a": {NsPerOp: 100, AllocsPerOp: 25}}
@@ -231,21 +216,8 @@ func TestLoadCampaign(t *testing.T) {
 		"state_space": 16, "states": [{"mask":0},{"mask":1}],
 		"invariant_violations": 0, "link_faults": 40, "recovered": 30
 	}`)
-	design, sum, surv, err := loadCampaign(path, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if design != "d26_media" {
-		t.Fatalf("design = %q", design)
-	}
-	if sum.States != 2 || sum.LinkFaults != 40 || sum.RecoverableFrac != 0.75 {
-		t.Fatalf("wrong summary: %+v", sum)
-	}
-	if surv != nil {
-		t.Fatalf("k=0 report grew a survive summary: %+v", surv)
-	}
-	if _, _, _, err := loadCampaign(path, 0.9, 0); err == nil {
-		t.Fatal("recoverability 0.75 must fail floor 0.9")
+	if err := loadCampaign(path, 0); err != nil {
+		t.Fatalf("a clean k=0 report with unrecovered faults must pass: %v", err)
 	}
 }
 
@@ -254,16 +226,16 @@ func TestLoadCampaignRejectsViolations(t *testing.T) {
 		"design": "bad", "states": [{"mask":0}],
 		"invariant_violations": 1, "link_faults": 1, "recovered": 1
 	}`)
-	if _, _, _, err := loadCampaign(path, 0, 0); err == nil {
+	if err := loadCampaign(path, 0); err == nil {
 		t.Fatal("a report with invariant violations must be rejected even without a floor")
 	}
 }
 
 func TestLoadCampaignRejectsGarbage(t *testing.T) {
-	if _, _, _, err := loadCampaign(writeCampaign(t, `{"current": {}}`), 0, 0); err == nil {
+	if err := loadCampaign(writeCampaign(t, `{"current": {}}`), 0); err == nil {
 		t.Fatal("a non-campaign JSON must be rejected")
 	}
-	if _, _, _, err := loadCampaign(filepath.Join(t.TempDir(), "missing.json"), 0, 0); err == nil {
+	if err := loadCampaign(filepath.Join(t.TempDir(), "missing.json"), 0); err == nil {
 		t.Fatal("a missing file must be rejected")
 	}
 }
@@ -292,20 +264,15 @@ func TestAssertFloor(t *testing.T) {
 }
 
 func TestLoadCampaignSurviveFloor(t *testing.T) {
-	// A k=1 report with full zero-reroute coverage passes the floor and
-	// yields a survive summary.
+	// A k=1 report with full zero-reroute coverage passes the floor.
 	good := writeCampaign(t, `{
 		"design": "d26_media", "islands": 6, "shutdownable": 4,
 		"state_space": 16, "states": [{"mask":0}],
 		"invariant_violations": 0, "link_faults": 40, "recovered": 40,
 		"zero_reroute": 40, "survivability": 1
 	}`)
-	_, _, surv, err := loadCampaign(good, 0, 1)
-	if err != nil {
+	if err := loadCampaign(good, 1); err != nil {
 		t.Fatal(err)
-	}
-	if surv == nil || surv.Survivability != 1 || surv.ZeroRerouteFrac != 1 {
-		t.Fatalf("wrong survive summary: %+v", surv)
 	}
 
 	// A k=0 report must be rejected outright by any survive floor: it
@@ -314,7 +281,7 @@ func TestLoadCampaignSurviveFloor(t *testing.T) {
 		"design": "d26_media", "states": [{"mask":0}],
 		"invariant_violations": 0, "link_faults": 40, "recovered": 40
 	}`)
-	if _, _, _, err := loadCampaign(plain, 0, 0.1); err == nil {
+	if err := loadCampaign(plain, 0.1); err == nil {
 		t.Fatal("survive floor accepted a report without a survivability run")
 	}
 
@@ -325,7 +292,7 @@ func TestLoadCampaignSurviveFloor(t *testing.T) {
 		"invariant_violations": 0, "link_faults": 40, "recovered": 39,
 		"zero_reroute": 39, "survivability": 1
 	}`)
-	if _, _, _, err := loadCampaign(broken, 0, 0.1); err == nil {
+	if err := loadCampaign(broken, 0.1); err == nil {
 		t.Fatal("survive floor accepted a k=1 run with a non-recoverable link fault")
 	}
 
@@ -336,7 +303,7 @@ func TestLoadCampaignSurviveFloor(t *testing.T) {
 		"invariant_violations": 0, "link_faults": 40, "recovered": 40,
 		"zero_reroute": 20, "survivability": 1
 	}`)
-	if _, _, _, err := loadCampaign(rerouted, 0, 0.9); err == nil {
+	if err := loadCampaign(rerouted, 0.9); err == nil {
 		t.Fatal("survive floor 0.9 accepted 50% zero-reroute coverage")
 	}
 }
