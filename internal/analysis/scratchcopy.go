@@ -10,11 +10,11 @@ import (
 // graph.Scratch, partition.Scratch, floorplan.Scratch,
 // deadlock.Scratch, power.Scratch — and of any
 // struct that embeds one of them as a non-pointer field (the sweep's
-// buildContext, for example). The scratch structs are the per-worker
-// arenas the parallel sweep's zero-allocation steady state rests on:
-// they hold multi-kilobyte reusable buffers plus interior pointers
-// back into themselves (the router is pinned to its scratch with
-// SetScratch). A by-value copy silently duplicates the buffers,
+// buildContext and route.Router, for example). The scratch structs are
+// the per-worker arenas the parallel sweep's zero-allocation steady
+// state rests on: they hold multi-kilobyte reusable buffers plus
+// interior pointers back into themselves. A by-value copy silently
+// duplicates the buffers,
 // resurrects the allocation churn the arenas exist to remove, and —
 // worse — leaves the copy's interior pointers aimed at the original,
 // so two workers end up sharing "private" buffers and the

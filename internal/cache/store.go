@@ -84,7 +84,13 @@ import (
 // the sweep driver runs in one pass — results and encoded bytes are
 // identical, but the driver and the collectors moved, and the options
 // digest dropped the cap (nocvi-opt-v5).
-const EngineVersion = 10
+//
+// v11: links are indexed by per-switch chains instead of a hash map,
+// the router owns its Dijkstra scratch (no pool), one path-latency
+// formula serves the router and the topology, and one argmin order
+// serves Result and the sweep — results and encoded bytes are
+// identical, but the hot path moved.
+const EngineVersion = 11
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

@@ -3,7 +3,6 @@ package core
 import (
 	"nocvi/internal/deadlock"
 	"nocvi/internal/floorplan"
-	"nocvi/internal/graph"
 	"nocvi/internal/partition"
 	"nocvi/internal/power"
 	"nocvi/internal/route"
@@ -12,7 +11,7 @@ import (
 
 // buildContext is one worker's reusable build arena: the pooled
 // topology under construction, the router (with its subgraph cache and
-// pinned Dijkstra scratch), and the deadlock checker's, floorplanner's
+// Dijkstra scratch), and the deadlock checker's, floorplanner's
 // and power model's scratch buffers, all recycled across the candidates
 // the worker evaluates. One buildContext must not be used by two
 // goroutines concurrently.
@@ -31,13 +30,12 @@ import (
 type buildContext struct {
 	env *sweepEnv
 
-	top     *topology.Topology // nil until first use or after handoff
-	router  *route.Router      // nil until first use
-	scratch graph.Scratch      // pinned to router, replaces pool traffic
-	dl      deadlock.Scratch
-	fp      floorplan.Scratch
-	pw      power.Scratch
-	part    partition.Scratch // worker-owned min-cut buffers for first-touch partition-table entries
+	top    *topology.Topology // nil until first use or after handoff
+	router *route.Router      // nil until first use
+	dl     deadlock.Scratch
+	fp     floorplan.Scratch
+	pw     power.Scratch
+	part   partition.Scratch // worker-owned min-cut buffers for first-touch partition-table entries
 
 	// pruneIdx bounds the incumbent witnesses buildPoint's staged bound
 	// check accepts (strictly smaller candidate indices), set before
@@ -69,7 +67,6 @@ func (bc *buildContext) takeTop() *topology.Topology {
 func (bc *buildContext) takeRouter(top *topology.Topology) *route.Router {
 	if bc.router == nil {
 		bc.router = route.New(top, bc.env.opt.Router)
-		bc.router.SetScratch(&bc.scratch)
 	} else {
 		bc.router.Reset(top)
 	}

@@ -120,7 +120,7 @@ func TestArenaNoStateLeak(t *testing.T) {
 					t.Fatalf("%s: the collector's reclaimed topology and placement were not reused", label)
 				}
 				if mode.stream {
-					cols.add(0, shared, uint64(i), c.counts, c.mid, evalOutcome{dp: reused})
+					cols.add(0, shared, uint64(i), evalOutcome{dp: reused})
 					recycled = reused
 				}
 			}

@@ -409,7 +409,7 @@ type orderedCollector struct {
 	outs []evalOutcome // outcome of index i at outs[i]
 }
 
-func (c *orderedCollector) add(_ int, _ *buildContext, idx uint64, _ []int, _ int, out evalOutcome) {
+func (c *orderedCollector) add(_ int, _ *buildContext, idx uint64, out evalOutcome) {
 	c.outs[idx] = out
 }
 
@@ -665,52 +665,46 @@ func Unrouted(spec *soc.Spec, lib *model.Library, opt Options, step, mid int) (*
 // Best returns the design point with the lowest NoC dynamic power,
 // preferring points without wire-delay violations. Nil when empty.
 func (r *Result) Best() *DesignPoint {
-	return r.argmin(func(d *DesignPoint) float64 { return d.NoCPower.DynW() })
+	return r.argmin(powerOf)
 }
 
 // BestLatency returns the design point with the lowest mean zero-load
 // latency, preferring points without wire-delay violations.
 func (r *Result) BestLatency() *DesignPoint {
-	return r.argmin(func(d *DesignPoint) float64 { return d.MeanLatencyCycles })
+	return r.argmin(latencyOf)
 }
 
-// argmin selects the minimal point under an explicit deterministic
-// ordering: fewest wire violations, then lowest metric, then — on exact
-// metric ties — lowest total direct switch count, then lowest
-// intermediate switch count. The tie-break makes the selection
-// independent of Points ordering, so serial and parallel sweeps (whose
-// Points order is canonical anyway) can never disagree.
-func (r *Result) argmin(metric func(*DesignPoint) float64) *DesignPoint {
-	var best *DesignPoint
-	bestViol := math.MaxInt32
-	bestVal := math.Inf(1)
+// argmin selects the minimal point under sweepBetter, the order the
+// streaming sweep's winners use too, with a point's position in Points
+// as its index. The tie-break makes the selection independent of
+// Points ordering, so serial and parallel sweeps (whose Points order is
+// canonical anyway) can never disagree.
+func (r *Result) argmin(metric func(*SweepPoint) float64) *DesignPoint {
+	best := -1
+	var bestP SweepPoint
 	for i := range r.Points {
-		d := &r.Points[i]
-		v := metric(d)
-		better := false
-		switch {
-		case d.WireViolations != bestViol:
-			better = d.WireViolations < bestViol
-		case v != bestVal: //noclint:ignore floateq exact compare keeps the argmin tie-break chain bit-identical across serial and parallel sweeps
-			better = v < bestVal
-		case best != nil && totalSwitches(d) != totalSwitches(best):
-			better = totalSwitches(d) < totalSwitches(best)
-		case best != nil:
-			better = d.MidSwitches < best.MidSwitches
-		}
-		if better {
-			best, bestViol, bestVal = d, d.WireViolations, v
+		p := r.Points[i].summary(uint64(i))
+		if best < 0 || sweepBetter(&p, &bestP, metric) {
+			best, bestP = i, p
 		}
 	}
-	return best
+	if best < 0 {
+		return nil
+	}
+	return &r.Points[best]
 }
 
-func totalSwitches(d *DesignPoint) int {
-	n := 0
-	for _, k := range d.SwitchCounts {
-		n += k
+// summary is d's SweepPoint at index idx. It shares d's SwitchCounts.
+func (d *DesignPoint) summary(idx uint64) SweepPoint {
+	return SweepPoint{
+		Index:          idx,
+		SwitchCounts:   d.SwitchCounts,
+		MidSwitches:    d.MidSwitches,
+		PowerW:         d.NoCPower.DynW(),
+		LatencyCycles:  d.MeanLatencyCycles,
+		AreaMM2:        d.NoCAreaMM2,
+		WireViolations: d.WireViolations,
 	}
-	return n
 }
 
 // RefinePlacement re-floorplans the design point with the annealing

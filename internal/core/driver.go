@@ -415,7 +415,7 @@ func normalizeStack(stack []byte) string {
 // worker's goroutine (w indexes the worker, bc is its arena) for every
 // evaluated index.
 type collector interface {
-	add(w int, bc *buildContext, idx uint64, counts []int, mid int, out evalOutcome)
+	add(w int, bc *buildContext, idx uint64, out evalOutcome)
 }
 
 // drive evaluates indices [0, limit) of the space, limit >= 1, across
@@ -450,7 +450,7 @@ func (env *sweepEnv) drive(ctx context.Context, space candidateSpace, limit uint
 				}
 				for idx := a; idx < min(b, limit); idx++ {
 					mid := space.Decode(idx, counts)
-					col.add(w, bc, idx, counts, mid, env.evaluate(bc, idx, counts, parts, mid))
+					col.add(w, bc, idx, env.evaluate(bc, idx, counts, parts, mid))
 				}
 			}
 		}(w)

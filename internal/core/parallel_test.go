@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"nocvi/internal/bench"
@@ -154,18 +155,103 @@ func TestArgminTieBreak(t *testing.T) {
 		mk([]int{2, 2}, 0), // the canonical winner
 		mk([]int{2, 3}, 0),
 	}}
-	if best := r.Best(); best.MidSwitches != 0 || totalSwitches(best) != 4 {
+	if best := r.Best(); best.MidSwitches != 0 || sumCounts(best.SwitchCounts) != 4 {
 		t.Fatalf("power tie broke to %v/%d", best.SwitchCounts, best.MidSwitches)
 	}
-	if best := r.BestLatency(); best.MidSwitches != 0 || totalSwitches(best) != 4 {
+	if best := r.BestLatency(); best.MidSwitches != 0 || sumCounts(best.SwitchCounts) != 4 {
 		t.Fatalf("latency tie broke to %v/%d", best.SwitchCounts, best.MidSwitches)
 	}
 	// A genuinely better metric still dominates the tie-break.
 	cheap := mk([]int{9, 9}, 3)
 	cheap.NoCPower = power.Breakdown{SwitchDynW: 0.1}
 	r.Points = append(r.Points, cheap)
-	if best := r.Best(); totalSwitches(best) != 18 {
+	if best := r.Best(); sumCounts(best.SwitchCounts) != 18 {
 		t.Fatalf("lower power lost to tie-break: %v", best.SwitchCounts)
+	}
+}
+
+// refArgmin is Result.argmin as it stood before it shared sweepBetter
+// with the streaming sweep, frozen as the oracle the shared order must
+// match. Do not "improve" it: its value is that it picks winners the way
+// the deleted code did.
+func refArgmin(r *Result, metric func(*DesignPoint) float64) *DesignPoint {
+	total := func(d *DesignPoint) int {
+		n := 0
+		for _, k := range d.SwitchCounts {
+			n += k
+		}
+		return n
+	}
+	var best *DesignPoint
+	bestViol := math.MaxInt32
+	bestVal := math.Inf(1)
+	for i := range r.Points {
+		d := &r.Points[i]
+		v := metric(d)
+		better := false
+		switch {
+		case d.WireViolations != bestViol:
+			better = d.WireViolations < bestViol
+		case v != bestVal:
+			better = v < bestVal
+		case best != nil && total(d) != total(best):
+			better = total(d) < total(best)
+		case best != nil:
+			better = d.MidSwitches < best.MidSwitches
+		}
+		if better {
+			best, bestViol, bestVal = d, d.WireViolations, v
+		}
+	}
+	return best
+}
+
+// TestArgminMatchesFrozenReference pins Best and BestLatency to the
+// frozen refArgmin on the bundled suite and 12 random specs, pruned and
+// under NoPrune. Each result is also checked reversed and doubled (every
+// point followed later by an exact twin), which drives the switch-count,
+// mid-count and first-wins tie-breaks.
+func TestArgminMatchesFrozenReference(t *testing.T) {
+	lib := model.Default65nm()
+	var specs []*soc.Spec
+	for _, name := range bench.Names() {
+		spec, err := bench.Islanded(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		specs = append(specs, specgen.Random(seed, specgen.Options{MaxCores: 16, MaxIslands: 4}))
+	}
+	power := func(d *DesignPoint) float64 { return d.NoCPower.DynW() }
+	latency := func(d *DesignPoint) float64 { return d.MeanLatencyCycles }
+	checked := 0
+	for _, spec := range specs {
+		for _, noPrune := range []bool{false, true} {
+			res, err := Synthesize(spec, lib, Options{AllowIntermediate: true, MaxIntermediateSwitches: 2, NoPrune: noPrune})
+			if err != nil {
+				continue // no feasible design: nothing to select
+			}
+			n := len(res.Points)
+			reversed := &Result{Points: make([]DesignPoint, n)}
+			for i := range res.Points {
+				reversed.Points[n-1-i] = res.Points[i]
+			}
+			doubled := &Result{Points: append(append([]DesignPoint(nil), res.Points...), res.Points...)}
+			for _, r := range []*Result{res, reversed, doubled} {
+				if got, want := r.Best(), refArgmin(r, power); got != want {
+					t.Fatalf("%s noPrune=%v: Best = %p, frozen argmin = %p", spec.Name, noPrune, got, want)
+				}
+				if got, want := r.BestLatency(), refArgmin(r, latency); got != want {
+					t.Fatalf("%s noPrune=%v: BestLatency = %p, frozen argmin = %p", spec.Name, noPrune, got, want)
+				}
+			}
+			checked++
+		}
+	}
+	if checked != 2*len(specs) {
+		t.Fatalf("only %d of %d spec/mode pairs synthesized", checked, 2*len(specs))
 	}
 }
 

@@ -120,10 +120,11 @@ type SweepResult struct {
 	PruneStats PruneStats
 }
 
-// sweepBetter is the total order behind both argmins: fewest wire
-// violations, lowest metric, fewest direct switches, fewest mid
-// switches, lowest index. The index tiebreak mirrors serial first-wins
-// and makes the order total, so merging per-worker minima is exact.
+// sweepBetter is the total order behind every argmin — the sweep's two
+// winners and Result.Best/BestLatency: fewest wire violations, lowest
+// metric, fewest direct switches, fewest mid switches, lowest index. The
+// index tiebreak mirrors serial first-wins and makes the order total,
+// so merging per-worker minima is exact.
 func sweepBetter(a, b *SweepPoint, metric func(*SweepPoint) float64) bool {
 	if a.WireViolations != b.WireViolations {
 		return a.WireViolations < b.WireViolations
@@ -241,7 +242,7 @@ func (sc *sweepCollector) addError(idx uint64, ce *CandidateError) {
 // neither per point after warm-up. Nothing it keeps depends on order.
 type streamCollectors []*sweepCollector
 
-func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, counts []int, mid int, out evalOutcome) {
+func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, out evalOutcome) {
 	col := cs[w]
 	col.explored++
 	switch {
@@ -252,16 +253,10 @@ func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, counts []int
 	case out.err != nil:
 		col.addError(idx, out.err)
 	case out.dp != nil:
-		col.addFeasible(SweepPoint{
-			Index:          idx,
-			SwitchCounts:   append([]int(nil), counts...),
-			MidSwitches:    mid,
-			PowerW:         out.dp.NoCPower.DynW(),
-			LatencyCycles:  out.dp.MeanLatencyCycles,
-			AreaMM2:        out.dp.NoCAreaMM2,
-			WireViolations: out.dp.WireViolations,
-		})
-		// Reclaim: the point was summarized, not published.
+		// The point is summarized, not published: the summary keeps its
+		// SwitchCounts copy, and its topology and placement go back to
+		// the arena.
+		col.addFeasible(out.dp.summary(idx))
 		bc.top = out.dp.Top
 		bc.fp.Recycle(out.dp.Placement)
 	}

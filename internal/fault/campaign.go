@@ -499,12 +499,11 @@ func tryWithoutUnderState(a *arena, orig *topology.Topology, failed topology.Lin
 		return recoverViaBackups(orig, failed, off, out), nil
 	}
 
-	r, err := a.rebuild(orig, failed)
-	if err != nil {
+	if err := a.rebuild(orig, failed); err != nil {
 		return out, err
 	}
 	top := a.top
-	if err := r.RouteFlows(a.active); err != nil {
+	if err := a.router.RouteFlows(a.active); err != nil {
 		out.Reason = stableReason(err)
 		return out, nil
 	}

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 
-	"nocvi/internal/graph"
 	"nocvi/internal/route"
 	"nocvi/internal/soc"
 	"nocvi/internal/topology"
@@ -108,11 +107,10 @@ func tryWithout(a *arena, orig *topology.Topology, failed topology.LinkID, flows
 		}
 	}
 
-	r, err := a.rebuild(orig, failed)
-	if err != nil {
+	if err := a.rebuild(orig, failed); err != nil {
 		return out, err
 	}
-	if err := r.RouteFlows(flows); err != nil {
+	if err := a.router.RouteFlows(flows); err != nil {
 		out.Reason = stableReason(err)
 		return out, nil
 	}
@@ -128,35 +126,33 @@ func tryWithout(a *arena, orig *topology.Topology, failed topology.LinkID, flows
 // fault rebuilds the design into top, which Reset clears while keeping
 // the switch, link, route and link-index storage of the previous fault,
 // and re-routes on it with router, which Reset re-targets at the
-// rebuilt topology and which runs on the pinned scratch. active holds
+// rebuilt topology and which keeps its own Dijkstra scratch. active holds
 // the current power state's surviving flows. The zero value is ready:
 // the topology and router are built on the first rebuild, so a
 // survivable campaign, which never re-routes, never allocates them. An
 // arena belongs to one goroutine; a campaign gives each worker its own.
 type arena struct {
-	top     *topology.Topology
-	router  *route.Router
-	scratch graph.Scratch
-	active  []soc.Flow
+	top    *topology.Topology
+	router *route.Router
+	active []soc.Flow
 }
 
-// rebuild reconstructs orig without the failed link into the arena and
-// returns the arena's router, re-targeted at the rebuilt topology with
-// NoNewLinks: re-routing may use the surviving links only.
-func (a *arena) rebuild(orig *topology.Topology, failed topology.LinkID) (*route.Router, error) {
+// rebuild reconstructs orig without the failed link into a.top and
+// re-targets a.router at it with NoNewLinks: re-routing may use the
+// surviving links only.
+func (a *arena) rebuild(orig *topology.Topology, failed topology.LinkID) error {
 	if a.top == nil {
 		a.top = topology.New(orig.Spec, orig.Lib)
 	}
 	if err := rebuildInto(a.top, orig, failed); err != nil {
-		return nil, err
+		return err
 	}
 	if a.router == nil {
 		a.router = route.New(a.top, route.Options{NoNewLinks: true})
-		a.router.SetScratch(&a.scratch)
 	} else {
 		a.router.Reset(a.top)
 	}
-	return a.router, nil
+	return nil
 }
 
 // rebuildInto resets dst and reconstructs the design in it — same

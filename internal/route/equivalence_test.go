@@ -1,6 +1,6 @@
 // Equivalence proof for the routing fast path: the optimized router
-// (island-pruned implicit subgraphs, scratch Dijkstra, O(1) topology
-// index) must produce *identical* topologies to the pre-optimization
+// (island-pruned implicit subgraphs, scratch Dijkstra, per-switch link
+// chains) must produce *identical* topologies to the pre-optimization
 // reference — same links in the same order with the same traffic and
 // capacity, same routes, same power, same latency — on every bundled
 // benchmark and a population of randomly generated SoCs. refRouter

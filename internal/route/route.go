@@ -20,7 +20,6 @@ package route
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"nocvi/internal/graph"
 	"nocvi/internal/model"
@@ -39,8 +38,8 @@ type Options struct {
 	// routes per multi-hop flow: after every primary route is committed
 	// (bit-identical to a k=0 run), the router strips each flow's
 	// already-used directed links from the candidate graph and re-routes
-	// it k times (iterative strip-and-reroute over the same pooled
-	// Dijkstra scratch and deterministic tie-breaks). The alternates are
+	// it k times (iterative strip-and-reroute over the same Dijkstra
+	// scratch and deterministic tie-breaks). The alternates are
 	// committed as cold-standby Route.Backups — links opened, no traffic
 	// accounted. A flow for which no k-th disjoint path exists fails the
 	// whole routing, making the candidate design infeasible.
@@ -76,9 +75,9 @@ type Router struct {
 	// by Reset, consumed by subgraphFor.
 	free []*subgraph
 
-	// scratch is the pooled Dijkstra state, reused across the Router's
-	// flows and (through scratchPool) across candidates on a worker.
-	scratch *graph.Scratch
+	// scratch is the Dijkstra state, reused across the Router's flows
+	// and, through Reset, across the candidates a worker evaluates.
+	scratch graph.Scratch
 
 	// pathBuf holds the switch path of the current shortest query. It
 	// is overwritten by every call and never escapes: commit copies it
@@ -121,12 +120,6 @@ type subgraph struct {
 	local []int32
 }
 
-// scratchPool recycles Dijkstra scratch state across Routers: the
-// synthesis sweep creates one Router per candidate design point, and
-// pooling means each sweep worker re-uses one warm buffer set instead
-// of re-allocating per candidate.
-var scratchPool = sync.Pool{New: func() any { return new(graph.Scratch) }}
-
 // New creates a router for the given topology. The topology must already
 // contain all switches and core attachments; links and routes are added
 // by the router.
@@ -162,12 +155,6 @@ func (r *Router) Reset(top *topology.Topology) {
 	}
 	clear(r.subs)
 }
-
-// SetScratch pins caller-owned Dijkstra scratch state to the router,
-// bypassing the shared pool: RouteAll then neither borrows nor returns
-// pooled state. Workers of the synthesis sweep own one scratch each and
-// pin it so repeated candidates never touch the pool's lock.
-func (r *Router) SetScratch(sc *graph.Scratch) { r.scratch = sc }
 
 // subgraphFor returns (building and caching on first use) the
 // admissible subgraph for flows from srcIsl to dstIsl. The switch set
@@ -224,9 +211,7 @@ func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
 // RouteAll routes every flow of the spec in decreasing bandwidth order,
 // mutating the topology. On failure the topology is left partially
 // routed and the error identifies the first flow that could not be
-// placed; callers treat that as "design point invalid". The Dijkstra
-// scratch state is borrowed from the pool for the duration of the call
-// and returned when it completes, whatever the outcome.
+// placed; callers treat that as "design point invalid".
 func (r *Router) RouteAll() error {
 	return r.RouteFlows(r.top.Spec.SortFlowsByBandwidth())
 }
@@ -236,13 +221,6 @@ func (r *Router) RouteAll() error {
 // sweeps that evaluate many candidates of one spec sort once and pass
 // the shared slice, skipping the per-candidate copy and sort.
 func (r *Router) RouteFlows(flows []soc.Flow) error {
-	if r.scratch == nil {
-		r.scratch = scratchPool.Get().(*graph.Scratch)
-		defer func() {
-			scratchPool.Put(r.scratch)
-			r.scratch = nil
-		}()
-	}
 	for _, f := range flows {
 		if err := r.Route(f); err != nil {
 			return err
@@ -352,35 +330,6 @@ func (r *Router) commitBackup(ri int, path []topology.SwitchID) error {
 	return r.top.AddBackup(ri, topology.Path{Switches: sw, Links: links})
 }
 
-// allowed reports whether the directed candidate edge u->v may be used
-// by a flow travelling from srcIsl to dstIsl. The subgraph builder
-// encodes this predicate into the candidate arcs, so the routing inner
-// loop never evaluates it per relaxation.
-func (r *Router) allowed(u, v topology.SwitchID, srcIsl, dstIsl soc.IslandID) bool {
-	return allowedIslands(r.top.Switches[u].Island, r.top.Switches[v].Island,
-		srcIsl, dstIsl, r.top.NoCIsland)
-}
-
-// allowedIslands is the island-level forward discipline: a flow may
-// only move S→S, S→M, S→D, M→M, M→D or D→D, which bounds latency and
-// makes island shutdown safe by construction.
-func allowedIslands(iu, iv, srcIsl, dstIsl, mid soc.IslandID) bool {
-	in := func(i soc.IslandID) bool { return i == srcIsl || i == dstIsl || (mid != soc.NoIsland && i == mid) }
-	if !in(iu) || !in(iv) {
-		return false
-	}
-	if iu == iv {
-		return true
-	}
-	switch {
-	case iu == srcIsl && (iv == dstIsl || iv == mid):
-		return true
-	case iu == mid && iv == dstIsl:
-		return true
-	}
-	return false
-}
-
 // hopLatency returns the zero-load cycles added by traversing candidate
 // edge u->v (the downstream switch, the link, and the converter when the
 // edge crosses islands).
@@ -467,9 +416,6 @@ func (r *Router) shortest(f soc.Flow, src, dst topology.SwitchID, latOnly bool) 
 	if ls < 0 || ld < 0 {
 		return nil // endpoint switch outside the admissible islands
 	}
-	if r.scratch == nil {
-		r.scratch = scratchPool.Get().(*graph.Scratch)
-	}
 	r.curSub, r.curFlow, r.latOnly = sub, f, latOnly
 	path, c := r.scratch.ShortestPathDense(len(sub.verts), sub.rank, int(ls), int(ld), r.costFn)
 	if math.IsInf(c, 1) {
@@ -505,18 +451,7 @@ func MinZeroLoadLatencyCycles(crossesSwitches, crossesIslands bool) float64 {
 
 // latencyOK checks the flow's zero-load latency constraint on a path.
 func (r *Router) latencyOK(f soc.Flow, path []topology.SwitchID) bool {
-	if f.MaxLatencyCycles <= 0 {
-		return true
-	}
-	lat := 2 * model.LinkTraversalCycles // NI injection + ejection links
-	lat += model.SwitchTraversalCycles * float64(len(path))
-	for i := 1; i < len(path); i++ {
-		lat += model.LinkTraversalCycles
-		if r.top.Switches[path[i-1]].Island != r.top.Switches[path[i]].Island {
-			lat += model.FIFOCrossingCycles
-		}
-	}
-	return lat <= f.MaxLatencyCycles
+	return f.MaxLatencyCycles <= 0 || r.top.PathLatencyCycles(path) <= f.MaxLatencyCycles
 }
 
 // commit opens any missing links along the path and records the route.

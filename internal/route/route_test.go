@@ -263,7 +263,43 @@ func TestAllowedDiscipline(t *testing.T) {
 		if got := r.allowed(c.u, c.v, c.src, c.dst); got != c.want {
 			t.Fatalf("case %d: allowed(%d->%d for %d->%d) = %v, want %v", i, c.u, c.v, c.src, c.dst, got, c.want)
 		}
+		// The router never evaluates the predicate: the subgraph's ranks
+		// must encode it as arcs.
+		sub := r.subgraphFor(c.src, c.dst)
+		lu, lv := sub.local[c.u], sub.local[c.v]
+		if arc := lu >= 0 && lv >= 0 && sub.rank[lu] <= sub.rank[lv]; arc != c.want {
+			t.Fatalf("case %d: subgraph arc %d->%d for %d->%d = %v, want %v", i, c.u, c.v, c.src, c.dst, arc, c.want)
+		}
 	}
+}
+
+// allowed reports whether the directed candidate edge u->v may be used
+// by a flow travelling from srcIsl to dstIsl. The subgraph builder
+// encodes this predicate into the candidate arcs, so the routing inner
+// loop never evaluates it per relaxation.
+func (r *Router) allowed(u, v topology.SwitchID, srcIsl, dstIsl soc.IslandID) bool {
+	return allowedIslands(r.top.Switches[u].Island, r.top.Switches[v].Island,
+		srcIsl, dstIsl, r.top.NoCIsland)
+}
+
+// allowedIslands is the island-level forward discipline: a flow may
+// only move S→S, S→M, S→D, M→M, M→D or D→D, which bounds latency and
+// makes island shutdown safe by construction.
+func allowedIslands(iu, iv, srcIsl, dstIsl, mid soc.IslandID) bool {
+	in := func(i soc.IslandID) bool { return i == srcIsl || i == dstIsl || (mid != soc.NoIsland && i == mid) }
+	if !in(iu) || !in(iv) {
+		return false
+	}
+	if iu == iv {
+		return true
+	}
+	switch {
+	case iu == srcIsl && (iv == dstIsl || iv == mid):
+		return true
+	case iu == mid && iv == dstIsl:
+		return true
+	}
+	return false
 }
 
 func TestUnattachedEndpoint(t *testing.T) {

@@ -52,29 +52,65 @@ func TestRunDeliversEverything(t *testing.T) {
 
 // With uniform island clocks and negligible load, per-flow simulated
 // latency in cycles must match the analytic zero-load latency exactly.
+// The designs are the logical 6-island D26 and the power winner of
+// every bundled benchmark; each runs with every island on and with each
+// shut-downable island gated alone, where the gated island's flows
+// must send nothing and every other flow must still match.
 func TestZeroLoadMatchesAnalytic(t *testing.T) {
-	top := synthD26(t)
-	// Force all islands to the same clock so "cycles" is unambiguous.
-	for i := range top.IslandFreqHz {
-		top.IslandFreqHz[i] = 400e6
-	}
-	for i := range top.Switches {
-		top.Switches[i].FreqHz = 400e6
-	}
-	res, err := Run(top, Config{SinglePacket: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ri := range res.PerFlow {
-		fs := &res.PerFlow[ri]
-		if fs.Sent != 1 {
-			t.Fatalf("flow %d sent %d packets, want 1", ri, fs.Sent)
+	const clk = 400e6
+	tops := []*topology.Topology{synthD26(t)}
+	for _, name := range bench.Names() {
+		spec, err := bench.Islanded(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := top.ZeroLoadLatencyCycles(&top.Routes[ri])
-		got := fs.MeanLatencyNs * 400e6 / 1e9
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("flow %d->%d: sim %.3f cycles, analytic %.3f",
-				fs.Flow.Src, fs.Flow.Dst, got, want)
+		res, err := core.Synthesize(spec, model.Default65nm(), core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tops = append(tops, res.Best().Top)
+	}
+	for _, top := range tops {
+		spec := top.Spec
+		// Force all islands to the same clock so "cycles" is unambiguous.
+		for i := range top.IslandFreqHz {
+			top.IslandFreqHz[i] = clk
+		}
+		for i := range top.Switches {
+			top.Switches[i].FreqHz = clk
+		}
+		masks := [][]bool{nil}
+		for i, isl := range spec.Islands {
+			if isl.Shutdownable {
+				off := make([]bool, len(spec.Islands))
+				off[i] = true
+				masks = append(masks, off)
+			}
+		}
+		for _, off := range masks {
+			res, err := Run(top, Config{SinglePacket: true, Off: off})
+			if err != nil {
+				t.Fatalf("%s off=%v: %v", spec.Name, off, err)
+			}
+			for ri := range res.PerFlow {
+				fs := &res.PerFlow[ri]
+				if off != nil && (off[spec.IslandOf[fs.Flow.Src]] || off[spec.IslandOf[fs.Flow.Dst]]) {
+					if fs.Active || fs.Sent != 0 {
+						t.Fatalf("%s off=%v: gated flow %d->%d active=%v sent %d",
+							spec.Name, off, fs.Flow.Src, fs.Flow.Dst, fs.Active, fs.Sent)
+					}
+					continue
+				}
+				if fs.Sent != 1 {
+					t.Fatalf("%s off=%v: flow %d sent %d packets, want 1", spec.Name, off, ri, fs.Sent)
+				}
+				want := top.ZeroLoadLatencyCycles(&top.Routes[ri])
+				got := fs.MeanLatencyNs * clk / 1e9
+				if math.Abs(got-want) > 1e-6 {
+					t.Fatalf("%s off=%v: flow %d->%d: sim %.3f cycles, analytic %.3f",
+						spec.Name, off, fs.Flow.Src, fs.Flow.Dst, got, want)
+				}
+			}
 		}
 	}
 }

@@ -87,7 +87,11 @@ type Route struct {
 	Backups []Path
 }
 
-// Topology is a complete synthesized NoC design.
+// Topology is a complete synthesized NoC design. Build one with New:
+// the link index behind FindLink and SwitchPorts is kept only by the
+// mutators (AddSwitch, AddLink, EnsureLink, Reset), so a Topology
+// assembled by struct literal or by appending to Switches and Links
+// directly breaks those queries.
 type Topology struct {
 	Spec *soc.Spec
 	Lib  *model.Library
@@ -111,13 +115,15 @@ type Topology struct {
 	// SwitchOf maps each core to the switch hosting its NI.
 	SwitchOf []SwitchID
 
-	// linkIdx is the O(1) directed link lookup (from, to) -> LinkID, and
-	// inLinks/outLinks the per-switch incident link counts, both kept in
-	// sync by AddSwitch/AddLink. They turn FindLink and SwitchPorts —
-	// the router's per-edge-relaxation queries — from O(links) scans
-	// into constant-time lookups. reindex rebuilds them for topologies
-	// whose exported slices were populated by other means.
-	linkIdx  map[linkKey]LinkID
+	// firstOut, nextOut, inLinks and outLinks index the links for the
+	// router's per-edge-relaxation queries, FindLink and SwitchPorts.
+	// The links leaving switch s form a chain: firstOut[s] is the newest
+	// (-1 when s has none) and nextOut[l] the link added before l in
+	// l's chain (-1 at the end). inLinks/outLinks count each switch's
+	// incident links. AddSwitch and addLink keep all four in step with
+	// Switches and Links; Reset truncates them.
+	firstOut []LinkID
+	nextOut  []LinkID
 	inLinks  []int
 	outLinks []int
 
@@ -139,29 +145,6 @@ type Topology struct {
 	bakFree     [][]Path
 }
 
-// linkKey identifies a directed link by its endpoints.
-type linkKey struct{ from, to SwitchID }
-
-// reindex (re)builds the link index and port counters from the exported
-// Switches/Links slices. Mutators keep the index incremental; this lazy
-// path only triggers for zero-value or externally assembled topologies.
-func (t *Topology) reindex() {
-	t.linkIdx = make(map[linkKey]LinkID, len(t.Links))
-	t.inLinks = make([]int, len(t.Switches))
-	t.outLinks = make([]int, len(t.Switches))
-	for _, l := range t.Links {
-		t.linkIdx[linkKey{l.From, l.To}] = l.ID
-		t.outLinks[l.From]++
-		t.inLinks[l.To]++
-	}
-}
-
-// indexStale reports whether the incremental index no longer covers the
-// exported slices.
-func (t *Topology) indexStale() bool {
-	return t.linkIdx == nil || len(t.linkIdx) != len(t.Links) || len(t.inLinks) != len(t.Switches)
-}
-
 // New creates an empty topology over the given spec and library, with
 // per-island frequency/voltage tables sized for the spec's islands (the
 // intermediate island is added by AddNoCIsland).
@@ -180,16 +163,15 @@ func New(spec *soc.Spec, lib *model.Library) *Topology {
 	for i, isl := range spec.Islands {
 		t.IslandVoltage[i] = isl.VoltageV
 	}
-	t.linkIdx = make(map[linkKey]LinkID)
 	return t
 }
 
 // Reset returns t to the state New(t.Spec, t.Lib) would produce while
 // retaining the backing storage of the previous build: the switch, link
-// and route slices keep their capacity, the link index keeps its
-// buckets, and the per-switch core lists are recycled through an
-// internal free list. The synthesis sweep resets one topology per
-// worker across candidates instead of allocating a fresh one each time.
+// and route slices and the link index keep their capacity, and the
+// per-switch core lists are recycled through an internal free list. The
+// synthesis sweep resets one topology per worker across candidates
+// instead of allocating a fresh one each time.
 //
 // Reset must never be called on a topology that has escaped into a
 // DesignPoint: the recycled storage would alias the published result.
@@ -233,7 +215,8 @@ func (t *Topology) Reset() {
 	for i := range t.SwitchOf {
 		t.SwitchOf[i] = -1
 	}
-	clear(t.linkIdx)
+	t.firstOut = t.firstOut[:0]
+	t.nextOut = t.nextOut[:0]
 	t.inLinks = t.inLinks[:0]
 	t.outLinks = t.outLinks[:0]
 }
@@ -282,9 +265,6 @@ func (t *Topology) AddSwitch(island soc.IslandID, indirect bool) SwitchID {
 	if int(island) >= len(t.IslandFreqHz) || island < 0 {
 		panic(fmt.Sprintf("topology: switch in unknown island %d", island)) //noclint:ignore bannedcall cold-path validation panic, not a cache key
 	}
-	if t.indexStale() {
-		t.reindex()
-	}
 	id := SwitchID(len(t.Switches))
 	t.Switches = append(t.Switches, Switch{
 		ID:       id,
@@ -293,6 +273,7 @@ func (t *Topology) AddSwitch(island soc.IslandID, indirect bool) SwitchID {
 		FreqHz:   t.IslandFreqHz[island],
 		VoltageV: t.IslandVoltage[island],
 	})
+	t.firstOut = append(t.firstOut, -1)
 	t.inLinks = append(t.inLinks, 0)
 	t.outLinks = append(t.outLinks, 0)
 	return id
@@ -349,40 +330,33 @@ func (t *Topology) TakeRouteLinks(n int) []LinkID {
 	return make([]LinkID, n)
 }
 
-// FindLink returns the directed link from->to when it exists. It is an
-// O(1) index lookup.
+// FindLink returns the directed link from->to when it exists. It walks
+// from's chain of outgoing links, whose length is bounded by the
+// switch's port count.
 func (t *Topology) FindLink(from, to SwitchID) (LinkID, bool) {
-	if t.indexStale() {
-		t.reindex()
+	for id := t.firstOut[from]; id >= 0; id = t.nextOut[id] {
+		if t.Links[id].To == to {
+			return id, true
+		}
 	}
-	id, ok := t.linkIdx[linkKey{from, to}]
-	if !ok {
-		return -1, false
-	}
-	return id, true
+	return -1, false
 }
 
 // AddLink opens a new directed link between two switches, computing its
 // capacity from the slower endpoint clock and marking island crossings.
 // Duplicate links are rejected; use EnsureLink for lookup-or-add.
 func (t *Topology) AddLink(from, to SwitchID) (LinkID, error) {
-	if t.indexStale() {
-		t.reindex()
-	}
-	if _, ok := t.linkIdx[linkKey{from, to}]; ok {
+	if _, ok := t.FindLink(from, to); ok {
 		return -1, fmt.Errorf("topology: duplicate link %d->%d", from, to)
 	}
 	return t.addLink(from, to)
 }
 
 // EnsureLink returns the directed link from->to, opening it when absent
-// — one index lookup instead of the FindLink+AddLink double probe on
-// the routing commit path.
+// — one chain walk instead of the FindLink+AddLink double walk on the
+// routing commit path.
 func (t *Topology) EnsureLink(from, to SwitchID) (LinkID, error) {
-	if t.indexStale() {
-		t.reindex()
-	}
-	if id, ok := t.linkIdx[linkKey{from, to}]; ok {
+	if id, ok := t.FindLink(from, to); ok {
 		return id, nil
 	}
 	return t.addLink(from, to)
@@ -393,11 +367,7 @@ func (t *Topology) EnsureLink(from, to SwitchID) (LinkID, error) {
 // cache's decoder) adds them without regrowing either.
 func (t *Topology) ReserveLinks(n int) {
 	t.Links = slices.Grow(t.Links, n)
-	idx := make(map[linkKey]LinkID, len(t.Links)+n)
-	for _, l := range t.Links {
-		idx[linkKey{l.From, l.To}] = l.ID
-	}
-	t.linkIdx = idx
+	t.nextOut = slices.Grow(t.nextOut, n)
 }
 
 // addLink appends a link the index has already proven absent.
@@ -415,7 +385,8 @@ func (t *Topology) addLink(from, to SwitchID) (LinkID, error) {
 		CrossesIslands: fs.Island != ts.Island,
 		CapacityBps:    t.Lib.LinkCapacityBps(minF),
 	})
-	t.linkIdx[linkKey{from, to}] = id
+	t.nextOut = append(t.nextOut, t.firstOut[from])
+	t.firstOut[from] = id
 	t.outLinks[from]++
 	t.inLinks[to]++
 	return id, nil
@@ -423,12 +394,9 @@ func (t *Topology) addLink(from, to SwitchID) (LinkID, error) {
 
 // SwitchPorts returns the input and output port counts of a switch:
 // attached cores contribute one input and one output each (their NI),
-// plus one port per incident link direction. The counts are maintained
-// incrementally, so the query is O(1).
+// plus one port per incident link direction. The link counts are kept
+// by the mutators, so the query is O(1).
 func (t *Topology) SwitchPorts(sw SwitchID) (in, out int) {
-	if t.indexStale() {
-		t.reindex()
-	}
 	n := len(t.Switches[sw].Cores)
 	return n + t.inLinks[sw], n + t.outLinks[sw]
 }
@@ -445,21 +413,26 @@ func (t *Topology) SwitchSize(sw SwitchID) int {
 }
 
 // ZeroLoadLatencyCycles returns the zero-load latency of a route in NoC
-// cycles: the NI injection link, one switch traversal per hop, one cycle
-// per inter-switch link, the converter penalty per island crossing, and
-// the NI ejection link.
+// cycles (PathLatencyCycles of its switch walk).
 func (t *Topology) ZeroLoadLatencyCycles(r *Route) float64 {
-	lat := model.LinkTraversalCycles // NI -> first switch
-	for range r.Switches {
-		lat += model.SwitchTraversalCycles
-	}
-	for _, lid := range r.Links {
+	return t.PathLatencyCycles(r.Switches)
+}
+
+// PathLatencyCycles returns the zero-load latency in NoC cycles of a
+// walk over switches: the NI injection link, one switch traversal per
+// switch, one cycle per inter-switch link, the converter penalty per
+// island crossing, and the NI ejection link. The router prices
+// candidate paths with it before any link is opened. Every term is a
+// small integer, so the sum is exact in any order.
+func (t *Topology) PathLatencyCycles(switches []SwitchID) float64 {
+	lat := 2 * model.LinkTraversalCycles // NI injection + ejection links
+	lat += model.SwitchTraversalCycles * float64(len(switches))
+	for i := 1; i < len(switches); i++ {
 		lat += model.LinkTraversalCycles
-		if t.Links[lid].CrossesIslands {
+		if t.Switches[switches[i-1]].Island != t.Switches[switches[i]].Island {
 			lat += model.FIFOCrossingCycles
 		}
 	}
-	lat += model.LinkTraversalCycles // last switch -> NI
 	return lat
 }
 

@@ -358,9 +358,10 @@ func TestEnsureLink(t *testing.T) {
 	}
 }
 
-// TestLinkIndexMatchesScan cross-checks the O(1) index and incremental
-// port counts against brute-force scans over the exported slices, on a
-// topology grown switch-by-switch and link-by-link.
+// TestLinkIndexMatchesScan cross-checks the per-switch link chains and
+// incremental port counts against brute-force scans over the exported
+// slices, on a topology grown switch-by-switch and link-by-link, then
+// Reset and rebuilt with fewer switches, more links and longer chains.
 func TestLinkIndexMatchesScan(t *testing.T) {
 	spec := fixtureSpec()
 	top := New(spec, model.Default65nm())
@@ -411,42 +412,25 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 	sws = append(sws, top.AddSwitch(0, false)) // grow after links exist
 	top.AddLink(sws[3], sws[0])
 	check()
-}
 
-// TestReindexExternallyAssembled covers the lazy rebuild: a topology
-// whose Links slice was populated without the index (zero value plus
-// direct appends) must still answer FindLink/SwitchPorts correctly.
-func TestReindexExternallyAssembled(t *testing.T) {
-	spec := fixtureSpec()
-	lib := model.Default65nm()
-	top := &Topology{
-		Spec:          spec,
-		Lib:           lib,
-		NoCIsland:     soc.NoIsland,
-		IslandFreqHz:  []float64{200e6, 200e6, 200e6},
-		IslandVoltage: []float64{1, 1, 1},
-		SwitchOf:      []SwitchID{-1, -1, -1, -1, -1},
+	top.Reset()
+	sws = sws[:0]
+	check()
+	for _, isl := range []soc.IslandID{2, 0, 1} {
+		sws = append(sws, top.AddSwitch(isl, false))
 	}
-	top.Switches = []Switch{
-		{ID: 0, Island: 0, FreqHz: 200e6, VoltageV: 1},
-		{ID: 1, Island: 1, FreqHz: 200e6, VoltageV: 1},
+	check()
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 0}, {1, 0}, {2, 1}} {
+		if _, err := top.AddLink(sws[e[0]], sws[e[1]]); err != nil {
+			t.Fatal(err)
+		}
+		check()
 	}
-	top.Links = []Link{{ID: 0, From: 0, To: 1, CrossesIslands: true}}
-	if id, ok := top.FindLink(0, 1); !ok || id != 0 {
-		t.Fatalf("FindLink on assembled topology = %d,%v", id, ok)
+	if _, err := top.AddLink(sws[0], sws[2]); err == nil {
+		t.Fatal("AddLink accepted a duplicate after Reset")
 	}
-	if _, ok := top.FindLink(1, 0); ok {
-		t.Fatal("phantom reverse link")
-	}
-	in, out := top.SwitchPorts(1)
-	if in != 1 || out != 0 {
-		t.Fatalf("SwitchPorts(1) = %d,%d", in, out)
-	}
-	// The index must absorb subsequent mutations too.
-	if _, err := top.AddLink(1, 0); err != nil {
+	if err := top.AttachCore(4, sws[0]); err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := top.FindLink(1, 0); !ok || id != 1 {
-		t.Fatalf("FindLink after AddLink = %d,%v", id, ok)
-	}
+	check()
 }
