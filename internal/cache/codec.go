@@ -488,7 +488,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	// caps every count at the remaining input, so a corrupt count costs
 	// a bounded allocation, and growing a nil slice by zero keeps it nil.
 	nSw := d.length()
-	top.Switches = slices.Grow(top.Switches, nSw)
+	top.ReserveSwitches(nSw)
 	for i := 0; i < nSw && d.err == nil; i++ {
 		island := d.int()
 		indirect := d.bool()

@@ -90,7 +90,13 @@ import (
 // formula serves the router and the topology, and one argmin order
 // serves Result and the sweep — results and encoded bytes are
 // identical, but the hot path moved.
-const EngineVersion = 11
+//
+// v12: the worker arena keeps every topology and placement it builds,
+// published design points take exact-size copies (Topology.Compact,
+// Placement.Clone), and the result decoder reserves the link index
+// with the switches — results and encoded bytes are identical, but the
+// hot path moved.
+const EngineVersion = 12
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

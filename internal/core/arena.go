@@ -9,28 +9,27 @@ import (
 	"nocvi/internal/topology"
 )
 
-// buildContext is one worker's reusable build arena: the pooled
-// topology under construction, the router (with its subgraph cache and
-// Dijkstra scratch), and the deadlock checker's, floorplanner's
-// and power model's scratch buffers, all recycled across the candidates
-// the worker evaluates. One buildContext must not be used by two
-// goroutines concurrently.
+// buildContext is one worker's reusable build arena: the topology
+// under construction, the router (with its subgraph cache and Dijkstra
+// scratch), and the deadlock checker's, floorplanner's (with the
+// placement it fills) and power model's scratch buffers, all recycled
+// across the candidates the worker evaluates. One buildContext must not
+// be used by two goroutines concurrently.
 //
-// The reset discipline that keeps reuse invisible: the topology is
-// Reset before every build and surrendered (bc.top = nil) the moment it
-// escapes into a DesignPoint, so published results never alias arena
-// storage; a collector that only summarizes the point hands the
-// topology and placement back (bc.top, bc.fp.Recycle), and they are
-// cleared before reuse; the router's Reset re-targets it at the fresh
+// The arena owns what it builds. The topology is Reset before every
+// build and never given up; the router's Reset re-targets it at that
 // topology with semantics identical to route.New; the deadlock, power
-// and floorplan scratch otherwise hold only temporaries that die inside
-// one call. Every candidate therefore observes exactly the state a
-// fresh allocation would give it, which is what keeps the sweep
-// bit-identical to the serial, arena-free path.
+// and floorplan scratch hold only temporaries and the placement the
+// last build filled. A point that outlives the worker's next candidate
+// leaves through publish, which copies its topology and placement out
+// at exact size, so published results never alias arena storage. Every
+// candidate therefore observes exactly the state a fresh allocation
+// would give it, which is what keeps the sweep bit-identical to the
+// serial, arena-free path.
 type buildContext struct {
 	env *sweepEnv
 
-	top    *topology.Topology // nil until first use or after handoff
+	top    *topology.Topology // nil until first use
 	router *route.Router      // nil until first use
 	dl     deadlock.Scratch
 	fp     floorplan.Scratch
@@ -51,9 +50,8 @@ func newBuildContext(env *sweepEnv) *buildContext {
 	return &buildContext{env: env}
 }
 
-// takeTop returns a topology ready for construction: the pooled one
-// reset in place, or a fresh allocation when the previous build's
-// topology escaped into a design point.
+// takeTop returns the arena's topology, reset for construction; only
+// the first call allocates it.
 func (bc *buildContext) takeTop() *topology.Topology {
 	if bc.top == nil {
 		bc.top = topology.New(bc.env.spec, bc.env.lib)

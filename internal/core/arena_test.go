@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -69,13 +70,14 @@ func sameBuiltPoint(t *testing.T, label string, a, b *DesignPoint) {
 // and makes the first candidate also rebuild on an arena dirtied by
 // differently-shaped ones.
 //
-// It runs three ways: the ordered path, which publishes every point;
-// the streaming collector's path, which hands each summarized point's
-// topology and placement back to the arena so the next build refills
-// them; and the streaming path under SkipAnnotate with a pruner armed,
-// where the point's NoCPower is the staged pre-floorplan breakdown —
-// compared against a fresh arena without a pruner, which costs the
-// point after floorplanning instead.
+// Every build lands in the arena's own topology and placement. It runs
+// three ways: the ordered path, whose collector publishes every point
+// and whose published copies must still match their fresh builds after
+// the arena has built every later candidate; the streaming collector's
+// path, which only summarizes each point; and the streaming path under
+// SkipAnnotate with a pruner armed, where the point's NoCPower is the
+// staged pre-floorplan breakdown — compared against a fresh arena
+// without a pruner, which costs the point after floorplanning instead.
 func TestArenaNoStateLeak(t *testing.T) {
 	spec := miniSoC()
 	lib := model.Default65nm()
@@ -101,10 +103,13 @@ func TestArenaNoStateLeak(t *testing.T) {
 			}
 			shared := newBuildContext(sharedEnv)
 			cols := streamCollectors{&sweepCollector{errCap: 1}}
-			var recycled *DesignPoint
+			ordered := &orderedCollector{outs: make([]evalOutcome, len(picks))}
+			fresh := make([]*DesignPoint, len(picks))
+			var arenaPl *floorplan.Placement
 			for i, c := range picks {
 				label := fmt.Sprintf("pick %d (%v/%d)", i, c.counts, c.mid)
-				fresh, err := buildPoint(newBuildContext(env), c.counts, c.parts, c.mid)
+				var err error
+				fresh[i], err = buildPoint(newBuildContext(env), c.counts, c.parts, c.mid)
 				if err != nil {
 					t.Fatalf("%s: fresh build failed: %v", label, err)
 				}
@@ -112,20 +117,30 @@ func TestArenaNoStateLeak(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: arena build failed: %v", label, err)
 				}
-				sameBuiltPoint(t, label, fresh, reused)
-				if fresh.Top == reused.Top {
-					t.Fatal("arena handed out the same topology twice")
+				if i == 0 {
+					arenaPl = reused.Placement
 				}
-				if recycled != nil && (reused.Top != recycled.Top || reused.Placement != recycled.Placement) {
-					t.Fatalf("%s: the collector's reclaimed topology and placement were not reused", label)
+				if reused.Top != shared.top || reused.Placement != arenaPl {
+					t.Fatalf("%s: buildPoint did not build in the arena's topology and placement", label)
 				}
+				sameBuiltPoint(t, label, fresh[i], reused)
 				if mode.stream {
-					cols.add(0, shared, uint64(i), evalOutcome{dp: reused})
-					recycled = reused
+					cols.add(0, uint64(i), evalOutcome{dp: reused})
+					continue
+				}
+				ordered.add(0, uint64(i), evalOutcome{dp: reused})
+				if reused.Top == shared.top || reused.Placement == arenaPl {
+					t.Fatalf("%s: the collector kept the arena's storage", label)
 				}
 			}
-			if mode.stream && cols[0].feasible != uint64(len(picks)) {
-				t.Fatalf("collector summarized %d of %d points", cols[0].feasible, len(picks))
+			if mode.stream {
+				if cols[0].feasible != uint64(len(picks)) {
+					t.Fatalf("collector summarized %d of %d points", cols[0].feasible, len(picks))
+				}
+				return
+			}
+			for i, out := range ordered.outs {
+				sameBuiltPoint(t, fmt.Sprintf("published pick %d", i), fresh[i], out.dp)
 			}
 		})
 	}
@@ -273,8 +288,8 @@ func TestPartitionEntryRace(t *testing.T) {
 
 // TestWarmArenaAllocatesNothing is the zero-allocation guard for the
 // per-candidate tail of buildPoint: once a worker's arena has costed a
-// point, the deadlock check, both power breakdowns and a placement
-// refilled from a recycled one allocate nothing on that point again.
+// point, the deadlock check, both power breakdowns and a warm PlaceWith
+// allocate nothing on that point again.
 func TestWarmArenaAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -288,7 +303,6 @@ func TestWarmArenaAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := dp.Top
-	bc.fp.Recycle(dp.Placement)
 	for _, stage := range []struct {
 		name string
 		fn   func()
@@ -300,16 +314,179 @@ func TestWarmArenaAllocatesNothing(t *testing.T) {
 		}},
 		{"power.NoCWith", func() { _ = power.NoCWith(top, &bc.pw) }},
 		{"power.NoCSansLinkWires", func() { _ = power.NoCSansLinkWires(top, &bc.pw) }},
-		{"floorplan.PlaceWith (recycled)", func() {
-			pl, err := floorplan.PlaceWith(top, env.opt.Floorplan, &bc.fp)
-			if err != nil {
+		{"floorplan.PlaceWith (warm)", func() {
+			if _, err := floorplan.PlaceWith(top, env.opt.Floorplan, &bc.fp); err != nil {
 				t.Fatal(err)
 			}
-			bc.fp.Recycle(pl)
 		}},
 	} {
 		if n := testing.AllocsPerRun(50, stage.fn); n != 0 {
 			t.Errorf("%s: %v allocations per warm call, want 0", stage.name, n)
+		}
+	}
+}
+
+// warmBuildAllocs is what a warm buildPoint allocates, whatever the
+// candidate's size: the DesignPoint, its SwitchCounts copy and
+// Validate's island mask.
+const warmBuildAllocs = 3
+
+// TestWarmBuildPointAllocsConstant guards the whole of buildPoint: once
+// the arena has built every candidate of the replay, building any of
+// them again allocates exactly warmBuildAllocs times. The topology,
+// router and placement all stay in the arena, so the count does not
+// grow with the candidate's switches, links or routes.
+func TestWarmBuildPointAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	env := mustEnv(t, miniSoC(), model.Default65nm(), Options{AllowIntermediate: true, MaxIntermediateSwitches: 2})
+	picks := arenaPicks(t, env)
+	bc := newBuildContext(env)
+	for _, c := range picks {
+		if _, err := buildPoint(bc, c.counts, c.parts, c.mid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range picks[:len(picks)/2+1] {
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := buildPoint(bc, c.counts, c.parts, c.mid); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != warmBuildAllocs {
+			t.Errorf("pick %d (%v/%d): %v allocations per warm buildPoint, want %d",
+				i, c.counts, c.mid, n, warmBuildAllocs)
+		}
+	}
+}
+
+// span is one backing array's address range, tagged with its owner;
+// spare marks a slice whose capacity exceeds its length.
+type span struct {
+	lo, hi uintptr
+	owner  int
+	spare  bool
+}
+
+// storage appends a span for every non-empty backing array reachable
+// from v, following pointers (each once) and maps. The spec, the
+// library and the sweep environment are shared read-only by every point
+// and arena, so they are not walked.
+func storage(v reflect.Value, owner int, seen map[uintptr]bool, out []span) []span {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return out
+		}
+		switch v.Type() {
+		case reflect.TypeOf(&soc.Spec{}), reflect.TypeOf(&model.Library{}), reflect.TypeOf(&sweepEnv{}):
+			return out
+		}
+		seen[v.Pointer()] = true
+		return storage(v.Elem(), owner, seen, out)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = storage(v.Field(i), owner, seen, out)
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			out = storage(it.Value(), owner, seen, out)
+		}
+	case reflect.Slice:
+		if v.Cap() > 0 && v.Type().Elem().Size() > 0 {
+			lo := v.Pointer()
+			out = append(out, span{lo, lo + uintptr(v.Cap())*v.Type().Elem().Size(), owner, v.Len() != v.Cap()})
+		}
+		for i := 0; i < v.Len(); i++ {
+			out = storage(v.Index(i), owner, seen, out)
+		}
+	}
+	return out
+}
+
+// sharedStorage names the first pair of owners whose backing arrays
+// overlap, or "" when every owner's storage is its own.
+func sharedStorage(spans []span, name func(owner int) string) string {
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	for i, a := range spans {
+		for _, b := range spans[i+1:] {
+			if b.lo >= a.hi {
+				break
+			}
+			if a.owner != b.owner {
+				return name(a.owner) + " and " + name(b.owner)
+			}
+		}
+	}
+	return ""
+}
+
+// assertPublished checks a set of published points: each one's
+// topology and placement are exact-size copies, and no two points share
+// a backing array.
+func assertPublished(t *testing.T, label string, pts []*DesignPoint) {
+	t.Helper()
+	var spans []span
+	for i, dp := range pts {
+		seen := map[uintptr]bool{}
+		for _, s := range storage(reflect.ValueOf(dp.Placement), i, seen, storage(reflect.ValueOf(dp.Top), i, seen, nil)) {
+			if s.spare {
+				t.Fatalf("%s: point %d has a topology or placement slice with spare capacity: not a published copy", label, i)
+			}
+		}
+		spans = storage(reflect.ValueOf(*dp), i, map[uintptr]bool{}, spans)
+	}
+	if s := sharedStorage(spans, func(i int) string { return fmt.Sprintf("point %d", i) }); s != "" {
+		t.Fatalf("%s: %s share a backing array", label, s)
+	}
+}
+
+// TestPublishedPointsOwnTheirStorage: every point a sweep returns owns
+// its storage. On the suite at one and two workers, and on the
+// streaming sweep's rebuilt winners, no two points share a backing
+// array and each topology and placement is an exact-size copy; and a
+// point published from a warm arena shares nothing with that arena.
+func TestPublishedPointsOwnTheirStorage(t *testing.T) {
+	lib := model.Default65nm()
+	for _, name := range bench.Names() {
+		spec, err := bench.Islanded(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2} {
+			res, err := Synthesize(spec, lib, Options{AllowIntermediate: true, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := make([]*DesignPoint, len(res.Points))
+			for i := range res.Points {
+				pts[i] = &res.Points[i]
+			}
+			assertPublished(t, fmt.Sprintf("%s workers=%d", name, w), pts)
+		}
+	}
+
+	opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 2, Workers: 2}
+	sw := sweepOnce(t, miniSoC(), lib, opt, SweepOptions{})
+	winners := []*DesignPoint{sw.BestPower}
+	if sw.BestLatency != sw.BestPower {
+		winners = append(winners, sw.BestLatency)
+	}
+	assertPublished(t, "sweep winners", winners)
+
+	env := mustEnv(t, miniSoC(), lib, opt)
+	bc := newBuildContext(env)
+	for i, c := range arenaPicks(t, env) {
+		dp, err := buildPoint(bc, c.counts, c.parts, c.mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp.publish()
+		spans := storage(reflect.ValueOf(*dp), 0, map[uintptr]bool{}, nil)
+		spans = storage(reflect.ValueOf(bc), 1, map[uintptr]bool{}, spans)
+		if s := sharedStorage(spans, func(o int) string { return [...]string{"the published point", "its arena"}[o] }); s != "" {
+			t.Fatalf("pick %d: %s share a backing array", i, s)
 		}
 	}
 }

@@ -409,7 +409,10 @@ type orderedCollector struct {
 	outs []evalOutcome // outcome of index i at outs[i]
 }
 
-func (c *orderedCollector) add(_ int, _ *buildContext, idx uint64, out evalOutcome) {
+func (c *orderedCollector) add(_ int, idx uint64, out evalOutcome) {
+	if out.dp != nil {
+		out.dp.publish()
+	}
 	c.outs[idx] = out
 }
 
@@ -492,10 +495,9 @@ func IslandClocks(spec *soc.Spec, lib *model.Library) (freqs []float64, maxSizes
 
 // buildPoint constructs, routes, floorplans and costs one candidate
 // design inside the worker's arena. An error means the point is
-// infeasible. On success the built topology and placement are handed
-// off to the returned DesignPoint and the arena forgets them (a
-// collector that only summarizes the point may hand both back); on
-// failure they stay pooled for the next candidate.
+// infeasible. The returned DesignPoint borrows the arena's topology and
+// placement: both are overwritten by the worker's next build, so a
+// caller that keeps the point past that publishes it first.
 func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*DesignPoint, error) {
 	env := bc.env
 	opt := env.opt
@@ -575,8 +577,15 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 		WireViolations:    len(floorplan.WireDelayViolations(top, pl)),
 		FloorplanOpt:      opt.Floorplan,
 	}
-	bc.top = nil // escaped into the design point: never reset again
 	return dp, nil
+}
+
+// publish replaces d's arena-borrowed topology and placement with
+// exact-size copies that share no storage with the arena, so d outlives
+// the worker's next build.
+func (d *DesignPoint) publish() {
+	d.Top = d.Top.Compact()
+	d.Placement = d.Placement.Clone()
 }
 
 // construct fills the empty topology top with one candidate's

@@ -412,10 +412,11 @@ func normalizeStack(stack []byte) string {
 }
 
 // collector receives one sweep's outcomes. add runs on the evaluating
-// worker's goroutine (w indexes the worker, bc is its arena) for every
-// evaluated index.
+// worker's goroutine (w indexes the worker) for every evaluated index,
+// before that worker builds its next candidate: out.dp still borrows
+// the worker's arena.
 type collector interface {
-	add(w int, bc *buildContext, idx uint64, out evalOutcome)
+	add(w int, idx uint64, out evalOutcome)
 }
 
 // drive evaluates indices [0, limit) of the space, limit >= 1, across
@@ -450,7 +451,7 @@ func (env *sweepEnv) drive(ctx context.Context, space candidateSpace, limit uint
 				}
 				for idx := a; idx < min(b, limit); idx++ {
 					mid := space.Decode(idx, counts)
-					col.add(w, bc, idx, env.evaluate(bc, idx, counts, parts, mid))
+					col.add(w, idx, env.evaluate(bc, idx, counts, parts, mid))
 				}
 			}
 		}(w)

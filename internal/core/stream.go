@@ -237,12 +237,11 @@ func (sc *sweepCollector) addError(idx uint64, ce *CandidateError) {
 
 // streamCollectors is SynthesizeSweep's collector: one bounded-memory
 // sweepCollector per worker, merged after the sweep. It keeps only the
-// SweepPoint summary of a feasible point and hands the point's topology
-// and placement back to the worker's arena, so the sweep allocates
-// neither per point after warm-up. Nothing it keeps depends on order.
+// SweepPoint summary of a feasible point, never its arena-borrowed
+// topology or placement. Nothing it keeps depends on order.
 type streamCollectors []*sweepCollector
 
-func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, out evalOutcome) {
+func (cs streamCollectors) add(w int, idx uint64, out evalOutcome) {
 	col := cs[w]
 	col.explored++
 	switch {
@@ -253,12 +252,7 @@ func (cs streamCollectors) add(w int, bc *buildContext, idx uint64, out evalOutc
 	case out.err != nil:
 		col.addError(idx, out.err)
 	case out.dp != nil:
-		// The point is summarized, not published: the summary keeps its
-		// SwitchCounts copy, and its topology and placement go back to
-		// the arena.
 		col.addFeasible(out.dp.summary(idx))
-		bc.top = out.dp.Top
-		bc.fp.Recycle(out.dp.Placement)
 	}
 }
 
@@ -386,6 +380,7 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 		if err != nil {
 			panic(fmt.Sprintf("core: sweep winner %v/mid=%d failed rebuild: %v", counts, mid, err)) //noclint:ignore bannedcall cold-path invariant panic, not a cache key
 		}
+		dp.publish() // else the point would keep the whole discarded arena alive
 		return dp
 	}
 	res.BestPower = rebuild(bestP)

@@ -16,6 +16,7 @@ package deadlock
 
 import (
 	"fmt"
+	"slices"
 
 	"nocvi/internal/topology"
 )
@@ -224,10 +225,8 @@ func (sc *Scratch) findCycle(n int) []topology.LinkID {
 }
 
 // resize returns buf with length n, reusing its storage when large
-// enough. The contents are unspecified; callers overwrite or clear.
+// enough and otherwise growing it by append's amortized rule. The
+// contents are unspecified; callers overwrite or clear.
 func resize[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
+	return slices.Grow(buf[:0], n)[:n]
 }

@@ -15,6 +15,7 @@ package floorplan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nocvi/internal/soc"
@@ -73,14 +74,13 @@ type Placement struct {
 	LinkLengthMM []float64
 }
 
-// Scratch holds the floorplanner's reusable working buffers: island
+// Scratch holds the floorplanner's reusable working buffers — island
 // areas, the slicing order, the per-island core gather/sort buffer and
-// the centroid point accumulator. A zero Scratch is ready to use; one
-// Scratch must not be used by two goroutines concurrently. Sweeps that
-// floorplan many candidate topologies reuse one Scratch per worker so
-// each placement allocates only the Placement it returns — and not
-// even that when the caller hands a finished placement back through
-// Recycle.
+// the centroid point accumulator — and the Placement PlaceWith returns,
+// held by value and refilled on every call. A zero Scratch is ready to
+// use; one Scratch must not be used by two goroutines concurrently.
+// Sweeps that floorplan many candidate topologies reuse one Scratch per
+// worker, so a warm placement allocates nothing.
 type Scratch struct {
 	areas []float64
 	order []int
@@ -93,42 +93,30 @@ type Scratch struct {
 	ids []int
 	tmp []int
 
-	// spare is a placement handed back by Recycle, refilled by the
-	// next placement drawn through this Scratch.
-	spare *Placement
+	// pl is the placement the last call returned.
+	pl Placement
 }
 
-// Recycle hands p back to sc: the next PlaceWith through sc refills
-// p's slices instead of allocating a new Placement. The caller must not
-// use p afterwards.
-func (sc *Scratch) Recycle(p *Placement) { sc.spare = p }
-
-// takePlacement returns a placement sized for the given counts with
-// every slice zeroed: the recycled spare when there is one, a fresh
-// allocation otherwise.
-func (sc *Scratch) takePlacement(nIsl, nCores, nSwitches, nLinks int) *Placement {
-	p := sc.spare
-	sc.spare = nil
-	if p == nil {
-		p = &Placement{}
+// Clone returns an exact-size copy of p that shares no storage with it.
+func (p *Placement) Clone() *Placement {
+	return &Placement{
+		Die:          p.Die,
+		IslandRects:  slices.Clip(slices.Clone(p.IslandRects)),
+		CorePos:      slices.Clip(slices.Clone(p.CorePos)),
+		SwitchPos:    slices.Clip(slices.Clone(p.SwitchPos)),
+		NILengthMM:   slices.Clip(slices.Clone(p.NILengthMM)),
+		LinkLengthMM: slices.Clip(slices.Clone(p.LinkLengthMM)),
 	}
-	*p = Placement{
-		IslandRects:  zeroed(p.IslandRects, nIsl),
-		CorePos:      zeroed(p.CorePos, nCores),
-		SwitchPos:    zeroed(p.SwitchPos, nSwitches),
-		NILengthMM:   zeroed(p.NILengthMM, nCores),
-		LinkLengthMM: zeroed(p.LinkLengthMM, nLinks),
-	}
-	return p
 }
 
 // zeroed returns buf resized to n zero elements, reusing its storage
-// when large enough. The result is never nil, even for n == 0.
+// when large enough and otherwise growing it by append's amortized
+// rule. The result is never nil, even for n == 0.
 func zeroed[T any](buf []T, n int) []T {
-	if buf == nil || cap(buf) < n {
-		return make([]T, n)
+	if buf == nil {
+		buf = []T{}
 	}
-	buf = buf[:n]
+	buf = slices.Grow(buf[:0], n)[:n]
 	clear(buf)
 	return buf
 }
@@ -139,10 +127,10 @@ func Place(top *topology.Topology, opt Options) (*Placement, error) {
 	return placeWithOrder(top, opt, nil, nil)
 }
 
-// PlaceWith is Place drawing temporary buffers from sc, which may be
-// reused across calls. The returned Placement does not alias sc's
-// temporaries; it is the placement last handed back through
-// sc.Recycle, refilled, when there is one, and fresh otherwise.
+// PlaceWith is Place drawing every buffer from sc, which may be reused
+// across calls. The returned Placement belongs to sc: the next call
+// through sc refills it, so a caller that keeps it longer takes a
+// Clone.
 func PlaceWith(top *topology.Topology, opt Options, sc *Scratch) (*Placement, error) {
 	return placeWithOrder(top, opt, nil, sc)
 }
@@ -191,8 +179,15 @@ func placeWithOrder(top *topology.Topology, opt Options, order []int, sc *Scratc
 	} else if len(order) != nIsl {
 		return nil, fmt.Errorf("floorplan: order has %d entries for %d islands", len(order), nIsl)
 	}
-	p := sc.takePlacement(nIsl, len(spec.Cores), len(top.Switches), len(top.Links))
-	p.Die = die
+	p := &sc.pl
+	*p = Placement{
+		Die:          die,
+		IslandRects:  zeroed(p.IslandRects, nIsl),
+		CorePos:      zeroed(p.CorePos, len(spec.Cores)),
+		SwitchPos:    zeroed(p.SwitchPos, len(top.Switches)),
+		NILengthMM:   zeroed(p.NILengthMM, len(spec.Cores)),
+		LinkLengthMM: zeroed(p.LinkLengthMM, len(top.Links)),
+	}
 	rects := p.IslandRects
 	sc.ids = append(sc.ids[:0], order...)
 	if cap(sc.tmp) < nIsl {

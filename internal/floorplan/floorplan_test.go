@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +339,59 @@ func TestWeightedWireCostWeighsTraffic(t *testing.T) {
 	top.Links[0].TrafficBps *= 100
 	if WeightedWireCost(top, p) <= base {
 		t.Fatal("cost insensitive to traffic weight")
+	}
+}
+
+// TestPlacementCloneOwnsStorage: PlaceWith refills the one placement
+// its scratch holds, and Clone copies it out at exact size. A clone
+// taken before the scratch places a differently shaped topology must
+// still match a fresh placement of the original.
+func TestPlacementCloneOwnsStorage(t *testing.T) {
+	top := buildTop(t)
+	want, err := Place(top, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	p, err := PlaceWith(top, Options{}, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Clone()
+	if !reflect.DeepEqual(c, want) {
+		t.Fatalf("clone differs from a fresh placement:\n%+v\nvs\n%+v", c, want)
+	}
+	for name, lc := range map[string][2]int{
+		"IslandRects":  {len(c.IslandRects), cap(c.IslandRects)},
+		"CorePos":      {len(c.CorePos), cap(c.CorePos)},
+		"SwitchPos":    {len(c.SwitchPos), cap(c.SwitchPos)},
+		"NILengthMM":   {len(c.NILengthMM), cap(c.NILengthMM)},
+		"LinkLengthMM": {len(c.LinkLengthMM), cap(c.LinkLengthMM)},
+	} {
+		if lc[0] != lc[1] {
+			t.Errorf("clone %s: len %d, cap %d", name, lc[0], lc[1])
+		}
+	}
+
+	// A second topology with one more switch and link, placed through
+	// the same scratch, refills the same placement.
+	other := buildTop(t)
+	s := other.AddSwitch(0, false)
+	if _, err := other.AddLink(s, 0); err != nil {
+		t.Fatal(err)
+	}
+	q, err := PlaceWith(other, Options{}, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q != p {
+		t.Fatal("PlaceWith returned a placement other than its scratch's")
+	}
+	if len(q.SwitchPos) != len(other.Switches) || len(q.LinkLengthMM) != len(other.Links) {
+		t.Fatalf("refilled placement sized %d/%d for %d switches, %d links",
+			len(q.SwitchPos), len(q.LinkLengthMM), len(other.Switches), len(other.Links))
+	}
+	if !reflect.DeepEqual(c, want) {
+		t.Fatal("clone changed when its source scratch placed another topology")
 	}
 }

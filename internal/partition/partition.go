@@ -13,6 +13,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nocvi/internal/graph"
@@ -60,25 +61,12 @@ type kwayScratch struct {
 
 type swapPair struct{ a, b int }
 
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
+// grow returns buf with length n, reusing its storage when large
+// enough and otherwise growing it by append's amortized rule, so a
+// scratch sized one step at a time does not reallocate on every step.
+// The contents are unspecified; callers overwrite or clear.
+func grow[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // kwayWith is KWay computing through the given scratch. Only the
@@ -96,11 +84,11 @@ func kwayWith(g *graph.Undirected, k int, opt Options, sc *kwayScratch) ([]int, 
 		return nil, fmt.Errorf("partition: %d parts of at most %d vertices cannot hold %d vertices", k, opt.MaxPartSize, n)
 	}
 	part := make([]int, n)
-	sc.vertices = growInts(sc.vertices, n)
+	sc.vertices = grow(sc.vertices, n)
 	for i := range sc.vertices {
 		sc.vertices[i] = i
 	}
-	sc.tmp = growInts(sc.tmp, n)
+	sc.tmp = grow(sc.tmp, n)
 	if sc.idxOf == nil {
 		sc.idxOf = make(map[int]int, n)
 	}
@@ -157,7 +145,7 @@ func recursiveBisect(g *graph.Undirected, vertices []int, k, base int, part []in
 // is only valid until the next bisect call on the same scratch.
 func bisect(g *graph.Undirected, vertices []int, sizeA int, sc *kwayScratch) []bool {
 	n := len(vertices)
-	sc.side = growBools(sc.side, n)
+	sc.side = grow(sc.side, n)
 	side := sc.side
 	for i := range side {
 		side[i] = false
@@ -196,7 +184,7 @@ func bisect(g *graph.Undirected, vertices []int, sizeA int, sc *kwayScratch) []b
 		}
 	}
 	side[seed] = true
-	sc.attract = growFloats(sc.attract, n)
+	sc.attract = grow(sc.attract, n)
 	attract := sc.attract // connection weight to current A
 	for i, v := range vertices {
 		if i == seed {
@@ -246,7 +234,7 @@ func weightBetween(g *graph.Undirected, a, b int) float64 {
 // strictly improved the cut.
 func fmSwapPass(g *graph.Undirected, vertices []int, idxOf map[int]int, side []bool, sc *kwayScratch) bool {
 	n := len(vertices)
-	sc.locked = growBools(sc.locked, n)
+	sc.locked = grow(sc.locked, n)
 	locked := sc.locked
 	for i := range locked {
 		locked[i] = false
@@ -257,7 +245,7 @@ func fmSwapPass(g *graph.Undirected, vertices []int, idxOf map[int]int, side []b
 
 	// d[i] = external - internal connection weight of vertex i under the
 	// current side assignment (classic KL D-values, subset-local).
-	sc.d = growFloats(sc.d, n)
+	sc.d = grow(sc.d, n)
 	d := sc.d
 	recompute := func() {
 		for i, v := range vertices {
@@ -341,7 +329,7 @@ func refineKWay(g *graph.Undirected, part []int, k int, opt Options, sc *kwayScr
 	if maxSize < 1 {
 		maxSize = 1
 	}
-	sc.size = growInts(sc.size, k)
+	sc.size = grow(sc.size, k)
 	size := sc.size
 	for i := range size {
 		size[i] = 0
@@ -349,7 +337,7 @@ func refineKWay(g *graph.Undirected, part []int, k int, opt Options, sc *kwayScr
 	for _, p := range part {
 		size[p]++
 	}
-	sc.conn = growFloats(sc.conn, k)
+	sc.conn = grow(sc.conn, k)
 	conn := sc.conn
 	for pass := 0; pass < passes; pass++ {
 		improved := false

@@ -13,6 +13,7 @@ package power
 
 import (
 	"fmt"
+	"slices"
 
 	"nocvi/internal/soc"
 	"nocvi/internal/topology"
@@ -145,10 +146,8 @@ func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]
 		sc = &Scratch{}
 	}
 	ns, nl, nc := len(top.Switches), len(top.Links), len(spec.Cores)
-	if cap(sc.traffic) < ns+nl+nc {
-		sc.traffic = make([]float64, ns+nl+nc)
-	}
-	buf := sc.traffic[:ns+nl+nc]
+	sc.traffic = slices.Grow(sc.traffic[:0], ns+nl+nc)[:ns+nl+nc]
+	buf := sc.traffic
 	clear(buf)
 	swTraffic := buf[:ns:ns]
 	linkTraffic := buf[ns : ns+nl : ns+nl]

@@ -221,6 +221,78 @@ func (t *Topology) Reset() {
 	t.outLinks = t.outLinks[:0]
 }
 
+// Compact returns a copy of t that shares no storage with it, each
+// slice cut at exactly its length: the switch, link, route and island
+// tables and the link index are copied verbatim, every switch's Cores
+// is cut from one backing array, and every path's Switches and Links,
+// backups included, from one array each, with all Backups from one
+// []Path. The cuts are 3-index slices, so an append to one path never
+// overwrites the next. Nil slices stay nil and the free lists start
+// empty. A worker that keeps building in t publishes the copy.
+func (t *Topology) Compact() *Topology {
+	c := &Topology{
+		Spec:          t.Spec,
+		Lib:           t.Lib,
+		Switches:      slices.Clip(slices.Clone(t.Switches)),
+		Links:         slices.Clip(slices.Clone(t.Links)),
+		Routes:        slices.Clip(slices.Clone(t.Routes)),
+		NoCIsland:     t.NoCIsland,
+		IslandFreqHz:  slices.Clip(slices.Clone(t.IslandFreqHz)),
+		IslandVoltage: slices.Clip(slices.Clone(t.IslandVoltage)),
+		SwitchOf:      slices.Clip(slices.Clone(t.SwitchOf)),
+		firstOut:      slices.Clip(slices.Clone(t.firstOut)),
+		nextOut:       slices.Clip(slices.Clone(t.nextOut)),
+		inLinks:       slices.Clip(slices.Clone(t.inLinks)),
+		outLinks:      slices.Clip(slices.Clone(t.outLinks)),
+	}
+	nCores := 0
+	for i := range t.Switches {
+		nCores += len(t.Switches[i].Cores)
+	}
+	cores := make([]soc.CoreID, 0, nCores)
+	for i := range c.Switches {
+		c.Switches[i].Cores, cores = cut(cores, t.Switches[i].Cores)
+	}
+	nSw, nLnk, nBak := 0, 0, 0
+	for i := range t.Routes {
+		r := &t.Routes[i]
+		nSw += len(r.Switches)
+		nLnk += len(r.Links)
+		nBak += len(r.Backups)
+		for _, b := range r.Backups {
+			nSw += len(b.Switches)
+			nLnk += len(b.Links)
+		}
+	}
+	sws := make([]SwitchID, 0, nSw)
+	lnks := make([]LinkID, 0, nLnk)
+	baks := make([]Path, 0, nBak)
+	for i := range c.Routes {
+		r := &c.Routes[i]
+		r.Switches, sws = cut(sws, r.Switches)
+		r.Links, lnks = cut(lnks, r.Links)
+		r.Backups, baks = cut(baks, r.Backups)
+		for j := range r.Backups {
+			b := &r.Backups[j]
+			b.Switches, sws = cut(sws, b.Switches)
+			b.Links, lnks = cut(lnks, b.Links)
+		}
+	}
+	return c
+}
+
+// cut appends s to buf, whose capacity the caller sized for every cut,
+// and returns the appended window as a 3-index slice (nil for nil s)
+// together with the grown buf.
+func cut[T any](buf, s []T) (window, rest []T) {
+	if s == nil {
+		return nil, buf
+	}
+	lo := len(buf)
+	buf = append(buf, s...)
+	return buf[lo:len(buf):len(buf)], buf
+}
+
 // AddNoCIsland declares the intermediate NoC island with the given clock
 // and supply and returns its ID. It can be called at most once.
 func (t *Topology) AddNoCIsland(freqHz, voltage float64) soc.IslandID {
@@ -360,6 +432,16 @@ func (t *Topology) EnsureLink(from, to SwitchID) (LinkID, error) {
 		return id, nil
 	}
 	return t.addLink(from, to)
+}
+
+// ReserveSwitches makes room for n more switches in Switches and in
+// the link index, so a caller that knows its switch count up front (the
+// result cache's decoder) adds them without regrowing either.
+func (t *Topology) ReserveSwitches(n int) {
+	t.Switches = slices.Grow(t.Switches, n)
+	t.firstOut = slices.Grow(t.firstOut, n)
+	t.inLinks = slices.Grow(t.inLinks, n)
+	t.outLinks = slices.Grow(t.outLinks, n)
 }
 
 // ReserveLinks makes room for n more links in Links and in the link
