@@ -96,7 +96,15 @@ import (
 // Placement.Clone), and the result decoder reserves the link index
 // with the switches — results and encoded bytes are identical, but the
 // hot path moved.
-const EngineVersion = 12
+//
+// v13: the arena holds the design point and its switch counts, the
+// streaming collectors keep an incrementally sorted Pareto front and
+// value argmins, the sweep winners are rebuilt in worker 0's arena, the
+// router reports unplaceable flows as a typed *route.NoPathError and
+// finds subgraph vertices by binary search, and the shutdown check
+// needs no island mask — results and encoded bytes are identical, but
+// the hot path moved.
+const EngineVersion = 13
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

@@ -20,12 +20,13 @@ import (
 // build and never given up; the router's Reset re-targets it at that
 // topology with semantics identical to route.New; the deadlock, power
 // and floorplan scratch hold only temporaries and the placement the
-// last build filled. A point that outlives the worker's next candidate
-// leaves through publish, which copies its topology and placement out
-// at exact size, so published results never alias arena storage. Every
-// candidate therefore observes exactly the state a fresh allocation
-// would give it, which is what keeps the sweep bit-identical to the
-// serial, arena-free path.
+// last build filled; the design point itself, and its switch-count
+// copy, are overwritten by every build. A point that outlives the
+// worker's next candidate leaves through published, which copies it out
+// with its topology and placement at exact size, so published results
+// never alias arena storage. Every candidate therefore observes exactly
+// the state a fresh allocation would give it, which is what keeps the
+// sweep bit-identical to the serial, arena-free path.
 type buildContext struct {
 	env *sweepEnv
 
@@ -36,11 +37,16 @@ type buildContext struct {
 	pw     power.Scratch
 	part   partition.Scratch // worker-owned min-cut buffers for first-touch partition-table entries
 
+	// dp is the point the last successful build filled, and counts the
+	// backing array of its SwitchCounts.
+	dp     DesignPoint
+	counts []int
+
 	// pruneIdx bounds the incumbent witnesses buildPoint's staged bound
 	// check accepts (strictly smaller candidate indices), set before
 	// each evaluation. The zero value disables staged pruning (nothing
 	// precedes candidate 0), which is exactly right for fresh contexts
-	// such as the sweep winners' rebuild.
+	// and for the sweep winners' rebuild.
 	pruneIdx uint64
 }
 

@@ -70,11 +70,13 @@ func sameBuiltPoint(t *testing.T, label string, a, b *DesignPoint) {
 // and makes the first candidate also rebuild on an arena dirtied by
 // differently-shaped ones.
 //
-// Every build lands in the arena's own topology and placement. It runs
-// three ways: the ordered path, whose collector publishes every point
-// and whose published copies must still match their fresh builds after
-// the arena has built every later candidate; the streaming collector's
-// path, which only summarizes each point; and the streaming path under
+// Every build lands in the arena's own point, topology, placement and
+// switch-count buffer. It runs three ways: the ordered path, whose
+// collector keeps a published copy of every point — sharing none of
+// that arena storage, and leaving the arena's point as it was — that
+// must still match its fresh build after the arena has built every
+// later candidate; the streaming collector's path, which only
+// summarizes each point; and the streaming path under
 // SkipAnnotate with a pruner armed, where the point's NoCPower is the
 // staged pre-floorplan breakdown — compared against a fresh arena
 // without a pruner, which costs the point after floorplanning instead.
@@ -120,8 +122,12 @@ func TestArenaNoStateLeak(t *testing.T) {
 				if i == 0 {
 					arenaPl = reused.Placement
 				}
-				if reused.Top != shared.top || reused.Placement != arenaPl {
-					t.Fatalf("%s: buildPoint did not build in the arena's topology and placement", label)
+				inArena := func(dp *DesignPoint) bool {
+					return dp == &shared.dp && dp.Top == shared.top && dp.Placement == arenaPl &&
+						&dp.SwitchCounts[0] == &shared.counts[0]
+				}
+				if !inArena(reused) {
+					t.Fatalf("%s: buildPoint did not build in the arena's point, topology, placement and counts", label)
 				}
 				sameBuiltPoint(t, label, fresh[i], reused)
 				if mode.stream {
@@ -129,9 +135,15 @@ func TestArenaNoStateLeak(t *testing.T) {
 					continue
 				}
 				ordered.add(0, uint64(i), evalOutcome{dp: reused})
-				if reused.Top == shared.top || reused.Placement == arenaPl {
+				kept := ordered.outs[i].dp
+				if kept == reused || kept.Top == shared.top || kept.Placement == arenaPl ||
+					&kept.SwitchCounts[0] == &shared.counts[0] {
 					t.Fatalf("%s: the collector kept the arena's storage", label)
 				}
+				if !inArena(reused) {
+					t.Fatalf("%s: publishing changed the arena's point", label)
+				}
+				sameBuiltPoint(t, label+" (arena after publishing)", fresh[i], reused)
 			}
 			if mode.stream {
 				if cols[0].feasible != uint64(len(picks)) {
@@ -327,15 +339,15 @@ func TestWarmArenaAllocatesNothing(t *testing.T) {
 }
 
 // warmBuildAllocs is what a warm buildPoint allocates, whatever the
-// candidate's size: the DesignPoint, its SwitchCounts copy and
-// Validate's island mask.
-const warmBuildAllocs = 3
+// candidate's size: nothing, since the point and its switch counts
+// live in the arena too.
+const warmBuildAllocs = 0
 
 // TestWarmBuildPointAllocsConstant guards the whole of buildPoint: once
 // the arena has built every candidate of the replay, building any of
-// them again allocates exactly warmBuildAllocs times. The topology,
-// router and placement all stay in the arena, so the count does not
-// grow with the candidate's switches, links or routes.
+// them again allocates exactly warmBuildAllocs times. The point,
+// topology, router and placement all stay in the arena, so the count
+// does not grow with the candidate's switches, links or routes.
 func TestWarmBuildPointAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -478,11 +490,11 @@ func TestPublishedPointsOwnTheirStorage(t *testing.T) {
 	env := mustEnv(t, miniSoC(), lib, opt)
 	bc := newBuildContext(env)
 	for i, c := range arenaPicks(t, env) {
-		dp, err := buildPoint(bc, c.counts, c.parts, c.mid)
+		built, err := buildPoint(bc, c.counts, c.parts, c.mid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp.publish()
+		dp := built.published()
 		spans := storage(reflect.ValueOf(*dp), 0, map[uintptr]bool{}, nil)
 		spans = storage(reflect.ValueOf(bc), 1, map[uintptr]bool{}, spans)
 		if s := sharedStorage(spans, func(o int) string { return [...]string{"the published point", "its arena"}[o] }); s != "" {

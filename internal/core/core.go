@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"nocvi/internal/deadlock"
 	"nocvi/internal/floorplan"
@@ -411,7 +412,7 @@ type orderedCollector struct {
 
 func (c *orderedCollector) add(_ int, idx uint64, out evalOutcome) {
 	if out.dp != nil {
-		out.dp.publish()
+		out.dp = out.dp.published()
 	}
 	c.outs[idx] = out
 }
@@ -495,9 +496,10 @@ func IslandClocks(spec *soc.Spec, lib *model.Library) (freqs []float64, maxSizes
 
 // buildPoint constructs, routes, floorplans and costs one candidate
 // design inside the worker's arena. An error means the point is
-// infeasible. The returned DesignPoint borrows the arena's topology and
-// placement: both are overwritten by the worker's next build, so a
-// caller that keeps the point past that publishes it first.
+// infeasible. The returned DesignPoint is the arena's own, and so are
+// its topology, placement and switch counts: the worker's next build
+// overwrites all of them, so a caller that keeps the point past that
+// keeps its published copy instead.
 func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*DesignPoint, error) {
 	env := bc.env
 	opt := env.opt
@@ -566,10 +568,11 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 		nocPower = power.NoCWith(top, &bc.pw)
 	}
 
-	dp := &DesignPoint{
+	bc.counts = append(bc.counts[:0], counts...)
+	bc.dp = DesignPoint{
 		Top:               top,
 		Placement:         pl,
-		SwitchCounts:      append([]int(nil), counts...),
+		SwitchCounts:      bc.counts,
 		MidSwitches:       mid,
 		NoCPower:          nocPower,
 		MeanLatencyCycles: top.MeanZeroLoadLatency(),
@@ -577,15 +580,19 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 		WireViolations:    len(floorplan.WireDelayViolations(top, pl)),
 		FloorplanOpt:      opt.Floorplan,
 	}
-	return dp, nil
+	return &bc.dp, nil
 }
 
-// publish replaces d's arena-borrowed topology and placement with
-// exact-size copies that share no storage with the arena, so d outlives
-// the worker's next build.
-func (d *DesignPoint) publish() {
-	d.Top = d.Top.Compact()
-	d.Placement = d.Placement.Clone()
+// published returns a copy of the arena point d that outlives the
+// worker's next build: its switch counts cloned, its topology and
+// placement exact-size copies (Compact, Clone), sharing no storage with
+// the arena. d itself is left as it was.
+func (d *DesignPoint) published() *DesignPoint {
+	p := *d
+	p.SwitchCounts = slices.Clone(d.SwitchCounts)
+	p.Top = d.Top.Compact()
+	p.Placement = d.Placement.Clone()
+	return &p
 }
 
 // construct fills the empty topology top with one candidate's
@@ -674,13 +681,13 @@ func Unrouted(spec *soc.Spec, lib *model.Library, opt Options, step, mid int) (*
 // Best returns the design point with the lowest NoC dynamic power,
 // preferring points without wire-delay violations. Nil when empty.
 func (r *Result) Best() *DesignPoint {
-	return r.argmin(powerOf)
+	return r.argmin(byPower)
 }
 
 // BestLatency returns the design point with the lowest mean zero-load
 // latency, preferring points without wire-delay violations.
 func (r *Result) BestLatency() *DesignPoint {
-	return r.argmin(latencyOf)
+	return r.argmin(byLatency)
 }
 
 // argmin selects the minimal point under sweepBetter, the order the
@@ -688,12 +695,12 @@ func (r *Result) BestLatency() *DesignPoint {
 // as its index. The tie-break makes the selection independent of
 // Points ordering, so serial and parallel sweeps (whose Points order is
 // canonical anyway) can never disagree.
-func (r *Result) argmin(metric func(*SweepPoint) float64) *DesignPoint {
+func (r *Result) argmin(m metric) *DesignPoint {
 	best := -1
 	var bestP SweepPoint
 	for i := range r.Points {
 		p := r.Points[i].summary(uint64(i))
-		if best < 0 || sweepBetter(&p, &bestP, metric) {
+		if best < 0 || sweepBetter(&p, &bestP, m) {
 			best, bestP = i, p
 		}
 	}

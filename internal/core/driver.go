@@ -46,6 +46,10 @@ type sweepEnv struct {
 	// and leave it false.
 	pruner  *incumbentPruner
 	ordered bool
+
+	// arenas holds drive's worker arenas, arenas[w] for worker w; they
+	// outlive the pass so the sweep rebuilds its winners in arenas[0].
+	arenas []*buildContext
 }
 
 // newSweepEnv is the one prologue of both sweeps: input validation,
@@ -413,8 +417,8 @@ func normalizeStack(stack []byte) string {
 
 // collector receives one sweep's outcomes. add runs on the evaluating
 // worker's goroutine (w indexes the worker) for every evaluated index,
-// before that worker builds its next candidate: out.dp still borrows
-// the worker's arena.
+// before that worker builds its next candidate: out.dp is still the
+// worker's arena point.
 type collector interface {
 	add(w int, idx uint64, out evalOutcome)
 }
@@ -428,19 +432,23 @@ type collector interface {
 // same space would have found up to that index. The block size follows
 // from the space size and the worker count, down to a single index on
 // small spaces, so a stop never overshoots by more than a sliver of the
-// space. Each worker builds in one arena for the whole sweep; one
-// worker is the same path with one goroutine. The sweep is partial
-// exactly when done < limit.
+// space. Each worker builds in one arena, env.arenas[w], for the whole
+// sweep; one worker is the same path with one goroutine. The sweep is
+// partial exactly when done < limit.
 func (env *sweepEnv) drive(ctx context.Context, space candidateSpace, limit uint64, col collector) (done uint64) {
 	n := int(min(uint64(env.opt.workers()), limit))
 	block := min(max(limit/uint64(n*16), 1), 4096)
+	env.arenas = make([]*buildContext, n)
+	for w := range env.arenas {
+		env.arenas[w] = newBuildContext(env)
+	}
 	var cursor atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			bc := newBuildContext(env)
+			bc := env.arenas[w]
 			counts := make([]int, len(env.islandCores))
 			parts := make([][]int, len(counts))
 			for ctx.Err() == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -170,5 +171,62 @@ func TestParetoFrontProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIncrementalFrontMatchesParetoFront: the streaming collector's
+// front, grown one point at a time, is ParetoFront of the points it was
+// given, in every insertion order. Power and latency are drawn from a
+// handful of values, so ties in power, ties in latency and identical
+// pairs under different indices are common. Each point arrives with
+// switch counts in one shared buffer that the next point overwrites, as
+// an arena's would be, so every kept point must own a copy.
+func TestIncrementalFrontMatchesParetoFront(t *testing.T) {
+	f := func(raw []uint8, seed uint64) bool {
+		pts := make([]SweepPoint, len(raw))
+		for i, r := range raw {
+			pts[i] = SweepPoint{Index: uint64(i), PowerW: float64(r % 5), LatencyCycles: float64(r / 5 % 5)}
+		}
+		want := ParetoFront(slices.Clone(pts))
+		for order := 0; order < 4; order++ {
+			shuffle(pts, &seed)
+			var sc sweepCollector
+			arena := []int{0}
+			for _, p := range pts {
+				arena[0] = int(p.Index)
+				p.SwitchCounts = arena
+				sc.addFront(p)
+			}
+			if len(sc.front) != len(want) {
+				t.Logf("order %d: front has %d points, ParetoFront %d", order, len(sc.front), len(want))
+				return false
+			}
+			for i, g := range sc.front {
+				w := want[i]
+				if g.Index != w.Index || g.PowerW != w.PowerW || g.LatencyCycles != w.LatencyCycles ||
+					g.SwitchCounts[0] != int(g.Index) {
+					t.Logf("order %d: front[%d] = %+v, ParetoFront's %+v", order, i, g, w)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shuffle permutes pts in place (Fisher-Yates over a splitmix64 stream
+// seeded by *state).
+func shuffle(pts []SweepPoint, state *uint64) {
+	for i := len(pts) - 1; i > 0; i-- {
+		*state += 0x9e3779b97f4a7c15
+		z := *state
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		z ^= z >> 31
+		j := int(z % uint64(i+1))
+		pts[i], pts[j] = pts[j], pts[i]
 	}
 }

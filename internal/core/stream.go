@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nocvi/internal/model"
@@ -125,11 +127,11 @@ type SweepResult struct {
 // metric, fewest direct switches, fewest mid switches, lowest index. The
 // index tiebreak mirrors serial first-wins and makes the order total,
 // so merging per-worker minima is exact.
-func sweepBetter(a, b *SweepPoint, metric func(*SweepPoint) float64) bool {
+func sweepBetter(a, b *SweepPoint, m metric) bool {
 	if a.WireViolations != b.WireViolations {
 		return a.WireViolations < b.WireViolations
 	}
-	av, bv := metric(a), metric(b)
+	av, bv := m.of(a), m.of(b)
 	if av != bv { //noclint:ignore floateq exact compare keeps the argmin chain bit-identical across worker counts
 		return av < bv
 	}
@@ -150,8 +152,21 @@ func sumCounts(counts []int) int {
 	return n
 }
 
-func powerOf(p *SweepPoint) float64   { return p.PowerW }
-func latencyOf(p *SweepPoint) float64 { return p.LatencyCycles }
+// metric is the objective an argmin minimizes. It is a value rather
+// than an accessor func so that sweepBetter's operands do not escape.
+type metric uint8
+
+const (
+	byPower   metric = iota // PowerW
+	byLatency               // LatencyCycles
+)
+
+func (m metric) of(p *SweepPoint) float64 {
+	if m == byLatency {
+		return p.LatencyCycles
+	}
+	return p.PowerW
+}
 
 // ParetoFront reduces pts to the exact Pareto front of (PowerW,
 // LatencyCycles) minimization, ascending by power, with equal (power,
@@ -159,18 +174,10 @@ func latencyOf(p *SweepPoint) float64 { return p.LatencyCycles }
 // and returns the front in pts' storage. Sorting makes the result
 // independent of input order, which is what lets per-worker fronts
 // merge exactly. Every front in the module — the streaming
-// collectors', the sweep merge's and the nocvi facade's — is this one.
+// collectors', the sweep merge's and the nocvi facade's — selects by
+// this rule; the collectors apply it one point at a time (addFront).
 func ParetoFront(pts []SweepPoint) []SweepPoint {
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := &pts[i], &pts[j]
-		if a.PowerW != b.PowerW { //noclint:ignore floateq exact dominance keeps the front bit-identical across worker counts
-			return a.PowerW < b.PowerW
-		}
-		if a.LatencyCycles != b.LatencyCycles { //noclint:ignore floateq exact dominance keeps the front bit-identical across worker counts
-			return a.LatencyCycles < b.LatencyCycles
-		}
-		return a.Index < b.Index
-	})
+	slices.SortFunc(pts, frontCmp)
 	out := pts[:0]
 	bestLat := math.Inf(1)
 	for i := range pts {
@@ -182,18 +189,37 @@ func ParetoFront(pts []SweepPoint) []SweepPoint {
 	return out
 }
 
+// frontCmp is the front's order: ascending power, then latency, then
+// index — a total order, so sorting cannot depend on input order.
+func frontCmp(a, b SweepPoint) int {
+	return cmp.Or(cmp.Compare(a.PowerW, b.PowerW), cmp.Compare(a.LatencyCycles, b.LatencyCycles), cmp.Compare(a.Index, b.Index))
+}
+
+// retain overwrites sp with p, copying p's switch counts into sp's own
+// buffer: a summary's SwitchCounts aliases the worker's arena.
+func (sp *SweepPoint) retain(p SweepPoint) {
+	buf := sp.SwitchCounts[:0]
+	*sp = p
+	sp.SwitchCounts = append(buf, p.SwitchCounts...)
+}
+
 // sweepCollector accumulates one worker's share of the sweep with
-// bounded memory: two argmin slots, a Pareto buffer pruned in place
-// whenever it fills, bounded errors, and counters.
+// bounded memory: two argmin slots, the exact Pareto front of the
+// worker's points, bounded errors, and counters. Every point it keeps
+// owns its SwitchCounts.
 type sweepCollector struct {
 	explored   uint64
 	pruneBound uint64
 	pruneStage uint64
 	feasible   uint64
 
-	bestPower   *SweepPoint
-	bestLatency *SweepPoint
+	// bestPower and bestLatency are the worker's argmins, valid once
+	// feasible > 0.
+	bestPower   SweepPoint
+	bestLatency SweepPoint
 
+	// front is ParetoFront of the worker's feasible points, kept sorted
+	// by frontCmp as points arrive.
 	front []SweepPoint
 
 	errs     []CandidateError
@@ -202,25 +228,40 @@ type sweepCollector struct {
 	errCap   int
 }
 
-// frontBuffer bounds the unpruned Pareto buffer. Pruning is O(n log n)
-// and discards dominated points, so the buffer oscillates between the
-// true front size and this cap plus the front size.
-const frontBuffer = 512
-
 func (sc *sweepCollector) addFeasible(p SweepPoint) {
 	sc.feasible++
-	if sc.bestPower == nil || sweepBetter(&p, sc.bestPower, powerOf) {
-		cp := p
-		sc.bestPower = &cp
+	if sc.feasible == 1 || sweepBetter(&p, &sc.bestPower, byPower) {
+		sc.bestPower.retain(p)
 	}
-	if sc.bestLatency == nil || sweepBetter(&p, sc.bestLatency, latencyOf) {
-		cp := p
-		sc.bestLatency = &cp
+	if sc.feasible == 1 || sweepBetter(&p, &sc.bestLatency, byLatency) {
+		sc.bestLatency.retain(p)
 	}
-	sc.front = append(sc.front, p)
-	if len(sc.front) >= frontBuffer {
-		sc.front = ParetoFront(sc.front)
+	sc.addFront(p)
+}
+
+// addFront inserts p into the sorted front under ParetoFront's rule.
+// Along the front power ascends and latency strictly descends, so the
+// point before p's slot has the lowest latency of every point ordered
+// before p: p is dominated (or an equal pair with a higher index)
+// exactly when that latency is no higher than p's. Otherwise p enters,
+// and the points it dominates are the contiguous run after its slot
+// whose latency is no lower than p's.
+func (sc *sweepCollector) addFront(p SweepPoint) {
+	f := sc.front
+	i, _ := slices.BinarySearchFunc(f, p, frontCmp)
+	if i > 0 && f[i-1].LatencyCycles <= p.LatencyCycles {
+		return
 	}
+	j := i
+	for j < len(f) && f[j].LatencyCycles >= p.LatencyCycles {
+		j++
+	}
+	if i == j {
+		f = slices.Insert(f, i, SweepPoint{})
+		j++
+	}
+	f[i].retain(p) // reuses the first dominated point's buffer, if any
+	sc.front = slices.Delete(f, i+1, j)
 }
 
 func (sc *sweepCollector) addError(idx uint64, ce *CandidateError) {
@@ -237,7 +278,7 @@ func (sc *sweepCollector) addError(idx uint64, ce *CandidateError) {
 
 // streamCollectors is SynthesizeSweep's collector: one bounded-memory
 // sweepCollector per worker, merged after the sweep. It keeps only the
-// SweepPoint summary of a feasible point, never its arena-borrowed
+// SweepPoint summary of a feasible point, never the arena's point,
 // topology or placement. Nothing it keeps depends on order.
 type streamCollectors []*sweepCollector
 
@@ -325,11 +366,11 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 		res.PruneStats.StagePruned += int(col.pruneStage)
 		res.Feasible += col.feasible
 		res.ErrorCount += col.errCount
-		if col.bestPower != nil && (bestP == nil || sweepBetter(col.bestPower, bestP, powerOf)) {
-			bestP = col.bestPower
+		if col.feasible > 0 && (bestP == nil || sweepBetter(&col.bestPower, bestP, byPower)) {
+			bestP = &col.bestPower
 		}
-		if col.bestLatency != nil && (bestL == nil || sweepBetter(col.bestLatency, bestL, latencyOf)) {
-			bestL = col.bestLatency
+		if col.feasible > 0 && (bestL == nil || sweepBetter(&col.bestLatency, bestL, byLatency)) {
+			bestL = &col.bestLatency
 		}
 		front = append(front, col.front...)
 		for i := range col.errs {
@@ -351,8 +392,11 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 	for _, e := range errs {
 		res.Errors = append(res.Errors, e.ce)
 	}
-	res.BestPowerPoint = bestP
-	res.BestLatencyPoint = bestL
+	if bestP != nil {
+		// Copies, so the result does not keep the collectors alive.
+		p, l := *bestP, *bestL
+		res.BestPowerPoint, res.BestLatencyPoint = &p, &l
+	}
 
 	switch {
 	case partial:
@@ -363,15 +407,17 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 		res.StopReason = StopComplete
 	}
 
-	// Rebuild the winning design points in full. The build is the same
-	// deterministic function the sweep ran, so it cannot fail now.
+	// Rebuild the winning design points in full, in worker 0's arena with
+	// staged pruning off. The build is the same deterministic function
+	// the sweep ran, so it cannot fail now.
+	bc := env.arenas[0]
+	bc.pruneIdx = 0
+	counts := make([]int, len(env.islandCores))
+	parts := make([][]int, len(counts))
 	rebuild := func(p *SweepPoint) *DesignPoint {
 		if p == nil {
 			return nil
 		}
-		bc := newBuildContext(env)
-		counts := make([]int, len(env.islandCores))
-		parts := make([][]int, len(counts))
 		mid := space.Decode(p.Index, counts)
 		for j, k := range counts {
 			parts[j] = env.table.entry(j, k, &bc.part).part
@@ -380,8 +426,7 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 		if err != nil {
 			panic(fmt.Sprintf("core: sweep winner %v/mid=%d failed rebuild: %v", counts, mid, err)) //noclint:ignore bannedcall cold-path invariant panic, not a cache key
 		}
-		dp.publish() // else the point would keep the whole discarded arena alive
-		return dp
+		return dp.published()
 	}
 	res.BestPower = rebuild(bestP)
 	if bestL != nil && bestP != nil && bestL.Index == bestP.Index {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -9,8 +10,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nocvi/internal/bench"
 	"nocvi/internal/model"
 	"nocvi/internal/partition"
+	"nocvi/internal/route"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
 )
@@ -174,10 +177,10 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 	wantBestP := &feasible[0]
 	wantBestL := &feasible[0]
 	for i := range feasible {
-		if sweepBetter(&feasible[i], wantBestP, powerOf) {
+		if sweepBetter(&feasible[i], wantBestP, byPower) {
 			wantBestP = &feasible[i]
 		}
-		if sweepBetter(&feasible[i], wantBestL, latencyOf) {
+		if sweepBetter(&feasible[i], wantBestL, byLatency) {
 			wantBestL = &feasible[i]
 		}
 	}
@@ -280,7 +283,7 @@ func TestSweepIdenticalAcrossWorkers(t *testing.T) {
 				opt := Options{AllowIntermediate: spec.Name == "mini8", MaxIntermediateSwitches: 2,
 					Workers: 1, NoPrune: noPrune}
 				base := sweepOnce(t, spec, lib, opt, sw)
-				for _, workers := range []int{2, 3, 8, 64} {
+				for _, workers := range []int{2, 3, 4, 8, 64} {
 					opt.Workers = workers
 					got := sweepOnce(t, spec, lib, opt, sw)
 					sameSweep(t, fmt.Sprintf("%s limit=%d width=%d noprune=%v workers=%d",
@@ -479,5 +482,87 @@ func TestSweepMillionPointGeometry(t *testing.T) {
 	}
 	if res.BestPowerPoint == nil {
 		t.Fatal("no feasible point in the first 2000 candidates; proof space is degenerate")
+	}
+}
+
+// TestStreamCollectorAddAllocatesNothing: on a warm worker, the outcomes
+// most sweep candidates end in cost the streaming collector nothing.
+// Evaluating and collecting a feasible point the front and both argmins
+// reject, a bound-pruned and a stage-pruned candidate allocates
+// nothing at all; collecting a routing reject (a *route.NoPathError,
+// allocated by the router) allocates nothing more.
+func TestStreamCollectorAddAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	spec, err := bench.Islanded("d26_media")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := mustEnv(t, spec, model.Default65nm(), Options{AllowIntermediate: true})
+	space := env.diagonal()
+	bc := newBuildContext(env)
+	counts := make([]int, len(spec.Islands))
+	parts := make([][]int, len(counts))
+	eval := func(idx uint64) evalOutcome {
+		return env.evaluate(bc, idx, counts, parts, space.Decode(idx, counts))
+	}
+	cols := streamCollectors{&sweepCollector{errCap: 1}}
+	// A violation-free point at zero power and latency beats every real
+	// one, in the front and in both argmins.
+	cols[0].addFeasible(SweepPoint{SwitchCounts: make([]int, len(counts))})
+	addAllocs := func(idx uint64, out evalOutcome) float64 {
+		return testing.AllocsPerRun(20, func() { cols.add(0, idx, out) })
+	}
+	evalAddAllocs := func(idx uint64) float64 {
+		return testing.AllocsPerRun(20, func() { cols.add(0, idx, eval(idx)) })
+	}
+
+	// Candidate 0 of d26's diagonal walk cannot route a flow.
+	const reject = 0
+	mid := space.Decode(reject, counts)
+	for j, k := range counts {
+		parts[j] = env.table.entry(j, k, &bc.part).part
+	}
+	_, err = buildPoint(bc, counts, parts, mid)
+	var npe *route.NoPathError
+	if !errors.As(err, &npe) {
+		t.Fatalf("candidate %d: want a *route.NoPathError, got %v", reject, err)
+	}
+	out := eval(reject)
+	if out.dp != nil || out.err != nil || out.pruned != pruneNone {
+		t.Fatalf("candidate %d: routing reject evaluated to %+v", reject, out)
+	}
+	if n := addAllocs(reject, out); n != 0 {
+		t.Errorf("routing reject: add allocates %v times, want 0", n)
+	}
+
+	feasible := uint64(reject + 1)
+	for ; eval(feasible).dp == nil; feasible++ {
+	}
+	built := eval(feasible)
+	if n := evalAddAllocs(feasible); n != 0 {
+		t.Errorf("dominated feasible point: evaluate and add allocate %v times, want 0", n)
+	}
+
+	// An incumbent strictly below both lower bounds prunes before the
+	// build; one at the power bound itself survives that test and prunes
+	// after routing, where the staged power is above the bound.
+	for _, c := range []struct {
+		name   string
+		powerW float64
+		want   uint8
+	}{
+		{"bound-pruned", 0, pruneBound},
+		{"stage-pruned", built.powerLB, pruneStage},
+	} {
+		env.pruner = &incumbentPruner{}
+		env.pruner.publish(0, c.powerW, 0)
+		if out := eval(feasible); out.pruned != c.want {
+			t.Fatalf("%s: candidate %d evaluated to prune verdict %d", c.name, feasible, out.pruned)
+		}
+		if n := evalAddAllocs(feasible); n != 0 {
+			t.Errorf("%s: evaluate and add allocate %v times, want 0", c.name, n)
+		}
 	}
 }

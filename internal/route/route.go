@@ -20,6 +20,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nocvi/internal/graph"
 	"nocvi/internal/model"
@@ -70,7 +71,7 @@ type Router struct {
 	subs map[islPair]*subgraph
 
 	// free recycles subgraphs across Reset cycles: a reused Router keeps
-	// the vertex/rank/local buffers of the previous candidate's
+	// the vertex and rank buffers of the previous candidate's
 	// subgraphs and refills them instead of allocating. Populated only
 	// by Reset, consumed by subgraphFor.
 	free []*subgraph
@@ -106,7 +107,8 @@ type islPair struct{ src, dst soc.IslandID }
 // between one island pair may touch. verts maps local vertex indices to
 // switch IDs in ascending order — so local adjacency order equals the
 // global ascending order the complete-graph router used, keeping
-// equal-cost tie-breaks identical — and local is the inverse map.
+// equal-cost tie-breaks identical — and local inverts it by binary
+// search.
 //
 // The island discipline (S→S, S→M, S→D, M→M, M→D, D→D) is a total
 // preorder on the admissible islands, so the candidate arcs are never
@@ -117,7 +119,15 @@ type islPair struct{ src, dst soc.IslandID }
 type subgraph struct {
 	verts []topology.SwitchID
 	rank  []int8
-	local []int32
+}
+
+// local returns sw's local vertex index, or -1 when sw lies outside the
+// subgraph's islands.
+func (s *subgraph) local(sw topology.SwitchID) int {
+	if i, ok := slices.BinarySearch(s.verts, sw); ok {
+		return i
+	}
+	return -1
 }
 
 // New creates a router for the given topology. The topology must already
@@ -167,24 +177,16 @@ func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
 	}
 	top := r.top
 	mid := top.NoCIsland
-	n := len(top.Switches)
 	var s *subgraph
 	if k := len(r.free); k > 0 {
 		s = r.free[k-1]
 		r.free = r.free[:k-1]
 		s.verts = s.verts[:0]
 		s.rank = s.rank[:0]
-		if cap(s.local) < n {
-			s.local = make([]int32, n)
-		}
-		s.local = s.local[:n]
 	} else {
-		s = &subgraph{local: make([]int32, n)}
+		s = &subgraph{}
 	}
-	for i := range s.local {
-		s.local[i] = -1
-	}
-	for i := 0; i < n; i++ {
+	for i := range top.Switches {
 		isl := top.Switches[i].Island
 		if isl != srcIsl && isl != dstIsl && (mid == soc.NoIsland || isl != mid) {
 			continue
@@ -200,7 +202,6 @@ func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
 		default:
 			rk = 1 // intermediate island
 		}
-		s.local[i] = int32(len(s.verts))
 		s.verts = append(s.verts, topology.SwitchID(i))
 		s.rank = append(s.rank, rk)
 	}
@@ -257,15 +258,39 @@ func (r *Router) Route(f soc.Flow) error {
 		}
 	}
 	if path == nil {
-		lat := "unconstrained"
-		if f.MaxLatencyCycles > 0 {
-			//noclint:ignore bannedcall error-path message formatting, not a cache key
-			lat = fmt.Sprintf("lat<=%.0f", f.MaxLatencyCycles)
-		}
-		return fmt.Errorf("route: no feasible path for flow %d->%d (%.0f MB/s, %s)",
-			f.Src, f.Dst, f.BandwidthBps/1e6, lat)
+		return &NoPathError{Flow: f}
 	}
 	return r.commit(f, path)
+}
+
+// NoPathError reports a flow the router could not place: no primary
+// route meeting the flow's capacity and latency constraints, or, when
+// Backup > 0, no Backup-th link-disjoint backup under survivability K.
+// A synthesis sweep discards most of these unread, so Error formats
+// the message only when called.
+type NoPathError struct {
+	Flow soc.Flow
+
+	// Backup is the 1-based backup the survivability pass failed to
+	// find, zero for a primary route; K is the survivability level.
+	Backup, K int
+}
+
+func (e *NoPathError) Error() string {
+	f := e.Flow
+	if e.Backup > 0 {
+		//noclint:ignore bannedcall error rendering, not a cache key; runs only when a caller reads the message
+		return fmt.Sprintf("route: no disjoint backup %d/%d for flow %d->%d (survivability %d)",
+			e.Backup, e.K, f.Src, f.Dst, e.K)
+	}
+	lat := "unconstrained"
+	if f.MaxLatencyCycles > 0 {
+		//noclint:ignore bannedcall error-path message formatting, not a cache key
+		lat = fmt.Sprintf("lat<=%.0f", f.MaxLatencyCycles)
+	}
+	//noclint:ignore bannedcall error rendering, not a cache key; runs only when a caller reads the message
+	return fmt.Sprintf("route: no feasible path for flow %d->%d (%.0f MB/s, %s)",
+		f.Src, f.Dst, f.BandwidthBps/1e6, lat)
 }
 
 // routeBackups runs the survivability pass: for every committed
@@ -301,8 +326,7 @@ func (r *Router) routeBackups(k int) error {
 			dst := rt.Switches[len(rt.Switches)-1]
 			path := r.shortest(f, src, dst, false)
 			if path == nil {
-				return fmt.Errorf("route: no disjoint backup %d/%d for flow %d->%d (survivability %d)",
-					b+1, k, f.Src, f.Dst, k)
+				return &NoPathError{Flow: f, Backup: b + 1, K: k}
 			}
 			if err := r.commitBackup(ri, path); err != nil {
 				return err
@@ -412,12 +436,12 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 // returns the switch path or nil when disconnected.
 func (r *Router) shortest(f soc.Flow, src, dst topology.SwitchID, latOnly bool) []topology.SwitchID {
 	sub := r.subgraphFor(r.top.Spec.IslandOf[f.Src], r.top.Spec.IslandOf[f.Dst])
-	ls, ld := sub.local[src], sub.local[dst]
+	ls, ld := sub.local(src), sub.local(dst)
 	if ls < 0 || ld < 0 {
 		return nil // endpoint switch outside the admissible islands
 	}
 	r.curSub, r.curFlow, r.latOnly = sub, f, latOnly
-	path, c := r.scratch.ShortestPathDense(len(sub.verts), sub.rank, int(ls), int(ld), r.costFn)
+	path, c := r.scratch.ShortestPathDense(len(sub.verts), sub.rank, ls, ld, r.costFn)
 	if math.IsInf(c, 1) {
 		return nil
 	}
@@ -469,11 +493,4 @@ func (r *Router) commit(f soc.Flow, path []topology.SwitchID) error {
 	sw := r.top.TakeRouteSwitches(len(path))
 	copy(sw, path)
 	return r.top.AddRoute(topology.Route{Flow: f, Switches: sw, Links: links})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

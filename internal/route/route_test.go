@@ -1,6 +1,8 @@
 package route
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -188,6 +190,37 @@ func TestRouteFailsWhenNoCapacity(t *testing.T) {
 	}
 }
 
+// TestNoPathErrorTyped: a flow the router cannot place fails with a
+// *NoPathError naming it, wrapped or not, whose text is the message the
+// router formatted eagerly before the error was typed — for a flow with
+// a latency constraint and for one without.
+func TestNoPathErrorTyped(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		flow soc.Flow
+		want string
+	}{
+		{"unconstrained", soc.Flow{Src: 2, Dst: 5, BandwidthBps: 5e9},
+			"route: no feasible path for flow 2->5 (5000 MB/s, unconstrained)"},
+		{"latency-constrained", soc.Flow{Src: 2, Dst: 0, BandwidthBps: 10e6, MaxLatencyCycles: 8},
+			"route: no feasible path for flow 2->0 (10 MB/s, lat<=8)"},
+	} {
+		spec := threeIslandSpec()
+		spec.Flows = []soc.Flow{c.flow}
+		err := New(build(t, spec, false), Options{}).RouteAll()
+		var npe *NoPathError
+		if !errors.As(fmt.Errorf("wrapped: %w", err), &npe) {
+			t.Fatalf("%s: want a *NoPathError, got %v", c.name, err)
+		}
+		if npe.Flow != c.flow || npe.Backup != 0 {
+			t.Fatalf("%s: error names flow %+v backup %d, want %+v and no backup", c.name, npe.Flow, npe.Backup, c.flow)
+		}
+		if got := err.Error(); got != c.want {
+			t.Fatalf("%s: Error() = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 func TestRouteFailsOnLatency(t *testing.T) {
 	spec := threeIslandSpec()
 	// Inter-island flow with an impossible latency bound: min possible
@@ -266,7 +299,7 @@ func TestAllowedDiscipline(t *testing.T) {
 		// The router never evaluates the predicate: the subgraph's ranks
 		// must encode it as arcs.
 		sub := r.subgraphFor(c.src, c.dst)
-		lu, lv := sub.local[c.u], sub.local[c.v]
+		lu, lv := sub.local(c.u), sub.local(c.v)
 		if arc := lu >= 0 && lv >= 0 && sub.rank[lu] <= sub.rank[lv]; arc != c.want {
 			t.Fatalf("case %d: subgraph arc %d->%d for %d->%d = %v, want %v", i, c.u, c.v, c.src, c.dst, arc, c.want)
 		}

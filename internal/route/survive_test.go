@@ -11,6 +11,7 @@
 package route_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -311,6 +312,14 @@ func TestSingleLinkCutBackupInfeasible(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no disjoint backup 1/1") {
 		t.Fatalf("wrong diagnostic: %v", err)
+	}
+	var npe *route.NoPathError
+	if !errors.As(err, &npe) || npe.Backup != 1 || npe.K != 1 || npe.Flow != top.Routes[0].Flow {
+		t.Fatalf("want a *route.NoPathError for backup 1 of 1 on flow %+v, got %#v", top.Routes[0].Flow, err)
+	}
+	f := npe.Flow
+	if want := fmt.Sprintf("route: no disjoint backup 1/1 for flow %d->%d (survivability 1)", f.Src, f.Dst); err.Error() != want {
+		t.Fatalf("Error() = %q, want %q", err.Error(), want)
 	}
 	// The primary was committed before the backup pass failed; the oracle
 	// sees exactly that one path and nothing else.

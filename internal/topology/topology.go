@@ -671,17 +671,14 @@ func (t *Topology) ValidateRouted() error {
 // outside X traverses a switch inside X. (Routes that start or end in X
 // are legitimately lost when X is gated.)
 func (t *Topology) ValidateShutdownSafe() error {
-	off := make([]bool, len(t.Spec.Islands))
 	for islIdx := range t.Spec.Islands {
 		isl := soc.IslandID(islIdx)
 		if !t.IslandShutdownable(isl) {
 			continue
 		}
-		off[islIdx] = true
-		if err := t.ValidateShutdownSafeMask(off); err != nil {
+		if err := t.severed(nil, isl); err != nil {
 			return err
 		}
-		off[islIdx] = false
 	}
 	return nil
 }
@@ -693,14 +690,22 @@ func (t *Topology) ValidateShutdownSafe() error {
 // NoC island, which sits beyond the mask) is itself a violation. This
 // is the per-state invariant the power-state fault campaign sweeps.
 func (t *Topology) ValidateShutdownSafeMask(off []bool) error {
-	gated := func(isl soc.IslandID) bool {
-		return int(isl) < len(off) && off[isl]
-	}
 	for islIdx := range off {
 		if off[islIdx] && !t.IslandShutdownable(soc.IslandID(islIdx)) {
 			return fmt.Errorf("topology: island %d (%s) is not shutdownable",
 				islIdx, t.Spec.Islands[islIdx].Name)
 		}
+	}
+	return t.severed(off, soc.NoIsland)
+}
+
+// severed reports the first route between two powered endpoints that
+// traverses a gated switch, where an island is gated when off marks it
+// or it is also. ValidateShutdownSafe gates one island at a time
+// through also, so it needs no mask.
+func (t *Topology) severed(off []bool, also soc.IslandID) error {
+	gated := func(isl soc.IslandID) bool {
+		return isl == also || int(isl) < len(off) && off[isl]
 	}
 	for ri := range t.Routes {
 		r := &t.Routes[ri]
