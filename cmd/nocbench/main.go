@@ -1,19 +1,27 @@
 // Command nocbench regenerates the paper's figures and tables from the
 // reproduction. Each experiment is selected with -exp:
 //
-//	nocbench -exp fig2       island count vs NoC dynamic power (Fig. 2)
-//	nocbench -exp fig3       island count vs zero-load latency (Fig. 3)
-//	nocbench -exp fig4       the 6-VI logical topology, DOT + text (Fig. 4)
-//	nocbench -exp fig5       its floorplan, SVG + ASCII (Fig. 5)
-//	nocbench -exp tab1       shutdown-support overhead across the suite
-//	nocbench -exp tab2       island-shutdown power savings scenarios
-//	nocbench -exp campaign   power-state fault campaign across the suite
-//	nocbench -exp survive    power/latency vs survivability degree k
-//	nocbench -exp abl-alpha  ablation: VCG weight alpha
-//	nocbench -exp abl-mid    ablation: intermediate NoC island on/off
-//	nocbench -exp abl-width  ablation: link data width
-//	nocbench -exp all        everything above
+//	nocbench -exp fig2        island count vs NoC dynamic power (Fig. 2)
+//	nocbench -exp fig3        island count vs zero-load latency (Fig. 3)
+//	nocbench -exp fig4        the 6-VI logical topology, DOT + text (Fig. 4)
+//	nocbench -exp fig5        its floorplan, SVG + ASCII (Fig. 5)
+//	nocbench -exp tab1        shutdown-support overhead across the suite
+//	nocbench -exp tab2        island-shutdown power savings scenarios
+//	nocbench -exp tab3        one NoC for every operating mode, idle islands gated
+//	nocbench -exp load        injection-scale sweep to saturation
+//	nocbench -exp cmp-mesh    comparison against a regular-mesh mapping
+//	nocbench -exp cmp-fault   single-link-failure recoverability, custom vs mesh
+//	nocbench -exp campaign    power-state fault campaign across the suite
+//	nocbench -exp survive     power/latency vs survivability degree k
+//	nocbench -exp abl-alpha   ablation: VCG weight alpha
+//	nocbench -exp abl-mid     ablation: intermediate NoC island on/off
+//	nocbench -exp abl-part    ablation: greedy vs spectral partitioning
+//	nocbench -exp abl-buffer  ablation: wormhole buffer depth
+//	nocbench -exp abl-dvs     ablation: per-island NoC supply scaling
+//	nocbench -exp abl-width   ablation: link data width
+//	nocbench -exp all         everything above, in this order
 //
+// fig2 and fig3 come from one sweep, so either prints both curves.
 // With -out DIR the figure artifacts (DOT/SVG) are also written to
 // files; tables always go to stdout.
 package main
@@ -23,41 +31,34 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
-	"nocvi/internal/cache"
 	"nocvi/internal/cliflags"
 	"nocvi/internal/experiments"
 	"nocvi/internal/model"
-	"nocvi/internal/prof"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig2|fig3|fig4|fig5|tab1|tab2|campaign|survive|abl-alpha|abl-mid|abl-part|abl-buffer|abl-dvs|abl-width|all)")
+	exp := flag.String("exp", "all", "experiment to run ("+usage()+")")
 	out := flag.String("out", "", "directory to write DOT/SVG artifacts to (optional)")
 	width := flag.Int("width", 32, "NoC link data width in bits")
-	workers := flag.Int("workers", 0, "design-point evaluation goroutines per synthesis (0 = GOMAXPROCS, 1 = serial)")
-	noPrune := flag.Bool("no-prune", false, "disable branch-and-bound pruning of the design-space sweeps")
-	survive := cliflags.Survive(flag.CommandLine)
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (default $"+cache.EnvDir+"; empty = off)")
-	noCache := flag.Bool("no-cache", false, "disable the result cache even when configured")
+	synth := cliflags.Synth(flag.CommandLine)
+	profile := cliflags.Profile(flag.CommandLine)
 	flag.Parse()
 
-	store, err := cache.Resolve(*cacheDir, *noCache)
+	store, err := synth.OpenCache()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nocbench:", err)
 		os.Exit(1)
 	}
 	experiments.Cache = store
-
-	experiments.Workers = *workers
-	experiments.NoPrune = *noPrune
-	experiments.Survive = *survive
+	experiments.Workers = synth.Workers
+	experiments.Survive = synth.Survive
 	lib := model.Default65nm()
 	lib.LinkWidthBits = *width
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := profile.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nocbench:", err)
 		os.Exit(1)
@@ -79,140 +80,112 @@ func main() {
 	fmt.Printf("\n[%s completed in %v]\n", *exp, time.Since(start).Round(time.Millisecond))
 }
 
-func run(exp, out string, lib *model.Library) error {
-	all := exp == "all"
-	if all || exp == "fig2" || exp == "fig3" {
-		pts, err := experiments.Curves(lib, nil)
+// experiment is one entry of the experiment table: the -exp ids that
+// select it and the runner that prints it.
+type experiment struct {
+	ids []string
+	run runner
+}
+
+// runner prints one experiment, writing any figure artifact to the -out
+// directory out.
+type runner func(lib *model.Library, out string) error
+
+// table lists every experiment in the order -exp all runs them. It is
+// the only list of ids: dispatch, the -exp usage string and the
+// unknown-id error all read it.
+var table = []experiment{
+	{[]string{"fig2", "fig3"}, rows(func(lib *model.Library) ([]experiments.CurvePoint, error) {
+		return experiments.Curves(lib, nil)
+	}, experiments.FormatCurves)},
+	{[]string{"fig4"}, figure("Fig.4 — synthesized topology, D26 with 6 logical VIs", "fig4_topology.dot", experiments.Fig4)},
+	{[]string{"fig5"}, figure("Fig.5 — floorplan, D26 with 6 logical VIs", "fig5_floorplan.svg", experiments.Fig5)},
+	{[]string{"tab1"}, rows(experiments.Tab1, experiments.FormatTab1)},
+	{[]string{"tab2"}, rows(experiments.Tab2, experiments.FormatTab2)},
+	{[]string{"tab3"}, rows(experiments.Tab3, experiments.FormatTab3)},
+	{[]string{"load"}, rows(func(lib *model.Library) ([]experiments.LoadRow, error) {
+		return experiments.LoadSweep(lib, nil)
+	}, experiments.FormatLoadSweep)},
+	{[]string{"cmp-mesh"}, rows(experiments.CmpMesh, experiments.FormatCmpMesh)},
+	{[]string{"cmp-fault"}, rows(experiments.CmpFault, experiments.FormatCmpFault)},
+	{[]string{"campaign"}, rows(experiments.CampaignSweep, experiments.FormatCampaign)},
+	{[]string{"survive"}, rows(func(lib *model.Library) ([]experiments.SurviveRow, error) {
+		return experiments.SurviveSweep(lib, nil)
+	}, experiments.FormatSurvive)},
+	{[]string{"abl-alpha"}, ablation("Ablation — VCG weight alpha (D26, single island: partitioning-dominated)", experiments.AblAlpha)},
+	{[]string{"abl-mid"}, ablation("Ablation — intermediate NoC island (D26, 26 VIs)", experiments.AblMid)},
+	{[]string{"abl-part"}, ablation("Ablation — greedy vs spectral communication partitioning (D26)", experiments.AblPartitioner)},
+	{[]string{"abl-buffer"}, ablation("Ablation — wormhole buffer depth (D26, flit-level engine; latency in cycles, links column = packets delivered)", experiments.AblBuffer)},
+	{[]string{"abl-dvs"}, ablation("Ablation — per-island NoC supply scaling (D26, 6 logical VIs)", experiments.AblDVS)},
+	{[]string{"abl-width"}, ablation("Ablation — link data width (D26, 6 logical VIs)", experiments.AblWidth)},
+}
+
+// rows is the runner of a table experiment: compute the rows, print
+// them through format.
+func rows[R any](compute func(*model.Library) (R, error), format func(R) string) runner {
+	return func(lib *model.Library, _ string) error {
+		r, err := compute(lib)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatCurves(pts))
-	}
-	if all || exp == "fig4" {
-		dot, txt, err := experiments.Fig4(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig.4 — synthesized topology, D26 with 6 logical VIs")
-		fmt.Println(txt)
-		if err := save(out, "fig4_topology.dot", dot); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig5" {
-		svg, txt, err := experiments.Fig5(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig.5 — floorplan, D26 with 6 logical VIs")
-		fmt.Println(txt)
-		if err := save(out, "fig5_floorplan.svg", svg); err != nil {
-			return err
-		}
-	}
-	if all || exp == "tab1" {
-		rows, err := experiments.Tab1(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTab1(rows))
-	}
-	if all || exp == "tab2" {
-		rows, err := experiments.Tab2(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTab2(rows))
-	}
-	if all || exp == "tab3" {
-		rows, err := experiments.Tab3(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTab3(rows))
-	}
-	if all || exp == "load" {
-		rows, err := experiments.LoadSweep(lib, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatLoadSweep(rows))
-	}
-	if all || exp == "cmp-mesh" {
-		rows, err := experiments.CmpMesh(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCmpMesh(rows))
-	}
-	if all || exp == "cmp-fault" {
-		rows, err := experiments.CmpFault(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCmpFault(rows))
-	}
-	if all || exp == "campaign" {
-		rows, err := experiments.CampaignSweep(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCampaign(rows))
-	}
-	if all || exp == "survive" {
-		rows, err := experiments.SurviveSweep(lib, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSurvive(rows))
-	}
-	if all || exp == "abl-alpha" {
-		rows, err := experiments.AblAlpha(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblation("Ablation — VCG weight alpha (D26, single island: partitioning-dominated)", rows))
-	}
-	if all || exp == "abl-mid" {
-		rows, err := experiments.AblMid(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblation("Ablation — intermediate NoC island (D26, 26 VIs)", rows))
-	}
-	if all || exp == "abl-part" {
-		rows, err := experiments.AblPartitioner(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblation("Ablation — greedy vs spectral communication partitioning (D26)", rows))
-	}
-	if all || exp == "abl-buffer" {
-		rows, err := experiments.AblBuffer(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblation("Ablation — wormhole buffer depth (D26, flit-level engine; latency in cycles, links column = packets delivered)", rows))
-	}
-	if all || exp == "abl-dvs" {
-		rows, err := experiments.AblDVS(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblation("Ablation — per-island NoC supply scaling (D26, 6 logical VIs)", rows))
-	}
-	if all || exp == "abl-width" {
-		rows, err := experiments.AblWidth(lib)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAblation("Ablation — link data width (D26, 6 logical VIs)", rows))
-	}
-	switch exp {
-	case "all", "fig2", "fig3", "fig4", "fig5", "tab1", "tab2", "tab3", "load", "cmp-mesh", "cmp-fault", "campaign", "survive", "abl-alpha", "abl-mid", "abl-part", "abl-buffer", "abl-dvs", "abl-width":
+		fmt.Println(format(r))
 		return nil
 	}
-	return fmt.Errorf("unknown experiment %q", exp)
+}
+
+// ablation is the runner of an ablation study printed under title.
+func ablation(title string, compute func(*model.Library) ([]experiments.AblationRow, error)) runner {
+	return rows(compute, func(r []experiments.AblationRow) string { return experiments.FormatAblation(title, r) })
+}
+
+// figure is the runner of a figure: print its title and text
+// rendering, and save its artifact as file under the -out directory.
+func figure(title, file string, compute func(*model.Library) (artifact, txt string, err error)) runner {
+	return func(lib *model.Library, out string) error {
+		artifact, txt, err := compute(lib)
+		if err != nil {
+			return err
+		}
+		fmt.Println(title)
+		fmt.Println(txt)
+		return save(out, file, artifact)
+	}
+}
+
+// usage names every id -exp accepts, in table order.
+func usage() string {
+	var ids []string
+	for _, e := range table {
+		ids = append(ids, e.ids...)
+	}
+	return strings.Join(append(ids, "all"), "|")
+}
+
+// selectExp returns the experiments id selects: the whole table for
+// "all", else the one entry that lists id.
+func selectExp(id string) ([]experiment, error) {
+	if id == "all" {
+		return table, nil
+	}
+	for i := range table {
+		if slices.Contains(table[i].ids, id) {
+			return table[i : i+1], nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want %s)", id, usage())
+}
+
+func run(exp, out string, lib *model.Library) error {
+	sel, err := selectExp(exp)
+	if err != nil {
+		return err
+	}
+	for _, e := range sel {
+		if err := e.run(lib, out); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func save(dir, name, content string) error {

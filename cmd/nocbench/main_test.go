@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,5 +49,44 @@ func TestRunWritesArtifacts(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run("bogus", "", model.Default65nm()); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestExperimentTableIsTheOnlyIDList pins the table as the single
+// source of experiment ids: every id dispatches to the entry that lists
+// it, the -exp usage string and the package doc name every id, and an
+// unknown id is rejected with the valid ones spelled out.
+func TestExperimentTableIsTheOnlyIDList(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "package main")
+	flags := "|" + usage() + "|"
+	seen := map[string]bool{}
+	for _, e := range table {
+		for _, id := range e.ids {
+			if seen[id] {
+				t.Fatalf("id %q listed twice", id)
+			}
+			seen[id] = true
+			sel, err := selectExp(id)
+			if err != nil || len(sel) != 1 || !slices.Contains(sel[0].ids, id) {
+				t.Fatalf("-exp %s does not dispatch to its entry (err %v)", id, err)
+			}
+			if !strings.Contains(flags, "|"+id+"|") {
+				t.Fatalf("-exp usage %q does not name %q", usage(), id)
+			}
+			if !strings.Contains(doc, "//\tnocbench -exp "+id+" ") {
+				t.Fatalf("package doc does not list -exp %s", id)
+			}
+		}
+	}
+	if all, err := selectExp("all"); err != nil || len(all) != len(table) {
+		t.Fatalf("-exp all selects %d of %d experiments (err %v)", len(all), len(table), err)
+	}
+	_, err = selectExp("bogus")
+	if err == nil || !strings.Contains(err.Error(), usage()) {
+		t.Fatalf("unknown id not rejected with the valid ids: %v", err)
 	}
 }

@@ -20,47 +20,49 @@ import (
 )
 
 func main() {
-	benchName := flag.String("bench", "d26_media", "benchmark name")
-	method := flag.String("method", "logical", "island partitioning: logical|communication")
-	islands := flag.Int("islands", 0, "voltage island count (0 = benchmark default)")
-	duration := flag.Float64("duration", 20000, "injection horizon in ns")
-	scale := flag.Float64("scale", 1.0, "injection scale relative to spec bandwidths")
-	offList := flag.String("off", "", "comma-separated island IDs to power gate")
-	tracePath := flag.String("trace", "", "write a per-packet CSV trace to this file")
-	workers := flag.Int("workers", 0, "design-point evaluation goroutines (0 = GOMAXPROCS, 1 = serial)")
-	noPrune := flag.Bool("no-prune", false, "disable branch-and-bound pruning of the design-space sweep")
-	camp := cliflags.Campaign(flag.CommandLine)
-	survive := cliflags.Survive(flag.CommandLine)
-	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (default $"+nocvi.CacheEnvDir+"; empty = off)")
-	noCache := flag.Bool("no-cache", false, "disable the result cache even when configured")
+	cfg := newConfig(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*benchName, *method, *islands, *duration, *scale, *offList, *tracePath, *workers, *noPrune, camp, *survive, *cacheDir, *noCache); err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "nocsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(benchName, method string, islands int, duration, scale float64, offList, tracePath string, workers int, noPrune bool, camp *cliflags.CampaignFlags, survive int, cacheDir string, noCache bool) error {
-	var spec *nocvi.Spec
-	var err error
-	if islands == 0 {
-		spec, err = nocvi.Benchmark(benchName)
-	} else {
-		var flat *nocvi.Spec
-		flat, err = nocvi.BenchmarkFlat(benchName)
-		if err == nil {
-			spec, err = nocvi.PartitionIslands(flat, nocvi.PartitionMethod(method), islands)
-		}
+// config is nocsim's command line, filled by flag parsing.
+type config struct {
+	spec            *cliflags.SpecFlags
+	synth           *cliflags.SynthFlags
+	camp            *cliflags.CampaignFlags
+	duration, scale float64
+	offList, trace  string
+}
+
+// newConfig registers nocsim's flags on fs and returns the config they
+// fill once fs.Parse has run.
+func newConfig(fs *flag.FlagSet) *config {
+	cfg := &config{
+		spec:  cliflags.Spec(fs),
+		synth: cliflags.Synth(fs),
+		camp:  cliflags.Campaign(fs),
 	}
+	fs.Float64Var(&cfg.duration, "duration", 20000, "injection horizon in ns")
+	fs.Float64Var(&cfg.scale, "scale", 1.0, "injection scale relative to spec bandwidths")
+	fs.StringVar(&cfg.offList, "off", "", "comma-separated island IDs to power gate")
+	fs.StringVar(&cfg.trace, "trace", "", "write a per-packet CSV trace to this file")
+	return cfg
+}
+
+func run(cfg *config) error {
+	spec, err := cfg.spec.Select("")
 	if err != nil {
 		return err
 	}
-	store, err := nocvi.ResolveCache(cacheDir, noCache)
+	store, err := cfg.synth.OpenCache()
 	if err != nil {
 		return err
 	}
-	res, err := nocvi.SynthesizeCached(context.Background(), store, spec, nocvi.DefaultLibrary(), nocvi.Options{AllowIntermediate: true, Workers: workers, NoPrune: noPrune, Survivability: survive})
+	res, err := nocvi.SynthesizeCached(context.Background(), store, spec, nocvi.DefaultLibrary(), nocvi.Options{AllowIntermediate: true, Workers: cfg.synth.Workers, Survivability: cfg.synth.Survive})
 	if err != nil {
 		return err
 	}
@@ -69,21 +71,21 @@ func run(benchName, method string, islands int, duration, scale float64, offList
 	}
 	top := res.Best().Top
 
-	if camp.Wanted() {
+	if cfg.camp.Wanted() {
 		// The simulator's view of shutdown: the campaign with SimVerify
 		// checks delivery under every power state, not just the one -off
 		// mask a single run exercises.
 		rep, err := nocvi.RunCampaignCached(store, top, nocvi.CampaignOptions{
-			MaxStates:     camp.States,
+			MaxStates:     cfg.camp.States,
 			SimVerify:     true,
-			Workers:       workers,
-			Survivability: survive,
+			Workers:       cfg.synth.Workers,
+			Survivability: cfg.synth.Survive,
 		})
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep.Format())
-		if err := camp.WriteJSON(rep); err != nil {
+		if err := cfg.camp.WriteJSON(rep); err != nil {
 			return err
 		}
 		if !rep.OK() {
@@ -93,8 +95,8 @@ func run(benchName, method string, islands int, duration, scale float64, offList
 	}
 
 	off := make([]bool, len(spec.Islands))
-	if offList != "" {
-		for _, tok := range strings.Split(offList, ",") {
+	if cfg.offList != "" {
+		for _, tok := range strings.Split(cfg.offList, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil || id < 0 || id >= len(spec.Islands) {
 				return fmt.Errorf("bad island id %q", tok)
@@ -107,18 +109,18 @@ func run(benchName, method string, islands int, duration, scale float64, offList
 	}
 
 	simCfg := nocvi.SimConfig{
-		DurationNs:     duration,
-		InjectionScale: scale,
+		DurationNs:     cfg.duration,
+		InjectionScale: cfg.scale,
 		Off:            off,
 	}
 	var simRes *nocvi.SimResult
-	if tracePath != "" {
+	if cfg.trace != "" {
 		var tr *nocvi.PacketTrace
 		simRes, tr, err = nocvi.SimulateTraced(top, simCfg)
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(tracePath)
+		f, err := os.Create(cfg.trace)
 		if err != nil {
 			return err
 		}
@@ -126,7 +128,7 @@ func run(benchName, method string, islands int, duration, scale float64, offList
 		if err := nocvi.WriteTraceCSV(f, tr, spec); err != nil {
 			return err
 		}
-		fmt.Printf("[wrote %s: %d packets]\n", tracePath, len(tr.Packets))
+		fmt.Printf("[wrote %s: %d packets]\n", cfg.trace, len(tr.Packets))
 	} else {
 		simRes, err = nocvi.Simulate(top, simCfg)
 		if err != nil {
@@ -134,7 +136,7 @@ func run(benchName, method string, islands int, duration, scale float64, offList
 		}
 	}
 
-	fmt.Printf("%s: simulated %.0f ns at %.2fx load", spec.Name, duration, scale)
+	fmt.Printf("%s: simulated %.0f ns at %.2fx load", spec.Name, cfg.duration, cfg.scale)
 	gated := []string{}
 	for i, o := range off {
 		if o {
@@ -170,7 +172,7 @@ func run(benchName, method string, islands int, duration, scale float64, offList
 		if err := nocvi.VerifyShutdown(top, off); err != nil {
 			return fmt.Errorf("shutdown verification FAILED: %w", err)
 		}
-		onW, offW, frac, err := nocvi.ShutdownSavings(top, offList, off)
+		onW, offW, frac, err := nocvi.ShutdownSavings(top, cfg.offList, off)
 		if err != nil {
 			return err
 		}

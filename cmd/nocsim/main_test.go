@@ -1,24 +1,34 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"strings"
 	"testing"
-
-	"nocvi/internal/cliflags"
 )
 
-func noCamp() *cliflags.CampaignFlags { return &cliflags.CampaignFlags{} }
+// parse returns the config nocsim builds from the command line args.
+// Every test runs with -no-cache, so a configured cache directory in
+// the environment cannot serve results.
+func parse(t *testing.T, args ...string) *config {
+	t.Helper()
+	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
+	cfg := newConfig(fs)
+	if err := fs.Parse(append([]string{"-no-cache"}, args...)); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
 
 func TestRunBasic(t *testing.T) {
-	if err := run("d16_industrial", "logical", 0, 5000, 1.0, "", "", 0, false, noCamp(), 0, "", true); err != nil {
+	if err := run(parse(t, "-bench", "d16_industrial", "-duration", "5000")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWithTrace(t *testing.T) {
 	path := t.TempDir() + "/trace.csv"
-	if err := run("d16_industrial", "logical", 0, 3000, 1.0, "", path, 0, false, noCamp(), 0, "", true); err != nil {
+	if err := run(parse(t, "-bench", "d16_industrial", "-duration", "3000", "-trace", path)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -32,10 +42,10 @@ func TestRunWithTrace(t *testing.T) {
 
 func TestRunWithShutdown(t *testing.T) {
 	// d26 logical-6: islands 0,1,4,5 are shutdownable (2,3 hold memory).
-	if err := run("d26_media", "logical", 6, 5000, 1.0, "1", "", 0, false, noCamp(), 0, "", true); err != nil {
+	if err := run(parse(t, "-bench", "d26_media", "-islands", "6", "-duration", "5000", "-off", "1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("d26_media", "logical", 6, 5000, 2.0, "1,4", "", 0, false, noCamp(), 0, "", true); err != nil {
+	if err := run(parse(t, "-bench", "d26_media", "-islands", "6", "-duration", "5000", "-scale", "2.0", "-off", "1,4")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -43,8 +53,7 @@ func TestRunWithShutdown(t *testing.T) {
 func TestRunCampaign(t *testing.T) {
 	// Campaign mode replaces the single simulation: every power state is
 	// checked with the simulator, and a clean design exits zero.
-	camp := &cliflags.CampaignFlags{Run: true}
-	if err := run("d16_industrial", "logical", 0, 1000, 1.0, "", "", 0, false, camp, 0, "", true); err != nil {
+	if err := run(parse(t, "-bench", "d16_industrial", "-duration", "1000", "-campaign")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,8 +63,7 @@ func TestRunCampaignJSONSurvivable(t *testing.T) {
 	// report must carry the zero-reroute contract for bench2json's
 	// -survive-floor gate.
 	path := t.TempDir() + "/camp.json"
-	camp := &cliflags.CampaignFlags{JSON: path}
-	if err := run("d16_industrial", "logical", 0, 1000, 1.0, "", "", 0, false, camp, 1, "", true); err != nil {
+	if err := run(parse(t, "-bench", "d16_industrial", "-duration", "1000", "-campaign-json", path, "-survive", "1")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -70,17 +78,16 @@ func TestRunCampaignJSONSurvivable(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("missing", "logical", 0, 1000, 1, "", "", 0, false, noCamp(), 0, "", true); err == nil {
+	if err := run(parse(t, "-bench", "missing", "-duration", "1000")); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if err := run("d26_media", "logical", 6, 1000, 1, "notanumber", "", 0, false, noCamp(), 0, "", true); err == nil {
-		t.Fatal("bad island id accepted")
-	}
-	if err := run("d26_media", "logical", 6, 1000, 1, "99", "", 0, false, noCamp(), 0, "", true); err == nil {
-		t.Fatal("out-of-range island accepted")
+	for _, off := range []string{"notanumber", "99"} {
+		if err := run(parse(t, "-bench", "d26_media", "-islands", "6", "-duration", "1000", "-off", off)); err == nil {
+			t.Fatalf("bad island id %q accepted", off)
+		}
 	}
 	// Island 2 of the logical-6 partition holds memory: never gateable.
-	if err := run("d26_media", "logical", 6, 1000, 1, "2", "", 0, false, noCamp(), 0, "", true); err == nil {
+	if err := run(parse(t, "-bench", "d26_media", "-islands", "6", "-duration", "1000", "-off", "2")); err == nil {
 		t.Fatal("gating a non-shutdownable island accepted")
 	}
 }

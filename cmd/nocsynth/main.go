@@ -15,65 +15,31 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"nocvi"
 	"nocvi/internal/cliflags"
-	"nocvi/internal/prof"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list available benchmarks and exit")
-	benchName := flag.String("bench", "d26_media", "benchmark name")
-	specPath := flag.String("spec", "", "load a custom SoC spec (JSON) instead of a benchmark")
-	saveSpec := flag.String("save-spec", "", "dump the selected spec as JSON and exit (template for -spec)")
-	jsonPath := flag.String("json", "", "write the selected topology as JSON to this file")
-	verilogPath := flag.String("verilog", "", "write a structural Verilog netlist to this file")
-	doVerify := flag.Bool("verify", false, "run the full design-rule sign-off on the selected point")
-	doFault := flag.Bool("fault", false, "sweep single-link failures on the selected point")
-	camp := cliflags.Campaign(flag.CommandLine)
-	survive := cliflags.Survive(flag.CommandLine)
-	relax := flag.Bool("relax", false, "retry an infeasible spec under the degradation ladder")
-	method := flag.String("method", "logical", "island partitioning: logical|communication")
-	islands := flag.Int("islands", 0, "voltage island count (0 = benchmark default)")
-	alpha := flag.Float64("alpha", 0, "VCG bandwidth/latency weight in (0,1] (0 = default)")
-	noMid := flag.Bool("no-mid", false, "forbid the intermediate NoC island")
-	width := flag.Int("width", 32, "link data width in bits")
-	node := flag.String("node", "65nm", "technology node: 90nm|65nm|45nm")
-	dotPath := flag.String("dot", "", "write topology DOT to this file")
-	svgPath := flag.String("svg", "", "write floorplan SVG to this file")
-	workers := flag.Int("workers", 0, "design-point evaluation goroutines (0 = GOMAXPROCS, 1 = serial)")
-	noPrune := flag.Bool("no-prune", false, "disable branch-and-bound pruning of the design-space sweep")
-	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (default $"+nocvi.CacheEnvDir+"; empty = off)")
-	noCache := flag.Bool("no-cache", false, "disable the result cache even when configured")
-	timeout := flag.Duration("timeout", 0, "abort synthesis after this duration (0 = none)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	cfg := newConfig(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if cfg.list {
 		for _, n := range nocvi.Benchmarks() {
 			fmt.Println(n)
 		}
 		return
 	}
-	cfg := runConfig{
-		benchName: *benchName, specPath: *specPath, saveSpec: *saveSpec,
-		method: *method, islands: *islands, alpha: *alpha, mid: !*noMid,
-		width: *width, node: *node, dotPath: *dotPath, svgPath: *svgPath, jsonPath: *jsonPath,
-		verilogPath: *verilogPath, verify: *doVerify, fault: *doFault,
-		camp: camp, survive: *survive,
-		relax: *relax, workers: *workers, noPrune: *noPrune,
-		cacheDir: *cacheDir, noCache: *noCache,
-	}
 	// Ctrl-C / SIGTERM (and -timeout) cancel the synthesis sweep.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
+	if cfg.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := cfg.profile.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nocsynth:", err)
 		os.Exit(1)
@@ -88,49 +54,54 @@ func main() {
 	}
 }
 
-type runConfig struct {
-	benchName, specPath, saveSpec string
-	method                        string
-	islands                       int
-	alpha                         float64
-	mid                           bool
-	width                         int
-	node                          string
-	fault                         bool
-	camp                          *cliflags.CampaignFlags
-	survive                       int
-	relax                         bool
-	dotPath, svgPath, jsonPath    string
-	verilogPath                   string
-	verify                        bool
-	workers                       int
-	noPrune                       bool
-	cacheDir                      string
-	noCache                       bool
+// config is nocsynth's command line, filled by flag parsing.
+type config struct {
+	spec                       *cliflags.SpecFlags
+	synth                      *cliflags.SynthFlags
+	camp                       *cliflags.CampaignFlags
+	profile                    *cliflags.ProfileFlags
+	list                       bool
+	specPath, saveSpec         string
+	alpha                      float64
+	noMid, noPrune, relax      bool
+	width                      int
+	node                       string
+	fault, verify              bool
+	dotPath, svgPath, jsonPath string
+	verilogPath                string
+	timeout                    time.Duration
 }
 
-func run(ctx context.Context, cfg runConfig) error {
-	benchName, method, islands := cfg.benchName, cfg.method, cfg.islands
-	alpha, mid, width := cfg.alpha, cfg.mid, cfg.width
-	dotPath, svgPath := cfg.dotPath, cfg.svgPath
-
-	var spec *nocvi.Spec
-	var err error
-	switch {
-	case cfg.specPath != "":
-		spec, err = nocvi.LoadSpec(cfg.specPath)
-		if err == nil && islands > 0 {
-			spec, err = nocvi.PartitionIslands(spec, nocvi.PartitionMethod(method), islands)
-		}
-	case islands == 0:
-		spec, err = nocvi.Benchmark(benchName)
-	default:
-		var flat *nocvi.Spec
-		flat, err = nocvi.BenchmarkFlat(benchName)
-		if err == nil {
-			spec, err = nocvi.PartitionIslands(flat, nocvi.PartitionMethod(method), islands)
-		}
+// newConfig registers nocsynth's flags on fs and returns the config
+// they fill once fs.Parse has run.
+func newConfig(fs *flag.FlagSet) *config {
+	cfg := &config{
+		spec:    cliflags.Spec(fs),
+		synth:   cliflags.Synth(fs),
+		camp:    cliflags.Campaign(fs),
+		profile: cliflags.Profile(fs),
 	}
+	fs.BoolVar(&cfg.list, "list", false, "list available benchmarks and exit")
+	fs.StringVar(&cfg.specPath, "spec", "", "load a custom SoC spec (JSON) instead of a benchmark")
+	fs.StringVar(&cfg.saveSpec, "save-spec", "", "dump the selected spec as JSON and exit (template for -spec)")
+	fs.StringVar(&cfg.jsonPath, "json", "", "write the selected topology as JSON to this file")
+	fs.StringVar(&cfg.verilogPath, "verilog", "", "write a structural Verilog netlist to this file")
+	fs.BoolVar(&cfg.verify, "verify", false, "run the full design-rule sign-off on the selected point")
+	fs.BoolVar(&cfg.fault, "fault", false, "sweep single-link failures on the selected point")
+	fs.BoolVar(&cfg.relax, "relax", false, "retry an infeasible spec under the degradation ladder")
+	fs.Float64Var(&cfg.alpha, "alpha", 0, "VCG bandwidth/latency weight in (0,1] (0 = default)")
+	fs.BoolVar(&cfg.noMid, "no-mid", false, "forbid the intermediate NoC island")
+	fs.IntVar(&cfg.width, "width", 32, "link data width in bits")
+	fs.StringVar(&cfg.node, "node", "65nm", "technology node: 90nm|65nm|45nm")
+	fs.StringVar(&cfg.dotPath, "dot", "", "write topology DOT to this file")
+	fs.StringVar(&cfg.svgPath, "svg", "", "write floorplan SVG to this file")
+	fs.BoolVar(&cfg.noPrune, "no-prune", false, "disable branch-and-bound pruning of the design-space sweep")
+	fs.DurationVar(&cfg.timeout, "timeout", 0, "abort synthesis after this duration (0 = none)")
+	return cfg
+}
+
+func run(ctx context.Context, cfg *config) error {
+	spec, err := cfg.spec.Select(cfg.specPath)
 	if err != nil {
 		return err
 	}
@@ -144,24 +115,23 @@ func run(ctx context.Context, cfg runConfig) error {
 
 	lib := nocvi.DefaultLibrary()
 	if cfg.node != "" && cfg.node != "65nm" {
-		var err error
 		lib, err = nocvi.LibraryForNode(cfg.node)
 		if err != nil {
 			return err
 		}
 	}
-	lib.LinkWidthBits = width
-	store, err := nocvi.ResolveCache(cfg.cacheDir, cfg.noCache)
+	lib.LinkWidthBits = cfg.width
+	store, err := cfg.synth.OpenCache()
 	if err != nil {
 		return err
 	}
 	res, err := nocvi.SynthesizeCached(ctx, store, spec, lib, nocvi.Options{
-		Alpha:             alpha,
-		AllowIntermediate: mid,
-		Workers:           cfg.workers,
+		Alpha:             cfg.alpha,
+		AllowIntermediate: !cfg.noMid,
+		Workers:           cfg.synth.Workers,
 		Relax:             cfg.relax,
 		NoPrune:           cfg.noPrune,
-		Survivability:     cfg.survive,
+		Survivability:     cfg.synth.Survive,
 	})
 	if err != nil {
 		return err
@@ -171,7 +141,7 @@ func run(ctx context.Context, cfg runConfig) error {
 	}
 
 	fmt.Printf("%s: %d cores, %d flows, %d islands (%s), intra-island bandwidth %.0f%%\n",
-		spec.Name, len(spec.Cores), len(spec.Flows), len(spec.Islands), method,
+		spec.Name, len(spec.Cores), len(spec.Flows), len(spec.Islands), cfg.spec.Method,
 		nocvi.IntraIslandBandwidth(spec)*100)
 	fmt.Printf("explored %d configurations, %d valid design points\n", res.Explored, res.Feasible)
 	if pruned := res.PruneStats.Pruned(); pruned > 0 {
@@ -216,17 +186,17 @@ func run(ctx context.Context, cfg runConfig) error {
 	fmt.Printf("mean zero-load latency: %.2f cycles; wire-delay violations: %d\n",
 		best.MeanLatencyCycles, best.WireViolations)
 
-	if dotPath != "" {
-		if err := os.WriteFile(dotPath, []byte(nocvi.TopologyDOT(best.Top)), 0o644); err != nil {
+	if cfg.dotPath != "" {
+		if err := os.WriteFile(cfg.dotPath, []byte(nocvi.TopologyDOT(best.Top)), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("[wrote %s]\n", dotPath)
+		fmt.Printf("[wrote %s]\n", cfg.dotPath)
 	}
-	if svgPath != "" {
-		if err := os.WriteFile(svgPath, []byte(nocvi.FloorplanSVG(best.Top, best.Placement)), 0o644); err != nil {
+	if cfg.svgPath != "" {
+		if err := os.WriteFile(cfg.svgPath, []byte(nocvi.FloorplanSVG(best.Top, best.Placement)), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("[wrote %s]\n", svgPath)
+		fmt.Printf("[wrote %s]\n", cfg.svgPath)
 	}
 	if cfg.verify {
 		fmt.Println()
@@ -243,8 +213,8 @@ func run(ctx context.Context, cfg runConfig) error {
 	if cfg.camp.Wanted() {
 		camp, err := nocvi.RunCampaignCached(store, best.Top, nocvi.CampaignOptions{
 			MaxStates:     cfg.camp.States,
-			Workers:       cfg.workers,
-			Survivability: cfg.survive,
+			Workers:       cfg.synth.Workers,
+			Survivability: cfg.synth.Survive,
 		})
 		if err != nil {
 			return err

@@ -2,26 +2,30 @@ package main
 
 import (
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"nocvi/internal/cliflags"
 )
+
+// parse returns the config nocsynth builds from the command line args.
+func parse(t *testing.T, args ...string) *config {
+	t.Helper()
+	fs := flag.NewFlagSet("nocsynth", flag.ContinueOnError)
+	cfg := newConfig(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
 
 func TestRunBenchmarkWithArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	cfg := runConfig{
-		benchName: "d16_industrial",
-		method:    "logical",
-		mid:       true,
-		width:     32,
-		dotPath:   filepath.Join(dir, "t.dot"),
-		svgPath:   filepath.Join(dir, "t.svg"),
-		jsonPath:  filepath.Join(dir, "t.json"),
-		verify:    true,
-	}
+	cfg := parse(t, "-bench", "d16_industrial", "-verify",
+		"-dot", filepath.Join(dir, "t.dot"),
+		"-svg", filepath.Join(dir, "t.svg"),
+		"-json", filepath.Join(dir, "t.json"))
 	if err := run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -37,18 +41,11 @@ func TestRunBenchmarkWithArtifacts(t *testing.T) {
 }
 
 func TestRunCampaign(t *testing.T) {
-	dir := t.TempDir()
-	cfg := runConfig{
-		benchName: "d16_industrial",
-		method:    "logical",
-		mid:       true,
-		width:     32,
-		camp:      &cliflags.CampaignFlags{Run: true, JSON: filepath.Join(dir, "campaign.json")},
-	}
-	if err := run(context.Background(), cfg); err != nil {
+	path := filepath.Join(t.TempDir(), "campaign.json")
+	if err := run(context.Background(), parse(t, "-bench", "d16_industrial", "-campaign", "-campaign-json", path)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(cfg.camp.JSON)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +55,12 @@ func TestRunCampaign(t *testing.T) {
 }
 
 func TestRunVerilogExport(t *testing.T) {
-	dir := t.TempDir()
-	cfg := runConfig{
-		benchName:   "d16_industrial",
-		method:      "communication",
-		islands:     3,
-		mid:         true,
-		width:       32,
-		verilogPath: filepath.Join(dir, "noc.v"),
-	}
+	path := filepath.Join(t.TempDir(), "noc.v")
+	cfg := parse(t, "-bench", "d16_industrial", "-method", "communication", "-islands", "3", "-verilog", path)
 	if err := run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(cfg.verilogPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,30 +70,29 @@ func TestRunVerilogExport(t *testing.T) {
 }
 
 func TestRunSpecRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	specPath := filepath.Join(dir, "spec.json")
+	specPath := filepath.Join(t.TempDir(), "spec.json")
 	// Dump a benchmark as a template.
-	if err := run(context.Background(), runConfig{benchName: "d16_industrial", method: "logical", saveSpec: specPath, width: 32}); err != nil {
+	if err := run(context.Background(), parse(t, "-bench", "d16_industrial", "-save-spec", specPath)); err != nil {
 		t.Fatal(err)
 	}
 	// Load and synthesize it.
-	if err := run(context.Background(), runConfig{specPath: specPath, method: "logical", mid: true, width: 32}); err != nil {
+	if err := run(context.Background(), parse(t, "-spec", specPath)); err != nil {
 		t.Fatal(err)
 	}
 	// Repartition a loaded spec.
-	if err := run(context.Background(), runConfig{specPath: specPath, method: "spectral", islands: 3, width: 32}); err != nil {
+	if err := run(context.Background(), parse(t, "-spec", specPath, "-method", "spectral", "-islands", "3", "-no-mid")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(context.Background(), runConfig{benchName: "missing", width: 32}); err == nil {
+	if err := run(context.Background(), parse(t, "-bench", "missing")); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if err := run(context.Background(), runConfig{specPath: "/nonexistent/spec.json", width: 32}); err == nil {
+	if err := run(context.Background(), parse(t, "-spec", "/nonexistent/spec.json")); err == nil {
 		t.Fatal("missing spec accepted")
 	}
-	if err := run(context.Background(), runConfig{benchName: "d16_industrial", method: "bogus", islands: 3, width: 32}); err == nil {
+	if err := run(context.Background(), parse(t, "-bench", "d16_industrial", "-method", "bogus", "-islands", "3")); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }

@@ -42,12 +42,16 @@ func TestCampaignRegistersSharedTrio(t *testing.T) {
 
 func TestSurviveFlag(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	k := Survive(fs)
-	if err := fs.Parse([]string{"-survive", "2"}); err != nil {
+	s := Synth(fs)
+	if err := fs.Parse([]string{"-survive", "2", "-workers", "3", "-cache-dir", t.TempDir(), "-no-cache"}); err != nil {
 		t.Fatal(err)
 	}
-	if *k != 2 {
-		t.Fatalf("survive = %d, want 2", *k)
+	if s.Survive != 2 || s.Workers != 3 {
+		t.Fatalf("parse mismatch: %+v", s)
+	}
+	// -no-cache wins over an explicit -cache-dir.
+	if store, err := s.OpenCache(); store != nil || err != nil {
+		t.Fatalf("-no-cache opened a store: %v, %v", store, err)
 	}
 }
 
@@ -66,5 +70,37 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"x": 1`) || !strings.HasSuffix(string(data), "\n") {
 		t.Fatalf("malformed report file: %q", data)
+	}
+}
+
+func TestSpecSelect(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	s := Spec(fs)
+	if err := fs.Parse([]string{"-bench", "d16_industrial"}); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := s.Select("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Name != "d16_industrial" || len(spec.Islands) < 2 {
+		t.Fatalf("default selection: %s with %d islands", spec.Name, len(spec.Islands))
+	}
+	for _, method := range []string{"logical", "communication", "spectral"} {
+		s.Method, s.Islands = method, 3
+		spec, err := s.Select("")
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if len(spec.Islands) != 3 {
+			t.Fatalf("%s: %d islands, want 3", method, len(spec.Islands))
+		}
+	}
+	s.Method = "bogus"
+	if _, err := s.Select(""); err == nil {
+		t.Fatal("unknown method accepted")
+	}
+	if _, err := s.Select(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("missing spec file accepted")
 	}
 }

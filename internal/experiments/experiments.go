@@ -44,13 +44,6 @@ var IslandCounts = []int{1, 2, 3, 4, 5, 6, 7, 26}
 // experiments; cmd/nocbench wires its -workers flag here.
 var Workers int
 
-// NoPrune disables the branch-and-bound layer for every experiment
-// synthesis run. The paper's figures and tables depend only on the
-// argmin/Pareto winners, which pruning preserves exactly; the knob
-// exists for apples-to-apples timing and for auditing the exhaustive
-// design-point sets. cmd/nocbench wires its -no-prune flag here.
-var NoPrune bool
-
 // Cache, when non-nil, routes every experiment synthesis and campaign
 // through the content-addressed result cache: re-running a figure or
 // table serves its synthesis runs from disk, byte-identical to fresh
@@ -76,7 +69,6 @@ func defaultOpts() core.Options {
 		AllowIntermediate:       true,
 		MaxIntermediateSwitches: 3,
 		Workers:                 Workers,
-		NoPrune:                 NoPrune,
 		Survivability:           Survive,
 	}
 }

@@ -56,14 +56,15 @@ func (r *Report) RecoverableFrac() float64 {
 
 // Analyze sweeps every link of the topology. Outcomes are sorted by
 // LinkID and Reason strings are single-line, so reports of the same
-// design are byte-identical across runs. Every fault is re-routed on
-// one arena, rebuilt in place per link.
+// design are byte-identical across runs. Each fault is the campaign's
+// link fault in the all-on power state with no survivability contract:
+// every flow is re-routed on one arena, rebuilt in place per link.
 func Analyze(top *topology.Topology) (*Report, error) {
 	rep := &Report{Links: len(top.Links)}
-	var a arena
-	flows := top.Spec.SortFlowsByBandwidth()
+	a := arena{active: top.Spec.SortFlowsByBandwidth()}
+	allOn := make([]bool, len(top.Spec.Islands))
 	for _, l := range top.Links {
-		out, err := tryWithout(&a, top, l.ID, flows)
+		out, err := tryWithoutUnderState(&a, top, l.ID, allOn, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -91,35 +92,6 @@ func stableReason(err error) string {
 		s = s[:i]
 	}
 	return s
-}
-
-// tryWithout rebuilds the design without the failed link and re-routes
-// every flow over the surviving links: RouteAll's sequence, with the
-// spec's flows sorted once per sweep (flows) instead of once per link.
-func tryWithout(a *arena, orig *topology.Topology, failed topology.LinkID, flows []soc.Flow) (LinkOutcome, error) {
-	out := LinkOutcome{Link: failed}
-	for ri := range orig.Routes {
-		for _, lid := range orig.Routes[ri].Links {
-			if lid == failed {
-				out.AffectedFlows++
-				break
-			}
-		}
-	}
-
-	if err := a.rebuild(orig, failed); err != nil {
-		return out, err
-	}
-	if err := a.router.RouteFlows(flows); err != nil {
-		out.Reason = stableReason(err)
-		return out, nil
-	}
-	if err := a.top.Validate(); err != nil {
-		out.Reason = stableReason(err)
-		return out, nil
-	}
-	out.Recovered = true
-	return out, nil
 }
 
 // arena is one worker's reusable fault-evaluation state. Every link

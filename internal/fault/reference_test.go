@@ -16,10 +16,24 @@ import (
 	"fmt"
 	"testing"
 
+	"nocvi/internal/bench"
+	"nocvi/internal/mesh"
+	"nocvi/internal/model"
 	"nocvi/internal/route"
 	"nocvi/internal/soc"
 	"nocvi/internal/topology"
+	"nocvi/internal/viplace"
 )
+
+// synthMesh maps spec onto the regular-mesh baseline.
+func synthMesh(t *testing.T, spec *soc.Spec) *topology.Topology {
+	t.Helper()
+	m, err := mesh.Synthesize(spec, model.Default65nm(), mesh.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Top
+}
 
 // refRebuildWithout reconstructs the design without the failed link on
 // a freshly allocated topology.
@@ -213,28 +227,55 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
+// checkAnalyze fails the test unless Analyze's report of top encodes
+// to the same bytes as the frozen reference's, and returns it.
+func checkAnalyze(t *testing.T, top *topology.Topology) *Report {
+	t.Helper()
+	want, err := refAnalyze(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Analyze(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) || got.Format() != want.Format() {
+		t.Fatalf("Analyze report differs from the reference:\n got %s\nwant %s", got.Format(), want.Format())
+	}
+	return got
+}
+
 // TestArenaMatchesFrozenReference pins the arena's identity contract:
 // on d26 and d48, for k=0 and k=1 designs, campaigns asserting
 // survivability 0 and the design's k at 1, 2 and 4 workers encode to
 // the same bytes as the frozen allocating path, and so does Analyze.
 // The k=1 design under a k=0 campaign is the mixed case: it re-routes
-// on a topology that has redundant links to find.
+// on a topology that has redundant links to find. Analyze is also
+// pinned on the mesh baselines the cmp-fault experiment sweeps: the
+// d16 mesh, whose redundant links let some faults recover, and the
+// D26 6-island logical mesh.
 func TestArenaMatchesFrozenReference(t *testing.T) {
+	t.Run("mesh/d16_industrial", func(t *testing.T) {
+		spec, err := bench.Islanded("d16_industrial")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := checkAnalyze(t, synthMesh(t, spec)); rep.Recoverable == 0 {
+			t.Fatal("no d16 mesh fault recovers: the re-routed path is not exercised")
+		}
+	})
+	t.Run("mesh/d26_logical6", func(t *testing.T) {
+		spec, err := bench.D26Islands(viplace.MethodLogical, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnalyze(t, synthMesh(t, spec))
+	})
 	for _, name := range []string{"d26_media", "d48_network"} {
 		for _, k := range []int{0, 1} {
 			top := synthSurvivable(t, name, k)
 			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
-				want, err := refAnalyze(top)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Analyze(top)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) || got.Format() != want.Format() {
-					t.Fatalf("Analyze report differs from the reference:\n got %s\nwant %s", got.Format(), want.Format())
-				}
+				checkAnalyze(t, top)
 
 				survs := []int{0}
 				if k > 0 {

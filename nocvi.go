@@ -37,7 +37,6 @@ import (
 	"nocvi/internal/cache"
 	"nocvi/internal/core"
 	"nocvi/internal/deadlock"
-	"nocvi/internal/experiments"
 	"nocvi/internal/export"
 	"nocvi/internal/fault"
 	"nocvi/internal/floorplan"
@@ -326,17 +325,8 @@ type (
 	PruneStats = core.PruneStats
 )
 
-// CacheEnvDir is the environment variable ResolveCache consults for a
-// cache directory when none is given explicitly.
-const CacheEnvDir = cache.EnvDir
-
 // OpenCache opens (creating if needed) a result cache rooted at dir.
 func OpenCache(dir string, opt CacheOptions) (*Cache, error) { return cache.Open(dir, opt) }
-
-// ResolveCache is the CLI helper behind every -cache-dir/-no-cache flag
-// pair: it returns the selected store, consulting CacheEnvDir when dir
-// is empty, or nil (caching off) when disabled or unconfigured.
-func ResolveCache(dir string, disable bool) (*Cache, error) { return cache.Resolve(dir, disable) }
 
 // SynthesizeCached is SynthesizeContext behind a result cache: a
 // repeated run is served from the store byte-identical to a fresh one,
@@ -458,16 +448,6 @@ func BenchmarkD26(method PartitionMethod, n int) (*Spec, error) {
 
 // ExampleSoC returns the small 3-island teaching SoC (Fig. 1 style).
 func ExampleSoC() *Spec { return bench.Example() }
-
-// Experiment re-exports (used by cmd/nocbench and the benches).
-type (
-	// CurvePoint is one x-position of the Fig. 2/3 sweeps.
-	CurvePoint = experiments.CurvePoint
-	// OverheadRow is one benchmark of the overhead table.
-	OverheadRow = experiments.OverheadRow
-	// ShutdownRow is one scenario of the shutdown-savings table.
-	ShutdownRow = experiments.ShutdownRow
-)
 
 // RefinePlacement re-floorplans a design point with the annealing
 // placement optimizer and refreshes its wire-dependent metrics (link
