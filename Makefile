@@ -10,8 +10,8 @@
 # every single-link fault with zero re-routing), a result-cache smoke
 # run (second synthesis of an unchanged spec must be a full hit, and a
 # miss on an edited spec must stay bit-identical to a fresh run), and
-# bounded fuzz runs of the cache decoder, the store's blob framing and
-# the spec-to-synthesis boundary.
+# bounded fuzz runs of the cache decoder, the store's blob framing, the
+# spec-to-synthesis boundary and the topology JSON reader.
 GO ?= go
 
 .PHONY: ci vet fmt lint surface build test race bench-module bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
@@ -185,9 +185,12 @@ prune-smoke:
 #   - FuzzSpecSynthesize: spec JSON through validation into synthesis
 #     must end in an error or a best point that validates and is
 #     deadlock-free.
+#   - FuzzReadTopology: topology JSON read back against its spec must
+#     end in an error or a topology that validates, never a panic.
 # The committed corpora live in each package's testdata/fuzz; a crasher
 # found here is written there and becomes a permanent regression seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecSynthesize$$' -fuzztime 10s ./internal/specio/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTopology$$' -fuzztime 10s ./internal/specio/

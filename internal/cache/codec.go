@@ -568,36 +568,11 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		}
 		flow.BandwidthBps = d.f64()
 		flow.MaxLatencyCycles = d.f64()
-		nPath := d.length()
-		if d.err != nil || nPath == 0 {
-			return nil, errCorrupt
+		path, err := d.path(top)
+		if err != nil {
+			return nil, err
 		}
-		sws := d.switchPath(nPath)
-		for p := range sws {
-			sw := d.int()
-			if sw < 0 || sw >= nSw {
-				return nil, errCorrupt
-			}
-			sws[p] = topology.SwitchID(sw)
-		}
-		linksNotNil := d.bool()
-		if d.err != nil {
-			return nil, d.err
-		}
-		var links []topology.LinkID
-		if linksNotNil {
-			links = d.linkPath(nPath - 1)
-			for p := 0; p+1 < nPath; p++ {
-				lid, ok := top.FindLink(sws[p], sws[p+1])
-				if !ok {
-					return nil, errCorrupt
-				}
-				links[p] = lid
-			}
-		} else if nPath > 1 {
-			return nil, errCorrupt // multi-hop route cannot have nil links
-		}
-		if err := top.AddRoute(topology.Route{Flow: flow, Switches: sws, Links: links}); err != nil {
+		if err := top.AddRoute(topology.Route{Flow: flow, Switches: path.Switches, Links: path.Links}); err != nil {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
 		backupsNotNil := d.bool()
@@ -611,36 +586,11 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 			top.Routes[i].Backups = []topology.Path{}
 		}
 		for bi := 0; bi < nBackups && d.err == nil; bi++ {
-			nbPath := d.length()
-			if d.err != nil || nbPath == 0 {
-				return nil, errCorrupt
+			backup, err := d.path(top)
+			if err != nil {
+				return nil, err
 			}
-			bsws := d.switchPath(nbPath)
-			for p := range bsws {
-				sw := d.int()
-				if sw < 0 || sw >= nSw {
-					return nil, errCorrupt
-				}
-				bsws[p] = topology.SwitchID(sw)
-			}
-			bLinksNotNil := d.bool()
-			if d.err != nil {
-				return nil, d.err
-			}
-			var bLinks []topology.LinkID
-			if bLinksNotNil {
-				bLinks = d.linkPath(nbPath - 1)
-				for p := 0; p+1 < nbPath; p++ {
-					lid, ok := top.FindLink(bsws[p], bsws[p+1])
-					if !ok {
-						return nil, errCorrupt
-					}
-					bLinks[p] = lid
-				}
-			} else if nbPath > 1 {
-				return nil, errCorrupt // multi-hop backup cannot have nil links
-			}
-			if err := top.AddBackup(i, topology.Path{Switches: bsws, Links: bLinks}); err != nil {
+			if err := top.AddBackup(i, backup); err != nil {
 				return nil, fmt.Errorf("cache: %w", err)
 			}
 		}
@@ -649,6 +599,43 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		return nil, d.err
 	}
 	return top, nil
+}
+
+// path reads one encoded walk of a route, its primary or a backup: the
+// switch count, the switches and whether its links are non-nil. The
+// links re-derive by FindLink over consecutive switches, and both
+// slices are carved from the decoder's path chunks.
+func (d *dec) path(top *topology.Topology) (topology.Path, error) {
+	n := d.length()
+	if d.err != nil || n == 0 {
+		return topology.Path{}, errCorrupt
+	}
+	sws := d.switchPath(n)
+	for p := range sws {
+		sw := d.int()
+		if sw < 0 || sw >= len(top.Switches) {
+			return topology.Path{}, errCorrupt
+		}
+		sws[p] = topology.SwitchID(sw)
+	}
+	linksNotNil := d.bool()
+	if d.err != nil {
+		return topology.Path{}, d.err
+	}
+	var links []topology.LinkID
+	if linksNotNil {
+		links = d.linkPath(n - 1)
+		for p := 0; p+1 < n; p++ {
+			lid, ok := top.FindLink(sws[p], sws[p+1])
+			if !ok {
+				return topology.Path{}, errCorrupt
+			}
+			links[p] = lid
+		}
+	} else if n > 1 {
+		return topology.Path{}, errCorrupt // a multi-hop path cannot have nil links
+	}
+	return topology.Path{Switches: sws, Links: links}, nil
 }
 
 func encodePlacement(e *enc, p *floorplan.Placement) {

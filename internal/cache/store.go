@@ -104,7 +104,13 @@ import (
 // finds subgraph vertices by binary search, and the shutdown check
 // needs no island mask — results and encoded bytes are identical, but
 // the hot path moved.
-const EngineVersion = 13
+//
+// v14: the router rebuilds its island-pair subgraph per query instead
+// of caching one per pair, prices edges through a closure on the stack,
+// and opens primary and backup paths through one helper, and the result
+// decoder reads primary and backup paths through one helper too —
+// results and encoded bytes are identical, but the hot path moved.
+const EngineVersion = 14
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

@@ -391,18 +391,7 @@ func AblAlpha(lib *model.Library) ([]AblationRow, error) {
 	for _, a := range []float64{0.1, 0.3, 0.5, 0.6, 0.8, 1.0} {
 		opt := defaultOpts()
 		opt.Alpha = a
-		res, err := synthesize(spec, lib, opt)
-		if err != nil {
-			rows = append(rows, AblationRow{Setting: fmt.Sprintf("alpha=%.1f", a), Err: err.Error()})
-			continue
-		}
-		best := res.Best()
-		rows = append(rows, AblationRow{
-			Setting: fmt.Sprintf("alpha=%.1f", a),
-			PowerMW: best.NoCPower.DynW() * 1e3,
-			Latency: best.MeanLatencyCycles,
-			Links:   len(best.Top.Links),
-		})
+		rows = append(rows, ablationRow(spec, lib, opt, fmt.Sprintf("alpha=%.1f", a)))
 	}
 	return rows, nil
 }
@@ -423,18 +412,7 @@ func AblMid(lib *model.Library) ([]AblationRow, error) {
 		if allow {
 			name = "intermediate VI allowed"
 		}
-		res, err := synthesize(spec, lib, opt)
-		if err != nil {
-			rows = append(rows, AblationRow{Setting: name, Err: err.Error()})
-			continue
-		}
-		best := res.Best()
-		rows = append(rows, AblationRow{
-			Setting: name,
-			PowerMW: best.NoCPower.DynW() * 1e3,
-			Latency: best.MeanLatencyCycles,
-			Links:   len(best.Top.Links),
-		})
+		rows = append(rows, ablationRow(spec, lib, opt, name))
 	}
 	return rows, nil
 }
@@ -451,20 +429,25 @@ func AblWidth(lib *model.Library) ([]AblationRow, error) {
 	for _, w := range []int{16, 32, 64, 128} {
 		l := *lib
 		l.LinkWidthBits = w
-		res, err := synthesize(spec, &l, defaultOpts())
-		if err != nil {
-			rows = append(rows, AblationRow{Setting: fmt.Sprintf("width=%d", w), Err: err.Error()})
-			continue
-		}
-		best := res.Best()
-		rows = append(rows, AblationRow{
-			Setting: fmt.Sprintf("width=%d", w),
-			PowerMW: best.NoCPower.DynW() * 1e3,
-			Latency: best.MeanLatencyCycles,
-			Links:   len(best.Top.Links),
-		})
+		rows = append(rows, ablationRow(spec, &l, defaultOpts(), fmt.Sprintf("width=%d", w)))
 	}
 	return rows, nil
+}
+
+// ablationRow synthesizes spec under opt and reports the best point
+// under setting, or the synthesis error as an infeasible row.
+func ablationRow(spec *soc.Spec, lib *model.Library, opt core.Options, setting string) AblationRow {
+	res, err := synthesize(spec, lib, opt)
+	if err != nil {
+		return AblationRow{Setting: setting, Err: err.Error()}
+	}
+	best := res.Best()
+	return AblationRow{
+		Setting: setting,
+		PowerMW: best.NoCPower.DynW() * 1e3,
+		Latency: best.MeanLatencyCycles,
+		Links:   len(best.Top.Links),
+	}
 }
 
 // FormatAblation renders an ablation sweep.
@@ -548,20 +531,12 @@ func AblPartitioner(lib *model.Library) ([]AblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := synthesize(spec, lib, defaultOpts())
-			if err != nil {
-				rows = append(rows, AblationRow{
-					Setting: fmt.Sprintf("%s n=%d", method, n), Err: err.Error()})
-				continue
+			row := ablationRow(spec, lib, defaultOpts(), fmt.Sprintf("%s n=%d (intra %.0f%%)",
+				method, n, viplace.IntraIslandBandwidth(spec)*100))
+			if row.Err != "" {
+				row.Setting = fmt.Sprintf("%s n=%d", method, n) // infeasible rows omit the intra share
 			}
-			best := res.Best()
-			rows = append(rows, AblationRow{
-				Setting: fmt.Sprintf("%s n=%d (intra %.0f%%)",
-					method, n, viplace.IntraIslandBandwidth(spec)*100),
-				PowerMW: best.NoCPower.DynW() * 1e3,
-				Latency: best.MeanLatencyCycles,
-				Links:   len(best.Top.Links),
-			})
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -621,18 +596,7 @@ func AblDVS(lib *model.Library) ([]AblationRow, error) {
 		if auto {
 			name = "DVS (supply scaled per island clock)"
 		}
-		res, err := synthesize(spec, lib, opt)
-		if err != nil {
-			rows = append(rows, AblationRow{Setting: name, Err: err.Error()})
-			continue
-		}
-		best := res.Best()
-		rows = append(rows, AblationRow{
-			Setting: name,
-			PowerMW: best.NoCPower.DynW() * 1e3,
-			Latency: best.MeanLatencyCycles,
-			Links:   len(best.Top.Links),
-		})
+		rows = append(rows, ablationRow(spec, lib, opt, name))
 	}
 	return rows, nil
 }

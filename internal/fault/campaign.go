@@ -466,9 +466,10 @@ func linkGated(top *topology.Topology, l topology.Link, off []bool) bool {
 		(int(toIsl) < len(off) && off[toIsl])
 }
 
-// tryWithoutUnderState is tryWithout composed with a power state: the
+// tryWithoutUnderState evaluates one link fault under a power state: the
 // failed link is removed, and only the state's active flows (a.active)
-// are re-routed over the surviving links. Routes that never used the
+// are re-routed over the surviving links. Analyze calls it with an
+// all-on state and survivability 0. Routes that never used the
 // link are unaffected by its loss, so a failure with zero affected
 // active flows recovers trivially without a rebuild. With survivability
 // >= 1 re-routing is off the table: every affected flow must fall back

@@ -63,34 +63,21 @@ type Router struct {
 	maxSz  []int   // per island, derived from its clock
 	minLat float64 // tightest latency constraint of the spec
 
-	// subs caches one admissible candidate subgraph per (source island,
-	// destination island) pair: Dijkstra only ever visits switches in
-	// the source, destination and intermediate islands, and the island
-	// discipline is encoded in the subgraph's arcs instead of being
-	// re-checked inside the per-edge cost closure.
-	subs map[islPair]*subgraph
-
-	// free recycles subgraphs across Reset cycles: a reused Router keeps
-	// the vertex and rank buffers of the previous candidate's
-	// subgraphs and refills them instead of allocating. Populated only
-	// by Reset, consumed by subgraphFor.
-	free []*subgraph
+	// sub is the admissible candidate subgraph of the current shortest
+	// query, refilled by subgraphFor for every query: Dijkstra only ever
+	// visits switches in the source, destination and intermediate
+	// islands, and the island discipline is encoded in the subgraph's
+	// ranks instead of being re-checked inside the per-edge cost.
+	sub subgraph
 
 	// scratch is the Dijkstra state, reused across the Router's flows
 	// and, through Reset, across the candidates a worker evaluates.
 	scratch graph.Scratch
 
 	// pathBuf holds the switch path of the current shortest query. It
-	// is overwritten by every call and never escapes: commit copies it
+	// is overwritten by every call and never escapes: openPath copies it
 	// into topology-owned route storage.
 	pathBuf []topology.SwitchID
-
-	// costFn is allocated once; it prices the current query described
-	// by curSub/curFlow/latOnly.
-	costFn  graph.CostFunc
-	curSub  *subgraph
-	curFlow soc.Flow
-	latOnly bool
 
 	// exclude is the per-query set of directed links the current
 	// disjoint-path search must avoid (the flow's primary route plus its
@@ -99,9 +86,6 @@ type Router struct {
 	// lengths at most.
 	exclude []topology.LinkID
 }
-
-// islPair keys the subgraph cache.
-type islPair struct{ src, dst soc.IslandID }
 
 // subgraph is the candidate graph restricted to the switches a flow
 // between one island pair may touch. verts maps local vertex indices to
@@ -134,17 +118,14 @@ func (s *subgraph) local(sw topology.SwitchID) int {
 // contain all switches and core attachments; links and routes are added
 // by the router.
 func New(top *topology.Topology, opt Options) *Router {
-	r := &Router{opt: opt, subs: make(map[islPair]*subgraph)}
-	r.costFn = func(u, v int, _ float64) float64 {
-		return r.edgeCost(r.curSub.verts[u], r.curSub.verts[v], r.curFlow, r.latOnly)
-	}
+	r := &Router{opt: opt}
 	r.Reset(top)
 	return r
 }
 
 // Reset re-targets the router at a new topology under the same options,
-// recycling the subgraph cache, the per-island size bounds and the cost
-// closure of the previous candidate. New is Reset on an empty router,
+// recycling the subgraph, Dijkstra and path buffers and the per-island
+// size bounds of the previous candidate. New is Reset on an empty router,
 // so after Reset the router behaves exactly like New(top, opt) with the
 // original opt: the synthesis arena's identity guarantee rests on that
 // equivalence.
@@ -159,33 +140,18 @@ func (r *Router) Reset(top *topology.Topology) {
 	for i := range r.maxSz {
 		r.maxSz[i] = top.Lib.MaxSwitchSize(top.IslandFreqHz[i])
 	}
-	//noclint:ignore maprange freelist harvest order is invisible: subgraphFor fully refills a recycled subgraph, so any order yields identical routing
-	for _, s := range r.subs {
-		r.free = append(r.free, s)
-	}
-	clear(r.subs)
 }
 
-// subgraphFor returns (building and caching on first use) the
-// admissible subgraph for flows from srcIsl to dstIsl. The switch set
-// is fixed before routing starts, so a cached subgraph stays valid for
-// the Router's lifetime; only edge costs change as links open.
+// subgraphFor refills the router's subgraph with the admissible
+// switches for flows from srcIsl to dstIsl and returns it. The scan is
+// O(switches), small next to the O(|sub|²) edge pricings of the
+// Dijkstra query it serves; the subgraph is valid until the next call.
 func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
-	key := islPair{src: srcIsl, dst: dstIsl}
-	if s, ok := r.subs[key]; ok {
-		return s
-	}
 	top := r.top
 	mid := top.NoCIsland
-	var s *subgraph
-	if k := len(r.free); k > 0 {
-		s = r.free[k-1]
-		r.free = r.free[:k-1]
-		s.verts = s.verts[:0]
-		s.rank = s.rank[:0]
-	} else {
-		s = &subgraph{}
-	}
+	s := &r.sub
+	s.verts = s.verts[:0]
+	s.rank = s.rank[:0]
 	for i := range top.Switches {
 		isl := top.Switches[i].Island
 		if isl != srcIsl && isl != dstIsl && (mid == soc.NoIsland || isl != mid) {
@@ -205,7 +171,6 @@ func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
 		s.verts = append(s.verts, topology.SwitchID(i))
 		s.rank = append(s.rank, rk)
 	}
-	r.subs[key] = s
 	return s
 }
 
@@ -260,7 +225,11 @@ func (r *Router) Route(f soc.Flow) error {
 	if path == nil {
 		return &NoPathError{Flow: f}
 	}
-	return r.commit(f, path)
+	p, err := r.openPath(f, path, "link")
+	if err != nil {
+		return err
+	}
+	return r.top.AddRoute(topology.Route{Flow: f, Switches: p.Switches, Links: p.Links})
 }
 
 // NoPathError reports a flow the router could not place: no primary
@@ -328,30 +297,18 @@ func (r *Router) routeBackups(k int) error {
 			if path == nil {
 				return &NoPathError{Flow: f, Backup: b + 1, K: k}
 			}
-			if err := r.commitBackup(ri, path); err != nil {
+			// Backups are recorded cold: AddBackup accounts no traffic,
+			// so the primary metrics are untouched.
+			p, err := r.openPath(f, path, "backup link")
+			if err != nil {
+				return err
+			}
+			if err := r.top.AddBackup(ri, p); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// commitBackup opens any missing links along a backup path and records
-// it cold on route ri: AddBackup accounts no traffic, so the primary
-// metrics are untouched.
-func (r *Router) commitBackup(ri int, path []topology.SwitchID) error {
-	f := r.top.Routes[ri].Flow
-	links := r.top.TakeRouteLinks(len(path) - 1)
-	for i := 1; i < len(path); i++ {
-		lid, err := r.top.EnsureLink(path[i-1], path[i])
-		if err != nil {
-			return fmt.Errorf("route: opening backup link for flow %d->%d: %w", f.Src, f.Dst, err)
-		}
-		links[i-1] = lid
-	}
-	sw := r.top.TakeRouteSwitches(len(path))
-	copy(sw, path)
-	return r.top.AddBackup(ri, topology.Path{Switches: sw, Links: links})
 }
 
 // hopLatency returns the zero-load cycles added by traversing candidate
@@ -440,8 +397,9 @@ func (r *Router) shortest(f soc.Flow, src, dst topology.SwitchID, latOnly bool) 
 	if ls < 0 || ld < 0 {
 		return nil // endpoint switch outside the admissible islands
 	}
-	r.curSub, r.curFlow, r.latOnly = sub, f, latOnly
-	path, c := r.scratch.ShortestPathDense(len(sub.verts), sub.rank, ls, ld, r.costFn)
+	path, c := r.scratch.ShortestPathDense(len(sub.verts), sub.rank, ls, ld, func(u, v int, _ float64) float64 {
+		return r.edgeCost(sub.verts[u], sub.verts[v], f, latOnly)
+	})
 	if math.IsInf(c, 1) {
 		return nil
 	}
@@ -478,19 +436,21 @@ func (r *Router) latencyOK(f soc.Flow, path []topology.SwitchID) bool {
 	return f.MaxLatencyCycles <= 0 || r.top.PathLatencyCycles(path) <= f.MaxLatencyCycles
 }
 
-// commit opens any missing links along the path and records the route.
-// The path (typically the router's reusable pathBuf) is copied into
-// topology-owned storage, so the route survives the next query.
-func (r *Router) commit(f soc.Flow, path []topology.SwitchID) error {
+// openPath opens any missing links along path and copies it into
+// topology-owned route storage, so the returned walk survives the next
+// query (path is typically the router's reusable pathBuf). what names
+// the link in the error: "link" for a primary, "backup link" for a
+// backup.
+func (r *Router) openPath(f soc.Flow, path []topology.SwitchID, what string) (topology.Path, error) {
 	links := r.top.TakeRouteLinks(len(path) - 1)
 	for i := 1; i < len(path); i++ {
 		lid, err := r.top.EnsureLink(path[i-1], path[i])
 		if err != nil {
-			return fmt.Errorf("route: opening link for flow %d->%d: %w", f.Src, f.Dst, err)
+			return topology.Path{}, fmt.Errorf("route: opening %s for flow %d->%d: %w", what, f.Src, f.Dst, err)
 		}
 		links[i-1] = lid
 	}
 	sw := r.top.TakeRouteSwitches(len(path))
 	copy(sw, path)
-	return r.top.AddRoute(topology.Route{Flow: f, Switches: sw, Links: links})
+	return topology.Path{Switches: sw, Links: links}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"nocvi/internal/core"
 	"nocvi/internal/deadlock"
 	"nocvi/internal/model"
+	"nocvi/internal/soc"
 )
 
 // FuzzSpecSynthesize drives arbitrary bytes through the spec boundary
@@ -55,6 +56,52 @@ func FuzzSpecSynthesize(f *testing.F) {
 		}
 		if err := deadlock.Check(best.Top); err != nil {
 			t.Fatalf("best point is not deadlock-free: %v", err)
+		}
+	})
+}
+
+// FuzzReadTopology drives arbitrary bytes through the topology JSON
+// boundary (ReadTopology, behind nocvi.ReadTopologyJSON) against the
+// example SoC and the registry's D26. Every input must end in an error
+// or in a topology that passes Validate — never in a panic — and an
+// accepted topology must serialize to a WriteTopology/ReadTopology
+// fixed point.
+//
+// testdata/fuzz/FuzzReadTopology holds WriteTopology output for the
+// example SoC and for a survivable (k=1) D26 design, plus the malformed
+// inputs that once panicked. Run with
+//
+//	go test -run '^$' -fuzz FuzzReadTopology -fuzztime 10s ./internal/specio
+func FuzzReadTopology(f *testing.F) {
+	d26, err := bench.Islanded("d26_media")
+	if err != nil {
+		f.Fatal(err)
+	}
+	specs := []*soc.Spec{bench.Example(), d26}
+	lib := model.Default65nm()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, spec := range specs {
+			top, err := ReadTopology(bytes.NewReader(data), spec, lib)
+			if err != nil {
+				continue
+			}
+			if err := top.Validate(); err != nil {
+				t.Fatalf("ReadTopology accepted a topology that does not validate: %v", err)
+			}
+			var once, twice bytes.Buffer
+			if err := WriteTopology(&once, top); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadTopology(bytes.NewReader(once.Bytes()), spec, lib)
+			if err != nil {
+				t.Fatalf("re-reading an accepted topology failed: %v", err)
+			}
+			if err := WriteTopology(&twice, back); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatal("WriteTopology output is not a round-trip fixed point")
+			}
 		}
 	})
 }

@@ -172,8 +172,8 @@ func LoadSpec(path string) (*soc.Spec, error) {
 	return ReadSpec(f)
 }
 
-// topoJSON is the serialized form of a synthesized topology (write-only:
-// topologies are products of synthesis, not inputs).
+// topoJSON is the serialized form of a synthesized topology, written by
+// WriteTopology and read back, against its spec, by ReadTopology.
 type topoJSON struct {
 	Spec     string         `json:"spec"`
 	Islands  []topoIsland   `json:"islands"`
@@ -212,6 +212,11 @@ type topoRoute struct {
 	Src      string `json:"src"`
 	Dst      string `json:"dst"`
 	Switches []int  `json:"switches"`
+
+	// Backups holds the switch walks of a survivable design's cold
+	// standby routes (topology.Route.Backups); omitted when there are
+	// none, so a k=0 design serializes as it always has.
+	Backups [][]int `json:"backups,omitempty"`
 }
 
 type topoNIAttach struct {
@@ -252,14 +257,14 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 	}
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
-		sws := make([]int, len(r.Switches))
-		for i, s := range r.Switches {
-			sws[i] = int(s)
-		}
-		out.Routes = append(out.Routes, topoRoute{
+		tr := topoRoute{
 			Src: top.Spec.Cores[r.Flow.Src].Name, Dst: top.Spec.Cores[r.Flow.Dst].Name,
-			Switches: sws,
-		})
+			Switches: switchInts(r.Switches),
+		}
+		for _, b := range r.Backups {
+			tr.Backups = append(tr.Backups, switchInts(b.Switches))
+		}
+		out.Routes = append(out.Routes, tr)
 	}
 	for c, sw := range top.SwitchOf {
 		if sw >= 0 {
@@ -269,6 +274,15 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// switchInts converts a switch walk to its JSON form.
+func switchInts(sws []topology.SwitchID) []int {
+	out := make([]int, len(sws))
+	for i, s := range sws {
+		out[i] = int(s)
+	}
+	return out
 }
 
 // ReadTopology reconstructs a topology from JSON written by
@@ -289,6 +303,9 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 	top := topology.New(spec, lib)
 	for _, isl := range in.Islands {
 		if isl.Intermediate {
+			if top.NoCIsland != soc.NoIsland {
+				return nil, fmt.Errorf("specio: second intermediate island %d", isl.ID)
+			}
 			if id := top.AddNoCIsland(isl.FreqMHz*1e6, isl.VoltageV); int(id) != isl.ID {
 				return nil, fmt.Errorf("specio: intermediate island id %d unexpected", isl.ID)
 			}
@@ -317,7 +334,7 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if !ok {
 			return nil, fmt.Errorf("specio: NI references unknown core %q", ni.Core)
 		}
-		if ni.Switch < 0 || ni.Switch >= len(top.Switches) {
+		if !hasSwitch(top, ni.Switch) {
 			return nil, fmt.Errorf("specio: NI of %q references unknown switch %d", ni.Core, ni.Switch)
 		}
 		if err := top.AttachCore(c, topology.SwitchID(ni.Switch)); err != nil {
@@ -325,6 +342,9 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		}
 	}
 	for _, l := range in.Links {
+		if !hasSwitch(top, l.From) || !hasSwitch(top, l.To) {
+			return nil, fmt.Errorf("specio: link %d->%d references an unknown switch", l.From, l.To)
+		}
 		lid, err := top.AddLink(topology.SwitchID(l.From), topology.SwitchID(l.To))
 		if err != nil {
 			return nil, fmt.Errorf("specio: %w", err)
@@ -344,28 +364,55 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if !ok {
 			return nil, fmt.Errorf("specio: route %q->%q has no flow in the spec", rt.Src, rt.Dst)
 		}
-		sws := make([]topology.SwitchID, len(rt.Switches))
-		links := make([]topology.LinkID, 0, len(rt.Switches))
-		for i, s := range rt.Switches {
-			if s < 0 || s >= len(top.Switches) {
-				return nil, fmt.Errorf("specio: route %q->%q references unknown switch %d", rt.Src, rt.Dst, s)
-			}
-			sws[i] = topology.SwitchID(s)
-			if i > 0 {
-				lid, ok := top.FindLink(sws[i-1], sws[i])
-				if !ok {
-					return nil, fmt.Errorf("specio: route %q->%q uses missing link %d->%d",
-						rt.Src, rt.Dst, sws[i-1], sws[i])
-				}
-				links = append(links, lid)
-			}
+		p, err := readWalk(top, rt, rt.Switches)
+		if err != nil {
+			return nil, err
 		}
-		if err := top.AddRoute(topology.Route{Flow: f, Switches: sws, Links: links}); err != nil {
+		if err := top.AddRoute(topology.Route{Flow: f, Switches: p.Switches, Links: p.Links}); err != nil {
 			return nil, fmt.Errorf("specio: %w", err)
+		}
+		for _, b := range rt.Backups {
+			p, err := readWalk(top, rt, b)
+			if err != nil {
+				return nil, err
+			}
+			if err := top.AddBackup(len(top.Routes)-1, p); err != nil {
+				return nil, fmt.Errorf("specio: %w", err)
+			}
 		}
 	}
 	if err := top.Validate(); err != nil {
 		return nil, fmt.Errorf("specio: loaded topology invalid: %w", err)
 	}
 	return top, nil
+}
+
+// readWalk resolves one serialized switch walk of route rt against the
+// topology's switches and links.
+func readWalk(top *topology.Topology, rt topoRoute, walk []int) (topology.Path, error) {
+	p := topology.Path{
+		Switches: make([]topology.SwitchID, len(walk)),
+		Links:    make([]topology.LinkID, 0, len(walk)),
+	}
+	for i, s := range walk {
+		if !hasSwitch(top, s) {
+			return topology.Path{}, fmt.Errorf("specio: route %q->%q references unknown switch %d", rt.Src, rt.Dst, s)
+		}
+		p.Switches[i] = topology.SwitchID(s)
+		if i > 0 {
+			lid, ok := top.FindLink(p.Switches[i-1], p.Switches[i])
+			if !ok {
+				return topology.Path{}, fmt.Errorf("specio: route %q->%q uses missing link %d->%d",
+					rt.Src, rt.Dst, p.Switches[i-1], p.Switches[i])
+			}
+			p.Links = append(p.Links, lid)
+		}
+	}
+	return p, nil
+}
+
+// hasSwitch reports whether the serialized switch id s names one of
+// top's switches.
+func hasSwitch(top *topology.Topology, s int) bool {
+	return s >= 0 && s < len(top.Switches)
 }

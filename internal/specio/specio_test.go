@@ -3,8 +3,10 @@ package specio
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,6 +163,12 @@ func TestWriteTopology(t *testing.T) {
 	if len(routes) != len(top.Routes) {
 		t.Fatal("route count mismatch")
 	}
+	// A k=0 design has no backups, so its routes carry no backups key.
+	for _, r := range routes {
+		if _, ok := r.(map[string]interface{})["backups"]; ok {
+			t.Fatal("k=0 route serialized a backups key")
+		}
+	}
 	// The intermediate island must be flagged.
 	if top.NoCIsland != soc.NoIsland {
 		islands := parsed["islands"].([]interface{})
@@ -251,5 +259,64 @@ func TestReadTopologyErrors(t *testing.T) {
 	tampered := strings.Replace(good, `"switches": [`, `"switches": [99, `, 1)
 	if _, err := ReadTopology(strings.NewReader(tampered), spec, lib); err == nil {
 		t.Fatal("tampered route accepted")
+	}
+	// links whose endpoint lies outside the switch list
+	for _, link := range []string{`{"from":99,"to":0}`, `{"from":-1,"to":0}`, `{"from":0,"to":99}`} {
+		in := `{"spec":"` + spec.Name + `","switches":[{"id":0,"island":0,"size":0}],"links":[` + link + `]}`
+		if _, err := ReadTopology(strings.NewReader(in), spec, lib); err == nil {
+			t.Fatalf("link %s to an unknown switch accepted", link)
+		}
+	}
+	// a second intermediate island carrying the intermediate island's id
+	mid := fmt.Sprintf(`{"id":%d,"name":"noc_vi","freq_mhz":500,"voltage_v":1,"shutdownable":false,"intermediate":true}`,
+		len(spec.Islands))
+	in := `{"spec":"` + spec.Name + `","islands":[` + mid + `,` + mid + `]}`
+	if _, err := ReadTopology(strings.NewReader(in), spec, lib); err == nil {
+		t.Fatal("second intermediate island accepted")
+	}
+}
+
+// TestTopologyRoundTripKeepsBackups checks that a survivable design
+// keeps its backup routes through WriteTopology and ReadTopology, and
+// with them its survivability.
+func TestTopologyRoundTripKeepsBackups(t *testing.T) {
+	spec, err := bench.Islanded("d26_media")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := model.Default65nm()
+	res, err := core.Synthesize(spec, lib, core.Options{
+		AllowIntermediate: true, MaxIntermediateSwitches: 3, Survivability: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := res.Best().Top
+	var buf bytes.Buffer
+	if err := WriteTopology(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadTopology(bytes.NewReader(buf.Bytes()), spec, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.ValidateSurvivable(1); err != nil {
+		t.Fatalf("round trip lost survivability: %v", err)
+	}
+	backups := 0
+	for ri := range orig.Routes {
+		a, b := orig.Routes[ri].Backups, back.Routes[ri].Backups
+		if len(a) != len(b) {
+			t.Fatalf("route %d: %d backups, want %d", ri, len(b), len(a))
+		}
+		for bi := range a {
+			if !slices.Equal(a[bi].Switches, b[bi].Switches) || !slices.Equal(a[bi].Links, b[bi].Links) {
+				t.Fatalf("route %d backup %d differs", ri, bi)
+			}
+		}
+		backups += len(a)
+	}
+	if backups == 0 {
+		t.Fatal("the k=1 design has no backups to round-trip")
 	}
 }
