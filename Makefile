@@ -153,7 +153,9 @@ survive-smoke:
 #      run against a store holding the original, must be byte-identical
 #      to a fresh run;
 #   3. the SynthesizeCached bench lanes through bench2json -cache-floor:
-#      the full hit must be at least 5x faster than the cold run.
+#      the full hit must be at least 5x faster than the cold run. Each
+#      lane runs a fixed 100 iterations, so the floor judges a mean over
+#      many runs rather than three.
 cache-smoke:
 	@dir=$$(mktemp -d); rc=0; \
 	$(GO) run ./cmd/nocsynth -bench d26_media -cache-dir $$dir >/dev/null && \
@@ -162,7 +164,7 @@ cache-smoke:
 		{ echo "cache-smoke: second run was not a full hit:"; echo "$$out" | head -2; false; }; } || rc=1; \
 	rm -rf $$dir; exit $$rc
 	$(GO) test -run 'TestEditedSpecMissIdenticalToFresh|TestSynthesizeCachedIdentityOnSuite' ./internal/cache/
-	$(GO) test -bench=SynthesizeCached -benchtime=3x -run='^$$' . | $(GO) run ./tools/bench2json -o '' -cache-floor 5
+	$(GO) test -bench=SynthesizeCached -benchtime=100x -run='^$$' . | $(GO) run ./tools/bench2json -o '' -cache-floor 5
 
 # prune-smoke gates the branch-and-bound layer end-to-end: the winner
 # identity tests (pruned sweep vs -no-prune oracle across worker

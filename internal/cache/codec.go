@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"nocvi/internal/core"
@@ -42,14 +43,60 @@ const codecVersion = 3
 
 var errCorrupt = errors.New("cache: malformed encoded result")
 
-type enc struct{ b []byte }
+// enc appends the codec's bytes to b. With sizing set it appends
+// nothing and only adds each value's encoded length to n, so a first
+// pass over the same encode functions measures the buffer the second
+// pass writes: every encoding is one allocation of exactly its size.
+type enc struct {
+	b      []byte
+	n      int
+	sizing bool
+}
 
-func (e *enc) u64(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) i64(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) int(v int)     { e.i64(int64(v)) }
-func (e *enc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
+// encodeExact encodes v with body twice: a sizing pass, then a writing
+// pass into a buffer of exactly the counted length. It inlines, so body
+// is called directly and both encoders stay on the stack: the buffer is
+// the only allocation (TestEncodeSizedExactly pins it).
+func encodeExact[T any](v T, body func(*enc, T)) []byte {
+	s := enc{sizing: true}
+	body(&s, v)
+	e := enc{b: make([]byte, 0, s.n)}
+	body(&e, v)
+	return e.b
+}
+
+func (e *enc) u64(v uint64) {
+	if e.sizing {
+		e.n += (bits.Len64(v|1) + 6) / 7 // uvarint: 7 bits a byte
+		return
+	}
+	e.b = binary.AppendUvarint(e.b, v)
+}
+
+// i64 zigzag-encodes v as a uvarint, exactly as binary.AppendVarint.
+func (e *enc) i64(v int64) {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	e.u64(ux)
+}
+
+func (e *enc) int(v int) { e.i64(int64(v)) }
+
+func (e *enc) f64(v float64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
+	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
+}
 
 func (e *enc) bool(v bool) {
+	if e.sizing {
+		e.n++
+		return
+	}
 	if v {
 		e.b = append(e.b, 1)
 	} else {
@@ -59,6 +106,10 @@ func (e *enc) bool(v bool) {
 
 func (e *enc) str(s string) {
 	e.u64(uint64(len(s)))
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
 	e.b = append(e.b, s...)
 }
 
@@ -257,8 +308,11 @@ func (d *dec) strs() []string {
 // EncodeResult serializes a synthesis result, except for Spec (the
 // caller re-supplies it on decode — the cache key already proves it
 // identical) and CacheStats (run bookkeeping, not result identity).
-func EncodeResult(res *core.Result) []byte {
-	e := &enc{}
+// The returned slice is the one allocation, and its capacity is its
+// length.
+func EncodeResult(res *core.Result) []byte { return encodeExact(res, encodeResult) }
+
+func encodeResult(e *enc, res *core.Result) {
 	e.u64(codecVersion)
 	e.f64s(res.IslandFreqHz)
 	e.ints(res.MaxSwitchSize)
@@ -274,7 +328,6 @@ func EncodeResult(res *core.Result) []byte {
 	for i := range res.Points {
 		encodePoint(e, &res.Points[i])
 	}
-	return e.b
 }
 
 // DecodeResult reconstructs a result against the spec and library it
@@ -722,9 +775,13 @@ func encodeSweepPoint(e *enc, p *core.SweepPoint) {
 }
 
 // EncodeSweepResult serializes a streaming-sweep result, Spec and
-// PruneStats excluded. Nothing decodes it: it exists to be digested.
+// PruneStats excluded, into one exact-size allocation. Nothing decodes
+// it: it exists to be digested.
 func EncodeSweepResult(res *core.SweepResult) []byte {
-	e := &enc{}
+	return encodeExact(res, encodeSweepResult)
+}
+
+func encodeSweepResult(e *enc, res *core.SweepResult) {
 	e.u64(codecVersion)
 	e.u64(res.Size)
 	e.u64(res.Explored)
@@ -754,7 +811,6 @@ func EncodeSweepResult(res *core.SweepResult) []byte {
 			encodePoint(e, res.BestLatency)
 		}
 	}
-	return e.b
 }
 
 // ResultDigest is the identity digest of a synthesis result: SHA-256

@@ -2,12 +2,15 @@ package cache
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"nocvi/internal/bench"
 	"nocvi/internal/core"
+	"nocvi/internal/floorplan"
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
 	"nocvi/internal/specgen"
@@ -311,5 +314,113 @@ func TestResultCodecRoundTripSurvivable(t *testing.T) {
 	}
 	if ResultDigest(res) != ResultDigest(dec) {
 		t.Fatal("digest not a fixed point for a survivable result")
+	}
+}
+
+// checkSized asserts the exact-size contract for one encoding: got, the
+// encoder's output, is as long as the sizing pass of body counts and
+// has no spare capacity, and entry, the public entry point, makes
+// exactly one allocation.
+func checkSized(t *testing.T, label string, body func(*enc), got []byte, entry func()) {
+	t.Helper()
+	s := enc{sizing: true}
+	body(&s)
+	if len(got) != s.n || cap(got) != len(got) {
+		t.Errorf("%s: encoding has len %d cap %d, sizing pass counted %d", label, len(got), cap(got), s.n)
+	}
+	if allocs := testing.AllocsPerRun(2, entry); allocs != 1 {
+		t.Errorf("%s: %v allocations per encode, want 1", label, allocs)
+	}
+}
+
+// TestEncodeSizedExactly pins every encoding as one allocation of
+// exactly its final size, over the bundled suite at survivability 0 and
+// 1, a random spec, a 104-core streaming sweep and a topology digest.
+func TestEncodeSizedExactly(t *testing.T) {
+	lib := model.Default65nm()
+	result := func(label string, res *core.Result) {
+		checkSized(t, label, func(e *enc) { encodeResult(e, res) }, EncodeResult(res), func() { EncodeResult(res) })
+	}
+	var d26 *core.Result
+	for _, name := range bench.Names() {
+		spec, err := bench.Islanded(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, 1} {
+			opt := testOptions()
+			opt.Survivability = k
+			res, err := core.Synthesize(spec, lib, opt)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", name, k, err)
+			}
+			result(fmt.Sprintf("%s k=%d", name, k), res)
+			if name == "d26_media" && k == 1 {
+				d26 = res
+			}
+		}
+	}
+	if d26 == nil {
+		t.Fatal("d26_media is not in the bundled suite")
+	}
+
+	spec := smallSpec(t)
+	res, err := core.Synthesize(spec, lib, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	result("specgen", res)
+
+	sweep, err := core.SynthesizeSweep(context.Background(), specgen.Large(7, 104, 10), lib,
+		core.Options{Floorplan: floorplan.Options{SkipAnnotate: true}}, core.SweepOptions{WidthPerIsland: 4, Limit: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep.BestPower == nil {
+		t.Fatal("d104 sweep found no winner: its encoding would carry no design")
+	}
+	checkSized(t, "d104 sweep", func(e *enc) { encodeSweepResult(e, sweep) },
+		EncodeSweepResult(sweep), func() { EncodeSweepResult(sweep) })
+
+	top := d26.Best().Top
+	encoded := encodeExact(top, encodeTopology)
+	checkSized(t, "d26 k=1 topology", func(e *enc) { encodeTopology(e, top) },
+		encoded, func() { TopologyDigest(top) })
+	if TopologyDigest(top) != sha256.Sum256(encoded) {
+		t.Fatal("TopologyDigest is not the digest of the topology encoding")
+	}
+}
+
+// TestResultDigestGolden pins the codec's bytes to the digests the
+// repository's benchmark records for D26 (benchmark/testdata/golden.json,
+// seed 0), so a change to the encoding fails here and not only in the
+// benchmark's own module.
+func TestResultDigestGolden(t *testing.T) {
+	lib := model.Default65nm()
+	spec, err := bench.Islanded("d26_media")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		opt  core.Options
+		want string
+	}{
+		{"mid3", core.Options{AllowIntermediate: true, MaxIntermediateSwitches: 3},
+			"470137ed30156f1ebf26c43c99b23e2f964688354f1f859318d0dc6c8871068d"},
+		{"k0", core.Options{AllowIntermediate: true, Survivability: 0},
+			"73f82fab528980f175cbc211b2de1d9eba8a2ad6341b98a95d60028797a7a0e8"},
+		{"k1", core.Options{AllowIntermediate: true, Survivability: 1},
+			"5dd9b2a114cfa5a5586753b1a41a521a7f347b3021bcfa35b3ef83fa611713dc"},
+	}
+	for _, c := range cases {
+		c.opt.Workers = 1
+		res, err := core.Synthesize(spec, lib, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := ResultDigest(res).String(); got != c.want {
+			t.Errorf("%s: ResultDigest = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -66,8 +66,12 @@ func FuzzDecodeResult(f *testing.F) {
 //
 //	go test -run '^$' -fuzz FuzzDecodeBlob -fuzztime 10s ./internal/cache
 func FuzzDecodeBlob(f *testing.F) {
-	f.Add(encodeBlob(nil))
-	f.Add(encodeBlob([]byte("a framed payload")))
+	frame := func(payload []byte) []byte {
+		hdr := blobHeader(payload)
+		return append(hdr[:], payload...)
+	}
+	f.Add(frame(nil))
+	f.Add(frame([]byte("a framed payload")))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		if _, ok := decodeBlob(blob, errors.New("read failed")); ok {
 			t.Fatal("a read error decoded as a hit")
@@ -85,7 +89,7 @@ func FuzzDecodeBlob(f *testing.F) {
 		if binary.BigEndian.Uint64(blob[len(blobMagic):blobHeaderLen]) != crc64.Checksum(payload, crcTable) {
 			t.Fatal("a payload decoded whose checksum does not match the header")
 		}
-		if !bytes.Equal(encodeBlob(payload), blob) {
+		if !bytes.Equal(frame(payload), blob) {
 			t.Fatal("decoded payload does not frame back to the same blob")
 		}
 	})

@@ -110,7 +110,13 @@ import (
 // and opens primary and backup paths through one helper, and the result
 // decoder reads primary and backup paths through one helper too —
 // results and encoded bytes are identical, but the hot path moved.
-const EngineVersion = 14
+//
+// v15: every encoding is sized by a counting pass over the same encode
+// functions and written into one exact-size buffer, Put writes the
+// entry header and the payload without a framed copy, and Synthesize
+// grows Result.Points once before its fold — results, encoded bytes
+// and entry files are identical, but the hot path moved.
+const EngineVersion = 15
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.
@@ -370,13 +376,19 @@ func (s *Store) Put(class string, key specio.Digest, payload []byte) error {
 		s.mu.Unlock()
 	}
 
-	blob := encodeBlob(payload)
+	// The header and the payload go to the file as two writes, so the
+	// payload is never copied into a framed blob.
+	hdr := blobHeader(payload)
 	tmp, err := os.CreateTemp(classDir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
+	_, err = tmp.Write(hdr[:])
+	if err == nil {
+		_, err = tmp.Write(payload)
+	}
+	if err != nil {
 		tmp.Close()        //noclint:ignore errdrop besteffort: cleanup after a failed write; the write error is what matters
 		os.Remove(tmpName) //noclint:ignore errdrop besteffort: cleanup after a failed write
 		return fmt.Errorf("cache: %w", err)
@@ -398,8 +410,9 @@ func (s *Store) Put(class string, key specio.Digest, payload []byte) error {
 		e = &entry{}
 		s.entries[name] = e
 	}
-	s.total += int64(len(blob)) - e.size
-	e.size = int64(len(blob))
+	size := int64(blobHeaderLen + len(payload))
+	s.total += size - e.size
+	e.size = size
 	s.clock++
 	e.last = s.clock
 	s.stats.Puts++
@@ -459,13 +472,13 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// encodeBlob frames payload as an entry file: magic, the payload's
-// CRC-64 and the payload.
-func encodeBlob(payload []byte) []byte {
-	blob := make([]byte, 0, blobHeaderLen+len(payload))
-	blob = append(blob, blobMagic...)
-	blob = binary.BigEndian.AppendUint64(blob, crc64.Checksum(payload, crcTable))
-	return append(blob, payload...)
+// blobHeader is the header an entry file of payload starts with: the
+// magic and the payload's CRC-64. The payload follows it.
+func blobHeader(payload []byte) [blobHeaderLen]byte {
+	var h [blobHeaderLen]byte
+	copy(h[:], blobMagic)
+	binary.BigEndian.PutUint64(h[len(blobMagic):], crc64.Checksum(payload, crcTable))
+	return h
 }
 
 // decodeBlob validates a raw entry file and returns its payload.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -296,5 +297,25 @@ func TestScanSkipsOrphanedTempFiles(t *testing.T) {
 	}
 	if st := s.StoreStats(); st.Entries != 0 {
 		t.Fatalf("orphan indexed: %+v", st)
+	}
+}
+
+// TestPutDoesNotCopyPayload pins Put's framing: the header and the
+// payload are written separately, so publishing a 1 MiB payload
+// allocates far less than the payload itself.
+func TestPutDoesNotCopyPayload(t *testing.T) {
+	s := openTest(t, StoreOptions{MaxBytes: -1})
+	payload := make([]byte, 1<<20)
+	const puts = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < puts; i++ {
+		if err := s.Put(ClassResult, keyOf(fmt.Sprint(i)), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPut := (after.TotalAlloc - before.TotalAlloc) / puts; perPut >= 64<<10 {
+		t.Fatalf("Put of a 1 MiB payload allocated %d B, want < 64 KiB", perPut)
 	}
 }

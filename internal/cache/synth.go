@@ -26,11 +26,10 @@ func ResultKey(spec *soc.Spec, lib *model.Library, opt core.Options) specio.Dige
 }
 
 // TopologyDigest is the content digest of a concrete routed design:
-// SHA-256 over the codec's canonical topology encoding.
+// SHA-256 over the codec's canonical topology encoding, built in one
+// exact-size allocation like every other encoding.
 func TopologyDigest(top *topology.Topology) specio.Digest {
-	e := &enc{}
-	encodeTopology(e, top)
-	return sha256.Sum256(e.b)
+	return sha256.Sum256(encodeExact(top, encodeTopology))
 }
 
 // CampaignKey addresses a fault-campaign report by the design it

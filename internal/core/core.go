@@ -383,6 +383,15 @@ func synthesizeAttempt(ctx context.Context, spec *soc.Spec, lib *model.Library, 
 	size := space.Size()
 	col := &orderedCollector{res: res, env: env, outs: make([]evalOutcome, size)}
 	done := env.drive(ctx, space, size, col)
+	// Every kept point is a buffered outcome with a design, so Points is
+	// grown once to their count instead of by append.
+	designs := 0
+	for i := range col.outs[:done] {
+		if col.outs[i].dp != nil {
+			designs++
+		}
+	}
+	res.Points = slices.Grow(res.Points, designs)
 	for _, out := range col.outs[:done] {
 		col.collect(out)
 	}
