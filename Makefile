@@ -105,7 +105,8 @@ bench-analysis:
 # failure instead of a vacuous pass. On a true single-core machine no
 # parallel speedup can exist, so the floor is skipped with an explicit
 # log line and the benchmarks are still run for their correctness
-# checks.
+# checks. Each lane runs five times (-count 5) and bench2json judges
+# the median of the five.
 bench-smoke:
 	$(GO) test -bench=RouteAll -benchtime=1x -benchmem -run='^$$' .
 	@if [ $(NPROC) -ge 4 ]; then floor=2.0; req=4; \
@@ -113,9 +114,9 @@ bench-smoke:
 	else floor=0; req=0; fi; \
 	if [ $$req -eq 0 ]; then \
 		echo "bench-smoke: single-CPU runner (nproc=$(NPROC)); parallel-efficiency floor skipped — no parallel speedup is measurable here"; \
-		$(GO) test -bench='SynthesizeParallel/d48_network' -cpu=$(BENCH_LANES) -benchtime=3x -benchmem -run='^$$' . | $(GO) run ./tools/bench2json -o ''; \
+		$(GO) test -bench='SynthesizeParallel/d48_network' -cpu=$(BENCH_LANES) -benchtime=3x -count 5 -benchmem -run='^$$' . | $(GO) run ./tools/bench2json -o ''; \
 	else \
-		$(GO) test -bench='SynthesizeParallel/d48_network' -cpu=$(BENCH_LANES) -benchtime=3x -benchmem -run='^$$' . | $(GO) run ./tools/bench2json -o '' -floor $$floor -require-procs $$req; \
+		$(GO) test -bench='SynthesizeParallel/d48_network' -cpu=$(BENCH_LANES) -benchtime=3x -count 5 -benchmem -run='^$$' . | $(GO) run ./tools/bench2json -o '' -floor $$floor -require-procs $$req; \
 	fi
 
 bench-all:
@@ -154,8 +155,9 @@ survive-smoke:
 #      to a fresh run;
 #   3. the SynthesizeCached bench lanes through bench2json -cache-floor:
 #      the full hit must be at least 5x faster than the cold run. Each
-#      lane runs a fixed 100 iterations, so the floor judges a mean over
-#      many runs rather than three.
+#      lane runs a fixed 100 iterations, five times over (-count 5), and
+#      bench2json judges the median of the five, so one slow repeat
+#      cannot decide the floor.
 cache-smoke:
 	@dir=$$(mktemp -d); rc=0; \
 	$(GO) run ./cmd/nocsynth -bench d26_media -cache-dir $$dir >/dev/null && \
@@ -164,7 +166,7 @@ cache-smoke:
 		{ echo "cache-smoke: second run was not a full hit:"; echo "$$out" | head -2; false; }; } || rc=1; \
 	rm -rf $$dir; exit $$rc
 	$(GO) test -run 'TestEditedSpecMissIdenticalToFresh|TestSynthesizeCachedIdentityOnSuite' ./internal/cache/
-	$(GO) test -bench=SynthesizeCached -benchtime=100x -run='^$$' . | $(GO) run ./tools/bench2json -o '' -cache-floor 5
+	$(GO) test -bench=SynthesizeCached -benchtime=100x -count 5 -run='^$$' . | $(GO) run ./tools/bench2json -o '' -cache-floor 5
 
 # prune-smoke gates the branch-and-bound layer end-to-end: the winner
 # identity tests (pruned sweep vs -no-prune oracle across worker
@@ -185,8 +187,7 @@ prune-smoke:
 #   - FuzzDecodeBlob: the store's entry framing must yield a payload
 #     matching its checksum, or a miss;
 #   - FuzzSpecSynthesize: spec JSON through validation into synthesis
-#     must end in an error or a best point that validates and is
-#     deadlock-free.
+#     must end in an error or a best point the verify sign-off passes.
 #   - FuzzReadTopology: topology JSON read back against its spec must
 #     end in an error or a topology that validates, never a panic.
 # The committed corpora live in each package's testdata/fuzz; a crasher

@@ -3,8 +3,7 @@
 // demonstrate that the topology survives island shutdown.
 //
 //	nocsim -bench d26_media -islands 6 -duration 50000
-//	nocsim -bench d26_media -islands 6 -off 2,3 -scale 2.0
-//	nocsim -bench d26_media -campaign
+//	nocsim -bench d26_media -islands 6 -off 1,4 -scale 2.0
 package main
 
 import (
@@ -33,7 +32,6 @@ func main() {
 type config struct {
 	spec            *cliflags.SpecFlags
 	synth           *cliflags.SynthFlags
-	camp            *cliflags.CampaignFlags
 	duration, scale float64
 	offList, trace  string
 }
@@ -44,7 +42,6 @@ func newConfig(fs *flag.FlagSet) *config {
 	cfg := &config{
 		spec:  cliflags.Spec(fs),
 		synth: cliflags.Synth(fs),
-		camp:  cliflags.Campaign(fs),
 	}
 	fs.Float64Var(&cfg.duration, "duration", 20000, "injection horizon in ns")
 	fs.Float64Var(&cfg.scale, "scale", 1.0, "injection scale relative to spec bandwidths")
@@ -71,29 +68,6 @@ func run(cfg *config) error {
 	}
 	top := res.Best().Top
 
-	if cfg.camp.Wanted() {
-		// The simulator's view of shutdown: the campaign with SimVerify
-		// checks delivery under every power state, not just the one -off
-		// mask a single run exercises.
-		rep, err := nocvi.RunCampaignCached(store, top, nocvi.CampaignOptions{
-			MaxStates:     cfg.camp.States,
-			SimVerify:     true,
-			Workers:       cfg.synth.Workers,
-			Survivability: cfg.synth.Survive,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Format())
-		if err := cfg.camp.WriteJSON(rep); err != nil {
-			return err
-		}
-		if !rep.OK() {
-			return fmt.Errorf("shutdown invariant violated in %d power state(s)", rep.InvariantViolations)
-		}
-		return nil
-	}
-
 	off := make([]bool, len(spec.Islands))
 	if cfg.offList != "" {
 		for _, tok := range strings.Split(cfg.offList, ",") {
@@ -105,6 +79,11 @@ func run(cfg *config) error {
 				return fmt.Errorf("island %d (%s) is not shutdownable", id, spec.Islands[id].Name)
 			}
 			off[id] = true
+		}
+		// The shutdown guarantee is structural: no route between powered
+		// islands may enter a gated switch.
+		if err := top.ValidateShutdownSafeMask(off); err != nil {
+			return fmt.Errorf("shutdown verification FAILED: %w", err)
 		}
 	}
 
@@ -169,9 +148,6 @@ func run(cfg *config) error {
 	}
 
 	if len(gated) > 0 {
-		if err := nocvi.VerifyShutdown(top, off); err != nil {
-			return fmt.Errorf("shutdown verification FAILED: %w", err)
-		}
 		onW, offW, frac, err := nocvi.ShutdownSavings(top, cfg.offList, off)
 		if err != nil {
 			return err

@@ -50,33 +50,6 @@ func TestRunWithShutdown(t *testing.T) {
 	}
 }
 
-func TestRunCampaign(t *testing.T) {
-	// Campaign mode replaces the single simulation: every power state is
-	// checked with the simulator, and a clean design exits zero.
-	if err := run(parse(t, "-bench", "d16_industrial", "-duration", "1000", "-campaign")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunCampaignJSONSurvivable(t *testing.T) {
-	// A JSON path alone selects campaign mode; at -survive 1 the written
-	// report must carry the zero-reroute contract for bench2json's
-	// -survive-floor gate.
-	path := t.TempDir() + "/camp.json"
-	if err := run(parse(t, "-bench", "d16_industrial", "-duration", "1000", "-campaign-json", path, "-survive", "1")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"invariant_violations": 0`, `"survivability": 1`, `"zero_reroute"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("campaign JSON missing %s:\n%s", want, data)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	if err := run(parse(t, "-bench", "missing", "-duration", "1000")); err == nil {
 		t.Fatal("unknown benchmark accepted")

@@ -54,6 +54,25 @@ func TestRunCampaign(t *testing.T) {
 	}
 }
 
+func TestRunCampaignJSONSurvivable(t *testing.T) {
+	// A JSON path alone selects campaign mode; at -survive 1 the written
+	// report must carry the zero-reroute contract for bench2json's
+	// -survive-floor gate.
+	path := filepath.Join(t.TempDir(), "campaign.json")
+	if err := run(context.Background(), parse(t, "-bench", "d16_industrial", "-campaign-json", path, "-survive", "1")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"invariant_violations": 0`, `"survivability": 1`, `"zero_reroute"`} {
+		if !strings.Contains(string(data), want) {
+			t.Fatalf("campaign JSON missing %s:\n%s", want, data)
+		}
+	}
+}
+
 func TestRunVerilogExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "noc.v")
 	cfg := parse(t, "-bench", "d16_industrial", "-method", "communication", "-islands", "3", "-verilog", path)

@@ -1,9 +1,9 @@
 // Island shutdown in action: synthesize the D26 NoC, then walk through
 // run-time power states — video playback (DSP island off), standby
-// (everything gateable off) — verifying with the cycle-level simulator
-// that the surviving traffic still flows, and accounting the power
-// recovered. This is the paper's motivating use case: the ~3% NoC
-// overhead buys >=25% whole-system savings.
+// (everything gateable off) — proving for each that no surviving flow
+// is routed through a gated island (nocvi.VerifyShutdown), and
+// accounting the power recovered. This is the paper's motivating use
+// case: the ~3% NoC overhead buys >=25% whole-system savings.
 package main
 
 import (

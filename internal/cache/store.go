@@ -116,7 +116,13 @@ import (
 // entry header and the payload without a framed copy, and Synthesize
 // grows Result.Points once before its fold — results, encoded bytes
 // and entry files are identical, but the hot path moved.
-const EngineVersion = 15
+//
+// v16: the fault campaign's simulator re-check and its term in the
+// campaign key are gone, and sim.Run proves a gating mask with
+// topology.ValidateShutdownSafeMask instead of its own copy of the
+// check — results and encoded bytes are identical, but the hot path
+// moved.
+const EngineVersion = 16
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

@@ -38,13 +38,9 @@ func TopologyDigest(top *topology.Topology) specio.Digest {
 // outcomes in mask order, so every worker count produces the same
 // report.
 func CampaignKey(top *topology.Topology, opt fault.CampaignOptions) specio.Digest {
-	sim := int64(0)
-	if opt.SimVerify {
-		sim = 1
-	}
 	return specio.CombineDigests("nocvi-campaign", EngineVersion,
 		[]specio.Digest{specio.SpecDigest(top.Spec), specio.LibraryDigest(top.Lib), TopologyDigest(top)},
-		[]int64{codecVersion, int64(opt.MaxStates), sim, int64(opt.Survivability)})
+		[]int64{codecVersion, int64(opt.MaxStates), int64(opt.Survivability)})
 }
 
 // Synthesize is core.SynthesizeContext behind the content-addressed

@@ -9,7 +9,7 @@
 //   - Synth: -workers, -survive, -cache-dir and -no-cache, plus cache
 //     resolution (all three);
 //   - Campaign: the power-state fault-campaign trio -campaign,
-//     -campaign-states and -campaign-json (nocsynth, nocsim);
+//     -campaign-states and -campaign-json (nocsynth);
 //   - Profile: -cpuprofile and -memprofile, plus starting the
 //     profilers (nocsynth, nocbench).
 package cliflags
@@ -103,7 +103,7 @@ func Synth(fs *flag.FlagSet) *SynthFlags {
 // -no-cache or when neither names a directory.
 func (s *SynthFlags) OpenCache() (*cache.Store, error) { return cache.Resolve(s.CacheDir, s.NoCache) }
 
-// CampaignFlags holds the shared -campaign trio after flag parsing.
+// CampaignFlags holds the -campaign trio after flag parsing.
 type CampaignFlags struct {
 	// Run mirrors -campaign: run the power-state fault campaign.
 	Run bool

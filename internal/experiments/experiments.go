@@ -339,7 +339,7 @@ func Tab2(lib *model.Library) ([]ShutdownRow, error) {
 				gated++
 			}
 		}
-		verified := sim.VerifyShutdownDelivery(top, sc.Off) == nil
+		verified := top.ValidateShutdownSafeMask(sc.Off) == nil
 		rows = append(rows, ShutdownRow{
 			Scenario:   sc.Name,
 			GatedCores: gated,
@@ -648,7 +648,7 @@ func Tab3(lib *model.Library) ([]ModeRow, error) {
 			IdleIslands: idle,
 			NoCDynMW:    sp.NoC.DynW() * 1e3,
 			SystemMW:    sp.TotalW() * 1e3,
-			Verified:    sim.VerifyShutdownDelivery(top, off) == nil,
+			Verified:    top.ValidateShutdownSafeMask(off) == nil,
 		})
 	}
 	return rows, nil

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nocvi/internal/sim"
 	"nocvi/internal/soc"
 	"nocvi/internal/topology"
 )
@@ -37,11 +36,6 @@ type CampaignOptions struct {
 	// state, and fills the remainder with a deterministic sample of
 	// multi-island states — the same sample on every run.
 	MaxStates int
-
-	// SimVerify additionally runs the cycle-level simulator under each
-	// power state (sim.VerifyShutdownDelivery): beyond the structural
-	// invariant, surviving traffic must actually deliver.
-	SimVerify bool
 
 	// Workers bounds the goroutines evaluating power states
 	// concurrently. Zero evaluates serially. Every worker count yields a
@@ -409,11 +403,6 @@ func evalState(a *arena, top *topology.Topology, shutdownable []soc.IslandID, fl
 	if err := top.ValidateShutdownSafeMask(off); err != nil {
 		s.InvariantOK = false
 		s.InvariantErr = stableReason(err)
-	} else if opt.SimVerify {
-		if err := sim.VerifyShutdownDelivery(top, off); err != nil {
-			s.InvariantOK = false
-			s.InvariantErr = stableReason(err)
-		}
 	}
 
 	a.active = activeFlows(top.Spec, flows, off, a.active)

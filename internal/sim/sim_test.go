@@ -131,35 +131,42 @@ func TestContentionRaisesLatency(t *testing.T) {
 	}
 }
 
+// TestShutdownScenario gates every shut-downable island of the logical
+// 6-island D26 alone and then all of them at once: the shutdown proof
+// must accept each mask, and Run under it must inject exactly the flows
+// between powered islands.
 func TestShutdownScenario(t *testing.T) {
 	top := synthD26(t)
 	spec := top.Spec
-	// Gate every shutdownable island one at a time; traffic between the
-	// others must be fully delivered.
+	var masks [][]bool
+	all := make([]bool, len(spec.Islands))
 	for i, isl := range spec.Islands {
 		if !isl.Shutdownable {
 			continue
 		}
 		off := make([]bool, len(spec.Islands))
 		off[i] = true
-		if err := VerifyShutdownDelivery(top, off); err != nil {
-			t.Fatalf("island %d (%s): %v", i, isl.Name, err)
-		}
+		masks = append(masks, off)
+		all[i] = true
 	}
-	// And all shutdownable islands at once.
-	off := make([]bool, len(spec.Islands))
-	any := false
-	for i, isl := range spec.Islands {
-		if isl.Shutdownable {
-			off[i] = true
-			any = true
-		}
-	}
-	if !any {
+	if len(masks) == 0 {
 		t.Fatal("D26/logical-6 has no shutdownable island")
 	}
-	if err := VerifyShutdownDelivery(top, off); err != nil {
-		t.Fatal(err)
+	for _, off := range append(masks, all) {
+		if err := top.ValidateShutdownSafeMask(off); err != nil {
+			t.Fatalf("off=%v: %v", off, err)
+		}
+		res, err := Run(top, Config{Off: off, DurationNs: 5000})
+		if err != nil {
+			t.Fatalf("off=%v: %v", off, err)
+		}
+		for _, fs := range res.PerFlow {
+			powered := !off[spec.IslandOf[fs.Flow.Src]] && !off[spec.IslandOf[fs.Flow.Dst]]
+			if fs.Active != powered || powered != (fs.Sent > 0) {
+				t.Fatalf("off=%v: flow %d->%d active=%v sent %d",
+					off, fs.Flow.Src, fs.Flow.Dst, fs.Active, fs.Sent)
+			}
+		}
 	}
 }
 
@@ -199,6 +206,22 @@ func TestGatedRouteDetected(t *testing.T) {
 	}
 	if _, err := Run(top, Config{Off: []bool{false, true, false}}); err == nil {
 		t.Fatal("route through gated island not detected")
+	}
+}
+
+// TestRunRejectsNonFiniteConfig: an infinite horizon or scale would
+// never end the injection loop, and a NaN scale would make every
+// latency NaN; each is an error instead.
+func TestRunRejectsNonFiniteConfig(t *testing.T) {
+	top := synthD26(t)
+	for _, cfg := range []Config{
+		{DurationNs: math.Inf(1)},
+		{DurationNs: 1000, InjectionScale: math.NaN()},
+		{DurationNs: 1000, InjectionScale: math.Inf(1)},
+	} {
+		if _, err := Run(top, cfg); err == nil {
+			t.Fatalf("config %+v accepted", cfg)
+		}
 	}
 }
 

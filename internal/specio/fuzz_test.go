@@ -6,16 +6,16 @@ import (
 
 	"nocvi/internal/bench"
 	"nocvi/internal/core"
-	"nocvi/internal/deadlock"
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
+	"nocvi/internal/verify"
 )
 
 // FuzzSpecSynthesize drives arbitrary bytes through the spec boundary
 // into the engine: ReadSpec, Validate, then the full Synthesize sweep.
-// Every input must end in an error or in a
-// best point whose topology validates (shutdown invariant included)
-// and is deadlock-free — never in a panic.
+// Every input must end in an error or in a best point that the full
+// sign-off (verify.Run: structure, shutdown matrix, deadlock freedom,
+// capacity) passes — never in a panic.
 //
 // Seeds are the bundled benchmarks as JSON; testdata/fuzz/
 // FuzzSpecSynthesize holds small hand-made specs for the decoder's and
@@ -51,11 +51,8 @@ func FuzzSpecSynthesize(f *testing.F) {
 		if best == nil {
 			t.Fatal("synthesis succeeded without a design point")
 		}
-		if err := best.Top.Validate(); err != nil {
-			t.Fatalf("best point does not validate: %v", err)
-		}
-		if err := deadlock.Check(best.Top); err != nil {
-			t.Fatalf("best point is not deadlock-free: %v", err)
+		if rep := verify.Run(best.Top, best.Placement); !rep.OK() {
+			t.Fatalf("best point fails sign-off:\n%s", rep.Format())
 		}
 	})
 }

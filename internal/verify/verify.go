@@ -14,7 +14,6 @@ import (
 	"nocvi/internal/floorplan"
 	"nocvi/internal/num"
 	"nocvi/internal/power"
-	"nocvi/internal/sim"
 	"nocvi/internal/soc"
 	"nocvi/internal/topology"
 )
@@ -28,7 +27,9 @@ type IslandReport struct {
 	// gated; LostFlows those sourced/sunk in it (legitimately lost).
 	SurvivingFlows int
 	LostFlows      int
-	// DeliveryOK is the simulator's confirmation for gateable islands.
+	// DeliveryOK reports, for a gateable island, that gating it alone
+	// severs no flow between two other islands
+	// (topology.ValidateShutdownSafeMask).
 	DeliveryOK bool
 	// SavedFrac is the system power fraction recovered by gating it.
 	SavedFrac float64
@@ -104,7 +105,7 @@ func Run(top *topology.Topology, pl *floorplan.Placement) *Report {
 		if isl.Shutdownable {
 			off := make([]bool, len(top.Spec.Islands))
 			off[i] = true
-			ir.DeliveryOK = sim.VerifyShutdownDelivery(top, off) == nil
+			ir.DeliveryOK = top.ValidateShutdownSafeMask(off) == nil
 			if _, _, frac, err := power.Savings(top, power.Scenario{Name: isl.Name, Off: off}); err == nil {
 				ir.SavedFrac = frac
 			}

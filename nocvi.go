@@ -193,11 +193,13 @@ func Simulate(top *Topology, cfg SimConfig) (*SimResult, error) {
 	return sim.Run(top, cfg)
 }
 
-// VerifyShutdown simulates the topology with the given islands gated
-// and confirms all remaining traffic delivers (the dynamic counterpart
-// of the synthesis-time safety guarantee).
+// VerifyShutdown proves the topology safe with the given islands gated:
+// every marked island is shut-downable and no route between two
+// powered endpoints enters a gated switch, so all remaining traffic
+// keeps its route (topology.ValidateShutdownSafeMask, the static proof
+// behind the synthesis-time guarantee).
 func VerifyShutdown(top *Topology, off []bool) error {
-	return sim.VerifyShutdownDelivery(top, off)
+	return top.ValidateShutdownSafeMask(off)
 }
 
 // NoCPower computes the power breakdown of a routed topology with every

@@ -123,6 +123,49 @@ func TestPublicAPIBenchmarks(t *testing.T) {
 	}
 }
 
+// TestVerifyShutdownRejectsUnsafeMesh runs the public shutdown proof
+// over the mesh baseline of every bundled benchmark. A mesh ignores the
+// islands when it routes, so it may cross a gateable island: the proof
+// must accept the all-on mask, and reject some single-island mask
+// exactly when the mesh's own violation count is nonzero.
+func TestVerifyShutdownRejectsUnsafeMesh(t *testing.T) {
+	unsafe := 0
+	for _, name := range nocvi.Benchmarks() {
+		spec, err := nocvi.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := nocvi.SynthesizeMesh(spec, nocvi.DefaultLibrary(), nocvi.MeshOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := nocvi.VerifyShutdown(mr.Top, make([]bool, len(spec.Islands))); err != nil {
+			t.Fatalf("%s: all-on mask rejected: %v", name, err)
+		}
+		rejected := false
+		for i, isl := range spec.Islands {
+			if !isl.Shutdownable {
+				continue
+			}
+			off := make([]bool, len(spec.Islands))
+			off[i] = true
+			if nocvi.VerifyShutdown(mr.Top, off) != nil {
+				rejected = true
+			}
+		}
+		if rejected != (mr.ShutdownViolations > 0) {
+			t.Fatalf("%s: proof rejects a single-island mask = %v, mesh counts %d violations",
+				name, rejected, mr.ShutdownViolations)
+		}
+		if rejected {
+			unsafe++
+		}
+	}
+	if unsafe == 0 {
+		t.Fatal("no mesh baseline crosses a gateable island: the rejection path went untested")
+	}
+}
+
 func TestPublicAPIUseCases(t *testing.T) {
 	base, cases := nocvi.BenchmarkD26UseCases()
 	if len(cases) != 3 {

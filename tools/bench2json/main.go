@@ -338,9 +338,12 @@ func loadCampaign(path string, surviveFloor float64) error {
 // go test when it is 1). The suffix becomes part of the key — the
 // record key is `RouteAll/d26_media@p4` — so a `-cpu=1,2,4` run yields
 // one record per lane instead of the lanes overwriting each other.
-// The sorted set of distinct lanes is returned alongside.
+// Repeated lines for one key (a `-count N` run) fold into one record
+// holding the median of each field, so a single slow repeat cannot
+// decide a floor. The sorted set of distinct lanes is returned
+// alongside.
 func parseBench(r io.Reader) (map[string]result, []int, error) {
-	out := make(map[string]result)
+	reps := make(map[string][]result)
 	laneSet := make(map[int]bool)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -377,8 +380,13 @@ func parseBench(r io.Reader) (map[string]result, []int, error) {
 				return nil, nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
 			}
 		}
-		out[fmt.Sprintf("%s@p%d", name, procs)] = res
+		key := fmt.Sprintf("%s@p%d", name, procs)
+		reps[key] = append(reps[key], res)
 		laneSet[procs] = true
+	}
+	out := make(map[string]result, len(reps))
+	for key, rs := range reps {
+		out[key] = medianResult(rs)
 	}
 	var lanes []int
 	for p := range laneSet {
@@ -386,6 +394,28 @@ func parseBench(r io.Reader) (map[string]result, []int, error) {
 	}
 	sort.Ints(lanes)
 	return out, lanes, sc.Err()
+}
+
+// medianResult folds the repeats of one benchmark into a record whose
+// every field is the median of that field over the repeats (the mean
+// of the middle two for an even count).
+func medianResult(rs []result) result {
+	median := func(field func(result) float64) float64 {
+		v := make([]float64, len(rs))
+		for i, r := range rs {
+			v[i] = field(r)
+		}
+		sort.Float64s(v)
+		n := len(v)
+		return (v[(n-1)/2] + v[n/2]) / 2
+	}
+	return result{
+		Iterations:  int64(median(func(r result) float64 { return float64(r.Iterations) })),
+		NsPerOp:     median(func(r result) float64 { return r.NsPerOp }),
+		BytesPerOp:  int64(median(func(r result) float64 { return float64(r.BytesPerOp) })),
+		AllocsPerOp: int64(median(func(r result) float64 { return float64(r.AllocsPerOp) })),
+		PrunedFrac:  median(func(r result) float64 { return r.PrunedFrac }),
+	}
 }
 
 // splitKey parses a `suite/workers=K@pN` record key. ok is false for

@@ -66,6 +66,34 @@ PASS
 	}
 }
 
+// TestParseBenchMedianOfRepeats: a `-count 3` run prints each lane
+// three times, and the record must hold each field's median over the
+// repeats, not the last line's numbers.
+func TestParseBenchMedianOfRepeats(t *testing.T) {
+	repeated := `BenchmarkC/cold-2   100   9000 ns/op   500 B/op   7 allocs/op
+BenchmarkC/warm-2   100   1000 ns/op   100 B/op   3 allocs/op
+BenchmarkC/cold-2   100   7000 ns/op   300 B/op   5 allocs/op
+BenchmarkC/warm-2   100   4000 ns/op   120 B/op   3 allocs/op
+BenchmarkC/cold-2    90   8000 ns/op   400 B/op   6 allocs/op
+BenchmarkC/warm-2   100   1200 ns/op   110 B/op   4 allocs/op
+BenchmarkD/even     100    100 ns/op
+BenchmarkD/even     100    300 ns/op
+PASS
+`
+	got, _, err := parseBench(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]result{
+		"C/cold@p2": {Iterations: 100, NsPerOp: 8000, BytesPerOp: 400, AllocsPerOp: 6},
+		"C/warm@p2": {Iterations: 100, NsPerOp: 1200, BytesPerOp: 110, AllocsPerOp: 3},
+		"D/even@p1": {Iterations: 100, NsPerOp: 200},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("medians = %+v, want %+v", got, want)
+	}
+}
+
 func TestSplitKey(t *testing.T) {
 	suite, w, procs, ok := splitKey("SynthesizeParallel/d48_network/workers=8@p4")
 	if !ok || suite != "SynthesizeParallel/d48_network" || w != 8 || procs != 4 {
