@@ -11,7 +11,8 @@
 # run (second synthesis of an unchanged spec must be a full hit, and a
 # miss on an edited spec must stay bit-identical to a fresh run), and
 # bounded fuzz runs of the cache decoder, the store's blob framing, the
-# spec-to-synthesis boundary and the topology JSON reader.
+# spec-to-synthesis boundary (byte-mutated and generated specs) and the
+# topology JSON reader.
 GO ?= go
 
 .PHONY: ci vet fmt lint surface build test race bench-module bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
@@ -153,11 +154,14 @@ survive-smoke:
 #   2. the cached-vs-fresh identity tests — a miss on an edited spec,
 #      run against a store holding the original, must be byte-identical
 #      to a fresh run;
-#   3. the SynthesizeCached bench lanes through bench2json -cache-floor:
-#      the full hit must be at least 5x faster than the cold run. Each
-#      lane runs a fixed 100 iterations, five times over (-count 5), and
-#      bench2json judges the median of the five, so one slow repeat
-#      cannot decide the floor.
+#   3. the SynthesizeCached/pair bench lane through bench2json
+#      -cache-floor: the full hit must be at least 5x faster than the
+#      miss that stored it. Each iteration times a miss and then a hit of
+#      the same entry back to back, from a collected heap, and the lane
+#      reports the median of the per-pair ratios, so neither contention
+#      nor a collection can land on one leg only; the lane runs a fixed
+#      100 pairs, five times over (-count 5), and bench2json judges the
+#      median of the five.
 cache-smoke:
 	@dir=$$(mktemp -d); rc=0; \
 	$(GO) run ./cmd/nocsynth -bench d26_media -cache-dir $$dir >/dev/null && \
@@ -166,7 +170,7 @@ cache-smoke:
 		{ echo "cache-smoke: second run was not a full hit:"; echo "$$out" | head -2; false; }; } || rc=1; \
 	rm -rf $$dir; exit $$rc
 	$(GO) test -run 'TestEditedSpecMissIdenticalToFresh|TestSynthesizeCachedIdentityOnSuite' ./internal/cache/
-	$(GO) test -bench=SynthesizeCached -benchtime=100x -count 5 -run='^$$' . | $(GO) run ./tools/bench2json -o '' -cache-floor 5
+	$(GO) test -bench='SynthesizeCached/pair' -benchtime=100x -count 5 -run='^$$' . | $(GO) run ./tools/bench2json -o '' -cache-floor 5
 
 # prune-smoke gates the branch-and-bound layer end-to-end: the winner
 # identity tests (pruned sweep vs -no-prune oracle across worker
@@ -188,6 +192,10 @@ prune-smoke:
 #     matching its checksum, or a miss;
 #   - FuzzSpecSynthesize: spec JSON through validation into synthesis
 #     must end in an error or a best point the verify sign-off passes.
+#   - FuzzSpecgenSynthesize: a generated spec (seed, core and island
+#     counts, option bits) through WriteSpec/ReadSpec into synthesis at
+#     one and two workers must fail alike or digest equal, with a best
+#     point the verify sign-off passes; every input reaches the engine.
 #   - FuzzReadTopology: topology JSON read back against its spec must
 #     end in an error or a topology that validates, never a panic.
 # The committed corpora live in each package's testdata/fuzz; a crasher
@@ -196,4 +204,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecSynthesize$$' -fuzztime 10s ./internal/specio/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecgenSynthesize$$' -fuzztime 10s ./internal/specio/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTopology$$' -fuzztime 10s ./internal/specio/

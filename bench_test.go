@@ -10,7 +10,10 @@ package nocvi_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"nocvi/internal/bench"
 	"nocvi/internal/cache"
@@ -300,7 +303,16 @@ func BenchmarkSynthesizePrune(b *testing.B) {
 //	cold — empty store: full synthesis plus encode-and-publish, the
 //	       price of the first run;
 //	warm — unchanged spec: the whole run collapses to one probe and a
-//	       decode (the >=5x full-hit acceptance lane).
+//	       decode;
+//	pair — each iteration times a miss on an empty store and then a
+//	       hit of the entry it stored, and the lane reports the median
+//	       of the per-pair miss/hit ratios as miss/hit (the >=5x
+//	       full-hit acceptance metric). Both legs of a pair run back to
+//	       back, so contention that slows one pair cannot skew the
+//	       ratio the way it skews two lanes timed apart. Each pair
+//	       starts on a collected heap, as a run of nocsynth does, so
+//	       neither leg pays for a collection of the other's or an
+//	       earlier pair's garbage.
 func BenchmarkSynthesizeCached(b *testing.B) {
 	spec, err := bench.D26Islands(viplace.MethodLogical, 6)
 	if err != nil {
@@ -346,6 +358,33 @@ func BenchmarkSynthesizeCached(b *testing.B) {
 				b.Fatalf("warm lane missed: %+v", res.CacheStats)
 			}
 		}
+	})
+	b.Run("pair", func(b *testing.B) {
+		ratios := make([]float64, 0, b.N)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			store := open(b)
+			runtime.GC()
+			b.StartTimer()
+			t0 := time.Now()
+			miss, err := cache.Synthesize(ctx, store, spec, lib, opt)
+			t1 := time.Now()
+			if err != nil {
+				b.Fatal(err)
+			}
+			hit, err := cache.Synthesize(ctx, store, spec, lib, opt)
+			t2 := time.Now()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if miss.CacheStats.Misses != 1 || hit.CacheStats.Hits != 1 {
+				b.Fatalf("pair was not a miss then a hit: %+v, %+v", miss.CacheStats, hit.CacheStats)
+			}
+			ratios = append(ratios, float64(t1.Sub(t0))/float64(t2.Sub(t1)))
+		}
+		slices.Sort(ratios)
+		n := len(ratios)
+		b.ReportMetric((ratios[(n-1)/2]+ratios[n/2])/2, "miss/hit")
 	})
 }
 

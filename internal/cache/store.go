@@ -122,7 +122,13 @@ import (
 // topology.ValidateShutdownSafeMask instead of its own copy of the
 // check — results and encoded bytes are identical, but the hot path
 // moved.
-const EngineVersion = 16
+//
+// v17: the sweep workers' build arenas outlive an engine call (a
+// process-wide pool; the topology is rebound to each call's spec and
+// library, the router reset under each call's options), and Compact
+// publishes empty switch, link and route tables as nil — results and
+// encoded bytes are identical, but the hot path moved.
+const EngineVersion = 17
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

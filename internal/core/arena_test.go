@@ -103,7 +103,7 @@ func TestArenaNoStateLeak(t *testing.T) {
 				sharedEnv = mustEnv(t, spec, lib, opt)
 				sharedEnv.pruner = &incumbentPruner{} // armed, never dominates: nothing is published
 			}
-			shared := newBuildContext(sharedEnv)
+			shared := &buildContext{env: sharedEnv}
 			cols := streamCollectors{&sweepCollector{errCap: 1}}
 			ordered := &orderedCollector{outs: make([]evalOutcome, len(picks))}
 			fresh := make([]*DesignPoint, len(picks))
@@ -111,7 +111,7 @@ func TestArenaNoStateLeak(t *testing.T) {
 			for i, c := range picks {
 				label := fmt.Sprintf("pick %d (%v/%d)", i, c.counts, c.mid)
 				var err error
-				fresh[i], err = buildPoint(newBuildContext(env), c.counts, c.parts, c.mid)
+				fresh[i], err = buildPoint(&buildContext{env: env}, c.counts, c.parts, c.mid)
 				if err != nil {
 					t.Fatalf("%s: fresh build failed: %v", label, err)
 				}
@@ -176,7 +176,7 @@ func arenaPicks(t *testing.T, env *sweepEnv) []arenaPick {
 	t.Helper()
 	space := env.diagonal()
 	var picks []arenaPick
-	resolver := newBuildContext(env)
+	resolver := &buildContext{env: env}
 	for idx := uint64(0); idx < space.Size() && len(picks) < 4; idx += uint64(space.midDim) {
 		c := arenaPick{counts: make([]int, len(env.spec.Islands))}
 		c.mid = space.Decode(idx, c.counts)
@@ -269,7 +269,7 @@ func TestPartitionEntryRace(t *testing.T) {
 			views := make([]*partEntry, racers)
 			for r := 0; r < racers; r++ {
 				done.Add(1)
-				bc := newBuildContext(env)
+				bc := &buildContext{env: env}
 				go func(r int, bc *buildContext) {
 					defer done.Done()
 					start.Wait()
@@ -309,7 +309,7 @@ func TestWarmArenaAllocatesNothing(t *testing.T) {
 	env := mustEnv(t, miniSoC(), model.Default65nm(), Options{AllowIntermediate: true, MaxIntermediateSwitches: 2})
 	picks := arenaPicks(t, env)
 	c := picks[len(picks)/2] // the largest candidate
-	bc := newBuildContext(env)
+	bc := &buildContext{env: env}
 	dp, err := buildPoint(bc, c.counts, c.parts, c.mid)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestWarmBuildPointAllocsConstant(t *testing.T) {
 	}
 	env := mustEnv(t, miniSoC(), model.Default65nm(), Options{AllowIntermediate: true, MaxIntermediateSwitches: 2})
 	picks := arenaPicks(t, env)
-	bc := newBuildContext(env)
+	bc := &buildContext{env: env}
 	for _, c := range picks {
 		if _, err := buildPoint(bc, c.counts, c.parts, c.mid); err != nil {
 			t.Fatal(err)
@@ -488,7 +488,7 @@ func TestPublishedPointsOwnTheirStorage(t *testing.T) {
 	assertPublished(t, "sweep winners", winners)
 
 	env := mustEnv(t, miniSoC(), lib, opt)
-	bc := newBuildContext(env)
+	bc := &buildContext{env: env}
 	for i, c := range arenaPicks(t, env) {
 		built, err := buildPoint(bc, c.counts, c.parts, c.mid)
 		if err != nil {

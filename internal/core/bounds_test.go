@@ -34,7 +34,7 @@ func TestBoundsAdmissibility(t *testing.T) {
 			opt := boundsOpt(sk)
 			env := mustEnv(t, spec, lib, opt)
 			space := env.diagonal()
-			bc := newBuildContext(env)
+			bc := &buildContext{env: env}
 			counts := make([]int, len(spec.Islands))
 			parts := make([][]int, len(counts))
 			built := 0

@@ -374,6 +374,7 @@ func synthesizeAttempt(ctx context.Context, spec *soc.Spec, lib *model.Library, 
 	if err != nil {
 		return nil, err
 	}
+	defer env.releaseArenas() // after the fold: the kept points are published copies
 	res := &Result{Spec: spec, IslandFreqHz: env.freqs, MaxSwitchSize: env.maxSizes, MinSwitches: env.minSwitches}
 	env.ordered = true
 	if env.bounds != nil {

@@ -47,8 +47,10 @@ type sweepEnv struct {
 	pruner  *incumbentPruner
 	ordered bool
 
-	// arenas holds drive's worker arenas, arenas[w] for worker w; they
-	// outlive the pass so the sweep rebuilds its winners in arenas[0].
+	// arenas holds drive's worker arenas, arenas[w] for worker w, bound
+	// to this env from the pool; they outlive the pass so the sweep
+	// rebuilds its winners in arenas[0], and go back to the pool when
+	// the call returns.
 	arenas []*buildContext
 }
 
@@ -343,9 +345,11 @@ func (env *sweepEnv) evaluate(bc *buildContext, idx uint64, counts []int, parts 
 
 // safeEval builds one candidate behind the sweep's panic boundary. A
 // panic is converted into a CandidateError carrying the candidate's
-// parameters and a normalized stack, and the worker's arena is dropped —
-// a panic can leave the pooled topology, router or floorplan scratch
-// half mutated, so the next candidate starts from fresh allocations.
+// parameters and a normalized stack, and the worker's arena contents
+// are dropped — a panic can leave the pooled topology, router or
+// floorplan scratch half mutated, so the next candidate starts from
+// fresh allocations, and the emptied arena is what goes back to the
+// pool.
 func safeEval(bc *buildContext, counts []int, parts [][]int, mid int) (dp *DesignPoint, ce *CandidateError, pruned uint8) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -432,16 +436,15 @@ type collector interface {
 // same space would have found up to that index. The block size follows
 // from the space size and the worker count, down to a single index on
 // small spaces, so a stop never overshoots by more than a sliver of the
-// space. Each worker builds in one arena, env.arenas[w], for the whole
-// sweep; one worker is the same path with one goroutine. The sweep is
-// partial exactly when done < limit.
+// space. Each worker builds in one arena, env.arenas[w], taken from the
+// process-wide pool for the whole sweep; the caller hands the arenas
+// back with releaseArenas once it has published its last build. One
+// worker is the same path with one goroutine. The sweep is partial
+// exactly when done < limit.
 func (env *sweepEnv) drive(ctx context.Context, space candidateSpace, limit uint64, col collector) (done uint64) {
 	n := int(min(uint64(env.opt.workers()), limit))
 	block := min(max(limit/uint64(n*16), 1), 4096)
-	env.arenas = make([]*buildContext, n)
-	for w := range env.arenas {
-		env.arenas[w] = newBuildContext(env)
-	}
+	env.takeArenas(n)
 	var cursor atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {

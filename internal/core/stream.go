@@ -344,6 +344,7 @@ func (env *sweepEnv) sweep(ctx context.Context, sw SweepOptions) (*SweepResult, 
 	if env.bounds != nil {
 		env.pruner = &incumbentPruner{}
 	}
+	defer env.releaseArenas() // after the winners' rebuild, which publishes copies
 	cols := make(streamCollectors, env.opt.workers())
 	for w := range cols {
 		cols[w] = &sweepCollector{errCap: maxSweepErrors}

@@ -79,7 +79,7 @@ func oracleSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options, 
 					parts[i] = p
 				}
 				if ok {
-					dp, err := buildPoint(newBuildContext(env), counts, parts, mid)
+					dp, err := buildPoint(&buildContext{env: env}, counts, parts, mid)
 					if err == nil {
 						feasible = append(feasible, SweepPoint{
 							Index:          idx,
@@ -501,7 +501,7 @@ func TestStreamCollectorAddAllocatesNothing(t *testing.T) {
 	}
 	env := mustEnv(t, spec, model.Default65nm(), Options{AllowIntermediate: true})
 	space := env.diagonal()
-	bc := newBuildContext(env)
+	bc := &buildContext{env: env}
 	counts := make([]int, len(spec.Islands))
 	parts := make([][]int, len(counts))
 	eval := func(idx uint64) evalOutcome {

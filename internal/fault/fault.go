@@ -122,7 +122,7 @@ func (a *arena) rebuild(orig *topology.Topology, failed topology.LinkID) error {
 	if a.router == nil {
 		a.router = route.New(a.top, route.Options{NoNewLinks: true})
 	} else {
-		a.router.Reset(a.top)
+		a.router.Reset(a.top, route.Options{NoNewLinks: true})
 	}
 	return nil
 }

@@ -118,19 +118,21 @@ func (s *subgraph) local(sw topology.SwitchID) int {
 // contain all switches and core attachments; links and routes are added
 // by the router.
 func New(top *topology.Topology, opt Options) *Router {
-	r := &Router{opt: opt}
-	r.Reset(top)
+	r := &Router{}
+	r.Reset(top, opt)
 	return r
 }
 
-// Reset re-targets the router at a new topology under the same options,
-// recycling the subgraph, Dijkstra and path buffers and the per-island
-// size bounds of the previous candidate. New is Reset on an empty router,
-// so after Reset the router behaves exactly like New(top, opt) with the
-// original opt: the synthesis arena's identity guarantee rests on that
-// equivalence.
-func (r *Router) Reset(top *topology.Topology) {
+// Reset re-targets the router at a new topology under the given
+// options, recycling the subgraph, Dijkstra and path buffers and the
+// per-island size bounds of the previous candidate. New is Reset on an
+// empty router, so after Reset the router behaves exactly like
+// New(top, opt): the synthesis arena's identity guarantee rests on that
+// equivalence. A pooled router serves callers with different options,
+// so none of the previous caller's options survive a Reset.
+func (r *Router) Reset(top *topology.Topology, opt Options) {
 	r.top = top
+	r.opt = opt
 	r.minLat = top.Spec.MinLatencyConstraint()
 	n := top.NumIslands()
 	if cap(r.maxSz) < n {

@@ -199,3 +199,141 @@ func TestCompactPathAppendIsolated(t *testing.T) {
 	}
 	sameExported(t, "copy after appends", want, c)
 }
+
+// tinyDesigns returns two designs of one two-core, one-island spec with
+// a flow each way: on one switch, where both routes stay on the switch
+// and no link exists, and on two switches joined by a link each way.
+func tinyDesigns(t *testing.T) (oneSwitch, twoSwitches *topology.Topology) {
+	t.Helper()
+	spec := &soc.Spec{
+		Name: "tiny2",
+		Cores: []soc.Core{
+			{ID: 0, Name: "cpu", Class: soc.ClassCPU, AreaMM2: 1, DynPowerW: 0.1},
+			{ID: 1, Name: "mem", Class: soc.ClassMemory, AreaMM2: 1, DynPowerW: 0.1},
+		},
+		Flows: []soc.Flow{
+			{Src: 0, Dst: 1, BandwidthBps: 100e6},
+			{Src: 1, Dst: 0, BandwidthBps: 50e6},
+		},
+		Islands:  []soc.Island{{ID: 0, Name: "sys", VoltageV: 1.0}},
+		IslandOf: []soc.IslandID{0, 0},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	lib := model.Default65nm()
+	build := func(switches int) *topology.Topology {
+		top := topology.New(spec, lib)
+		top.SetIslandFreq(0, 400e6)
+		for i := 0; i < switches; i++ {
+			top.AddSwitch(0, false)
+		}
+		for c := range spec.Cores {
+			if err := top.AttachCore(soc.CoreID(c), topology.SwitchID(c%switches)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := route.New(top, route.Options{}).RouteAll(); err != nil {
+			t.Fatal(err)
+		}
+		return top
+	}
+	oneSwitch, twoSwitches = build(1), build(2)
+	if len(oneSwitch.Switches) != 1 || len(oneSwitch.Links) != 0 || len(twoSwitches.Links) == 0 {
+		t.Fatalf("tiny designs: %d switches and %d links on one switch, %d links on two",
+			len(oneSwitch.Switches), len(oneSwitch.Links), len(twoSwitches.Links))
+	}
+	return oneSwitch, twoSwitches
+}
+
+// replay builds u into dst, which the caller has just created, Reset or
+// rebound to u's spec and library: island tables, switches, core
+// attachments, links in u's order, and routes with their backups in
+// storage taken from dst, as the router takes it.
+func replay(t *testing.T, dst, u *topology.Topology) {
+	t.Helper()
+	for j := range u.Spec.Islands {
+		dst.SetIslandFreq(soc.IslandID(j), u.IslandFreqHz[j])
+		dst.SetIslandVoltage(soc.IslandID(j), u.IslandVoltage[j])
+	}
+	if u.NoCIsland != soc.NoIsland {
+		dst.AddNoCIsland(u.IslandFreqHz[u.NoCIsland], u.IslandVoltage[u.NoCIsland])
+	}
+	for _, s := range u.Switches {
+		dst.AddSwitch(s.Island, s.Indirect)
+	}
+	for c, sw := range u.SwitchOf {
+		if err := dst.AttachCore(soc.CoreID(c), sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range u.Links {
+		if _, err := dst.AddLink(l.From, l.To); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := func(sws []topology.SwitchID, lnks []topology.LinkID) ([]topology.SwitchID, []topology.LinkID) {
+		s := dst.TakeRouteSwitches(len(sws))
+		copy(s, sws)
+		if lnks == nil {
+			return s, nil // a single-switch route holds no link list
+		}
+		l := dst.TakeRouteLinks(len(lnks))
+		copy(l, lnks)
+		return s, l
+	}
+	for ri, r := range u.Routes {
+		sws, lnks := path(r.Switches, r.Links)
+		if err := dst.AddRoute(topology.Route{Flow: r.Flow, Switches: sws, Links: lnks}); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range r.Backups {
+			sws, lnks := path(b.Switches, b.Links)
+			if err := dst.AddBackup(ri, topology.Path{Switches: sws, Links: lnks}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestCompactIndependentOfStorageHistory: Compact of a design built in
+// a reused topology — Reset after a different design of the same spec,
+// or rebound (Rebind) after a design of another spec or the same one —
+// is reflect.DeepEqual, unexported fields included, to Compact of the
+// same design built in a fresh topology. The population mixes D26
+// candidates with backups and a two-core spec's designs on one switch
+// (no link at all) and on two.
+func TestCompactIndependentOfStorageHistory(t *testing.T) {
+	oneSwitch, twoSwitches := tinyDesigns(t)
+	designs := append(routedCandidates(t, 2), oneSwitch, twoSwitches)
+	names := []string{"d26 candidate 0", "d26 candidate 1", "one switch, no link", "two switches"}
+	for i, u := range designs {
+		fresh := topology.New(u.Spec, u.Lib)
+		replay(t, fresh, u)
+		want := fresh.Compact()
+		sameExported(t, names[i]+" fresh", u, want)
+		for j, dirt := range designs {
+			if j == i {
+				continue
+			}
+			ways := []string{"Rebind"}
+			if dirt.Spec == u.Spec {
+				ways = append(ways, "Reset")
+			}
+			for _, way := range ways {
+				arena := topology.New(dirt.Spec, dirt.Lib)
+				replay(t, arena, dirt)
+				if way == "Reset" {
+					arena.Reset()
+				} else {
+					arena.Rebind(u.Spec, u.Lib)
+				}
+				replay(t, arena, u)
+				if got := arena.Compact(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s built after %s through %s: Compact differs from a fresh build's:\n%+v\nvs\n%+v",
+						names[i], names[j], way, got, want)
+				}
+			}
+		}
+	}
+}

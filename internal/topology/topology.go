@@ -89,7 +89,7 @@ type Route struct {
 
 // Topology is a complete synthesized NoC design. Build one with New:
 // the link index behind FindLink and SwitchPorts is kept only by the
-// mutators (AddSwitch, AddLink, EnsureLink, Reset), so a Topology
+// mutators (AddSwitch, AddLink, EnsureLink, Reset, Rebind), so a Topology
 // assembled by struct literal or by appending to Switches and Links
 // directly breaks those queries.
 type Topology struct {
@@ -121,21 +121,21 @@ type Topology struct {
 	// (-1 when s has none) and nextOut[l] the link added before l in
 	// l's chain (-1 at the end). inLinks/outLinks count each switch's
 	// incident links. AddSwitch and addLink keep all four in step with
-	// Switches and Links; Reset truncates them.
+	// Switches and Links; Rebind truncates them.
 	firstOut []LinkID
 	nextOut  []LinkID
 	inLinks  []int
 	outLinks []int
 
-	// coresFree recycles Switch.Cores backing arrays across Reset
-	// cycles: Reset harvests the slices of the dismantled switches and
+	// coresFree recycles Switch.Cores backing arrays across Rebind
+	// cycles: Rebind harvests the slices of the dismantled switches and
 	// AttachCore pops them back, so a reused topology attaches cores
 	// without growing fresh arrays. Slices live either here or in a
 	// switch, never both.
 	coresFree [][]soc.CoreID
 
 	// swPathFree and lnkPathFree recycle Route.Switches and Route.Links
-	// backing arrays the same way: Reset harvests the dismantled
+	// backing arrays the same way: Rebind harvests the dismantled
 	// routes' slices, TakeRouteSwitches/TakeRouteLinks hand them back
 	// to the router. Like coresFree, a slice lives either in a free
 	// list or in a route, never both. Backup paths share the same two
@@ -147,35 +147,34 @@ type Topology struct {
 
 // New creates an empty topology over the given spec and library, with
 // per-island frequency/voltage tables sized for the spec's islands (the
-// intermediate island is added by AddNoCIsland).
+// intermediate island is added by AddNoCIsland). It is Rebind on an
+// empty topology.
 func New(spec *soc.Spec, lib *model.Library) *Topology {
-	t := &Topology{
-		Spec:          spec,
-		Lib:           lib,
-		NoCIsland:     soc.NoIsland,
-		IslandFreqHz:  make([]float64, len(spec.Islands)),
-		IslandVoltage: make([]float64, len(spec.Islands)),
-		SwitchOf:      make([]SwitchID, len(spec.Cores)),
-	}
-	for i := range t.SwitchOf {
-		t.SwitchOf[i] = -1
-	}
-	for i, isl := range spec.Islands {
-		t.IslandVoltage[i] = isl.VoltageV
-	}
+	t := &Topology{}
+	t.Rebind(spec, lib)
 	return t
 }
 
 // Reset returns t to the state New(t.Spec, t.Lib) would produce while
-// retaining the backing storage of the previous build: the switch, link
-// and route slices and the link index keep their capacity, and the
-// per-switch core lists are recycled through an internal free list. The
-// synthesis sweep resets one topology per worker across candidates
-// instead of allocating a fresh one each time.
+// retaining the backing storage of the previous build. It is Rebind to
+// t's own spec and library.
 //
 // Reset must never be called on a topology that has escaped into a
 // DesignPoint: the recycled storage would alias the published result.
-func (t *Topology) Reset() {
+func (t *Topology) Reset() { t.Rebind(t.Spec, t.Lib) }
+
+// Rebind re-targets t at spec and lib and returns it to the state
+// New(spec, lib) would produce, while retaining the backing storage of
+// every earlier build: the switch, link and route slices and the link
+// index keep their capacity, the island and core tables are resized in
+// place, and the per-switch core lists and route paths are recycled
+// through internal free lists. The synthesis arena rebinds one topology
+// per worker across candidates and across engine calls instead of
+// allocating a fresh one each time.
+//
+// Like Reset, Rebind must never be called on a topology that has
+// escaped into a DesignPoint.
+func (t *Topology) Rebind(spec *soc.Spec, lib *model.Library) {
 	for i := range t.Switches {
 		if c := t.Switches[i].Cores; cap(c) > 0 {
 			t.coresFree = append(t.coresFree, c[:0])
@@ -200,16 +199,16 @@ func (t *Topology) Reset() {
 			t.bakFree = append(t.bakFree, b[:0])
 		}
 	}
+	t.Spec, t.Lib = spec, lib
 	t.Switches = t.Switches[:0]
 	t.Links = t.Links[:0]
 	t.Routes = t.Routes[:0]
 	t.NoCIsland = soc.NoIsland
-	t.IslandFreqHz = t.IslandFreqHz[:len(t.Spec.Islands)]
-	t.IslandVoltage = t.IslandVoltage[:len(t.Spec.Islands)]
-	for i := range t.IslandFreqHz {
-		t.IslandFreqHz[i] = 0
-	}
-	for i, isl := range t.Spec.Islands {
+	t.IslandFreqHz = sized(t.IslandFreqHz, len(spec.Islands))
+	t.IslandVoltage = sized(t.IslandVoltage, len(spec.Islands))
+	t.SwitchOf = sized(t.SwitchOf, len(spec.Cores))
+	clear(t.IslandFreqHz)
+	for i, isl := range spec.Islands {
 		t.IslandVoltage[i] = isl.VoltageV
 	}
 	for i := range t.SwitchOf {
@@ -221,29 +220,40 @@ func (t *Topology) Reset() {
 	t.outLinks = t.outLinks[:0]
 }
 
+// sized returns s at length n, reusing its storage when large enough.
+// The result is never nil and its contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Compact returns a copy of t that shares no storage with it, each
 // slice cut at exactly its length: the switch, link, route and island
 // tables and the link index are copied verbatim, every switch's Cores
 // is cut from one backing array, and every path's Switches and Links,
 // backups included, from one array each, with all Backups from one
 // []Path. The cuts are 3-index slices, so an append to one path never
-// overwrites the next. Nil slices stay nil and the free lists start
-// empty. A worker that keeps building in t publishes the copy.
+// overwrites the next. Empty switch, link and route tables and link
+// index are nil, nil paths stay nil and the free lists start empty, so
+// the copy does not depend on the history of t's storage. A worker that
+// keeps building in t publishes the copy.
 func (t *Topology) Compact() *Topology {
 	c := &Topology{
 		Spec:          t.Spec,
 		Lib:           t.Lib,
-		Switches:      slices.Clip(slices.Clone(t.Switches)),
-		Links:         slices.Clip(slices.Clone(t.Links)),
-		Routes:        slices.Clip(slices.Clone(t.Routes)),
+		Switches:      exact(t.Switches),
+		Links:         exact(t.Links),
+		Routes:        exact(t.Routes),
 		NoCIsland:     t.NoCIsland,
 		IslandFreqHz:  slices.Clip(slices.Clone(t.IslandFreqHz)),
 		IslandVoltage: slices.Clip(slices.Clone(t.IslandVoltage)),
 		SwitchOf:      slices.Clip(slices.Clone(t.SwitchOf)),
-		firstOut:      slices.Clip(slices.Clone(t.firstOut)),
-		nextOut:       slices.Clip(slices.Clone(t.nextOut)),
-		inLinks:       slices.Clip(slices.Clone(t.inLinks)),
-		outLinks:      slices.Clip(slices.Clone(t.outLinks)),
+		firstOut:      exact(t.firstOut),
+		nextOut:       exact(t.nextOut),
+		inLinks:       exact(t.inLinks),
+		outLinks:      exact(t.outLinks),
 	}
 	nCores := 0
 	for i := range t.Switches {
@@ -279,6 +289,16 @@ func (t *Topology) Compact() *Topology {
 		}
 	}
 	return c
+}
+
+// exact returns an exact-size copy of s, or nil when s is empty: a
+// fresh build leaves an unused table nil while a rebound arena leaves
+// it empty, and the copy must not depend on which of the two built it.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clip(slices.Clone(s))
 }
 
 // cut appends s to buf, whose capacity the caller sized for every cut,
@@ -376,7 +396,7 @@ func (t *Topology) AttachCore(c soc.CoreID, sw SwitchID) error {
 
 // TakeRouteSwitches returns a length-n switch buffer for a Route that
 // will be added to this topology, recycling storage reclaimed by
-// Reset when possible. The buffer belongs to the topology's route
+// Rebind when possible. The buffer belongs to the topology's route
 // storage from the moment it is taken: callers must store it in an
 // added Route (or discard it entirely), never retain it elsewhere.
 func (t *Topology) TakeRouteSwitches(n int) []SwitchID {

@@ -61,13 +61,15 @@ import (
 )
 
 // result is one benchmark line: iterations plus the -benchmem triple,
-// and the custom pruned_frac metric the SynthesizePrune lanes report.
+// the custom pruned_frac metric the SynthesizePrune lanes report, and
+// the median miss/hit ratio the SynthesizeCached/pair lane reports.
 type result struct {
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	PrunedFrac  float64 `json:"pruned_frac,omitempty"`
+	MissHit     float64 `json:"miss_hit,omitempty"`
 }
 
 // delta compares current against baseline for one benchmark. Ratios
@@ -87,13 +89,17 @@ type efficiency struct {
 }
 
 // cacheSummary condenses the BenchmarkSynthesizeCached lanes: the
-// cold / warm timings and the ratio that matters — how much a full hit
-// saves.
+// cold / warm timings and their ratio, and the paired ratio that
+// matters — how much a full hit saves, as the median over pairs of a
+// miss and a hit of the same entry timed back to back. The cold / warm
+// ratio divides two lanes timed seconds apart, so contention that hits
+// one lane moves it; only the paired ratio is gated (-cache-floor).
 type cacheSummary struct {
 	Procs          int     `json:"gomaxprocs"`
-	ColdNs         float64 `json:"cold_ns_per_op"`
-	WarmNs         float64 `json:"warm_ns_per_op"`
-	FullHitSpeedup float64 `json:"full_hit_speedup"`
+	ColdNs         float64 `json:"cold_ns_per_op,omitempty"`
+	WarmNs         float64 `json:"warm_ns_per_op,omitempty"`
+	FullHitSpeedup float64 `json:"full_hit_speedup,omitempty"`
+	PairedSpeedup  float64 `json:"paired_full_hit_speedup,omitempty"`
 }
 
 // pruneSummary condenses the SynthesizePrune lanes: the branch-and-
@@ -126,7 +132,7 @@ type record struct {
 	// so when that leaves nothing to report.
 	Efficiency     map[string]efficiency `json:"parallel_efficiency,omitempty"`
 	EfficiencyNote string                `json:"efficiency_note,omitempty"`
-	// Cache holds the SynthesizeCached cold/warm ratio,
+	// Cache holds the SynthesizeCached cold/warm and paired ratios,
 	// computed from Current when present, else Baseline.
 	Cache *cacheSummary `json:"cache,omitempty"`
 	// Prune holds the SynthesizePrune branch-and-bound ratios, computed
@@ -141,7 +147,7 @@ func main() {
 	requireProcs := flag.Int("require-procs", 0, "with -floor: fail unless the input has a GOMAXPROCS lane of at least this width")
 	campaignPath := flag.String("campaign", "", "check a fault-campaign JSON report (nocsynth -campaign-json): fail on any shutdown-invariant violation")
 	surviveFloor := flag.Float64("survive-floor", 0, "fail unless the -campaign report came from a survivability>=1 run with no non-recoverable link fault and a zero-re-route fraction of at least this value")
-	cacheFloor := flag.Float64("cache-floor", 0, "fail unless the SynthesizeCached lanes on stdin show at least this cold/warm full-hit speedup")
+	cacheFloor := flag.Float64("cache-floor", 0, "fail unless the SynthesizeCached/pair lane on stdin shows at least this median miss/hit full-hit speedup")
 	pruneFloor := flag.Float64("prune-floor", 0, "fail unless the SynthesizePrune lanes on stdin show at least this speedup over the exhaustive sweep, with a nonzero pruned fraction")
 	flag.Parse()
 
@@ -176,14 +182,15 @@ func main() {
 	if *cacheFloor > 0 {
 		cs := cacheSummaryFrom(results)
 		switch {
-		case cs == nil:
-			fmt.Fprintf(os.Stderr, "bench2json: -cache-floor %.2f: no SynthesizeCached cold+warm lanes on stdin\n", *cacheFloor)
+		case cs == nil || cs.PairedSpeedup <= 0:
+			fmt.Fprintf(os.Stderr, "bench2json: -cache-floor %.2f: no SynthesizeCached/pair lane with a miss/hit metric on stdin\n", *cacheFloor)
 			os.Exit(1)
-		case cs.FullHitSpeedup < *cacheFloor:
-			fmt.Fprintf(os.Stderr, "bench2json: cache full-hit speedup %.2f below the %.2f floor (cold %.0f ns, warm %.0f ns)\n",
-				cs.FullHitSpeedup, *cacheFloor, cs.ColdNs, cs.WarmNs)
+		case cs.PairedSpeedup < *cacheFloor:
+			fmt.Fprintf(os.Stderr, "bench2json: cache full-hit speedup %.2f (median miss/hit over pairs) below the %.2f floor\n",
+				cs.PairedSpeedup, *cacheFloor)
 			os.Exit(1)
 		}
+		fmt.Printf("[cache full-hit speedup %.2f (median miss/hit over pairs), floor %.2f]\n", cs.PairedSpeedup, *cacheFloor)
 	}
 	if *pruneFloor > 0 {
 		ps := pruneSummaryFrom(results)
@@ -375,6 +382,8 @@ func parseBench(r io.Reader) (map[string]result, []int, error) {
 				res.AllocsPerOp, err = strconv.ParseInt(val, 10, 64)
 			case "pruned_frac":
 				res.PrunedFrac, err = strconv.ParseFloat(val, 64)
+			case "miss/hit":
+				res.MissHit, err = strconv.ParseFloat(val, 64)
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
@@ -415,6 +424,7 @@ func medianResult(rs []result) result {
 		BytesPerOp:  int64(median(func(r result) float64 { return float64(r.BytesPerOp) })),
 		AllocsPerOp: int64(median(func(r result) float64 { return float64(r.AllocsPerOp) })),
 		PrunedFrac:  median(func(r result) float64 { return r.PrunedFrac }),
+		MissHit:     median(func(r result) float64 { return r.MissHit }),
 	}
 }
 
@@ -504,10 +514,10 @@ func efficiencies(results map[string]result) map[string]efficiency {
 	return out
 }
 
-// cacheSummaryFrom extracts the SynthesizeCached/{cold,warm} lanes from
-// a result set and condenses them into the cold/warm full-hit speedup,
-// using the widest GOMAXPROCS lane that measured both. nil when the
-// lanes are absent.
+// cacheSummaryFrom extracts the SynthesizeCached/{cold,warm,pair} lanes
+// from a result set and condenses them into the cold/warm and paired
+// full-hit speedups, using the widest GOMAXPROCS lane that measured
+// cold and warm or the pair. nil when no such lane is present.
 func cacheSummaryFrom(results map[string]result) *cacheSummary {
 	perLane := make(map[int]*cacheSummary)
 	for key, r := range results {
@@ -534,21 +544,22 @@ func cacheSummaryFrom(results map[string]result) *cacheSummary {
 			cs.ColdNs = r.NsPerOp
 		case "warm":
 			cs.WarmNs = r.NsPerOp
+		case "pair":
+			cs.PairedSpeedup = round2(r.MissHit)
 		}
 	}
 	var best *cacheSummary
 	for _, cs := range perLane {
-		if cs.ColdNs <= 0 || cs.WarmNs <= 0 {
+		if cs.ColdNs > 0 && cs.WarmNs > 0 {
+			cs.FullHitSpeedup = round2(cs.ColdNs / cs.WarmNs)
+		}
+		if cs.FullHitSpeedup <= 0 && cs.PairedSpeedup <= 0 {
 			continue
 		}
 		if best == nil || cs.Procs > best.Procs {
 			best = cs
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	best.FullHitSpeedup = round2(best.ColdNs / best.WarmNs)
 	return best
 }
 

@@ -212,6 +212,34 @@ func TestCacheSummaryFrom(t *testing.T) {
 	}
 }
 
+// TestCachePairedSpeedup: the SynthesizeCached/pair lane's miss/hit
+// metric is parsed, folded to its median over -count repeats, and
+// reported as the paired speedup, with or without the cold and warm
+// lanes beside it; a pair lane alone still yields a summary.
+func TestCachePairedSpeedup(t *testing.T) {
+	const out = `BenchmarkSynthesizeCached/cold-2   100   3000000 ns/op
+BenchmarkSynthesizeCached/warm-2   100    500000 ns/op
+BenchmarkSynthesizeCached/pair-2   100   3600000 ns/op   5.40 miss/hit
+BenchmarkSynthesizeCached/pair-2   100   3700000 ns/op   4.10 miss/hit
+BenchmarkSynthesizeCached/pair-2   100   3500000 ns/op   5.70 miss/hit
+`
+	results, _, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := cacheSummaryFrom(results)
+	if cs == nil {
+		t.Fatal("expected a cache summary")
+	}
+	if cs.PairedSpeedup != 5.4 || cs.FullHitSpeedup != 6 || cs.Procs != 2 {
+		t.Fatalf("summary = %+v, want paired 5.4 (the median pair), cold/warm 6 at procs 2", *cs)
+	}
+	alone := cacheSummaryFrom(map[string]result{"SynthesizeCached/pair@p1": {NsPerOp: 1, MissHit: 7.123}})
+	if alone == nil || alone.PairedSpeedup != 7.12 || alone.FullHitSpeedup != 0 {
+		t.Fatalf("pair lane alone: %+v", alone)
+	}
+}
+
 func TestPruneSummaryFrom(t *testing.T) {
 	results := map[string]result{
 		"SynthesizePrune/d48_sweep/prune@p1":   {NsPerOp: 5000, PrunedFrac: 0.98},
