@@ -198,11 +198,15 @@ prune-smoke:
 #     point the verify sign-off passes; every input reaches the engine.
 #   - FuzzReadTopology: topology JSON read back against its spec must
 #     end in an error or a topology that validates, never a panic.
+# -fuzzminimizetime 50x bounds how long Go's minimizer may spend on
+# each newly interesting input (the default is 60s): unbounded, it
+# worked on the ~155 KB D26 seeds for most of each 10s run and the exec
+# rate fell to 0/sec after about 3s. A crasher still fails the run.
 # The committed corpora live in each package's testdata/fuzz; a crasher
 # found here is written there and becomes a permanent regression seed.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/cache/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s ./internal/cache/
-	$(GO) test -run '^$$' -fuzz '^FuzzSpecSynthesize$$' -fuzztime 10s ./internal/specio/
-	$(GO) test -run '^$$' -fuzz '^FuzzSpecgenSynthesize$$' -fuzztime 10s ./internal/specio/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTopology$$' -fuzztime 10s ./internal/specio/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecSynthesize$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/specio/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecgenSynthesize$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/specio/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTopology$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/specio/

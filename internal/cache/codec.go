@@ -2,10 +2,10 @@
 // Result that compares byte-identical to a fresh run — the identity
 // the engine's tests pin down to float bit patterns — so this codec is
 // hand-written and bit-exact: floats round-trip as IEEE bit patterns,
-// and topologies are rebuilt by replaying their construction sequence
-// (switches, attachments, links, routes in original order), which makes
-// the order-dependent accumulated quantities (Link.TrafficBps summed
-// route by route) come out bit-for-bit, not merely approximately.
+// and topologies are stored as their construction essentials (switches,
+// attachments, links, routes in original order) and rebuilt by
+// topology.Build, which sums the order-dependent Link.TrafficBps route
+// by route and so restores it bit-for-bit, not merely approximately.
 //
 // specio's JSON topology format deliberately cannot be reused here: its
 // human units (MB/s, MHz) divide through 1e6 and lose low bits.
@@ -148,7 +148,7 @@ type dec struct {
 	err error
 
 	// sws and lks are the unused tails of the current path chunks that
-	// switchPath and linkPath carve route paths from.
+	// carve cuts route paths from.
 	sws []topology.SwitchID
 	lks []topology.LinkID
 }
@@ -156,28 +156,18 @@ type dec struct {
 // pathChunk is the number of entries one path-chunk allocation holds.
 const pathChunk = 512
 
-// switchPath returns an n-entry switch path carved out of the current
-// chunk, starting a new chunk when it runs short, so a decoded result
-// costs a few allocations for its paths instead of one per route. The
-// slice is capped at n: an append by its owner reallocates instead of
-// overwriting the next path.
-func (d *dec) switchPath(n int) []topology.SwitchID {
-	if len(d.sws) < n {
-		d.sws = make([]topology.SwitchID, max(n, pathChunk))
+// carve returns an n-entry path cut from the chunk *tail, starting a new
+// chunk when it runs short, so a decoded result costs a few allocations
+// for its paths instead of one per route. The path is capped at n, so an
+// append by its owner reallocates instead of overwriting the next path,
+// and is non-nil even when empty: nil links mean something else to the
+// codec.
+func carve[T any](tail *[]T, n int) []T {
+	if *tail == nil || len(*tail) < n {
+		*tail = make([]T, max(n, pathChunk))
 	}
-	p := d.sws[:n:n]
-	d.sws = d.sws[n:]
-	return p
-}
-
-// linkPath is switchPath for link paths. A zero-length path is still
-// non-nil: nil links mean something else to the codec.
-func (d *dec) linkPath(n int) []topology.LinkID {
-	if d.lks == nil || len(d.lks) < n {
-		d.lks = make([]topology.LinkID, max(n, pathChunk))
-	}
-	p := d.lks[:n:n]
-	d.lks = d.lks[n:]
+	p := (*tail)[:n:n]
+	*tail = (*tail)[n:]
 	return p
 }
 
@@ -266,41 +256,18 @@ func (d *dec) str() string {
 	return s
 }
 
-func (d *dec) ints() []int {
+// slice reads a slice the way the enc slice encoders write it — the
+// nil flag, the length, then each element by read — so the round-trip
+// keeps nil and empty apart.
+func slice[T any](d *dec, read func(*dec) T) []T {
 	notNil := d.bool()
 	n := d.length()
 	if d.err != nil || !notNil {
 		return nil
 	}
-	out := make([]int, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = d.int()
-	}
-	return out
-}
-
-func (d *dec) f64s() []float64 {
-	notNil := d.bool()
-	n := d.length()
-	if d.err != nil || !notNil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *dec) strs() []string {
-	notNil := d.bool()
-	n := d.length()
-	if d.err != nil || !notNil {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.str()
+		out[i] = read(d)
 	}
 	return out
 }
@@ -339,9 +306,9 @@ func DecodeResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.Result
 		return nil, fmt.Errorf("cache: result codec version %d, want %d", v, codecVersion)
 	}
 	res := &core.Result{Spec: spec}
-	res.IslandFreqHz = d.f64s()
-	res.MaxSwitchSize = d.ints()
-	res.MinSwitches = d.ints()
+	res.IslandFreqHz = slice(d, (*dec).f64)
+	res.MaxSwitchSize = slice(d, (*dec).int)
+	res.MinSwitches = slice(d, (*dec).int)
 	res.Explored = int(d.u64())
 	res.Feasible = int(d.u64())
 	if d.bool() {
@@ -349,8 +316,8 @@ func DecodeResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.Result
 	}
 	res.Partial = d.bool()
 	res.StopReason = d.str()
-	res.Relaxations = d.strs()
-	res.Errors = decodeCandidateErrors(d)
+	res.Relaxations = slice(d, (*dec).str)
+	res.Errors = slice(d, decodeCandidateError)
 	nPts := d.length()
 	res.Points = slices.Grow(res.Points, nPts)
 	for i := 0; i < nPts && d.err == nil; i++ {
@@ -380,20 +347,13 @@ func encodeCandidateErrors(e *enc, errs []core.CandidateError) {
 	}
 }
 
-func decodeCandidateErrors(d *dec) []core.CandidateError {
-	notNil := d.bool()
-	n := d.length()
-	if d.err != nil || !notNil {
-		return nil
+func decodeCandidateError(d *dec) core.CandidateError {
+	return core.CandidateError{
+		SwitchCounts: slice(d, (*dec).int),
+		MidSwitches:  d.int(),
+		Panic:        d.str(),
+		Stack:        d.str(),
 	}
-	out := make([]core.CandidateError, n)
-	for i := range out {
-		out[i].SwitchCounts = d.ints()
-		out[i].MidSwitches = d.int()
-		out[i].Panic = d.str()
-		out[i].Stack = d.str()
-	}
-	return out
 }
 
 func encodePoint(e *enc, p *core.DesignPoint) {
@@ -412,7 +372,7 @@ func encodePoint(e *enc, p *core.DesignPoint) {
 
 func decodePoint(d *dec, spec *soc.Spec, lib *model.Library) (*core.DesignPoint, error) {
 	p := &core.DesignPoint{}
-	p.SwitchCounts = d.ints()
+	p.SwitchCounts = slice(d, (*dec).int)
 	p.MidSwitches = d.int()
 	top, err := decodeTopology(d, spec, lib)
 	if err != nil {
@@ -427,7 +387,7 @@ func decodePoint(d *dec, spec *soc.Spec, lib *model.Library) (*core.DesignPoint,
 	p.WireViolations = d.int()
 	p.FloorplanOpt.WhitespaceFrac = d.f64()
 	p.FloorplanOpt.SkipAnnotate = d.bool()
-	p.Relaxations = d.strs()
+	p.Relaxations = slice(d, (*dec).str)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -456,9 +416,9 @@ func decodeBreakdown(d *dec, b *power.Breakdown) {
 	b.FIFOLeakW = d.f64()
 }
 
-// encodeTopology captures the construction-order essentials; derived
-// state (link capacities, island-crossing flags, accumulated traffic,
-// the link index) is rebuilt by replay on decode.
+// encodeTopology captures the construction essentials topology.Build
+// reads; derived state (link capacities, island-crossing flags,
+// accumulated traffic, the link index) is rebuilt by Build on decode.
 func encodeTopology(e *enc, t *topology.Topology) {
 	e.bool(t.NoCIsland != soc.NoIsland)
 	e.f64s(t.IslandFreqHz)
@@ -510,185 +470,84 @@ func encodeTopology(e *enc, t *topology.Topology) {
 	}
 }
 
-// decodeTopology replays the construction sequence against a fresh
-// topology: island clocks and supplies first (switches inherit them),
-// then switches, core attachments, links (LengthMM restored from the
-// floorplan annotation) and finally routes in original order, which
-// re-accumulates Link.TrafficBps in the exact addition order of the
-// original build — float sums are order-dependent, so replay order is
-// what makes the round-trip bit-exact.
+// decodeTopology decodes the construction essentials into a fresh
+// topology and lets topology.Build check them and derive the rest. Build
+// sums Link.TrafficBps route by route in stored order, the addition
+// order of the original build — float sums are order-dependent, so that
+// order is what makes the round-trip bit-exact. Each collection is sized
+// to its encoded count, which length() caps at the remaining input, so
+// a corrupt count costs a bounded allocation; a zero count leaves it nil.
 func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topology, error) {
-	hasMid := d.bool()
-	freqs := d.f64s()
-	volts := d.f64s()
-	wantIslands := len(spec.Islands)
-	if hasMid {
-		wantIslands++
+	top := &topology.Topology{Spec: spec, Lib: lib, NoCIsland: soc.NoIsland}
+	if d.bool() {
+		top.NoCIsland = soc.IslandID(len(spec.Islands))
 	}
-	if d.err != nil || len(freqs) != wantIslands || len(volts) != wantIslands {
-		return nil, errCorrupt
+	top.IslandFreqHz = slice(d, (*dec).f64)
+	top.IslandVoltage = slice(d, (*dec).f64)
+	top.Switches = grown(top.Switches, d.length())
+	for i := range top.Switches {
+		top.Switches[i].Island = soc.IslandID(d.int())
+		top.Switches[i].Indirect = d.bool()
 	}
-	top := topology.New(spec, lib)
-	for j := 0; j < len(spec.Islands); j++ {
-		top.SetIslandFreq(soc.IslandID(j), freqs[j])
-		top.SetIslandVoltage(soc.IslandID(j), volts[j])
+	top.SwitchOf = grown(top.SwitchOf, d.length())
+	for c := range top.SwitchOf {
+		top.SwitchOf[c] = topology.SwitchID(d.int())
 	}
-	if hasMid {
-		top.AddNoCIsland(freqs[len(freqs)-1], volts[len(volts)-1])
+	top.Links = grown(top.Links, d.length())
+	for i := range top.Links {
+		l := &top.Links[i]
+		l.From = topology.SwitchID(d.int())
+		l.To = topology.SwitchID(d.int())
+		l.LengthMM = d.f64()
 	}
-
-	// Each collection is grown to its encoded count up front. length()
-	// caps every count at the remaining input, so a corrupt count costs
-	// a bounded allocation, and growing a nil slice by zero keeps it nil.
-	nSw := d.length()
-	top.ReserveSwitches(nSw)
-	for i := 0; i < nSw && d.err == nil; i++ {
-		island := d.int()
-		indirect := d.bool()
-		if island < 0 || island >= top.NumIslands() {
-			return nil, errCorrupt
-		}
-		top.AddSwitch(soc.IslandID(island), indirect)
-	}
-
-	nCores := d.length()
-	if d.err != nil || nCores != len(spec.Cores) {
-		return nil, errCorrupt
-	}
-	// Size each switch's core list up front: count the attachments on a
-	// look-ahead copy of the reader, then carve the lists from one slab,
-	// so AttachCore's appends never reallocate. Switches without cores
-	// keep a nil list.
-	look := *d
-	perSw := make([]int, nSw)
-	attached := 0
-	for c := 0; c < nCores; c++ {
-		if sw := look.int(); sw >= 0 && sw < nSw {
-			perSw[sw]++
-			attached++
-		}
-	}
-	coreSlab := make([]soc.CoreID, attached)
-	for sw, n := range perSw {
-		if n > 0 {
-			top.Switches[sw].Cores = coreSlab[:0:n]
-			coreSlab = coreSlab[n:]
-		}
-	}
-	for c := 0; c < nCores; c++ {
-		sw := d.int()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if sw < 0 {
-			continue // unattached in the encoded design
-		}
-		if sw >= nSw {
-			return nil, errCorrupt
-		}
-		if err := top.AttachCore(soc.CoreID(c), topology.SwitchID(sw)); err != nil {
-			return nil, fmt.Errorf("cache: %w", err)
-		}
-	}
-
-	nLinks := d.length()
-	top.ReserveLinks(nLinks)
-	for i := 0; i < nLinks && d.err == nil; i++ {
-		from, to := d.int(), d.int()
-		length := d.f64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if from < 0 || from >= nSw || to < 0 || to >= nSw {
-			return nil, errCorrupt
-		}
-		lid, err := top.AddLink(topology.SwitchID(from), topology.SwitchID(to))
-		if err != nil {
-			return nil, fmt.Errorf("cache: %w", err)
-		}
-		top.Links[lid].LengthMM = length
-	}
-
-	nRoutes := d.length()
-	top.Routes = slices.Grow(top.Routes, nRoutes)
-	for i := 0; i < nRoutes && d.err == nil; i++ {
-		var flow soc.Flow
-		flow.Src = soc.CoreID(d.int())
-		flow.Dst = soc.CoreID(d.int())
-		if int(flow.Src) < 0 || int(flow.Src) >= len(spec.Cores) ||
-			int(flow.Dst) < 0 || int(flow.Dst) >= len(spec.Cores) {
-			return nil, errCorrupt
-		}
-		flow.BandwidthBps = d.f64()
-		flow.MaxLatencyCycles = d.f64()
-		path, err := d.path(top)
-		if err != nil {
-			return nil, err
-		}
-		if err := top.AddRoute(topology.Route{Flow: flow, Switches: path.Switches, Links: path.Links}); err != nil {
-			return nil, fmt.Errorf("cache: %w", err)
-		}
+	top.Routes = grown(top.Routes, d.length())
+	for i := 0; i < len(top.Routes) && d.err == nil; i++ {
+		r := &top.Routes[i]
+		r.Flow.Src = soc.CoreID(d.int())
+		r.Flow.Dst = soc.CoreID(d.int())
+		r.Flow.BandwidthBps = d.f64()
+		r.Flow.MaxLatencyCycles = d.f64()
+		r.Switches, r.Links = d.path()
 		backupsNotNil := d.bool()
 		nBackups := d.length()
-		if d.err != nil || (!backupsNotNil && nBackups > 0) {
+		if !backupsNotNil && nBackups > 0 {
 			return nil, errCorrupt
 		}
-		if backupsNotNil && nBackups == 0 {
+		if backupsNotNil {
 			// Non-nil empty is a shape the engine never produces, but the
 			// round-trip preserves it for DeepEqual-grade fidelity.
-			top.Routes[i].Backups = []topology.Path{}
+			r.Backups = make([]topology.Path, nBackups)
 		}
-		for bi := 0; bi < nBackups && d.err == nil; bi++ {
-			backup, err := d.path(top)
-			if err != nil {
-				return nil, err
-			}
-			if err := top.AddBackup(i, backup); err != nil {
-				return nil, fmt.Errorf("cache: %w", err)
-			}
+		for j := range r.Backups {
+			r.Backups[j].Switches, r.Backups[j].Links = d.path()
 		}
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
+	if err := top.Build(); err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
+	}
 	return top, nil
 }
 
+// grown returns s grown to length n, nil when s is nil and n is 0.
+func grown[T any](s []T, n int) []T { return slices.Grow(s, n)[:n] }
+
 // path reads one encoded walk of a route, its primary or a backup: the
-// switch count, the switches and whether its links are non-nil. The
-// links re-derive by FindLink over consecutive switches, and both
-// slices are carved from the decoder's path chunks.
-func (d *dec) path(top *topology.Topology) (topology.Path, error) {
-	n := d.length()
-	if d.err != nil || n == 0 {
-		return topology.Path{}, errCorrupt
-	}
-	sws := d.switchPath(n)
+// switch count, the switches and whether its links are non-nil. Both
+// slices are carved from the decoder's path chunks; Build derives the
+// links into the carved link storage.
+func (d *dec) path() ([]topology.SwitchID, []topology.LinkID) {
+	sws := carve(&d.sws, d.length())
 	for p := range sws {
-		sw := d.int()
-		if sw < 0 || sw >= len(top.Switches) {
-			return topology.Path{}, errCorrupt
-		}
-		sws[p] = topology.SwitchID(sw)
-	}
-	linksNotNil := d.bool()
-	if d.err != nil {
-		return topology.Path{}, d.err
+		sws[p] = topology.SwitchID(d.int())
 	}
 	var links []topology.LinkID
-	if linksNotNil {
-		links = d.linkPath(n - 1)
-		for p := 0; p+1 < n; p++ {
-			lid, ok := top.FindLink(sws[p], sws[p+1])
-			if !ok {
-				return topology.Path{}, errCorrupt
-			}
-			links[p] = lid
-		}
-	} else if n > 1 {
-		return topology.Path{}, errCorrupt // a multi-hop path cannot have nil links
+	if d.bool() && len(sws) > 0 {
+		links = carve(&d.lks, len(sws)-1)
 	}
-	return topology.Path{Switches: sws, Links: links}, nil
+	return sws, links
 }
 
 func encodePlacement(e *enc, p *floorplan.Placement) {
@@ -724,26 +583,11 @@ func decodePlacement(d *dec) *floorplan.Placement {
 	}
 	p := &floorplan.Placement{}
 	p.Die = decodeRect(d)
-	if notNil, nIsl := d.bool(), d.length(); notNil && d.err == nil {
-		p.IslandRects = make([]floorplan.Rect, 0, nIsl)
-		for i := 0; i < nIsl && d.err == nil; i++ {
-			p.IslandRects = append(p.IslandRects, decodeRect(d))
-		}
-	}
-	if notNil, nCores := d.bool(), d.length(); notNil && d.err == nil {
-		p.CorePos = make([]floorplan.Point, 0, nCores)
-		for i := 0; i < nCores && d.err == nil; i++ {
-			p.CorePos = append(p.CorePos, floorplan.Point{X: d.f64(), Y: d.f64()})
-		}
-	}
-	if notNil, nSw := d.bool(), d.length(); notNil && d.err == nil {
-		p.SwitchPos = make([]floorplan.Point, 0, nSw)
-		for i := 0; i < nSw && d.err == nil; i++ {
-			p.SwitchPos = append(p.SwitchPos, floorplan.Point{X: d.f64(), Y: d.f64()})
-		}
-	}
-	p.NILengthMM = d.f64s()
-	p.LinkLengthMM = d.f64s()
+	p.IslandRects = slice(d, decodeRect)
+	p.CorePos = slice(d, decodePos)
+	p.SwitchPos = slice(d, decodePos)
+	p.NILengthMM = slice(d, (*dec).f64)
+	p.LinkLengthMM = slice(d, (*dec).f64)
 	return p
 }
 
@@ -757,6 +601,8 @@ func encodeRect(e *enc, r floorplan.Rect) {
 func decodeRect(d *dec) floorplan.Rect {
 	return floorplan.Rect{X: d.f64(), Y: d.f64(), W: d.f64(), H: d.f64()}
 }
+
+func decodePos(d *dec) floorplan.Point { return floorplan.Point{X: d.f64(), Y: d.f64()} }
 
 // encodeSweepPoint encodes one of the streaming sweep's compact
 // summaries.

@@ -128,7 +128,13 @@ import (
 // library, the router reset under each call's options), and Compact
 // publishes empty switch, link and route tables as nil — results and
 // encoded bytes are identical, but the hot path moved.
-const EngineVersion = 17
+//
+// v18: topology.Validate proves that each spec flow is routed exactly
+// once, the link mutators share their checks and link derivation with
+// topology.Build, and the result decoder and the fault rebuild replay a
+// design through Build — results and encoded bytes are identical, but
+// the hot path moved.
+const EngineVersion = 18
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

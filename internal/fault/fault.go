@@ -95,14 +95,15 @@ func stableReason(err error) string {
 }
 
 // arena is one worker's reusable fault-evaluation state. Every link
-// fault rebuilds the design into top, which Reset clears while keeping
-// the switch, link, route and link-index storage of the previous fault,
-// and re-routes on it with router, which Reset re-targets at the
-// rebuilt topology and which keeps its own Dijkstra scratch. active holds
-// the current power state's surviving flows. The zero value is ready:
-// the topology and router are built on the first rebuild, so a
-// survivable campaign, which never re-routes, never allocates them. An
-// arena belongs to one goroutine; a campaign gives each worker its own.
+// fault rebuilds the design into top, which rebuildInto rebinds while
+// keeping the switch, link, route, core-list and link-index storage of
+// the previous fault, and re-routes on it with router, which Reset
+// re-targets at the rebuilt topology and which keeps its own Dijkstra
+// scratch. active holds the current power state's surviving flows. The
+// zero value is ready: the topology and router are built on the first
+// rebuild, so a survivable campaign, which never re-routes, never
+// allocates them. An arena belongs to one goroutine; a campaign gives
+// each worker its own.
 type arena struct {
 	top    *topology.Topology
 	router *route.Router
@@ -127,45 +128,28 @@ func (a *arena) rebuild(orig *topology.Topology, failed topology.LinkID) error {
 	return nil
 }
 
-// rebuildInto resets dst and reconstructs the design in it — same
-// island settings, switches and core attachments, traffic reset, no
-// routes committed — with every link except the failed one. Links after
-// the failed one are renumbered down by one, exactly as a fresh build
-// would number them, so routing on dst matches routing on a newly
-// allocated rebuild. Both the single-link sweep and the power-state
-// campaign re-route on topologies built here.
+// rebuildInto rebinds dst and builds in it a copy of orig's
+// construction essentials — island tables, switches, core attachments —
+// with every link except the failed one and no routes, so traffic
+// starts at zero. Links after the failed one are renumbered down by one,
+// exactly as a fresh build would number them, so routing on dst matches
+// routing on a newly allocated rebuild. Both the single-link sweep and
+// the power-state campaign re-route on topologies built here.
 func rebuildInto(dst, orig *topology.Topology, failed topology.LinkID) error {
-	dst.Reset()
-	for i := 0; i < len(orig.Spec.Islands); i++ {
-		dst.SetIslandFreq(soc.IslandID(i), orig.IslandFreqHz[i])
-		dst.SetIslandVoltage(soc.IslandID(i), orig.IslandVoltage[i])
-	}
-	if orig.NoCIsland != soc.NoIsland {
-		dst.AddNoCIsland(orig.IslandFreqHz[orig.NoCIsland], orig.IslandVoltage[orig.NoCIsland])
-	}
+	dst.Rebind(orig.Spec, orig.Lib)
+	dst.NoCIsland = orig.NoCIsland
+	dst.IslandFreqHz = append(dst.IslandFreqHz[:0], orig.IslandFreqHz...)
+	dst.IslandVoltage = append(dst.IslandVoltage[:0], orig.IslandVoltage...)
+	copy(dst.SwitchOf, orig.SwitchOf)
 	for _, s := range orig.Switches {
-		id := dst.AddSwitch(s.Island, s.Indirect)
-		if id != s.ID {
-			return fmt.Errorf("fault: switch renumbering (%d vs %d)", id, s.ID)
-		}
-	}
-	for c, sw := range orig.SwitchOf {
-		if sw < 0 {
-			continue
-		}
-		if err := dst.AttachCore(soc.CoreID(c), sw); err != nil {
-			return err
-		}
+		dst.Switches = append(dst.Switches, topology.Switch{Island: s.Island, Indirect: s.Indirect})
 	}
 	for _, l := range orig.Links {
-		if l.ID == failed {
-			continue
-		}
-		if _, err := dst.AddLink(l.From, l.To); err != nil {
-			return err
+		if l.ID != failed {
+			dst.Links = append(dst.Links, topology.Link{From: l.From, To: l.To})
 		}
 	}
-	return nil
+	return dst.Build()
 }
 
 // Format renders the report.

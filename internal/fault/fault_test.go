@@ -7,6 +7,7 @@ import (
 	"nocvi/internal/bench"
 	"nocvi/internal/core"
 	"nocvi/internal/model"
+	"nocvi/internal/topology"
 	"nocvi/internal/viplace"
 )
 
@@ -94,5 +95,26 @@ func TestRedundantPathRecovers(t *testing.T) {
 				t.Fatalf("failure of an unused link must be recoverable: %s", o.Reason)
 			}
 		}
+	}
+}
+
+// TestArenaRebuildAllocatesNothing: once an arena has rebuilt a design,
+// rebuilding it without another link reuses the arena's storage. The
+// replay through topology.Build must keep it that way.
+func TestArenaRebuildAllocatesNothing(t *testing.T) {
+	top := synthD26(t).Top
+	var a arena
+	if err := a.rebuild(top, 0); err != nil {
+		t.Fatal(err)
+	}
+	failed := topology.LinkID(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		failed = (failed + 1) % topology.LinkID(len(top.Links))
+		if err := a.rebuild(top, failed); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm arena rebuild allocates %v times, want 0", allocs)
 	}
 }

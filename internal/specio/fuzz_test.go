@@ -65,8 +65,11 @@ func FuzzSpecSynthesize(f *testing.F) {
 // fixed point.
 //
 // testdata/fuzz/FuzzReadTopology holds WriteTopology output for the
-// example SoC and for a survivable (k=1) D26 design, plus the malformed
-// inputs that once panicked. Run with
+// example SoC and for a survivable (k=1) D26 design, the malformed
+// inputs that once panicked, and that D26 output with two route entries
+// overwritten by the first (flow-routed-thrice: as many routes as flows,
+// yet one flow routed three times and two never), which Validate once
+// accepted. Run with
 //
 //	go test -run '^$' -fuzz FuzzReadTopology -fuzztime 10s ./internal/specio
 func FuzzReadTopology(f *testing.F) {

@@ -259,10 +259,10 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 		r := &top.Routes[ri]
 		tr := topoRoute{
 			Src: top.Spec.Cores[r.Flow.Src].Name, Dst: top.Spec.Cores[r.Flow.Dst].Name,
-			Switches: switchInts(r.Switches),
+			Switches: convertIDs[int](r.Switches),
 		}
 		for _, b := range r.Backups {
-			tr.Backups = append(tr.Backups, switchInts(b.Switches))
+			tr.Backups = append(tr.Backups, convertIDs[int](b.Switches))
 		}
 		out.Routes = append(out.Routes, tr)
 	}
@@ -276,20 +276,23 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 	return enc.Encode(out)
 }
 
-// switchInts converts a switch walk to its JSON form.
-func switchInts(sws []topology.SwitchID) []int {
-	out := make([]int, len(sws))
-	for i, s := range sws {
-		out[i] = int(s)
+// convertIDs converts a walk of switch IDs between its in-memory
+// (topology.SwitchID) and JSON (int) forms.
+func convertIDs[To, From ~int](ids []From) []To {
+	out := make([]To, len(ids))
+	for i, id := range ids {
+		out[i] = To(id)
 	}
 	return out
 }
 
 // ReadTopology reconstructs a topology from JSON written by
 // WriteTopology, resolving it against the original spec and a model
-// library. The result is fully validated, so externally edited
-// topologies (e.g. hand-tuned link placements) are checked against the
-// same rules the synthesis engine enforces.
+// library. It maps the JSON's names and IDs into the topology's
+// construction fields, and topology.Build checks them and derives the
+// rest. The result is fully validated, so externally edited topologies
+// (e.g. hand-tuned link placements) are checked against the same rules
+// the synthesis engine enforces.
 func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.Topology, error) {
 	var in topoJSON
 	dec := json.NewDecoder(r)
@@ -302,28 +305,25 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 	}
 	top := topology.New(spec, lib)
 	for _, isl := range in.Islands {
-		if isl.Intermediate {
-			if top.NoCIsland != soc.NoIsland {
-				return nil, fmt.Errorf("specio: second intermediate island %d", isl.ID)
-			}
-			if id := top.AddNoCIsland(isl.FreqMHz*1e6, isl.VoltageV); int(id) != isl.ID {
-				return nil, fmt.Errorf("specio: intermediate island id %d unexpected", isl.ID)
-			}
-			continue
+		switch {
+		case isl.Intermediate:
+			// A second intermediate island lengthens the tables past what
+			// Build accepts.
+			top.NoCIsland = soc.IslandID(isl.ID)
+			top.IslandFreqHz = append(top.IslandFreqHz, isl.FreqMHz*1e6)
+			top.IslandVoltage = append(top.IslandVoltage, isl.VoltageV)
+		case isl.ID < 0 || isl.ID >= len(spec.Islands):
+			return nil, fmt.Errorf("specio: %w: island %d outside the spec", topology.ErrIslands, isl.ID)
+		default:
+			top.IslandFreqHz[isl.ID] = isl.FreqMHz * 1e6
+			top.IslandVoltage[isl.ID] = isl.VoltageV
 		}
-		if isl.ID < 0 || isl.ID >= len(spec.Islands) {
-			return nil, fmt.Errorf("specio: island %d outside the spec", isl.ID)
-		}
-		top.SetIslandFreq(soc.IslandID(isl.ID), isl.FreqMHz*1e6)
-		top.SetIslandVoltage(soc.IslandID(isl.ID), isl.VoltageV)
 	}
-	for _, sw := range in.Switches {
-		if sw.Island < 0 || sw.Island >= top.NumIslands() {
-			return nil, fmt.Errorf("specio: switch %d in unknown island %d", sw.ID, sw.Island)
+	for i, sw := range in.Switches {
+		if sw.ID != i {
+			return nil, fmt.Errorf("specio: switch ids must be dense (got %d, want %d)", sw.ID, i)
 		}
-		if id := top.AddSwitch(soc.IslandID(sw.Island), sw.Indirect); int(id) != sw.ID {
-			return nil, fmt.Errorf("specio: switch ids must be dense (got %d, want %d)", sw.ID, id)
-		}
+		top.Switches = append(top.Switches, topology.Switch{Island: soc.IslandID(sw.Island), Indirect: sw.Indirect})
 	}
 	coreID := map[string]soc.CoreID{}
 	for _, c := range spec.Cores {
@@ -334,22 +334,15 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if !ok {
 			return nil, fmt.Errorf("specio: NI references unknown core %q", ni.Core)
 		}
-		if !hasSwitch(top, ni.Switch) {
-			return nil, fmt.Errorf("specio: NI of %q references unknown switch %d", ni.Core, ni.Switch)
+		if top.SwitchOf[c] != -1 {
+			return nil, fmt.Errorf("specio: %w: core %q has a second NI", topology.ErrAttach, ni.Core)
 		}
-		if err := top.AttachCore(c, topology.SwitchID(ni.Switch)); err != nil {
-			return nil, fmt.Errorf("specio: %w", err)
-		}
+		top.SwitchOf[c] = topology.SwitchID(ni.Switch)
 	}
 	for _, l := range in.Links {
-		if !hasSwitch(top, l.From) || !hasSwitch(top, l.To) {
-			return nil, fmt.Errorf("specio: link %d->%d references an unknown switch", l.From, l.To)
-		}
-		lid, err := top.AddLink(topology.SwitchID(l.From), topology.SwitchID(l.To))
-		if err != nil {
-			return nil, fmt.Errorf("specio: %w", err)
-		}
-		top.Links[lid].LengthMM = l.LengthMM
+		top.Links = append(top.Links, topology.Link{
+			From: topology.SwitchID(l.From), To: topology.SwitchID(l.To), LengthMM: l.LengthMM,
+		})
 	}
 	for _, rt := range in.Routes {
 		src, ok := coreID[rt.Src]
@@ -364,55 +357,17 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if !ok {
 			return nil, fmt.Errorf("specio: route %q->%q has no flow in the spec", rt.Src, rt.Dst)
 		}
-		p, err := readWalk(top, rt, rt.Switches)
-		if err != nil {
-			return nil, err
-		}
-		if err := top.AddRoute(topology.Route{Flow: f, Switches: p.Switches, Links: p.Links}); err != nil {
-			return nil, fmt.Errorf("specio: %w", err)
-		}
+		r := topology.Route{Flow: f, Switches: convertIDs[topology.SwitchID](rt.Switches)}
 		for _, b := range rt.Backups {
-			p, err := readWalk(top, rt, b)
-			if err != nil {
-				return nil, err
-			}
-			if err := top.AddBackup(len(top.Routes)-1, p); err != nil {
-				return nil, fmt.Errorf("specio: %w", err)
-			}
+			r.Backups = append(r.Backups, topology.Path{Switches: convertIDs[topology.SwitchID](b)})
 		}
+		top.Routes = append(top.Routes, r)
+	}
+	if err := top.Build(); err != nil {
+		return nil, fmt.Errorf("specio: %w", err)
 	}
 	if err := top.Validate(); err != nil {
 		return nil, fmt.Errorf("specio: loaded topology invalid: %w", err)
 	}
 	return top, nil
-}
-
-// readWalk resolves one serialized switch walk of route rt against the
-// topology's switches and links.
-func readWalk(top *topology.Topology, rt topoRoute, walk []int) (topology.Path, error) {
-	p := topology.Path{
-		Switches: make([]topology.SwitchID, len(walk)),
-		Links:    make([]topology.LinkID, 0, len(walk)),
-	}
-	for i, s := range walk {
-		if !hasSwitch(top, s) {
-			return topology.Path{}, fmt.Errorf("specio: route %q->%q references unknown switch %d", rt.Src, rt.Dst, s)
-		}
-		p.Switches[i] = topology.SwitchID(s)
-		if i > 0 {
-			lid, ok := top.FindLink(p.Switches[i-1], p.Switches[i])
-			if !ok {
-				return topology.Path{}, fmt.Errorf("specio: route %q->%q uses missing link %d->%d",
-					rt.Src, rt.Dst, p.Switches[i-1], p.Switches[i])
-			}
-			p.Links = append(p.Links, lid)
-		}
-	}
-	return p, nil
-}
-
-// hasSwitch reports whether the serialized switch id s names one of
-// top's switches.
-func hasSwitch(top *topology.Topology, s int) bool {
-	return s >= 0 && s < len(top.Switches)
 }

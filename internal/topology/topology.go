@@ -11,6 +11,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -87,11 +88,13 @@ type Route struct {
 	Backups []Path
 }
 
-// Topology is a complete synthesized NoC design. Build one with New:
-// the link index behind FindLink and SwitchPorts is kept only by the
-// mutators (AddSwitch, AddLink, EnsureLink, Reset, Rebind), so a Topology
-// assembled by struct literal or by appending to Switches and Links
-// directly breaks those queries.
+// Topology is a complete synthesized NoC design. The engine grows one
+// from New with the mutators (AddSwitch, AttachCore, AddLink, ...). A
+// reader of a stored design instead fills the construction fields of a
+// fresh or rebound Topology — NoCIsland and the island tables, each
+// switch's Island and Indirect, SwitchOf, each link's From, To and
+// LengthMM, each route's Flow and switch walks, backups included — and
+// calls Build, which checks them and derives the rest.
 type Topology struct {
 	Spec *soc.Spec
 	Lib  *model.Library
@@ -133,6 +136,9 @@ type Topology struct {
 	// without growing fresh arrays. Slices live either here or in a
 	// switch, never both.
 	coresFree [][]soc.CoreID
+
+	// coreSlab backs every Switch.Cores that Build cuts; Rebind keeps it.
+	coreSlab []soc.CoreID
 
 	// swPathFree and lnkPathFree recycle Route.Switches and Route.Links
 	// backing arrays the same way: Rebind harvests the dismantled
@@ -374,23 +380,36 @@ func (t *Topology) AddSwitch(island soc.IslandID, indirect bool) SwitchID {
 // AttachCore connects a core's NI to a switch. The switch must be a
 // direct switch in the core's island.
 func (t *Topology) AttachCore(c soc.CoreID, sw SwitchID) error {
-	s := &t.Switches[sw]
-	if s.Indirect {
-		return fmt.Errorf("topology: core %d attached to indirect switch %d", c, sw)
-	}
-	if t.Spec.IslandOf[c] != s.Island {
-		return fmt.Errorf("topology: core %d (island %d) attached to switch %d in island %d",
-			c, t.Spec.IslandOf[c], sw, s.Island)
+	if err := t.checkAttach(c, sw); err != nil {
+		return err
 	}
 	if t.SwitchOf[c] != -1 {
-		return fmt.Errorf("topology: core %d already attached to switch %d", c, t.SwitchOf[c])
+		return fmt.Errorf("%w: core %d already attached to switch %d", ErrAttach, c, t.SwitchOf[c])
 	}
+	s := &t.Switches[sw]
 	if s.Cores == nil && len(t.coresFree) > 0 {
 		s.Cores = t.coresFree[len(t.coresFree)-1]
 		t.coresFree = t.coresFree[:len(t.coresFree)-1]
 	}
 	s.Cores = append(s.Cores, c)
 	t.SwitchOf[c] = sw
+	return nil
+}
+
+// checkAttach reports why core c cannot sit on switch sw: sw is out of
+// range, indirect, or in another island.
+func (t *Topology) checkAttach(c soc.CoreID, sw SwitchID) error {
+	if sw < 0 || int(sw) >= len(t.Switches) {
+		return fmt.Errorf("%w: core %d on unknown switch %d", ErrAttach, c, sw)
+	}
+	s := &t.Switches[sw]
+	if s.Indirect {
+		return fmt.Errorf("%w: core %d on indirect switch %d", ErrAttach, c, sw)
+	}
+	if t.Spec.IslandOf[c] != s.Island {
+		return fmt.Errorf("%w: core %d (island %d) on switch %d in island %d",
+			ErrAttach, c, t.Spec.IslandOf[c], sw, s.Island)
+	}
 	return nil
 }
 
@@ -438,10 +457,10 @@ func (t *Topology) FindLink(from, to SwitchID) (LinkID, bool) {
 // capacity from the slower endpoint clock and marking island crossings.
 // Duplicate links are rejected; use EnsureLink for lookup-or-add.
 func (t *Topology) AddLink(from, to SwitchID) (LinkID, error) {
-	if _, ok := t.FindLink(from, to); ok {
-		return -1, fmt.Errorf("topology: duplicate link %d->%d", from, to)
+	if err := t.checkLink(from, to); err != nil {
+		return -1, err
 	}
-	return t.addLink(from, to)
+	return t.addLink(from, to), nil
 }
 
 // EnsureLink returns the directed link from->to, opening it when absent
@@ -451,47 +470,51 @@ func (t *Topology) EnsureLink(from, to SwitchID) (LinkID, error) {
 	if id, ok := t.FindLink(from, to); ok {
 		return id, nil
 	}
-	return t.addLink(from, to)
-}
-
-// ReserveSwitches makes room for n more switches in Switches and in
-// the link index, so a caller that knows its switch count up front (the
-// result cache's decoder) adds them without regrowing either.
-func (t *Topology) ReserveSwitches(n int) {
-	t.Switches = slices.Grow(t.Switches, n)
-	t.firstOut = slices.Grow(t.firstOut, n)
-	t.inLinks = slices.Grow(t.inLinks, n)
-	t.outLinks = slices.Grow(t.outLinks, n)
-}
-
-// ReserveLinks makes room for n more links in Links and in the link
-// index, so a caller that knows its link count up front (the result
-// cache's decoder) adds them without regrowing either.
-func (t *Topology) ReserveLinks(n int) {
-	t.Links = slices.Grow(t.Links, n)
-	t.nextOut = slices.Grow(t.nextOut, n)
-}
-
-// addLink appends a link the index has already proven absent.
-func (t *Topology) addLink(from, to SwitchID) (LinkID, error) {
 	if from == to {
-		return -1, fmt.Errorf("topology: self link on switch %d", from)
+		return -1, fmt.Errorf("%w: self link on switch %d", ErrLink, from)
 	}
-	fs, ts := t.Switches[from], t.Switches[to]
-	minF := math.Min(fs.FreqHz, ts.FreqHz)
+	return t.addLink(from, to), nil
+}
+
+// checkLink reports why no new link from->to can open: an endpoint out
+// of range, a self link, or a link that already exists.
+func (t *Topology) checkLink(from, to SwitchID) error {
+	n := SwitchID(len(t.Switches))
+	switch {
+	case from < 0 || from >= n || to < 0 || to >= n:
+		return fmt.Errorf("%w: link %d->%d names an unknown switch", ErrLink, from, to)
+	case from == to:
+		return fmt.Errorf("%w: self link on switch %d", ErrLink, from)
+	}
+	if _, ok := t.FindLink(from, to); ok {
+		return fmt.Errorf("%w: duplicate link %d->%d", ErrLink, from, to)
+	}
+	return nil
+}
+
+// addLink appends a link checkLink or the index has already proven
+// legal and absent.
+func (t *Topology) addLink(from, to SwitchID) LinkID {
 	id := LinkID(len(t.Links))
-	t.Links = append(t.Links, Link{
-		ID:             id,
-		From:           from,
-		To:             to,
-		CrossesIslands: fs.Island != ts.Island,
-		CapacityBps:    t.Lib.LinkCapacityBps(minF),
-	})
-	t.nextOut = append(t.nextOut, t.firstOut[from])
-	t.firstOut[from] = id
-	t.outLinks[from]++
-	t.inLinks[to]++
-	return id, nil
+	t.Links = append(t.Links, Link{From: from, To: to})
+	t.openLink(id)
+	return id
+}
+
+// openLink derives link id's ID, crossing flag and capacity (from the
+// slower endpoint clock) from its endpoints, zeroes its traffic, and
+// threads it into the link index. Links must be opened in ID order.
+func (t *Topology) openLink(id LinkID) {
+	l := &t.Links[id]
+	fs, ts := &t.Switches[l.From], &t.Switches[l.To]
+	l.ID = id
+	l.CrossesIslands = fs.Island != ts.Island
+	l.TrafficBps = 0
+	l.CapacityBps = t.Lib.LinkCapacityBps(math.Min(fs.FreqHz, ts.FreqHz))
+	t.nextOut = append(t.nextOut, t.firstOut[l.From])
+	t.firstOut[l.From] = id
+	t.outLinks[l.From]++
+	t.inLinks[l.To]++
 }
 
 // SwitchPorts returns the input and output port counts of a switch:
@@ -554,7 +577,7 @@ func (t *Topology) MeanZeroLoadLatency() float64 {
 // AddRoute records the route for a flow, accounting its bandwidth on
 // every traversed link. The route must already be structurally valid.
 func (t *Topology) AddRoute(r Route) error {
-	if err := t.checkRoute(&r); err != nil {
+	if err := t.checkPath(r.Flow, r.Switches, r.Links); err != nil {
 		return err
 	}
 	for _, lid := range r.Links {
@@ -571,7 +594,7 @@ func (t *Topology) AddRoute(r Route) error {
 // job, not enforced here.
 func (t *Topology) AddBackup(ri int, p Path) error {
 	if ri < 0 || ri >= len(t.Routes) {
-		return fmt.Errorf("topology: backup for unknown route %d", ri)
+		return fmt.Errorf("%w: backup for unknown route %d", ErrWalk, ri)
 	}
 	r := &t.Routes[ri]
 	if err := t.checkPath(r.Flow, p.Switches, p.Links); err != nil {
@@ -585,41 +608,167 @@ func (t *Topology) AddBackup(ri int, p Path) error {
 	return nil
 }
 
-// checkRoute verifies the structural validity of a route.
-func (t *Topology) checkRoute(r *Route) error {
-	return t.checkPath(r.Flow, r.Switches, r.Links)
-}
-
-// checkPath verifies one switch/link walk against a flow: non-empty,
-// link list matching the switch list, endpoints on the flow's NI
-// switches, and every link actually connecting its consecutive pair.
+// checkPath verifies one switch/link walk against a flow: endpoints
+// that are cores, non-empty, link list matching the switch list, walk
+// ends on the flow's NI switches, and every link actually connecting
+// its consecutive pair.
 func (t *Topology) checkPath(f soc.Flow, switches []SwitchID, links []LinkID) error {
+	if f.Src < 0 || int(f.Src) >= len(t.SwitchOf) || f.Dst < 0 || int(f.Dst) >= len(t.SwitchOf) {
+		return fmt.Errorf("%w: flow %d->%d names an unknown core", ErrWalk, f.Src, f.Dst)
+	}
 	if len(switches) == 0 {
-		return fmt.Errorf("topology: empty route for flow %d->%d", f.Src, f.Dst)
+		return fmt.Errorf("%w: empty route for flow %d->%d", ErrWalk, f.Src, f.Dst)
 	}
 	if len(links) != len(switches)-1 {
-		return fmt.Errorf("topology: route for %d->%d has %d links for %d switches",
-			f.Src, f.Dst, len(links), len(switches))
+		return fmt.Errorf("%w: route for %d->%d has %d links for %d switches",
+			ErrWalk, f.Src, f.Dst, len(links), len(switches))
 	}
 	if t.SwitchOf[f.Src] != switches[0] {
-		return fmt.Errorf("topology: route for %d->%d starts at switch %d, core is on %d",
-			f.Src, f.Dst, switches[0], t.SwitchOf[f.Src])
+		return fmt.Errorf("%w: route for %d->%d starts at switch %d, core is on %d",
+			ErrWalk, f.Src, f.Dst, switches[0], t.SwitchOf[f.Src])
 	}
 	if t.SwitchOf[f.Dst] != switches[len(switches)-1] {
-		return fmt.Errorf("topology: route for %d->%d ends at switch %d, core is on %d",
-			f.Src, f.Dst, switches[len(switches)-1], t.SwitchOf[f.Dst])
+		return fmt.Errorf("%w: route for %d->%d ends at switch %d, core is on %d",
+			ErrWalk, f.Src, f.Dst, switches[len(switches)-1], t.SwitchOf[f.Dst])
 	}
 	for i, lid := range links {
 		if int(lid) >= len(t.Links) || lid < 0 {
-			return fmt.Errorf("topology: route references unknown link %d", lid)
+			return fmt.Errorf("%w: route references unknown link %d", ErrWalk, lid)
 		}
 		l := t.Links[lid]
 		if l.From != switches[i] || l.To != switches[i+1] {
-			return fmt.Errorf("topology: route link %d does not connect switches %d->%d",
-				lid, switches[i], switches[i+1])
+			return fmt.Errorf("%w: route link %d does not connect switches %d->%d",
+				ErrWalk, lid, switches[i], switches[i+1])
 		}
 	}
 	return nil
+}
+
+// The errors of Build: each error it returns wraps one of these, so a
+// reader can tell with errors.Is which part of a stored design is
+// malformed (the message says where). The mutators wrap the same ones.
+var (
+	ErrIslands = errors.New("topology: malformed island table")
+	ErrSwitch  = errors.New("topology: switch in unknown island")
+	ErrAttach  = errors.New("topology: malformed core attachment")
+	ErrLink    = errors.New("topology: malformed link")
+	ErrWalk    = errors.New("topology: malformed route walk")
+)
+
+// Build checks t's construction fields (see Topology; -1 in SwitchOf is
+// an unattached core) and derives the rest: switch IDs, clocks and core
+// lists (ascending, cut from one slab); link IDs, crossing flags,
+// capacities and the link index, threaded in ID order; every route's
+// and backup's Links by FindLink over its walk, written into the walk's
+// Links storage (nil stays nil for a one-switch walk); and TrafficBps,
+// summed route by route in order, so float sums match the original
+// build bit for bit. Backups carry no traffic. What Validate checks is
+// left to Validate. On error t is half derived and must not be used.
+func (t *Topology) Build() error {
+	nIsl := len(t.Spec.Islands)
+	if t.NoCIsland != soc.NoIsland {
+		if t.NoCIsland != soc.IslandID(nIsl) {
+			return fmt.Errorf("%w: NoC island %d, want %d", ErrIslands, t.NoCIsland, nIsl)
+		}
+		nIsl++
+	}
+	if len(t.IslandFreqHz) != nIsl || len(t.IslandVoltage) != nIsl {
+		return fmt.Errorf("%w: %d clocks and %d supplies for %d islands",
+			ErrIslands, len(t.IslandFreqHz), len(t.IslandVoltage), nIsl)
+	}
+	if len(t.SwitchOf) != len(t.Spec.Cores) {
+		return fmt.Errorf("%w: %d attachments for %d cores", ErrAttach, len(t.SwitchOf), len(t.Spec.Cores))
+	}
+	nSw := len(t.Switches)
+	t.firstOut = sized(t.firstOut, nSw)
+	t.inLinks = sized(t.inLinks, nSw)
+	t.outLinks = sized(t.outLinks, nSw)
+	clear(t.inLinks)
+	clear(t.outLinks)
+	for i := range t.Switches {
+		s := &t.Switches[i]
+		if s.Island < 0 || int(s.Island) >= nIsl {
+			return fmt.Errorf("%w: switch %d in island %d", ErrSwitch, i, s.Island)
+		}
+		s.ID, s.Cores = SwitchID(i), nil
+		s.FreqHz, s.VoltageV = t.IslandFreqHz[s.Island], t.IslandVoltage[s.Island]
+		t.firstOut[i] = -1
+	}
+
+	// Count each switch's cores in outLinks (the links recount it from
+	// zero), then cut the lists from the slab. The free list may hold
+	// lists cut from it by an earlier Build, so it is emptied first.
+	attached := 0
+	for c, sw := range t.SwitchOf {
+		if sw == -1 {
+			continue
+		}
+		if err := t.checkAttach(soc.CoreID(c), sw); err != nil {
+			return err
+		}
+		t.outLinks[sw]++
+		attached++
+	}
+	t.coresFree = t.coresFree[:0]
+	t.coreSlab = sized(t.coreSlab, attached)
+	slab := t.coreSlab
+	for i, n := range t.outLinks {
+		if n > 0 {
+			t.Switches[i].Cores, slab = slab[:0:n], slab[n:]
+		}
+	}
+	for c, sw := range t.SwitchOf {
+		if sw != -1 {
+			t.Switches[sw].Cores = append(t.Switches[sw].Cores, soc.CoreID(c))
+		}
+	}
+	clear(t.outLinks)
+
+	t.nextOut = slices.Grow(t.nextOut[:0], len(t.Links))
+	for i := range t.Links {
+		if err := t.checkLink(t.Links[i].From, t.Links[i].To); err != nil {
+			return err
+		}
+		t.openLink(LinkID(i))
+	}
+
+	for i := range t.Routes {
+		r := &t.Routes[i]
+		var err error
+		if r.Links, err = t.walkLinks(r.Flow, r.Switches, r.Links); err != nil {
+			return err
+		}
+		for _, lid := range r.Links {
+			t.Links[lid].TrafficBps += r.Flow.BandwidthBps
+		}
+		for j := range r.Backups {
+			b := &r.Backups[j]
+			if b.Links, err = t.walkLinks(r.Flow, b.Switches, b.Links); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// walkLinks derives the links of flow f's switch walk sws by FindLink,
+// appending them to links[:0], and checks the walk with checkPath.
+func (t *Topology) walkLinks(f soc.Flow, sws []SwitchID, links []LinkID) ([]LinkID, error) {
+	links = links[:0]
+	for i, sw := range sws {
+		if sw < 0 || int(sw) >= len(t.Switches) {
+			return nil, fmt.Errorf("%w: flow %d->%d walks unknown switch %d", ErrWalk, f.Src, f.Dst, sw)
+		}
+		if i == 0 {
+			continue
+		}
+		lid, ok := t.FindLink(sws[i-1], sw)
+		if !ok {
+			return nil, fmt.Errorf("%w: flow %d->%d uses missing link %d->%d", ErrWalk, f.Src, f.Dst, sws[i-1], sw)
+		}
+		links = append(links, lid)
+	}
+	return links, t.checkPath(f, sws, links)
 }
 
 // Validate performs full structural validation: every core attached in
@@ -639,10 +788,31 @@ func (t *Topology) Validate() error {
 	if len(t.Routes) != len(t.Spec.Flows) {
 		return fmt.Errorf("topology: %d routes for %d flows", len(t.Routes), len(t.Spec.Flows))
 	}
+	if err := t.checkEachFlowRouted(); err != nil {
+		return err
+	}
 	if err := t.ValidateRouted(); err != nil {
 		return err
 	}
 	return t.ValidateShutdownSafe()
+}
+
+// checkEachFlowRouted proves, given as many routes as spec flows, that
+// each spec flow is routed exactly once: every route carries a spec
+// flow (a spec has no duplicate flows) that no earlier route carries.
+func (t *Topology) checkEachFlowRouted() error {
+	for i := range t.Routes {
+		f := &t.Routes[i].Flow
+		if _, ok := t.Spec.FlowBetween(f.Src, f.Dst); !ok {
+			return fmt.Errorf("topology: route %d carries flow %d->%d, which the spec does not have", i, f.Src, f.Dst)
+		}
+		for j := range i {
+			if g := &t.Routes[j].Flow; g.Src == f.Src && g.Dst == f.Dst {
+				return fmt.Errorf("topology: flow %d->%d is routed more than once", f.Src, f.Dst)
+			}
+		}
+	}
+	return nil
 }
 
 // ValidateRouted checks the routes the topology actually holds — route
@@ -653,10 +823,10 @@ func (t *Topology) Validate() error {
 // well-formed. Validate composes it with the completeness checks.
 func (t *Topology) ValidateRouted() error {
 	for i := range t.Routes {
-		if err := t.checkRoute(&t.Routes[i]); err != nil {
+		r := &t.Routes[i]
+		if err := t.checkPath(r.Flow, r.Switches, r.Links); err != nil {
 			return err
 		}
-		r := &t.Routes[i]
 		if r.Flow.MaxLatencyCycles > 0 {
 			if lat := t.ZeroLoadLatencyCycles(r); lat > r.Flow.MaxLatencyCycles {
 				return fmt.Errorf("topology: flow %d->%d latency %.1f exceeds constraint %.1f",

@@ -320,6 +320,35 @@ func TestValidateRouteCountMismatch(t *testing.T) {
 	}
 }
 
+// TestValidateEachFlowRoutedOnce: as many routes as flows is not enough;
+// Validate must reject a flow routed twice (which leaves another
+// unrouted) and a route for a flow the spec does not have.
+func TestValidateEachFlowRoutedOnce(t *testing.T) {
+	top := buildValid(t)
+	top.Routes[1] = top.Routes[0] // flow 0->1 twice, flow 2->3 never
+	if err := top.Validate(); err == nil || !strings.Contains(err.Error(), "more than once") {
+		t.Fatalf("a flow routed twice was not caught: %v", err)
+	}
+	top = buildValid(t)
+	top.Routes[0].Flow.Src, top.Routes[0].Flow.Dst = 1, 0 // both on s0, not a spec flow
+	if err := top.Validate(); err == nil || !strings.Contains(err.Error(), "does not have") {
+		t.Fatalf("a route for a flow outside the spec was not caught: %v", err)
+	}
+}
+
+// TestValidateAllocatesNothing: Validate runs on every candidate the
+// engine builds, so its checks must not allocate.
+func TestValidateAllocatesNothing(t *testing.T) {
+	top := buildValid(t)
+	if n := testing.AllocsPerRun(10, func() {
+		if err := top.Validate(); err != nil {
+			panic(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Validate allocates %v times, want 0", n)
+	}
+}
+
 // TestEnsureLink pins the lookup-or-add semantics: first call opens the
 // link, repeats return the same ID without growing the topology, and
 // self links are rejected.
