@@ -204,9 +204,21 @@ prune-smoke:
 # rate fell to 0/sec after about 3s. A crasher still fails the run.
 # The committed corpora live in each package's testdata/fuzz; a crasher
 # found here is written there and becomes a permanent regression seed.
+# Each target fuzzes with a private fuzz cache, made by mktemp -d and
+# removed afterwards (the target's exit code is kept), so every run
+# starts from the seeds and testdata/fuzz: the shared cache under
+# $(go env GOCACHE)/fuzz only grows, and re-running its inputs ate the
+# 10s budget. The directory is passed as -test.fuzzcachedir, the flag
+# cmd/go itself passes the test binary; it must follow -args, where it
+# comes after cmd/go's own and wins (written before the package path,
+# it made go test run the root package and fuzz nothing).
+fuzz = dir=$$(mktemp -d); \
+	$(GO) test -run '^$$' -fuzz '^$(1)$$' -fuzztime 10s -fuzzminimizetime 50x $(2) -args -test.fuzzcachedir=$$dir; \
+	rc=$$?; rm -rf $$dir; exit $$rc
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/cache/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlob$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/cache/
-	$(GO) test -run '^$$' -fuzz '^FuzzSpecSynthesize$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/specio/
-	$(GO) test -run '^$$' -fuzz '^FuzzSpecgenSynthesize$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/specio/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTopology$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/specio/
+	$(call fuzz,FuzzDecodeResult,./internal/cache/)
+	$(call fuzz,FuzzDecodeBlob,./internal/cache/)
+	$(call fuzz,FuzzSpecSynthesize,./internal/specio/)
+	$(call fuzz,FuzzSpecgenSynthesize,./internal/specio/)
+	$(call fuzz,FuzzReadTopology,./internal/specio/)

@@ -46,7 +46,9 @@ var errCorrupt = errors.New("cache: malformed encoded result")
 // enc appends the codec's bytes to b. With sizing set it appends
 // nothing and only adds each value's encoded length to n, so a first
 // pass over the same encode functions measures the buffer the second
-// pass writes: every encoding is one allocation of exactly its size.
+// pass writes: every encoding a caller keeps is one allocation of
+// exactly its size. An encoding that is only written to the store is
+// appended into a pooled buffer instead (Store.putResult).
 type enc struct {
 	b      []byte
 	n      int
@@ -299,7 +301,10 @@ func encodeResult(e *enc, res *core.Result) {
 
 // DecodeResult reconstructs a result against the spec and library it
 // was synthesized from. Any malformation returns an error — the caller
-// treats it as a miss.
+// treats it as a miss. The result never aliases data: strings are
+// copied out by string(...) and every slice is allocated afresh. That is
+// a requirement, not a detail: Synthesize decodes straight from the
+// store's pooled read buffer, which the next read overwrites.
 func DecodeResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.Result, error) {
 	d := &dec{b: data}
 	if v := d.u64(); d.err == nil && v != codecVersion {
@@ -318,14 +323,11 @@ func DecodeResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.Result
 	res.StopReason = d.str()
 	res.Relaxations = slice(d, (*dec).str)
 	res.Errors = slice(d, decodeCandidateError)
-	nPts := d.length()
-	res.Points = slices.Grow(res.Points, nPts)
-	for i := 0; i < nPts && d.err == nil; i++ {
-		dp, err := decodePoint(d, spec, lib)
-		if err != nil {
+	res.Points = grown(res.Points, d.length())
+	for i := 0; i < len(res.Points) && d.err == nil; i++ {
+		if err := decodePoint(d, &res.Points[i], spec, lib); err != nil {
 			return nil, err
 		}
-		res.Points = append(res.Points, *dp)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -370,13 +372,13 @@ func encodePoint(e *enc, p *core.DesignPoint) {
 	e.strs(p.Relaxations)
 }
 
-func decodePoint(d *dec, spec *soc.Spec, lib *model.Library) (*core.DesignPoint, error) {
-	p := &core.DesignPoint{}
+// decodePoint decodes one design point into p, in place.
+func decodePoint(d *dec, p *core.DesignPoint, spec *soc.Spec, lib *model.Library) error {
 	p.SwitchCounts = slice(d, (*dec).int)
 	p.MidSwitches = d.int()
 	top, err := decodeTopology(d, spec, lib)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	//noclint:ignore poolescape the decoded topology is freshly allocated by decodeTopology, never Reset-recycled
 	p.Top = top
@@ -388,10 +390,7 @@ func decodePoint(d *dec, spec *soc.Spec, lib *model.Library) (*core.DesignPoint,
 	p.FloorplanOpt.WhitespaceFrac = d.f64()
 	p.FloorplanOpt.SkipAnnotate = d.bool()
 	p.Relaxations = slice(d, (*dec).str)
-	if d.err != nil {
-		return nil, d.err
-	}
-	return p, nil
+	return d.err
 }
 
 func encodeBreakdown(e *enc, b *power.Breakdown) {

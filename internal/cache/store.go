@@ -20,12 +20,15 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -134,7 +137,12 @@ import (
 // topology.Build, and the result decoder and the fault rebuild replay a
 // design through Build — results and encoded bytes are identical, but
 // the hot path moved.
-const EngineVersion = 18
+//
+// v19: the store reads entries and encodes published results through
+// pooled buffers, and the result decoder fills each design point in
+// place — results, encoded bytes and entry files are identical, but the
+// hot path moved.
+const EngineVersion = 19
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.
@@ -161,8 +169,8 @@ type StoreOptions struct {
 
 // Stats is a point-in-time snapshot of store activity since Open.
 type Stats struct {
-	Hits      int64 // Get calls that returned a valid entry
-	Misses    int64 // Get calls that found nothing usable
+	Hits      int64 // reads that found a valid entry
+	Misses    int64 // reads that found nothing usable
 	Corrupt   int64 // subset of Misses caused by checksum/format failures
 	Puts      int64 // entries published
 	Evictions int64 // entries removed by the size bound
@@ -198,8 +206,8 @@ type entry struct {
 	refs int   // in-flight readers; pinned against eviction
 }
 
-// testHookBeforeRead, when non-nil, runs after a Get has registered its
-// in-flight read but before the file is opened. The eviction tests use
+// testHookBeforeRead, when non-nil, runs after a read has registered
+// itself in flight but before the file is opened. The eviction tests use
 // it to force an eviction pass into that window. Always nil in
 // production.
 var testHookBeforeRead func(class string, key specio.Digest)
@@ -313,14 +321,38 @@ func (s *Store) path(name string) string {
 	return filepath.Join(s.dir, filepath.FromSlash(name))
 }
 
-// Get returns the payload stored under (class, key), or false on a
-// miss. A missing, truncated or corrupted entry is a miss — corruption
-// additionally unlinks the bad file — never an error: the caller's
-// fallback is recomputation, which the determinism guarantee makes
-// equivalent.
+// Get returns a copy of the payload stored under (class, key), or false
+// on a miss. A missing, truncated or corrupted entry is a miss —
+// corruption additionally unlinks the bad file — never an error: the
+// caller's fallback is recomputation, which the determinism guarantee
+// makes equivalent. The returned bytes are the caller's; readers that
+// only decode the payload use view, which lends it without the copy.
 func (s *Store) Get(class string, key specio.Digest) ([]byte, bool) {
+	var payload []byte
+	ok := s.view(class, key, func(p []byte) bool {
+		payload = bytes.Clone(p)
+		return true
+	})
+	return payload, ok
+}
+
+// bufPool holds the store's I/O buffers, as *[]byte: the entry files
+// view reads and the encodings putResult publishes. A buffer is lent
+// for one read or one publish and then handed back, so repeated hits
+// and misses reuse the buffer the largest entry grew instead of
+// allocating one per call; nothing a caller keeps points into it.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// view is the store's one read path. It reads the entry stored under
+// (class, key) into a pooled buffer, validates its framing and checksum
+// (decodeBlob), and calls use on the payload while the entry is still
+// pinned against eviction. The payload is valid only until use returns
+// — the buffer then goes back to the pool — so use must copy whatever
+// it keeps. view reports whether the entry was valid and use accepted
+// it; the store counts a valid entry as a hit whatever use makes of it.
+func (s *Store) view(class string, key specio.Digest, use func(payload []byte) bool) bool {
 	if s == nil {
-		return nil, false
+		return false
 	}
 	name := class + "/" + key.String()
 	s.mu.Lock()
@@ -339,8 +371,12 @@ func (s *Store) Get(class string, key specio.Digest) ([]byte, bool) {
 	if testHookBeforeRead != nil {
 		testHookBeforeRead(class, key)
 	}
-	blob, readErr := os.ReadFile(s.path(name))
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	blob, readErr := readFile(s.path(name), *buf)
+	*buf = blob
 	payload, ok := decodeBlob(blob, readErr)
+	accepted := ok && use(payload)
 
 	s.mu.Lock()
 	e.refs--
@@ -361,7 +397,7 @@ func (s *Store) Get(class string, key specio.Digest) ([]byte, bool) {
 			// worst once.
 			os.Remove(s.path(name)) //noclint:ignore errdrop besteffort: removing a corrupt entry; a failed unlink just means one more miss
 		}
-		return nil, false
+		return false
 	}
 	if e.size != int64(len(blob)) {
 		s.total += int64(len(blob)) - e.size
@@ -369,7 +405,27 @@ func (s *Store) Get(class string, key specio.Digest) ([]byte, bool) {
 	}
 	s.stats.Hits++
 	s.mu.Unlock()
-	return payload, true
+	return accepted
+}
+
+// readFile reads the file at path into buf, grown to the file's size,
+// and returns the bytes read. Entries are published by rename and never
+// rewritten in place, so the size the open file reports is the size
+// read.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return buf[:0], err
+	}
+	n := int(info.Size())
+	buf = slices.Grow(buf[:0], n)[:n]
+	_, err = io.ReadFull(f, buf)
+	return buf, err
 }
 
 // Put publishes payload under (class, key) atomically: the entry is

@@ -54,22 +54,39 @@ func Synthesize(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Librar
 		return core.SynthesizeContext(ctx, spec, lib, opt)
 	}
 	key := ResultKey(spec, lib, opt)
-	if blob, ok := s.Get(ClassResult, key); ok {
-		if res, err := DecodeResult(blob, spec, lib); err == nil {
-			res.CacheStats = core.CacheStats{Hits: 1}
-			return res, nil
-		}
-		// Checksum-valid but undecodable (stale codec): treat as a miss.
+	var hit *core.Result
+	if s.view(ClassResult, key, func(payload []byte) bool {
+		var err error
+		hit, err = DecodeResult(payload, spec, lib)
+		return err == nil
+	}) {
+		hit.CacheStats = core.CacheStats{Hits: 1}
+		return hit, nil
 	}
+	// A missing entry, or a checksum-valid but undecodable one (stale
+	// codec): run the engine and publish over it.
 	res, err := core.SynthesizeContext(ctx, spec, lib, opt)
 	if res != nil {
 		res.CacheStats = core.CacheStats{Misses: 1}
 	}
 	if err == nil && res != nil && !res.Partial {
 		// besteffort: a failed publish only costs a future cache miss.
-		s.Put(ClassResult, key, EncodeResult(res))
+		s.putResult(key, res)
 	}
 	return res, err
+}
+
+// putResult encodes res into a pooled buffer and publishes it under
+// key. The encoding lives only until Put has written it, so a miss
+// allocates no entry-sized buffer once the pool holds one as large.
+// The bytes are EncodeResult's.
+func (s *Store) putResult(key specio.Digest, res *core.Result) error {
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	e := enc{b: (*buf)[:0]}
+	encodeResult(&e, res)
+	*buf = e.b
+	return s.Put(ClassResult, key, e.b)
 }
 
 // RunCampaign is fault.RunCampaign behind the cache. Campaign reports
@@ -81,12 +98,14 @@ func RunCampaign(s *Store, top *topology.Topology, opt fault.CampaignOptions) (*
 		return fault.RunCampaign(top, opt)
 	}
 	key := CampaignKey(top, opt)
-	if blob, ok := s.Get(ClassCampaign, key); ok {
-		c := &fault.Campaign{}
-		if err := json.Unmarshal(blob, c); err == nil {
-			c.RestoreOff(top)
-			return c, nil
-		}
+	var hit *fault.Campaign
+	if s.view(ClassCampaign, key, func(payload []byte) bool {
+		// json.Unmarshal copies what it keeps out of payload.
+		hit = &fault.Campaign{}
+		return json.Unmarshal(payload, hit) == nil
+	}) {
+		hit.RestoreOff(top)
+		return hit, nil
 	}
 	c, err := fault.RunCampaign(top, opt)
 	if err == nil {

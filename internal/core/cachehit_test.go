@@ -13,9 +13,10 @@ import (
 )
 
 // hitAllocCeiling is what one full hit of BenchmarkSynthesizeCached's
-// D26 entry may allocate: the count recorded for its warm lane
-// (SynthesizeCached/warm, 629 allocs/op, in BENCH_synthesize.json).
-const hitAllocCeiling = 629
+// D26 entry may allocate: the count this test measures, 497 since the
+// store reads entries into a pooled buffer and the decoder fills each
+// design point in place (522 before).
+const hitAllocCeiling = 497
 
 // TestFullHitEvaluatesNothing pins the cache's hit path with gates that
 // do not depend on CPU speed, on the entry BenchmarkSynthesizeCached
