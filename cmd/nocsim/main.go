@@ -75,18 +75,12 @@ func run(cfg *config) error {
 			if err != nil || id < 0 || id >= len(spec.Islands) {
 				return fmt.Errorf("bad island id %q", tok)
 			}
-			if !spec.Islands[id].Shutdownable {
-				return fmt.Errorf("island %d (%s) is not shutdownable", id, spec.Islands[id].Name)
-			}
 			off[id] = true
-		}
-		// The shutdown guarantee is structural: no route between powered
-		// islands may enter a gated switch.
-		if err := top.ValidateShutdownSafeMask(off); err != nil {
-			return fmt.Errorf("shutdown verification FAILED: %w", err)
 		}
 	}
 
+	// Simulate proves the mask shutdown-safe before it simulates, and
+	// refuses a non-shutdownable island or a severed route.
 	simCfg := nocvi.SimConfig{
 		DurationNs:     cfg.duration,
 		InjectionScale: cfg.scale,

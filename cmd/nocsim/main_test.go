@@ -60,7 +60,8 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 	// Island 2 of the logical-6 partition holds memory: never gateable.
-	if err := run(parse(t, "-bench", "d26_media", "-islands", "6", "-duration", "1000", "-off", "2")); err == nil {
-		t.Fatal("gating a non-shutdownable island accepted")
+	err := run(parse(t, "-bench", "d26_media", "-islands", "6", "-duration", "1000", "-off", "2"))
+	if err == nil || !strings.Contains(err.Error(), "not shutdownable") {
+		t.Fatalf("gating a non-shutdownable island: err %v, want the shutdown check's refusal", err)
 	}
 }

@@ -115,6 +115,15 @@ func (e *enc) str(s string) {
 	e.b = append(e.b, s...)
 }
 
+// raw appends p as is, for fixed-size fields such as 32-byte digests.
+func (e *enc) raw(p []byte) {
+	if e.sizing {
+		e.n += len(p)
+		return
+	}
+	e.b = append(e.b, p...)
+}
+
 // Slice encoders carry an explicit nil flag: a nil slice and a non-nil
 // empty slice are distinct in-memory shapes, and the round-trip must
 // preserve the distinction for reflect.DeepEqual-grade fidelity.

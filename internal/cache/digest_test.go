@@ -1,4 +1,4 @@
-package specio
+package cache
 
 import (
 	"testing"
@@ -16,7 +16,7 @@ import (
 // the field, so an unintended encoding change must break this test. If
 // you changed the encoding deliberately, bump the format magic in the
 // encoder ("nocvi-spec-v1" etc.), re-pin these values, and bump
-// cache.EngineVersion so old stores are invalidated wholesale.
+// EngineVersion so old stores are invalidated wholesale.
 func TestSpecDigestGoldens(t *testing.T) {
 	goldens := []struct {
 		name string
@@ -161,5 +161,48 @@ func TestOptionsDigestNormalization(t *testing.T) {
 	rsv.Router.Survivability = 1
 	if OptionsDigest(rsv, lib) != OptionsDigest(unset, lib) {
 		t.Fatal("Router.Survivability is a normalized duplicate and must be excluded")
+	}
+}
+
+// TestNormalizedIsTheKey: Options.Normalized is idempotent, and an
+// option set and its normalized form are one run — the same result key
+// and the same result — so the key may encode the normalized form.
+func TestNormalizedIsTheKey(t *testing.T) {
+	lib := model.Default65nm()
+	spec, err := bench.Islanded("d16_industrial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routerK core.Options
+	routerK.Router.Survivability = 2
+	for _, opt := range []core.Options{
+		{},
+		{AllowIntermediate: true, MaxIntermediateSwitches: 2},
+		{Alpha: 0.4, IntermediateVoltage: 0.9, AllowIntermediate: true, Workers: 3},
+		{Survivability: -2},
+		{Survivability: 1, Relax: true},
+		routerK,
+	} {
+		n := opt.Normalized()
+		if n.Normalized() != n {
+			t.Fatalf("%+v: Normalized is not idempotent: %+v then %+v", opt, n, n.Normalized())
+		}
+		if n.Workers != opt.Workers {
+			t.Fatalf("%+v: Normalized changed Workers to %d", opt, n.Workers)
+		}
+		if ResultKey(spec, lib, opt) != ResultKey(spec, lib, n) {
+			t.Fatalf("%+v: options and their normalized form key differently", opt)
+		}
+		raw, err := core.Synthesize(spec, lib, opt)
+		if err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		norm, err := core.Synthesize(spec, lib, n)
+		if err != nil {
+			t.Fatalf("%+v normalized: %v", opt, err)
+		}
+		if ResultDigest(raw) != ResultDigest(norm) {
+			t.Fatalf("%+v: options and their normalized form synthesize differently", opt)
+		}
 	}
 }

@@ -4,8 +4,8 @@
 // enforced by the noclint determinism analyzers and pinned by the
 // serial-vs-parallel identity tests — turns caching from a heuristic
 // into a theorem: a hit keyed by the canonical input digests
-// (internal/specio) plus the engine version IS the result a fresh run
-// would compute, byte for byte.
+// (digest.go) plus the engine version IS the result a fresh run would
+// compute, byte for byte.
 //
 // Two artifact kinds are cached: full synthesis results (Synthesize)
 // and fault-campaign reports. A miss runs the
@@ -41,108 +41,11 @@ import (
 // alters what the engine computes for some input — a new cost term, a
 // different partition refinement order, a routing tie-break change —
 // even when the change is "better": a stale hit would otherwise be
-// served as current engine output. Pure performance work that the
-// identity tests prove bit-neutral does not need a bump.
-//
-// v2: the branch-and-bound layer — winners are proven bit-identical,
-// but Result.Points under pruning is the canonical kept subset and
-// SweepResult gained the Explored/PruneStats accounting, so v1 entries
-// no longer describe what the engine reports.
-//
-// v3: the survivability constraint — Options.Survivability entered the
-// options digest, routed topologies can carry backup paths, and the
-// campaign report grew zero-re-route accounting, so v2 entries no
-// longer describe the engine surface.
-//
-// v4: one sweep driver for Synthesize and SynthesizeSweep — results are
-// bit-identical, but the hot path was restructured (lazy partition
-// table, shared claiming loop and panic boundary), so the surface digest
-// moved and a stopped sweep now reports Partial only when the context
-// actually cut it short.
-//
-// v5: the deadlock check, power breakdown and placement draw on the
-// worker arena — results are bit-identical, but the hot path moved
-// (CSR channel dependency graph, scratch-backed traffic accumulators,
-// recycled placements), so the surface digest moved with it.
-//
-// v6: partition warm-start removed — results are bit-identical, but a
-// miss no longer probes or writes per-island partition entries and the
-// decoder presizes what it rebuilds, so the hot path (the min-cut memo,
-// the partition table, the result decoder) moved.
-//
-// v7: options only tests set deleted — results are bit-identical, but
-// the partition table became the one min-cut memo (computing through
-// the worker's partition.Scratch) and the router's cost terms lost
-// their option lookups, so the hot path moved.
-//
-// v8: the fault campaign and single-link sweep re-route every fault on
-// a per-worker arena (a recycled topology and router) — reports are
-// byte-identical, but the campaign's hot path moved.
-//
-// v9: buildPoint's construction moved into the helper it shares with
-// core.Unrouted, and the sweep's Pareto front became the exported
-// core.ParetoFront — results are bit-identical, but the hot path moved.
-//
-// v10: the design-point cap and Result's truncation flag deleted, and
-// the sweep driver runs in one pass — results and encoded bytes are
-// identical, but the driver and the collectors moved, and the options
-// digest dropped the cap (nocvi-opt-v5).
-//
-// v11: links are indexed by per-switch chains instead of a hash map,
-// the router owns its Dijkstra scratch (no pool), one path-latency
-// formula serves the router and the topology, and one argmin order
-// serves Result and the sweep — results and encoded bytes are
-// identical, but the hot path moved.
-//
-// v12: the worker arena keeps every topology and placement it builds,
-// published design points take exact-size copies (Topology.Compact,
-// Placement.Clone), and the result decoder reserves the link index
-// with the switches — results and encoded bytes are identical, but the
-// hot path moved.
-//
-// v13: the arena holds the design point and its switch counts, the
-// streaming collectors keep an incrementally sorted Pareto front and
-// value argmins, the sweep winners are rebuilt in worker 0's arena, the
-// router reports unplaceable flows as a typed *route.NoPathError and
-// finds subgraph vertices by binary search, and the shutdown check
-// needs no island mask — results and encoded bytes are identical, but
-// the hot path moved.
-//
-// v14: the router rebuilds its island-pair subgraph per query instead
-// of caching one per pair, prices edges through a closure on the stack,
-// and opens primary and backup paths through one helper, and the result
-// decoder reads primary and backup paths through one helper too —
-// results and encoded bytes are identical, but the hot path moved.
-//
-// v15: every encoding is sized by a counting pass over the same encode
-// functions and written into one exact-size buffer, Put writes the
-// entry header and the payload without a framed copy, and Synthesize
-// grows Result.Points once before its fold — results, encoded bytes
-// and entry files are identical, but the hot path moved.
-//
-// v16: the fault campaign's simulator re-check and its term in the
-// campaign key are gone, and sim.Run proves a gating mask with
-// topology.ValidateShutdownSafeMask instead of its own copy of the
-// check — results and encoded bytes are identical, but the hot path
-// moved.
-//
-// v17: the sweep workers' build arenas outlive an engine call (a
-// process-wide pool; the topology is rebound to each call's spec and
-// library, the router reset under each call's options), and Compact
-// publishes empty switch, link and route tables as nil — results and
-// encoded bytes are identical, but the hot path moved.
-//
-// v18: topology.Validate proves that each spec flow is routed exactly
-// once, the link mutators share their checks and link derivation with
-// topology.Build, and the result decoder and the fault rebuild replay a
-// design through Build — results and encoded bytes are identical, but
-// the hot path moved.
-//
-// v19: the store reads entries and encodes published results through
-// pooled buffers, and the result decoder fills each design point in
-// place — results, encoded bytes and entry files are identical, but the
-// hot path moved.
-const EngineVersion = 19
+// served as current engine output. `make surface` also demands a bump
+// whenever the source of a hot-path function moves, bit-neutral or
+// not, and `noclint -surface update` re-records the surface after it.
+// CHANGES.md records what each version changed.
+const EngineVersion = 20
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

@@ -16,12 +16,12 @@ import (
 // ResultKey is the content address of a full synthesis run: the spec
 // and options digests combined under the engine and codec versions.
 // Anything that can change the result changes the key; anything that
-// provably cannot (the worker count) is excluded by specio.OptionsDigest,
+// provably cannot (the worker count) is excluded by OptionsDigest,
 // which is what lets a -workers 8 run hit an entry produced at
 // -workers 1.
 func ResultKey(spec *soc.Spec, lib *model.Library, opt core.Options) specio.Digest {
-	return specio.CombineDigests("nocvi-result", EngineVersion,
-		[]specio.Digest{specio.SpecDigest(spec), specio.OptionsDigest(opt, lib)},
+	return combineDigests("nocvi-result", EngineVersion,
+		[]specio.Digest{SpecDigest(spec), OptionsDigest(opt, lib)},
 		[]int64{codecVersion})
 }
 
@@ -38,8 +38,8 @@ func TopologyDigest(top *topology.Topology) specio.Digest {
 // outcomes in mask order, so every worker count produces the same
 // report.
 func CampaignKey(top *topology.Topology, opt fault.CampaignOptions) specio.Digest {
-	return specio.CombineDigests("nocvi-campaign", EngineVersion,
-		[]specio.Digest{specio.SpecDigest(top.Spec), specio.LibraryDigest(top.Lib), TopologyDigest(top)},
+	return combineDigests("nocvi-campaign", EngineVersion,
+		[]specio.Digest{SpecDigest(top.Spec), LibraryDigest(top.Lib), TopologyDigest(top)},
 		[]int64{codecVersion, int64(opt.MaxStates), int64(opt.Survivability)})
 }
 

@@ -115,24 +115,30 @@ type Options struct {
 	// legal power state is absorbed by switching the severed flow onto
 	// a backup with zero re-routing. Zero (the default) synthesizes
 	// byte-identically to an engine without the feature. This is the
-	// canonical survivability knob — synthesizeAttempt normalizes it
-	// into Router.Survivability, overwriting whatever the caller put
-	// there — and it participates in cache-key digests.
+	// canonical survivability knob — Normalized copies it into
+	// Router.Survivability, overwriting whatever the caller put there —
+	// and it participates in cache-key digests.
 	Survivability int
 }
 
-func (o Options) alpha() float64 {
+// Normalized returns o with every sentinel resolved to the value the
+// engine runs with: Alpha 0 selects vcg.DefaultAlpha, an
+// IntermediateVoltage ≤ 0 selects 1.0 V, a negative Survivability is
+// clamped to 0, and Router.Survivability is overwritten by the
+// canonical Survivability. The sweep reads only normalized options, and
+// the cache's options digest encodes them, so an explicit default and
+// an implicit one are the same run. Workers is left as set: every
+// worker count yields identical results. Normalized is idempotent.
+func (o Options) Normalized() Options {
 	if o.Alpha == 0 { //noclint:ignore floateq 0 is the documented unset sentinel for Alpha
-		return vcg.DefaultAlpha
+		o.Alpha = vcg.DefaultAlpha
 	}
-	return o.Alpha
-}
-
-func (o Options) midVoltage() float64 {
 	if o.IntermediateVoltage <= 0 {
-		return 1.0
+		o.IntermediateVoltage = 1.0
 	}
-	return o.IntermediateVoltage
+	o.Survivability = max(o.Survivability, 0)
+	o.Router.Survivability = o.Survivability
+	return o
 }
 
 func (o Options) workers() int {
@@ -638,7 +644,7 @@ func (env *sweepEnv) construct(top *topology.Topology, counts []int, parts [][]i
 		base += k
 	}
 	if mid > 0 {
-		midV := opt.midVoltage()
+		midV := opt.IntermediateVoltage
 		if opt.AutoVoltage {
 			midV = lib.VoltageForFreq(env.midFreq)
 		}

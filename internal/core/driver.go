@@ -55,7 +55,7 @@ type sweepEnv struct {
 }
 
 // newSweepEnv is the one prologue of both sweeps: input validation,
-// survivability normalization, Algorithm 1's steps 1-2 (island clocks,
+// option normalization, Algorithm 1's steps 1-2 (island clocks,
 // max switch sizes, minimum switch counts), the intermediate island's
 // switch range and clock, the island VCGs, the bounds environment and
 // the lazy partition table. The entry point picks the candidate space,
@@ -67,11 +67,9 @@ func newSweepEnv(spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, er
 	if err := lib.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// The core survivability knob is canonical: a caller-set
-	// Router.Survivability is overwritten, and every worker's router
-	// reads the normalized copy through the env.
-	opt.Survivability = max(opt.Survivability, 0)
-	opt.Router.Survivability = opt.Survivability
+	// Every stage and every worker's router reads the normalized copy
+	// through the env.
+	opt = opt.Normalized()
 
 	// Step 1: island NoC clocks and max switch sizes.
 	freqs, maxSizes, err := IslandClocks(spec, lib)
@@ -112,7 +110,7 @@ func newSweepEnv(spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, er
 		}
 	}
 
-	vcgs, err := vcg.BuildAll(spec, opt.alpha())
+	vcgs, err := vcg.BuildAll(spec, opt.Alpha)
 	if err != nil {
 		return nil, err
 	}

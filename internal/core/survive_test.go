@@ -217,12 +217,13 @@ func TestSynthesizeOracleIdentitySurvivable(t *testing.T) {
 }
 
 // TestBestPowerMonotoneInSurvivability is a metamorphic property over
-// the bundled suite, with and without intermediate switches: raising
-// the survivability k only adds constraints (k's primaries are k=0's,
-// plus links opened for backups), so the best design point's power
-// never decreases as k grows, and once some k is infeasible every
-// larger k is too. cutSpec2 without intermediate switches, infeasible
-// from k=1 on, exercises the second half.
+// the bundled suite and 40 generated specs, with and without
+// intermediate switches: raising the survivability k only adds
+// constraints (k's primaries are k=0's, plus links opened for backups),
+// so the best design point's power never decreases as k grows, and
+// once some k is infeasible every larger k is too. cutSpec2 without
+// intermediate switches, infeasible from k=1 on, exercises the second
+// half, as do some generated specs.
 func TestBestPowerMonotoneInSurvivability(t *testing.T) {
 	lib := model.Default65nm()
 	specs := []*soc.Spec{cutSpec2()}
@@ -232,6 +233,9 @@ func TestBestPowerMonotoneInSurvivability(t *testing.T) {
 			t.Fatal(err)
 		}
 		specs = append(specs, spec)
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		specs = append(specs, specgen.Random(seed, specgen.Options{MaxCores: 14, MaxIslands: 4}))
 	}
 	sawInfeasible := false
 	for _, spec := range specs {

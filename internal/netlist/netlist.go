@@ -23,20 +23,14 @@ import (
 	"nocvi/internal/topology"
 )
 
+// fifoDepth is the bi-synchronous converter depth in flits.
+const fifoDepth = 8
+
 // Config tunes the generated RTL.
 type Config struct {
-	// FIFODepth is the bi-synchronous converter depth in flits (default 8).
-	FIFODepth int
 	// HopBits is the width of one source-route hop field (default 4,
 	// which caps switches at 16 ports — matching realistic max_sw_size).
 	HopBits int
-}
-
-func (c Config) fifoDepth() int {
-	if c.FIFODepth <= 0 {
-		return 8
-	}
-	return c.FIFODepth
 }
 
 func (c Config) hopBits() int {
@@ -255,7 +249,7 @@ module noc_bisync_fifo #(
     assign wr_ready = rd_ready;
 endmodule
 
-`, 4, top.Lib.LinkWidthBits, cfg.fifoDepth())
+`, 4, top.Lib.LinkWidthBits, fifoDepth)
 }
 
 // wireName builds deterministic wire identifiers.
@@ -425,7 +419,7 @@ func topModule(b *strings.Builder, top *topology.Topology, cfg Config, routes []
         .rd_data(%s), .rd_valid(%s), .rd_ready(%s)
     );
 `,
-			w, cfg.fifoDepth(), int(l.From), int(l.To),
+			w, fifoDepth, int(l.From), int(l.To),
 			fi, ti,
 			wireName("lnk_d", int(l.From), int(l.To)),
 			wireName("lnk_v", int(l.From), int(l.To)),

@@ -31,16 +31,16 @@ import (
 	"nocvi/internal/topology"
 )
 
+// packetFlits is the packet length in flits; the header sees the
+// pipeline latency, the tail occupies ports.
+const packetFlits = 8
+
 // Config controls a simulation run.
 type Config struct {
 	// DurationNs is the injection horizon: packets are injected from
 	// t=0 to t=DurationNs, then the network drains. Zero or negative
 	// selects 10 µs; NaN and ±Inf are rejected.
 	DurationNs float64
-
-	// PacketFlits is the packet length in flits; the header sees the
-	// pipeline latency, the tail occupies ports. Zero selects 8.
-	PacketFlits int
 
 	// InjectionScale multiplies every flow's bandwidth (1 = the spec's
 	// rates; raise it to probe saturation). Zero or negative selects 1;
@@ -69,13 +69,6 @@ func (c Config) duration() float64 {
 		return 10_000
 	}
 	return c.DurationNs
-}
-
-func (c Config) flits() int {
-	if c.PacketFlits <= 0 {
-		return 8
-	}
-	return c.PacketFlits
 }
 
 func (c Config) scale() float64 {
@@ -186,7 +179,7 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 
 	res := &Result{PerFlow: make([]FlowStats, len(top.Routes))}
 	var h eventHeap
-	flits := float64(cfg.flits())
+	flits := float64(packetFlits)
 	bytesPerPacket := flits * float64(top.Lib.LinkWidthBits) / 8
 
 	for ri := range top.Routes {

@@ -45,9 +45,10 @@ type Config struct {
 	// flit movement (while flits are in flight) after which the run is
 	// declared deadlocked (default 10000).
 	DeadlockWindow int
-	// MaxCycles aborts pathological runs (default 2_000_000).
-	MaxCycles int
 }
+
+// maxCycles aborts pathological runs.
+const maxCycles = 2_000_000
 
 func (c Config) buf() int {
 	if c.BufferFlits <= 0 {
@@ -84,13 +85,6 @@ func (c Config) window() int {
 	return c.DeadlockWindow
 }
 
-func (c Config) maxCycles() int {
-	if c.MaxCycles <= 0 {
-		return 2_000_000
-	}
-	return c.MaxCycles
-}
-
 // Result summarizes a run.
 type Result struct {
 	Cycles    int
@@ -118,6 +112,7 @@ type flit struct {
 // packet tracks one packet's route progress and timing.
 type packet struct {
 	route   *topology.Route
+	ri      int // index of route in top.Routes and e.routeOut
 	hop     int // index into route.Switches of the switch the head occupies/approaches
 	inject  int // cycle the head entered the network
 	flits   int
@@ -132,6 +127,10 @@ type port struct {
 	// allocOut is the output currently granted to this input's head
 	// packet (-1 when none); wormhole keeps it until the tail passes.
 	allocOut int
+	// up is the upstream link output whose credits mirror this
+	// buffer; nil for a core injection port, which the NI fills by
+	// checking free() directly.
+	up *outState
 }
 
 func (p *port) free() int { return p.cap - len(p.q) }
@@ -191,7 +190,6 @@ type engine struct {
 	// links (by LinkID).
 	inPorts  [][]*port
 	outs     [][]*outState
-	inIndex  map[topology.LinkID]int // link -> input port index at l.To
 	outIndex map[topology.LinkID]int // link -> output index at l.From
 	coreIn   map[soc.CoreID]int      // core -> injection port index at its switch
 	coreOut  map[soc.CoreID]int      // core -> ejection output index at its switch
@@ -222,7 +220,6 @@ func (e *engine) build() error {
 	n := len(top.Switches)
 	e.inPorts = make([][]*port, n)
 	e.outs = make([][]*outState, n)
-	e.inIndex = map[topology.LinkID]int{}
 	e.outIndex = map[topology.LinkID]int{}
 	e.coreIn = map[soc.CoreID]int{}
 	e.coreOut = map[soc.CoreID]int{}
@@ -246,13 +243,13 @@ func (e *engine) build() error {
 		if l.CrossesIslands {
 			delay += int(model.FIFOCrossingCycles)
 		}
-		e.inIndex[l.ID] = len(e.inPorts[to])
-		e.inPorts[to] = append(e.inPorts[to], &port{cap: e.cfg.buf(), allocOut: -1})
-		e.outIndex[l.ID] = len(e.outs[from])
-		e.outs[from] = append(e.outs[from], &outState{
+		out := &outState{
 			owner: -1, credits: e.cfg.buf(), linkDelay: delay,
-			dstSwitch: to, dstPort: e.inIndex[l.ID],
-		})
+			dstSwitch: to, dstPort: len(e.inPorts[to]),
+		}
+		e.inPorts[to] = append(e.inPorts[to], &port{cap: e.cfg.buf(), allocOut: -1, up: out})
+		e.outIndex[l.ID] = len(e.outs[from])
+		e.outs[from] = append(e.outs[from], out)
 	}
 	// Route output sequences.
 	e.routeOut = make([][]int, len(top.Routes))
@@ -312,11 +309,10 @@ func (e *engine) simulate() {
 
 	nextInj := make([]int, len(top.Spec.Cores))       // index into per-core list
 	injecting := make([]*packet, len(top.Spec.Cores)) // packet streaming into the NI port
-	injRoute := make([]int, len(top.Spec.Cores))
-	injected := make([]int, len(top.Spec.Cores)) // flits of it already in
+	injected := make([]int, len(top.Spec.Cores))      // flits of it already in
 
 	idle := 0
-	for cycle := 0; cycle < cfg.maxCycles(); cycle++ {
+	for cycle := 0; cycle < maxCycles; cycle++ {
 		moved := false
 
 		// 1. Deliver link-traversal completions.
@@ -357,8 +353,7 @@ func (e *engine) simulate() {
 				continue
 			}
 			ri := perCore[c][nextInj[c]].route
-			injecting[c] = &packet{route: &top.Routes[ri], inject: cycle, flits: cfg.pkt()}
-			injRoute[c] = ri
+			injecting[c] = &packet{route: &top.Routes[ri], ri: ri, inject: cycle, flits: cfg.pkt()}
 			injected[c] = 0
 			nextInj[c]++
 			e.res.Injected++
@@ -372,7 +367,7 @@ func (e *engine) simulate() {
 			if pkt == nil {
 				continue
 			}
-			r := &top.Routes[injRoute[c]]
+			r := pkt.route
 			sw := int(r.Switches[0])
 			in := e.inPorts[sw][e.coreIn[r.Flow.Src]]
 			if in.free() == 0 {
@@ -450,7 +445,12 @@ func (e *engine) simulate() {
 				})
 				// Credit return to the upstream link feeding this input
 				// happens when the flit leaves the buffer.
-				e.returnCredit(si, serve)
+				if up := p.up; up != nil {
+					up.credits++
+					if up.credits > e.cfg.buf() {
+						panic("wormhole: credit overflow — protocol broken")
+					}
+				}
 				moved = true
 			}
 		}
@@ -482,41 +482,7 @@ func (e *engine) simulate() {
 
 // wantsOutput reports whether a head flit at switch si requests output oi.
 func (e *engine) wantsOutput(si int, f flit, oi int) bool {
-	r := f.packet.route
-	// Which hop is this switch for the packet?
-	for hop, sw := range r.Switches {
-		if int(sw) == si && hop == f.packet.hop {
-			ri := e.routeIndex(r)
-			return e.routeOut[ri][hop] == oi
-		}
-	}
-	return false
-}
-
-// routeIndex recovers the route's index (routes are stored by pointer
-// into the topology slice).
-func (e *engine) routeIndex(r *topology.Route) int {
-	// Pointer arithmetic-free: routes are unique per (src,dst).
-	for ri := range e.top.Routes {
-		if &e.top.Routes[ri] == r {
-			return ri
-		}
-	}
-	panic("wormhole: route not found")
-}
-
-// returnCredit gives a credit back to whatever feeds input port pi of
-// switch si (an upstream link output, or the NI which needs none).
-func (e *engine) returnCredit(si, pi int) {
-	for _, l := range e.top.Links {
-		if int(l.To) == si && e.inIndex[l.ID] == pi {
-			out := e.outs[int(l.From)][e.outIndex[l.ID]]
-			out.credits++
-			if out.credits > e.cfg.buf() {
-				panic("wormhole: credit overflow — protocol broken")
-			}
-			return
-		}
-	}
-	// Core injection port: the NI checks free() directly, no credits.
+	pk := f.packet
+	return pk.hop < len(pk.route.Switches) && int(pk.route.Switches[pk.hop]) == si &&
+		e.routeOut[pk.ri][pk.hop] == oi
 }

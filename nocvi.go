@@ -376,8 +376,8 @@ func FloorplanText(top *Topology, p *Placement, cols int) string {
 	return export.FloorplanText(top, p, cols)
 }
 
-// NetlistConfig tunes the generated Verilog (converter depth, hop field
-// width of the source routes).
+// NetlistConfig tunes the generated Verilog (the hop field width of the
+// source routes).
 type NetlistConfig = netlist.Config
 
 // GenerateVerilog emits a self-contained structural Verilog netlist of
