@@ -198,6 +198,8 @@ prune-smoke:
 #     point the verify sign-off passes; every input reaches the engine.
 #   - FuzzReadTopology: topology JSON read back against its spec must
 #     end in an error or a topology that validates, never a panic.
+#   - FuzzReplayTrace: trace CSV through ReadCSV into Replay on a D26
+#     design must end in an error or a run whose latencies are finite.
 # -fuzzminimizetime 50x bounds how long Go's minimizer may spend on
 # each newly interesting input (the default is 60s): unbounded, it
 # worked on the ~155 KB D26 seeds for most of each 10s run and the exec
@@ -222,3 +224,4 @@ fuzz-smoke:
 	$(call fuzz,FuzzSpecSynthesize,./internal/specio/)
 	$(call fuzz,FuzzSpecgenSynthesize,./internal/specio/)
 	$(call fuzz,FuzzReadTopology,./internal/specio/)
+	$(call fuzz,FuzzReplayTrace,./internal/sim/)

@@ -68,7 +68,7 @@ func TestSynthesizeRandomSpecs(t *testing.T) {
 		// design (finite buffers, credit backpressure) — the dynamic
 		// proof behind the CDG acyclicity gate.
 		if seed%5 == 0 {
-			wres, err := wormhole.Run(top, wormhole.Config{PacketsPerFlow: 2, DeadlockWindow: 3000})
+			wres, err := wormhole.Run(top, wormhole.Config{PacketsPerFlow: 2})
 			if err != nil {
 				t.Fatalf("seed %d wormhole: %v", seed, err)
 			}

@@ -25,7 +25,7 @@ func TestMeshDrainsInWormholeEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := wormhole.Run(res.Top, wormhole.Config{PacketsPerFlow: 4, DeadlockWindow: 5000})
+	w, err := wormhole.Run(res.Top, wormhole.Config{PacketsPerFlow: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

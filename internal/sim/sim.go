@@ -22,7 +22,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -44,7 +43,8 @@ type Config struct {
 
 	// InjectionScale multiplies every flow's bandwidth (1 = the spec's
 	// rates; raise it to probe saturation). Zero or negative selects 1;
-	// NaN and ±Inf are rejected.
+	// NaN and ±Inf are rejected, and so is a scale at which a flow's
+	// rate overflows.
 	InjectionScale float64
 
 	// Off power-gates the marked spec islands: their flows are not
@@ -59,9 +59,9 @@ type Config struct {
 	// InjectionScale are ignored in this mode.
 	SinglePacket bool
 
-	// replay, when set, overrides all injection scheduling with an
-	// explicit packet list (see Replay).
-	replay []replayInjection
+	// replay, when set, overrides all injection scheduling: route ri
+	// injects at the ascending times replay[ri] (see Replay).
+	replay [][]float64
 }
 
 func (c Config) duration() float64 {
@@ -111,32 +111,6 @@ type Result struct {
 	ThroughputBps float64
 }
 
-// event is a pending packet injection.
-type event struct {
-	time float64
-	flow int
-	seq  int
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time { //noclint:ignore floateq exact heap tie-break keeps event order deterministic
-		return h[i].time < h[j].time
-	}
-	return h[i].flow < h[j].flow
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // Run simulates the topology under the configuration.
 func Run(top *topology.Topology, cfg Config) (*Result, error) {
 	return runInternal(top, cfg, nil)
@@ -178,43 +152,79 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 	ejFree := make([]float64, len(top.Spec.Cores))
 
 	res := &Result{PerFlow: make([]FlowStats, len(top.Routes))}
-	var h eventHeap
 	flits := float64(packetFlits)
 	bytesPerPacket := flits * float64(top.Lib.LinkWidthBits) / 8
 
+	// Each flow has at most one pending injection: next[ri] is its
+	// time, +Inf once the flow has no more. A periodic flow advances by
+	// interval[ri], a replayed one to the next time in its list.
+	next := make([]float64, len(top.Routes))
+	interval := make([]float64, len(top.Routes))
+	replayed := make([]int, len(top.Routes)) // injections taken from cfg.replay[ri]
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
 		fs := &res.PerFlow[ri]
 		fs.Flow = r.Flow
+		next[ri] = math.Inf(1)
 		if gated(top.Spec.IslandOf[r.Flow.Src]) || gated(top.Spec.IslandOf[r.Flow.Dst]) {
 			continue
 		}
 		fs.Active = true
-		if cfg.replay != nil {
-			continue // injections come from the trace below
-		}
-		if cfg.SinglePacket {
+		switch {
+		case cfg.replay != nil:
+			if len(cfg.replay[ri]) > 0 {
+				next[ri] = cfg.replay[ri][0]
+			}
+		case cfg.SinglePacket:
 			// One packet per flow, spaced so nothing ever queues.
-			heap.Push(&h, event{time: float64(ri) * 100_000, flow: ri, seq: 0})
-			continue
+			next[ri] = float64(ri) * 100_000
+		default:
+			rate := r.Flow.BandwidthBps * cfg.scale()
+			iv := bytesPerPacket / rate * 1e9 // ns between packets
+			// A rate that overflows gives a zero interval, which never
+			// advances time; one that underflows, an infinite one.
+			if !(iv > 0) || math.IsInf(iv, 1) {
+				return nil, fmt.Errorf("sim: flow %d->%d at %g B/s scaled by %g has packet interval %g ns; it must be positive and finite",
+					r.Flow.Src, r.Flow.Dst, r.Flow.BandwidthBps, cfg.scale(), iv)
+			}
+			interval[ri] = iv
+			// Stagger first injections deterministically per flow.
+			first := iv * float64(ri%7) / 7
+			if first >= cfg.duration() {
+				first = 0
+			}
+			next[ri] = first
 		}
-		rate := r.Flow.BandwidthBps * cfg.scale()
-		interval := bytesPerPacket / rate * 1e9 // ns between packets
-		// Stagger first injections deterministically per flow.
-		first := interval * float64(ri%7) / 7
-		if first >= cfg.duration() {
-			first = 0
-		}
-		heap.Push(&h, event{time: first, flow: ri, seq: 0})
 	}
 
-	for _, inj := range cfg.replay {
-		heap.Push(&h, event{time: inj.time, flow: inj.route})
-	}
+	for {
+		// The earliest pending injection, the lowest flow on a tie.
+		ri := 0
+		for f := range next {
+			if next[f] < next[ri] {
+				ri = f
+			}
+		}
+		now := next[ri]
+		if math.IsInf(now, 1) {
+			break
+		}
+		switch {
+		case cfg.replay != nil:
+			replayed[ri]++
+			next[ri] = math.Inf(1)
+			if replayed[ri] < len(cfg.replay[ri]) {
+				next[ri] = cfg.replay[ri][replayed[ri]]
+			}
+		case cfg.SinglePacket:
+			next[ri] = math.Inf(1)
+		default:
+			next[ri] = now + interval[ri]
+			if next[ri] >= cfg.duration() {
+				next[ri] = math.Inf(1)
+			}
+		}
 
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(event)
-		ri := ev.flow
 		r := &top.Routes[ri]
 		fs := &res.PerFlow[ri]
 		fs.Sent++
@@ -226,7 +236,7 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 
 		// NI injection link: one cycle of the island clock, port
 		// occupied for the serialization time.
-		depart := math.Max(ev.time, injFree[src])
+		depart := math.Max(now, injFree[src])
 		injFree[src] = depart + flits*srcPeriod
 		t := depart + model.LinkTraversalCycles*srcPeriod
 
@@ -254,11 +264,11 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 		ejFree[r.Flow.Dst] = d + flits*lp
 		t = d + model.LinkTraversalCycles*lp
 
-		lat := t - ev.time
+		lat := t - now
 		if record != nil {
 			record(PacketRecord{
 				Src: r.Flow.Src, Dst: r.Flow.Dst,
-				InjectNs: ev.time, ArriveNs: t, LatencyNs: lat,
+				InjectNs: now, ArriveNs: t, LatencyNs: lat,
 			})
 		}
 		fs.Delivered++
@@ -271,16 +281,6 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 			res.MaxLatencyNs = lat
 		}
 		res.MeanLatencyNs += lat
-
-		// Next injection of this flow.
-		if !cfg.SinglePacket && cfg.replay == nil {
-			rate := r.Flow.BandwidthBps * cfg.scale()
-			interval := bytesPerPacket / rate * 1e9
-			next := ev.time + interval
-			if next < cfg.duration() {
-				heap.Push(&h, event{time: next, flow: ri, seq: ev.seq + 1})
-			}
-		}
 	}
 
 	var flowCycleSum float64

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"nocvi/internal/bench"
 	"nocvi/internal/core"
@@ -13,7 +14,7 @@ import (
 )
 
 // synthD26 synthesizes the 6-island logical D26 once for the tests.
-func synthD26(t *testing.T) *topology.Topology {
+func synthD26(t testing.TB) *topology.Topology {
 	t.Helper()
 	spec, err := bench.D26Islands(viplace.MethodLogical, 6)
 	if err != nil {
@@ -58,19 +59,7 @@ func TestRunDeliversEverything(t *testing.T) {
 // must send nothing and every other flow must still match.
 func TestZeroLoadMatchesAnalytic(t *testing.T) {
 	const clk = 400e6
-	tops := []*topology.Topology{synthD26(t)}
-	for _, name := range bench.Names() {
-		spec, err := bench.Islanded(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Synthesize(spec, model.Default65nm(), core.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		tops = append(tops, res.Best().Top)
-	}
-	for _, top := range tops {
+	for _, top := range append([]*topology.Topology{synthD26(t)}, suiteWinners(t)...) {
 		spec := top.Spec
 		// Force all islands to the same clock so "cycles" is unambiguous.
 		for i := range top.IslandFreqHz {
@@ -221,6 +210,29 @@ func TestRunRejectsNonFiniteConfig(t *testing.T) {
 	} {
 		if _, err := Run(top, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// TestRunRejectsOverflowingRate: a finite scale can still overflow a
+// flow's rate to +Inf, which makes its packet interval 0 so that time
+// never advances, or shrink it so far that the interval is +Inf. Run
+// must return an error, and return it promptly.
+func TestRunRejectsOverflowingRate(t *testing.T) {
+	top := synthD26(t)
+	for _, scale := range []float64{1e300, 1e-320} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(top, Config{InjectionScale: scale})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("scale %g accepted", scale)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Run with scale %g still running after 10 s", scale)
 		}
 	}
 }

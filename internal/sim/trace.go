@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -107,9 +108,10 @@ func ReadCSV(r io.Reader, spec *soc.Spec) (*Trace, error) {
 
 // Replay re-injects the trace's packets at their recorded times on a
 // (possibly different) topology and returns the resulting run. Every
-// (src,dst) pair in the trace must have a route; latencies come out of
-// the target network, enabling apples-to-apples topology comparisons
-// under identical offered traffic.
+// (src,dst) pair in the trace must have a route and every injection
+// time must be finite; latencies come out of the target network,
+// enabling apples-to-apples topology comparisons under identical
+// offered traffic.
 func Replay(top *topology.Topology, tr *Trace) (*Result, error) {
 	if len(tr.Packets) == 0 {
 		return nil, fmt.Errorf("sim: empty trace")
@@ -118,20 +120,19 @@ func Replay(top *topology.Topology, tr *Trace) (*Result, error) {
 	for ri := range top.Routes {
 		routeOf[[2]soc.CoreID{top.Routes[ri].Flow.Src, top.Routes[ri].Flow.Dst}] = ri
 	}
-	injections := make([]replayInjection, 0, len(tr.Packets))
+	times := make([][]float64, len(top.Routes))
 	for i, p := range tr.Packets {
 		ri, ok := routeOf[[2]soc.CoreID{p.Src, p.Dst}]
 		if !ok {
 			return nil, fmt.Errorf("sim: trace packet %d: no route %d->%d in target topology", i, p.Src, p.Dst)
 		}
-		injections = append(injections, replayInjection{time: p.InjectNs, route: ri})
+		if math.IsNaN(p.InjectNs) || math.IsInf(p.InjectNs, 0) {
+			return nil, fmt.Errorf("sim: trace packet %d: injection time %g ns is not finite", i, p.InjectNs)
+		}
+		times[ri] = append(times[ri], p.InjectNs)
 	}
-	cfg := Config{replay: injections}
-	return runInternal(top, cfg, nil)
-}
-
-// replayInjection is one externally-scheduled packet.
-type replayInjection struct {
-	time  float64
-	route int
+	for _, ts := range times {
+		sort.Float64s(ts)
+	}
+	return runInternal(top, Config{replay: times}, nil)
 }

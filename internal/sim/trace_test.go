@@ -127,3 +127,28 @@ func TestReplayErrors(t *testing.T) {
 		t.Fatal("unroutable packet accepted")
 	}
 }
+
+// A trace row whose injection time is NaN or infinite parses, but
+// Replay must refuse it rather than report a NaN latency.
+func TestReplayRejectsNonFiniteTimes(t *testing.T) {
+	top := synthD26(t)
+	_, tr, err := RunTraced(top, Config{DurationNs: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf, top.Spec); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := top.Spec.Cores[tr.Packets[0].Src].Name, top.Spec.Cores[tr.Packets[0].Dst].Name
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		csv := buf.String() + src + "," + dst + "," + v + ",1,1\n"
+		back, err := ReadCSV(strings.NewReader(csv), top.Spec)
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if res, err := Replay(top, back); err == nil {
+			t.Fatalf("injection at %s accepted: mean latency %g ns", v, res.MeanLatencyNs)
+		}
+	}
+}

@@ -21,12 +21,10 @@
 package wormhole
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
 	"nocvi/internal/model"
-	"nocvi/internal/soc"
 	"nocvi/internal/topology"
 )
 
@@ -34,34 +32,32 @@ import (
 type Config struct {
 	// BufferFlits is the depth of each input buffer (default 4).
 	BufferFlits int
-	// PacketFlits is the packet length including head and tail
-	// (default 8).
-	PacketFlits int
 	// PacketsPerFlow is how many packets each flow injects (default 4).
 	PacketsPerFlow int
 	// InjectionGapCycles spaces a flow's packets apart (default 16).
 	InjectionGapCycles int
-	// DeadlockWindow is the number of consecutive cycles without any
-	// flit movement (while flits are in flight) after which the run is
-	// declared deadlocked (default 10000).
-	DeadlockWindow int
 }
 
-// maxCycles aborts pathological runs.
-const maxCycles = 2_000_000
+const (
+	// packetFlits is the packet length including head and tail.
+	packetFlits = 8
+	// deadlockWindow is the number of consecutive cycles without any
+	// flit movement (while flits are in flight) after which the run is
+	// declared deadlocked.
+	deadlockWindow = 10_000
+	// maxCycles aborts pathological runs.
+	maxCycles = 2_000_000
+	// wireSlots is one more than the longest link delay (an island
+	// crossing), so a flit sent this cycle never lands in the slot
+	// being drained.
+	wireSlots = int(model.LinkTraversalCycles+model.FIFOCrossingCycles) + 1
+)
 
 func (c Config) buf() int {
 	if c.BufferFlits <= 0 {
 		return 4
 	}
 	return c.BufferFlits
-}
-
-func (c Config) pkt() int {
-	if c.PacketFlits <= 1 {
-		return 8
-	}
-	return c.PacketFlits
 }
 
 func (c Config) perFlow() int {
@@ -76,13 +72,6 @@ func (c Config) gap() int {
 		return 16
 	}
 	return c.InjectionGapCycles
-}
-
-func (c Config) window() int {
-	if c.DeadlockWindow <= 0 {
-		return 10000
-	}
-	return c.DeadlockWindow
 }
 
 // Result summarizes a run.
@@ -106,34 +95,45 @@ type flit struct {
 	packet *packet
 	isHead bool
 	isTail bool
-	seq    int
 }
 
 // packet tracks one packet's route progress and timing.
 type packet struct {
-	route   *topology.Route
-	ri      int // index of route in top.Routes and e.routeOut
-	hop     int // index into route.Switches of the switch the head occupies/approaches
-	inject  int // cycle the head entered the network
-	flits   int
-	retired int // tail ejected when retired == flits
+	route  *topology.Route
+	ri     int // index of route in top.Routes and e.routeOut
+	hop    int // index into route.Switches of the switch the head occupies/approaches
+	inject int // cycle the head entered the network
 }
 
-// port is an input buffer at a switch (or the ejection buffer of a
-// core). Flits queue in order; credits mirror free space upstream.
+// port is an input buffer at a switch. Flits queue in order in q,
+// whose capacity is the buffer depth; credits mirror free space
+// upstream.
 type port struct {
-	q   []flit
-	cap int
-	// allocOut is the output currently granted to this input's head
-	// packet (-1 when none); wormhole keeps it until the tail passes.
-	allocOut int
+	q []flit
 	// up is the upstream link output whose credits mirror this
 	// buffer; nil for a core injection port, which the NI fills by
 	// checking free() directly.
 	up *outState
 }
 
-func (p *port) free() int { return p.cap - len(p.q) }
+func (p *port) free() int { return cap(p.q) - len(p.q) }
+
+// push appends a flit and records the buffer's occupancy.
+func (p *port) push(f flit, res *Result) {
+	if len(p.q) == cap(p.q) {
+		panic("wormhole: buffer overflow — credit protocol broken")
+	}
+	p.q = append(p.q, f)
+	if len(p.q) > res.PeakBufferFlits {
+		res.PeakBufferFlits = len(p.q)
+	}
+}
+
+// pop removes the head flit, keeping the backing array for reuse.
+func (p *port) pop() {
+	copy(p.q, p.q[1:])
+	p.q = p.q[:len(p.q)-1]
+}
 
 // outState tracks an output port's wormhole allocation and round-robin
 // pointer.
@@ -143,40 +143,21 @@ type outState struct {
 	owner int
 	// rr is the round-robin arbitration pointer.
 	rr int
-	// busyUntil models link pipeline stages: next cycle the output may
-	// accept a flit.
-	busyUntil int
 	// credits available toward the downstream buffer.
 	credits int
 	// latency (pipeline depth) of the link behind this output.
 	linkDelay int
-	// downstream target: switch input port or core ejection.
+	// downstream target: switch input port, or core ejection.
 	dstSwitch int // -1 for ejection
 	dstPort   int
-	dstCore   soc.CoreID
 }
 
-// inflight is a flit travelling a link (arrives at arriveCycle).
-type inflight struct {
-	arrive int
-	flit   flit
-	sw     int // destination switch (-1: ejection to core)
-	port   int
-	core   soc.CoreID
-}
-
-type inflightHeap []inflight
-
-func (h inflightHeap) Len() int            { return len(h) }
-func (h inflightHeap) Less(i, j int) bool  { return h[i].arrive < h[j].arrive }
-func (h inflightHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *inflightHeap) Push(x interface{}) { *h = append(*h, x.(inflight)) }
-func (h *inflightHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// arrival is a flit on a link bound for input port dstPort of switch
+// sw, or for ejection at a core when sw is -1.
+type arrival struct {
+	flit    flit
+	sw      int
+	dstPort int
 }
 
 // engine is the per-run state.
@@ -190,14 +171,19 @@ type engine struct {
 	// links (by LinkID).
 	inPorts  [][]*port
 	outs     [][]*outState
-	outIndex map[topology.LinkID]int // link -> output index at l.From
-	coreIn   map[soc.CoreID]int      // core -> injection port index at its switch
-	coreOut  map[soc.CoreID]int      // core -> ejection output index at its switch
+	outIndex []int // by LinkID (a link's index in top.Links): output index at l.From
+	coreIn   []int // by CoreID: injection port index at its switch
+	coreOut  []int // by CoreID: ejection output index at its switch
 
 	// Per-route output port sequence (hop i: output index at switch i).
 	routeOut [][]int
 
-	wire inflightHeap
+	// wire holds the flits on links: a flit sent at cycle c over a link
+	// of delay d waits in slot (c+d) % wireSlots, drained at cycle c+d.
+	// Each input port is fed by one output that sends at most one flit
+	// per cycle, so no two flits in a slot reach the same port and the
+	// order within a slot changes nothing.
+	wire [wireSlots][]arrival
 	res  Result
 }
 
@@ -220,24 +206,27 @@ func (e *engine) build() error {
 	n := len(top.Switches)
 	e.inPorts = make([][]*port, n)
 	e.outs = make([][]*outState, n)
-	e.outIndex = map[topology.LinkID]int{}
-	e.coreIn = map[soc.CoreID]int{}
-	e.coreOut = map[soc.CoreID]int{}
+	e.outIndex = make([]int, len(top.Links))
+	e.coreIn = make([]int, len(top.Spec.Cores))
+	e.coreOut = make([]int, len(top.Spec.Cores))
+	newPort := func(up *outState) *port {
+		return &port{q: make([]flit, 0, e.cfg.buf()), up: up}
+	}
 
 	for si := 0; si < n; si++ {
 		s := &top.Switches[si]
 		for _, c := range s.Cores {
 			e.coreIn[c] = len(e.inPorts[si])
-			e.inPorts[si] = append(e.inPorts[si], &port{cap: e.cfg.buf(), allocOut: -1})
+			e.inPorts[si] = append(e.inPorts[si], newPort(nil))
 			e.coreOut[c] = len(e.outs[si])
 			e.outs[si] = append(e.outs[si], &outState{
 				owner: -1, credits: 1 << 30, linkDelay: int(model.LinkTraversalCycles),
-				dstSwitch: -1, dstCore: c,
+				dstSwitch: -1,
 			})
 		}
 	}
 	// Links in LinkID order give deterministic port numbering.
-	for _, l := range top.Links {
+	for i, l := range top.Links {
 		from, to := int(l.From), int(l.To)
 		delay := int(model.LinkTraversalCycles)
 		if l.CrossesIslands {
@@ -247,8 +236,8 @@ func (e *engine) build() error {
 			owner: -1, credits: e.cfg.buf(), linkDelay: delay,
 			dstSwitch: to, dstPort: len(e.inPorts[to]),
 		}
-		e.inPorts[to] = append(e.inPorts[to], &port{cap: e.cfg.buf(), allocOut: -1, up: out})
-		e.outIndex[l.ID] = len(e.outs[from])
+		e.inPorts[to] = append(e.inPorts[to], newPort(out))
+		e.outIndex[i] = len(e.outs[from])
 		e.outs[from] = append(e.outs[from], out)
 	}
 	// Route output sequences.
@@ -260,11 +249,11 @@ func (e *engine) build() error {
 			if i == len(r.Switches)-1 {
 				seq[i] = e.coreOut[r.Flow.Dst]
 			} else {
-				oi, ok := e.outIndex[r.Links[i]]
-				if !ok {
-					return fmt.Errorf("wormhole: route %d uses unknown link %d", ri, r.Links[i])
+				lid := r.Links[i]
+				if lid < 0 || int(lid) >= len(top.Links) {
+					return fmt.Errorf("wormhole: route %d uses unknown link %d", ri, lid)
 				}
-				seq[i] = oi
+				seq[i] = e.outIndex[lid]
 			}
 		}
 		e.routeOut[ri] = seq
@@ -303,7 +292,7 @@ func (e *engine) simulate() {
 			return q[i].route < q[j].route
 		})
 	}
-	e.res.Injected = 0
+	packets := make([]packet, cfg.perFlow()*len(top.Routes))
 	inFlightPkts := 0
 	var latSum float64
 
@@ -315,14 +304,13 @@ func (e *engine) simulate() {
 	for cycle := 0; cycle < maxCycles; cycle++ {
 		moved := false
 
-		// 1. Deliver link-traversal completions.
-		for e.wire.Len() > 0 && e.wire[0].arrive <= cycle {
-			f := heap.Pop(&e.wire).(inflight)
-			if f.sw < 0 {
+		// 1. Deliver the flits whose link traversal ends this cycle.
+		slot := &e.wire[cycle%wireSlots]
+		for _, a := range *slot {
+			if a.sw < 0 {
 				// Ejected at destination core.
-				f.flit.packet.retired++
-				if f.flit.isTail {
-					lat := cycle - f.flit.packet.inject
+				if a.flit.isTail {
+					lat := cycle - a.flit.packet.inject
 					latSum += float64(lat)
 					if lat > e.res.MaxLatencyCycles {
 						e.res.MaxLatencyCycles = lat
@@ -331,38 +319,27 @@ func (e *engine) simulate() {
 					inFlightPkts--
 				}
 			} else {
-				p := e.inPorts[f.sw][f.port]
-				p.q = append(p.q, f.flit)
-				if len(p.q) > e.res.PeakBufferFlits {
-					e.res.PeakBufferFlits = len(p.q)
-				}
-				if len(p.q) > p.cap {
-					panic("wormhole: buffer overflow — credit protocol broken")
-				}
+				e.inPorts[a.sw][a.dstPort].push(a.flit, &e.res)
 			}
 			moved = true
 		}
+		*slot = (*slot)[:0]
 
-		// 2. Start new packets at NIs when the core's turn has come
-		// (one packet streams at a time per NI).
+		// 2. Start a new packet at each NI whose turn has come (one
+		// packet streams at a time per NI), and 3. stream injection
+		// flits into the source switch's core input port (one flit per
+		// cycle per NI, space permitting). Each NI feeds its own port.
 		for c := range perCore {
-			if injecting[c] != nil || nextInj[c] >= len(perCore[c]) {
-				continue
+			if injecting[c] == nil && nextInj[c] < len(perCore[c]) && perCore[c][nextInj[c]].at <= cycle {
+				ri := perCore[c][nextInj[c]].route
+				pk := &packets[e.res.Injected]
+				*pk = packet{route: &top.Routes[ri], ri: ri, inject: cycle}
+				injecting[c] = pk
+				injected[c] = 0
+				nextInj[c]++
+				e.res.Injected++
+				inFlightPkts++
 			}
-			if perCore[c][nextInj[c]].at > cycle {
-				continue
-			}
-			ri := perCore[c][nextInj[c]].route
-			injecting[c] = &packet{route: &top.Routes[ri], ri: ri, inject: cycle, flits: cfg.pkt()}
-			injected[c] = 0
-			nextInj[c]++
-			e.res.Injected++
-			inFlightPkts++
-		}
-
-		// 3. Stream injection flits into the source switch's core input
-		// port (one flit per cycle per NI, space permitting).
-		for c := range perCore {
 			pkt := injecting[c]
 			if pkt == nil {
 				continue
@@ -373,26 +350,21 @@ func (e *engine) simulate() {
 			if in.free() == 0 {
 				continue
 			}
-			f := flit{packet: pkt, seq: injected[c],
-				isHead: injected[c] == 0, isTail: injected[c] == cfg.pkt()-1}
-			in.q = append(in.q, f)
-			if len(in.q) > e.res.PeakBufferFlits {
-				e.res.PeakBufferFlits = len(in.q)
-			}
+			in.push(flit{packet: pkt, isHead: injected[c] == 0, isTail: injected[c] == packetFlits-1}, &e.res)
 			injected[c]++
-			if injected[c] == cfg.pkt() {
+			if injected[c] == packetFlits {
 				injecting[c] = nil
 			}
 			moved = true
 		}
 
 		// 4. Switch allocation and traversal: for each output port,
-		// round-robin among inputs whose head flit wants it.
+		// round-robin among inputs whose head flit wants it. Each output
+		// is visited once, so it sends at most one flit per cycle.
+		// Outputs are served in this fixed order, which decides credit
+		// reuse.
 		for si := range e.outs {
 			for oi, out := range e.outs[si] {
-				if out.busyUntil > cycle {
-					continue
-				}
 				// Find the input to serve.
 				serve := -1
 				if out.owner >= 0 {
@@ -419,30 +391,19 @@ func (e *engine) simulate() {
 				if len(p.q) == 0 || out.credits <= 0 {
 					continue
 				}
-				f := p.q[0]
-				if f.isHead && out.owner < 0 && !e.wantsOutput(si, f, oi) {
-					continue // stale owner bookkeeping; cannot happen with correct alloc
-				}
 				// Move the flit.
-				p.q = p.q[1:]
+				f := p.q[0]
+				p.pop()
 				out.credits--
-				out.busyUntil = cycle + 1
 				if f.isHead {
 					out.owner = serve
-					p.allocOut = oi
 					f.packet.hop++
 				}
 				if f.isTail {
 					out.owner = -1
-					p.allocOut = -1
 				}
-				heap.Push(&e.wire, inflight{
-					arrive: cycle + out.linkDelay,
-					flit:   f,
-					sw:     out.dstSwitch,
-					port:   out.dstPort,
-					core:   out.dstCore,
-				})
+				at := &e.wire[(cycle+out.linkDelay)%wireSlots]
+				*at = append(*at, arrival{flit: f, sw: out.dstSwitch, dstPort: out.dstPort})
 				// Credit return to the upstream link feeding this input
 				// happens when the flit leaves the buffer.
 				if up := p.up; up != nil {
@@ -461,16 +422,11 @@ func (e *engine) simulate() {
 			idle++
 		}
 		e.res.Cycles = cycle + 1
-		done := inFlightPkts == 0
-		for c := range perCore {
-			if nextInj[c] < len(perCore[c]) || injecting[c] != nil {
-				done = false
-			}
-		}
-		if done {
+		// A packet still streaming into its NI is in flight too.
+		if inFlightPkts == 0 && e.res.Injected == len(packets) {
 			break
 		}
-		if idle >= e.cfg.window() {
+		if idle >= deadlockWindow {
 			e.res.Deadlocked = true
 			break
 		}

@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"errors"
 	"testing"
 
 	"nocvi/internal/bench"
@@ -8,6 +9,7 @@ import (
 	"nocvi/internal/deadlock"
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
+	"nocvi/internal/specgen"
 	"nocvi/internal/topology"
 	"nocvi/internal/viplace"
 )
@@ -82,10 +84,8 @@ func TestRingDeadlocksForReal(t *testing.T) {
 	}
 	res, err := Run(top, Config{
 		BufferFlits:        2,
-		PacketFlits:        16,
 		PacketsPerFlow:     4,
 		InjectionGapCycles: 1,
-		DeadlockWindow:     2000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,13 +126,13 @@ func TestSynthesizedDesignDrains(t *testing.T) {
 // serialization.
 func TestLatencyLowerBound(t *testing.T) {
 	top := synthD26(t)
-	res, err := Run(top, Config{PacketsPerFlow: 1, PacketFlits: 8})
+	res, err := Run(top, Config{PacketsPerFlow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cheapest possible packet: 1 switch route. Head pipeline >= inject
-	// + switch + eject, tail adds PacketFlits-1 cycles of serialization.
-	min := float64(8 - 1)
+	// + switch + eject, tail adds packetFlits-1 cycles of serialization.
+	min := float64(packetFlits - 1)
 	if res.MeanLatencyCycles < min {
 		t.Fatalf("mean latency %.1f below serialization bound %v", res.MeanLatencyCycles, min)
 	}
@@ -157,7 +157,7 @@ func TestDeterministic(t *testing.T) {
 func TestSmallBuffersStillDrain(t *testing.T) {
 	// Acyclic CDG must drain even with 1-flit buffers (pure handshake).
 	top := synthD26(t)
-	res, err := Run(top, Config{BufferFlits: 1, PacketsPerFlow: 2, DeadlockWindow: 5000})
+	res, err := Run(top, Config{BufferFlits: 1, PacketsPerFlow: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,9 @@ func TestRunRequiresRoutes(t *testing.T) {
 // buffer sizing, which is why the synthesis flow verifies the CDG.
 func TestRingDeadlocksEvenWithCutThroughBuffers(t *testing.T) {
 	res, err := Run(ring(t), Config{
-		BufferFlits:        16, // whole packet fits per buffer
-		PacketFlits:        16,
+		BufferFlits:        packetFlits, // whole packet fits per buffer
 		PacketsPerFlow:     1,
 		InjectionGapCycles: 1,
-		DeadlockWindow:     2000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,5 +213,69 @@ func TestRingDeadlocksEvenWithCutThroughBuffers(t *testing.T) {
 	}
 	if res.Delivered != 0 {
 		t.Fatalf("the symmetric ring should gridlock completely, delivered %d", res.Delivered)
+	}
+}
+
+// A lone packet pins the engine to the analytic zero-load model flow by
+// flow. ZeroLoadLatencyCycles counts the NI injection and ejection
+// links, two cycles per switch and every inter-switch link with its
+// converter penalty. Here a switch traversal costs no cycle and the NI
+// injection link is not modelled (the head enters the switch buffer on
+// its first cycle), while the tail arrives packetFlits-1 cycles behind
+// the head. So with buffers that hold a whole packet the latency is
+// exactly ZeroLoadLatencyCycles - 2*len(Switches) - 2 + packetFlits, on
+// every route of every suite winner and of generated designs. Buffers
+// shorter than a packet are slower on some routes: over a 5-cycle
+// island-crossing link the credit round trip outlasts the buffer, so
+// the tail is throttled (the default 4-flit buffers lose cycles on 191
+// of the suite's 378 routes and on 321 of the generated designs' 606).
+func TestLonePacketMatchesAnalytic(t *testing.T) {
+	var tops []*topology.Topology
+	for _, top := range suiteWinners(t) {
+		tops = append(tops, top)
+	}
+	lib := model.Default65nm()
+	for seed := int64(1); seed <= 40; seed++ {
+		spec := specgen.Random(seed, specgen.Options{MaxCores: 14, MaxIslands: 4})
+		res, err := core.Synthesize(spec, lib, core.Options{})
+		if errors.Is(err, core.ErrInfeasible) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		tops = append(tops, res.Best().Top)
+	}
+	routes := 0
+	for _, top := range tops {
+		for ri := range top.Routes {
+			r := &top.Routes[ri]
+			lone := *top
+			lone.Routes = top.Routes[ri : ri+1]
+			res, err := Run(&lone, Config{BufferFlits: packetFlits, PacketsPerFlow: 1})
+			if err != nil {
+				t.Fatalf("%s route %d: %v", top.Spec.Name, ri, err)
+			}
+			want := top.ZeroLoadLatencyCycles(r) - float64(2*len(r.Switches)) - 2 + packetFlits
+			if res.Delivered != 1 || res.MeanLatencyCycles != want {
+				t.Fatalf("%s route %d (%d->%d, %d switches): delivered %d, latency %v cycles, want %v",
+					top.Spec.Name, ri, r.Flow.Src, r.Flow.Dst, len(r.Switches),
+					res.Delivered, res.MeanLatencyCycles, want)
+			}
+			routes++
+		}
+	}
+	t.Logf("%d designs, %d routes", len(tops), routes)
+}
+
+// A route naming a link the topology does not have is an error, not an
+// index panic.
+func TestRunRejectsUnknownLink(t *testing.T) {
+	for _, lid := range []topology.LinkID{4, 99, -1} {
+		top := ring(t)
+		top.Routes[1].Links[0] = lid
+		if _, err := Run(top, Config{}); err == nil {
+			t.Fatalf("route over link %d accepted", lid)
+		}
 	}
 }

@@ -103,7 +103,7 @@ type (
 	SystemPower = power.System
 	// Placement is a floorplanning result.
 	Placement = floorplan.Placement
-	// SimConfig and SimResult drive the cycle-level simulator.
+	// SimConfig and SimResult drive the queueing-level latency simulator.
 	SimConfig = sim.Config
 	// SimResult reports simulated delivery and latency.
 	SimResult = sim.Result
@@ -187,8 +187,9 @@ func IntraIslandBandwidth(spec *Spec) float64 {
 	return viplace.IntraIslandBandwidth(spec)
 }
 
-// Simulate runs the deterministic cycle-level simulator on a routed
-// topology.
+// Simulate runs the deterministic queueing-level latency simulator on
+// a routed topology: per-island clocks in continuous time, unbounded
+// buffers.
 func Simulate(top *Topology, cfg SimConfig) (*SimResult, error) {
 	return sim.Run(top, cfg)
 }
