@@ -8,6 +8,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,6 +17,7 @@ import (
 
 	"nocvi"
 	"nocvi/internal/cliflags"
+	"nocvi/internal/sim"
 )
 
 func main() {
@@ -91,7 +93,7 @@ func run(cfg *config) error {
 		var tr *nocvi.PacketTrace
 		simRes, tr, err = nocvi.SimulateTraced(top, simCfg)
 		if err != nil {
-			return err
+			return cfg.simError(err)
 		}
 		f, err := os.Create(cfg.trace)
 		if err != nil {
@@ -105,7 +107,7 @@ func run(cfg *config) error {
 	} else {
 		simRes, err = nocvi.Simulate(top, simCfg)
 		if err != nil {
-			return err
+			return cfg.simError(err)
 		}
 	}
 
@@ -150,4 +152,14 @@ func run(cfg *config) error {
 		fmt.Printf("system power %.1f mW -> %.1f mW (%.1f%% saved)\n", onW*1e3, offW*1e3, frac*100)
 	}
 	return nil
+}
+
+// simError names the flags behind a simulation refused for its packet
+// budget, so the user knows what to lower.
+func (cfg *config) simError(err error) error {
+	var budget *sim.PacketBudgetError
+	if errors.As(err, &budget) {
+		return fmt.Errorf("lower -scale %g or -duration %g: %w", cfg.scale, cfg.duration, err)
+	}
+	return err
 }

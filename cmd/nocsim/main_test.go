@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // parse returns the config nocsim builds from the command line args.
@@ -63,5 +64,21 @@ func TestRunErrors(t *testing.T) {
 	err := run(parse(t, "-bench", "d26_media", "-islands", "6", "-duration", "1000", "-off", "2"))
 	if err == nil || !strings.Contains(err.Error(), "not shutdownable") {
 		t.Fatalf("gating a non-shutdownable island: err %v, want the shutdown check's refusal", err)
+	}
+}
+
+// TestRunRefusesPacketBudget: a scale that plans billions of packets is
+// refused at once, and the error names the flags to lower.
+func TestRunRefusesPacketBudget(t *testing.T) {
+	done := make(chan error, 1)
+	go func() { done <- run(parse(t, "-bench", "d26_media", "-scale", "1e6")) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "lower -scale 1e+06 or -duration 20000") ||
+			!strings.Contains(err.Error(), "above the cap") {
+			t.Fatalf("-scale 1e6: err %v, want the packet budget refusal naming -scale and -duration", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("nocsim -scale 1e6 still running after 20 s")
 	}
 }

@@ -8,9 +8,10 @@ import (
 
 // PoolEscape flags pooled arena state — the worker scratch family
 // (graph.Scratch, partition.Scratch, floorplan.Scratch,
-// deadlock.Scratch, power.Scratch) and the
-// Reset-recycled engine objects (topology.Topology, route.Router) —
-// whose reference escapes its arena lifetime. The PR 4/6 arena
+// deadlock.Scratch, power.Scratch), the
+// Reset-recycled engine objects (topology.Topology, route.Router) and
+// the router-owned route.NoPathError, which the router's next call
+// overwrites — whose reference escapes its arena lifetime. The PR 4/6 arena
 // discipline hands each sweep worker a buildContext that owns its
 // scratch by value and recycles Topology/Router through Reset; any
 // reference that outlives the arena turns the next Reset into a silent
@@ -37,7 +38,8 @@ import (
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
 	Doc: "flags pooled arena references (graph/partition/floorplan/" +
-		"deadlock/power Scratch, topology.Topology, route.Router) " +
+		"deadlock/power Scratch, topology.Topology, route.Router, " +
+		"route.NoPathError) " +
 		"escaping the arena: " +
 		"stored into a global, stored into a non-arena struct field, or " +
 		"returned past the pooling boundary",
@@ -55,6 +57,7 @@ var pooledTypes = map[[2]string]bool{
 	{"power", "Scratch"}:     true,
 	{"topology", "Topology"}: true,
 	{"route", "Router"}:      true,
+	{"route", "NoPathError"}: true,
 }
 
 func runPoolEscape(p *Pass) {

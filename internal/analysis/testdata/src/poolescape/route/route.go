@@ -1,11 +1,28 @@
 // Package route mimics the real route package: Router is
-// Reset-recycled and pins a scratch pointer via SetScratch.
+// Reset-recycled and pins a scratch pointer via SetScratch, and it owns
+// the one NoPathError its Route returns.
 package route
 
 import "fixture/poolescape/graph"
 
 type Router struct {
 	scratch *graph.Scratch
+	noPath  NoPathError
+}
+
+// NoPathError is router-owned: valid until the router's next Route.
+type NoPathError struct {
+	Flow, Backup int
+}
+
+func (e *NoPathError) Error() string { return "route: no path" }
+
+// Route hands out the router's own error. The router's address is
+// taken, not a pointer extracted from it, so this is the owner lending
+// its storage, not an escape.
+func (r *Router) Route(flow int) error {
+	r.noPath = NoPathError{Flow: flow}
+	return &r.noPath
 }
 
 // New returns a fresh Router; constructor results are creation, not

@@ -4,6 +4,8 @@
 package worker
 
 import (
+	"errors"
+
 	"fixture/poolescape/deadlock"
 	"fixture/poolescape/graph"
 	"fixture/poolescape/power"
@@ -34,6 +36,14 @@ var leakedTop *topology.Topology
 var leakedScratch *graph.Scratch
 var leakedDeadlock *deadlock.Scratch
 var registry = map[string]*route.Router{}
+var lastNoPath *route.NoPathError
+
+// Report is not an arena container either: a router-owned error parked
+// in it is overwritten by the router's next Route.
+type Report struct {
+	cause *route.NoPathError
+	flow  int
+}
 
 func globalEscape(bc *buildContext) {
 	leakedTop = bc.top // want poolescape "pooled *topology.Topology stored into package-level var leakedTop"
@@ -57,6 +67,20 @@ func globalIndexEscape(bc *buildContext, name string) {
 
 func fieldEscape(s *Server, bc *buildContext) {
 	s.router = bc.router // want poolescape "pooled *route.Router stored into field router of non-arena type worker.Server"
+}
+
+func noPathGlobalEscape(err error) {
+	var npe *route.NoPathError
+	if errors.As(err, &npe) {
+		lastNoPath = npe // want poolescape "pooled *route.NoPathError stored into package-level var lastNoPath"
+	}
+}
+
+func noPathFieldEscape(rep *Report, err error) {
+	var npe *route.NoPathError
+	if errors.As(err, &npe) {
+		rep.cause = npe // want poolescape "pooled *route.NoPathError stored into field cause of non-arena type worker.Report"
+	}
 }
 
 type result struct {
@@ -106,4 +130,16 @@ func localUse(bc *buildContext) int {
 	r := takeRouter(bc)
 	_ = r
 	return t.Routers + len(bc.scratch.Buf) + len(bc.dl.Succ) + len(bc.pw.Traffic)
+}
+
+// classify reads the router's error locally, before the router's next
+// call, and keeps what it needs by value: clean.
+func classify(rep *Report, err error) int {
+	var npe *route.NoPathError
+	if errors.As(err, &npe) {
+		saved := *npe
+		rep.flow = saved.Flow
+		return npe.Backup
+	}
+	return 0
 }

@@ -487,10 +487,10 @@ func TestSweepMillionPointGeometry(t *testing.T) {
 
 // TestStreamCollectorAddAllocatesNothing: on a warm worker, the outcomes
 // most sweep candidates end in cost the streaming collector nothing.
-// Evaluating and collecting a feasible point the front and both argmins
-// reject, a bound-pruned and a stage-pruned candidate allocates
-// nothing at all; collecting a routing reject (a *route.NoPathError,
-// allocated by the router) allocates nothing more.
+// Evaluating and collecting a routing reject (the router's own
+// *route.NoPathError), a feasible point the front and both argmins
+// reject, a bound-pruned and a stage-pruned candidate allocates nothing
+// at all.
 func TestStreamCollectorAddAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -535,6 +535,9 @@ func TestStreamCollectorAddAllocatesNothing(t *testing.T) {
 	}
 	if n := addAllocs(reject, out); n != 0 {
 		t.Errorf("routing reject: add allocates %v times, want 0", n)
+	}
+	if n := evalAddAllocs(reject); n != 0 {
+		t.Errorf("routing reject: evaluate and add allocate %v times, want 0", n)
 	}
 
 	feasible := uint64(reject + 1)

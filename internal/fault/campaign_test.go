@@ -9,6 +9,7 @@ import (
 	"nocvi/internal/bench"
 	"nocvi/internal/core"
 	"nocvi/internal/model"
+	"nocvi/internal/route"
 	"nocvi/internal/topology"
 )
 
@@ -298,5 +299,53 @@ func TestCampaignAllocCeiling(t *testing.T) {
 	t.Logf("d26 k=0 campaign: %.0f allocs", allocs)
 	if allocs > 4000 {
 		t.Fatalf("d26 k=0 campaign made %.0f allocations, ceiling 4000", allocs)
+	}
+}
+
+// TestCampaignReasonsOwnTheirText guards the campaign against the
+// router's reused *route.NoPathError: a worker's router overwrites its
+// error on the next fault's routing, so the campaign must render each
+// reason before that. On the D26 k=0 winner, a power state in which
+// several link faults fail to re-route must report, for each one, the
+// text a fresh router returns for that fault alone, and the report
+// must encode to the same bytes at one worker and two.
+func TestCampaignReasonsOwnTheirText(t *testing.T) {
+	top := synthBench(t, "d26_media")
+	c, err := RunCampaign(top, CampaignOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := top.Spec.SortFlowsByBandwidth()
+	most := 0
+	for si := range c.States {
+		s := &c.States[si]
+		active := activeFlows(top.Spec, sorted, s.Off, nil)
+		noPath := 0
+		for _, o := range s.Unrecovered {
+			fresh, err := refRebuildWithout(top, o.Link)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rerr := route.New(fresh, route.Options{NoNewLinks: true}).RouteFlows(active)
+			var npe *route.NoPathError
+			if !errors.As(rerr, &npe) {
+				continue // unrecovered for a reason other than routing
+			}
+			noPath++
+			if want := stableReason(rerr); o.Reason != want {
+				t.Errorf("state %s, link %d: reason %q, a fresh router says %q", s.State, o.Link, o.Reason, want)
+			}
+		}
+		most = max(most, noPath)
+	}
+	if most < 2 {
+		t.Fatalf("no power state has two link faults that fail to re-route (most: %d); the guard needs a new design", most)
+	}
+	two, err := RunCampaign(top, CampaignOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := mustJSON(t, c), mustJSON(t, two); string(a) != string(b) {
+		t.Fatalf("campaign JSON differs between 1 and 2 workers:\n%s\n%s", a, b)
 	}
 }

@@ -85,6 +85,10 @@ type Router struct {
 	// queries never pay for it. A linear scan: the set holds a few path
 	// lengths at most.
 	exclude []topology.LinkID
+
+	// noPath is the one error Route and routeBackups fill and return
+	// (see NoPathError).
+	noPath NoPathError
 }
 
 // subgraph is the candidate graph restricted to the switches a flow
@@ -129,10 +133,12 @@ func New(top *topology.Topology, opt Options) *Router {
 // empty router, so after Reset the router behaves exactly like
 // New(top, opt): the synthesis arena's identity guarantee rests on that
 // equivalence. A pooled router serves callers with different options,
-// so none of the previous caller's options survive a Reset.
+// so none of the previous caller's options survive a Reset, and neither
+// does the last *NoPathError it returned.
 func (r *Router) Reset(top *topology.Topology, opt Options) {
 	r.top = top
 	r.opt = opt
+	r.noPath = NoPathError{}
 	r.minLat = top.Spec.MinLatencyConstraint()
 	n := top.NumIslands()
 	if cap(r.maxSz) < n {
@@ -179,7 +185,8 @@ func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
 // RouteAll routes every flow of the spec in decreasing bandwidth order,
 // mutating the topology. On failure the topology is left partially
 // routed and the error identifies the first flow that could not be
-// placed; callers treat that as "design point invalid".
+// placed; callers treat that as "design point invalid". A
+// *NoPathError is the router's own (see NoPathError).
 func (r *Router) RouteAll() error {
 	return r.RouteFlows(r.top.Spec.SortFlowsByBandwidth())
 }
@@ -187,7 +194,8 @@ func (r *Router) RouteAll() error {
 // RouteFlows routes the given flows in order. The slice must hold the
 // spec's flows in decreasing-bandwidth order (SortFlowsByBandwidth);
 // sweeps that evaluate many candidates of one spec sort once and pass
-// the shared slice, skipping the per-candidate copy and sort.
+// the shared slice, skipping the per-candidate copy and sort. A
+// *NoPathError is the router's own (see NoPathError).
 func (r *Router) RouteFlows(flows []soc.Flow) error {
 	for _, f := range flows {
 		if err := r.Route(f); err != nil {
@@ -200,7 +208,8 @@ func (r *Router) RouteFlows(flows []soc.Flow) error {
 	return nil
 }
 
-// Route finds and commits a path for one flow.
+// Route finds and commits a path for one flow. When none exists it
+// returns the router's own *NoPathError (see NoPathError).
 func (r *Router) Route(f soc.Flow) error {
 	src := r.top.SwitchOf[f.Src]
 	dst := r.top.SwitchOf[f.Dst]
@@ -225,7 +234,8 @@ func (r *Router) Route(f soc.Flow) error {
 		}
 	}
 	if path == nil {
-		return &NoPathError{Flow: f}
+		r.noPath = NoPathError{Flow: f}
+		return &r.noPath
 	}
 	p, err := r.openPath(f, path, "link")
 	if err != nil {
@@ -239,6 +249,12 @@ func (r *Router) Route(f soc.Flow) error {
 // Backup > 0, no Backup-th link-disjoint backup under survivability K.
 // A synthesis sweep discards most of these unread, so Error formats
 // the message only when called.
+//
+// The router returns a pointer to the one NoPathError it owns, so a
+// rejected candidate allocates nothing. The error is valid until the
+// router's next Route, RouteFlows, RouteAll or Reset, which overwrite
+// or clear it: a caller that keeps it past that point copies the value
+// (saved := *npe), or its message.
 type NoPathError struct {
 	Flow soc.Flow
 
@@ -297,7 +313,8 @@ func (r *Router) routeBackups(k int) error {
 			dst := rt.Switches[len(rt.Switches)-1]
 			path := r.shortest(f, src, dst, false)
 			if path == nil {
-				return &NoPathError{Flow: f, Backup: b + 1, K: k}
+				r.noPath = NoPathError{Flow: f, Backup: b + 1, K: k}
+				return &r.noPath
 			}
 			// Backups are recorded cold: AddBackup accounts no traffic,
 			// so the primary metrics are untouched.

@@ -41,25 +41,31 @@ func threeIslandSpec() *soc.Spec {
 // attached; no links yet.
 func build(t *testing.T, spec *soc.Spec, withMid bool) *topology.Topology {
 	t.Helper()
-	lib := model.Default65nm()
-	top := topology.New(spec, lib)
+	top := topology.New(spec, model.Default65nm())
+	fill(t, top, withMid)
+	return top
+}
+
+// fill adds build's switches and core attachments to an empty (new or
+// Reset) topology.
+func fill(t *testing.T, top *topology.Topology, withMid bool) {
+	t.Helper()
+	spec := top.Spec
 	for i := range spec.Islands {
 		top.SetIslandFreq(soc.IslandID(i), 200e6)
 	}
-	sws := make([]topology.SwitchID, len(spec.Islands))
 	for i := range spec.Islands {
-		sws[i] = top.AddSwitch(soc.IslandID(i), false)
+		top.AddSwitch(soc.IslandID(i), false) // switch i serves island i
 	}
 	if withMid {
 		ni := top.AddNoCIsland(200e6, 1.0)
 		top.AddSwitch(ni, true)
 	}
 	for c := range spec.Cores {
-		if err := top.AttachCore(soc.CoreID(c), sws[spec.IslandOf[c]]); err != nil {
+		if err := top.AttachCore(soc.CoreID(c), topology.SwitchID(spec.IslandOf[c])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return top
 }
 
 func TestRouteAllDirect(t *testing.T) {

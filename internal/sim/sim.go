@@ -24,6 +24,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
@@ -33,6 +34,32 @@ import (
 // packetFlits is the packet length in flits; the header sees the
 // pipeline latency, the tail occupies ports.
 const packetFlits = 8
+
+// MaxPlannedPackets caps the packets one periodic run may inject. Run
+// plans the count before it simulates as the sum over active flows of
+// ⌈duration/interval⌉ (the run itself may inject a packet more per
+// flow, as the accumulated injection time drifts), and refuses a run
+// planned above the cap with a *PacketBudgetError instead of running
+// for hours. The largest configuration the experiments use (the D26
+// load sweep at 8x load over 50 µs) plans 35,192 packets; D26 at the
+// cap simulates in about 1.3 s on a 2-vCPU x86-64 guest, and a traced
+// run keeps 32 bytes per packet.
+const MaxPlannedPackets = 10_000_000
+
+// PacketBudgetError reports a run whose planned packet count exceeds
+// MaxPlannedPackets. Planned is a float64 because the count of an
+// extreme input overflows every integer type.
+type PacketBudgetError struct {
+	Planned    float64 // Σ⌈duration/interval⌉ over the active flows
+	DurationNs float64 // the injection horizon in effect
+	Scale      float64 // the injection scale in effect
+}
+
+func (e *PacketBudgetError) Error() string {
+	g := func(v float64, prec int) string { return strconv.FormatFloat(v, 'g', prec, 64) }
+	return "sim: " + g(e.Planned, 4) + " packets planned over " + g(e.DurationNs, -1) +
+		" ns at injection scale " + g(e.Scale, -1) + ", above the cap of " + strconv.Itoa(MaxPlannedPackets)
+}
 
 // Config controls a simulation run.
 type Config struct {
@@ -161,6 +188,7 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 	next := make([]float64, len(top.Routes))
 	interval := make([]float64, len(top.Routes))
 	replayed := make([]int, len(top.Routes)) // injections taken from cfg.replay[ri]
+	planned := 0.0                           // periodic injections, bounded by MaxPlannedPackets
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
 		fs := &res.PerFlow[ri]
@@ -188,6 +216,7 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 					r.Flow.Src, r.Flow.Dst, r.Flow.BandwidthBps, cfg.scale(), iv)
 			}
 			interval[ri] = iv
+			planned += math.Ceil(cfg.duration() / iv)
 			// Stagger first injections deterministically per flow.
 			first := iv * float64(ri%7) / 7
 			if first >= cfg.duration() {
@@ -195,6 +224,9 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 			}
 			next[ri] = first
 		}
+	}
+	if planned > MaxPlannedPackets {
+		return nil, &PacketBudgetError{Planned: planned, DurationNs: cfg.duration(), Scale: cfg.scale()}
 	}
 
 	for {

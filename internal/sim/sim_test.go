@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -233,6 +234,35 @@ func TestRunRejectsOverflowingRate(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("Run with scale %g still running after 10 s", scale)
+		}
+	}
+}
+
+// TestRunRefusesPacketBudget: a huge finite scale or horizon plans
+// billions of packets; Run must refuse it with a *PacketBudgetError
+// naming the planned count, before simulating any of them.
+func TestRunRefusesPacketBudget(t *testing.T) {
+	top := synthD26(t)
+	for _, cfg := range []Config{
+		{InjectionScale: 1e6, DurationNs: 20_000}, // nocsim -bench d26_media -scale 1e6
+		{DurationNs: 1e12},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(top, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var budget *PacketBudgetError
+			if !errors.As(err, &budget) {
+				t.Fatalf("config %+v: want a *PacketBudgetError, got %v", cfg, err)
+			}
+			if !(budget.Planned > MaxPlannedPackets) {
+				t.Fatalf("config %+v: refused at %g planned packets, under the cap", cfg, budget.Planned)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Run with config %+v still running after 10 s", cfg)
 		}
 	}
 }

@@ -190,9 +190,19 @@ func (s *Spec) Validate() error {
 }
 
 // CoresIn returns the IDs of the cores assigned to island isl, in
-// ascending order.
+// ascending order, or nil when the island has none. It counts first
+// and fills one exact-size slice, so a call allocates once.
 func (s *Spec) CoresIn(isl IslandID) []CoreID {
-	var out []CoreID
+	n := 0
+	for _, id := range s.IslandOf {
+		if id == isl {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]CoreID, 0, n)
 	for c, id := range s.IslandOf {
 		if id == isl {
 			out = append(out, CoreID(c))
