@@ -30,7 +30,7 @@ fmt:
 
 # lint runs the determinism/invariant analyzers (maprange, floateq,
 # errdrop, wallclock, bannedcall, goroutineleak, scratchcopy,
-# sortstability, detflow, poolescape) over every package — including
+# sortstability, detflow, poolescape, narrowid) over every package — including
 # internal/analysis and cmd/noclint themselves, so the linter stays
 # clean on its own code. The scoped analyzers (wallclock, maprange,
 # bannedcall) apply to the function set reachable from the engine
@@ -200,6 +200,9 @@ prune-smoke:
 #     end in an error or a topology that validates, never a panic.
 #   - FuzzReplayTrace: trace CSV through ReadCSV into Replay on a D26
 #     design must end in an error or a run whose latencies are finite.
+#   - FuzzSimConfig: injection scale, duration, SinglePacket and an
+#     off-mask through Run on a D26 design must end in an error or a run
+#     with finite latencies that sent no more than the packet cap.
 # -fuzzminimizetime 50x bounds how long Go's minimizer may spend on
 # each newly interesting input (the default is 60s): unbounded, it
 # worked on the ~155 KB D26 seeds for most of each 10s run and the exec
@@ -225,3 +228,4 @@ fuzz-smoke:
 	$(call fuzz,FuzzSpecgenSynthesize,./internal/specio/)
 	$(call fuzz,FuzzReadTopology,./internal/specio/)
 	$(call fuzz,FuzzReplayTrace,./internal/sim/)
+	$(call fuzz,FuzzSimConfig,./internal/sim/)

@@ -89,7 +89,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func (p *Pass) PkgBase() string { return path.Base(p.PkgPath) }
 
 // Analyzers is the full registered suite, in reporting order.
-var Analyzers = []*Analyzer{MapRange, FloatEq, ErrDrop, WallClock, BannedCall, GoroutineLeak, ScratchCopy, SortStability, DetFlow, PoolEscape}
+var Analyzers = []*Analyzer{MapRange, FloatEq, ErrDrop, WallClock, BannedCall, GoroutineLeak, ScratchCopy, SortStability, DetFlow, PoolEscape, NarrowID}
 
 // UnusedDirective is a well-formed //noclint:ignore directive that
 // suppressed nothing: every analyzer it names ran and none of them

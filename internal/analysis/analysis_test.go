@@ -136,6 +136,10 @@ func TestPoolEscapeGolden(t *testing.T) {
 	runGolden(t, []*Analyzer{PoolEscape}, "./poolescape/...")
 }
 
+func TestNarrowIDGolden(t *testing.T) {
+	runGolden(t, []*Analyzer{NarrowID}, "./narrowid/...")
+}
+
 // TestDetFlowDerivedScope pins the tentpole behavior: with the scope
 // derived from EngineRoots, the scoped analyzers flag sites reachable
 // from the fixture's core.Synthesize (statically, through an interface

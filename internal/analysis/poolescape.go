@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path"
 )
@@ -27,14 +28,20 @@ import (
 //   - boundary return: a selector chain rooted at a parameter or
 //     receiver returning a pooled reference out of a type that is not
 //     an arena container, exporting arena internals past the pooling
-//     boundary.
+//     boundary; or the address of pooled state held by value (&p.f,
+//     &p.a[i]) rooted at a parameter or receiver, unless a method is
+//     lending a field of its own receiver.
 //
 // The sanctioned idioms stay clean: arena containers such as the
-// sweep's buildContext hold pooled state by value, so stores into their
-// fields (bc.top = ...) and returns rooted at a pointer-to-container
-// parameter (the takeTop handoff) are exempt, as are fresh values —
-// &Topology{}, new(Router), constructor calls — which create rather
-// than leak.
+// sweep's buildContext hold arena state by value, so stores into their
+// fields (bc.top = ...) and selector returns rooted at a
+// pointer-to-container parameter (the takeTop handoff) are exempt, as
+// are fresh values — &Topology{}, new(Router), constructor calls —
+// which create rather than leak. An owner lending its own storage
+// (the router's return &r.noPath, valid until its next call) is clean
+// too. A value copy of a lent type is plain data: a struct that keeps
+// one (the copy-out idiom for route.NoPathError) is not an arena
+// container.
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
 	Doc: "flags pooled arena references (graph/partition/floorplan/" +
@@ -46,18 +53,31 @@ var PoolEscape = &Analyzer{
 	Run: runPoolEscape,
 }
 
-// pooledTypes names the Reset-recycled types, keyed by (final
+// poolKind tells the two kinds of pooled type apart.
+type poolKind uint8
+
+const (
+	notPooled poolKind = iota
+	// arenaPooled is recycled arena state: a struct that holds it by
+	// value is an arena container.
+	arenaPooled
+	// lentPooled is storage its owner lends by pointer until the
+	// owner's next call; a value copy of it is plain data.
+	lentPooled
+)
+
+// pooledTypes names the Reset-recycled and lent types, keyed by (final
 // import-path segment, type name) so golden fixtures can stand in for
 // the real packages.
-var pooledTypes = map[[2]string]bool{
-	{"graph", "Scratch"}:     true,
-	{"partition", "Scratch"}: true,
-	{"floorplan", "Scratch"}: true,
-	{"deadlock", "Scratch"}:  true,
-	{"power", "Scratch"}:     true,
-	{"topology", "Topology"}: true,
-	{"route", "Router"}:      true,
-	{"route", "NoPathError"}: true,
+var pooledTypes = map[[2]string]poolKind{
+	{"graph", "Scratch"}:     arenaPooled,
+	{"partition", "Scratch"}: arenaPooled,
+	{"floorplan", "Scratch"}: arenaPooled,
+	{"deadlock", "Scratch"}:  arenaPooled,
+	{"power", "Scratch"}:     arenaPooled,
+	{"topology", "Topology"}: arenaPooled,
+	{"route", "Router"}:      arenaPooled,
+	{"route", "NoPathError"}: lentPooled,
 }
 
 func runPoolEscape(p *Pass) {
@@ -115,6 +135,7 @@ func checkPoolAssign(p *Pass, memo map[types.Type]bool, as *ast.AssignStmt) {
 // own parameter set by the caller's walk).
 func checkPoolReturns(p *Pass, memo map[types.Type]bool, recv *ast.FieldList, ft *ast.FuncType, body *ast.BlockStmt) {
 	owned := map[types.Object]bool{}
+	var recvObj types.Object
 	collect := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
@@ -123,6 +144,9 @@ func checkPoolReturns(p *Pass, memo map[types.Type]bool, recv *ast.FieldList, ft
 			for _, name := range field.Names {
 				if obj := p.Info.Defs[name]; obj != nil {
 					owned[obj] = true
+					if fl == recv {
+						recvObj = obj
+					}
 				}
 			}
 		}
@@ -139,24 +163,37 @@ func checkPoolReturns(p *Pass, memo map[types.Type]bool, recv *ast.FieldList, ft
 		}
 		for _, res := range ret.Results {
 			res := ast.Unparen(res)
-			sel, ok := res.(*ast.SelectorExpr)
-			if !ok {
+			var chain ast.Expr // the selector chain read, or whose address is taken
+			addr := false
+			switch r := res.(type) {
+			case *ast.SelectorExpr:
+				chain = r
+			case *ast.UnaryExpr:
+				if r.Op == token.AND {
+					chain, addr = ast.Unparen(r.X), true
+				}
+			}
+			if chain == nil {
 				continue // bare identifiers are pass-through plumbing, not extraction
 			}
-			name, ok := pooledRefRead(p, memo, sel)
+			name, ok := pooledRefRead(p, memo, res)
 			if !ok {
 				continue
 			}
-			rootIdent := selectorRoot(sel)
-			if rootIdent == nil {
-				continue
+			rootIdent := exprRoot(chain)
+			if rootIdent == nil || rootIdent == chain {
+				continue // &x of a whole variable takes no state out of another value
 			}
 			obj := p.Info.Uses[rootIdent]
 			if obj == nil || !owned[obj] {
 				continue // rooted at a local; the value never crossed the boundary inward
 			}
 			rt := derefType(obj.Type())
-			if isArenaContainer(memo, rt) && !isPooledNamed(rt) {
+			if addr {
+				if sel, ok := chain.(*ast.SelectorExpr); ok && obj == recvObj && ast.Unparen(sel.X) == rootIdent {
+					continue // the owner lends a field of its own receiver (the router's &r.noPath)
+				}
+			} else if isArenaContainer(memo, rt) && !isPooledNamed(rt) {
 				continue // returning out of the build context is the sanctioned handoff
 			}
 			p.Reportf(res.Pos(), "return of pooled %s extracted from %s crosses the pooling boundary; the caller's copy survives the next Reset", name, typeLabel(rt))
@@ -232,11 +269,10 @@ func globalRoot(p *Pass, lhs ast.Expr) (string, bool) {
 	}
 }
 
-// selectorRoot walks a selector chain (through index and dereference
+// exprRoot walks a selector chain (through index and dereference
 // steps) to its root identifier, nil when the chain bottoms out in a
 // call or other non-identifier.
-func selectorRoot(sel *ast.SelectorExpr) *ast.Ident {
-	var e ast.Expr = sel.X
+func exprRoot(e ast.Expr) *ast.Ident {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
@@ -262,11 +298,17 @@ func derefType(t types.Type) types.Type {
 	return t
 }
 
-// isArenaContainer reports whether t holds pooled state by value: a
-// pooled type itself, a struct with a pooled-containing non-pointer
-// field, or an array of such. Pointers, slices, maps and channels
-// break containment, mirroring scratchcopy's rule.
+// isArenaContainer reports whether t is pooled state: a pooled type
+// itself, or a type that holds arena state by value (a struct with an
+// arena-containing non-pointer field, or an array of such). Pointers,
+// slices, maps and channels break containment, mirroring scratchcopy's
+// rule, and so does a lent type: its value copy is plain data.
 func isArenaContainer(memo map[types.Type]bool, t types.Type) bool {
+	return pooledKindOf(types.Unalias(t)) == lentPooled || holdsArena(memo, t)
+}
+
+// holdsArena is isArenaContainer without the lent types.
+func holdsArena(memo map[types.Type]bool, t types.Type) bool {
 	if v, ok := memo[t]; ok {
 		return v
 	}
@@ -274,33 +316,36 @@ func isArenaContainer(memo map[types.Type]bool, t types.Type) bool {
 	v := false
 	switch t := t.(type) {
 	case *types.Named:
-		v = isPooledNamed(t) || isArenaContainer(memo, t.Underlying())
+		v = pooledKindOf(t) == arenaPooled || holdsArena(memo, t.Underlying())
 	case *types.Alias:
-		v = isArenaContainer(memo, types.Unalias(t))
+		v = holdsArena(memo, types.Unalias(t))
 	case *types.Struct:
 		for i := 0; i < t.NumFields(); i++ {
-			if isArenaContainer(memo, t.Field(i).Type()) {
+			if holdsArena(memo, t.Field(i).Type()) {
 				v = true
 				break
 			}
 		}
 	case *types.Array:
-		v = isArenaContainer(memo, t.Elem())
+		v = holdsArena(memo, t.Elem())
 	}
 	memo[t] = v
 	return v
 }
 
-// isPooledNamed reports whether t is one of the Reset-recycled types,
-// matched by (package base, name).
-func isPooledNamed(t types.Type) bool {
+// isPooledNamed reports whether t is one of the pooled types.
+func isPooledNamed(t types.Type) bool { return pooledKindOf(t) != notPooled }
+
+// pooledKindOf classifies t by (package base, name); notPooled for
+// anything but a named pooled type.
+func pooledKindOf(t types.Type) poolKind {
 	named, ok := t.(*types.Named)
 	if !ok {
-		return false
+		return notPooled
 	}
 	obj := named.Obj()
 	if obj == nil || obj.Pkg() == nil {
-		return false
+		return notPooled
 	}
 	return pooledTypes[[2]string{path.Base(obj.Pkg().Path()), obj.Name()}]
 }

@@ -8,6 +8,7 @@ import "fixture/poolescape/graph"
 type Router struct {
 	scratch *graph.Scratch
 	noPath  NoPathError
+	own     graph.Scratch
 }
 
 // NoPathError is router-owned: valid until the router's next Route.
@@ -37,4 +38,22 @@ func (r *Router) SetScratch(s *graph.Scratch) { r.scratch = s }
 // pooling boundary.
 func LeakScratch(r *Router) *graph.Scratch {
 	return r.scratch // want poolescape "return of pooled *graph.Scratch extracted from route.Router"
+}
+
+// ownScratch lends the router's own by-value scratch to its caller: a
+// method lending a field of its own receiver, like Route's &r.noPath.
+func (r *Router) ownScratch() *graph.Scratch {
+	return &r.own
+}
+
+// LeakOwnScratch takes the address of the scratch a pooled router holds
+// by value: no selector result, yet the reference still crosses the
+// pooling boundary.
+func LeakOwnScratch(r *Router) *graph.Scratch {
+	return &r.own // want poolescape "return of pooled graph.Scratch reference extracted from route.Router"
+}
+
+// lendOther is a method, but the field it lends is another router's.
+func (r *Router) lendOther(o *Router) *graph.Scratch {
+	return &o.own // want poolescape "return of pooled graph.Scratch reference extracted from route.Router"
 }

@@ -39,10 +39,18 @@ var registry = map[string]*route.Router{}
 var lastNoPath *route.NoPathError
 
 // Report is not an arena container either: a router-owned error parked
-// in it is overwritten by the router's next Route.
+// in it is overwritten by the router's next Route. The value copy it
+// also keeps is plain data and makes it no arena container.
 type Report struct {
 	cause *route.NoPathError
+	saved route.NoPathError
 	flow  int
+}
+
+// wrapper holds the build context by pointer, so it is no arena
+// container.
+type wrapper struct {
+	bc *buildContext
 }
 
 func globalEscape(bc *buildContext) {
@@ -85,6 +93,14 @@ func noPathFieldEscape(rep *Report, err error) {
 
 type result struct {
 	top *topology.Topology
+}
+
+func powerAddrReturn(w *wrapper) *power.Scratch {
+	return &w.bc.pw // want poolescape "return of pooled power.Scratch reference extracted from worker.wrapper"
+}
+
+func scratchAddrReturn(bc *buildContext) *graph.Scratch {
+	return &bc.scratch // want poolescape "return of pooled graph.Scratch reference extracted from worker.buildContext"
 }
 
 func returnEscape(r *result) *topology.Topology {
@@ -137,8 +153,8 @@ func localUse(bc *buildContext) int {
 func classify(rep *Report, err error) int {
 	var npe *route.NoPathError
 	if errors.As(err, &npe) {
-		saved := *npe
-		rep.flow = saved.Flow
+		rep.saved = *npe
+		rep.flow = rep.saved.Flow
 		return npe.Backup
 	}
 	return 0

@@ -216,6 +216,16 @@ func (d *dec) i64() int64 {
 
 func (d *dec) int() int { return int(d.i64()) }
 
+// id reads one ID for field and narrows it into T through soc.NarrowID;
+// a value outside the 32-bit range latches the *soc.IDRangeError.
+func id[T ~int32](d *dec, field string) T {
+	v, err := soc.NarrowID[T](field, d.i64())
+	if err != nil && d.err == nil {
+		d.err = fmt.Errorf("cache: %w", err)
+	}
+	return v
+}
+
 func (d *dec) f64() float64 {
 	if d.err != nil {
 		return 0
@@ -485,6 +495,8 @@ func encodeTopology(e *enc, t *topology.Topology) {
 // order is what makes the round-trip bit-exact. Each collection is sized
 // to its encoded count, which length() caps at the remaining input, so
 // a corrupt count costs a bounded allocation; a zero count leaves it nil.
+// Every ID narrows through id before Build sees it, so a stored 2^32+5
+// is an error, not switch 5.
 func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topology, error) {
 	top := &topology.Topology{Spec: spec, Lib: lib, NoCIsland: soc.NoIsland}
 	if d.bool() {
@@ -494,28 +506,28 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	top.IslandVoltage = slice(d, (*dec).f64)
 	top.Switches = grown(top.Switches, d.length())
 	for i := range top.Switches {
-		top.Switches[i].Island = soc.IslandID(d.int())
+		top.Switches[i].Island = id[soc.IslandID](d, "switch island")
 		top.Switches[i].Indirect = d.bool()
 	}
 	top.SwitchOf = grown(top.SwitchOf, d.length())
 	for c := range top.SwitchOf {
-		top.SwitchOf[c] = topology.SwitchID(d.int())
+		top.SwitchOf[c] = id[topology.SwitchID](d, "NI switch")
 	}
 	top.Links = grown(top.Links, d.length())
 	for i := range top.Links {
 		l := &top.Links[i]
-		l.From = topology.SwitchID(d.int())
-		l.To = topology.SwitchID(d.int())
+		l.From = id[topology.SwitchID](d, "link from")
+		l.To = id[topology.SwitchID](d, "link to")
 		l.LengthMM = d.f64()
 	}
 	top.Routes = grown(top.Routes, d.length())
 	for i := 0; i < len(top.Routes) && d.err == nil; i++ {
 		r := &top.Routes[i]
-		r.Flow.Src = soc.CoreID(d.int())
-		r.Flow.Dst = soc.CoreID(d.int())
+		r.Flow.Src = id[soc.CoreID](d, "flow src")
+		r.Flow.Dst = id[soc.CoreID](d, "flow dst")
 		r.Flow.BandwidthBps = d.f64()
 		r.Flow.MaxLatencyCycles = d.f64()
-		r.Switches, r.Links = d.path()
+		r.Switches, r.Links = d.path("route switch")
 		backupsNotNil := d.bool()
 		nBackups := d.length()
 		if !backupsNotNil && nBackups > 0 {
@@ -527,7 +539,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 			r.Backups = make([]topology.Path, nBackups)
 		}
 		for j := range r.Backups {
-			r.Backups[j].Switches, r.Backups[j].Links = d.path()
+			r.Backups[j].Switches, r.Backups[j].Links = d.path("backup switch")
 		}
 	}
 	if d.err != nil {
@@ -543,13 +555,13 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 func grown[T any](s []T, n int) []T { return slices.Grow(s, n)[:n] }
 
 // path reads one encoded walk of a route, its primary or a backup: the
-// switch count, the switches and whether its links are non-nil. Both
-// slices are carved from the decoder's path chunks; Build derives the
-// links into the carved link storage.
-func (d *dec) path() ([]topology.SwitchID, []topology.LinkID) {
+// switch count, the switches (narrowed as field) and whether its links
+// are non-nil. Both slices are carved from the decoder's path chunks;
+// Build derives the links into the carved link storage.
+func (d *dec) path(field string) ([]topology.SwitchID, []topology.LinkID) {
 	sws := carve(&d.sws, d.length())
 	for p := range sws {
-		sws[p] = topology.SwitchID(d.int())
+		sws[p] = id[topology.SwitchID](d, field)
 	}
 	var links []topology.LinkID
 	if d.bool() && len(sws) > 0 {

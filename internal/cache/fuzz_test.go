@@ -22,7 +22,9 @@ import (
 // Seeds are the D26 encodings at survivability 0 and 1 (the latter
 // carries backup routes); testdata/fuzz/FuzzDecodeResult holds small
 // hand-made inputs for the header, the count caps and the set
-// truncation byte EncodeResult never writes. Run with
+// truncation byte EncodeResult never writes, and the wrapped-* payloads:
+// one D26 point with one ID field raised by 2^32
+// (TestDecodeRejectsWrappedIDs). Run with
 //
 //	go test -run '^$' -fuzz FuzzDecodeResult -fuzztime 10s ./internal/cache
 func FuzzDecodeResult(f *testing.F) {

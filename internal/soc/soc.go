@@ -12,19 +12,46 @@ package soc
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 )
 
 // CoreID identifies a core within a SoC specification. IDs are dense
-// indices in [0, len(Cores)).
-type CoreID int
+// indices in [0, len(Cores)). Like every design ID (IslandID here,
+// topology.SwitchID and topology.LinkID) it is 32 bits wide: an integer
+// read from outside the process enters one only through NarrowID.
+type CoreID int32
 
 // IslandID identifies a voltage island. IDs are dense indices in
 // [0, len(Islands)). The special value NoIsland marks an unassigned core.
-type IslandID int
+type IslandID int32
 
 // NoIsland marks a core that has not been assigned to any island.
 const NoIsland IslandID = -1
+
+// IDRangeError reports a decoded integer that does not fit the 32-bit
+// ID type of the field it was read for. Without the check, a value such
+// as 2^32+5 would wrap to a valid-looking 5.
+type IDRangeError struct {
+	Field string // what was being read, e.g. "link from"
+	Value int64
+}
+
+func (e *IDRangeError) Error() string {
+	return e.Field + " " + strconv.FormatInt(e.Value, 10) + " is outside the 32-bit ID range"
+}
+
+// NarrowID converts v, read for field, into the ID type T. A value
+// outside the int32 range is an *IDRangeError instead. Every decoder of
+// external input (specio's JSON reader, the cache codec) converts IDs
+// through it, before the topology builder's own range checks.
+func NarrowID[T ~int32, V ~int | ~int64](field string, v V) (T, error) {
+	if int64(v) < math.MinInt32 || int64(v) > math.MaxInt32 {
+		return 0, &IDRangeError{Field: field, Value: int64(v)}
+	}
+	return T(v), nil
+}
 
 // CoreClass is a coarse functional classification of a core. It drives
 // the "logical partitioning" of cores into voltage islands (cores with

@@ -69,7 +69,8 @@ func FuzzSpecSynthesize(f *testing.F) {
 // inputs that once panicked, and that D26 output with two route entries
 // overwritten by the first (flow-routed-thrice: as many routes as flows,
 // yet one flow routed three times and two never), which Validate once
-// accepted. Run with
+// accepted, and the wrapped-* inputs: the D26 winner with one ID field
+// raised by 2^32 (TestReadTopologyRejectsWrappedIDs). Run with
 //
 //	go test -run '^$' -fuzz FuzzReadTopology -fuzztime 10s ./internal/specio
 func FuzzReadTopology(f *testing.F) {

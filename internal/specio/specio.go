@@ -259,10 +259,10 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 		r := &top.Routes[ri]
 		tr := topoRoute{
 			Src: top.Spec.Cores[r.Flow.Src].Name, Dst: top.Spec.Cores[r.Flow.Dst].Name,
-			Switches: convertIDs[int](r.Switches),
+			Switches: intWalk(r.Switches),
 		}
 		for _, b := range r.Backups {
-			tr.Backups = append(tr.Backups, convertIDs[int](b.Switches))
+			tr.Backups = append(tr.Backups, intWalk(b.Switches))
 		}
 		out.Routes = append(out.Routes, tr)
 	}
@@ -276,23 +276,38 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 	return enc.Encode(out)
 }
 
-// convertIDs converts a walk of switch IDs between its in-memory
-// (topology.SwitchID) and JSON (int) forms.
-func convertIDs[To, From ~int](ids []From) []To {
-	out := make([]To, len(ids))
+// intWalk converts a walk of switch IDs into its JSON form;
+// switchWalk is its checked inverse.
+func intWalk(ids []topology.SwitchID) []int {
+	out := make([]int, len(ids))
 	for i, id := range ids {
-		out[i] = To(id)
+		out[i] = int(id)
 	}
 	return out
+}
+
+// switchWalk narrows a JSON switch walk into topology.SwitchIDs.
+func switchWalk(field string, ids []int) ([]topology.SwitchID, error) {
+	out := make([]topology.SwitchID, len(ids))
+	for i, id := range ids {
+		sw, err := soc.NarrowID[topology.SwitchID](field, id)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = sw
+	}
+	return out, nil
 }
 
 // ReadTopology reconstructs a topology from JSON written by
 // WriteTopology, resolving it against the original spec and a model
 // library. It maps the JSON's names and IDs into the topology's
 // construction fields, and topology.Build checks them and derives the
-// rest. The result is fully validated, so externally edited topologies
-// (e.g. hand-tuned link placements) are checked against the same rules
-// the synthesis engine enforces.
+// rest. Every ID narrows through soc.NarrowID first, so a value past
+// the 32-bit range is a *soc.IDRangeError rather than a wrapped ID. The
+// result is fully validated, so externally edited topologies (e.g.
+// hand-tuned link placements) are checked against the same rules the
+// synthesis engine enforces.
 func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.Topology, error) {
 	var in topoJSON
 	dec := json.NewDecoder(r)
@@ -305,11 +320,15 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 	}
 	top := topology.New(spec, lib)
 	for _, isl := range in.Islands {
+		id, err := soc.NarrowID[soc.IslandID]("island id", isl.ID)
+		if err != nil {
+			return nil, fmt.Errorf("specio: %w", err)
+		}
 		switch {
 		case isl.Intermediate:
 			// A second intermediate island lengthens the tables past what
 			// Build accepts.
-			top.NoCIsland = soc.IslandID(isl.ID)
+			top.NoCIsland = id
 			top.IslandFreqHz = append(top.IslandFreqHz, isl.FreqMHz*1e6)
 			top.IslandVoltage = append(top.IslandVoltage, isl.VoltageV)
 		case isl.ID < 0 || isl.ID >= len(spec.Islands):
@@ -323,7 +342,11 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if sw.ID != i {
 			return nil, fmt.Errorf("specio: switch ids must be dense (got %d, want %d)", sw.ID, i)
 		}
-		top.Switches = append(top.Switches, topology.Switch{Island: soc.IslandID(sw.Island), Indirect: sw.Indirect})
+		isl, err := soc.NarrowID[soc.IslandID]("switch island", sw.Island)
+		if err != nil {
+			return nil, fmt.Errorf("specio: %w", err)
+		}
+		top.Switches = append(top.Switches, topology.Switch{Island: isl, Indirect: sw.Indirect})
 	}
 	coreID := map[string]soc.CoreID{}
 	for _, c := range spec.Cores {
@@ -337,12 +360,22 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if top.SwitchOf[c] != -1 {
 			return nil, fmt.Errorf("specio: %w: core %q has a second NI", topology.ErrAttach, ni.Core)
 		}
-		top.SwitchOf[c] = topology.SwitchID(ni.Switch)
+		sw, err := soc.NarrowID[topology.SwitchID]("NI switch", ni.Switch)
+		if err != nil {
+			return nil, fmt.Errorf("specio: %w", err)
+		}
+		top.SwitchOf[c] = sw
 	}
 	for _, l := range in.Links {
-		top.Links = append(top.Links, topology.Link{
-			From: topology.SwitchID(l.From), To: topology.SwitchID(l.To), LengthMM: l.LengthMM,
-		})
+		from, err := soc.NarrowID[topology.SwitchID]("link from", l.From)
+		if err != nil {
+			return nil, fmt.Errorf("specio: %w", err)
+		}
+		to, err := soc.NarrowID[topology.SwitchID]("link to", l.To)
+		if err != nil {
+			return nil, fmt.Errorf("specio: %w", err)
+		}
+		top.Links = append(top.Links, topology.Link{From: from, To: to, LengthMM: l.LengthMM})
 	}
 	for _, rt := range in.Routes {
 		src, ok := coreID[rt.Src]
@@ -357,9 +390,16 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if !ok {
 			return nil, fmt.Errorf("specio: route %q->%q has no flow in the spec", rt.Src, rt.Dst)
 		}
-		r := topology.Route{Flow: f, Switches: convertIDs[topology.SwitchID](rt.Switches)}
+		sws, err := switchWalk("route switch", rt.Switches)
+		if err != nil {
+			return nil, fmt.Errorf("specio: %w", err)
+		}
+		r := topology.Route{Flow: f, Switches: sws}
 		for _, b := range rt.Backups {
-			r.Backups = append(r.Backups, topology.Path{Switches: convertIDs[topology.SwitchID](b)})
+			if sws, err = switchWalk("backup switch", b); err != nil {
+				return nil, fmt.Errorf("specio: %w", err)
+			}
+			r.Backups = append(r.Backups, topology.Path{Switches: sws})
 		}
 		top.Routes = append(top.Routes, r)
 	}

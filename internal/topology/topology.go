@@ -20,11 +20,13 @@ import (
 	"nocvi/internal/soc"
 )
 
-// SwitchID indexes a switch within a Topology.
-type SwitchID int
+// SwitchID indexes a switch within a Topology. It is 32 bits wide, like
+// soc.CoreID; decoders narrow into it with soc.NarrowID.
+type SwitchID int32
 
-// LinkID indexes a directed link within a Topology.
-type LinkID int
+// LinkID indexes a directed link within a Topology (32 bits, like
+// SwitchID).
+type LinkID int32
 
 // Switch is one NoC crossbar switch. A switch belongs to exactly one
 // voltage island; direct switches host core NIs, indirect switches (in
@@ -127,8 +129,8 @@ type Topology struct {
 	// Switches and Links; Rebind truncates them.
 	firstOut []LinkID
 	nextOut  []LinkID
-	inLinks  []int
-	outLinks []int
+	inLinks  []int32
+	outLinks []int32
 
 	// coresFree recycles Switch.Cores backing arrays across Rebind
 	// cycles: Rebind harvests the slices of the dismantled switches and
@@ -523,7 +525,7 @@ func (t *Topology) openLink(id LinkID) {
 // by the mutators, so the query is O(1).
 func (t *Topology) SwitchPorts(sw SwitchID) (in, out int) {
 	n := len(t.Switches[sw].Cores)
-	return n + t.inLinks[sw], n + t.outLinks[sw]
+	return n + int(t.inLinks[sw]), n + int(t.outLinks[sw])
 }
 
 // SwitchSize returns the crossbar dimension of a switch, the larger of

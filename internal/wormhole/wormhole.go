@@ -23,12 +23,14 @@ package wormhole
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"nocvi/internal/model"
 	"nocvi/internal/topology"
 )
 
-// Config controls a wormhole simulation.
+// Config controls a wormhole simulation. Run refuses a config over its
+// budget (MaxBufferFlits, MaxPackets, MaxCycles) with a *BudgetError.
 type Config struct {
 	// BufferFlits is the depth of each input buffer (default 4).
 	BufferFlits int
@@ -38,6 +40,37 @@ type Config struct {
 	InjectionGapCycles int
 }
 
+// Run's budget. Every input port preallocates BufferFlits flits and a
+// run preallocates its PacketsPerFlow × routes packets, so both are
+// capped before anything is allocated; a schedule whose last injection
+// falls at or past MaxCycles could never inject every packet. The
+// largest configs that nocbench -exp all and the tests run use 8-flit
+// buffers, 600 packets (d48_network at 8 per flow) and a last injection
+// at cycle 116 (8 packets 16 cycles apart, plus the route stagger).
+const (
+	// MaxBufferFlits caps Config.BufferFlits.
+	MaxBufferFlits = 1024
+	// MaxPackets caps PacketsPerFlow × routes.
+	MaxPackets = 1_000_000
+	// MaxCycles aborts pathological runs.
+	MaxCycles = 2_000_000
+)
+
+// BudgetError reports a config over one of Run's caps; Run returns it
+// before it allocates anything.
+type BudgetError struct {
+	What string // "BufferFlits", "PacketsPerFlow × routes" or "last injection cycle"
+	// Value is a float64 because the product of two extreme ints
+	// overflows every integer type.
+	Value float64
+	Cap   int
+}
+
+func (e *BudgetError) Error() string {
+	return "wormhole: " + e.What + " " + strconv.FormatFloat(e.Value, 'g', -1, 64) +
+		" is above the cap of " + strconv.Itoa(e.Cap)
+}
+
 const (
 	// packetFlits is the packet length including head and tail.
 	packetFlits = 8
@@ -45,8 +78,6 @@ const (
 	// flit movement (while flits are in flight) after which the run is
 	// declared deadlocked.
 	deadlockWindow = 10_000
-	// maxCycles aborts pathological runs.
-	maxCycles = 2_000_000
 	// wireSlots is one more than the longest link delay (an island
 	// crossing), so a flit sent this cycle never lands in the slot
 	// being drained.
@@ -72,6 +103,21 @@ func (c Config) gap() int {
 		return 16
 	}
 	return c.InjectionGapCycles
+}
+
+// budget checks c against Run's caps for a topology of routes routes.
+// Packet p of route ri is scheduled at p·gap + ri%5.
+func (c Config) budget(routes int) error {
+	if buf := c.buf(); buf > MaxBufferFlits {
+		return &BudgetError{What: "BufferFlits", Value: float64(buf), Cap: MaxBufferFlits}
+	}
+	if pk := float64(c.perFlow()) * float64(routes); pk > MaxPackets {
+		return &BudgetError{What: "PacketsPerFlow × routes", Value: pk, Cap: MaxPackets}
+	}
+	if last := float64(c.perFlow()-1)*float64(c.gap()) + float64(min(routes-1, 4)); last > MaxCycles-1 {
+		return &BudgetError{What: "last injection cycle", Value: last, Cap: MaxCycles - 1}
+	}
+	return nil
 }
 
 // Result summarizes a run.
@@ -192,6 +238,9 @@ func Run(top *topology.Topology, cfg Config) (*Result, error) {
 	if len(top.Routes) == 0 {
 		return nil, fmt.Errorf("wormhole: topology has no routes")
 	}
+	if err := cfg.budget(len(top.Routes)); err != nil {
+		return nil, err
+	}
 	e := &engine{top: top, cfg: cfg}
 	if err := e.build(); err != nil {
 		return nil, err
@@ -301,7 +350,7 @@ func (e *engine) simulate() {
 	injected := make([]int, len(top.Spec.Cores))      // flits of it already in
 
 	idle := 0
-	for cycle := 0; cycle < maxCycles; cycle++ {
+	for cycle := 0; cycle < MaxCycles; cycle++ {
 		moved := false
 
 		// 1. Deliver the flits whose link traversal ends this cycle.

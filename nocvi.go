@@ -64,9 +64,9 @@ type (
 	Flow = soc.Flow
 	// Island is one voltage island.
 	Island = soc.Island
-	// CoreID and IslandID are dense indices into Spec.
+	// CoreID and IslandID are dense indices into Spec, both int32.
 	CoreID = soc.CoreID
-	// IslandID identifies a voltage island within a Spec.
+	// IslandID identifies a voltage island within a Spec (an int32).
 	IslandID = soc.IslandID
 	// CoreClass coarsely classifies a core's function.
 	CoreClass = soc.CoreClass
