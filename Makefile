@@ -15,7 +15,7 @@
 # topology JSON reader.
 GO ?= go
 
-.PHONY: ci vet fmt lint surface build test race bench-module bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
+.PHONY: artifacts ci vet fmt lint surface build test race bench-module bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
 
 ci: vet fmt lint surface build race bench-module bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
 
@@ -54,6 +54,15 @@ surface:
 
 build:
 	$(GO) build ./...
+
+# artifacts regenerates artifacts/: the Fig. 4 DOT and Fig. 5 SVG files
+# and nocbench_all.txt, the output of `nocbench -exp all` run from the
+# repo root without its closing wall-clock line. cmd/nocbench's
+# TestAllOutputPinned holds all three byte for byte.
+artifacts:
+	$(GO) run ./cmd/nocbench -exp all -out artifacts > artifacts/nocbench_all.txt.tmp
+	sed '/^\[all completed in /d' artifacts/nocbench_all.txt.tmp > artifacts/nocbench_all.txt
+	rm artifacts/nocbench_all.txt.tmp
 
 test:
 	$(GO) test ./...

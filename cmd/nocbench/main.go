@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -64,7 +65,7 @@ func main() {
 		os.Exit(1)
 	}
 	start := time.Now()
-	err = run(*exp, *out, lib)
+	err = run(os.Stdout, *exp, *out, lib)
 	if store != nil {
 		st := store.StoreStats()
 		fmt.Printf("[cache: %d hits, %d misses, %d entries, %.1f MB]\n",
@@ -87,9 +88,9 @@ type experiment struct {
 	run runner
 }
 
-// runner prints one experiment, writing any figure artifact to the -out
-// directory out.
-type runner func(lib *model.Library, out string) error
+// runner prints one experiment to w, writing any figure artifact to the
+// -out directory out.
+type runner func(w io.Writer, lib *model.Library, out string) error
 
 // table lists every experiment in the order -exp all runs them. It is
 // the only list of ids: dispatch, the -exp usage string and the
@@ -123,13 +124,13 @@ var table = []experiment{
 // rows is the runner of a table experiment: compute the rows, print
 // them through format.
 func rows[R any](compute func(*model.Library) (R, error), format func(R) string) runner {
-	return func(lib *model.Library, _ string) error {
+	return func(w io.Writer, lib *model.Library, _ string) error {
 		r, err := compute(lib)
 		if err != nil {
 			return err
 		}
-		fmt.Println(format(r))
-		return nil
+		_, err = fmt.Fprintln(w, format(r))
+		return err
 	}
 }
 
@@ -141,14 +142,15 @@ func ablation(title string, compute func(*model.Library) ([]experiments.Ablation
 // figure is the runner of a figure: print its title and text
 // rendering, and save its artifact as file under the -out directory.
 func figure(title, file string, compute func(*model.Library) (artifact, txt string, err error)) runner {
-	return func(lib *model.Library, out string) error {
+	return func(w io.Writer, lib *model.Library, out string) error {
 		artifact, txt, err := compute(lib)
 		if err != nil {
 			return err
 		}
-		fmt.Println(title)
-		fmt.Println(txt)
-		return save(out, file, artifact)
+		if _, err := fmt.Fprintf(w, "%s\n%s\n", title, txt); err != nil {
+			return err
+		}
+		return save(w, out, file, artifact)
 	}
 }
 
@@ -175,20 +177,24 @@ func selectExp(id string) ([]experiment, error) {
 	return nil, fmt.Errorf("unknown experiment %q (want %s)", id, usage())
 }
 
-func run(exp, out string, lib *model.Library) error {
+// run prints the experiments exp selects to w, writing their figure
+// artifacts to the directory out (none when out is empty).
+func run(w io.Writer, exp, out string, lib *model.Library) error {
 	sel, err := selectExp(exp)
 	if err != nil {
 		return err
 	}
 	for _, e := range sel {
-		if err := e.run(lib, out); err != nil {
+		if err := e.run(w, lib, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func save(dir, name, content string) error {
+// save writes content to the file name under dir, when dir is set, and
+// reports the path on w.
+func save(w io.Writer, dir, name, content string) error {
 	if dir == "" {
 		return nil
 	}
@@ -199,6 +205,6 @@ func save(dir, name, content string) error {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("[wrote %s]\n", path)
-	return nil
+	_, err := fmt.Fprintf(w, "[wrote %s]\n", path)
+	return err
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,7 +17,7 @@ func TestRunSingleExperiments(t *testing.T) {
 	// The cheap experiments run individually; fig2/fig3 and tab1 are
 	// covered by the internal/experiments tests and the root benches.
 	for _, exp := range []string{"fig4", "fig5", "tab2", "tab3", "cmp-mesh", "abl-mid", "abl-buffer", "abl-dvs"} {
-		if err := run(exp, "", lib); err != nil {
+		if err := run(io.Discard, exp, "", lib); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 	}
@@ -24,10 +26,10 @@ func TestRunSingleExperiments(t *testing.T) {
 func TestRunWritesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	lib := model.Default65nm()
-	if err := run("fig4", dir, lib); err != nil {
+	if err := run(io.Discard, "fig4", dir, lib); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("fig5", dir, lib); err != nil {
+	if err := run(io.Discard, "fig5", dir, lib); err != nil {
 		t.Fatal(err)
 	}
 	dot, err := os.ReadFile(filepath.Join(dir, "fig4_topology.dot"))
@@ -47,7 +49,7 @@ func TestRunWritesArtifacts(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("bogus", "", model.Default65nm()); err == nil {
+	if err := run(io.Discard, "bogus", "", model.Default65nm()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -89,4 +91,51 @@ func TestExperimentTableIsTheOnlyIDList(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), usage()) {
 		t.Fatalf("unknown id not rejected with the valid ids: %v", err)
 	}
+}
+
+// TestAllOutputPinned runs -exp all into a temporary -out directory and
+// requires its output and both figure files to match artifacts/ byte
+// for byte (`make artifacts` regenerates them). The output names the
+// out directory in its "[wrote ...]" lines, which are masked back to
+// "artifacts"; main's closing timing line is not part of run's output,
+// but the blank line main prints before it is kept in the artifact.
+func TestAllOutputPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := run(&buf, "all", dir, model.Default65nm()); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.ReplaceAll(buf.String(), "[wrote "+dir+string(filepath.Separator), "[wrote artifacts/") + "\n"
+	artifacts := filepath.Join("..", "..", "artifacts")
+	pinned(t, "nocbench_all.txt", []byte(got), artifacts)
+	for _, name := range []string{"fig4_topology.dot", "fig5_floorplan.svg"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned(t, name, b, artifacts)
+	}
+}
+
+// pinned fails t unless got equals the file name under dir, naming the
+// first line that differs.
+func pinned(t *testing.T, name string, got []byte, dir string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("%s differs at line %d:\n got %q\nwant %q", name, i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("%s: got %d lines, want %d", name, len(g), len(w))
 }
