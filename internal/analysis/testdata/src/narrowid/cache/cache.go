@@ -6,7 +6,11 @@ import (
 	"fixture/narrowid/topology"
 )
 
-type dec struct{ b []int64 }
+type dec struct {
+	b    []int64
+	err  error
+	walk []topology.SwitchID // reused scratch for stored switch walks
+}
 
 func (d *dec) i64() int64 {
 	v := d.b[0]
@@ -24,4 +28,32 @@ func (d *dec) switchOf(n int) []topology.SwitchID {
 		out[c] = topology.SwitchID(d.i64()) // want narrowid "unchecked conversion into topology.SwitchID"
 	}
 	return out
+}
+
+// path reads a stored switch walk into the decoder's reused scratch
+// without narrowing it: an append into scratch is no safer than a
+// fresh slice.
+func (d *dec) path(n int) []topology.SwitchID {
+	walk := d.walk[:0]
+	for range n {
+		walk = append(walk, topology.SwitchID(d.i64())) // want narrowid "unchecked conversion into topology.SwitchID"
+	}
+	d.walk = walk
+	return walk
+}
+
+// --- clean shape below: no annotation, any finding fails ---
+
+// checkedPath is path with every ID narrowed through soc.NarrowID.
+func (d *dec) checkedPath(n int) []topology.SwitchID {
+	walk := d.walk[:0]
+	for range n {
+		sw, err := soc.NarrowID[topology.SwitchID]("route switch", int(d.i64()))
+		if err != nil && d.err == nil {
+			d.err = err
+		}
+		walk = append(walk, sw)
+	}
+	d.walk = walk
+	return walk
 }

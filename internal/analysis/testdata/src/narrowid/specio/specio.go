@@ -53,7 +53,7 @@ func constants() (soc.CoreID, topology.SwitchID) {
 }
 
 func lengths(s []int, p topology.Path) (soc.IslandID, topology.LinkID) {
-	return soc.IslandID(len(s)), topology.LinkID(cap(p.Switches))
+	return soc.IslandID(len(s)), topology.LinkID(cap(p.Links))
 }
 
 func dense(names []string) []soc.CoreID {
@@ -84,4 +84,4 @@ func toInts[To ~int, From ~int32](ids []From) []To {
 	return out
 }
 
-func write(p topology.Path) []int { return toInts[int](p.Switches) }
+func write(p topology.Path) []int { return toInts[int](p.Links) }

@@ -5,7 +5,7 @@ type SwitchID int32
 
 type LinkID int32
 
-// Path holds a switch walk.
+// Path holds a link walk.
 type Path struct {
-	Switches []SwitchID
+	Links []LinkID
 }

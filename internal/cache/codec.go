@@ -158,13 +158,14 @@ type dec struct {
 	b   []byte
 	err error
 
-	// sws and lks are the unused tails of the current path chunks that
-	// carve cuts route paths from.
-	sws []topology.SwitchID
-	lks []topology.LinkID
+	// lks is the unused tail of the current link chunk that carve cuts
+	// route and backup links from; walk is the scratch each stored
+	// switch walk narrows into before it resolves into links.
+	lks  []topology.LinkID
+	walk []topology.SwitchID
 }
 
-// pathChunk is the number of entries one path-chunk allocation holds.
+// pathChunk is the number of entries one link-chunk allocation holds.
 const pathChunk = 512
 
 // carve returns an n-entry path cut from the chunk *tail, starting a new
@@ -463,40 +464,45 @@ func encodeTopology(e *enc, t *topology.Topology) {
 		e.int(int(r.Flow.Dst))
 		e.f64(r.Flow.BandwidthBps)
 		e.f64(r.Flow.MaxLatencyCycles)
-		e.u64(uint64(len(r.Switches)))
-		for _, sw := range r.Switches {
-			e.int(int(sw))
-		}
-		// Links is derivable (FindLink over consecutive switches) but its
-		// nilness is an in-memory shape to preserve: single-switch routes
-		// keep a nil Links, multi-hop ones a populated slice.
-		e.bool(r.Links != nil)
-		// Backup paths of survivable designs: switch walks only — their
+		e.walk(t, r.Flow, r.Links)
+		// Backup paths of survivable designs: switch walks too — their
 		// links re-derive by FindLink on decode, exactly like the
 		// primary's, and their links are already in the links section
 		// (backups open real links; they just carry no traffic).
 		e.bool(r.Backups != nil)
 		e.u64(uint64(len(r.Backups)))
 		for bi := range r.Backups {
-			b := &r.Backups[bi]
-			e.u64(uint64(len(b.Switches)))
-			for _, sw := range b.Switches {
-				e.int(int(sw))
-			}
-			e.bool(b.Links != nil)
+			e.walk(t, r.Flow, r.Backups[bi].Links)
 		}
 	}
 }
 
+// walk writes the switch walk of a route or backup of flow f over links
+// (t.Walk, one more switch than links) and whether links is non-nil:
+// the links are derivable (FindLink over consecutive switches) but
+// their nilness is an in-memory shape to preserve, as single-switch
+// routes keep a nil Links and multi-hop ones a populated slice.
+func (e *enc) walk(t *topology.Topology, f soc.Flow, links []topology.LinkID) {
+	e.u64(uint64(len(links) + 1))
+	e.int(int(t.WalkStart(f, links)))
+	for _, lid := range links {
+		e.int(int(t.Links[lid].To))
+	}
+	e.bool(links != nil)
+}
+
 // decodeTopology decodes the construction essentials into a fresh
-// topology and lets topology.Build check them and derive the rest. Build
-// sums Link.TrafficBps route by route in stored order, the addition
-// order of the original build — float sums are order-dependent, so that
-// order is what makes the round-trip bit-exact. Each collection is sized
-// to its encoded count, which length() caps at the remaining input, so
-// a corrupt count costs a bounded allocation; a zero count leaves it nil.
-// Every ID narrows through id before Build sees it, so a stored 2^32+5
-// is an error, not switch 5.
+// topology and lets topology.Build check them and derive the rest, then
+// adds the routes in stored order: each walk narrows into the decoder's
+// scratch, resolves into carved link storage through WalkLinks, and
+// AddRoute (AddBackup for a backup) checks it and sums Link.TrafficBps
+// route by route, the addition order of the original build — float
+// sums are order-dependent, so that order is what makes the round-trip
+// bit-exact. Each collection is sized to its encoded count, which
+// length() caps at the remaining input, so a corrupt count costs a
+// bounded allocation; a zero count leaves it nil. Every ID narrows
+// through id before the builder sees it, so a stored 2^32+5 is an
+// error, not switch 5.
 func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topology, error) {
 	top := &topology.Topology{Spec: spec, Lib: lib, NoCIsland: soc.NoIsland}
 	if d.bool() {
@@ -520,33 +526,52 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		l.To = id[topology.SwitchID](d, "link to")
 		l.LengthMM = d.f64()
 	}
-	top.Routes = grown(top.Routes, d.length())
-	for i := 0; i < len(top.Routes) && d.err == nil; i++ {
-		r := &top.Routes[i]
+	nRoutes := d.length()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if err := top.Build(); err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
+	}
+	top.Routes = slices.Grow(top.Routes, nRoutes)
+	for ri := range nRoutes {
+		var r topology.Route
 		r.Flow.Src = id[soc.CoreID](d, "flow src")
 		r.Flow.Dst = id[soc.CoreID](d, "flow dst")
 		r.Flow.BandwidthBps = d.f64()
 		r.Flow.MaxLatencyCycles = d.f64()
-		r.Switches, r.Links = d.path("route switch")
+		var err error
+		if r.Links, err = d.path(top, r.Flow, "route switch"); err != nil {
+			return nil, err
+		}
 		backupsNotNil := d.bool()
 		nBackups := d.length()
+		if d.err != nil {
+			return nil, d.err
+		}
 		if !backupsNotNil && nBackups > 0 {
 			return nil, errCorrupt
 		}
 		if backupsNotNil {
 			// Non-nil empty is a shape the engine never produces, but the
 			// round-trip preserves it for DeepEqual-grade fidelity.
-			r.Backups = make([]topology.Path, nBackups)
+			r.Backups = make([]topology.Path, 0, nBackups)
 		}
-		for j := range r.Backups {
-			r.Backups[j].Switches, r.Backups[j].Links = d.path("backup switch")
+		if err := top.AddRoute(r); err != nil {
+			return nil, fmt.Errorf("cache: %w", err)
+		}
+		for range nBackups {
+			links, err := d.path(top, r.Flow, "backup switch")
+			if err != nil {
+				return nil, err
+			}
+			if err := top.AddBackup(ri, topology.Path{Links: links}); err != nil {
+				return nil, fmt.Errorf("cache: %w", err)
+			}
 		}
 	}
 	if d.err != nil {
 		return nil, d.err
-	}
-	if err := top.Build(); err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
 	}
 	return top, nil
 }
@@ -554,20 +579,31 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 // grown returns s grown to length n, nil when s is nil and n is 0.
 func grown[T any](s []T, n int) []T { return slices.Grow(s, n)[:n] }
 
-// path reads one encoded walk of a route, its primary or a backup: the
-// switch count, the switches (narrowed as field) and whether its links
-// are non-nil. Both slices are carved from the decoder's path chunks;
-// Build derives the links into the carved link storage.
-func (d *dec) path(field string) ([]topology.SwitchID, []topology.LinkID) {
-	sws := carve(&d.sws, d.length())
-	for p := range sws {
-		sws[p] = id[topology.SwitchID](d, field)
+// path reads one encoded walk of a route of flow f, its primary or a
+// backup, into the built top: the switch count, the switches (narrowed
+// as field into the reused scratch d.walk) and whether its links are
+// non-nil. The links are carved from the decoder's link chunk, and
+// top.WalkLinks resolves the walk into them. A decode error comes back
+// as it is, a walk the topology rejects wrapped as a cache error.
+func (d *dec) path(top *topology.Topology, f soc.Flow, field string) ([]topology.LinkID, error) {
+	n := d.length()
+	walk := d.walk[:0]
+	for range n {
+		walk = append(walk, id[topology.SwitchID](d, field))
 	}
+	d.walk = walk
 	var links []topology.LinkID
-	if d.bool() && len(sws) > 0 {
-		links = carve(&d.lks, len(sws)-1)
+	if d.bool() && n > 0 {
+		links = carve(&d.lks, n-1)
 	}
-	return sws, links
+	if d.err != nil {
+		return nil, d.err
+	}
+	links, err := top.WalkLinks(f, walk, links)
+	if err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
+	}
+	return links, nil
 }
 
 func encodePlacement(e *enc, p *floorplan.Placement) {

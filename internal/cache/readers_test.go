@@ -106,13 +106,12 @@ func sameDesign(a, b *topology.Topology) error {
 	}
 	for i := range a.Routes {
 		ra, rb := &a.Routes[i], &b.Routes[i]
-		if ra.Flow != rb.Flow || !slices.Equal(ra.Switches, rb.Switches) || !slices.Equal(ra.Links, rb.Links) ||
+		if ra.Flow != rb.Flow || !slices.Equal(ra.Links, rb.Links) ||
 			len(ra.Backups) != len(rb.Backups) {
 			return fmt.Errorf("route %d: %+v vs %+v", i, *ra, *rb)
 		}
 		for j := range ra.Backups {
-			if !slices.Equal(ra.Backups[j].Switches, rb.Backups[j].Switches) ||
-				!slices.Equal(ra.Backups[j].Links, rb.Backups[j].Links) {
+			if !slices.Equal(ra.Backups[j].Links, rb.Backups[j].Links) {
 				return fmt.Errorf("route %d backup %d: %+v vs %+v", i, j, ra.Backups[j], rb.Backups[j])
 			}
 		}

@@ -61,6 +61,15 @@ func encodeTopologyRaised(e *enc, t *topology.Topology, field string, by int64) 
 		id("link to", int64(t.Links[i].To))
 		e.f64(t.Links[i].LengthMM)
 	}
+	var walk []topology.SwitchID
+	path := func(f string, flow soc.Flow, links []topology.LinkID) {
+		walk = t.Walk(walk, flow, links)
+		e.u64(uint64(len(walk)))
+		for _, sw := range walk {
+			id(f, int64(sw))
+		}
+		e.bool(links != nil)
+	}
 	e.u64(uint64(len(t.Routes)))
 	for i := range t.Routes {
 		r := &t.Routes[i]
@@ -68,20 +77,11 @@ func encodeTopologyRaised(e *enc, t *topology.Topology, field string, by int64) 
 		id("flow dst", int64(r.Flow.Dst))
 		e.f64(r.Flow.BandwidthBps)
 		e.f64(r.Flow.MaxLatencyCycles)
-		e.u64(uint64(len(r.Switches)))
-		for _, sw := range r.Switches {
-			id("route switch", int64(sw))
-		}
-		e.bool(r.Links != nil)
+		path("route switch", r.Flow, r.Links)
 		e.bool(r.Backups != nil)
 		e.u64(uint64(len(r.Backups)))
 		for bi := range r.Backups {
-			b := &r.Backups[bi]
-			e.u64(uint64(len(b.Switches)))
-			for _, sw := range b.Switches {
-				id("backup switch", int64(sw))
-			}
-			e.bool(b.Links != nil)
+			path("backup switch", r.Flow, r.Backups[bi].Links)
 		}
 	}
 	return done

@@ -55,9 +55,8 @@ func ringTopology(t *testing.T) *topology.Topology {
 	// each flow goes two hops clockwise, using consecutive links
 	for i, f := range spec.Flows {
 		r := topology.Route{
-			Flow:     f,
-			Switches: []topology.SwitchID{sw[i], sw[(i+1)%4], sw[(i+2)%4]},
-			Links:    []topology.LinkID{links[i], links[(i+1)%4]},
+			Flow:  f,
+			Links: []topology.LinkID{links[i], links[(i+1)%4]},
 		}
 		if err := top.AddRoute(r); err != nil {
 			t.Fatal(err)
@@ -123,9 +122,8 @@ func TestStarIsFree(t *testing.T) {
 			out, _ = top.AddLink(hub, spokes[f.Dst])
 		}
 		if err := top.AddRoute(topology.Route{
-			Flow:     f,
-			Switches: []topology.SwitchID{spokes[f.Src], hub, spokes[f.Dst]},
-			Links:    []topology.LinkID{in, out},
+			Flow:  f,
+			Links: []topology.LinkID{in, out},
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -567,11 +567,16 @@ func hasUsableBackup(top *topology.Topology, r *topology.Route, failed topology.
 		if !usable {
 			continue
 		}
-		for _, sw := range b.Switches {
+		sw := top.WalkStart(r.Flow, b.Links)
+		for i := 0; ; i++ {
 			if isl := top.Switches[sw].Island; int(isl) < len(off) && off[isl] {
 				usable = false
 				break
 			}
+			if i == len(b.Links) {
+				break
+			}
+			sw = top.Links[b.Links[i]].To
 		}
 		if usable {
 			return true

@@ -49,10 +49,10 @@ func buildTop(t *testing.T) *topology.Topology {
 	}
 	l1m, _ := top.AddLink(s1, mid)
 	lm0, _ := top.AddLink(mid, s0)
-	if err := top.AddRoute(topology.Route{Flow: spec.Flows[0], Switches: []topology.SwitchID{s0}}); err != nil {
+	if err := top.AddRoute(topology.Route{Flow: spec.Flows[0]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := top.AddRoute(topology.Route{Flow: spec.Flows[1], Switches: []topology.SwitchID{s1, mid, s0}, Links: []topology.LinkID{l1m, lm0}}); err != nil {
+	if err := top.AddRoute(topology.Route{Flow: spec.Flows[1], Links: []topology.LinkID{l1m, lm0}}); err != nil {
 		t.Fatal(err)
 	}
 	return top

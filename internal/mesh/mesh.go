@@ -176,23 +176,20 @@ func Synthesize(spec *soc.Spec, lib *model.Library, opt Options) (*Result, error
 	res := &Result{Top: top, TileOf: tileOf, Width: w, Height: h}
 	for _, f := range spec.Flows {
 		tiles := pathTiles(tileOf[f.Src], tileOf[f.Dst])
-		sws := make([]topology.SwitchID, len(tiles))
-		for i, t := range tiles {
-			sws[i] = swAt[t]
-		}
-		links := make([]topology.LinkID, 0, len(sws)-1)
-		for i := 1; i < len(sws); i++ {
-			lid, ok := top.FindLink(sws[i-1], sws[i])
+		links := make([]topology.LinkID, 0, len(tiles)-1)
+		for i := 1; i < len(tiles); i++ {
+			from, to := swAt[tiles[i-1]], swAt[tiles[i]]
+			lid, ok := top.FindLink(from, to)
 			if !ok {
 				var err error
-				lid, err = top.AddLink(sws[i-1], sws[i])
+				lid, err = top.AddLink(from, to)
 				if err != nil {
 					return nil, err
 				}
 			}
 			links = append(links, lid)
 		}
-		r := topology.Route{Flow: f, Switches: sws, Links: links}
+		r := topology.Route{Flow: f, Links: links}
 		if err := top.AddRoute(r); err != nil {
 			return nil, err
 		}
@@ -209,6 +206,7 @@ func Synthesize(spec *soc.Spec, lib *model.Library, opt Options) (*Result, error
 
 	// Count the shutdown-safety violations: for every shut-downable
 	// island X, flows between two other islands whose route enters X.
+	var walk []topology.SwitchID
 	for i, isl := range spec.Islands {
 		if !isl.Shutdownable {
 			continue
@@ -219,7 +217,8 @@ func Synthesize(spec *soc.Spec, lib *model.Library, opt Options) (*Result, error
 			if srcI == soc.IslandID(i) || dstI == soc.IslandID(i) {
 				continue
 			}
-			for _, sw := range r.Switches {
+			walk = top.Walk(walk, r.Flow, r.Links)
+			for _, sw := range walk {
 				if top.Switches[sw].Island == soc.IslandID(i) {
 					res.ShutdownViolations++
 					break

@@ -48,10 +48,10 @@ func TestSynthesizeMesh(t *testing.T) {
 	if err := deadlock.Check(res.Top); err != nil {
 		t.Fatal(err)
 	}
-	// Route shapes: consecutive switches differ by exactly one grid hop.
+	// Every route's walk ends on its destination core's switch.
 	for _, r := range res.Top.Routes {
-		if len(r.Switches) < 1 {
-			t.Fatal("empty route")
+		if w := res.Top.Walk(nil, r.Flow, r.Links); w[len(w)-1] != res.Top.SwitchOf[r.Flow.Dst] {
+			t.Fatalf("route %d->%d ends at switch %d", r.Flow.Src, r.Flow.Dst, w[len(w)-1])
 		}
 	}
 }

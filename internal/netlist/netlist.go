@@ -115,12 +115,14 @@ func sourceRoutes(top *topology.Topology) ([]hopSeq, error) {
 		}
 	}
 	var out []hopSeq
+	var walk []topology.SwitchID
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
 		seq := hopSeq{src: r.Flow.Src, dst: r.Flow.Dst}
-		for i, sw := range r.Switches {
+		walk = top.Walk(walk, r.Flow, r.Links)
+		for i, sw := range walk {
 			var key portKey
-			if i == len(r.Switches)-1 {
+			if i == len(r.Links) {
 				key = portKey{link: -1, core: r.Flow.Dst}
 			} else {
 				key = portKey{link: r.Links[i], core: -1}

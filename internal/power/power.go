@@ -165,10 +165,11 @@ func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]
 				continue
 			}
 		}
-		for _, sw := range r.Switches {
-			swTraffic[sw] += bw
-		}
+		// Each switch of the walk in order: its first, then each link's
+		// far end.
+		swTraffic[top.WalkStart(r.Flow, r.Links)] += bw
 		for _, l := range r.Links {
+			swTraffic[top.Links[l].To] += bw
 			linkTraffic[l] += bw
 		}
 		niTraffic[r.Flow.Src] += bw

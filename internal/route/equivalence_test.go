@@ -104,7 +104,7 @@ func (r *refRouter) route(f soc.Flow) error {
 		return fmt.Errorf("route: flow %d->%d has unattached endpoint", f.Src, f.Dst)
 	}
 	if src == dst {
-		return r.top.AddRoute(topology.Route{Flow: f, Switches: []topology.SwitchID{src}})
+		return r.top.AddRoute(topology.Route{Flow: f})
 	}
 	path := r.shortest(f, src, dst, false)
 	if path != nil && !r.latencyOK(f, path) {
@@ -256,7 +256,7 @@ func (r *refRouter) commit(f soc.Flow, path []topology.SwitchID) error {
 		}
 		links = append(links, lid)
 	}
-	return r.top.AddRoute(topology.Route{Flow: f, Switches: path, Links: links})
+	return r.top.AddRoute(topology.Route{Flow: f, Links: links})
 }
 
 func maxi(a, b int) int {
@@ -326,14 +326,8 @@ func compareRouting(t *testing.T, label string, spec *soc.Spec, lib *model.Libra
 		if a.Flow != b.Flow {
 			t.Fatalf("%s: route %d flow differs: %+v vs %+v", label, i, a.Flow, b.Flow)
 		}
-		if len(a.Switches) != len(b.Switches) || len(a.Links) != len(b.Links) {
-			t.Fatalf("%s: route %d shape differs: %v/%v vs %v/%v",
-				label, i, a.Switches, a.Links, b.Switches, b.Links)
-		}
-		for j := range a.Switches {
-			if a.Switches[j] != b.Switches[j] {
-				t.Fatalf("%s: route %d path differs: %v vs %v", label, i, a.Switches, b.Switches)
-			}
+		if len(a.Links) != len(b.Links) {
+			t.Fatalf("%s: route %d shape differs: %v vs %v", label, i, a.Links, b.Links)
 		}
 		for j := range a.Links {
 			if a.Links[j] != b.Links[j] {

@@ -217,9 +217,7 @@ func (r *Router) Route(f soc.Flow) error {
 		return fmt.Errorf("route: flow %d->%d has unattached endpoint", f.Src, f.Dst)
 	}
 	if src == dst {
-		sw := r.top.TakeRouteSwitches(1)
-		sw[0] = src
-		return r.top.AddRoute(topology.Route{Flow: f, Switches: sw})
+		return r.top.AddRoute(topology.Route{Flow: f})
 	}
 	// First attempt: blended power+latency cost; fall back to a pure
 	// latency objective when the cheap path misses the constraint.
@@ -241,7 +239,7 @@ func (r *Router) Route(f soc.Flow) error {
 	if err != nil {
 		return err
 	}
-	return r.top.AddRoute(topology.Route{Flow: f, Switches: p.Switches, Links: p.Links})
+	return r.top.AddRoute(topology.Route{Flow: f, Links: p.Links})
 }
 
 // NoPathError reports a flow the router could not place: no primary
@@ -309,9 +307,7 @@ func (r *Router) routeBackups(k int) error {
 				r.exclude = append(r.exclude, rt.Backups[bi].Links...)
 			}
 			f := rt.Flow
-			src := rt.Switches[0]
-			dst := rt.Switches[len(rt.Switches)-1]
-			path := r.shortest(f, src, dst, false)
+			path := r.shortest(f, r.top.SwitchOf[f.Src], r.top.SwitchOf[f.Dst], false)
 			if path == nil {
 				r.noPath = NoPathError{Flow: f, Backup: b + 1, K: k}
 				return &r.noPath
@@ -455,8 +451,8 @@ func (r *Router) latencyOK(f soc.Flow, path []topology.SwitchID) bool {
 	return f.MaxLatencyCycles <= 0 || r.top.PathLatencyCycles(path) <= f.MaxLatencyCycles
 }
 
-// openPath opens any missing links along path and copies it into
-// topology-owned route storage, so the returned walk survives the next
+// openPath opens any missing links along path and records them in
+// topology-owned route storage, so the returned links survive the next
 // query (path is typically the router's reusable pathBuf). what names
 // the link in the error: "link" for a primary, "backup link" for a
 // backup.
@@ -469,7 +465,5 @@ func (r *Router) openPath(f soc.Flow, path []topology.SwitchID, what string) (to
 		}
 		links[i-1] = lid
 	}
-	sw := r.top.TakeRouteSwitches(len(path))
-	copy(sw, path)
-	return topology.Path{Switches: sw, Links: links}, nil
+	return topology.Path{Links: links}, nil
 }

@@ -84,7 +84,7 @@ func TestRouteAllDirect(t *testing.T) {
 	// flow 2->1 (media->sys) must go directly media switch -> sys switch,
 	// it must NOT pass the io island (shutdown safety by construction).
 	for _, rt := range top.Routes {
-		for _, sw := range rt.Switches {
+		for _, sw := range top.Walk(nil, rt.Flow, rt.Links) {
 			isl := top.Switches[sw].Island
 			srcI, dstI := spec.IslandOf[rt.Flow.Src], spec.IslandOf[rt.Flow.Dst]
 			if isl != srcI && isl != dstI {
@@ -165,7 +165,7 @@ func TestIntermediateUsedWhenDirectForbidden(t *testing.T) {
 	}
 	usedMid := false
 	for _, rt := range top.Routes {
-		for _, sw := range rt.Switches {
+		for _, sw := range top.Walk(nil, rt.Flow, rt.Links) {
 			if top.Switches[sw].Indirect {
 				usedMid = true
 			}
@@ -252,8 +252,8 @@ func TestLatencyFallbackPrefersShortPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := top.Routes[0]
-	if len(rt.Switches) != 2 {
-		t.Fatalf("tight flow took %d switches, want direct 2", len(rt.Switches))
+	if len(rt.Links) != 1 {
+		t.Fatalf("tight flow took %d links, want direct 1", len(rt.Links))
 	}
 	if got := top.ZeroLoadLatencyCycles(&rt); got != 11 {
 		t.Fatalf("latency = %g", got)

@@ -119,7 +119,7 @@ func checkBackupsAgainstOracle(t *testing.T, label string, top *topology.Topolog
 		}
 		srcIsl := top.Spec.IslandOf[r.Flow.Src]
 		dstIsl := top.Spec.IslandOf[r.Flow.Dst]
-		src, dst := r.Switches[0], r.Switches[len(r.Switches)-1]
+		src, dst := top.SwitchOf[r.Flow.Src], top.SwitchOf[r.Flow.Dst]
 		legal := make(map[string]bool)
 		for _, p := range enumerateLegalPaths(t, top, srcIsl, dstIsl, src, dst) {
 			legal[pathKey(p)] = true
@@ -147,9 +147,9 @@ func checkBackupsAgainstOracle(t *testing.T, label string, top *topology.Topolog
 			// Every primary-link fault must leave this flow a fault-free
 			// standby: with k backups disjoint from the primary and from
 			// each other, each backup survives any single primary-link cut.
-			if b.Switches[0] != src || b.Switches[len(b.Switches)-1] != dst {
+			if w := top.Walk(nil, r.Flow, b.Links); w[0] != src || w[len(w)-1] != dst {
 				t.Fatalf("%s: route %d backup %d endpoints %v do not match primary %v→%v",
-					label, ri, bi, b.Switches, src, dst)
+					label, ri, bi, w, src, dst)
 			}
 		}
 	}
@@ -326,7 +326,7 @@ func TestSingleLinkCutBackupInfeasible(t *testing.T) {
 	r := &top.Routes[0]
 	paths := enumerateLegalPaths(t, top,
 		top.Spec.IslandOf[r.Flow.Src], top.Spec.IslandOf[r.Flow.Dst],
-		r.Switches[0], r.Switches[len(r.Switches)-1])
+		top.SwitchOf[r.Flow.Src], top.SwitchOf[r.Flow.Dst])
 	if len(paths) != 1 || pathKey(paths[0]) != pathKey(r.Links) {
 		t.Fatalf("oracle disagrees with the router: %d legal paths %v, primary %v",
 			len(paths), paths, r.Links)

@@ -263,8 +263,8 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 		res.Sent++
 
 		src := r.Flow.Src
-		firstSw := r.Switches[0]
-		srcPeriod := period(firstSw)
+		sw := top.WalkStart(r.Flow, r.Links)
+		srcPeriod := period(sw)
 
 		// NI injection link: one cycle of the island clock, port
 		// occupied for the serialization time.
@@ -272,14 +272,15 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 		injFree[src] = depart + flits*srcPeriod
 		t := depart + model.LinkTraversalCycles*srcPeriod
 
-		// Hop through switches.
-		for i, sw := range r.Switches {
+		// Hop through switches; sw ends on the last one.
+		for i := 0; ; i++ {
 			t += model.SwitchTraversalCycles * period(sw)
-			if i == len(r.Switches)-1 {
+			if i == len(r.Links) {
 				break
 			}
 			lid := r.Links[i]
 			l := &top.Links[lid]
+			sw = l.To
 			lp := linkPeriod(l.From, l.To)
 			d := math.Max(t, linkFree[lid])
 			linkFree[lid] = d + flits*lp
@@ -290,8 +291,7 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 		}
 
 		// Ejection link to the destination NI.
-		lastSw := r.Switches[len(r.Switches)-1]
-		lp := period(lastSw)
+		lp := period(sw)
 		d := math.Max(t, ejFree[r.Flow.Dst])
 		ejFree[r.Flow.Dst] = d + flits*lp
 		t = d + model.LinkTraversalCycles*lp

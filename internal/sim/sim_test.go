@@ -191,7 +191,7 @@ func TestGatedRouteDetected(t *testing.T) {
 	l01, _ := top.AddLink(s0, s1)
 	l12, _ := top.AddLink(s1, s2)
 	if err := top.AddRoute(topology.Route{Flow: spec.Flows[0],
-		Switches: []topology.SwitchID{s0, s1, s2}, Links: []topology.LinkID{l01, l12}}); err != nil {
+		Links: []topology.LinkID{l01, l12}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(top, Config{Off: []bool{false, true, false}}); err == nil {

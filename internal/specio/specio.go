@@ -255,14 +255,17 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 			LengthMM: l.LengthMM,
 		})
 	}
+	var walk []topology.SwitchID
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
+		walk = top.Walk(walk, r.Flow, r.Links)
 		tr := topoRoute{
 			Src: top.Spec.Cores[r.Flow.Src].Name, Dst: top.Spec.Cores[r.Flow.Dst].Name,
-			Switches: intWalk(r.Switches),
+			Switches: intWalk(walk),
 		}
 		for _, b := range r.Backups {
-			tr.Backups = append(tr.Backups, intWalk(b.Switches))
+			walk = top.Walk(walk, r.Flow, b.Links)
+			tr.Backups = append(tr.Backups, intWalk(walk))
 		}
 		out.Routes = append(out.Routes, tr)
 	}
@@ -277,7 +280,7 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 }
 
 // intWalk converts a walk of switch IDs into its JSON form;
-// switchWalk is its checked inverse.
+// readWalk is its checked inverse.
 func intWalk(ids []topology.SwitchID) []int {
 	out := make([]int, len(ids))
 	for i, id := range ids {
@@ -286,24 +289,52 @@ func intWalk(ids []topology.SwitchID) []int {
 	return out
 }
 
-// switchWalk narrows a JSON switch walk into topology.SwitchIDs.
-func switchWalk(field string, ids []int) ([]topology.SwitchID, error) {
-	out := make([]topology.SwitchID, len(ids))
-	for i, id := range ids {
+// addRoute adds rt, the JSON route of flow f, to the built top as
+// route ri, its backups included. Each walk narrows into the reused
+// scratch *walk and resolves into fresh link storage through
+// top.WalkLinks; AddRoute and AddBackup check the links.
+func addRoute(top *topology.Topology, ri int, f soc.Flow, rt topoRoute, walk *[]topology.SwitchID) error {
+	links, err := readWalk(top, f, walk, "route switch", rt.Switches)
+	if err != nil {
+		return err
+	}
+	if err := top.AddRoute(topology.Route{Flow: f, Links: links}); err != nil {
+		return err
+	}
+	for _, b := range rt.Backups {
+		if links, err = readWalk(top, f, walk, "backup switch", b); err != nil {
+			return err
+		}
+		if err := top.AddBackup(ri, topology.Path{Links: links}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readWalk narrows the JSON switch walk ids of a route or backup of
+// flow f into *walk (each ID named field in an error) and resolves it
+// with top.WalkLinks.
+func readWalk(top *topology.Topology, f soc.Flow, walk *[]topology.SwitchID, field string, ids []int) ([]topology.LinkID, error) {
+	w := (*walk)[:0]
+	for _, id := range ids {
 		sw, err := soc.NarrowID[topology.SwitchID](field, id)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = sw
+		w = append(w, sw)
 	}
-	return out, nil
+	*walk = w
+	return top.WalkLinks(f, w, nil)
 }
 
 // ReadTopology reconstructs a topology from JSON written by
 // WriteTopology, resolving it against the original spec and a model
 // library. It maps the JSON's names and IDs into the topology's
 // construction fields, and topology.Build checks them and derives the
-// rest. Every ID narrows through soc.NarrowID first, so a value past
+// rest; each route's and backup's switch walk then resolves into its
+// links through WalkLinks and is checked by AddRoute or AddBackup.
+// Every ID narrows through soc.NarrowID first, so a value past
 // the 32-bit range is a *soc.IDRangeError rather than a wrapped ID. The
 // result is fully validated, so externally edited topologies (e.g.
 // hand-tuned link placements) are checked against the same rules the
@@ -377,7 +408,11 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		}
 		top.Links = append(top.Links, topology.Link{From: from, To: to, LengthMM: l.LengthMM})
 	}
-	for _, rt := range in.Routes {
+	if err := top.Build(); err != nil {
+		return nil, fmt.Errorf("specio: %w", err)
+	}
+	var walk []topology.SwitchID
+	for ri, rt := range in.Routes {
 		src, ok := coreID[rt.Src]
 		if !ok {
 			return nil, fmt.Errorf("specio: route references unknown core %q", rt.Src)
@@ -390,21 +425,9 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if !ok {
 			return nil, fmt.Errorf("specio: route %q->%q has no flow in the spec", rt.Src, rt.Dst)
 		}
-		sws, err := switchWalk("route switch", rt.Switches)
-		if err != nil {
+		if err := addRoute(top, ri, f, rt, &walk); err != nil {
 			return nil, fmt.Errorf("specio: %w", err)
 		}
-		r := topology.Route{Flow: f, Switches: sws}
-		for _, b := range rt.Backups {
-			if sws, err = switchWalk("backup switch", b); err != nil {
-				return nil, fmt.Errorf("specio: %w", err)
-			}
-			r.Backups = append(r.Backups, topology.Path{Switches: sws})
-		}
-		top.Routes = append(top.Routes, r)
-	}
-	if err := top.Build(); err != nil {
-		return nil, fmt.Errorf("specio: %w", err)
 	}
 	if err := top.Validate(); err != nil {
 		return nil, fmt.Errorf("specio: loaded topology invalid: %w", err)

@@ -43,7 +43,8 @@ func buildSpec() *soc.Spec {
 // buildFields fills the construction fields of a valid design over
 // buildSpec without building it: one direct switch per island, an
 // indirect switch in the NoC island (3), and the flows from island 2
-// routed s2->s0, each with the backup s2->s3->s0.
+// routed over link 0 (s2->s0), each with the backup over links 1 and 2
+// (s2->s3->s0).
 func buildFields() *topology.Topology {
 	spec := buildSpec()
 	return &topology.Topology{
@@ -58,14 +59,11 @@ func buildFields() *topology.Topology {
 			{From: 2, To: 0, LengthMM: 1.5}, {From: 2, To: 3, LengthMM: 0.5}, {From: 3, To: 0, LengthMM: 0.75},
 		},
 		Routes: []topology.Route{
-			{Flow: spec.Flows[0], Switches: []topology.SwitchID{0}},
-			{Flow: spec.Flows[1], Switches: []topology.SwitchID{1}},
-			{Flow: spec.Flows[2], Switches: []topology.SwitchID{2, 0},
-				Backups: []topology.Path{{Switches: []topology.SwitchID{2, 3, 0}}}},
-			{Flow: spec.Flows[3], Switches: []topology.SwitchID{2, 0},
-				Backups: []topology.Path{{Switches: []topology.SwitchID{2, 3, 0}}}},
-			{Flow: spec.Flows[4], Switches: []topology.SwitchID{2, 0},
-				Backups: []topology.Path{{Switches: []topology.SwitchID{2, 3, 0}}}},
+			{Flow: spec.Flows[0]},
+			{Flow: spec.Flows[1]},
+			{Flow: spec.Flows[2], Links: links(0), Backups: []topology.Path{{Links: links(1, 2)}}},
+			{Flow: spec.Flows[3], Links: links(0), Backups: []topology.Path{{Links: links(1, 2)}}},
+			{Flow: spec.Flows[4], Links: links(0), Backups: []topology.Path{{Links: links(1, 2)}}},
 		},
 	}
 }
@@ -108,12 +106,10 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 		want.Links[id].LengthMM = l.LengthMM
 	}
 	for i, r := range f.Routes {
-		r.Links = got.Routes[i].Links
-		if err := want.AddRoute(topology.Route{Flow: r.Flow, Switches: r.Switches, Links: r.Links}); err != nil {
+		if err := want.AddRoute(topology.Route{Flow: r.Flow, Links: r.Links}); err != nil {
 			t.Fatal(err)
 		}
-		for j, b := range r.Backups {
-			b.Links = got.Routes[i].Backups[j].Links
+		for _, b := range r.Backups {
 			if err := want.AddBackup(i, b); err != nil {
 				t.Fatal(err)
 			}
@@ -156,9 +152,12 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 		}
 	}
 	if got.Routes[0].Links != nil {
-		t.Error("a one-switch walk with nil Links got a non-nil Links")
+		t.Error("a one-switch route with nil Links got a non-nil Links")
 	}
 }
+
+// links spells a route's or backup's link list.
+func links(ids ...topology.LinkID) []topology.LinkID { return ids }
 
 func equalIDs[T comparable](a, b []T) bool {
 	if len(a) != len(b) {
@@ -181,7 +180,6 @@ func equalIDs[T comparable](a, b []T) bool {
 // a second NoC island cannot be written in the fields (SwitchOf holds
 // one switch per core, NoCIsland one island), so they come as JSON.
 func TestBuildRejectsMalformed(t *testing.T) {
-	walk := func(ids ...topology.SwitchID) []topology.SwitchID { return ids }
 	cases := []struct {
 		name  string
 		want  error
@@ -226,27 +224,37 @@ func TestBuildRejectsMalformed(t *testing.T) {
 		{name: "duplicate link", want: topology.ErrLink,
 			edit: func(top *topology.Topology) { top.Links = append(top.Links, top.Links[0]) }},
 		{name: "empty route walk", want: topology.ErrWalk, cache: true,
-			edit: func(top *topology.Topology) { top.Routes[0].Switches = nil }},
+			edit: func(top *topology.Topology) { top.Routes[2].Links = nil },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{} }},
 		{name: "route walks an unknown switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Switches = walk(2, 7) }},
+			edit: func(top *topology.Topology) { top.Routes[2].Links = links(7) },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{2, 7} }},
 		{name: "route uses a missing link", want: topology.ErrWalk,
-			json: func(doc map[string]any) { doc["routes"].([]any)[2].(map[string]any)["switches"] = []int{2, 1, 0} }},
+			edit: func(top *topology.Topology) { top.Routes[2].Links = links(1, 0) },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{2, 1, 0} }},
 		{name: "route starts off its source switch", want: topology.ErrWalk, cache: true,
-			edit: func(top *topology.Topology) { top.Routes[2].Switches = walk(3, 0) }},
+			edit: func(top *topology.Topology) { top.Routes[2].Links = links(2) },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{3, 0} }},
 		{name: "route ends off its destination switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Switches = walk(2, 3) }},
+			edit: func(top *topology.Topology) { top.Routes[2].Links = links(1) },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{2, 3} }},
 		{name: "route names an unknown core", want: topology.ErrWalk, cache: true,
 			edit: func(top *topology.Topology) { top.Routes[0].Flow.Dst = 5 }},
 		{name: "empty backup walk", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Switches = nil }},
+			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = nil },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{}} }},
 		{name: "backup walks an unknown switch", want: topology.ErrWalk,
-			json: func(doc map[string]any) { doc["routes"].([]any)[2].(map[string]any)["backups"] = [][]int{{2, -1, 0}} }},
+			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(-1) },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{2, -1, 0}} }},
 		{name: "backup uses a missing link", want: topology.ErrWalk, cache: true,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Switches = walk(2, 1, 0) }},
+			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(0, 2) },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{2, 1, 0}} }},
 		{name: "backup starts off its source switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Switches = walk(3, 0) }},
+			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(2) },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{3, 0}} }},
 		{name: "backup ends off its destination switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Switches = walk(2, 3) }},
+			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(1) },
+			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{2, 3}} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -271,6 +279,11 @@ func TestBuildRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// jsonRoute returns route i of a topology JSON document.
+func jsonRoute(doc map[string]any, i int) map[string]any {
+	return doc["routes"].([]any)[i].(map[string]any)
 }
 
 // readEdited writes the built fixture as JSON, applies edit to the

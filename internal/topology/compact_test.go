@@ -184,18 +184,16 @@ func TestCompactPathAppendIsolated(t *testing.T) {
 	}
 	for i := range c.Routes {
 		r := &c.Routes[i]
-		sw, ln, bk := r.Switches, r.Links, r.Backups
-		r.Switches = append(r.Switches, -1)
+		ln, bk := r.Links, r.Backups
 		r.Links = append(r.Links, -1)
 		for j := range r.Backups {
 			b := &r.Backups[j]
-			bs, bl := b.Switches, b.Links
-			b.Switches = append(b.Switches, -1)
+			bl := b.Links
 			b.Links = append(b.Links, -1)
-			b.Switches, b.Links = bs, bl
+			b.Links = bl
 		}
 		r.Backups = append(r.Backups, topology.Path{})
-		r.Switches, r.Links, r.Backups = sw, ln, bk
+		r.Links, r.Backups = ln, bk
 	}
 	sameExported(t, "copy after appends", want, c)
 }
@@ -272,24 +270,20 @@ func replay(t *testing.T, dst, u *topology.Topology) {
 			t.Fatal(err)
 		}
 	}
-	path := func(sws []topology.SwitchID, lnks []topology.LinkID) ([]topology.SwitchID, []topology.LinkID) {
-		s := dst.TakeRouteSwitches(len(sws))
-		copy(s, sws)
+	path := func(lnks []topology.LinkID) []topology.LinkID {
 		if lnks == nil {
-			return s, nil // a single-switch route holds no link list
+			return nil // a single-switch route holds no link list
 		}
 		l := dst.TakeRouteLinks(len(lnks))
 		copy(l, lnks)
-		return s, l
+		return l
 	}
 	for ri, r := range u.Routes {
-		sws, lnks := path(r.Switches, r.Links)
-		if err := dst.AddRoute(topology.Route{Flow: r.Flow, Switches: sws, Links: lnks}); err != nil {
+		if err := dst.AddRoute(topology.Route{Flow: r.Flow, Links: path(r.Links)}); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range r.Backups {
-			sws, lnks := path(b.Switches, b.Links)
-			if err := dst.AddBackup(ri, topology.Path{Switches: sws, Links: lnks}); err != nil {
+			if err := dst.AddBackup(ri, topology.Path{Links: path(b.Links)}); err != nil {
 				t.Fatal(err)
 			}
 		}

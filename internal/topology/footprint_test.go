@@ -19,7 +19,8 @@ func TestIDFootprintPinned(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"topology.Route", unsafe.Sizeof(Route{}), 96},
+		{"topology.Route", unsafe.Sizeof(Route{}), 72},
+		{"topology.Path", unsafe.Sizeof(Path{}), 24},
 		{"topology.Link", unsafe.Sizeof(Link{}), 40},
 		{"topology.Switch", unsafe.Sizeof(Switch{}), 56},
 		{"soc.Flow", unsafe.Sizeof(soc.Flow{}), 24},

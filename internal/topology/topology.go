@@ -68,18 +68,20 @@ type Link struct {
 	LengthMM float64
 }
 
-// Path is one switch/link walk between a flow's endpoint switches,
-// used for the pre-synthesized backup routes of survivable designs.
+// Path is one link walk between a flow's endpoint switches, used for
+// the pre-synthesized backup routes of survivable designs. Like a
+// Route, it stores only its links; Walk derives its switches.
 type Path struct {
-	Switches []SwitchID // in traversal order; len >= 1
-	Links    []LinkID   // len == len(Switches)-1
+	Links []LinkID // in traversal order
 }
 
-// Route is the path assigned to one traffic flow.
+// Route is the path assigned to one traffic flow: the links it
+// traverses, in order, from the switch of the flow's source core to
+// the switch of its destination core (none when both cores share a
+// switch). The switch walk is not stored; Walk derives it.
 type Route struct {
-	Flow     soc.Flow
-	Switches []SwitchID // in traversal order; len >= 1
-	Links    []LinkID   // len == len(Switches)-1
+	Flow  soc.Flow
+	Links []LinkID // in traversal order
 
 	// Backups holds the pre-synthesized link-disjoint alternates of a
 	// survivable design (core.Options.Survivability k stores k of them
@@ -95,8 +97,10 @@ type Route struct {
 // reader of a stored design instead fills the construction fields of a
 // fresh or rebound Topology — NoCIsland and the island tables, each
 // switch's Island and Indirect, SwitchOf, each link's From, To and
-// LengthMM, each route's Flow and switch walks, backups included — and
-// calls Build, which checks them and derives the rest.
+// LengthMM, each route's Flow and Links, backups included — and calls
+// Build, which checks them and derives the rest. A reader whose format
+// stores switch walks builds without routes and then adds each one
+// with WalkLinks and AddRoute (AddBackup for a backup).
 type Topology struct {
 	Spec *soc.Spec
 	Lib  *model.Library
@@ -142,13 +146,12 @@ type Topology struct {
 	// coreSlab backs every Switch.Cores that Build cuts; Rebind keeps it.
 	coreSlab []soc.CoreID
 
-	// swPathFree and lnkPathFree recycle Route.Switches and Route.Links
-	// backing arrays the same way: Rebind harvests the dismantled
-	// routes' slices, TakeRouteSwitches/TakeRouteLinks hand them back
-	// to the router. Like coresFree, a slice lives either in a free
-	// list or in a route, never both. Backup paths share the same two
-	// free lists; bakFree recycles the outer Route.Backups arrays.
-	swPathFree  [][]SwitchID
+	// lnkPathFree recycles Route.Links backing arrays the same way:
+	// Rebind harvests the dismantled routes' slices, TakeRouteLinks
+	// hands them back to the router. Like coresFree, a slice lives
+	// either in the free list or in a route, never both. Backup paths
+	// share the same free list; bakFree recycles the outer
+	// Route.Backups arrays.
 	lnkPathFree [][]LinkID
 	bakFree     [][]Path
 }
@@ -189,16 +192,10 @@ func (t *Topology) Rebind(spec *soc.Spec, lib *model.Library) {
 		}
 	}
 	for i := range t.Routes {
-		if s := t.Routes[i].Switches; cap(s) > 0 {
-			t.swPathFree = append(t.swPathFree, s[:0])
-		}
 		if l := t.Routes[i].Links; cap(l) > 0 {
 			t.lnkPathFree = append(t.lnkPathFree, l[:0])
 		}
 		for _, b := range t.Routes[i].Backups {
-			if cap(b.Switches) > 0 {
-				t.swPathFree = append(t.swPathFree, b.Switches[:0])
-			}
 			if cap(b.Links) > 0 {
 				t.lnkPathFree = append(t.lnkPathFree, b.Links[:0])
 			}
@@ -240,13 +237,13 @@ func sized[T any](s []T, n int) []T {
 // Compact returns a copy of t that shares no storage with it, each
 // slice cut at exactly its length: the switch, link, route and island
 // tables and the link index are copied verbatim, every switch's Cores
-// is cut from one backing array, and every path's Switches and Links,
-// backups included, from one array each, with all Backups from one
-// []Path. The cuts are 3-index slices, so an append to one path never
-// overwrites the next. Empty switch, link and route tables and link
-// index are nil, nil paths stay nil and the free lists start empty, so
-// the copy does not depend on the history of t's storage. A worker that
-// keeps building in t publishes the copy.
+// is cut from one backing array, and every path's Links, backups
+// included, from another, with all Backups from one []Path. The cuts
+// are 3-index slices, so an append to one path never overwrites the
+// next. Empty switch, link and route tables and link index are nil, nil
+// paths stay nil and the free lists start empty, so the copy does not
+// depend on the history of t's storage. A worker that keeps building in
+// t publishes the copy.
 func (t *Topology) Compact() *Topology {
 	c := &Topology{
 		Spec:          t.Spec,
@@ -271,28 +268,23 @@ func (t *Topology) Compact() *Topology {
 	for i := range c.Switches {
 		c.Switches[i].Cores, cores = cut(cores, t.Switches[i].Cores)
 	}
-	nSw, nLnk, nBak := 0, 0, 0
+	nLnk, nBak := 0, 0
 	for i := range t.Routes {
 		r := &t.Routes[i]
-		nSw += len(r.Switches)
 		nLnk += len(r.Links)
 		nBak += len(r.Backups)
 		for _, b := range r.Backups {
-			nSw += len(b.Switches)
 			nLnk += len(b.Links)
 		}
 	}
-	sws := make([]SwitchID, 0, nSw)
 	lnks := make([]LinkID, 0, nLnk)
 	baks := make([]Path, 0, nBak)
 	for i := range c.Routes {
 		r := &c.Routes[i]
-		r.Switches, sws = cut(sws, r.Switches)
 		r.Links, lnks = cut(lnks, r.Links)
 		r.Backups, baks = cut(baks, r.Backups)
 		for j := range r.Backups {
 			b := &r.Backups[j]
-			b.Switches, sws = cut(sws, b.Switches)
 			b.Links, lnks = cut(lnks, b.Links)
 		}
 	}
@@ -415,23 +407,12 @@ func (t *Topology) checkAttach(c soc.CoreID, sw SwitchID) error {
 	return nil
 }
 
-// TakeRouteSwitches returns a length-n switch buffer for a Route that
-// will be added to this topology, recycling storage reclaimed by
-// Rebind when possible. The buffer belongs to the topology's route
-// storage from the moment it is taken: callers must store it in an
-// added Route (or discard it entirely), never retain it elsewhere.
-func (t *Topology) TakeRouteSwitches(n int) []SwitchID {
-	if k := len(t.swPathFree); k > 0 {
-		s := t.swPathFree[k-1]
-		t.swPathFree = t.swPathFree[:k-1]
-		if cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]SwitchID, n)
-}
-
-// TakeRouteLinks is TakeRouteSwitches for a Route's link list.
+// TakeRouteLinks returns a length-n link buffer for a Route or backup
+// Path that will be added to this topology, recycling storage
+// reclaimed by Rebind when possible. The buffer belongs to the
+// topology's route storage from the moment it is taken: callers must
+// store it in an added Route or Path (or discard it entirely), never
+// retain it elsewhere.
 func (t *Topology) TakeRouteLinks(n int) []LinkID {
 	if k := len(t.lnkPathFree); k > 0 {
 		l := t.lnkPathFree[k-1]
@@ -540,9 +521,43 @@ func (t *Topology) SwitchSize(sw SwitchID) int {
 }
 
 // ZeroLoadLatencyCycles returns the zero-load latency of a route in NoC
-// cycles (PathLatencyCycles of its switch walk).
+// cycles, PathLatencyCycles of its walk counted over its links: one
+// switch more than it has links, and a converter penalty on each link
+// that crosses islands. Every term is a small integer, so the sum is
+// exact.
 func (t *Topology) ZeroLoadLatencyCycles(r *Route) float64 {
-	return t.PathLatencyCycles(r.Switches)
+	lat := 2 * model.LinkTraversalCycles // NI injection + ejection links
+	lat += model.SwitchTraversalCycles * float64(len(r.Links)+1)
+	for _, lid := range r.Links {
+		lat += model.LinkTraversalCycles
+		if t.Links[lid].CrossesIslands {
+			lat += model.FIFOCrossingCycles
+		}
+	}
+	return lat
+}
+
+// Walk appends to buf[:0] the switch walk of a route or backup of flow
+// f over links and returns it: the first link's From (the switch of f's
+// source core when links is empty), then each link's To. On a route
+// that AddRoute, AddBackup or Build accepted, the walk starts at the
+// switch of f.Src and ends at that of f.Dst. The caller owns buf; no
+// walk is stored.
+func (t *Topology) Walk(buf []SwitchID, f soc.Flow, links []LinkID) []SwitchID {
+	buf = append(buf[:0], t.WalkStart(f, links))
+	for _, lid := range links {
+		buf = append(buf, t.Links[lid].To)
+	}
+	return buf
+}
+
+// WalkStart returns the first switch of Walk(nil, f, links) without
+// building the walk; each link's To gives the next one.
+func (t *Topology) WalkStart(f soc.Flow, links []LinkID) SwitchID {
+	if len(links) > 0 {
+		return t.Links[links[0]].From
+	}
+	return t.SwitchOf[f.Src]
 }
 
 // PathLatencyCycles returns the zero-load latency in NoC cycles of a
@@ -579,7 +594,7 @@ func (t *Topology) MeanZeroLoadLatency() float64 {
 // AddRoute records the route for a flow, accounting its bandwidth on
 // every traversed link. The route must already be structurally valid.
 func (t *Topology) AddRoute(r Route) error {
-	if err := t.checkPath(r.Flow, r.Switches, r.Links); err != nil {
+	if err := t.checkPath(r.Flow, r.Links); err != nil {
 		return err
 	}
 	for _, lid := range r.Links {
@@ -599,7 +614,7 @@ func (t *Topology) AddBackup(ri int, p Path) error {
 		return fmt.Errorf("%w: backup for unknown route %d", ErrWalk, ri)
 	}
 	r := &t.Routes[ri]
-	if err := t.checkPath(r.Flow, p.Switches, p.Links); err != nil {
+	if err := t.checkPath(r.Flow, p.Links); err != nil {
 		return err
 	}
 	if r.Backups == nil && len(t.bakFree) > 0 {
@@ -610,38 +625,38 @@ func (t *Topology) AddBackup(ri int, p Path) error {
 	return nil
 }
 
-// checkPath verifies one switch/link walk against a flow: endpoints
-// that are cores, non-empty, link list matching the switch list, walk
-// ends on the flow's NI switches, and every link actually connecting
-// its consecutive pair.
-func (t *Topology) checkPath(f soc.Flow, switches []SwitchID, links []LinkID) error {
+// checkPath verifies one link walk against a flow: endpoints that are
+// attached cores, every link known, the first starting on the source
+// core's switch, each starting where the one before it ends, and the
+// walk ending on the destination core's switch — so a flow with no
+// links needs both cores on one switch.
+func (t *Topology) checkPath(f soc.Flow, links []LinkID) error {
 	if f.Src < 0 || int(f.Src) >= len(t.SwitchOf) || f.Dst < 0 || int(f.Dst) >= len(t.SwitchOf) {
 		return fmt.Errorf("%w: flow %d->%d names an unknown core", ErrWalk, f.Src, f.Dst)
 	}
-	if len(switches) == 0 {
-		return fmt.Errorf("%w: empty route for flow %d->%d", ErrWalk, f.Src, f.Dst)
-	}
-	if len(links) != len(switches)-1 {
-		return fmt.Errorf("%w: route for %d->%d has %d links for %d switches",
-			ErrWalk, f.Src, f.Dst, len(links), len(switches))
-	}
-	if t.SwitchOf[f.Src] != switches[0] {
-		return fmt.Errorf("%w: route for %d->%d starts at switch %d, core is on %d",
-			ErrWalk, f.Src, f.Dst, switches[0], t.SwitchOf[f.Src])
-	}
-	if t.SwitchOf[f.Dst] != switches[len(switches)-1] {
-		return fmt.Errorf("%w: route for %d->%d ends at switch %d, core is on %d",
-			ErrWalk, f.Src, f.Dst, switches[len(switches)-1], t.SwitchOf[f.Dst])
+	at, end := t.SwitchOf[f.Src], t.SwitchOf[f.Dst]
+	if at < 0 || end < 0 {
+		return fmt.Errorf("%w: flow %d->%d has an unattached endpoint", ErrWalk, f.Src, f.Dst)
 	}
 	for i, lid := range links {
 		if int(lid) >= len(t.Links) || lid < 0 {
 			return fmt.Errorf("%w: route references unknown link %d", ErrWalk, lid)
 		}
-		l := t.Links[lid]
-		if l.From != switches[i] || l.To != switches[i+1] {
-			return fmt.Errorf("%w: route link %d does not connect switches %d->%d",
-				ErrWalk, lid, switches[i], switches[i+1])
+		l := &t.Links[lid]
+		switch {
+		case l.From == at:
+		case i == 0:
+			return fmt.Errorf("%w: route for %d->%d starts at switch %d, core is on %d",
+				ErrWalk, f.Src, f.Dst, l.From, at)
+		default:
+			return fmt.Errorf("%w: route for %d->%d breaks at link %d: it leaves switch %d, the walk is at %d",
+				ErrWalk, f.Src, f.Dst, lid, l.From, at)
 		}
+		at = l.To
+	}
+	if at != end {
+		return fmt.Errorf("%w: route for %d->%d ends at switch %d, core is on %d",
+			ErrWalk, f.Src, f.Dst, at, end)
 	}
 	return nil
 }
@@ -660,12 +675,11 @@ var (
 // Build checks t's construction fields (see Topology; -1 in SwitchOf is
 // an unattached core) and derives the rest: switch IDs, clocks and core
 // lists (ascending, cut from one slab); link IDs, crossing flags,
-// capacities and the link index, threaded in ID order; every route's
-// and backup's Links by FindLink over its walk, written into the walk's
-// Links storage (nil stays nil for a one-switch walk); and TrafficBps,
+// capacities and the link index, threaded in ID order; and TrafficBps,
 // summed route by route in order, so float sums match the original
-// build bit for bit. Backups carry no traffic. What Validate checks is
-// left to Validate. On error t is half derived and must not be used.
+// build bit for bit. Every route's and backup's Links must pass the
+// check AddRoute makes; backups carry no traffic. What Validate checks
+// is left to Validate. On error t is half derived and must not be used.
 func (t *Topology) Build() error {
 	nIsl := len(t.Spec.Islands)
 	if t.NoCIsland != soc.NoIsland {
@@ -736,16 +750,14 @@ func (t *Topology) Build() error {
 
 	for i := range t.Routes {
 		r := &t.Routes[i]
-		var err error
-		if r.Links, err = t.walkLinks(r.Flow, r.Switches, r.Links); err != nil {
+		if err := t.checkPath(r.Flow, r.Links); err != nil {
 			return err
 		}
 		for _, lid := range r.Links {
 			t.Links[lid].TrafficBps += r.Flow.BandwidthBps
 		}
 		for j := range r.Backups {
-			b := &r.Backups[j]
-			if b.Links, err = t.walkLinks(r.Flow, b.Switches, b.Links); err != nil {
+			if err := t.checkPath(r.Flow, r.Backups[j].Links); err != nil {
 				return err
 			}
 		}
@@ -753,24 +765,31 @@ func (t *Topology) Build() error {
 	return nil
 }
 
-// walkLinks derives the links of flow f's switch walk sws by FindLink,
-// appending them to links[:0], and checks the walk with checkPath.
-func (t *Topology) walkLinks(f soc.Flow, sws []SwitchID, links []LinkID) ([]LinkID, error) {
+// WalkLinks resolves the switch walk of a route or backup of flow f
+// into its links by FindLink, appending them to links[:0] (nil stays
+// nil for a one-switch walk). It is how a reader whose format stores
+// walks fills a route after Build: it checks that the walk is not
+// empty, names known switches and follows existing links, and
+// AddRoute or AddBackup checks the links against the flow.
+func (t *Topology) WalkLinks(f soc.Flow, walk []SwitchID, links []LinkID) ([]LinkID, error) {
+	if len(walk) == 0 {
+		return nil, fmt.Errorf("%w: empty walk for flow %d->%d", ErrWalk, f.Src, f.Dst)
+	}
 	links = links[:0]
-	for i, sw := range sws {
+	for i, sw := range walk {
 		if sw < 0 || int(sw) >= len(t.Switches) {
 			return nil, fmt.Errorf("%w: flow %d->%d walks unknown switch %d", ErrWalk, f.Src, f.Dst, sw)
 		}
 		if i == 0 {
 			continue
 		}
-		lid, ok := t.FindLink(sws[i-1], sw)
+		lid, ok := t.FindLink(walk[i-1], sw)
 		if !ok {
-			return nil, fmt.Errorf("%w: flow %d->%d uses missing link %d->%d", ErrWalk, f.Src, f.Dst, sws[i-1], sw)
+			return nil, fmt.Errorf("%w: flow %d->%d uses missing link %d->%d", ErrWalk, f.Src, f.Dst, walk[i-1], sw)
 		}
 		links = append(links, lid)
 	}
-	return links, t.checkPath(f, sws, links)
+	return links, nil
 }
 
 // Validate performs full structural validation: every core attached in
@@ -826,7 +845,7 @@ func (t *Topology) checkEachFlowRouted() error {
 func (t *Topology) ValidateRouted() error {
 	for i := range t.Routes {
 		r := &t.Routes[i]
-		if err := t.checkPath(r.Flow, r.Switches, r.Links); err != nil {
+		if err := t.checkPath(r.Flow, r.Links); err != nil {
 			return err
 		}
 		if r.Flow.MaxLatencyCycles > 0 {
@@ -906,12 +925,17 @@ func (t *Topology) severed(off []bool, also soc.IslandID) error {
 		if gated(srcIsl) || gated(dstIsl) {
 			continue // legitimately lost with its endpoint island
 		}
-		for _, sw := range r.Switches {
+		sw := t.WalkStart(r.Flow, r.Links)
+		for i := 0; ; i++ {
 			if isl := t.Switches[sw].Island; gated(isl) {
 				return fmt.Errorf(
 					"topology: shutting down island %d (%s) would sever flow %d->%d (islands %d->%d) at switch %d",
 					isl, t.Spec.Islands[isl].Name, r.Flow.Src, r.Flow.Dst, srcIsl, dstIsl, sw)
 			}
+			if i == len(r.Links) {
+				break
+			}
+			sw = t.Links[r.Links[i]].To
 		}
 	}
 	return nil
@@ -951,10 +975,10 @@ func (t *Topology) ValidateSurvivable(k int) error {
 		}
 		for bi := range r.Backups {
 			b := &r.Backups[bi]
-			if err := t.checkPath(r.Flow, b.Switches, b.Links); err != nil {
+			if err := t.checkPath(r.Flow, b.Links); err != nil {
 				return err
 			}
-			if err := t.checkIslandDiscipline(r.Flow, b.Switches, srcIsl, dstIsl); err != nil {
+			if err := t.checkIslandDiscipline(r.Flow, b.Links, srcIsl, dstIsl); err != nil {
 				return err
 			}
 			for _, lid := range b.Links {
@@ -975,15 +999,17 @@ func (t *Topology) ValidateSurvivable(k int) error {
 }
 
 // checkIslandDiscipline verifies the island forward discipline (S→S,
-// S→M, S→D, M→M, M→D, D→D) on a switch walk: every switch lies in the
-// flow's source island, destination island or the intermediate NoC
-// island, and the walk never moves backward through that order. When
+// S→M, S→D, M→M, M→D, D→D) on the walk of flow f over links: every
+// switch lies in the flow's source island, destination island or the
+// intermediate NoC island, and the walk never moves backward through
+// that order. When
 // source and destination coincide every admissible move is legal,
 // mirroring the router's subgraph construction.
-func (t *Topology) checkIslandDiscipline(f soc.Flow, switches []SwitchID, srcIsl, dstIsl soc.IslandID) error {
+func (t *Topology) checkIslandDiscipline(f soc.Flow, links []LinkID, srcIsl, dstIsl soc.IslandID) error {
 	mid := t.NoCIsland
 	prev := int8(0)
-	for _, sw := range switches {
+	sw := t.WalkStart(f, links)
+	for i := 0; ; i++ {
 		isl := t.Switches[sw].Island
 		var rk int8
 		switch {
@@ -1005,8 +1031,11 @@ func (t *Topology) checkIslandDiscipline(f soc.Flow, switches []SwitchID, srcIsl
 				f.Src, f.Dst, sw)
 		}
 		prev = rk
+		if i == len(links) {
+			return nil
+		}
+		sw = t.Links[links[i]].To
 	}
-	return nil
 }
 
 // MaxLinkUtilization returns the highest traffic/capacity ratio over all

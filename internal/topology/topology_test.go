@@ -61,9 +61,9 @@ func buildValid(t *testing.T) *Topology {
 			t.Fatal(err)
 		}
 	}
-	mustRoute(Route{Flow: spec.Flows[0], Switches: []SwitchID{s0}})
-	mustRoute(Route{Flow: spec.Flows[1], Switches: []SwitchID{s1}})
-	mustRoute(Route{Flow: spec.Flows[2], Switches: []SwitchID{s2, s0}, Links: []LinkID{l20}})
+	mustRoute(Route{Flow: spec.Flows[0]})
+	mustRoute(Route{Flow: spec.Flows[1]})
+	mustRoute(Route{Flow: spec.Flows[2], Links: []LinkID{l20}})
 	return top
 }
 
@@ -162,10 +162,10 @@ func TestZeroLoadLatency(t *testing.T) {
 func TestRouteValidationErrors(t *testing.T) {
 	top := buildValid(t)
 	bad := []Route{
-		{Flow: top.Spec.Flows[0], Switches: nil},
-		{Flow: top.Spec.Flows[0], Switches: []SwitchID{0, 1}},                     // missing link
-		{Flow: top.Spec.Flows[0], Switches: []SwitchID{1}},                        // wrong start
-		{Flow: top.Spec.Flows[2], Switches: []SwitchID{2, 1}, Links: []LinkID{0}}, // link mismatch
+		{Flow: top.Spec.Flows[2]},                        // no links between two switches
+		{Flow: top.Spec.Flows[0], Links: []LinkID{5}},    // unknown link
+		{Flow: top.Spec.Flows[0], Links: []LinkID{0}},    // wrong start
+		{Flow: top.Spec.Flows[2], Links: []LinkID{0, 0}}, // broken chain
 	}
 	for i, r := range bad {
 		if err := top.AddRoute(r); err == nil {
@@ -229,7 +229,7 @@ func TestShutdownSafetyViolation(t *testing.T) {
 	l21, _ := top.AddLink(s2, s1)
 	l10, _ := top.AddLink(s1, s0)
 	// flow usb(io isl 2) -> mem(sys isl 0) routed THROUGH media island 1
-	if err := top.AddRoute(Route{Flow: spec.Flows[2], Switches: []SwitchID{s2, s1, s0}, Links: []LinkID{l21, l10}}); err != nil {
+	if err := top.AddRoute(Route{Flow: spec.Flows[2], Links: []LinkID{l21, l10}}); err != nil {
 		t.Fatal(err)
 	}
 	err := top.ValidateShutdownSafe()
@@ -268,9 +268,9 @@ func TestIntermediateIslandSafe(t *testing.T) {
 	l2m, _ := top.AddLink(s2, mid)
 	lm0, _ := top.AddLink(mid, s0)
 	for _, r := range []Route{
-		{Flow: spec.Flows[0], Switches: []SwitchID{s0}},
-		{Flow: spec.Flows[1], Switches: []SwitchID{s1}},
-		{Flow: spec.Flows[2], Switches: []SwitchID{s2, mid, s0}, Links: []LinkID{l2m, lm0}},
+		{Flow: spec.Flows[0]},
+		{Flow: spec.Flows[1]},
+		{Flow: spec.Flows[2], Links: []LinkID{l2m, lm0}},
 	} {
 		if err := top.AddRoute(r); err != nil {
 			t.Fatal(err)

@@ -147,7 +147,7 @@ type flit struct {
 type packet struct {
 	route  *topology.Route
 	ri     int // index of route in top.Routes and e.routeOut
-	hop    int // index into route.Switches of the switch the head occupies/approaches
+	hop    int // index into the route's switch walk of the switch the head occupies/approaches
 	inject int // cycle the head entered the network
 }
 
@@ -293,9 +293,9 @@ func (e *engine) build() error {
 	e.routeOut = make([][]int, len(top.Routes))
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
-		seq := make([]int, len(r.Switches))
-		for i := range r.Switches {
-			if i == len(r.Switches)-1 {
+		seq := make([]int, len(r.Links)+1)
+		for i := range seq {
+			if i == len(r.Links) {
 				seq[i] = e.coreOut[r.Flow.Dst]
 			} else {
 				lid := r.Links[i]
@@ -394,7 +394,7 @@ func (e *engine) simulate() {
 				continue
 			}
 			r := pkt.route
-			sw := int(r.Switches[0])
+			sw := int(top.WalkStart(r.Flow, r.Links))
 			in := e.inPorts[sw][e.coreIn[r.Flow.Src]]
 			if in.free() == 0 {
 				continue
@@ -488,6 +488,16 @@ func (e *engine) simulate() {
 // wantsOutput reports whether a head flit at switch si requests output oi.
 func (e *engine) wantsOutput(si int, f flit, oi int) bool {
 	pk := f.packet
-	return pk.hop < len(pk.route.Switches) && int(pk.route.Switches[pk.hop]) == si &&
-		e.routeOut[pk.ri][pk.hop] == oi
+	seq := e.routeOut[pk.ri]
+	return pk.hop < len(seq) && e.hopSwitch(pk) == si && seq[pk.hop] == oi
+}
+
+// hopSwitch returns the switch at index pk.hop of pk's route walk: the
+// walk's start, then the far end of each link.
+func (e *engine) hopSwitch(pk *packet) int {
+	r := pk.route
+	if pk.hop == 0 {
+		return int(e.top.WalkStart(r.Flow, r.Links))
+	}
+	return int(e.top.Links[r.Links[pk.hop-1]].To)
 }

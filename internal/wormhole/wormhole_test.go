@@ -50,9 +50,8 @@ func ring(t *testing.T) *topology.Topology {
 	}
 	for i, f := range spec.Flows {
 		if err := top.AddRoute(topology.Route{
-			Flow:     f,
-			Switches: []topology.SwitchID{sw[i], sw[(i+1)%4], sw[(i+2)%4]},
-			Links:    []topology.LinkID{links[i], links[(i+1)%4]},
+			Flow:  f,
+			Links: []topology.LinkID{links[i], links[(i+1)%4]},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +222,7 @@ func TestRingDeadlocksEvenWithCutThroughBuffers(t *testing.T) {
 // injection link is not modelled (the head enters the switch buffer on
 // its first cycle), while the tail arrives packetFlits-1 cycles behind
 // the head. So with buffers that hold a whole packet the latency is
-// exactly ZeroLoadLatencyCycles - 2*len(Switches) - 2 + packetFlits, on
+// exactly ZeroLoadLatencyCycles - 2*switches - 2 + packetFlits, on
 // every route of every suite winner and of generated designs. Buffers
 // shorter than a packet are slower on some routes: over a 5-cycle
 // island-crossing link the credit round trip outlasts the buffer, so
@@ -256,10 +255,11 @@ func TestLonePacketMatchesAnalytic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s route %d: %v", top.Spec.Name, ri, err)
 			}
-			want := top.ZeroLoadLatencyCycles(r) - float64(2*len(r.Switches)) - 2 + packetFlits
+			switches := len(r.Links) + 1
+			want := top.ZeroLoadLatencyCycles(r) - float64(2*switches) - 2 + packetFlits
 			if res.Delivered != 1 || res.MeanLatencyCycles != want {
 				t.Fatalf("%s route %d (%d->%d, %d switches): delivered %d, latency %v cycles, want %v",
-					top.Spec.Name, ri, r.Flow.Src, r.Flow.Dst, len(r.Switches),
+					top.Spec.Name, ri, r.Flow.Src, r.Flow.Dst, switches,
 					res.Delivered, res.MeanLatencyCycles, want)
 			}
 			routes++
