@@ -484,9 +484,8 @@ func encodeTopology(e *enc, t *topology.Topology) {
 // routes keep a nil Links and multi-hop ones a populated slice.
 func (e *enc) walk(t *topology.Topology, f soc.Flow, links []topology.LinkID) {
 	e.u64(uint64(len(links) + 1))
-	e.int(int(t.WalkStart(f, links)))
-	for _, lid := range links {
-		e.int(int(t.Links[lid].To))
+	for i := 0; i <= len(links); i++ {
+		e.int(int(t.WalkSwitch(f, links, i)))
 	}
 	e.bool(links != nil)
 }

@@ -30,11 +30,16 @@ var wrappedFields = []struct {
 	{"flow src", 0}, {"flow dst", 0}, {"route switch", 0}, {"backup switch", 1},
 }
 
+// walkEdit rewrites the stored switch walk w of route ri's primary
+// (bi = -1) or of its backup bi.
+type walkEdit func(ri, bi int, w []topology.SwitchID) []topology.SwitchID
+
 // encodeTopologyRaised writes t as encodeTopology does, except that the
-// first ID read for field is raised by `by`, and reports whether t has
-// such an ID. With by = 0 it must equal encodeTopology byte for byte
-// (TestEncodeTopologyRaisedMirror).
-func encodeTopologyRaised(e *enc, t *topology.Topology, field string, by int64) bool {
+// first ID read for field is raised by `by` and, when edit is not nil,
+// each walk is stored as edit returns it; it reports whether t has an
+// ID for field. With by = 0 and no edit it must equal encodeTopology
+// byte for byte (TestEncodeTopologyRaisedMirror).
+func encodeTopologyRaised(e *enc, t *topology.Topology, field string, by int64, edit walkEdit) bool {
 	done := false
 	id := func(f string, v int64) {
 		if f == field && !done {
@@ -62,8 +67,11 @@ func encodeTopologyRaised(e *enc, t *topology.Topology, field string, by int64) 
 		e.f64(t.Links[i].LengthMM)
 	}
 	var walk []topology.SwitchID
-	path := func(f string, flow soc.Flow, links []topology.LinkID) {
+	path := func(f string, flow soc.Flow, links []topology.LinkID, ri, bi int) {
 		walk = t.Walk(walk, flow, links)
+		if edit != nil {
+			walk = edit(ri, bi, walk)
+		}
 		e.u64(uint64(len(walk)))
 		for _, sw := range walk {
 			id(f, int64(sw))
@@ -77,11 +85,11 @@ func encodeTopologyRaised(e *enc, t *topology.Topology, field string, by int64) 
 		id("flow dst", int64(r.Flow.Dst))
 		e.f64(r.Flow.BandwidthBps)
 		e.f64(r.Flow.MaxLatencyCycles)
-		path("route switch", r.Flow, r.Links)
+		path("route switch", r.Flow, r.Links, i, -1)
 		e.bool(r.Backups != nil)
 		e.u64(uint64(len(r.Backups)))
 		for bi := range r.Backups {
-			path("backup switch", r.Flow, r.Backups[bi].Links)
+			path("backup switch", r.Flow, r.Backups[bi].Links, i, bi)
 		}
 	}
 	return done
@@ -100,20 +108,28 @@ func wrappedPayload(t *testing.T, spec *soc.Spec, k int, field string) []byte {
 		t.Fatal(err)
 	}
 	for i := range res.Points {
-		var plain, raised enc
-		if !encodeTopologyRaised(&raised, res.Points[i].Top, field, wrap) {
-			continue
+		var raised enc
+		if encodeTopologyRaised(&raised, res.Points[i].Top, field, wrap, nil) {
+			return swappedPayload(t, res, i, raised.b)
 		}
-		res.Points = res.Points[i : i+1]
-		blob := EncodeResult(res)
-		encodeTopology(&plain, res.Points[0].Top)
-		if bytes.Count(blob, plain.b) != 1 {
-			t.Fatal("the topology section is not unique in the encoding")
-		}
-		return bytes.Replace(blob, plain.b, raised.b, 1)
 	}
 	t.Fatalf("no D26 k=%d design point has a %s", k, field)
 	return nil
+}
+
+// swappedPayload encodes design point i of res as a one-point result,
+// its topology section swapped for top.
+func swappedPayload(t *testing.T, res *core.Result, i int, top []byte) []byte {
+	t.Helper()
+	one := *res
+	one.Points = res.Points[i : i+1]
+	blob := EncodeResult(&one)
+	var plain enc
+	encodeTopology(&plain, one.Points[0].Top)
+	if bytes.Count(blob, plain.b) != 1 {
+		t.Fatal("the topology section is not unique in the encoding")
+	}
+	return bytes.Replace(blob, plain.b, top, 1)
 }
 
 // wrappedSeedFile names the FuzzDecodeResult seed holding field's payload.
@@ -135,7 +151,7 @@ func TestEncodeTopologyRaisedMirror(t *testing.T) {
 		for i := range res.Points {
 			var want, got enc
 			encodeTopology(&want, res.Points[i].Top)
-			encodeTopologyRaised(&got, res.Points[i].Top, "", 0)
+			encodeTopologyRaised(&got, res.Points[i].Top, "", 0, nil)
 			if !bytes.Equal(want.b, got.b) {
 				t.Fatalf("k=%d point %d: the mirror encodes differently", k, i)
 			}
@@ -183,4 +199,71 @@ func fuzzSeedBytes(t *testing.T, seed []byte) []byte {
 		t.Fatal(err)
 	}
 	return []byte(s)
+}
+
+// TestDecodeRejectsBadWalks stores walks in a D26 k=1 payload that no
+// link list can spell and holds DecodeResult to topology.ErrWalk on
+// each: an empty walk, primary or backup, and a one-switch walk off its
+// source core's switch, which resolves to no links and so is caught
+// only by WalkLinks' start check. The unedited payload must decode.
+func TestDecodeRejectsBadWalks(t *testing.T) {
+	spec := bench.D26()
+	lib := model.Default65nm()
+	opt := testOptions()
+	opt.Survivability = 1
+	res, err := core.Synthesize(spec, lib, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first point with both a one-switch route and a backup.
+	pi, oneSwitch, backed := -1, -1, -1
+	for i := range res.Points {
+		oneSwitch, backed = -1, -1
+		for ri, r := range res.Points[i].Top.Routes {
+			if oneSwitch < 0 && len(r.Links) == 0 {
+				oneSwitch = ri
+			}
+			if backed < 0 && len(r.Backups) > 0 {
+				backed = ri
+			}
+		}
+		if oneSwitch >= 0 && backed >= 0 {
+			pi = i
+			break
+		}
+	}
+	if pi < 0 {
+		t.Fatal("no D26 k=1 point has both a one-switch route and a backup")
+	}
+	top := res.Points[pi].Top
+	off := (top.SwitchOf[top.Routes[oneSwitch].Flow.Src] + 1) % topology.SwitchID(len(top.Switches))
+	cases := []struct {
+		name   string
+		ri, bi int
+		walk   []topology.SwitchID
+	}{
+		{"empty route walk", backed, -1, nil},
+		{"empty backup walk", backed, 0, nil},
+		{"one-switch route off its source switch", oneSwitch, -1, []topology.SwitchID{off}},
+	}
+	for _, tc := range cases {
+		t.Run(strings.ReplaceAll(tc.name, " ", "_"), func(t *testing.T) {
+			var e enc
+			encodeTopologyRaised(&e, top, "", 0, func(ri, bi int, w []topology.SwitchID) []topology.SwitchID {
+				if ri == tc.ri && bi == tc.bi {
+					return tc.walk
+				}
+				return w
+			})
+			_, err := DecodeResult(swappedPayload(t, res, pi, e.b), spec, lib)
+			if !errors.Is(err, topology.ErrWalk) {
+				t.Fatalf("got %v, want an error wrapping %q", err, topology.ErrWalk)
+			}
+		})
+	}
+	var e enc
+	encodeTopologyRaised(&e, top, "", 0, nil)
+	if _, err := DecodeResult(swappedPayload(t, res, pi, e.b), spec, lib); err != nil {
+		t.Fatalf("the unedited payload: %v", err)
+	}
 }

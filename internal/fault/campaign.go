@@ -567,16 +567,9 @@ func hasUsableBackup(top *topology.Topology, r *topology.Route, failed topology.
 		if !usable {
 			continue
 		}
-		sw := top.WalkStart(r.Flow, b.Links)
-		for i := 0; ; i++ {
-			if isl := top.Switches[sw].Island; int(isl) < len(off) && off[isl] {
-				usable = false
-				break
-			}
-			if i == len(b.Links) {
-				break
-			}
-			sw = top.Links[b.Links[i]].To
+		for i := 0; usable && i <= len(b.Links); i++ {
+			isl := top.Switches[top.WalkSwitch(r.Flow, b.Links, i)].Island
+			usable = int(isl) >= len(off) || !off[isl]
 		}
 		if usable {
 			return true

@@ -167,7 +167,7 @@ func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]
 		}
 		// Each switch of the walk in order: its first, then each link's
 		// far end.
-		swTraffic[top.WalkStart(r.Flow, r.Links)] += bw
+		swTraffic[top.WalkSwitch(r.Flow, r.Links, 0)] += bw
 		for _, l := range r.Links {
 			swTraffic[top.Links[l].To] += bw
 			linkTraffic[l] += bw

@@ -263,7 +263,7 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 		res.Sent++
 
 		src := r.Flow.Src
-		sw := top.WalkStart(r.Flow, r.Links)
+		sw := top.WalkSwitch(r.Flow, r.Links, 0)
 		srcPeriod := period(sw)
 
 		// NI injection link: one cycle of the island clock, port

@@ -68,12 +68,47 @@ func buildFields() *topology.Topology {
 	}
 }
 
+// buildRouted builds top from its construction fields as a reader
+// does: Build without the routes, then addRoutes.
+func buildRouted(top *topology.Topology) error {
+	routes := top.Routes
+	top.Routes = nil
+	if err := top.Build(); err != nil {
+		return err
+	}
+	return addRoutes(top, routes)
+}
+
+// addRoutes adds routes to the built top in order, each through
+// AddRoute and its backups through AddBackup.
+func addRoutes(top *topology.Topology, routes []topology.Route) error {
+	for i, r := range routes {
+		if err := top.AddRoute(topology.Route{Flow: r.Flow, Links: r.Links}); err != nil {
+			return err
+		}
+		for _, b := range r.Backups {
+			if err := top.AddBackup(i, b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestBuildTakesNoRoutes: routes enter a topology only through AddRoute
+// and AddBackup, so Build refuses construction fields that carry any.
+func TestBuildTakesNoRoutes(t *testing.T) {
+	if err := buildFields().Build(); !errors.Is(err, topology.ErrWalk) {
+		t.Fatalf("Build with routes: got %v, want an error wrapping %q", err, topology.ErrWalk)
+	}
+}
+
 // TestBuildDerivesWhatTheMutatorsDo builds the fixture from its fields
 // and checks every derived quantity against the same design grown by
 // the mutators, link traffic to the bit.
 func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 	got := buildFields()
-	if err := got.Build(); err != nil {
+	if err := buildRouted(got); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.Validate(); err != nil {
@@ -105,15 +140,8 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 		}
 		want.Links[id].LengthMM = l.LengthMM
 	}
-	for i, r := range f.Routes {
-		if err := want.AddRoute(topology.Route{Flow: r.Flow, Links: r.Links}); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range r.Backups {
-			if err := want.AddBackup(i, b); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := addRoutes(want, f.Routes); err != nil {
+		t.Fatal(err)
 	}
 
 	var gotJSON, wantJSON bytes.Buffer
@@ -151,9 +179,6 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 			t.Errorf("SwitchPorts(%d): built %d,%d, grown %d,%d", u, gi, gout, wi, wout)
 		}
 	}
-	if got.Routes[0].Links != nil {
-		t.Error("a one-switch route with nil Links got a non-nil Links")
-	}
 }
 
 // links spells a route's or backup's link list.
@@ -171,12 +196,14 @@ func equalIDs[T comparable](a, b []T) bool {
 	return true
 }
 
-// TestBuildRejectsMalformed holds every check of Build to its typed
-// error, never a panic. A case edits either the fixture's construction
-// fields, which Build reads directly, or its JSON, which
-// specio.ReadTopology maps into those fields; cases marked cache also
-// encode the edited fields and decode them with cache.DecodeResult, so
-// each reader is shown to reach the builder. A core attached twice and
+// TestBuildRejectsMalformed holds every check of Build, AddRoute and
+// AddBackup to its typed error, never a panic. A case edits either the
+// fixture's construction fields, which buildRouted reads directly, or
+// its JSON, which specio.ReadTopology maps into those fields and walks;
+// cases marked cache also encode the edited fields and decode them with
+// cache.DecodeResult, so each reader is shown to reach the checks. The
+// cache's own walk defects, which no link list can spell, are
+// TestDecodeRejectsBadWalks in package cache. A core attached twice and
 // a second NoC island cannot be written in the fields (SwitchOf holds
 // one switch per core, NoCIsland one island), so they come as JSON.
 func TestBuildRejectsMalformed(t *testing.T) {
@@ -223,9 +250,12 @@ func TestBuildRejectsMalformed(t *testing.T) {
 			edit: func(top *topology.Topology) { top.Links[1].To = 2 }},
 		{name: "duplicate link", want: topology.ErrLink,
 			edit: func(top *topology.Topology) { top.Links = append(top.Links, top.Links[0]) }},
-		{name: "empty route walk", want: topology.ErrWalk, cache: true,
-			edit: func(top *topology.Topology) { top.Routes[2].Links = nil },
+		{name: "no links between two switches", want: topology.ErrWalk, cache: true,
+			edit: func(top *topology.Topology) { top.Routes[2].Links = nil }},
+		{name: "empty route walk", want: topology.ErrWalk,
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{} }},
+		{name: "one-switch route off its source switch", want: topology.ErrWalk,
+			json: func(doc map[string]any) { jsonRoute(doc, 0)["switches"] = []int{1} }},
 		{name: "route walks an unknown switch", want: topology.ErrWalk,
 			edit: func(top *topology.Topology) { top.Routes[2].Links = links(7) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{2, 7} }},
@@ -240,9 +270,12 @@ func TestBuildRejectsMalformed(t *testing.T) {
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{2, 3} }},
 		{name: "route names an unknown core", want: topology.ErrWalk, cache: true,
 			edit: func(top *topology.Topology) { top.Routes[0].Flow.Dst = 5 }},
+		{name: "backup with no links between two switches", want: topology.ErrWalk,
+			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = nil }},
 		{name: "empty backup walk", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = nil },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{}} }},
+		{name: "one-switch backup off its source switch", want: topology.ErrWalk,
+			json: func(doc map[string]any) { jsonRoute(doc, 0)["backups"] = [][]int{{1}} }},
 		{name: "backup walks an unknown switch", want: topology.ErrWalk,
 			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(-1) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{2, -1, 0}} }},
@@ -267,7 +300,7 @@ func TestBuildRejectsMalformed(t *testing.T) {
 					_, err := cache.DecodeResult(blob, top.Spec, top.Lib)
 					errs = append(errs, err)
 				}
-				errs = append(errs, top.Build())
+				errs = append(errs, buildRouted(top))
 			}
 			if tc.json != nil {
 				errs = append(errs, readEdited(t, tc.json))
@@ -291,7 +324,7 @@ func jsonRoute(doc map[string]any, i int) map[string]any {
 func readEdited(t *testing.T, edit func(doc map[string]any)) error {
 	t.Helper()
 	top := buildFields()
-	if err := top.Build(); err != nil {
+	if err := buildRouted(top); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -316,9 +349,12 @@ func readEdited(t *testing.T, edit func(doc map[string]any)) error {
 }
 
 // TestBuildRecyclesStorage rebuilds one topology from its own fields:
-// the second Build must allocate nothing and derive the same design.
+// the second Build must allocate nothing and derive the same design,
+// which then takes its routes.
 func TestBuildRecyclesStorage(t *testing.T) {
 	top := buildFields()
+	routes := top.Routes
+	top.Routes = nil
 	if err := top.Build(); err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +376,9 @@ func TestBuildRecyclesStorage(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), again.Bytes()) {
 		t.Fatalf("a rebuild changed the design:\n%s\nvs\n%s", first.Bytes(), again.Bytes())
+	}
+	if err := addRoutes(top, routes); err != nil {
+		t.Fatal(err)
 	}
 	if err := top.Validate(); err != nil {
 		t.Fatal(err)

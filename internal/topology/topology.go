@@ -97,10 +97,10 @@ type Route struct {
 // reader of a stored design instead fills the construction fields of a
 // fresh or rebound Topology — NoCIsland and the island tables, each
 // switch's Island and Indirect, SwitchOf, each link's From, To and
-// LengthMM, each route's Flow and Links, backups included — and calls
-// Build, which checks them and derives the rest. A reader whose format
-// stores switch walks builds without routes and then adds each one
-// with WalkLinks and AddRoute (AddBackup for a backup).
+// LengthMM — and calls Build, which checks them and derives the rest,
+// then adds each route with AddRoute and each backup with AddBackup. A
+// reader whose format stores switch walks resolves each one into links
+// with WalkLinks first.
 type Topology struct {
 	Spec *soc.Spec
 	Lib  *model.Library
@@ -521,61 +521,69 @@ func (t *Topology) SwitchSize(sw SwitchID) int {
 }
 
 // ZeroLoadLatencyCycles returns the zero-load latency of a route in NoC
-// cycles, PathLatencyCycles of its walk counted over its links: one
-// switch more than it has links, and a converter penalty on each link
-// that crosses islands. Every term is a small integer, so the sum is
-// exact.
+// cycles: latencyCycles over its walk, one switch more than it has
+// links, with a converter penalty on each link that crosses islands.
 func (t *Topology) ZeroLoadLatencyCycles(r *Route) float64 {
-	lat := 2 * model.LinkTraversalCycles // NI injection + ejection links
-	lat += model.SwitchTraversalCycles * float64(len(r.Links)+1)
+	crossings := 0
 	for _, lid := range r.Links {
-		lat += model.LinkTraversalCycles
 		if t.Links[lid].CrossesIslands {
-			lat += model.FIFOCrossingCycles
+			crossings++
 		}
 	}
-	return lat
+	return latencyCycles(len(r.Links)+1, crossings)
 }
 
 // Walk appends to buf[:0] the switch walk of a route or backup of flow
-// f over links and returns it: the first link's From (the switch of f's
-// source core when links is empty), then each link's To. On a route
-// that AddRoute, AddBackup or Build accepted, the walk starts at the
+// f over links and returns it, WalkSwitch 0 through len(links). On a
+// route that AddRoute or AddBackup accepted, the walk starts at the
 // switch of f.Src and ends at that of f.Dst. The caller owns buf; no
 // walk is stored.
 func (t *Topology) Walk(buf []SwitchID, f soc.Flow, links []LinkID) []SwitchID {
-	buf = append(buf[:0], t.WalkStart(f, links))
-	for _, lid := range links {
-		buf = append(buf, t.Links[lid].To)
+	buf = buf[:0]
+	for i := 0; i <= len(links); i++ {
+		buf = append(buf, t.WalkSwitch(f, links, i))
 	}
 	return buf
 }
 
-// WalkStart returns the first switch of Walk(nil, f, links) without
-// building the walk; each link's To gives the next one.
-func (t *Topology) WalkStart(f soc.Flow, links []LinkID) SwitchID {
-	if len(links) > 0 {
+// WalkSwitch returns switch i (0 <= i <= len(links)) of the walk of a
+// route or backup of flow f over links without building the walk: the
+// first link's From (the switch of f's source core when links is
+// empty), then each link's To.
+func (t *Topology) WalkSwitch(f soc.Flow, links []LinkID, i int) SwitchID {
+	switch {
+	case i > 0:
+		return t.Links[links[i-1]].To
+	case len(links) > 0:
 		return t.Links[links[0]].From
 	}
 	return t.SwitchOf[f.Src]
 }
 
 // PathLatencyCycles returns the zero-load latency in NoC cycles of a
-// walk over switches: the NI injection link, one switch traversal per
-// switch, one cycle per inter-switch link, the converter penalty per
-// island crossing, and the NI ejection link. The router prices
-// candidate paths with it before any link is opened. Every term is a
-// small integer, so the sum is exact in any order.
+// walk over switches, latencyCycles with one converter penalty per
+// island change. The router prices candidate paths with it before any
+// link is opened.
 func (t *Topology) PathLatencyCycles(switches []SwitchID) float64 {
-	lat := 2 * model.LinkTraversalCycles // NI injection + ejection links
-	lat += model.SwitchTraversalCycles * float64(len(switches))
+	crossings := 0
 	for i := 1; i < len(switches); i++ {
-		lat += model.LinkTraversalCycles
 		if t.Switches[switches[i-1]].Island != t.Switches[switches[i]].Island {
-			lat += model.FIFOCrossingCycles
+			crossings++
 		}
 	}
-	return lat
+	return latencyCycles(len(switches), crossings)
+}
+
+// latencyCycles is the zero-load latency model of a walk over switches
+// switches with crossings island crossings: the NI injection and
+// ejection links, one traversal per switch, one cycle per inter-switch
+// link and the converter penalty per crossing. Every term is a small
+// integer, so the sum is exact.
+func latencyCycles(switches, crossings int) float64 {
+	return 2*model.LinkTraversalCycles +
+		model.SwitchTraversalCycles*float64(switches) +
+		model.LinkTraversalCycles*float64(switches-1) +
+		model.FIFOCrossingCycles*float64(crossings)
 }
 
 // MeanZeroLoadLatency returns the average zero-load latency over all
@@ -675,12 +683,15 @@ var (
 // Build checks t's construction fields (see Topology; -1 in SwitchOf is
 // an unattached core) and derives the rest: switch IDs, clocks and core
 // lists (ascending, cut from one slab); link IDs, crossing flags,
-// capacities and the link index, threaded in ID order; and TrafficBps,
-// summed route by route in order, so float sums match the original
-// build bit for bit. Every route's and backup's Links must pass the
-// check AddRoute makes; backups carry no traffic. What Validate checks
-// is left to Validate. On error t is half derived and must not be used.
+// capacities and the link index, threaded in ID order, with no traffic.
+// Build takes no routes: t.Routes must be empty, and the routes come
+// after it through AddRoute and AddBackup, which check them and sum
+// TrafficBps route by route. What Validate checks is left to Validate.
+// On error t is half derived and must not be used.
 func (t *Topology) Build() error {
+	if len(t.Routes) > 0 {
+		return fmt.Errorf("%w: Build takes no routes, %d given", ErrWalk, len(t.Routes))
+	}
 	nIsl := len(t.Spec.Islands)
 	if t.NoCIsland != soc.NoIsland {
 		if t.NoCIsland != soc.IslandID(nIsl) {
@@ -747,21 +758,6 @@ func (t *Topology) Build() error {
 		}
 		t.openLink(LinkID(i))
 	}
-
-	for i := range t.Routes {
-		r := &t.Routes[i]
-		if err := t.checkPath(r.Flow, r.Links); err != nil {
-			return err
-		}
-		for _, lid := range r.Links {
-			t.Links[lid].TrafficBps += r.Flow.BandwidthBps
-		}
-		for j := range r.Backups {
-			if err := t.checkPath(r.Flow, r.Backups[j].Links); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -769,11 +765,20 @@ func (t *Topology) Build() error {
 // into its links by FindLink, appending them to links[:0] (nil stays
 // nil for a one-switch walk). It is how a reader whose format stores
 // walks fills a route after Build: it checks that the walk is not
-// empty, names known switches and follows existing links, and
-// AddRoute or AddBackup checks the links against the flow.
+// empty, starts on the switch of f's source core, names known switches
+// and follows existing links, and AddRoute or AddBackup checks the
+// links against the flow. The start check is what a one-switch walk,
+// which resolves to no links, would otherwise lose.
 func (t *Topology) WalkLinks(f soc.Flow, walk []SwitchID, links []LinkID) ([]LinkID, error) {
 	if len(walk) == 0 {
 		return nil, fmt.Errorf("%w: empty walk for flow %d->%d", ErrWalk, f.Src, f.Dst)
+	}
+	if f.Src < 0 || int(f.Src) >= len(t.SwitchOf) {
+		return nil, fmt.Errorf("%w: flow %d->%d names an unknown core", ErrWalk, f.Src, f.Dst)
+	}
+	if at := t.SwitchOf[f.Src]; walk[0] != at {
+		return nil, fmt.Errorf("%w: walk for %d->%d starts at switch %d, core is on %d",
+			ErrWalk, f.Src, f.Dst, walk[0], at)
 	}
 	links = links[:0]
 	for i, sw := range walk {
@@ -925,17 +930,13 @@ func (t *Topology) severed(off []bool, also soc.IslandID) error {
 		if gated(srcIsl) || gated(dstIsl) {
 			continue // legitimately lost with its endpoint island
 		}
-		sw := t.WalkStart(r.Flow, r.Links)
-		for i := 0; ; i++ {
+		for i := 0; i <= len(r.Links); i++ {
+			sw := t.WalkSwitch(r.Flow, r.Links, i)
 			if isl := t.Switches[sw].Island; gated(isl) {
 				return fmt.Errorf(
 					"topology: shutting down island %d (%s) would sever flow %d->%d (islands %d->%d) at switch %d",
 					isl, t.Spec.Islands[isl].Name, r.Flow.Src, r.Flow.Dst, srcIsl, dstIsl, sw)
 			}
-			if i == len(r.Links) {
-				break
-			}
-			sw = t.Links[r.Links[i]].To
 		}
 	}
 	return nil
@@ -1008,8 +1009,8 @@ func (t *Topology) ValidateSurvivable(k int) error {
 func (t *Topology) checkIslandDiscipline(f soc.Flow, links []LinkID, srcIsl, dstIsl soc.IslandID) error {
 	mid := t.NoCIsland
 	prev := int8(0)
-	sw := t.WalkStart(f, links)
-	for i := 0; ; i++ {
+	for i := 0; i <= len(links); i++ {
+		sw := t.WalkSwitch(f, links, i)
 		isl := t.Switches[sw].Island
 		var rk int8
 		switch {
@@ -1031,11 +1032,8 @@ func (t *Topology) checkIslandDiscipline(f soc.Flow, links []LinkID, srcIsl, dst
 				f.Src, f.Dst, sw)
 		}
 		prev = rk
-		if i == len(links) {
-			return nil
-		}
-		sw = t.Links[links[i]].To
 	}
+	return nil
 }
 
 // MaxLinkUtilization returns the highest traffic/capacity ratio over all

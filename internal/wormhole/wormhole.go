@@ -394,7 +394,7 @@ func (e *engine) simulate() {
 				continue
 			}
 			r := pkt.route
-			sw := int(top.WalkStart(r.Flow, r.Links))
+			sw := int(top.WalkSwitch(r.Flow, r.Links, 0))
 			in := e.inPorts[sw][e.coreIn[r.Flow.Src]]
 			if in.free() == 0 {
 				continue
@@ -492,12 +492,7 @@ func (e *engine) wantsOutput(si int, f flit, oi int) bool {
 	return pk.hop < len(seq) && e.hopSwitch(pk) == si && seq[pk.hop] == oi
 }
 
-// hopSwitch returns the switch at index pk.hop of pk's route walk: the
-// walk's start, then the far end of each link.
+// hopSwitch returns the switch at index pk.hop of pk's route walk.
 func (e *engine) hopSwitch(pk *packet) int {
-	r := pk.route
-	if pk.hop == 0 {
-		return int(e.top.WalkStart(r.Flow, r.Links))
-	}
-	return int(e.top.Links[r.Links[pk.hop-1]].To)
+	return int(e.top.WalkSwitch(pk.route.Flow, pk.route.Links, pk.hop))
 }
