@@ -19,8 +19,13 @@ GO ?= go
 
 ci: vet fmt lint surface build race bench-module bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke
 
+# vet also type-checks every package, tests included, for a 32-bit
+# (386) and a second 64-bit (arm64) target, so code that only compiles
+# where int is 64 bits or on amd64 fails here.
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # fmt fails when gofmt would rewrite any file (testdata fixtures
 # included — they are parsed by the analysis golden tests).

@@ -4,8 +4,9 @@
 // hand-written and bit-exact: floats round-trip as IEEE bit patterns,
 // and topologies are stored as their construction essentials (switches,
 // attachments, links, routes in original order) and rebuilt by
-// topology.Build, which sums the order-dependent Link.TrafficBps route
-// by route and so restores it bit-for-bit, not merely approximately.
+// topology.Build and AddRoute, which sums the order-dependent
+// Link.TrafficBps route by route and so restores it bit-for-bit, not
+// merely approximately.
 //
 // specio's JSON topology format deliberately cannot be reused here: its
 // human units (MB/s, MHz) divide through 1e6 and lose low bits.
@@ -436,8 +437,10 @@ func decodeBreakdown(d *dec, b *power.Breakdown) {
 }
 
 // encodeTopology captures the construction essentials topology.Build
-// reads; derived state (link capacities, island-crossing flags,
-// accumulated traffic, the link index) is rebuilt by Build on decode.
+// reads, plus each route's walk; on decode Build rebuilds the core lists
+// and the link index, and AddRoute the accumulated traffic. Link
+// clocks, capacities and crossings are never stored: the topology
+// derives them from the island tables.
 func encodeTopology(e *enc, t *topology.Topology) {
 	e.bool(t.NoCIsland != soc.NoIsland)
 	e.f64s(t.IslandFreqHz)

@@ -85,8 +85,7 @@ func sameDesign(a, b *topology.Topology) error {
 	}
 	for i := range a.Switches {
 		sa, sb := &a.Switches[i], &b.Switches[i]
-		if sa.ID != sb.ID || sa.Island != sb.Island || sa.Indirect != sb.Indirect ||
-			!slices.Equal(sa.Cores, sb.Cores) || !num.AlmostEq(sa.FreqHz, sb.FreqHz) || sa.VoltageV != sb.VoltageV {
+		if sa.Island != sb.Island || sa.Indirect != sb.Indirect || !slices.Equal(sa.Cores, sb.Cores) {
 			return fmt.Errorf("switch %d: %+v vs %+v", i, *sa, *sb)
 		}
 	}
@@ -95,9 +94,7 @@ func sameDesign(a, b *topology.Topology) error {
 	}
 	for i := range a.Links {
 		la, lb := a.Links[i], b.Links[i]
-		if la.ID != lb.ID || la.From != lb.From || la.To != lb.To || la.LengthMM != lb.LengthMM ||
-			la.CrossesIslands != lb.CrossesIslands || la.TrafficBps != lb.TrafficBps ||
-			!num.AlmostEq(la.CapacityBps, lb.CapacityBps) {
+		if la != lb {
 			return fmt.Errorf("link %d: %+v vs %+v", i, la, lb)
 		}
 	}

@@ -564,8 +564,9 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 	// Survivability as a feasibility predicate: the router already
 	// failed candidates it could not give k disjoint backups, and this
 	// proves the property it claims to have established — per-flow
-	// backup count, structure, island legality, latency and pairwise
+	// backup count, structure, island legality and pairwise
 	// link-disjointness — before the candidate may become a point.
+	// Backups are not held to the latency budget.
 	if k := opt.Survivability; k > 0 {
 		if err := top.ValidateSurvivable(k); err != nil {
 			return nil, err

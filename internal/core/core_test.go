@@ -194,7 +194,7 @@ func TestSynthesizeSingleIslandBaseline(t *testing.T) {
 		t.Fatal("single-island design has converter power")
 	}
 	for _, l := range best.Top.Links {
-		if l.CrossesIslands {
+		if best.Top.CrossesIslands(l.From, l.To) {
 			t.Fatal("single-island design has crossing links")
 		}
 	}

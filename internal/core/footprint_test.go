@@ -14,9 +14,11 @@ import (
 // publishedD26Bytes is what one published() of the D26 k=0 winner
 // allocates on 64-bit targets: its switch counts, the topology's
 // exact-size copy (Compact) and the placement's (Clone). It was 12,256
-// bytes while design IDs were 64-bit, and 9,744 while every route and
-// backup also stored its switch walk.
-const publishedD26Bytes = 8400
+// bytes while design IDs were 64-bit, 9,744 while every route and
+// backup also stored its switch walk, and 8,400 while every switch kept
+// its ID and a copy of its island's clock and supply, and every link its
+// ID, capacity and crossing flag.
+const publishedD26Bytes = 7504
 
 // TestPublishedFootprintPinned pins the bytes one published point of
 // the D26 k=0 winner allocates, so a field or a width that grows every

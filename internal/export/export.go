@@ -5,7 +5,6 @@ package export
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nocvi/internal/floorplan"
@@ -44,7 +43,7 @@ func TopologyDOT(top *topology.Topology) string {
 		}
 		fmt.Fprintf(&b, "    label=%q; style=filled; color=%q;\n",
 			fmt.Sprintf("%s @ %.0f MHz", label, top.IslandFreqHz[isl]/1e6), islandColor(soc.IslandID(isl)))
-		for _, s := range top.Switches {
+		for i, s := range top.Switches {
 			if int(s.Island) != isl {
 				continue
 			}
@@ -52,8 +51,8 @@ func TopologyDOT(top *topology.Topology) string {
 			if s.Indirect {
 				shape = "doublecircle"
 			}
-			fmt.Fprintf(&b, "    sw%d [label=\"sw%d\\n%dx%d\" shape=%s];\n",
-				s.ID, s.ID, inPorts(top, s.ID), outPorts(top, s.ID), shape)
+			in, out := top.SwitchPorts(topology.SwitchID(i))
+			fmt.Fprintf(&b, "    sw%d [label=\"sw%d\\n%dx%d\" shape=%s];\n", i, i, in, out, shape)
 		}
 		for c, ci := range top.Spec.IslandOf {
 			if int(ci) != isl {
@@ -72,7 +71,7 @@ func TopologyDOT(top *topology.Topology) string {
 	for _, l := range top.Links {
 		style := "solid"
 		extra := ""
-		if l.CrossesIslands {
+		if top.CrossesIslands(l.From, l.To) {
 			style = "dashed"
 			extra = " label=\"FIFO\" fontsize=8"
 		}
@@ -80,16 +79,6 @@ func TopologyDOT(top *topology.Topology) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-func inPorts(top *topology.Topology, sw topology.SwitchID) int {
-	in, _ := top.SwitchPorts(sw)
-	return in
-}
-
-func outPorts(top *topology.Topology, sw topology.SwitchID) int {
-	_, out := top.SwitchPorts(sw)
-	return out
 }
 
 // TopologyText renders a compact ASCII description: per island, its
@@ -107,7 +96,7 @@ func TopologyText(top *topology.Topology) string {
 			}
 		}
 		fmt.Fprintf(&b, "island %d %-24s @ %4.0f MHz\n", isl, name, top.IslandFreqHz[isl]/1e6)
-		for _, s := range top.Switches {
+		for i, s := range top.Switches {
 			if int(s.Island) != isl {
 				continue
 			}
@@ -120,18 +109,16 @@ func TopologyText(top *topology.Topology) string {
 				kind = "indirect"
 			}
 			fmt.Fprintf(&b, "  sw%-3d %s size=%d cores=[%s]\n",
-				s.ID, kind, top.SwitchSize(s.ID), strings.Join(cores, " "))
+				i, kind, top.SwitchSize(topology.SwitchID(i)), strings.Join(cores, " "))
 		}
 	}
-	links := append([]topology.Link(nil), top.Links...)
-	sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
-	for _, l := range links {
+	for _, l := range top.Links {
 		cross := ""
-		if l.CrossesIslands {
+		if top.CrossesIslands(l.From, l.To) {
 			cross = " [bi-sync FIFO]"
 		}
 		fmt.Fprintf(&b, "  link sw%d->sw%d %.0f/%.0f MB/s%s\n",
-			l.From, l.To, l.TrafficBps/1e6, l.CapacityBps/1e6, cross)
+			l.From, l.To, l.TrafficBps/1e6, top.CapacityBps(l.From, l.To)/1e6, cross)
 	}
 	return b.String()
 }
@@ -160,7 +147,7 @@ func FloorplanSVG(top *topology.Topology, p *floorplan.Placement) string {
 	for _, l := range top.Links {
 		a, c := p.SwitchPos[l.From], p.SwitchPos[l.To]
 		dash := ""
-		if l.CrossesIslands {
+		if top.CrossesIslands(l.From, l.To) {
 			dash = ` stroke-dasharray="4,3"`
 		}
 		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="black" stroke-width="1"%s/>`+"\n",
@@ -173,8 +160,8 @@ func FloorplanSVG(top *topology.Topology, p *floorplan.Placement) string {
 		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="7" text-anchor="middle">%s</text>`+"\n",
 			tx(pos.X), ty(pos.Y)+3, top.Spec.Cores[c].Name)
 	}
-	for _, s := range top.Switches {
-		pos := p.SwitchPos[s.ID]
+	for i, s := range top.Switches {
+		pos := p.SwitchPos[i]
 		fill := "black"
 		if s.Indirect {
 			fill = "red"
@@ -227,12 +214,12 @@ func FloorplanText(top *topology.Topology, p *floorplan.Placement, cols int) str
 	for c := range top.Spec.Cores {
 		put(p.CorePos[c], 'o')
 	}
-	for _, s := range top.Switches {
+	for i, s := range top.Switches {
 		ch := byte('#')
 		if s.Indirect {
 			ch = '%'
 		}
-		put(p.SwitchPos[s.ID], ch)
+		put(p.SwitchPos[i], ch)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "floorplan of %s (%.1f x %.1f mm): o=core #=switch %%=indirect, letters=island borders\n",

@@ -46,7 +46,7 @@ func TestTopologyDOT(t *testing.T) {
 	// inter-island links dashed with FIFO label
 	hasCross := false
 	for _, l := range top.Links {
-		if l.CrossesIslands {
+		if top.CrossesIslands(l.From, l.To) {
 			hasCross = true
 		}
 	}

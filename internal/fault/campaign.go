@@ -411,11 +411,11 @@ func evalState(a *arena, top *topology.Topology, shutdownable []soc.IslandID, fl
 	// Single-link failures composed under the state: only powered links
 	// can fail meaningfully (a gated island's links are already off),
 	// and only the surviving traffic needs a route around the failure.
-	for _, l := range top.Links {
+	for i, l := range top.Links {
 		if linkGated(top, l, off) {
 			continue
 		}
-		out, err := tryWithoutUnderState(a, top, l.ID, off, opt.Survivability)
+		out, err := tryWithoutUnderState(a, top, topology.LinkID(i), off, opt.Survivability)
 		if err != nil {
 			return s, err
 		}

@@ -63,8 +63,8 @@ func Analyze(top *topology.Topology) (*Report, error) {
 	rep := &Report{Links: len(top.Links)}
 	a := arena{active: top.Spec.SortFlowsByBandwidth()}
 	allOn := make([]bool, len(top.Spec.Islands))
-	for _, l := range top.Links {
-		out, err := tryWithoutUnderState(&a, top, l.ID, allOn, 0)
+	for i := range top.Links {
+		out, err := tryWithoutUnderState(&a, top, topology.LinkID(i), allOn, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -144,8 +144,8 @@ func rebuildInto(dst, orig *topology.Topology, failed topology.LinkID) error {
 	for _, s := range orig.Switches {
 		dst.Switches = append(dst.Switches, topology.Switch{Island: s.Island, Indirect: s.Indirect})
 	}
-	for _, l := range orig.Links {
-		if l.ID != failed {
+	for i, l := range orig.Links {
+		if topology.LinkID(i) != failed {
 			dst.Links = append(dst.Links, topology.Link{From: l.From, To: l.To})
 		}
 	}

@@ -69,10 +69,11 @@ func TestRedundantPathRecovers(t *testing.T) {
 			if i == j || top.Switches[i].Island != top.Switches[j].Island {
 				continue
 			}
-			if _, ok := top.FindLink(top.Switches[i].ID, top.Switches[j].ID); ok {
+			from, to := topology.SwitchID(i), topology.SwitchID(j)
+			if _, ok := top.FindLink(from, to); ok {
 				continue
 			}
-			lid, err := top.AddLink(top.Switches[i].ID, top.Switches[j].ID)
+			lid, err := top.AddLink(from, to)
 			if err == nil {
 				added = true
 				addedID = int(lid)

@@ -46,10 +46,9 @@ func refRebuildWithout(orig *topology.Topology, failed topology.LinkID) (*topolo
 	if orig.NoCIsland != soc.NoIsland {
 		top.AddNoCIsland(orig.IslandFreqHz[orig.NoCIsland], orig.IslandVoltage[orig.NoCIsland])
 	}
-	for _, s := range orig.Switches {
-		id := top.AddSwitch(s.Island, s.Indirect)
-		if id != s.ID {
-			return nil, fmt.Errorf("fault: switch renumbering (%d vs %d)", id, s.ID)
+	for i, s := range orig.Switches {
+		if id := top.AddSwitch(s.Island, s.Indirect); id != topology.SwitchID(i) {
+			return nil, fmt.Errorf("fault: switch renumbering (%d vs %d)", id, i)
 		}
 	}
 	for c, sw := range orig.SwitchOf {
@@ -60,8 +59,8 @@ func refRebuildWithout(orig *topology.Topology, failed topology.LinkID) (*topolo
 			return nil, err
 		}
 	}
-	for _, l := range orig.Links {
-		if l.ID == failed {
+	for i, l := range orig.Links {
+		if topology.LinkID(i) == failed {
 			continue
 		}
 		if _, err := top.AddLink(l.From, l.To); err != nil {
@@ -73,17 +72,18 @@ func refRebuildWithout(orig *topology.Topology, failed topology.LinkID) (*topolo
 
 func refAnalyze(top *topology.Topology) (*Report, error) {
 	rep := &Report{Links: len(top.Links)}
-	for _, l := range top.Links {
-		out := LinkOutcome{Link: l.ID}
+	for i := range top.Links {
+		id := topology.LinkID(i)
+		out := LinkOutcome{Link: id}
 		for ri := range top.Routes {
 			for _, lid := range top.Routes[ri].Links {
-				if lid == l.ID {
+				if lid == id {
 					out.AffectedFlows++
 					break
 				}
 			}
 		}
-		rebuilt, err := refRebuildWithout(top, l.ID)
+		rebuilt, err := refRebuildWithout(top, id)
 		if err != nil {
 			return nil, err
 		}
@@ -152,11 +152,11 @@ func refEvalState(top *topology.Topology, shutdownable []soc.IslandID, mask uint
 		}
 	}
 	s.ActiveFlows = len(active)
-	for _, l := range top.Links {
+	for i, l := range top.Links {
 		if linkGated(top, l, off) {
 			continue
 		}
-		out, err := refTryWithoutUnderState(top, l.ID, off, active, opt.Survivability)
+		out, err := refTryWithoutUnderState(top, topology.LinkID(i), off, active, opt.Survivability)
 		if err != nil {
 			return s, err
 		}

@@ -208,7 +208,7 @@ func placeWithOrder(top *topology.Topology, opt Options, order []int, sc *Scratc
 	// see placed neighbours.
 	for pass := 0; pass < 2; pass++ {
 		for i := range top.Switches {
-			s := &top.Switches[i]
+			s, sw := &top.Switches[i], topology.SwitchID(i)
 			pts := sc.pts[:0]
 			if !s.Indirect {
 				for _, c := range s.Cores {
@@ -216,10 +216,10 @@ func placeWithOrder(top *topology.Topology, opt Options, order []int, sc *Scratc
 				}
 			} else {
 				for _, l := range top.Links {
-					if l.From == s.ID {
+					if l.From == sw {
 						pts = append(pts, p.SwitchPos[l.To])
 					}
-					if l.To == s.ID {
+					if l.To == sw {
 						pts = append(pts, p.SwitchPos[l.From])
 					}
 				}
@@ -240,7 +240,7 @@ func placeWithOrder(top *topology.Topology, opt Options, order []int, sc *Scratc
 			// they do not stack at the exact same point.
 			pos.X += float64(i%3) * 0.01
 			pos.Y += float64(i/3%3) * 0.01
-			p.SwitchPos[s.ID] = clamp(pos, r)
+			p.SwitchPos[i] = clamp(pos, r)
 		}
 	}
 
@@ -280,8 +280,8 @@ func islandAreasInto(buf []float64, top *topology.Topology, opt Options) []float
 	for c, isl := range top.Spec.IslandOf {
 		areas[isl] += top.Spec.Cores[c].AreaMM2 + top.Lib.NIAreaMM2
 	}
-	for _, s := range top.Switches {
-		areas[s.Island] += top.Lib.SwitchAreaMM2(top.SwitchSize(s.ID))
+	for i, s := range top.Switches {
+		areas[s.Island] += top.Lib.SwitchAreaMM2(top.SwitchSize(topology.SwitchID(i)))
 	}
 	for i := range areas {
 		areas[i] *= 1 + opt.whitespace()
@@ -418,10 +418,8 @@ func (p *Placement) TotalWireLengthMM() float64 {
 func WireDelayViolations(top *topology.Topology, p *Placement) []topology.LinkID {
 	var out []topology.LinkID
 	for i, l := range top.Links {
-		fs, ts := top.Switches[l.From], top.Switches[l.To]
-		f := math.Min(fs.FreqHz, ts.FreqHz)
-		if p.LinkLengthMM[i] > top.Lib.WireLengthBudgetMM(f) {
-			out = append(out, l.ID)
+		if p.LinkLengthMM[i] > top.Lib.WireLengthBudgetMM(top.LinkFreqHz(l.From, l.To)) {
+			out = append(out, topology.LinkID(i))
 		}
 	}
 	return out

@@ -79,9 +79,9 @@ func TestPlaceBasics(t *testing.T) {
 		}
 	}
 	// Every switch inside its island's region.
-	for _, s := range top.Switches {
-		if !p.IslandRects[s.Island].Contains(p.SwitchPos[s.ID]) {
-			t.Fatalf("switch %d outside island %d", s.ID, s.Island)
+	for i, s := range top.Switches {
+		if !p.IslandRects[s.Island].Contains(p.SwitchPos[i]) {
+			t.Fatalf("switch %d outside island %d", i, s.Island)
 		}
 	}
 	// Regions disjoint.
@@ -191,8 +191,8 @@ func TestWireDelayViolations(t *testing.T) {
 		t.Fatalf("unexpected violations: %v", v)
 	}
 	// Crank the clock so the budget shrinks below the link span.
-	for i := range top.Switches {
-		top.Switches[i].FreqHz = 10e9
+	for i := range top.IslandFreqHz {
+		top.SetIslandFreq(soc.IslandID(i), 10e9)
 	}
 	if v := WireDelayViolations(top, p); len(v) != len(top.Links) {
 		t.Fatalf("violations at 10 GHz = %d, want all %d", len(v), len(top.Links))

@@ -199,7 +199,7 @@ func Synthesize(spec *soc.Spec, lib *model.Library, opt Options) (*Result, error
 	}
 
 	for _, l := range top.Links {
-		if l.TrafficBps > l.CapacityBps*(1+1e-9) {
+		if l.TrafficBps > top.CapacityBps(l.From, l.To)*(1+1e-9) {
 			res.OverloadedLinks++
 		}
 	}

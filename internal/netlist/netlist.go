@@ -16,7 +16,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nocvi/internal/soc"
@@ -56,8 +55,8 @@ func (c Config) hopBitsFor(maxPorts int) int {
 // Generate returns the complete Verilog source for the topology.
 func Generate(top *topology.Topology, cfg Config) (string, error) {
 	largest := 0
-	for _, s := range top.Switches {
-		if sz := top.SwitchSize(s.ID); sz > largest {
+	for i := range top.Switches {
+		if sz := top.SwitchSize(topology.SwitchID(i)); sz > largest {
 			largest = sz
 		}
 	}
@@ -102,13 +101,12 @@ func sourceRoutes(top *topology.Topology) ([]hopSeq, error) {
 			outPort[i][portKey{link: -1, core: c}] = n
 			n++
 		}
-		var links []topology.LinkID
-		for _, l := range top.Links {
+		var links []topology.LinkID // in ID order
+		for li, l := range top.Links {
 			if l.From == topology.SwitchID(i) {
-				links = append(links, l.ID)
+				links = append(links, topology.LinkID(li))
 			}
 		}
-		sort.Slice(links, func(a, b int) bool { return links[a] < links[b] })
 		for _, l := range links {
 			outPort[i][portKey{link: l, core: -1}] = n
 			n++
@@ -316,7 +314,7 @@ func topModule(b *strings.Builder, top *topology.Topology, cfg Config, routes []
 		fmt.Fprintf(b, "    wire [%d:0] %s;\n", w-1, wireName("lnk_d", int(l.From), int(l.To)))
 		fmt.Fprintf(b, "    wire %s, %s;\n",
 			wireName("lnk_v", int(l.From), int(l.To)), wireName("lnk_r", int(l.From), int(l.To)))
-		if l.CrossesIslands {
+		if top.CrossesIslands(l.From, l.To) {
 			fmt.Fprintf(b, "    wire [%d:0] %s;\n", w-1, wireName("cvt_d", int(l.From), int(l.To)))
 			fmt.Fprintf(b, "    wire %s, %s;\n",
 				wireName("cvt_v", int(l.From), int(l.To)), wireName("cvt_r", int(l.From), int(l.To)))
@@ -358,21 +356,19 @@ func topModule(b *strings.Builder, top *topology.Topology, cfg Config, routes []
 			outV = append(outV, wireName("sw2ni_v", int(c), si))
 			outR = append(outR, wireName("sw2ni_r", int(c), si))
 		}
-		var inLinks, outLinks []topology.Link
+		var inLinks, outLinks []topology.Link // in ID order
 		for _, l := range top.Links {
-			if l.To == s.ID {
+			if l.To == topology.SwitchID(si) {
 				inLinks = append(inLinks, l)
 			}
-			if l.From == s.ID {
+			if l.From == topology.SwitchID(si) {
 				outLinks = append(outLinks, l)
 			}
 		}
-		sort.Slice(inLinks, func(a, b int) bool { return inLinks[a].ID < inLinks[b].ID })
-		sort.Slice(outLinks, func(a, b int) bool { return outLinks[a].ID < outLinks[b].ID })
 		for _, l := range inLinks {
 			// A crossing link arrives through its converter.
 			kind := "lnk"
-			if l.CrossesIslands {
+			if top.CrossesIslands(l.From, l.To) {
 				kind = "cvt"
 			}
 			inD = append(inD, wireName(kind+"_d", int(l.From), int(l.To)))
@@ -411,7 +407,7 @@ func topModule(b *strings.Builder, top *topology.Topology, cfg Config, routes []
 
 	// Converter instances on crossing links.
 	for _, l := range top.Links {
-		if !l.CrossesIslands {
+		if !top.CrossesIslands(l.From, l.To) {
 			continue
 		}
 		fi, ti := int(top.Switches[l.From].Island), int(top.Switches[l.To].Island)

@@ -53,7 +53,7 @@ func TestGenerateStructure(t *testing.T) {
 	// One converter per crossing link.
 	crossings := 0
 	for _, l := range dp.Top.Links {
-		if l.CrossesIslands {
+		if dp.Top.CrossesIslands(l.From, l.To) {
 			crossings++
 		}
 	}

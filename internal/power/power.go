@@ -181,31 +181,32 @@ func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]
 		if islandOff(off, s.Island) {
 			continue
 		}
-		size := top.SwitchSize(s.ID)
-		b.SwitchDynW += lib.SwitchDynPowerW(size, s.FreqHz, s.VoltageV, swTraffic[i])
-		b.SwitchLeakW += lib.SwitchLeakPowerW(size, s.VoltageV)
+		size, v := top.SwitchSize(topology.SwitchID(i)), top.IslandVoltage[s.Island]
+		b.SwitchDynW += lib.SwitchDynPowerW(size, top.IslandFreqHz[s.Island], v, swTraffic[i])
+		b.SwitchLeakW += lib.SwitchLeakPowerW(size, v)
 	}
 
 	for i, l := range top.Links {
-		fs, ts := &top.Switches[l.From], &top.Switches[l.To]
-		if islandOff(off, fs.Island) || islandOff(off, ts.Island) {
+		fi, ti := top.Switches[l.From].Island, top.Switches[l.To].Island
+		if islandOff(off, fi) || islandOff(off, ti) {
 			continue
 		}
+		fv, tv := top.IslandVoltage[fi], top.IslandVoltage[ti]
 		if wires {
 			length := l.LengthMM
 			if length <= 0 {
 				length = DefaultLinkLengthMM
 			}
-			vMax := fs.VoltageV
-			if ts.VoltageV > vMax {
-				vMax = ts.VoltageV
+			vMax := fv
+			if tv > vMax {
+				vMax = tv
 			}
 			b.LinkDynW += lib.LinkDynPowerW(length, vMax, linkTraffic[i])
 			b.LinkLeakW += lib.LinkLeakPowerW(length, vMax)
 		}
-		if l.CrossesIslands {
-			b.FIFODynW += lib.FIFODynPowerW(fs.VoltageV, ts.VoltageV, linkTraffic[i])
-			b.FIFOLeakW += lib.FIFOLeakPowerW(fs.VoltageV, ts.VoltageV)
+		if top.CrossesIslands(l.From, l.To) {
+			b.FIFODynW += lib.FIFODynPowerW(fv, tv, linkTraffic[i])
+			b.FIFOLeakW += lib.FIFOLeakPowerW(fv, tv)
 		}
 	}
 
@@ -227,12 +228,12 @@ func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]
 // figure.
 func NoCAreaMM2(top *topology.Topology) float64 {
 	var area float64
-	for _, s := range top.Switches {
-		area += top.Lib.SwitchAreaMM2(top.SwitchSize(s.ID))
+	for i := range top.Switches {
+		area += top.Lib.SwitchAreaMM2(top.SwitchSize(topology.SwitchID(i)))
 	}
 	area += float64(len(top.Spec.Cores)) * top.Lib.NIAreaMM2
 	for _, l := range top.Links {
-		if l.CrossesIslands {
+		if top.CrossesIslands(l.From, l.To) {
 			area += top.Lib.FIFOAreaMM2
 		}
 	}

@@ -58,9 +58,9 @@ func newRefRouter(top *topology.Topology, opt route.Options) *refRouter {
 // refFindLink and refSwitchPorts are the seed's linear scans, kept
 // independent of the indexed implementations they were replaced by.
 func (r *refRouter) refFindLink(from, to topology.SwitchID) (topology.LinkID, bool) {
-	for _, l := range r.top.Links {
+	for i, l := range r.top.Links {
 		if l.From == from && l.To == to {
-			return l.ID, true
+			return topology.LinkID(i), true
 		}
 	}
 	return -1, false
@@ -160,11 +160,14 @@ func (r *refRouter) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) f
 	su, sv := &r.top.Switches[u], &r.top.Switches[v]
 	crossing := su.Island != sv.Island
 	bw := f.BandwidthBps
+	fu, fv := r.top.IslandFreqHz[su.Island], r.top.IslandFreqHz[sv.Island]
+	vu, vv := r.top.IslandVoltage[su.Island], r.top.IslandVoltage[sv.Island]
+	capacity := lib.LinkCapacityBps(math.Min(fu, fv))
 
 	lid, exists := r.refFindLink(u, v)
 	if exists {
 		l := r.top.Links[lid]
-		if l.TrafficBps+bw > l.CapacityBps*(1+1e-9) {
+		if l.TrafficBps+bw > capacity*(1+1e-9) {
 			return graph.Inf
 		}
 	} else if r.opt.NoNewLinks {
@@ -175,8 +178,7 @@ func (r *refRouter) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) f
 		if maxi(inU, outU+1) > r.maxSz[su.Island] || maxi(inV+1, outV) > r.maxSz[sv.Island] {
 			return graph.Inf
 		}
-		minF := math.Min(su.FreqHz, sv.FreqHz)
-		if bw > lib.LinkCapacityBps(minF)*(1+1e-9) {
+		if bw > capacity*(1+1e-9) {
 			return graph.Inf
 		}
 	}
@@ -185,19 +187,19 @@ func (r *refRouter) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) f
 		return r.hopLatency(u, v)
 	}
 
-	vMax := math.Max(su.VoltageV, sv.VoltageV)
+	vMax := math.Max(vu, vv)
 	eBit := lib.SwitchEnergyBase + lib.SwitchEnergyPerPort*float64(r.refSwitchSize(v))
-	pw := bw * 8 * eBit * lib.VoltageScaleDynamic(sv.VoltageV)
+	pw := bw * 8 * eBit * lib.VoltageScaleDynamic(vv)
 	pw += lib.LinkDynPowerW(2.0, vMax, bw)
 	if crossing {
-		pw += lib.FIFODynPowerW(su.VoltageV, sv.VoltageV, bw)
+		pw += lib.FIFODynPowerW(vu, vv, bw)
 	}
 	if !exists {
-		pw += lib.SwitchIdlePerPortHz * (su.FreqHz + sv.FreqHz) * lib.VoltageScaleDynamic(vMax)
-		pw += lib.SwitchLeakPowerW(1, su.VoltageV) + lib.SwitchLeakPowerW(1, sv.VoltageV)
+		pw += lib.SwitchIdlePerPortHz * (fu + fv) * lib.VoltageScaleDynamic(vMax)
+		pw += lib.SwitchLeakPowerW(1, vu) + lib.SwitchLeakPowerW(1, vv)
 		pw += lib.LinkLeakPowerW(2.0, vMax)
 		if crossing {
-			pw += lib.FIFOLeakPowerW(su.VoltageV, sv.VoltageV)
+			pw += lib.FIFOLeakPowerW(vu, vv)
 		}
 	}
 
@@ -311,9 +313,7 @@ func compareRouting(t *testing.T, label string, spec *soc.Spec, lib *model.Libra
 	}
 	for i := range optTop.Links {
 		a, b := optTop.Links[i], refTop.Links[i]
-		if a.ID != b.ID || a.From != b.From || a.To != b.To ||
-			a.CrossesIslands != b.CrossesIslands ||
-			a.TrafficBps != b.TrafficBps || a.CapacityBps != b.CapacityBps {
+		if a != b {
 			t.Fatalf("%s: link %d differs:\n  optimized: %+v\n  reference: %+v", label, i, a, b)
 		}
 	}

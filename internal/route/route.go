@@ -331,7 +331,7 @@ func (r *Router) routeBackups(k int) error {
 // edge crosses islands).
 func (r *Router) hopLatency(u, v topology.SwitchID) float64 {
 	lat := model.SwitchTraversalCycles + model.LinkTraversalCycles
-	if r.top.Switches[u].Island != r.top.Switches[v].Island {
+	if r.top.CrossesIslands(u, v) {
 		lat += model.FIFOCrossingCycles
 	}
 	return lat
@@ -342,10 +342,11 @@ func (r *Router) hopLatency(u, v topology.SwitchID) float64 {
 // latOnly selects the pure-latency fallback objective.
 func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) float64 {
 	lib := r.top.Lib
-	su, sv := &r.top.Switches[u], &r.top.Switches[v]
-	crossing := su.Island != sv.Island
+	iu, iv := r.top.Switches[u].Island, r.top.Switches[v].Island
+	crossing := r.top.CrossesIslands(u, v)
 	bw := f.BandwidthBps
 
+	traffic := 0.0 // what u->v carries already; a link not yet open carries nothing
 	lid, exists := r.top.FindLink(u, v)
 	if exists {
 		for _, ex := range r.exclude {
@@ -353,23 +354,19 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 				return graph.Inf // disjoint-path search: link already used by this flow
 			}
 		}
-		l := r.top.Links[lid]
-		if l.TrafficBps+bw > l.CapacityBps*(1+1e-9) {
-			return graph.Inf
-		}
+		traffic = r.top.Links[lid].TrafficBps
 	} else if r.opt.NoNewLinks {
 		return graph.Inf
 	} else {
 		// Opening u->v adds an output port at u and an input port at v.
 		inU, outU := r.top.SwitchPorts(u)
 		inV, outV := r.top.SwitchPorts(v)
-		if max(inU, outU+1) > r.maxSz[su.Island] || max(inV+1, outV) > r.maxSz[sv.Island] {
+		if max(inU, outU+1) > r.maxSz[iu] || max(inV+1, outV) > r.maxSz[iv] {
 			return graph.Inf
 		}
-		minF := math.Min(su.FreqHz, sv.FreqHz)
-		if bw > lib.LinkCapacityBps(minF)*(1+1e-9) {
-			return graph.Inf
-		}
+	}
+	if traffic+bw > r.top.CapacityBps(u, v)*(1+1e-9) {
+		return graph.Inf
 	}
 
 	if latOnly {
@@ -377,21 +374,22 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 	}
 
 	// Marginal power of carrying the flow over this hop.
-	vMax := math.Max(su.VoltageV, sv.VoltageV)
+	vu, vv := r.top.IslandVoltage[iu], r.top.IslandVoltage[iv]
+	vMax := math.Max(vu, vv)
 	eBit := lib.SwitchEnergyBase + lib.SwitchEnergyPerPort*float64(r.top.SwitchSize(v))
-	power := bw * 8 * eBit * lib.VoltageScaleDynamic(sv.VoltageV)
+	power := bw * 8 * eBit * lib.VoltageScaleDynamic(vv)
 	power += lib.LinkDynPowerW(estLinkLengthMM, vMax, bw)
 	if crossing {
-		power += lib.FIFODynPowerW(su.VoltageV, sv.VoltageV, bw)
+		power += lib.FIFODynPowerW(vu, vv, bw)
 	}
 	if !exists {
 		// One-time cost of the new link: port idle power at both ends,
 		// port + wire leakage, converter leakage when crossing.
-		power += lib.SwitchIdlePerPortHz * (su.FreqHz + sv.FreqHz) * lib.VoltageScaleDynamic(vMax)
-		power += lib.SwitchLeakPowerW(1, su.VoltageV) + lib.SwitchLeakPowerW(1, sv.VoltageV)
+		power += lib.SwitchIdlePerPortHz * (r.top.IslandFreqHz[iu] + r.top.IslandFreqHz[iv]) * lib.VoltageScaleDynamic(vMax)
+		power += lib.SwitchLeakPowerW(1, vu) + lib.SwitchLeakPowerW(1, vv)
 		power += lib.LinkLeakPowerW(estLinkLengthMM, vMax)
 		if crossing {
-			power += lib.FIFOLeakPowerW(su.VoltageV, sv.VoltageV)
+			power += lib.FIFOLeakPowerW(vu, vv)
 		}
 	}
 

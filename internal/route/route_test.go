@@ -177,9 +177,9 @@ func TestIntermediateUsedWhenDirectForbidden(t *testing.T) {
 	if err := top.ValidateShutdownSafe(); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range top.Switches {
-		if sz := top.SwitchSize(s.ID); sz > sizes[s.Island] {
-			t.Fatalf("switch %d size %d exceeds cap %d", s.ID, sz, sizes[s.Island])
+	for i, s := range top.Switches {
+		if sz := top.SwitchSize(topology.SwitchID(i)); sz > sizes[s.Island] {
+			t.Fatalf("switch %d size %d exceeds cap %d", i, sz, sizes[s.Island])
 		}
 	}
 }

@@ -55,9 +55,9 @@ const oracleEnumLimit = 200000
 // link-ID sequence.
 func enumerateLegalPaths(t *testing.T, top *topology.Topology, srcIsl, dstIsl soc.IslandID, src, dst topology.SwitchID) [][]topology.LinkID {
 	t.Helper()
-	adj := make(map[topology.SwitchID][]topology.Link)
-	for _, l := range top.Links {
-		adj[l.From] = append(adj[l.From], l)
+	adj := make(map[topology.SwitchID][]topology.LinkID)
+	for i, l := range top.Links {
+		adj[l.From] = append(adj[l.From], topology.LinkID(i))
 	}
 	var (
 		out     [][]topology.LinkID
@@ -73,15 +73,16 @@ func enumerateLegalPaths(t *testing.T, top *topology.Topology, srcIsl, dstIsl so
 			}
 			return
 		}
-		for _, l := range adj[u] {
-			if visited[l.To] || !oracleLegalMove(top, u, l.To, srcIsl, dstIsl) {
+		for _, lid := range adj[u] {
+			to := top.Links[lid].To
+			if visited[to] || !oracleLegalMove(top, u, to, srcIsl, dstIsl) {
 				continue
 			}
-			visited[l.To] = true
-			stack = append(stack, l.ID)
-			walk(l.To)
+			visited[to] = true
+			stack = append(stack, lid)
+			walk(to)
 			stack = stack[:len(stack)-1]
-			visited[l.To] = false
+			visited[to] = false
 		}
 	}
 	walk(src)
@@ -268,7 +269,7 @@ func TestSurvivabilityPrimariesInvariant(t *testing.T) {
 		}
 		for i := range base.Links {
 			a, b := base.Links[i], surv.Links[i]
-			if a.ID != b.ID || a.From != b.From || a.To != b.To || a.TrafficBps != b.TrafficBps {
+			if a.From != b.From || a.To != b.To || a.TrafficBps != b.TrafficBps {
 				t.Fatalf("%s: link %d perturbed by the backup pass:\n  k=0: %+v\n  k=1: %+v", name, i, a, b)
 			}
 		}

@@ -167,10 +167,7 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 		return cfg.Off != nil && int(isl) < len(cfg.Off) && cfg.Off[isl]
 	}
 
-	period := func(sw topology.SwitchID) float64 { return 1e9 / top.Switches[sw].FreqHz }
-	linkPeriod := func(a, b topology.SwitchID) float64 {
-		return 1e9 / math.Min(top.Switches[a].FreqHz, top.Switches[b].FreqHz)
-	}
+	period := func(sw topology.SwitchID) float64 { return 1e9 / top.IslandFreqHz[top.Switches[sw].Island] }
 
 	// Output-port free times: injection ports (one per core), link
 	// ports (one per link), ejection ports (one per core).
@@ -281,11 +278,11 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 			lid := r.Links[i]
 			l := &top.Links[lid]
 			sw = l.To
-			lp := linkPeriod(l.From, l.To)
+			lp := 1e9 / top.LinkFreqHz(l.From, l.To)
 			d := math.Max(t, linkFree[lid])
 			linkFree[lid] = d + flits*lp
 			t = d + model.LinkTraversalCycles*lp
-			if l.CrossesIslands {
+			if top.CrossesIslands(l.From, l.To) {
 				t += model.FIFOCrossingCycles * lp
 			}
 		}

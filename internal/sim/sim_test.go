@@ -64,10 +64,7 @@ func TestZeroLoadMatchesAnalytic(t *testing.T) {
 		spec := top.Spec
 		// Force all islands to the same clock so "cycles" is unambiguous.
 		for i := range top.IslandFreqHz {
-			top.IslandFreqHz[i] = clk
-		}
-		for i := range top.Switches {
-			top.Switches[i].FreqHz = clk
+			top.SetIslandFreq(soc.IslandID(i), clk)
 		}
 		masks := [][]bool{nil}
 		for i, isl := range spec.Islands {

@@ -242,16 +242,16 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 		}
 		out.Islands = append(out.Islands, ti)
 	}
-	for _, s := range top.Switches {
+	for i, s := range top.Switches {
 		out.Switches = append(out.Switches, topoSwitch{
-			ID: int(s.ID), Island: int(s.Island), Indirect: s.Indirect,
-			Size: top.SwitchSize(s.ID),
+			ID: i, Island: int(s.Island), Indirect: s.Indirect,
+			Size: top.SwitchSize(topology.SwitchID(i)),
 		})
 	}
 	for _, l := range top.Links {
 		out.Links = append(out.Links, topoLink{
-			From: int(l.From), To: int(l.To), Crossing: l.CrossesIslands,
-			TrafficMBps: l.TrafficBps / 1e6, CapMBps: l.CapacityBps / 1e6,
+			From: int(l.From), To: int(l.To), Crossing: top.CrossesIslands(l.From, l.To),
+			TrafficMBps: l.TrafficBps / 1e6, CapMBps: top.CapacityBps(l.From, l.To) / 1e6,
 			LengthMM: l.LengthMM,
 		})
 	}

@@ -17,8 +17,10 @@ import (
 )
 
 // wrap is 2^32: a stored ID raised by it still reads as the same ID
-// once narrowed to 32 bits without a check.
-const wrap = 1 << 32
+// once narrowed to 32 bits without a check. It is a variable, not a
+// constant, so that this file compiles where int is 32 bits; no int can
+// be raised by it there, and the test checks the committed seeds alone.
+var wrap int64 = 1 << 32
 
 // wrappedIDs lists, for every ID field ReadTopology reads, how to raise
 // that field by 2^32 in a D26 design's JSON. k is the survivability the
@@ -31,21 +33,21 @@ var wrappedIDs = []struct {
 	{"island id", 0, func(in *topoJSON) bool {
 		for i := range in.Islands {
 			if in.Islands[i].Intermediate {
-				in.Islands[i].ID += wrap
+				in.Islands[i].ID += int(wrap)
 				return true
 			}
 		}
 		return false
 	}},
-	{"switch island", 0, func(in *topoJSON) bool { in.Switches[0].Island += wrap; return true }},
-	{"NI switch", 0, func(in *topoJSON) bool { in.NIs[0].Switch += wrap; return true }},
-	{"link from", 0, func(in *topoJSON) bool { in.Links[0].From += wrap; return true }},
-	{"link to", 0, func(in *topoJSON) bool { in.Links[0].To += wrap; return true }},
-	{"route switch", 0, func(in *topoJSON) bool { in.Routes[0].Switches[0] += wrap; return true }},
+	{"switch island", 0, func(in *topoJSON) bool { in.Switches[0].Island += int(wrap); return true }},
+	{"NI switch", 0, func(in *topoJSON) bool { in.NIs[0].Switch += int(wrap); return true }},
+	{"link from", 0, func(in *topoJSON) bool { in.Links[0].From += int(wrap); return true }},
+	{"link to", 0, func(in *topoJSON) bool { in.Links[0].To += int(wrap); return true }},
+	{"route switch", 0, func(in *topoJSON) bool { in.Routes[0].Switches[0] += int(wrap); return true }},
 	{"backup switch", 1, func(in *topoJSON) bool {
 		for i := range in.Routes {
 			if len(in.Routes[i].Backups) > 0 {
-				in.Routes[i].Backups[0][0] += wrap
+				in.Routes[i].Backups[0][0] += int(wrap)
 				return true
 			}
 		}
@@ -81,7 +83,10 @@ func d26WinnerJSON(t *testing.T, spec *soc.Spec, k int) topoJSON {
 // winner's JSON by 2^32. A 32-bit read without a check would see the
 // original design and accept it; ReadTopology must fail with a
 // *soc.IDRangeError naming the field. The committed FuzzReadTopology
-// seeds hold the same inputs and must fail alike.
+// seeds hold the same inputs and must fail alike. Where int is 32 bits
+// the raised ID cannot reach the check: it overflows the JSON decoder's
+// int field first, so each seed must fail with the decoder's
+// *json.UnmarshalTypeError instead.
 func TestReadTopologyRejectsWrappedIDs(t *testing.T) {
 	spec, err := bench.Islanded("d26_media")
 	if err != nil {
@@ -91,6 +96,18 @@ func TestReadTopologyRejectsWrappedIDs(t *testing.T) {
 	winners := map[int]topoJSON{}
 	for _, tc := range wrappedIDs {
 		t.Run(strings.ReplaceAll(tc.field, " ", "_"), func(t *testing.T) {
+			seed, err := os.ReadFile(wrappedSeed(tc.field))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strconv.IntSize < 64 {
+				_, err := ReadTopology(bytes.NewReader(fuzzSeedBytes(t, seed)), spec, lib)
+				var ue *json.UnmarshalTypeError
+				if !errors.As(err, &ue) {
+					t.Fatalf("%s raised by 2^32 with 32-bit int: got %v, want a *json.UnmarshalTypeError", tc.field, err)
+				}
+				return
+			}
 			in, ok := winners[tc.k]
 			if !ok {
 				in = d26WinnerJSON(t, spec, tc.k)
@@ -109,10 +126,6 @@ func TestReadTopologyRejectsWrappedIDs(t *testing.T) {
 				t.Fatalf("the D26 k=%d winner has no %s to raise", tc.k, tc.field)
 			}
 			if data, err = json.Marshal(raised); err != nil {
-				t.Fatal(err)
-			}
-			seed, err := os.ReadFile(wrappedSeed(tc.field))
-			if err != nil {
 				t.Fatal(err)
 			}
 			for _, input := range [][]byte{data, fuzzSeedBytes(t, seed)} {

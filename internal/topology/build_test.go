@@ -155,8 +155,8 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 		t.Fatalf("Build and the mutators disagree:\n%s\nvs\n%s", gotJSON.Bytes(), wantJSON.Bytes())
 	}
 	for i := range want.Switches {
-		if g, w := got.Switches[i], want.Switches[i]; g.ID != w.ID || g.FreqHz != w.FreqHz ||
-			g.VoltageV != w.VoltageV || !equalIDs(g.Cores, w.Cores) {
+		if g, w := got.Switches[i], want.Switches[i]; g.Island != w.Island || g.Indirect != w.Indirect ||
+			!equalIDs(g.Cores, w.Cores) {
 			t.Errorf("switch %d: built %+v, grown %+v", i, g, w)
 		}
 	}

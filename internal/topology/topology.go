@@ -13,7 +13,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"nocvi/internal/model"
@@ -28,11 +27,12 @@ type SwitchID int32
 // SwitchID).
 type LinkID int32
 
-// Switch is one NoC crossbar switch. A switch belongs to exactly one
-// voltage island; direct switches host core NIs, indirect switches (in
-// the intermediate NoC island) only connect other switches.
+// Switch is one NoC crossbar switch, identified by its index in
+// Topology.Switches. A switch belongs to exactly one voltage island and
+// runs at its clock and supply (Topology.IslandFreqHz and IslandVoltage
+// indexed by Island); direct switches host core NIs, indirect switches
+// (in the intermediate NoC island) only connect other switches.
 type Switch struct {
-	ID     SwitchID
 	Island soc.IslandID
 
 	// Indirect marks switches placed in the intermediate NoC island
@@ -41,27 +41,19 @@ type Switch struct {
 
 	// Cores attached through network interfaces, ascending order.
 	Cores []soc.CoreID
-
-	// FreqHz and VoltageV are inherited from the island's NoC domain.
-	FreqHz   float64
-	VoltageV float64
 }
 
-// Link is a directed switch-to-switch connection. Links that cross
-// voltage islands carry a bi-synchronous FIFO converter at the boundary.
+// Link is a directed switch-to-switch connection, identified by its
+// index in Topology.Links. Its clock, capacity and island crossing
+// follow from its endpoints (LinkFreqHz, CapacityBps,
+// CrossesIslands); a crossing link carries a bi-synchronous FIFO
+// converter at the boundary.
 type Link struct {
-	ID       LinkID
 	From, To SwitchID
 
-	// CrossesIslands is true when From and To sit in different islands;
-	// the link then includes a voltage/frequency converter and costs
-	// model.FIFOCrossingCycles extra latency.
-	CrossesIslands bool
-
 	// TrafficBps is the total bandwidth of the flows routed over the
-	// link (bytes/s); CapacityBps is width × min(freq_src, freq_dst).
-	TrafficBps  float64
-	CapacityBps float64
+	// link (bytes/s).
+	TrafficBps float64
 
 	// LengthMM is filled in by the floorplanner; before placement it
 	// holds a pessimistic estimate used during path cost evaluation.
@@ -345,8 +337,7 @@ func (t *Topology) SetIslandFreq(id soc.IslandID, freqHz float64) {
 }
 
 // SetIslandVoltage overrides the supply of an island's NoC domain (DVS:
-// slow islands can run below the spec's nominal voltage). Must be
-// called before switches are added to the island.
+// slow islands can run below the spec's nominal voltage).
 func (t *Topology) SetIslandVoltage(id soc.IslandID, v float64) {
 	t.IslandVoltage[id] = v
 }
@@ -358,13 +349,7 @@ func (t *Topology) AddSwitch(island soc.IslandID, indirect bool) SwitchID {
 		panic(fmt.Sprintf("topology: switch in unknown island %d", island)) //noclint:ignore bannedcall cold-path validation panic, not a cache key
 	}
 	id := SwitchID(len(t.Switches))
-	t.Switches = append(t.Switches, Switch{
-		ID:       id,
-		Island:   island,
-		Indirect: indirect,
-		FreqHz:   t.IslandFreqHz[island],
-		VoltageV: t.IslandVoltage[island],
-	})
+	t.Switches = append(t.Switches, Switch{Island: island, Indirect: indirect})
 	t.firstOut = append(t.firstOut, -1)
 	t.inLinks = append(t.inLinks, 0)
 	t.outLinks = append(t.outLinks, 0)
@@ -436,9 +421,8 @@ func (t *Topology) FindLink(from, to SwitchID) (LinkID, bool) {
 	return -1, false
 }
 
-// AddLink opens a new directed link between two switches, computing its
-// capacity from the slower endpoint clock and marking island crossings.
-// Duplicate links are rejected; use EnsureLink for lookup-or-add.
+// AddLink opens a new directed link between two switches. Duplicate
+// links are rejected; use EnsureLink for lookup-or-add.
 func (t *Topology) AddLink(from, to SwitchID) (LinkID, error) {
 	if err := t.checkLink(from, to); err != nil {
 		return -1, err
@@ -484,20 +468,34 @@ func (t *Topology) addLink(from, to SwitchID) LinkID {
 	return id
 }
 
-// openLink derives link id's ID, crossing flag and capacity (from the
-// slower endpoint clock) from its endpoints, zeroes its traffic, and
-// threads it into the link index. Links must be opened in ID order.
+// openLink zeroes link id's traffic and threads it into the link index.
+// Links must be opened in ID order.
 func (t *Topology) openLink(id LinkID) {
 	l := &t.Links[id]
-	fs, ts := &t.Switches[l.From], &t.Switches[l.To]
-	l.ID = id
-	l.CrossesIslands = fs.Island != ts.Island
 	l.TrafficBps = 0
-	l.CapacityBps = t.Lib.LinkCapacityBps(math.Min(fs.FreqHz, ts.FreqHz))
 	t.nextOut = append(t.nextOut, t.firstOut[l.From])
 	t.firstOut[l.From] = id
 	t.outLinks[l.From]++
 	t.inLinks[l.To]++
+}
+
+// LinkFreqHz returns the clock of a link from->to: that of its slower
+// endpoint's island.
+func (t *Topology) LinkFreqHz(from, to SwitchID) float64 {
+	return min(t.IslandFreqHz[t.Switches[from].Island], t.IslandFreqHz[t.Switches[to].Island])
+}
+
+// CapacityBps returns the bandwidth (bytes/s) a link from->to
+// carries: the link width times LinkFreqHz.
+func (t *Topology) CapacityBps(from, to SwitchID) float64 {
+	return t.Lib.LinkCapacityBps(t.LinkFreqHz(from, to))
+}
+
+// CrossesIslands reports whether a link from->to joins two islands; it
+// then carries a voltage/frequency converter and costs
+// model.FIFOCrossingCycles extra latency.
+func (t *Topology) CrossesIslands(from, to SwitchID) bool {
+	return t.Switches[from].Island != t.Switches[to].Island
 }
 
 // SwitchPorts returns the input and output port counts of a switch:
@@ -526,7 +524,7 @@ func (t *Topology) SwitchSize(sw SwitchID) int {
 func (t *Topology) ZeroLoadLatencyCycles(r *Route) float64 {
 	crossings := 0
 	for _, lid := range r.Links {
-		if t.Links[lid].CrossesIslands {
+		if l := &t.Links[lid]; t.CrossesIslands(l.From, l.To) {
 			crossings++
 		}
 	}
@@ -567,7 +565,7 @@ func (t *Topology) WalkSwitch(f soc.Flow, links []LinkID, i int) SwitchID {
 func (t *Topology) PathLatencyCycles(switches []SwitchID) float64 {
 	crossings := 0
 	for i := 1; i < len(switches); i++ {
-		if t.Switches[switches[i-1]].Island != t.Switches[switches[i]].Island {
+		if t.CrossesIslands(switches[i-1], switches[i]) {
 			crossings++
 		}
 	}
@@ -681,9 +679,9 @@ var (
 )
 
 // Build checks t's construction fields (see Topology; -1 in SwitchOf is
-// an unattached core) and derives the rest: switch IDs, clocks and core
-// lists (ascending, cut from one slab); link IDs, crossing flags,
-// capacities and the link index, threaded in ID order, with no traffic.
+// an unattached core) and derives the rest: switch core lists
+// (ascending, cut from one slab) and the link index, threaded in ID
+// order, with no traffic.
 // Build takes no routes: t.Routes must be empty, and the routes come
 // after it through AddRoute and AddBackup, which check them and sum
 // TrafficBps route by route. What Validate checks is left to Validate.
@@ -717,8 +715,7 @@ func (t *Topology) Build() error {
 		if s.Island < 0 || int(s.Island) >= nIsl {
 			return fmt.Errorf("%w: switch %d in island %d", ErrSwitch, i, s.Island)
 		}
-		s.ID, s.Cores = SwitchID(i), nil
-		s.FreqHz, s.VoltageV = t.IslandFreqHz[s.Island], t.IslandVoltage[s.Island]
+		s.Cores = nil
 		t.firstOut[i] = -1
 	}
 
@@ -861,22 +858,22 @@ func (t *Topology) ValidateRouted() error {
 		}
 	}
 	for _, l := range t.Links {
-		if l.TrafficBps > l.CapacityBps*(1+1e-9) {
+		if c := t.CapacityBps(l.From, l.To); l.TrafficBps > c*(1+1e-9) {
 			return fmt.Errorf("topology: link %d->%d overloaded: %.3g > %.3g Bps",
-				l.From, l.To, l.TrafficBps, l.CapacityBps)
+				l.From, l.To, l.TrafficBps, c)
 		}
 	}
-	for _, s := range t.Switches {
+	for i, s := range t.Switches {
 		if s.Indirect && len(s.Cores) > 0 {
-			return fmt.Errorf("topology: indirect switch %d has cores attached", s.ID)
+			return fmt.Errorf("topology: indirect switch %d has cores attached", i)
 		}
 		if s.Indirect && s.Island != t.NoCIsland {
-			return fmt.Errorf("topology: indirect switch %d outside the NoC island", s.ID)
+			return fmt.Errorf("topology: indirect switch %d outside the NoC island", i)
 		}
-		size := t.SwitchSize(s.ID)
-		if size > 0 && t.Lib.SwitchMaxFreqHz(size) < s.FreqHz-1 {
+		size, freq := t.SwitchSize(SwitchID(i)), t.IslandFreqHz[s.Island]
+		if size > 0 && t.Lib.SwitchMaxFreqHz(size) < freq-1 {
 			return fmt.Errorf("topology: switch %d size %d cannot run at %.0f MHz",
-				s.ID, size, s.FreqHz/1e6)
+				i, size, freq/1e6)
 		}
 	}
 	return nil
@@ -1041,8 +1038,8 @@ func (t *Topology) checkIslandDiscipline(f soc.Flow, links []LinkID, srcIsl, dst
 func (t *Topology) MaxLinkUtilization() float64 {
 	var max float64
 	for _, l := range t.Links {
-		if l.CapacityBps > 0 {
-			if u := l.TrafficBps / l.CapacityBps; u > max {
+		if c := t.CapacityBps(l.From, l.To); c > 0 {
+			if u := l.TrafficBps / c; u > max {
 				max = u
 			}
 		}

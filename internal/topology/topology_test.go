@@ -109,11 +109,11 @@ func TestAddLinkSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !top.Links[l].CrossesIslands {
+	if !top.CrossesIslands(s0, s1) {
 		t.Fatal("inter-island link not marked as crossing")
 	}
 	// capacity limited by the slower (100 MHz) endpoint: 4B * 100MHz
-	if got := top.Links[l].CapacityBps; got != 400e6 {
+	if got := top.CapacityBps(top.Links[l].From, top.Links[l].To); got != 400e6 {
 		t.Fatalf("capacity = %g, want 4e8", got)
 	}
 	if _, err := top.AddLink(s0, s1); err == nil {
@@ -176,7 +176,7 @@ func TestRouteValidationErrors(t *testing.T) {
 
 func TestValidateCatchesOverload(t *testing.T) {
 	top := buildValid(t)
-	top.Links[0].TrafficBps = top.Links[0].CapacityBps * 2
+	top.Links[0].TrafficBps = top.CapacityBps(top.Links[0].From, top.Links[0].To) * 2
 	if err := top.Validate(); err == nil || !strings.Contains(err.Error(), "overloaded") {
 		t.Fatalf("overload not caught: %v", err)
 	}
@@ -200,9 +200,9 @@ func TestValidateCatchesUnattachedCore(t *testing.T) {
 
 func TestValidateCatchesOversizedSwitch(t *testing.T) {
 	top := buildValid(t)
-	// Force island 0's clock beyond what a 3-port switch can meet.
+	// Force switch 0's island clock beyond what a 3-port switch can meet.
 	f := top.Lib.SwitchMaxFreqHz(3) + 200e6
-	top.Switches[0].FreqHz = f
+	top.SetIslandFreq(top.Switches[0].Island, f)
 	if err := top.Validate(); err == nil || !strings.Contains(err.Error(), "cannot run") {
 		t.Fatalf("oversized switch not caught: %v", err)
 	}
@@ -406,9 +406,9 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 		for _, u := range sws {
 			for _, v := range sws {
 				want, found := LinkID(-1), false
-				for _, l := range top.Links {
+				for i, l := range top.Links {
 					if l.From == u && l.To == v {
-						want, found = l.ID, true
+						want, found = LinkID(i), true
 					}
 				}
 				got, ok := top.FindLink(u, v)

@@ -83,10 +83,10 @@ func Run(top *topology.Topology, pl *floorplan.Placement) *Report {
 		Power:      power.NoC(top),
 	}
 	r.MaxUtilization = top.MaxLinkUtilization()
-	for _, l := range top.Links {
-		if l.CapacityBps > 0 {
-			if u := l.TrafficBps / l.CapacityBps; u > 0.8 {
-				r.TightLinks = append(r.TightLinks, LinkReport{Link: l.ID, Utilization: u})
+	for i, l := range top.Links {
+		if c := top.CapacityBps(l.From, l.To); c > 0 {
+			if u := l.TrafficBps / c; u > 0.8 {
+				r.TightLinks = append(r.TightLinks, LinkReport{Link: topology.LinkID(i), Utilization: u})
 			}
 		}
 	}

@@ -80,7 +80,8 @@ func TestSignoffCatchesOverload(t *testing.T) {
 	if len(dp.Top.Links) == 0 {
 		t.Skip("no links")
 	}
-	dp.Top.Links[0].TrafficBps = dp.Top.Links[0].CapacityBps * 3
+	l := &dp.Top.Links[0]
+	l.TrafficBps = dp.Top.CapacityBps(l.From, l.To) * 3
 	rep := verify.Run(dp.Top, dp.Placement)
 	if rep.OK() {
 		t.Fatal("overloaded design passed sign-off")
@@ -112,8 +113,8 @@ func roundTripUtilization(top *topology.Topology) float64 {
 		if !num.Within(traffic[i], l.TrafficBps, 1e-6) {
 			return math.Inf(1) // bookkeeping broken
 		}
-		if l.CapacityBps > 0 {
-			worst = max(worst, traffic[i]/l.CapacityBps)
+		if c := top.CapacityBps(l.From, l.To); c > 0 {
+			worst = max(worst, traffic[i]/c)
 		}
 	}
 	return worst

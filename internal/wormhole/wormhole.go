@@ -278,7 +278,7 @@ func (e *engine) build() error {
 	for i, l := range top.Links {
 		from, to := int(l.From), int(l.To)
 		delay := int(model.LinkTraversalCycles)
-		if l.CrossesIslands {
+		if top.CrossesIslands(l.From, l.To) {
 			delay += int(model.FIFOCrossingCycles)
 		}
 		out := &outState{
