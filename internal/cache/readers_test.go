@@ -85,7 +85,7 @@ func sameDesign(a, b *topology.Topology) error {
 	}
 	for i := range a.Switches {
 		sa, sb := &a.Switches[i], &b.Switches[i]
-		if sa.Island != sb.Island || sa.Indirect != sb.Indirect || !slices.Equal(sa.Cores, sb.Cores) {
+		if *sa != *sb {
 			return fmt.Errorf("switch %d: %+v vs %+v", i, *sa, *sb)
 		}
 	}

@@ -45,7 +45,7 @@ import (
 // whenever the source of a hot-path function moves, bit-neutral or
 // not, and `noclint -surface update` re-records the surface after it.
 // CHANGES.md records what each version changed.
-const EngineVersion = 24
+const EngineVersion = 25
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

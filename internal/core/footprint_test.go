@@ -15,10 +15,11 @@ import (
 // allocates on 64-bit targets: its switch counts, the topology's
 // exact-size copy (Compact) and the placement's (Clone). It was 12,256
 // bytes while design IDs were 64-bit, 9,744 while every route and
-// backup also stored its switch walk, and 8,400 while every switch kept
-// its ID and a copy of its island's clock and supply, and every link its
-// ID, capacity and crossing flag.
-const publishedD26Bytes = 7504
+// backup also stored its switch walk, 8,400 while every switch kept its
+// ID and a copy of its island's clock and supply, and every link its
+// ID, capacity and crossing flag, and 7,504 while every switch also
+// kept a list of its cores.
+const publishedD26Bytes = 6832
 
 // TestPublishedFootprintPinned pins the bytes one published point of
 // the D26 k=0 winner allocates, so a field or a width that grows every

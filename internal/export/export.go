@@ -87,6 +87,7 @@ func TopologyText(top *topology.Topology) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "topology of %s: %d switches (%d indirect), %d links, %d routes\n",
 		top.Spec.Name, len(top.Switches), top.IndirectSwitchCount(), len(top.Links), len(top.Routes))
+	var ids []soc.CoreID
 	for isl := 0; isl < top.NumIslands(); isl++ {
 		name := "NoC_VI(always-on)"
 		if isl < len(top.Spec.Islands) {
@@ -101,7 +102,8 @@ func TopologyText(top *topology.Topology) string {
 				continue
 			}
 			var cores []string
-			for _, c := range s.Cores {
+			ids = top.SwitchCores(topology.SwitchID(i), ids)
+			for _, c := range ids {
 				cores = append(cores, top.Spec.Cores[c].Name)
 			}
 			kind := "direct  "

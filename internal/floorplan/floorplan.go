@@ -205,13 +205,15 @@ func placeWithOrder(top *topology.Topology, opt Options, order []int, sc *Scratc
 	// Direct switches at the centroid of their attached cores; indirect
 	// switches at the centroid of their link neighbours, clamped into
 	// the intermediate island's region. Two passes so indirect switches
-	// see placed neighbours.
+	// see placed neighbours. sc.cores, free once the cores are placed,
+	// takes each direct switch's cores.
 	for pass := 0; pass < 2; pass++ {
 		for i := range top.Switches {
 			s, sw := &top.Switches[i], topology.SwitchID(i)
 			pts := sc.pts[:0]
 			if !s.Indirect {
-				for _, c := range s.Cores {
+				sc.cores = top.SwitchCores(sw, sc.cores)
+				for _, c := range sc.cores {
 					pts = append(pts, p.CorePos[c])
 				}
 			} else {

@@ -84,33 +84,26 @@ type hopSeq struct {
 }
 
 // sourceRoutes converts each topology route into per-switch output port
-// indices. Port numbering per switch: core NIs first (in Switch.Cores
+// indices. Port numbering per switch: core NIs first (in ascending core
 // order), then outgoing links in LinkID order.
 func sourceRoutes(top *topology.Topology) ([]hopSeq, error) {
 	// outPort[sw] maps "link id" or "core id" to the switch's output
-	// port index.
+	// port index, which is the number of ports numbered before it.
 	type portKey struct {
 		link topology.LinkID
 		core soc.CoreID
 	}
 	outPort := make([]map[portKey]int, len(top.Switches))
-	for i := range top.Switches {
+	for i := range outPort {
 		outPort[i] = map[portKey]int{}
-		n := 0
-		for _, c := range top.Switches[i].Cores {
-			outPort[i][portKey{link: -1, core: c}] = n
-			n++
+	}
+	for c, sw := range top.SwitchOf {
+		if sw >= 0 {
+			outPort[sw][portKey{link: -1, core: soc.CoreID(c)}] = len(outPort[sw])
 		}
-		var links []topology.LinkID // in ID order
-		for li, l := range top.Links {
-			if l.From == topology.SwitchID(i) {
-				links = append(links, topology.LinkID(li))
-			}
-		}
-		for _, l := range links {
-			outPort[i][portKey{link: l, core: -1}] = n
-			n++
-		}
+	}
+	for li, l := range top.Links {
+		outPort[l.From][portKey{link: topology.LinkID(li), core: -1}] = len(outPort[l.From])
 	}
 	var out []hopSeq
 	var walk []topology.SwitchID
@@ -345,10 +338,12 @@ func topModule(b *strings.Builder, top *topology.Topology, cfg Config, routes []
 	// Switch instances with concatenated port buses. Input ordering:
 	// core NIs then incoming links; output ordering: core NIs then
 	// outgoing links (matching sourceRoutes).
+	var cores []soc.CoreID
 	for si := range top.Switches {
 		s := &top.Switches[si]
 		var inD, inV, inR, outD, outV, outR []string
-		for _, c := range s.Cores {
+		cores = top.SwitchCores(topology.SwitchID(si), cores)
+		for _, c := range cores {
 			inD = append(inD, wireName("ni2sw_d", int(c), si))
 			inV = append(inV, wireName("ni2sw_v", int(c), si))
 			inR = append(inR, wireName("ni2sw_r", int(c), si))

@@ -67,8 +67,12 @@ func (r *refRouter) refFindLink(from, to topology.SwitchID) (topology.LinkID, bo
 }
 
 func (r *refRouter) refSwitchPorts(sw topology.SwitchID) (in, out int) {
-	s := r.top.Switches[sw]
-	in, out = len(s.Cores), len(s.Cores)
+	for _, at := range r.top.SwitchOf {
+		if at == sw {
+			in++
+			out++
+		}
+	}
 	for _, l := range r.top.Links {
 		if l.To == sw {
 			in++

@@ -201,10 +201,12 @@ func TestTopologyRoundTrip(t *testing.T) {
 		t.Fatal("round trip lost structure")
 	}
 	for i := range orig.Switches {
-		a, b := orig.Switches[i], back.Switches[i]
-		if a.Island != b.Island || a.Indirect != b.Indirect || len(a.Cores) != len(b.Cores) {
+		if orig.Switches[i] != back.Switches[i] {
 			t.Fatalf("switch %d differs", i)
 		}
+	}
+	if !slices.Equal(orig.SwitchOf, back.SwitchOf) {
+		t.Fatal("round trip moved a core")
 	}
 	for i := range orig.Links {
 		a, b := orig.Links[i], back.Links[i]

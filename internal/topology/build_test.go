@@ -155,8 +155,7 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 		t.Fatalf("Build and the mutators disagree:\n%s\nvs\n%s", gotJSON.Bytes(), wantJSON.Bytes())
 	}
 	for i := range want.Switches {
-		if g, w := got.Switches[i], want.Switches[i]; g.Island != w.Island || g.Indirect != w.Indirect ||
-			!equalIDs(g.Cores, w.Cores) {
+		if g, w := got.Switches[i], want.Switches[i]; g != w {
 			t.Errorf("switch %d: built %+v, grown %+v", i, g, w)
 		}
 	}
@@ -183,18 +182,6 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 
 // links spells a route's or backup's link list.
 func links(ids ...topology.LinkID) []topology.LinkID { return ids }
-
-func equalIDs[T comparable](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // TestBuildRejectsMalformed holds every check of Build, AddRoute and
 // AddBackup to its typed error, never a panic. A case edits either the

@@ -158,7 +158,7 @@ func TestCompactMatchesSource(t *testing.T) {
 
 // TestCompactSurvivesSourceRebuild: a copy is unchanged after its
 // source is Reset and rebuilt as a different candidate, which recycles
-// the source's core lists and route buffers.
+// the source's route buffers.
 func TestCompactSurvivesSourceRebuild(t *testing.T) {
 	cands := routedCandidates(t, 2)
 	src := cands[0]
@@ -170,18 +170,12 @@ func TestCompactSurvivesSourceRebuild(t *testing.T) {
 	sameExported(t, "copy after source rebuild", want, c)
 }
 
-// TestCompactPathAppendIsolated: the copy's paths and core lists share
-// backing arrays, so an append to any one of them must reallocate
-// instead of writing over its neighbour.
+// TestCompactPathAppendIsolated: the copy's paths share backing
+// arrays, so an append to any one of them must reallocate instead of
+// writing over its neighbour.
 func TestCompactPathAppendIsolated(t *testing.T) {
 	src := routedCandidates(t, 1)[0]
 	c, want := src.Compact(), src.Compact()
-	for i := range c.Switches {
-		s := &c.Switches[i]
-		orig := s.Cores
-		s.Cores = append(s.Cores, -1)
-		s.Cores = orig
-	}
 	for i := range c.Routes {
 		r := &c.Routes[i]
 		ln, bk := r.Links, r.Backups

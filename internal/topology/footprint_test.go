@@ -22,7 +22,7 @@ func TestIDFootprintPinned(t *testing.T) {
 		{"topology.Route", unsafe.Sizeof(Route{}), 72},
 		{"topology.Path", unsafe.Sizeof(Path{}), 24},
 		{"topology.Link", unsafe.Sizeof(Link{}), 24},
-		{"topology.Switch", unsafe.Sizeof(Switch{}), 32},
+		{"topology.Switch", unsafe.Sizeof(Switch{}), 8},
 		{"soc.Flow", unsafe.Sizeof(soc.Flow{}), 24},
 	} {
 		if c.got != c.want {

@@ -30,17 +30,15 @@ type LinkID int32
 // Switch is one NoC crossbar switch, identified by its index in
 // Topology.Switches. A switch belongs to exactly one voltage island and
 // runs at its clock and supply (Topology.IslandFreqHz and IslandVoltage
-// indexed by Island); direct switches host core NIs, indirect switches
-// (in the intermediate NoC island) only connect other switches.
+// indexed by Island); direct switches host core NIs (Topology.SwitchOf
+// records which, SwitchCores lists them), indirect switches (in the
+// intermediate NoC island) only connect other switches.
 type Switch struct {
 	Island soc.IslandID
 
 	// Indirect marks switches placed in the intermediate NoC island
 	// (Algorithm 1 step 14); they have no attached cores.
 	Indirect bool
-
-	// Cores attached through network interfaces, ascending order.
-	Cores []soc.CoreID
 }
 
 // Link is a directed switch-to-switch connection, identified by its
@@ -113,37 +111,30 @@ type Topology struct {
 	IslandFreqHz  []float64
 	IslandVoltage []float64
 
-	// SwitchOf maps each core to the switch hosting its NI.
+	// SwitchOf maps each core to the switch hosting its NI (-1 while
+	// unattached). It is the one record of attachment.
 	SwitchOf []SwitchID
 
-	// firstOut, nextOut, inLinks and outLinks index the links for the
-	// router's per-edge-relaxation queries, FindLink and SwitchPorts.
-	// The links leaving switch s form a chain: firstOut[s] is the newest
-	// (-1 when s has none) and nextOut[l] the link added before l in
-	// l's chain (-1 at the end). inLinks/outLinks count each switch's
-	// incident links. AddSwitch and addLink keep all four in step with
-	// Switches and Links; Rebind truncates them.
+	// firstOut, nextOut, inPorts and outPorts index the links and
+	// ports for the router's per-edge-relaxation queries, FindLink and
+	// SwitchPorts. The links leaving switch s form a chain: firstOut[s]
+	// is the newest (-1 when s has none) and nextOut[l] the link added
+	// before l in l's chain (-1 at the end). inPorts/outPorts count each
+	// switch's ports: one of each per attached core (its NI) and one per
+	// incident link direction. AddSwitch, AttachCore and addLink keep
+	// all four in step with Switches, SwitchOf and Links; Rebind
+	// truncates them.
 	firstOut []LinkID
 	nextOut  []LinkID
-	inLinks  []int32
-	outLinks []int32
+	inPorts  []int32
+	outPorts []int32
 
-	// coresFree recycles Switch.Cores backing arrays across Rebind
-	// cycles: Rebind harvests the slices of the dismantled switches and
-	// AttachCore pops them back, so a reused topology attaches cores
-	// without growing fresh arrays. Slices live either here or in a
-	// switch, never both.
-	coresFree [][]soc.CoreID
-
-	// coreSlab backs every Switch.Cores that Build cuts; Rebind keeps it.
-	coreSlab []soc.CoreID
-
-	// lnkPathFree recycles Route.Links backing arrays the same way:
-	// Rebind harvests the dismantled routes' slices, TakeRouteLinks
-	// hands them back to the router. Like coresFree, a slice lives
-	// either in the free list or in a route, never both. Backup paths
-	// share the same free list; bakFree recycles the outer
-	// Route.Backups arrays.
+	// lnkPathFree recycles Route.Links backing arrays across Rebind
+	// cycles: Rebind harvests the dismantled routes' slices,
+	// TakeRouteLinks hands them back to the router, so a reused topology
+	// routes without growing fresh arrays. A slice lives either in the
+	// free list or in a route, never both. Backup paths share the same
+	// free list; bakFree recycles the outer Route.Backups arrays.
 	lnkPathFree [][]LinkID
 	bakFree     [][]Path
 }
@@ -170,19 +161,13 @@ func (t *Topology) Reset() { t.Rebind(t.Spec, t.Lib) }
 // New(spec, lib) would produce, while retaining the backing storage of
 // every earlier build: the switch, link and route slices and the link
 // index keep their capacity, the island and core tables are resized in
-// place, and the per-switch core lists and route paths are recycled
-// through internal free lists. The synthesis arena rebinds one topology
+// place, and the route paths are recycled through internal free lists. The synthesis arena rebinds one topology
 // per worker across candidates and across engine calls instead of
 // allocating a fresh one each time.
 //
 // Like Reset, Rebind must never be called on a topology that has
 // escaped into a DesignPoint.
 func (t *Topology) Rebind(spec *soc.Spec, lib *model.Library) {
-	for i := range t.Switches {
-		if c := t.Switches[i].Cores; cap(c) > 0 {
-			t.coresFree = append(t.coresFree, c[:0])
-		}
-	}
 	for i := range t.Routes {
 		if l := t.Routes[i].Links; cap(l) > 0 {
 			t.lnkPathFree = append(t.lnkPathFree, l[:0])
@@ -213,8 +198,8 @@ func (t *Topology) Rebind(spec *soc.Spec, lib *model.Library) {
 	}
 	t.firstOut = t.firstOut[:0]
 	t.nextOut = t.nextOut[:0]
-	t.inLinks = t.inLinks[:0]
-	t.outLinks = t.outLinks[:0]
+	t.inPorts = t.inPorts[:0]
+	t.outPorts = t.outPorts[:0]
 }
 
 // sized returns s at length n, reusing its storage when large enough.
@@ -228,9 +213,9 @@ func sized[T any](s []T, n int) []T {
 
 // Compact returns a copy of t that shares no storage with it, each
 // slice cut at exactly its length: the switch, link, route and island
-// tables and the link index are copied verbatim, every switch's Cores
-// is cut from one backing array, and every path's Links, backups
-// included, from another, with all Backups from one []Path. The cuts
+// tables and the link index are copied verbatim, and every path's
+// Links, backups included, is cut from one backing array, with all
+// Backups from one []Path. The cuts
 // are 3-index slices, so an append to one path never overwrites the
 // next. Empty switch, link and route tables and link index are nil, nil
 // paths stay nil and the free lists start empty, so the copy does not
@@ -249,16 +234,8 @@ func (t *Topology) Compact() *Topology {
 		SwitchOf:      slices.Clip(slices.Clone(t.SwitchOf)),
 		firstOut:      exact(t.firstOut),
 		nextOut:       exact(t.nextOut),
-		inLinks:       exact(t.inLinks),
-		outLinks:      exact(t.outLinks),
-	}
-	nCores := 0
-	for i := range t.Switches {
-		nCores += len(t.Switches[i].Cores)
-	}
-	cores := make([]soc.CoreID, 0, nCores)
-	for i := range c.Switches {
-		c.Switches[i].Cores, cores = cut(cores, t.Switches[i].Cores)
+		inPorts:       exact(t.inPorts),
+		outPorts:      exact(t.outPorts),
 	}
 	nLnk, nBak := 0, 0
 	for i := range t.Routes {
@@ -351,8 +328,8 @@ func (t *Topology) AddSwitch(island soc.IslandID, indirect bool) SwitchID {
 	id := SwitchID(len(t.Switches))
 	t.Switches = append(t.Switches, Switch{Island: island, Indirect: indirect})
 	t.firstOut = append(t.firstOut, -1)
-	t.inLinks = append(t.inLinks, 0)
-	t.outLinks = append(t.outLinks, 0)
+	t.inPorts = append(t.inPorts, 0)
+	t.outPorts = append(t.outPorts, 0)
 	return id
 }
 
@@ -365,13 +342,9 @@ func (t *Topology) AttachCore(c soc.CoreID, sw SwitchID) error {
 	if t.SwitchOf[c] != -1 {
 		return fmt.Errorf("%w: core %d already attached to switch %d", ErrAttach, c, t.SwitchOf[c])
 	}
-	s := &t.Switches[sw]
-	if s.Cores == nil && len(t.coresFree) > 0 {
-		s.Cores = t.coresFree[len(t.coresFree)-1]
-		t.coresFree = t.coresFree[:len(t.coresFree)-1]
-	}
-	s.Cores = append(s.Cores, c)
 	t.SwitchOf[c] = sw
+	t.inPorts[sw]++
+	t.outPorts[sw]++
 	return nil
 }
 
@@ -475,8 +448,8 @@ func (t *Topology) openLink(id LinkID) {
 	l.TrafficBps = 0
 	t.nextOut = append(t.nextOut, t.firstOut[l.From])
 	t.firstOut[l.From] = id
-	t.outLinks[l.From]++
-	t.inLinks[l.To]++
+	t.outPorts[l.From]++
+	t.inPorts[l.To]++
 }
 
 // LinkFreqHz returns the clock of a link from->to: that of its slower
@@ -500,11 +473,23 @@ func (t *Topology) CrossesIslands(from, to SwitchID) bool {
 
 // SwitchPorts returns the input and output port counts of a switch:
 // attached cores contribute one input and one output each (their NI),
-// plus one port per incident link direction. The link counts are kept
-// by the mutators, so the query is O(1).
+// plus one port per incident link direction. The counts are kept by
+// the mutators, so the query is O(1).
 func (t *Topology) SwitchPorts(sw SwitchID) (in, out int) {
-	n := len(t.Switches[sw].Cores)
-	return n + int(t.inLinks[sw]), n + int(t.outLinks[sw])
+	return int(t.inPorts[sw]), int(t.outPorts[sw])
+}
+
+// SwitchCores appends to buf[:0] the cores attached to switch sw, in
+// ascending order, and returns it: one scan of SwitchOf. The caller
+// owns buf, which grows only when it has no room for the cores.
+func (t *Topology) SwitchCores(sw SwitchID, buf []soc.CoreID) []soc.CoreID {
+	buf = buf[:0]
+	for c, s := range t.SwitchOf {
+		if s == sw {
+			buf = append(buf, soc.CoreID(c))
+		}
+	}
+	return buf
 }
 
 // SwitchSize returns the crossbar dimension of a switch, the larger of
@@ -679,9 +664,8 @@ var (
 )
 
 // Build checks t's construction fields (see Topology; -1 in SwitchOf is
-// an unattached core) and derives the rest: switch core lists
-// (ascending, cut from one slab) and the link index, threaded in ID
-// order, with no traffic.
+// an unattached core) and derives the rest: the port counts and the
+// link index, threaded in ID order, with no traffic.
 // Build takes no routes: t.Routes must be empty, and the routes come
 // after it through AddRoute and AddBackup, which check them and sum
 // TrafficBps route by route. What Validate checks is left to Validate.
@@ -706,23 +690,16 @@ func (t *Topology) Build() error {
 	}
 	nSw := len(t.Switches)
 	t.firstOut = sized(t.firstOut, nSw)
-	t.inLinks = sized(t.inLinks, nSw)
-	t.outLinks = sized(t.outLinks, nSw)
-	clear(t.inLinks)
-	clear(t.outLinks)
+	t.inPorts = sized(t.inPorts, nSw)
+	t.outPorts = sized(t.outPorts, nSw)
+	clear(t.inPorts)
+	clear(t.outPorts)
 	for i := range t.Switches {
-		s := &t.Switches[i]
-		if s.Island < 0 || int(s.Island) >= nIsl {
-			return fmt.Errorf("%w: switch %d in island %d", ErrSwitch, i, s.Island)
+		if isl := t.Switches[i].Island; isl < 0 || int(isl) >= nIsl {
+			return fmt.Errorf("%w: switch %d in island %d", ErrSwitch, i, isl)
 		}
-		s.Cores = nil
 		t.firstOut[i] = -1
 	}
-
-	// Count each switch's cores in outLinks (the links recount it from
-	// zero), then cut the lists from the slab. The free list may hold
-	// lists cut from it by an earlier Build, so it is emptied first.
-	attached := 0
 	for c, sw := range t.SwitchOf {
 		if sw == -1 {
 			continue
@@ -730,24 +707,9 @@ func (t *Topology) Build() error {
 		if err := t.checkAttach(soc.CoreID(c), sw); err != nil {
 			return err
 		}
-		t.outLinks[sw]++
-		attached++
+		t.inPorts[sw]++
+		t.outPorts[sw]++
 	}
-	t.coresFree = t.coresFree[:0]
-	t.coreSlab = sized(t.coreSlab, attached)
-	slab := t.coreSlab
-	for i, n := range t.outLinks {
-		if n > 0 {
-			t.Switches[i].Cores, slab = slab[:0:n], slab[n:]
-		}
-	}
-	for c, sw := range t.SwitchOf {
-		if sw != -1 {
-			t.Switches[sw].Cores = append(t.Switches[sw].Cores, soc.CoreID(c))
-		}
-	}
-	clear(t.outLinks)
-
 	t.nextOut = slices.Grow(t.nextOut[:0], len(t.Links))
 	for i := range t.Links {
 		if err := t.checkLink(t.Links[i].From, t.Links[i].To); err != nil {
@@ -863,10 +825,12 @@ func (t *Topology) ValidateRouted() error {
 				l.From, l.To, l.TrafficBps, c)
 		}
 	}
-	for i, s := range t.Switches {
-		if s.Indirect && len(s.Cores) > 0 {
-			return fmt.Errorf("topology: indirect switch %d has cores attached", i)
+	for _, sw := range t.SwitchOf {
+		if sw >= 0 && t.Switches[sw].Indirect {
+			return fmt.Errorf("topology: indirect switch %d has cores attached", sw)
 		}
+	}
+	for i, s := range t.Switches {
 		if s.Indirect && s.Island != t.NoCIsland {
 			return fmt.Errorf("topology: indirect switch %d outside the NoC island", i)
 		}

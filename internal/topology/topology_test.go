@@ -208,6 +208,23 @@ func TestValidateCatchesOversizedSwitch(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesCoreOnIndirectSwitch: the mutators never attach a
+// core to an indirect switch, so ValidateRouted must catch a SwitchOf
+// entry set by hand to one. The routes are dropped first, or a broken
+// walk would be reported before the attachment.
+func TestValidateCatchesCoreOnIndirectSwitch(t *testing.T) {
+	top := buildValid(t)
+	top.Routes = top.Routes[:0]
+	sw := top.AddSwitch(top.AddNoCIsland(400e6, 1.0), true)
+	if err := top.ValidateRouted(); err != nil {
+		t.Fatalf("before the edit: %v", err)
+	}
+	top.SwitchOf[4] = sw
+	if err := top.ValidateRouted(); err == nil || !strings.Contains(err.Error(), "indirect switch 3 has cores attached") {
+		t.Fatalf("a core on an indirect switch was not caught: %v", err)
+	}
+}
+
 // The central property of the paper: a route between islands 0 and 2
 // that detours through shutdownable island 1 must be rejected.
 func TestShutdownSafetyViolation(t *testing.T) {
@@ -416,7 +433,13 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 					t.Fatalf("FindLink(%d,%d) = %d,%v; scan says %d,%v", u, v, got, ok, want, found)
 				}
 			}
-			in, out := len(top.Switches[u].Cores), len(top.Switches[u].Cores)
+			in, out := 0, 0
+			for _, sw := range top.SwitchOf {
+				if sw == u {
+					in++
+					out++
+				}
+			}
 			for _, l := range top.Links {
 				if l.To == u {
 					in++

@@ -262,17 +262,18 @@ func (e *engine) build() error {
 		return &port{q: make([]flit, 0, e.cfg.buf()), up: up}
 	}
 
-	for si := 0; si < n; si++ {
-		s := &top.Switches[si]
-		for _, c := range s.Cores {
-			e.coreIn[c] = len(e.inPorts[si])
-			e.inPorts[si] = append(e.inPorts[si], newPort(nil))
-			e.coreOut[c] = len(e.outs[si])
-			e.outs[si] = append(e.outs[si], &outState{
-				owner: -1, credits: 1 << 30, linkDelay: int(model.LinkTraversalCycles),
-				dstSwitch: -1,
-			})
+	// Core NIs first, in ascending core order per switch.
+	for c, si := range top.SwitchOf {
+		if si < 0 {
+			continue // unattached: no NI
 		}
+		e.coreIn[c] = len(e.inPorts[si])
+		e.inPorts[si] = append(e.inPorts[si], newPort(nil))
+		e.coreOut[c] = len(e.outs[si])
+		e.outs[si] = append(e.outs[si], &outState{
+			owner: -1, credits: 1 << 30, linkDelay: int(model.LinkTraversalCycles),
+			dstSwitch: -1,
+		})
 	}
 	// Links in LinkID order give deterministic port numbering.
 	for i, l := range top.Links {

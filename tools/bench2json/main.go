@@ -33,7 +33,9 @@
 // unless -require-procs N is also given, in which case input lacking a
 // lane of at least N schedulable CPUs is a hard failure. CI on
 // multi-core runners sets -require-procs so a mis-pinned runner cannot
-// silently regress into the single-core skip path.
+// silently regress into the single-core skip path. Every floor that
+// passes (-floor, -cache-floor, -prune-floor) prints one line giving
+// its measured value next to the floor.
 // Passing an empty -o checks without touching any file.
 //
 // With -campaign FILE a power-state fault-campaign report (written by
@@ -49,12 +51,14 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,39 +177,14 @@ func main() {
 		case maxProcs <= 1:
 			fmt.Fprintf(os.Stderr, "bench2json: note: -floor %.2f skipped — benchmarks measured at gomaxprocs=1, where a parallel speedup cannot exist; set -require-procs on multi-core runners to make this a failure\n", *floor)
 		default:
-			if err := assertFloor(results, *floor); err != nil {
-				fmt.Fprintln(os.Stderr, "bench2json:", err)
-				os.Exit(1)
-			}
+			mustPass(assertFloor(results, *floor))
 		}
 	}
 	if *cacheFloor > 0 {
-		cs := cacheSummaryFrom(results)
-		switch {
-		case cs == nil || cs.PairedSpeedup <= 0:
-			fmt.Fprintf(os.Stderr, "bench2json: -cache-floor %.2f: no SynthesizeCached/pair lane with a miss/hit metric on stdin\n", *cacheFloor)
-			os.Exit(1)
-		case cs.PairedSpeedup < *cacheFloor:
-			fmt.Fprintf(os.Stderr, "bench2json: cache full-hit speedup %.2f (median miss/hit over pairs) below the %.2f floor\n",
-				cs.PairedSpeedup, *cacheFloor)
-			os.Exit(1)
-		}
-		fmt.Printf("[cache full-hit speedup %.2f (median miss/hit over pairs), floor %.2f]\n", cs.PairedSpeedup, *cacheFloor)
+		mustPass(assertCacheFloor(results, *cacheFloor))
 	}
 	if *pruneFloor > 0 {
-		ps := pruneSummaryFrom(results)
-		switch {
-		case ps == nil:
-			fmt.Fprintf(os.Stderr, "bench2json: -prune-floor %.2f: no SynthesizePrune prune+noprune lanes on stdin\n", *pruneFloor)
-			os.Exit(1)
-		case ps.PrunedFrac <= 0:
-			fmt.Fprintf(os.Stderr, "bench2json: prune lane reported a zero pruned fraction — the branch-and-bound layer never fired\n")
-			os.Exit(1)
-		case ps.Speedup < *pruneFloor:
-			fmt.Fprintf(os.Stderr, "bench2json: prune speedup %.2f below the %.2f floor (prune %.0f ns, noprune %.0f ns)\n",
-				ps.Speedup, *pruneFloor, ps.PruneNs, ps.NoPruneNs)
-			os.Exit(1)
-		}
+		mustPass(assertPruneFloor(results, *pruneFloor))
 	}
 	if *campaignPath != "" {
 		if err := loadCampaign(*campaignPath, *surviveFloor); err != nil {
@@ -612,22 +591,74 @@ func pruneSummaryFrom(results map[string]result) *pruneSummary {
 	return best
 }
 
+// mustPass prints the line a passed floor check reports, or exits
+// nonzero with its error.
+func mustPass(line string, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench2json:", err)
+		os.Exit(1)
+	}
+	fmt.Println(line)
+}
+
 // assertFloor enforces the parallel-efficiency floor over the parsed
 // input: every workers= suite must reach the given speedup, measured
-// on a lane with more than one schedulable CPU. Callers guard the
+// on a lane with more than one schedulable CPU. It judges the slowest
+// suite (the first by name among equals) and, when it passes, returns
+// the line that reports its speedup and the floor. Callers guard the
 // gomaxprocs=1 case before calling.
-func assertFloor(results map[string]result, floor float64) error {
+func assertFloor(results map[string]result, floor float64) (string, error) {
 	effs := efficiencies(results)
 	if len(effs) == 0 {
-		return fmt.Errorf("-floor %.2f: no Suite/workers=K benchmarks measured at gomaxprocs>1 on stdin", floor)
+		return "", fmt.Errorf("-floor %.2f: no Suite/workers=K benchmarks measured at gomaxprocs>1 on stdin", floor)
 	}
-	for suite, e := range effs {
-		if e.Speedup < floor {
-			return fmt.Errorf("parallel efficiency floor violated: %s workers=%d@p%d speedup %.2f < %.2f",
-				suite, e.Workers, e.Procs, e.Speedup, floor)
-		}
+	suites := make([]string, 0, len(effs))
+	for suite := range effs {
+		suites = append(suites, suite)
 	}
-	return nil
+	sort.Strings(suites)
+	slowest := slices.MinFunc(suites, func(a, b string) int { return cmp.Compare(effs[a].Speedup, effs[b].Speedup) })
+	e := effs[slowest]
+	if e.Speedup < floor {
+		return "", fmt.Errorf("parallel efficiency floor violated: %s workers=%d@p%d speedup %.2f < %.2f",
+			slowest, e.Workers, e.Procs, e.Speedup, floor)
+	}
+	return fmt.Sprintf("[parallel speedup %.2f (%s workers=%d@p%d over workers=1, slowest of %d suites), floor %.2f]",
+		e.Speedup, slowest, e.Workers, e.Procs, len(suites), floor), nil
+}
+
+// assertCacheFloor enforces the full-hit floor on the paired
+// SynthesizeCached/pair lane and, when it passes, returns the line that
+// reports the speedup and the floor.
+func assertCacheFloor(results map[string]result, floor float64) (string, error) {
+	cs := cacheSummaryFrom(results)
+	switch {
+	case cs == nil || cs.PairedSpeedup <= 0:
+		return "", fmt.Errorf("-cache-floor %.2f: no SynthesizeCached/pair lane with a miss/hit metric on stdin", floor)
+	case cs.PairedSpeedup < floor:
+		return "", fmt.Errorf("cache full-hit speedup %.2f (median miss/hit over pairs) below the %.2f floor",
+			cs.PairedSpeedup, floor)
+	}
+	return fmt.Sprintf("[cache full-hit speedup %.2f (median miss/hit over pairs), floor %.2f]", cs.PairedSpeedup, floor), nil
+}
+
+// assertPruneFloor enforces the branch-and-bound floor on the
+// SynthesizePrune lanes, which must also show a nonzero pruned
+// fraction, and when it passes returns the line that reports the
+// speedup and the floor.
+func assertPruneFloor(results map[string]result, floor float64) (string, error) {
+	ps := pruneSummaryFrom(results)
+	switch {
+	case ps == nil:
+		return "", fmt.Errorf("-prune-floor %.2f: no SynthesizePrune prune+noprune lanes on stdin", floor)
+	case ps.PrunedFrac <= 0:
+		return "", fmt.Errorf("prune lane reported a zero pruned fraction — the branch-and-bound layer never fired")
+	case ps.Speedup < floor:
+		return "", fmt.Errorf("prune speedup %.2f below the %.2f floor (prune %.0f ns, noprune %.0f ns)",
+			ps.Speedup, floor, ps.PruneNs, ps.NoPruneNs)
+	}
+	return fmt.Sprintf("[prune speedup %.2f (noprune %.0f ns / prune %.0f ns, pruned fraction %.2f), floor %.2f]",
+		ps.Speedup, ps.NoPruneNs, ps.PruneNs, ps.PrunedFrac, floor), nil
 }
 
 // deltas pairs up benchmarks present in both sections.

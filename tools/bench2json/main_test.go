@@ -301,21 +301,53 @@ func TestAssertFloor(t *testing.T) {
 		"S/x/workers=1@p8": {NsPerOp: 1000},
 		"S/x/workers=8@p8": {NsPerOp: 1100},
 	}
-	if err := assertFloor(results, 0.6); err != nil {
+	if _, err := assertFloor(results, 0.6); err != nil {
 		t.Fatalf("speedup 0.91 should pass floor 0.6: %v", err)
 	}
-	if err := assertFloor(results, 0.95); err == nil {
+	if _, err := assertFloor(results, 0.95); err == nil {
 		t.Fatal("speedup 0.91 must fail floor 0.95")
 	}
-	if err := assertFloor(map[string]result{"plain@p8": {NsPerOp: 1}}, 0.5); err == nil {
+	if _, err := assertFloor(map[string]result{"plain@p8": {NsPerOp: 1}}, 0.5); err == nil {
 		t.Fatal("a floor with no workers= suites must fail loudly")
 	}
 	single := map[string]result{
 		"S/x/workers=1@p1": {NsPerOp: 1000},
 		"S/x/workers=8@p1": {NsPerOp: 990},
 	}
-	if err := assertFloor(single, 0.5); err == nil {
+	if _, err := assertFloor(single, 0.5); err == nil {
 		t.Fatal("gomaxprocs=1 data must not satisfy a floor by accident")
+	}
+}
+
+// TestFloorsReportWhatPassed: each passed floor returns the line that
+// says by how much: the measured value next to the floor. The parallel
+// floor reports its slowest suite.
+func TestFloorsReportWhatPassed(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		check func(map[string]result, float64) (string, error)
+		in    map[string]result
+		floor float64
+		want  string
+	}{
+		{"floor", assertFloor, map[string]result{
+			"A/d48/workers=1@p2": {NsPerOp: 1500},
+			"A/d48/workers=2@p2": {NsPerOp: 1000},
+			"B/d26/workers=1@p2": {NsPerOp: 1400},
+			"B/d26/workers=2@p2": {NsPerOp: 1000},
+		}, 1.2, "[parallel speedup 1.40 (B/d26 workers=2@p2 over workers=1, slowest of 2 suites), floor 1.20]"},
+		{"prune-floor", assertPruneFloor, map[string]result{
+			"SynthesizePrune/d48_sweep/prune@p1":   {NsPerOp: 2000, PrunedFrac: 0.97},
+			"SynthesizePrune/d48_sweep/noprune@p1": {NsPerOp: 5000},
+		}, 1.3, "[prune speedup 2.50 (noprune 5000 ns / prune 2000 ns, pruned fraction 0.97), floor 1.30]"},
+		{"cache-floor", assertCacheFloor, map[string]result{
+			"SynthesizeCached/pair@p1": {NsPerOp: 1, MissHit: 6.28},
+		}, 5, "[cache full-hit speedup 6.28 (median miss/hit over pairs), floor 5.00]"},
+	} {
+		got, err := c.check(c.in, c.floor)
+		if err != nil || got != c.want {
+			t.Errorf("-%s: got %q, %v\nwant %q", c.name, got, err, c.want)
+		}
 	}
 }
 
