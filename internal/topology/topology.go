@@ -161,9 +161,9 @@ func (t *Topology) Reset() { t.Rebind(t.Spec, t.Lib) }
 // New(spec, lib) would produce, while retaining the backing storage of
 // every earlier build: the switch, link and route slices and the link
 // index keep their capacity, the island and core tables are resized in
-// place, and the route paths are recycled through internal free lists. The synthesis arena rebinds one topology
-// per worker across candidates and across engine calls instead of
-// allocating a fresh one each time.
+// place, and the route paths are recycled through internal free lists.
+// The synthesis arena rebinds one topology per worker across candidates
+// and across engine calls instead of allocating a fresh one each time.
 //
 // Like Reset, Rebind must never be called on a topology that has
 // escaped into a DesignPoint.
@@ -215,12 +215,11 @@ func sized[T any](s []T, n int) []T {
 // slice cut at exactly its length: the switch, link, route and island
 // tables and the link index are copied verbatim, and every path's
 // Links, backups included, is cut from one backing array, with all
-// Backups from one []Path. The cuts
-// are 3-index slices, so an append to one path never overwrites the
-// next. Empty switch, link and route tables and link index are nil, nil
-// paths stay nil and the free lists start empty, so the copy does not
-// depend on the history of t's storage. A worker that keeps building in
-// t publishes the copy.
+// Backups from one []Path. The cuts are 3-index slices, so an append to
+// one path never overwrites the next. Empty switch, link and route
+// tables and link index are nil, nil paths stay nil and the free lists
+// start empty, so the copy does not depend on the history of t's
+// storage. A worker that keeps building in t publishes the copy.
 func (t *Topology) Compact() *Topology {
 	c := &Topology{
 		Spec:          t.Spec,
@@ -695,8 +694,9 @@ func (t *Topology) Build() error {
 	clear(t.inPorts)
 	clear(t.outPorts)
 	for i := range t.Switches {
-		if isl := t.Switches[i].Island; isl < 0 || int(isl) >= nIsl {
-			return fmt.Errorf("%w: switch %d in island %d", ErrSwitch, i, isl)
+		s := &t.Switches[i]
+		if s.Island < 0 || int(s.Island) >= nIsl {
+			return fmt.Errorf("%w: switch %d in island %d", ErrSwitch, i, s.Island)
 		}
 		t.firstOut[i] = -1
 	}
