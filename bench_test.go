@@ -206,8 +206,24 @@ func BenchmarkSynthesizeD26(b *testing.B) {
 // increasing worker counts on the D26 and D48 benchmarks. Results are
 // identical at every width — only wall-clock changes — so the ratio of
 // the workers=1 and workers=8 timings is the parallel speedup.
+//
+// d48_network/pair times that speedup in pairs: each iteration starts
+// on a collected heap and runs workers=1 and then workers=N, N the
+// lane's GOMAXPROCS, back to back, and the lane reports the median of
+// the per-pair ratios as w1/wN. Contention that slows one pair moves
+// one ratio, not a whole lane timed seconds apart from the other;
+// `make bench-smoke` gates this lane.
 func BenchmarkSynthesizeParallel(b *testing.B) {
 	lib := model.Default65nm()
+	synth := func(b *testing.B, spec *soc.Spec, workers int) {
+		if _, err := core.Synthesize(spec, lib, core.Options{
+			AllowIntermediate:       true,
+			MaxIntermediateSwitches: 3,
+			Workers:                 workers,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, name := range []string{"d26_media", "d48_network"} {
 		spec, err := bench.Islanded(name)
 		if err != nil {
@@ -216,16 +232,29 @@ func BenchmarkSynthesizeParallel(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.Synthesize(spec, lib, core.Options{
-						AllowIntermediate:       true,
-						MaxIntermediateSwitches: 3,
-						Workers:                 workers,
-					}); err != nil {
-						b.Fatal(err)
-					}
+					synth(b, spec, workers)
 				}
 			})
 		}
+		if name != "d48_network" {
+			continue
+		}
+		b.Run(name+"/pair", func(b *testing.B) {
+			n := runtime.GOMAXPROCS(0)
+			ratios := make([]float64, 0, b.N)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
+				t0 := time.Now()
+				synth(b, spec, 1)
+				t1 := time.Now()
+				synth(b, spec, n)
+				t2 := time.Now()
+				ratios = append(ratios, float64(t1.Sub(t0))/float64(t2.Sub(t1)))
+			}
+			b.ReportMetric(median(ratios), "w1/wN")
+		})
 	}
 	// The d100+ scale lane: the streaming full-factorial sweep on a
 	// 104-core, 10-island generated SoC whose enumerated space is 2^20
@@ -382,10 +411,16 @@ func BenchmarkSynthesizeCached(b *testing.B) {
 			}
 			ratios = append(ratios, float64(t1.Sub(t0))/float64(t2.Sub(t1)))
 		}
-		slices.Sort(ratios)
-		n := len(ratios)
-		b.ReportMetric((ratios[(n-1)/2]+ratios[n/2])/2, "miss/hit")
+		b.ReportMetric(median(ratios), "miss/hit")
 	})
+}
+
+// median returns the median of v (the mean of the middle two for an
+// even count), sorting v in place.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	n := len(v)
+	return (v[(n-1)/2] + v[n/2]) / 2
 }
 
 // BenchmarkRunCampaign measures the power-state fault campaign on the

@@ -7,7 +7,8 @@ import (
 )
 
 // NarrowID flags unchecked conversions into the 32-bit design ID types
-// (soc.CoreID, soc.IslandID, topology.SwitchID, topology.LinkID) in the
+// (soc.CoreID, soc.IslandID, soc.FlowID, topology.SwitchID,
+// topology.LinkID) in the
 // two packages that decode external input, specio and cache. A JSON
 // number or a cache varint converted straight into an int32 ID wraps: a
 // stored 2^32+5 reads as a valid 5, and the topology builder's range
@@ -20,9 +21,10 @@ import (
 // flagged too, since it may be instantiated with an ID type.
 var NarrowID = &Analyzer{
 	Name: "narrowid",
-	Doc: "flags conversions into soc.CoreID, soc.IslandID, topology.SwitchID " +
-		"or topology.LinkID in specio and cache that are not a constant, a " +
-		"len/cap call or a range index; decoded IDs narrow through soc.NarrowID",
+	Doc: "flags conversions into soc.CoreID, soc.IslandID, soc.FlowID, " +
+		"topology.SwitchID or topology.LinkID in specio and cache that are not " +
+		"a constant, a len/cap call or a range index; decoded IDs narrow " +
+		"through soc.NarrowID",
 	Run: runNarrowID,
 }
 
@@ -31,6 +33,7 @@ var NarrowID = &Analyzer{
 var idTypes = map[[2]string]bool{
 	{"soc", "CoreID"}:        true,
 	{"soc", "IslandID"}:      true,
+	{"soc", "FlowID"}:        true,
 	{"topology", "SwitchID"}: true,
 	{"topology", "LinkID"}:   true,
 }

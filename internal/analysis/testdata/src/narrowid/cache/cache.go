@@ -22,6 +22,11 @@ func (d *dec) flow() (soc.CoreID, soc.CoreID) {
 	return soc.CoreID(d.i64()), soc.CoreID(int(d.i64())) // want narrowid "unchecked conversion into soc.CoreID" want narrowid "unchecked conversion into soc.CoreID"
 }
 
+// flowIndex reads a stored flow index unchecked.
+func (d *dec) flowIndex() soc.FlowID {
+	return soc.FlowID(d.i64()) // want narrowid "unchecked conversion into soc.FlowID"
+}
+
 func (d *dec) switchOf(n int) []topology.SwitchID {
 	out := make([]topology.SwitchID, n)
 	for c := range out {

@@ -1,10 +1,12 @@
-// Package soc mimics the real soc package: two 32-bit ID types and the
-// checked conversion into them.
+// Package soc mimics the real soc package: three 32-bit ID types and
+// the checked conversion into them.
 package soc
 
 type CoreID int32
 
 type IslandID int32
+
+type FlowID int32
 
 // NarrowID stands in for the checked helper; the rule does not cover
 // this package, so its own conversion is clean.

@@ -24,6 +24,11 @@ func readArith(n int) topology.LinkID {
 	return topology.LinkID(n - 1) // want narrowid "unchecked conversion into topology.LinkID"
 }
 
+// readRoute takes a route's flow index straight from the input.
+func readRoute(flow int) topology.Route {
+	return topology.Route{Flow: soc.FlowID(flow)} // want narrowid "unchecked conversion into soc.FlowID"
+}
+
 // convert is generic: its conversion may instantiate with an ID type.
 func convert[To ~int | ~int32](ids []int) []To {
 	out := make([]To, len(ids))
@@ -52,8 +57,8 @@ func constants() (soc.CoreID, topology.SwitchID) {
 	return soc.CoreID(first), topology.SwitchID(-1)
 }
 
-func lengths(s []int, p topology.Path) (soc.IslandID, topology.LinkID) {
-	return soc.IslandID(len(s)), topology.LinkID(cap(p.Links))
+func lengths(s []int, links []topology.LinkID) (soc.IslandID, topology.LinkID) {
+	return soc.IslandID(len(s)), topology.LinkID(cap(links))
 }
 
 func dense(names []string) []soc.CoreID {
@@ -84,4 +89,14 @@ func toInts[To ~int, From ~int32](ids []From) []To {
 	return out
 }
 
-func write(p topology.Path) []int { return toInts[int](p.Links) }
+func write(links []topology.LinkID) []int { return toInts[int](links) }
+
+// flowIndex names a route's flow by its position in the spec's flows:
+// a range index over them, which a len bounds.
+func flowIndex(flows []linkJSON) []topology.Route {
+	var out []topology.Route
+	for i := range flows {
+		out = append(out, topology.Route{Flow: soc.FlowID(i)})
+	}
+	return out
+}

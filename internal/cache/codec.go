@@ -159,27 +159,47 @@ type dec struct {
 	b   []byte
 	err error
 
-	// lks is the unused tail of the current link chunk that carve cuts
-	// route and backup links from; walk is the scratch each stored
-	// switch walk narrows into before it resolves into links.
-	lks  []topology.LinkID
-	walk []topology.SwitchID
+	// walk is the scratch each stored switch walk narrows into. A
+	// topology's routes are staged before any is added, so its link
+	// table can be cut at exactly its size: pending holds each route,
+	// runs its paths, the primary then each backup, as runs of links,
+	// and links the walks resolved. All three are reused across the
+	// result's topologies.
+	walk    []topology.SwitchID
+	pending []pendingRoute
+	runs    []topology.Path
+	links   []topology.LinkID
+
+	// lks is the unused tail of the current chunk that carve cuts each
+	// topology's link table from.
+	lks []topology.LinkID
+
+	// flows finds the spec flow a stored route names; DecodeResult
+	// builds it once for all the result's points.
+	flows soc.FlowIndex
 }
 
-// pathChunk is the number of entries one link-chunk allocation holds.
+// pendingRoute is a route read but not yet added: its flow, whether its
+// Backups is non-nil, and its paths, dec.runs[first:first+n].
+type pendingRoute struct {
+	flow     soc.FlowID
+	backups  bool
+	first, n int32
+}
+
+// pathChunk is the number of links one chunk allocation holds.
 const pathChunk = 512
 
-// carve returns an n-entry path cut from the chunk *tail, starting a new
-// chunk when it runs short, so a decoded result costs a few allocations
-// for its paths instead of one per route. The path is capped at n, so an
-// append by its owner reallocates instead of overwriting the next path,
-// and is non-nil even when empty: nil links mean something else to the
-// codec.
+// carve returns an empty buffer of capacity n cut from the chunk *tail,
+// starting a new chunk when it runs short, so a decoded result costs a
+// few allocations for its link tables instead of one per topology. The
+// buffer is capped at n, so an append past it reallocates instead of
+// overwriting the next topology's table.
 func carve[T any](tail *[]T, n int) []T {
-	if *tail == nil || len(*tail) < n {
+	if len(*tail) < n {
 		*tail = make([]T, max(n, pathChunk))
 	}
-	p := (*tail)[:n:n]
+	p := (*tail)[:0:n]
 	*tail = (*tail)[n:]
 	return p
 }
@@ -328,6 +348,7 @@ func encodeResult(e *enc, res *core.Result) {
 // store's pooled read buffer, which the next read overwrites.
 func DecodeResult(data []byte, spec *soc.Spec, lib *model.Library) (*core.Result, error) {
 	d := &dec{b: data}
+	d.flows.Reset(spec)
 	if v := d.u64(); d.err == nil && v != codecVersion {
 		return nil, fmt.Errorf("cache: result codec version %d, want %d", v, codecVersion)
 	}
@@ -437,9 +458,9 @@ func decodeBreakdown(d *dec, b *power.Breakdown) {
 }
 
 // encodeTopology captures the construction essentials topology.Build
-// reads, plus each route's walk; on decode Build rebuilds the core lists
-// and the link index, and AddRoute the accumulated traffic. Link
-// clocks, capacities and crossings are never stored: the topology
+// reads, plus each route's flow and walk; on decode Build rebuilds the
+// port counts and the link index, and AddRoute the accumulated traffic.
+// Link clocks, capacities and crossings are never stored: the topology
 // derives them from the island tables.
 func encodeTopology(e *enc, t *topology.Topology) {
 	e.bool(t.NoCIsland != soc.NoIsland)
@@ -463,43 +484,47 @@ func encodeTopology(e *enc, t *topology.Topology) {
 	e.u64(uint64(len(t.Routes)))
 	for i := range t.Routes {
 		r := &t.Routes[i]
-		e.int(int(r.Flow.Src))
-		e.int(int(r.Flow.Dst))
-		e.f64(r.Flow.BandwidthBps)
-		e.f64(r.Flow.MaxLatencyCycles)
-		e.walk(t, r.Flow, r.Links)
+		f := t.Spec.Flows[r.Flow]
+		e.int(int(f.Src))
+		e.int(int(f.Dst))
+		e.f64(f.BandwidthBps)
+		e.f64(f.MaxLatencyCycles)
+		e.walk(t, f, t.PathLinks(r.Links))
 		// Backup paths of survivable designs: switch walks too — their
 		// links re-derive by FindLink on decode, exactly like the
 		// primary's, and their links are already in the links section
 		// (backups open real links; they just carry no traffic).
 		e.bool(r.Backups != nil)
 		e.u64(uint64(len(r.Backups)))
-		for bi := range r.Backups {
-			e.walk(t, r.Flow, r.Backups[bi].Links)
+		for _, b := range r.Backups {
+			e.walk(t, f, t.PathLinks(b))
 		}
 	}
 }
 
 // walk writes the switch walk of a route or backup of flow f over links
-// (t.Walk, one more switch than links) and whether links is non-nil:
-// the links are derivable (FindLink over consecutive switches) but
-// their nilness is an in-memory shape to preserve, as single-switch
-// routes keep a nil Links and multi-hop ones a populated slice.
+// (t.Walk, one more switch than links) and whether it has any links.
+// The flag is what the format stored when a route kept its own link
+// slice, nil for a single-switch route; a reader derives it from the
+// walk and skips it.
 func (e *enc) walk(t *topology.Topology, f soc.Flow, links []topology.LinkID) {
 	e.u64(uint64(len(links) + 1))
 	for i := 0; i <= len(links); i++ {
 		e.int(int(t.WalkSwitch(f, links, i)))
 	}
-	e.bool(links != nil)
+	e.bool(len(links) > 0)
 }
 
 // decodeTopology decodes the construction essentials into a fresh
 // topology and lets topology.Build check them and derive the rest, then
-// adds the routes in stored order: each walk narrows into the decoder's
-// scratch, resolves into carved link storage through WalkLinks, and
-// AddRoute (AddBackup for a backup) checks it and sums Link.TrafficBps
-// route by route, the addition order of the original build — float
-// sums are order-dependent, so that order is what makes the round-trip
+// reads the routes: each stored flow must be the spec's flow between
+// its endpoints, bit for bit, and each walk narrows into the decoder's
+// scratch and resolves into links through WalkLinks. With every route
+// read, the link table is cut at its size and the routes are added in
+// stored order: AddRoute (AddBackup for a backup) checks them, copies
+// them into the table and sums Link.TrafficBps route by route, the
+// addition order of the original build — float sums are
+// order-dependent, so that order is what makes the round-trip
 // bit-exact. Each collection is sized to its encoded count, which
 // length() caps at the remaining input, so a corrupt count costs a
 // bounded allocation; a zero count leaves it nil. Every ID narrows
@@ -535,77 +560,131 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	if err := top.Build(); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
+	if err := d.stageRoutes(top, nRoutes); err != nil {
+		return nil, err
+	}
 	top.Routes = slices.Grow(top.Routes, nRoutes)
-	for ri := range nRoutes {
-		var r topology.Route
-		r.Flow.Src = id[soc.CoreID](d, "flow src")
-		r.Flow.Dst = id[soc.CoreID](d, "flow dst")
-		r.Flow.BandwidthBps = d.f64()
-		r.Flow.MaxLatencyCycles = d.f64()
-		var err error
-		if r.Links, err = d.path(top, r.Flow, "route switch"); err != nil {
-			return nil, err
-		}
-		backupsNotNil := d.bool()
-		nBackups := d.length()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if !backupsNotNil && nBackups > 0 {
-			return nil, errCorrupt
-		}
-		if backupsNotNil {
-			// Non-nil empty is a shape the engine never produces, but the
-			// round-trip preserves it for DeepEqual-grade fidelity.
-			r.Backups = make([]topology.Path, 0, nBackups)
-		}
-		if err := top.AddRoute(r); err != nil {
+	top.SetLinkStorage(carve(&d.lks, len(d.links)))
+	for ri, p := range d.pending {
+		runs := d.runs[p.first : p.first+p.n]
+		if err := top.AddRoute(p.flow, d.pathLinks(runs[0])); err != nil {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
-		for range nBackups {
-			links, err := d.path(top, r.Flow, "backup switch")
-			if err != nil {
-				return nil, err
-			}
-			if err := top.AddBackup(ri, topology.Path{Links: links}); err != nil {
+		if p.backups {
+			// Non-nil empty is a shape the engine never produces, but the
+			// round-trip preserves it for DeepEqual-grade fidelity.
+			top.Routes[ri].Backups = make([]topology.Path, 0, len(runs)-1)
+		}
+		for _, b := range runs[1:] {
+			if err := top.AddBackup(ri, d.pathLinks(b)); err != nil {
 				return nil, fmt.Errorf("cache: %w", err)
 			}
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	return top, nil
+}
+
+// stageRoutes reads the n routes of the built top into d.pending,
+// d.runs and d.links without adding them. d.pending keeps the previous
+// topology's routes until each is overwritten: the flow its route ri
+// named is the first guess for route ri here.
+func (d *dec) stageRoutes(top *topology.Topology, n int) error {
+	d.pending = slices.Grow(d.pending[:0], n)[:n]
+	d.runs = slices.Grow(d.runs[:0], n)
+	d.links = d.links[:0]
+	for ri := range n {
+		fi, err := d.flow(d.pending[ri].flow)
+		if err != nil {
+			return err
+		}
+		f := top.Spec.Flows[fi]
+		p := pendingRoute{flow: fi, first: int32(len(d.runs))}
+		if err := d.path(top, f, "route switch"); err != nil {
+			return err
+		}
+		p.backups = d.bool()
+		nBackups := d.length()
+		if d.err != nil {
+			return d.err
+		}
+		if !p.backups && nBackups > 0 {
+			return errCorrupt
+		}
+		for range nBackups {
+			if err := d.path(top, f, "backup switch"); err != nil {
+				return err
+			}
+		}
+		p.n = int32(len(d.runs)) - p.first
+		d.pending[ri] = p
+	}
+	return nil
+}
+
+// pathLinks returns the links of a staged run.
+func (d *dec) pathLinks(p topology.Path) []topology.LinkID {
+	return d.links[p.Off : p.Off+p.N]
 }
 
 // grown returns s grown to length n, nil when s is nil and n is 0.
 func grown[T any](s []T, n int) []T { return slices.Grow(s, n)[:n] }
 
+// flow reads a route's stored flow and returns its index in the spec:
+// the endpoints must name a spec flow, and the bandwidth and latency
+// bound must be that flow's, bit for bit. The flow at index guess is
+// tried before the search: the engine routes every point's flows in
+// one order, so the previous topology's route at the same position
+// nearly always names it.
+func (d *dec) flow(guess soc.FlowID) (soc.FlowID, error) {
+	src := id[soc.CoreID](d, "flow src")
+	dst := id[soc.CoreID](d, "flow dst")
+	bw, lat := d.f64(), d.f64()
+	if d.err != nil {
+		return 0, d.err
+	}
+	flows := d.flows.Spec().Flows
+	fi := guess
+	if fi < 0 || int(fi) >= len(flows) || flows[fi].Src != src || flows[fi].Dst != dst {
+		var ok bool
+		if fi, ok = d.flows.Find(src, dst); !ok {
+			return 0, fmt.Errorf("cache: stored route for flow %d->%d, which the spec does not have", src, dst)
+		}
+	}
+	f := &flows[fi]
+	if math.Float64bits(bw) != math.Float64bits(f.BandwidthBps) || math.Float64bits(lat) != math.Float64bits(f.MaxLatencyCycles) {
+		return 0, errCorrupt
+	}
+	return fi, nil
+}
+
 // path reads one encoded walk of a route of flow f, its primary or a
 // backup, into the built top: the switch count, the switches (narrowed
-// as field into the reused scratch d.walk) and whether its links are
-// non-nil. The links are carved from the decoder's link chunk, and
-// top.WalkLinks resolves the walk into them. A decode error comes back
-// as it is, a walk the topology rejects wrapped as a cache error.
-func (d *dec) path(top *topology.Topology, f soc.Flow, field string) ([]topology.LinkID, error) {
+// as field into the reused scratch d.walk) and the has-links flag,
+// which the walk already states. top.WalkLinks resolves the walk onto
+// the end of d.links, and the run it fills goes onto d.runs. A decode
+// error comes back as it is, a walk the topology rejects wrapped as a
+// cache error.
+func (d *dec) path(top *topology.Topology, f soc.Flow, field string) error {
 	n := d.length()
 	walk := d.walk[:0]
 	for range n {
 		walk = append(walk, id[topology.SwitchID](d, field))
 	}
 	d.walk = walk
-	var links []topology.LinkID
-	if d.bool() && n > 0 {
-		links = carve(&d.lks, n-1)
-	}
+	d.bool()
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
-	links, err := top.WalkLinks(f, walk, links)
+	at := len(d.links)
+	links, err := top.WalkLinks(f, walk, d.links[at:])
 	if err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
+		return fmt.Errorf("cache: %w", err)
 	}
-	return links, nil
+	// WalkLinks filled d.links past its length in place, or a new array
+	// when it ran out of room; either way the links land at the end.
+	d.links = append(d.links[:at], links...)
+	d.runs = append(d.runs, topology.Path{Off: int32(at), N: int32(len(links))})
+	return nil
 }
 
 func encodePlacement(e *enc, p *floorplan.Placement) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -242,6 +243,38 @@ func TestDecodeResultRejectsTruncatedByte(t *testing.T) {
 		if _, err := DecodeResult(blob, spec, lib); !errors.Is(err, errCorrupt) {
 			t.Fatalf("a set truncation byte decoded with err=%v, want errCorrupt", err)
 		}
+	}
+}
+
+// TestDecodeRejectsForeignFlows: a stored route names its flow by its
+// endpoints, bandwidth and latency bound, and the decoder resolves it
+// against the caller's spec. A spec that lacks the flow, or whose flow
+// differs in any stored field, is an error, never a route over another
+// flow.
+func TestDecodeRejectsForeignFlows(t *testing.T) {
+	lib := model.Default65nm()
+	spec := smallSpec(t)
+	res, err := core.Synthesize(spec, lib, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := EncodeResult(res)
+	for _, c := range []struct {
+		name string
+		edit func(f *soc.Flow)
+	}{
+		{"missing flow", func(f *soc.Flow) { f.Src, f.Dst = f.Dst, f.Src }},
+		{"other bandwidth", func(f *soc.Flow) { f.BandwidthBps = math.Nextafter(f.BandwidthBps, 0) }},
+		{"other latency bound", func(f *soc.Flow) { f.MaxLatencyCycles++ }},
+	} {
+		other := spec.Clone()
+		c.edit(&other.Flows[0])
+		if _, err := DecodeResult(blob, other, lib); err == nil {
+			t.Errorf("%s: decoded against a spec whose flow 0 differs", c.name)
+		}
+	}
+	if _, err := DecodeResult(blob, spec, lib); err != nil {
+		t.Fatalf("the unedited spec: %v", err)
 	}
 }
 

@@ -76,20 +76,21 @@ func encodeTopologyRaised(e *enc, t *topology.Topology, field string, by int64, 
 		for _, sw := range walk {
 			id(f, int64(sw))
 		}
-		e.bool(links != nil)
+		e.bool(len(links) > 0)
 	}
 	e.u64(uint64(len(t.Routes)))
 	for i := range t.Routes {
 		r := &t.Routes[i]
-		id("flow src", int64(r.Flow.Src))
-		id("flow dst", int64(r.Flow.Dst))
-		e.f64(r.Flow.BandwidthBps)
-		e.f64(r.Flow.MaxLatencyCycles)
-		path("route switch", r.Flow, r.Links, i, -1)
+		f := t.Spec.Flows[r.Flow]
+		id("flow src", int64(f.Src))
+		id("flow dst", int64(f.Dst))
+		e.f64(f.BandwidthBps)
+		e.f64(f.MaxLatencyCycles)
+		path("route switch", f, t.PathLinks(r.Links), i, -1)
 		e.bool(r.Backups != nil)
 		e.u64(uint64(len(r.Backups)))
-		for bi := range r.Backups {
-			path("backup switch", r.Flow, r.Backups[bi].Links, i, bi)
+		for bi, b := range r.Backups {
+			path("backup switch", f, t.PathLinks(b), i, bi)
 		}
 	}
 	return done
@@ -220,7 +221,7 @@ func TestDecodeRejectsBadWalks(t *testing.T) {
 	for i := range res.Points {
 		oneSwitch, backed = -1, -1
 		for ri, r := range res.Points[i].Top.Routes {
-			if oneSwitch < 0 && len(r.Links) == 0 {
+			if oneSwitch < 0 && r.Links.N == 0 {
 				oneSwitch = ri
 			}
 			if backed < 0 && len(r.Backups) > 0 {
@@ -236,7 +237,7 @@ func TestDecodeRejectsBadWalks(t *testing.T) {
 		t.Fatal("no D26 k=1 point has both a one-switch route and a backup")
 	}
 	top := res.Points[pi].Top
-	off := (top.SwitchOf[top.Routes[oneSwitch].Flow.Src] + 1) % topology.SwitchID(len(top.Switches))
+	off := (top.SwitchOf[spec.Flows[top.Routes[oneSwitch].Flow].Src] + 1) % topology.SwitchID(len(top.Switches))
 	cases := []struct {
 		name   string
 		ri, bi int

@@ -249,7 +249,7 @@ func TestRelaxLadderRecoversInfeasibleSpec(t *testing.T) {
 		top := full.Points[i].Top
 		for ri := range top.Routes {
 			r := &top.Routes[ri]
-			if r.Flow.Src == 0 && r.Flow.Dst == 1 {
+			if f := top.Spec.Flows[r.Flow]; f.Src == 0 && f.Dst == 1 {
 				if lat := top.ZeroLoadLatencyCycles(r); floor == 0 || lat < floor {
 					floor = lat
 				}

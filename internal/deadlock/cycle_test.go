@@ -7,18 +7,27 @@ import (
 	"nocvi/internal/topology"
 )
 
-// cdg returns a bare topology whose channel dependency graph is exactly
+// walks is a route set given as link walks over n links.
+type walks struct {
+	n     int
+	links [][]topology.LinkID
+}
+
+// cdg returns the route set whose channel dependency graph is exactly
 // the given edge list: n links and one two-link route per edge. The
 // checker reads nothing else, so the witness cases below exercise the
 // whole path — CSR build, duplicate drop and DFS — on hand-made graphs.
-func cdg(n int, edges ...[2]int) *topology.Topology {
-	top := &topology.Topology{Links: make([]topology.Link, n)}
+func cdg(n int, edges ...[2]int) walks {
+	w := walks{n: n}
 	for _, e := range edges {
-		top.Routes = append(top.Routes, topology.Route{
-			Links: []topology.LinkID{topology.LinkID(e[0]), topology.LinkID(e[1])},
-		})
+		w.links = append(w.links, []topology.LinkID{topology.LinkID(e[0]), topology.LinkID(e[1])})
 	}
-	return top
+	return w
+}
+
+// analyzeCDG analyzes w with sc.
+func analyzeCDG(sc *Scratch, w walks) Report {
+	return sc.analyzeWalks(w.n, len(w.links), func(ri int) []topology.LinkID { return w.links[ri] })
 }
 
 // hasEdge reports whether u->v is one of the edges.
@@ -80,7 +89,7 @@ func kahnAcyclic(n int, edges [][2]int) bool {
 
 func TestCycleAcyclic(t *testing.T) {
 	edges := [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {0, 1}}
-	rep := (&Scratch{}).analyze(cdg(5, edges...))
+	rep := analyzeCDG(&Scratch{}, cdg(5, edges...))
 	if !rep.Free() {
 		t.Fatalf("acyclic DAG reported cyclic: %v", rep.Cycle)
 	}
@@ -94,7 +103,7 @@ func TestCycleAcyclic(t *testing.T) {
 
 func TestCycleSimple(t *testing.T) {
 	edges := [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}}
-	rep := (&Scratch{}).analyze(cdg(4, edges...))
+	rep := analyzeCDG(&Scratch{}, cdg(4, edges...))
 	if rep.Free() {
 		t.Fatal("3-cycle not detected")
 	}
@@ -108,7 +117,7 @@ func TestCycleSimple(t *testing.T) {
 
 func TestCycleSelfContained(t *testing.T) {
 	// Two components, the cycle only in the second.
-	rep := (&Scratch{}).analyze(cdg(6, [2]int{0, 1}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 3}))
+	rep := analyzeCDG(&Scratch{}, cdg(6, [2]int{0, 1}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 3}))
 	if rep.Free() {
 		t.Fatal("cycle in second component missed")
 	}
@@ -120,13 +129,13 @@ func TestCycleSelfContained(t *testing.T) {
 }
 
 func TestCycleTwoNode(t *testing.T) {
-	if rep := (&Scratch{}).analyze(cdg(2, [2]int{0, 1}, [2]int{1, 0})); rep.Free() {
+	if rep := analyzeCDG(&Scratch{}, cdg(2, [2]int{0, 1}, [2]int{1, 0})); rep.Free() {
 		t.Fatal("2-cycle not detected")
 	}
 }
 
 func TestCycleEmpty(t *testing.T) {
-	rep := (&Scratch{}).analyze(cdg(0))
+	rep := analyzeCDG(&Scratch{}, cdg(0))
 	if !rep.Free() || rep.Channels != 0 || rep.Dependencies != 0 {
 		t.Fatalf("empty CDG: %+v", rep)
 	}
@@ -153,7 +162,7 @@ func TestCycleAgreesWithTopo(t *testing.T) {
 				distinct[[2]int{u, v}] = true
 			}
 		}
-		rep := sc.analyze(cdg(n, edges...))
+		rep := analyzeCDG(&sc, cdg(n, edges...))
 		if rep.Free() != kahnAcyclic(n, edges) || rep.Dependencies != len(distinct) {
 			return false
 		}

@@ -86,33 +86,46 @@ func Check(top *topology.Topology) error {
 // reused across calls. A deadlock-free topology allocates nothing once
 // sc has grown to its size.
 func CheckWith(top *topology.Topology, sc *Scratch) error {
-	if rep := sc.analyze(top); !rep.Free() {
+	return verdict(sc.analyze(top))
+}
+
+// verdict is the error CheckWith returns for rep: nil when rep is free.
+func verdict(rep Report) error {
+	if !rep.Free() {
 		cyclic := rep // declared here so only a failing check moves it to the heap
 		return fmt.Errorf("deadlock: %s", &cyclic)
 	}
 	return nil
 }
 
-// analyze builds the CDG into sc and searches it for a cycle. Only the
-// witness of a cyclic CDG is allocated; it escapes into the report.
+// analyze builds the CDG of top's routes into sc and searches it for a
+// cycle. Only the witness of a cyclic CDG is allocated; it escapes into
+// the report.
 func (sc *Scratch) analyze(top *topology.Topology) Report {
-	n := len(top.Links)
-	deps := sc.buildCDG(top)
+	return sc.analyzeWalks(len(top.Links), len(top.Routes), func(ri int) []topology.LinkID {
+		return top.PathLinks(top.Routes[ri].Links)
+	})
+}
+
+// analyzeWalks is analyze over any route set given as link walks: n
+// links, and walk(ri) the links of route ri for ri below routes.
+func (sc *Scratch) analyzeWalks(n, routes int, walk func(ri int) []topology.LinkID) Report {
+	deps := sc.buildCDG(n, routes, walk)
 	return Report{Channels: n, Dependencies: deps, Cycle: sc.findCycle(n)}
 }
 
-// buildCDG lays out the channel dependency graph of top's routes as
-// CSR and returns its number of distinct dependencies. Consecutive-link
-// pairs are bucketed by source link in route traversal order, then each
-// bucket keeps only the first occurrence of every successor, so the
-// successor lists are exactly the adjacency lists a graph built by
-// adding each newly seen pair in traversal order would hold.
-func (sc *Scratch) buildCDG(top *topology.Topology) int {
-	n := len(top.Links)
+// buildCDG lays out the channel dependency graph of the walks over n
+// links as CSR and returns its number of distinct dependencies.
+// Consecutive-link pairs are bucketed by source link in route traversal
+// order, then each bucket keeps only the first occurrence of every
+// successor, so the successor lists are exactly the adjacency lists a
+// graph built by adding each newly seen pair in traversal order would
+// hold.
+func (sc *Scratch) buildCDG(n, routes int, walk func(ri int) []topology.LinkID) int {
 	off := resize(sc.off, n+1)
 	clear(off)
-	for ri := range top.Routes {
-		ls := top.Routes[ri].Links
+	for ri := range routes {
+		ls := walk(ri)
 		for i := 1; i < len(ls); i++ {
 			if ls[i-1] == ls[i] {
 				panic(fmt.Sprintf("deadlock: self loop on link %d", ls[i])) //noclint:ignore bannedcall cold-path validation panic, not a cache key
@@ -130,8 +143,8 @@ func (sc *Scratch) buildCDG(top *topology.Topology) int {
 	succ := resize(sc.succ, int(sum))
 	// Fill advances off[a] to the end of a's bucket, which is where
 	// a+1's bucket starts; shifting by one restores the starts.
-	for ri := range top.Routes {
-		ls := top.Routes[ri].Links
+	for ri := range routes {
+		ls := walk(ri)
 		for i := 1; i < len(ls); i++ {
 			a := ls[i-1]
 			succ[off[a]] = int32(ls[i])

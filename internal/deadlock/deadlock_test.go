@@ -53,12 +53,8 @@ func ringTopology(t *testing.T) *topology.Topology {
 		}
 	}
 	// each flow goes two hops clockwise, using consecutive links
-	for i, f := range spec.Flows {
-		r := topology.Route{
-			Flow:  f,
-			Links: []topology.LinkID{links[i], links[(i+1)%4]},
-		}
-		if err := top.AddRoute(r); err != nil {
+	for i := range spec.Flows {
+		if err := top.AddRoute(soc.FlowID(i), []topology.LinkID{links[i], links[(i+1)%4]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +108,7 @@ func TestStarIsFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, f := range spec.Flows {
+	for fi, f := range spec.Flows {
 		in, _ := top.FindLink(spokes[f.Src], hub)
 		if in == -1 {
 			in, _ = top.AddLink(spokes[f.Src], hub)
@@ -121,10 +117,7 @@ func TestStarIsFree(t *testing.T) {
 		if !ok {
 			out, _ = top.AddLink(hub, spokes[f.Dst])
 		}
-		if err := top.AddRoute(topology.Route{
-			Flow:  f,
-			Links: []topology.LinkID{in, out},
-		}); err != nil {
+		if err := top.AddRoute(soc.FlowID(fi), []topology.LinkID{in, out}); err != nil {
 			t.Fatal(err)
 		}
 	}

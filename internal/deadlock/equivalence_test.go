@@ -11,6 +11,7 @@ package deadlock_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nocvi/internal/bench"
@@ -24,16 +25,14 @@ import (
 
 // refAnalyze is the graph-based checker, frozen. Do not "improve" it:
 // its value is that it builds and searches the CDG the way the original
-// code did.
-func refAnalyze(top *topology.Topology) *deadlock.Report {
-	n := len(top.Links)
+// code did, over the link walks of the routes of a design with n links.
+func refAnalyze(n int, walks [][]topology.LinkID) *deadlock.Report {
 	cdg := graph.NewDirected(n)
 	deps := 0
 	seen := make(map[[2]topology.LinkID]bool)
-	for ri := range top.Routes {
-		r := &top.Routes[ri]
-		for i := 1; i < len(r.Links); i++ {
-			key := [2]topology.LinkID{r.Links[i-1], r.Links[i]}
+	for _, ls := range walks {
+		for i := 1; i < len(ls); i++ {
+			key := [2]topology.LinkID{ls[i-1], ls[i]}
 			if seen[key] {
 				continue
 			}
@@ -109,18 +108,46 @@ func refHasCycle(g *graph.Directed) (bool, []int) {
 	return false, nil
 }
 
-// compareReports checks the fresh-scratch and shared-scratch analyses
-// and CheckWith's verdict against the frozen reference.
-func compareReports(t *testing.T, label string, top *topology.Topology, shared *deadlock.Scratch) {
-	t.Helper()
-	want := refAnalyze(top)
-	if got := deadlock.Analyze(top); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Analyze differs:\n  got  %+v\n  want %+v", label, got, want)
+// walksOf returns the link walks of top's routes.
+func walksOf(top *topology.Topology) [][]topology.LinkID {
+	walks := make([][]topology.LinkID, len(top.Routes))
+	for ri := range top.Routes {
+		walks[ri] = top.PathLinks(top.Routes[ri].Links)
 	}
-	if got := deadlock.AnalyzeWith(top, shared); !reflect.DeepEqual(&got, want) {
+	return walks
+}
+
+// compareReports checks the fresh-scratch and shared-scratch analyses
+// and CheckWith's verdict over n links and walks against the frozen
+// reference; when top is not nil, the walks are its routes', and its
+// own analyses and verdict are checked too.
+func compareReports(t *testing.T, label string, n int, walks [][]topology.LinkID, top *topology.Topology, shared *deadlock.Scratch) {
+	t.Helper()
+	want := refAnalyze(n, walks)
+	if got := deadlock.AnalyzeWalks(n, walks, &deadlock.Scratch{}); !reflect.DeepEqual(&got, want) {
+		t.Fatalf("%s: analysis differs:\n  got  %+v\n  want %+v", label, got, *want)
+	}
+	if got := deadlock.AnalyzeWalks(n, walks, shared); !reflect.DeepEqual(&got, want) {
 		t.Fatalf("%s: reused-scratch analysis differs:\n  got  %+v\n  want %+v", label, got, *want)
 	}
-	err := deadlock.CheckWith(top, shared)
+	errs := []error{deadlock.CheckWalksWith(n, walks, shared)}
+	if top != nil {
+		if got := deadlock.Analyze(top); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Analyze differs:\n  got  %+v\n  want %+v", label, got, want)
+		}
+		if got := deadlock.AnalyzeWith(top, shared); !reflect.DeepEqual(&got, want) {
+			t.Fatalf("%s: reused-scratch Analyze differs:\n  got  %+v\n  want %+v", label, got, *want)
+		}
+		errs = append(errs, deadlock.CheckWith(top, shared))
+	}
+	for _, err := range errs {
+		compareVerdict(t, label, err, want)
+	}
+}
+
+// compareVerdict checks a CheckWith error against the reference report.
+func compareVerdict(t *testing.T, label string, err error, want *deadlock.Report) {
+	t.Helper()
 	if want.Free() != (err == nil) {
 		t.Fatalf("%s: CheckWith returned %v for report %v", label, err, want)
 	}
@@ -136,7 +163,8 @@ func compareSynthesized(t *testing.T, label string, res *core.Result, shared *de
 		t.Fatalf("%s: no design points", label)
 	}
 	for i := range res.Points {
-		compareReports(t, fmt.Sprintf("%s/point %d", label, i), res.Points[i].Top, shared)
+		top := res.Points[i].Top
+		compareReports(t, fmt.Sprintf("%s/point %d", label, i), len(top.Links), walksOf(top), top, shared)
 	}
 }
 
@@ -172,8 +200,8 @@ func TestDeadlockEquivalenceSpecgen(t *testing.T) {
 	}
 }
 
-// TestDeadlockEquivalenceRandomRoutes drives bare topologies whose
-// routes are random link walks — repeated pairs, long chains, links no
+// TestDeadlockEquivalenceRandomRoutes drives route sets that are random
+// link walks — repeated pairs, long chains, links no
 // route uses — with cycles injected into half of them, through one
 // Scratch whose size grows and shrinks from case to case.
 func TestDeadlockEquivalenceRandomRoutes(t *testing.T) {
@@ -186,7 +214,7 @@ func TestDeadlockEquivalenceRandomRoutes(t *testing.T) {
 			return int((r >> 33) % uint64(n))
 		}
 		n := 2 + next(40)
-		top := &topology.Topology{Links: make([]topology.Link, n)}
+		var walks [][]topology.LinkID
 		walk := func(length int) []topology.LinkID {
 			ls := []topology.LinkID{topology.LinkID(next(n))}
 			for len(ls) < length {
@@ -197,7 +225,7 @@ func TestDeadlockEquivalenceRandomRoutes(t *testing.T) {
 			return ls
 		}
 		for i, routes := 0, 1+next(3*n); i < routes; i++ {
-			top.Routes = append(top.Routes, topology.Route{Links: walk(1 + next(6))})
+			walks = append(walks, walk(1+next(6)))
 		}
 		if seed%2 == 0 {
 			// Inject a cycle through k distinct links, split across
@@ -222,14 +250,14 @@ func TestDeadlockEquivalenceRandomRoutes(t *testing.T) {
 					ls = append(ls, ring[(i+s)%k])
 				}
 				i += len(ls) - 1
-				at := next(len(top.Routes) + 1)
-				top.Routes = append(top.Routes[:at], append([]topology.Route{{Links: ls}}, top.Routes[at:]...)...)
+				at := next(len(walks) + 1)
+				walks = slices.Insert(walks, at, ls)
 			}
 		}
-		if !refAnalyze(top).Free() {
+		if !refAnalyze(n, walks).Free() {
 			cyclic++
 		}
-		compareReports(t, fmt.Sprintf("seed=%d/links=%d/routes=%d", seed, n, len(top.Routes)), top, &shared)
+		compareReports(t, fmt.Sprintf("seed=%d/links=%d/routes=%d", seed, n, len(walks)), n, walks, nil, &shared)
 	}
 	if cyclic < 150 {
 		t.Fatalf("only %d of 300 route sets were cyclic; the injected cycles are not reaching the check", cyclic)
@@ -239,13 +267,10 @@ func TestDeadlockEquivalenceRandomRoutes(t *testing.T) {
 // TestSelfLoopPanicsLikeReference pins the remaining contract: a route
 // that repeats a link is a programming error both checkers refuse.
 func TestSelfLoopPanicsLikeReference(t *testing.T) {
-	top := &topology.Topology{
-		Links:  make([]topology.Link, 3),
-		Routes: []topology.Route{{Links: []topology.LinkID{0, 1}}, {Links: []topology.LinkID{2, 2}}},
-	}
+	walks := [][]topology.LinkID{{0, 1}, {2, 2}}
 	for name, analyze := range map[string]func(){
-		"reference": func() { refAnalyze(top) },
-		"scratch":   func() { deadlock.Analyze(top) },
+		"reference": func() { refAnalyze(3, walks) },
+		"scratch":   func() { deadlock.AnalyzeWalks(3, walks, &deadlock.Scratch{}) },
 	} {
 		func() {
 			defer func() {

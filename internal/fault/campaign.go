@@ -14,6 +14,7 @@ package fault
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -467,14 +468,11 @@ func tryWithoutUnderState(a *arena, orig *topology.Topology, failed topology.Lin
 	out := LinkOutcome{Link: failed}
 	for ri := range orig.Routes {
 		r := &orig.Routes[ri]
-		if off[orig.Spec.IslandOf[r.Flow.Src]] || off[orig.Spec.IslandOf[r.Flow.Dst]] {
+		if f := &orig.Spec.Flows[r.Flow]; off[orig.Spec.IslandOf[f.Src]] || off[orig.Spec.IslandOf[f.Dst]] {
 			continue
 		}
-		for _, lid := range r.Links {
-			if lid == failed {
-				out.AffectedFlows++
-				break
-			}
+		if slices.Contains(orig.PathLinks(r.Links), failed) {
+			out.AffectedFlows++
 		}
 	}
 	if out.AffectedFlows == 0 {
@@ -522,23 +520,17 @@ func tryWithoutUnderState(a *arena, orig *topology.Topology, failed topology.Lin
 func recoverViaBackups(orig *topology.Topology, failed topology.LinkID, off []bool, out LinkOutcome) LinkOutcome {
 	for ri := range orig.Routes {
 		r := &orig.Routes[ri]
-		if off[orig.Spec.IslandOf[r.Flow.Src]] || off[orig.Spec.IslandOf[r.Flow.Dst]] {
+		f := &orig.Spec.Flows[r.Flow]
+		if off[orig.Spec.IslandOf[f.Src]] || off[orig.Spec.IslandOf[f.Dst]] {
 			continue
 		}
-		affected := false
-		for _, lid := range r.Links {
-			if lid == failed {
-				affected = true
-				break
-			}
-		}
-		if !affected {
+		if !slices.Contains(orig.PathLinks(r.Links), failed) {
 			continue
 		}
 		if !hasUsableBackup(orig, r, failed, off) {
 			//noclint:ignore bannedcall unrecoverable-fault report message, not a cache key
 			out.Reason = fmt.Sprintf("fault: flow %d->%d has no backup route avoiding link %d",
-				r.Flow.Src, r.Flow.Dst, failed)
+				f.Src, f.Dst, failed)
 			return out
 		}
 	}
@@ -555,20 +547,15 @@ func recoverViaBackups(orig *topology.Topology, failed topology.LinkID, off []bo
 // never-gated intermediate island, so an active flow's backups pass
 // the island check by construction — it is verified here, not assumed.
 func hasUsableBackup(top *topology.Topology, r *topology.Route, failed topology.LinkID, off []bool) bool {
-	for bi := range r.Backups {
-		b := &r.Backups[bi]
-		usable := true
-		for _, lid := range b.Links {
-			if lid == failed {
-				usable = false
-				break
-			}
-		}
-		if !usable {
+	f := top.Spec.Flows[r.Flow]
+	for _, b := range r.Backups {
+		links := top.PathLinks(b)
+		if slices.Contains(links, failed) {
 			continue
 		}
-		for i := 0; usable && i <= len(b.Links); i++ {
-			isl := top.Switches[top.WalkSwitch(r.Flow, b.Links, i)].Island
+		usable := true
+		for i := 0; usable && i <= len(links); i++ {
+			isl := top.Switches[top.WalkSwitch(f, links, i)].Island
 			usable = int(isl) >= len(off) || !off[isl]
 		}
 		if usable {

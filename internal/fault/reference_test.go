@@ -76,7 +76,7 @@ func refAnalyze(top *topology.Topology) (*Report, error) {
 		id := topology.LinkID(i)
 		out := LinkOutcome{Link: id}
 		for ri := range top.Routes {
-			for _, lid := range top.Routes[ri].Links {
+			for _, lid := range top.PathLinks(top.Routes[ri].Links) {
 				if lid == id {
 					out.AffectedFlows++
 					break
@@ -177,11 +177,11 @@ func refEvalState(top *topology.Topology, shutdownable []soc.IslandID, mask uint
 func refTryWithoutUnderState(orig *topology.Topology, failed topology.LinkID, off []bool, active []soc.Flow, survivability int) (LinkOutcome, error) {
 	out := LinkOutcome{Link: failed}
 	for ri := range orig.Routes {
-		r := &orig.Routes[ri]
-		if off[orig.Spec.IslandOf[r.Flow.Src]] || off[orig.Spec.IslandOf[r.Flow.Dst]] {
+		f := orig.Spec.Flows[orig.Routes[ri].Flow]
+		if off[orig.Spec.IslandOf[f.Src]] || off[orig.Spec.IslandOf[f.Dst]] {
 			continue
 		}
-		for _, lid := range r.Links {
+		for _, lid := range orig.PathLinks(orig.Routes[ri].Links) {
 			if lid == failed {
 				out.AffectedFlows++
 				break

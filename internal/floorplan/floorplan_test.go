@@ -49,10 +49,10 @@ func buildTop(t *testing.T) *topology.Topology {
 	}
 	l1m, _ := top.AddLink(s1, mid)
 	lm0, _ := top.AddLink(mid, s0)
-	if err := top.AddRoute(topology.Route{Flow: spec.Flows[0]}); err != nil {
+	if err := top.AddRoute(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := top.AddRoute(topology.Route{Flow: spec.Flows[1], Links: []topology.LinkID{l1m, lm0}}); err != nil {
+	if err := top.AddRoute(1, []topology.LinkID{l1m, lm0}); err != nil {
 		t.Fatal(err)
 	}
 	return top

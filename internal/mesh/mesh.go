@@ -174,9 +174,10 @@ func Synthesize(spec *soc.Spec, lib *model.Library, opt Options) (*Result, error
 	}
 
 	res := &Result{Top: top, TileOf: tileOf, Width: w, Height: h}
-	for _, f := range spec.Flows {
+	var links []topology.LinkID
+	for fi, f := range spec.Flows {
 		tiles := pathTiles(tileOf[f.Src], tileOf[f.Dst])
-		links := make([]topology.LinkID, 0, len(tiles)-1)
+		links = links[:0]
 		for i := 1; i < len(tiles); i++ {
 			from, to := swAt[tiles[i-1]], swAt[tiles[i]]
 			lid, ok := top.FindLink(from, to)
@@ -189,11 +190,10 @@ func Synthesize(spec *soc.Spec, lib *model.Library, opt Options) (*Result, error
 			}
 			links = append(links, lid)
 		}
-		r := topology.Route{Flow: f, Links: links}
-		if err := top.AddRoute(r); err != nil {
+		if err := top.AddRoute(soc.FlowID(fi), links); err != nil {
 			return nil, err
 		}
-		if f.MaxLatencyCycles > 0 && top.ZeroLoadLatencyCycles(&r) > f.MaxLatencyCycles {
+		if f.MaxLatencyCycles > 0 && top.ZeroLoadLatencyCycles(&top.Routes[len(top.Routes)-1]) > f.MaxLatencyCycles {
 			res.LatencyViolations++
 		}
 	}
@@ -213,11 +213,12 @@ func Synthesize(spec *soc.Spec, lib *model.Library, opt Options) (*Result, error
 		}
 		for ri := range top.Routes {
 			r := &top.Routes[ri]
-			srcI, dstI := spec.IslandOf[r.Flow.Src], spec.IslandOf[r.Flow.Dst]
+			f := spec.Flows[r.Flow]
+			srcI, dstI := spec.IslandOf[f.Src], spec.IslandOf[f.Dst]
 			if srcI == soc.IslandID(i) || dstI == soc.IslandID(i) {
 				continue
 			}
-			walk = top.Walk(walk, r.Flow, r.Links)
+			walk = top.Walk(walk, f, top.PathLinks(r.Links))
 			for _, sw := range walk {
 				if top.Switches[sw].Island == soc.IslandID(i) {
 					res.ShutdownViolations++

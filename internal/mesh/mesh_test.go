@@ -50,8 +50,9 @@ func TestSynthesizeMesh(t *testing.T) {
 	}
 	// Every route's walk ends on its destination core's switch.
 	for _, r := range res.Top.Routes {
-		if w := res.Top.Walk(nil, r.Flow, r.Links); w[len(w)-1] != res.Top.SwitchOf[r.Flow.Dst] {
-			t.Fatalf("route %d->%d ends at switch %d", r.Flow.Src, r.Flow.Dst, w[len(w)-1])
+		f := spec.Flows[r.Flow]
+		if w := res.Top.Walk(nil, f, res.Top.PathLinks(r.Links)); w[len(w)-1] != res.Top.SwitchOf[f.Dst] {
+			t.Fatalf("route %d->%d ends at switch %d", f.Src, f.Dst, w[len(w)-1])
 		}
 	}
 }

@@ -52,8 +52,14 @@ func (c Config) hopBitsFor(maxPorts int) int {
 	return bits
 }
 
-// Generate returns the complete Verilog source for the topology.
+// Generate returns the complete Verilog source for the topology. Every
+// core must be attached to a switch: its NI is wired to one.
 func Generate(top *topology.Topology, cfg Config) (string, error) {
+	for c, sw := range top.SwitchOf {
+		if sw < 0 {
+			return "", fmt.Errorf("netlist: core %d (%s) is not attached to any switch", c, top.Spec.Cores[c].Name)
+		}
+	}
 	largest := 0
 	for i := range top.Switches {
 		if sz := top.SwitchSize(topology.SwitchID(i)); sz > largest {
@@ -108,20 +114,21 @@ func sourceRoutes(top *topology.Topology) ([]hopSeq, error) {
 	var out []hopSeq
 	var walk []topology.SwitchID
 	for ri := range top.Routes {
-		r := &top.Routes[ri]
-		seq := hopSeq{src: r.Flow.Src, dst: r.Flow.Dst}
-		walk = top.Walk(walk, r.Flow, r.Links)
+		f := top.Spec.Flows[top.Routes[ri].Flow]
+		links := top.PathLinks(top.Routes[ri].Links)
+		seq := hopSeq{src: f.Src, dst: f.Dst}
+		walk = top.Walk(walk, f, links)
 		for i, sw := range walk {
 			var key portKey
-			if i == len(r.Links) {
-				key = portKey{link: -1, core: r.Flow.Dst}
+			if i == len(links) {
+				key = portKey{link: -1, core: f.Dst}
 			} else {
-				key = portKey{link: r.Links[i], core: -1}
+				key = portKey{link: links[i], core: -1}
 			}
 			p, ok := outPort[sw][key]
 			if !ok {
 				return nil, fmt.Errorf("netlist: switch %d has no port for route %d->%d hop %d",
-					sw, r.Flow.Src, r.Flow.Dst, i)
+					sw, f.Src, f.Dst, i)
 			}
 			seq.ports = append(seq.ports, p)
 		}

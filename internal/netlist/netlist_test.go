@@ -8,6 +8,8 @@ import (
 	"nocvi/internal/bench"
 	"nocvi/internal/core"
 	"nocvi/internal/model"
+	"nocvi/internal/soc"
+	"nocvi/internal/topology"
 	"nocvi/internal/viplace"
 )
 
@@ -165,5 +167,29 @@ func TestGenerateAllBenchmarks(t *testing.T) {
 		if _, err := Generate(res.Best().Top, Config{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestGenerateRejectsUnattachedCore: a core with no switch has no NI
+// wiring to emit, so Generate fails, naming the core, before it writes
+// any Verilog.
+func TestGenerateRejectsUnattachedCore(t *testing.T) {
+	spec := bench.Example()
+	top := topology.New(spec, model.Default65nm())
+	for i := range spec.Islands {
+		top.SetIslandFreq(soc.IslandID(i), 400e6)
+		top.AddSwitch(soc.IslandID(i), false)
+	}
+	for c := 1; c < len(spec.Cores); c++ {
+		if err := top.AttachCore(soc.CoreID(c), topology.SwitchID(spec.IslandOf[c])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := Generate(top, Config{})
+	if err == nil || !strings.Contains(err.Error(), "core 0 ("+spec.Cores[0].Name+")") {
+		t.Fatalf("Generate with core 0 unattached: err %v, want one naming core 0", err)
+	}
+	if v != "" {
+		t.Fatalf("Generate wrote %d bytes of Verilog for a rejected topology", len(v))
 	}
 }

@@ -154,26 +154,28 @@ func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]
 	niTraffic := buf[ns+nl:]
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
-		if islandOff(off, spec.IslandOf[r.Flow.Src]) || islandOff(off, spec.IslandOf[r.Flow.Dst]) {
+		f := &spec.Flows[r.Flow]
+		if islandOff(off, spec.IslandOf[f.Src]) || islandOff(off, spec.IslandOf[f.Dst]) {
 			continue
 		}
-		bw := r.Flow.BandwidthBps
+		bw := f.BandwidthBps
 		if modeBW != nil {
 			var ok bool
-			bw, ok = modeBW[[2]soc.CoreID{r.Flow.Src, r.Flow.Dst}]
+			bw, ok = modeBW[[2]soc.CoreID{f.Src, f.Dst}]
 			if !ok {
 				continue
 			}
 		}
 		// Each switch of the walk in order: its first, then each link's
 		// far end.
-		swTraffic[top.WalkSwitch(r.Flow, r.Links, 0)] += bw
-		for _, l := range r.Links {
+		links := top.PathLinks(r.Links)
+		swTraffic[top.WalkSwitch(*f, links, 0)] += bw
+		for _, l := range links {
 			swTraffic[top.Links[l].To] += bw
 			linkTraffic[l] += bw
 		}
-		niTraffic[r.Flow.Src] += bw
-		niTraffic[r.Flow.Dst] += bw
+		niTraffic[f.Src] += bw
+		niTraffic[f.Dst] += bw
 	}
 
 	for i := range top.Switches {
@@ -272,7 +274,8 @@ func Savings(top *topology.Topology, sc Scenario) (onW, offW, frac float64, err 
 func NoCForMode(top *topology.Topology, mode soc.UseCase, off []bool) (Breakdown, error) {
 	routed := map[[2]soc.CoreID]bool{}
 	for ri := range top.Routes {
-		routed[[2]soc.CoreID{top.Routes[ri].Flow.Src, top.Routes[ri].Flow.Dst}] = true
+		f := &top.Spec.Flows[top.Routes[ri].Flow]
+		routed[[2]soc.CoreID{f.Src, f.Dst}] = true
 	}
 	modeBW := make(map[[2]soc.CoreID]float64, len(mode.Flows))
 	for _, f := range mode.Flows {

@@ -42,10 +42,10 @@ func fixture(t *testing.T) *topology.Topology {
 	}
 	l, _ := top.AddLink(s1, s0)
 	top.Links[l].LengthMM = 3
-	if err := top.AddRoute(topology.Route{Flow: spec.Flows[0]}); err != nil {
+	if err := top.AddRoute(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := top.AddRoute(topology.Route{Flow: spec.Flows[1], Links: []topology.LinkID{l}}); err != nil {
+	if err := top.AddRoute(1, []topology.LinkID{l}); err != nil {
 		t.Fatal(err)
 	}
 	return top

@@ -108,7 +108,7 @@ func (r *refRouter) route(f soc.Flow) error {
 		return fmt.Errorf("route: flow %d->%d has unattached endpoint", f.Src, f.Dst)
 	}
 	if src == dst {
-		return r.top.AddRoute(topology.Route{Flow: f})
+		return r.top.AddRoute(r.refFlowID(f), nil)
 	}
 	path := r.shortest(f, src, dst, false)
 	if path != nil && !r.latencyOK(f, path) {
@@ -262,7 +262,18 @@ func (r *refRouter) commit(f soc.Flow, path []topology.SwitchID) error {
 		}
 		links = append(links, lid)
 	}
-	return r.top.AddRoute(topology.Route{Flow: f, Links: links})
+	return r.top.AddRoute(r.refFlowID(f), links)
+}
+
+// refFlowID is f's index in the spec, found by a linear scan; the
+// seed's routes held the flow itself.
+func (r *refRouter) refFlowID(f soc.Flow) soc.FlowID {
+	for i, g := range r.top.Spec.Flows {
+		if g.Src == f.Src && g.Dst == f.Dst {
+			return soc.FlowID(i)
+		}
+	}
+	return -1
 }
 
 func maxi(a, b int) int {
@@ -330,12 +341,13 @@ func compareRouting(t *testing.T, label string, spec *soc.Spec, lib *model.Libra
 		if a.Flow != b.Flow {
 			t.Fatalf("%s: route %d flow differs: %+v vs %+v", label, i, a.Flow, b.Flow)
 		}
-		if len(a.Links) != len(b.Links) {
-			t.Fatalf("%s: route %d shape differs: %v vs %v", label, i, a.Links, b.Links)
+		al, bl := optTop.PathLinks(a.Links), refTop.PathLinks(b.Links)
+		if len(al) != len(bl) {
+			t.Fatalf("%s: route %d shape differs: %v vs %v", label, i, al, bl)
 		}
-		for j := range a.Links {
-			if a.Links[j] != b.Links[j] {
-				t.Fatalf("%s: route %d links differ: %v vs %v", label, i, a.Links, b.Links)
+		for j := range al {
+			if al[j] != bl[j] {
+				t.Fatalf("%s: route %d links differ: %v vs %v", label, i, al, bl)
 			}
 		}
 	}

@@ -60,12 +60,14 @@ func TestWarmRejectAllocatesNothing(t *testing.T) {
 // it, the router's next Route overwrites it in place (so a caller that
 // keeps it copies the value first), and Reset clears it.
 func TestNoPathErrorLifetime(t *testing.T) {
+	// A second unroutable flow, routed after the first reject.
+	next := soc.Flow{Src: 3, Dst: 4, BandwidthBps: 6e9}
 	for _, c := range rejectCases {
 		spec := threeIslandSpec()
-		spec.Flows = []soc.Flow{c.flow}
+		spec.Flows = []soc.Flow{c.flow, next}
 		top := build(t, spec, false)
 		r := New(top, c.opt)
-		err := r.RouteAll()
+		err := r.RouteFlows(spec.Flows[:1])
 		var npe *NoPathError
 		if !errors.As(err, &npe) {
 			t.Fatalf("%s: want a *NoPathError, got %v", c.name, err)
@@ -75,8 +77,7 @@ func TestNoPathErrorLifetime(t *testing.T) {
 		}
 		kept := *npe
 
-		// A second unroutable flow reuses the same error.
-		next := soc.Flow{Src: 3, Dst: 4, BandwidthBps: 6e9}
+		// The second unroutable flow reuses the same error.
 		err2 := r.Route(next)
 		var npe2 *NoPathError
 		if !errors.As(err2, &npe2) || npe2 != npe {

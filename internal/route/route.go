@@ -74,10 +74,17 @@ type Router struct {
 	// and, through Reset, across the candidates a worker evaluates.
 	scratch graph.Scratch
 
-	// pathBuf holds the switch path of the current shortest query. It
-	// is overwritten by every call and never escapes: openPath copies it
-	// into topology-owned route storage.
+	// pathBuf holds the switch path of the current shortest query and
+	// linkBuf the links openPath resolves it into. Both are overwritten
+	// by every query and never escape: AddRoute and AddBackup copy the
+	// links into the topology's link table.
 	pathBuf []topology.SwitchID
+	linkBuf []topology.LinkID
+
+	// flows finds a flow's index in the spec, for the route that names
+	// it. Reset rebuilds it only when the topology's spec changes, so a
+	// sweep's candidates share one build.
+	flows soc.FlowIndex
 
 	// exclude is the per-query set of directed links the current
 	// disjoint-path search must avoid (the flow's primary route plus its
@@ -140,6 +147,9 @@ func (r *Router) Reset(top *topology.Topology, opt Options) {
 	r.opt = opt
 	r.noPath = NoPathError{}
 	r.minLat = top.Spec.MinLatencyConstraint()
+	if r.flows.Spec() != top.Spec {
+		r.flows.Reset(top.Spec)
+	}
 	n := top.NumIslands()
 	if cap(r.maxSz) < n {
 		r.maxSz = make([]int, n)
@@ -216,8 +226,16 @@ func (r *Router) Route(f soc.Flow) error {
 	if src < 0 || dst < 0 {
 		return fmt.Errorf("route: flow %d->%d has unattached endpoint", f.Src, f.Dst)
 	}
+	fi, ok := r.flows.Find(f.Src, f.Dst)
+	if !ok {
+		// The spec's flows may have been edited in place since Reset.
+		r.flows.Reset(r.top.Spec)
+		if fi, ok = r.flows.Find(f.Src, f.Dst); !ok {
+			return fmt.Errorf("route: flow %d->%d is not in the spec", f.Src, f.Dst)
+		}
+	}
 	if src == dst {
-		return r.top.AddRoute(topology.Route{Flow: f})
+		return r.top.AddRoute(fi, nil)
 	}
 	// First attempt: blended power+latency cost; fall back to a pure
 	// latency objective when the cheap path misses the constraint.
@@ -235,11 +253,11 @@ func (r *Router) Route(f soc.Flow) error {
 		r.noPath = NoPathError{Flow: f}
 		return &r.noPath
 	}
-	p, err := r.openPath(f, path, "link")
+	links, err := r.openPath(f, path, "link")
 	if err != nil {
 		return err
 	}
-	return r.top.AddRoute(topology.Route{Flow: f, Links: p.Links})
+	return r.top.AddRoute(fi, links)
 }
 
 // NoPathError reports a flow the router could not place: no primary
@@ -296,29 +314,30 @@ func (e *NoPathError) Error() string {
 // survivability.
 func (r *Router) routeBackups(k int) error {
 	defer func() { r.exclude = r.exclude[:0] }()
-	for ri := 0; ri < len(r.top.Routes); ri++ {
+	top := r.top
+	for ri := 0; ri < len(top.Routes); ri++ {
 		for b := 0; b < k; b++ {
-			rt := &r.top.Routes[ri]
-			if len(rt.Links) == 0 {
+			rt := &top.Routes[ri]
+			if rt.Links.N == 0 {
 				break // single-switch route: nothing to protect
 			}
-			r.exclude = append(r.exclude[:0], rt.Links...)
-			for bi := range rt.Backups {
-				r.exclude = append(r.exclude, rt.Backups[bi].Links...)
+			r.exclude = append(r.exclude[:0], top.PathLinks(rt.Links)...)
+			for _, bp := range rt.Backups {
+				r.exclude = append(r.exclude, top.PathLinks(bp)...)
 			}
-			f := rt.Flow
-			path := r.shortest(f, r.top.SwitchOf[f.Src], r.top.SwitchOf[f.Dst], false)
+			f := top.Spec.Flows[rt.Flow]
+			path := r.shortest(f, top.SwitchOf[f.Src], top.SwitchOf[f.Dst], false)
 			if path == nil {
 				r.noPath = NoPathError{Flow: f, Backup: b + 1, K: k}
 				return &r.noPath
 			}
 			// Backups are recorded cold: AddBackup accounts no traffic,
 			// so the primary metrics are untouched.
-			p, err := r.openPath(f, path, "backup link")
+			links, err := r.openPath(f, path, "backup link")
 			if err != nil {
 				return err
 			}
-			if err := r.top.AddBackup(ri, p); err != nil {
+			if err := top.AddBackup(ri, links); err != nil {
 				return err
 			}
 		}
@@ -449,19 +468,19 @@ func (r *Router) latencyOK(f soc.Flow, path []topology.SwitchID) bool {
 	return f.MaxLatencyCycles <= 0 || r.top.PathLatencyCycles(path) <= f.MaxLatencyCycles
 }
 
-// openPath opens any missing links along path and records them in
-// topology-owned route storage, so the returned links survive the next
-// query (path is typically the router's reusable pathBuf). what names
-// the link in the error: "link" for a primary, "backup link" for a
-// backup.
-func (r *Router) openPath(f soc.Flow, path []topology.SwitchID, what string) (topology.Path, error) {
-	links := r.top.TakeRouteLinks(len(path) - 1)
+// openPath opens any missing links along path and returns them in the
+// router's linkBuf, valid until the next query, for AddRoute or
+// AddBackup to copy. what names the link in the error: "link" for a
+// primary, "backup link" for a backup.
+func (r *Router) openPath(f soc.Flow, path []topology.SwitchID, what string) ([]topology.LinkID, error) {
+	links := r.linkBuf[:0]
 	for i := 1; i < len(path); i++ {
 		lid, err := r.top.EnsureLink(path[i-1], path[i])
 		if err != nil {
-			return topology.Path{}, fmt.Errorf("route: opening %s for flow %d->%d: %w", what, f.Src, f.Dst, err)
+			return nil, fmt.Errorf("route: opening %s for flow %d->%d: %w", what, f.Src, f.Dst, err)
 		}
-		links[i-1] = lid
+		links = append(links, lid)
 	}
-	return topology.Path{Links: links}, nil
+	r.linkBuf = links
+	return links, nil
 }

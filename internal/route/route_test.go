@@ -84,13 +84,36 @@ func TestRouteAllDirect(t *testing.T) {
 	// flow 2->1 (media->sys) must go directly media switch -> sys switch,
 	// it must NOT pass the io island (shutdown safety by construction).
 	for _, rt := range top.Routes {
-		for _, sw := range top.Walk(nil, rt.Flow, rt.Links) {
+		f := spec.Flows[rt.Flow]
+		for _, sw := range top.Walk(nil, f, top.PathLinks(rt.Links)) {
 			isl := top.Switches[sw].Island
-			srcI, dstI := spec.IslandOf[rt.Flow.Src], spec.IslandOf[rt.Flow.Dst]
+			srcI, dstI := spec.IslandOf[f.Src], spec.IslandOf[f.Dst]
 			if isl != srcI && isl != dstI {
-				t.Fatalf("flow %d->%d strays into island %d", rt.Flow.Src, rt.Flow.Dst, isl)
+				t.Fatalf("flow %d->%d strays into island %d", f.Src, f.Dst, isl)
 			}
 		}
+	}
+}
+
+// TestRouteNamesSpecFlows: a route names its flow by index, so the
+// router refuses a flow the spec lacks, and finds one the caller
+// appended to the spec's flows in place after the router was built.
+func TestRouteNamesSpecFlows(t *testing.T) {
+	spec := threeIslandSpec()
+	top := build(t, spec, false)
+	r := New(top, Options{})
+	if err := r.Route(soc.Flow{Src: 3, Dst: 0, BandwidthBps: 10e6}); err == nil || !strings.Contains(err.Error(), "not in the spec") {
+		t.Fatalf("a flow outside the spec: got %v, want an error naming it", err)
+	}
+	if len(top.Routes) != 0 {
+		t.Fatalf("a refused flow left %d routes", len(top.Routes))
+	}
+	spec.Flows = append(spec.Flows, soc.Flow{Src: 3, Dst: 0, BandwidthBps: 10e6})
+	if err := r.Route(spec.Flows[len(spec.Flows)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := top.Routes[0].Flow; got != soc.FlowID(len(spec.Flows)-1) {
+		t.Fatalf("the route names flow %d, want %d", got, len(spec.Flows)-1)
 	}
 }
 
@@ -101,7 +124,7 @@ func TestRouteSameSwitch(t *testing.T) {
 	if err := r.Route(spec.Flows[0]); err != nil { // cpu->mem, same switch
 		t.Fatal(err)
 	}
-	if len(top.Routes) != 1 || len(top.Routes[0].Links) != 0 {
+	if len(top.Routes) != 1 || top.Routes[0].Links.N != 0 {
 		t.Fatal("same-switch flow should need no links")
 	}
 	if len(top.Links) != 0 {
@@ -111,6 +134,7 @@ func TestRouteSameSwitch(t *testing.T) {
 
 func TestRouteReusesLinks(t *testing.T) {
 	spec := threeIslandSpec()
+	spec.Flows = append(spec.Flows, soc.Flow{Src: 3, Dst: 0, BandwidthBps: 10e6})
 	top := build(t, spec, false)
 	r := New(top, Options{})
 	if err := r.Route(spec.Flows[1]); err != nil { // vid->mem
@@ -119,7 +143,7 @@ func TestRouteReusesLinks(t *testing.T) {
 	nLinks := len(top.Links)
 	// aud->vid is intra-island; vid->mem opened media->sys. Another
 	// media->sys flow must reuse it.
-	if err := r.Route(soc.Flow{Src: 3, Dst: 0, BandwidthBps: 10e6}); err != nil {
+	if err := r.Route(spec.Flows[len(spec.Flows)-1]); err != nil {
 		t.Fatal(err)
 	}
 	if len(top.Links) != nLinks {
@@ -165,7 +189,7 @@ func TestIntermediateUsedWhenDirectForbidden(t *testing.T) {
 	}
 	usedMid := false
 	for _, rt := range top.Routes {
-		for _, sw := range top.Walk(nil, rt.Flow, rt.Links) {
+		for _, sw := range top.Walk(nil, spec.Flows[rt.Flow], top.PathLinks(rt.Links)) {
 			if top.Switches[sw].Indirect {
 				usedMid = true
 			}
@@ -252,8 +276,8 @@ func TestLatencyFallbackPrefersShortPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := top.Routes[0]
-	if len(rt.Links) != 1 {
-		t.Fatalf("tight flow took %d links, want direct 1", len(rt.Links))
+	if rt.Links.N != 1 {
+		t.Fatalf("tight flow took %d links, want direct 1", rt.Links.N)
 	}
 	if got := top.ZeroLoadLatencyCycles(&rt); got != 11 {
 		t.Fatalf("latency = %g", got)

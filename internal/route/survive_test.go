@@ -108,7 +108,8 @@ func checkBackupsAgainstOracle(t *testing.T, label string, top *topology.Topolog
 	protected := 0
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
-		if len(r.Links) == 0 {
+		links := top.PathLinks(r.Links)
+		if len(links) == 0 {
 			if len(r.Backups) != 0 {
 				t.Fatalf("%s: single-switch route %d carries %d backups", label, ri, len(r.Backups))
 			}
@@ -118,27 +119,28 @@ func checkBackupsAgainstOracle(t *testing.T, label string, top *topology.Topolog
 		if len(r.Backups) < k {
 			t.Fatalf("%s: route %d has %d backups, want >= %d", label, ri, len(r.Backups), k)
 		}
-		srcIsl := top.Spec.IslandOf[r.Flow.Src]
-		dstIsl := top.Spec.IslandOf[r.Flow.Dst]
-		src, dst := top.SwitchOf[r.Flow.Src], top.SwitchOf[r.Flow.Dst]
+		f := top.Spec.Flows[r.Flow]
+		srcIsl := top.Spec.IslandOf[f.Src]
+		dstIsl := top.Spec.IslandOf[f.Dst]
+		src, dst := top.SwitchOf[f.Src], top.SwitchOf[f.Dst]
 		legal := make(map[string]bool)
 		for _, p := range enumerateLegalPaths(t, top, srcIsl, dstIsl, src, dst) {
 			legal[pathKey(p)] = true
 		}
-		if !legal[pathKey(r.Links)] {
-			t.Fatalf("%s: route %d primary %v is not in the oracle's legal path set", label, ri, r.Links)
+		if !legal[pathKey(links)] {
+			t.Fatalf("%s: route %d primary %v is not in the oracle's legal path set", label, ri, links)
 		}
 		owner := map[topology.LinkID]int{}
-		for _, lid := range r.Links {
+		for _, lid := range links {
 			owner[lid] = -1
 		}
-		for bi := range r.Backups {
-			b := &r.Backups[bi]
-			if !legal[pathKey(b.Links)] {
+		for bi, bp := range r.Backups {
+			b := top.PathLinks(bp)
+			if !legal[pathKey(b)] {
 				t.Fatalf("%s: route %d backup %d %v is not a simple island-legal path over existing links",
-					label, ri, bi, b.Links)
+					label, ri, bi, b)
 			}
-			for _, lid := range b.Links {
+			for _, lid := range b {
 				if prev, dup := owner[lid]; dup {
 					t.Fatalf("%s: route %d backup %d shares link %d with path %d",
 						label, ri, bi, lid, prev)
@@ -148,7 +150,7 @@ func checkBackupsAgainstOracle(t *testing.T, label string, top *topology.Topolog
 			// Every primary-link fault must leave this flow a fault-free
 			// standby: with k backups disjoint from the primary and from
 			// each other, each backup survives any single primary-link cut.
-			if w := top.Walk(nil, r.Flow, b.Links); w[0] != src || w[len(w)-1] != dst {
+			if w := top.Walk(nil, f, b); w[0] != src || w[len(w)-1] != dst {
 				t.Fatalf("%s: route %d backup %d endpoints %v do not match primary %v→%v",
 					label, ri, bi, w, src, dst)
 			}
@@ -258,7 +260,7 @@ func TestSurvivabilityPrimariesInvariant(t *testing.T) {
 		}
 		for i := range base.Routes {
 			a, b := &base.Routes[i], &surv.Routes[i]
-			if a.Flow != b.Flow || pathKey(a.Links) != pathKey(b.Links) {
+			if a.Flow != b.Flow || pathKey(base.PathLinks(a.Links)) != pathKey(surv.PathLinks(b.Links)) {
 				t.Fatalf("%s: primary route %d moved under survivability", name, i)
 			}
 		}
@@ -315,8 +317,8 @@ func TestSingleLinkCutBackupInfeasible(t *testing.T) {
 		t.Fatalf("wrong diagnostic: %v", err)
 	}
 	var npe *route.NoPathError
-	if !errors.As(err, &npe) || npe.Backup != 1 || npe.K != 1 || npe.Flow != top.Routes[0].Flow {
-		t.Fatalf("want a *route.NoPathError for backup 1 of 1 on flow %+v, got %#v", top.Routes[0].Flow, err)
+	if !errors.As(err, &npe) || npe.Backup != 1 || npe.K != 1 || npe.Flow != top.Spec.Flows[top.Routes[0].Flow] {
+		t.Fatalf("want a *route.NoPathError for backup 1 of 1 on flow %+v, got %#v", top.Spec.Flows[top.Routes[0].Flow], err)
 	}
 	f := npe.Flow
 	if want := fmt.Sprintf("route: no disjoint backup 1/1 for flow %d->%d (survivability 1)", f.Src, f.Dst); err.Error() != want {
@@ -324,12 +326,12 @@ func TestSingleLinkCutBackupInfeasible(t *testing.T) {
 	}
 	// The primary was committed before the backup pass failed; the oracle
 	// sees exactly that one path and nothing else.
-	r := &top.Routes[0]
+	primary := top.PathLinks(top.Routes[0].Links)
 	paths := enumerateLegalPaths(t, top,
-		top.Spec.IslandOf[r.Flow.Src], top.Spec.IslandOf[r.Flow.Dst],
-		top.SwitchOf[r.Flow.Src], top.SwitchOf[r.Flow.Dst])
-	if len(paths) != 1 || pathKey(paths[0]) != pathKey(r.Links) {
+		top.Spec.IslandOf[f.Src], top.Spec.IslandOf[f.Dst],
+		top.SwitchOf[f.Src], top.SwitchOf[f.Dst])
+	if len(paths) != 1 || pathKey(paths[0]) != pathKey(primary) {
 		t.Fatalf("oracle disagrees with the router: %d legal paths %v, primary %v",
-			len(paths), paths, r.Links)
+			len(paths), paths, primary)
 	}
 }

@@ -187,11 +187,11 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 	replayed := make([]int, len(top.Routes)) // injections taken from cfg.replay[ri]
 	planned := 0.0                           // periodic injections, bounded by MaxPlannedPackets
 	for ri := range top.Routes {
-		r := &top.Routes[ri]
+		f := &top.Spec.Flows[top.Routes[ri].Flow]
 		fs := &res.PerFlow[ri]
-		fs.Flow = r.Flow
+		fs.Flow = *f
 		next[ri] = math.Inf(1)
-		if gated(top.Spec.IslandOf[r.Flow.Src]) || gated(top.Spec.IslandOf[r.Flow.Dst]) {
+		if gated(top.Spec.IslandOf[f.Src]) || gated(top.Spec.IslandOf[f.Dst]) {
 			continue
 		}
 		fs.Active = true
@@ -204,13 +204,13 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 			// One packet per flow, spaced so nothing ever queues.
 			next[ri] = float64(ri) * 100_000
 		default:
-			rate := r.Flow.BandwidthBps * cfg.scale()
+			rate := f.BandwidthBps * cfg.scale()
 			iv := bytesPerPacket / rate * 1e9 // ns between packets
 			// A rate that overflows gives a zero interval, which never
 			// advances time; one that underflows, an infinite one.
 			if !(iv > 0) || math.IsInf(iv, 1) {
 				return nil, fmt.Errorf("sim: flow %d->%d at %g B/s scaled by %g has packet interval %g ns; it must be positive and finite",
-					r.Flow.Src, r.Flow.Dst, r.Flow.BandwidthBps, cfg.scale(), iv)
+					f.Src, f.Dst, f.BandwidthBps, cfg.scale(), iv)
 			}
 			interval[ri] = iv
 			planned += math.Ceil(cfg.duration() / iv)
@@ -254,13 +254,14 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 			}
 		}
 
-		r := &top.Routes[ri]
+		f := &top.Spec.Flows[top.Routes[ri].Flow]
+		links := top.PathLinks(top.Routes[ri].Links)
 		fs := &res.PerFlow[ri]
 		fs.Sent++
 		res.Sent++
 
-		src := r.Flow.Src
-		sw := top.WalkSwitch(r.Flow, r.Links, 0)
+		src := f.Src
+		sw := top.WalkSwitch(*f, links, 0)
 		srcPeriod := period(sw)
 
 		// NI injection link: one cycle of the island clock, port
@@ -272,10 +273,10 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 		// Hop through switches; sw ends on the last one.
 		for i := 0; ; i++ {
 			t += model.SwitchTraversalCycles * period(sw)
-			if i == len(r.Links) {
+			if i == len(links) {
 				break
 			}
-			lid := r.Links[i]
+			lid := links[i]
 			l := &top.Links[lid]
 			sw = l.To
 			lp := 1e9 / top.LinkFreqHz(l.From, l.To)
@@ -289,14 +290,14 @@ func runInternal(top *topology.Topology, cfg Config, record func(PacketRecord)) 
 
 		// Ejection link to the destination NI.
 		lp := period(sw)
-		d := math.Max(t, ejFree[r.Flow.Dst])
-		ejFree[r.Flow.Dst] = d + flits*lp
+		d := math.Max(t, ejFree[f.Dst])
+		ejFree[f.Dst] = d + flits*lp
 		t = d + model.LinkTraversalCycles*lp
 
 		lat := t - now
 		if record != nil {
 			record(PacketRecord{
-				Src: r.Flow.Src, Dst: r.Flow.Dst,
+				Src: f.Src, Dst: f.Dst,
 				InjectNs: now, ArriveNs: t, LatencyNs: lat,
 			})
 		}

@@ -187,8 +187,7 @@ func TestGatedRouteDetected(t *testing.T) {
 	}
 	l01, _ := top.AddLink(s0, s1)
 	l12, _ := top.AddLink(s1, s2)
-	if err := top.AddRoute(topology.Route{Flow: spec.Flows[0],
-		Links: []topology.LinkID{l01, l12}}); err != nil {
+	if err := top.AddRoute(0, []topology.LinkID{l01, l12}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(top, Config{Off: []bool{false, true, false}}); err == nil {

@@ -118,7 +118,8 @@ func Replay(top *topology.Topology, tr *Trace) (*Result, error) {
 	}
 	routeOf := map[[2]soc.CoreID]int{}
 	for ri := range top.Routes {
-		routeOf[[2]soc.CoreID{top.Routes[ri].Flow.Src, top.Routes[ri].Flow.Dst}] = ri
+		f := &top.Spec.Flows[top.Routes[ri].Flow]
+		routeOf[[2]soc.CoreID{f.Src, f.Dst}] = ri
 	}
 	times := make([][]float64, len(top.Routes))
 	for i, p := range tr.Packets {

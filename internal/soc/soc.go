@@ -11,17 +11,24 @@
 package soc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
 
 // CoreID identifies a core within a SoC specification. IDs are dense
-// indices in [0, len(Cores)). Like every design ID (IslandID here,
-// topology.SwitchID and topology.LinkID) it is 32 bits wide: an integer
-// read from outside the process enters one only through NarrowID.
+// indices in [0, len(Cores)). Like every design ID (IslandID and FlowID
+// here, topology.SwitchID and topology.LinkID) it is 32 bits wide: an
+// integer read from outside the process enters one only through
+// NarrowID.
 type CoreID int32
+
+// FlowID indexes a flow within Spec.Flows. A route names its flow by
+// one, so a topology stores no copy of the flow.
+type FlowID int32
 
 // IslandID identifies a voltage island. IDs are dense indices in
 // [0, len(Islands)). The special value NoIsland marks an unassigned core.
@@ -256,6 +263,50 @@ func (s *Spec) FlowBetween(src, dst CoreID) (Flow, bool) {
 		}
 	}
 	return Flow{}, false
+}
+
+// FlowIndex finds the flows of one spec by their endpoints: the
+// indices of Spec.Flows sorted by (Src, Dst), searched in O(log flows).
+// A consumer that resolves many flows of one spec builds it once with
+// Reset and keeps it; the zero value finds nothing.
+type FlowIndex struct {
+	spec   *Spec
+	byEnds []FlowID
+}
+
+// Reset rebuilds x over the flows of s, reusing its storage.
+func (x *FlowIndex) Reset(s *Spec) {
+	x.spec = s
+	x.byEnds = x.byEnds[:0]
+	for i := range s.Flows {
+		x.byEnds = append(x.byEnds, FlowID(i))
+	}
+	slices.SortFunc(x.byEnds, func(a, b FlowID) int {
+		fa, fb := &s.Flows[a], &s.Flows[b]
+		return cmp.Or(cmp.Compare(fa.Src, fb.Src), cmp.Compare(fa.Dst, fb.Dst), cmp.Compare(a, b))
+	})
+}
+
+// Spec returns the spec x was last built over, nil for the zero value.
+func (x *FlowIndex) Spec() *Spec { return x.spec }
+
+// Find returns the index of flow src->dst in the spec x was built over.
+// The search compares the spec's flows as they are now, so a hit always
+// names a flow with these endpoints; after the spec's flows are edited
+// in place, a miss may be stale until the next Reset.
+func (x *FlowIndex) Find(src, dst CoreID) (FlowID, bool) {
+	if x.spec == nil || len(x.byEnds) != len(x.spec.Flows) {
+		return -1, false
+	}
+	flows := x.spec.Flows
+	i, ok := slices.BinarySearchFunc(x.byEnds, [2]CoreID{src, dst}, func(id FlowID, key [2]CoreID) int {
+		f := &flows[id]
+		return cmp.Or(cmp.Compare(f.Src, key[0]), cmp.Compare(f.Dst, key[1]))
+	})
+	if !ok {
+		return -1, false
+	}
+	return x.byEnds[i], true
 }
 
 // TotalCoreDynPowerW sums the dynamic power of all cores; the paper's

@@ -202,6 +202,36 @@ func TestLookups(t *testing.T) {
 	}
 }
 
+// TestFlowIndex: every flow is found at its index in Spec.Flows, a pair
+// the spec lacks and the zero value find nothing, and flows appended in
+// place are found after the next Reset.
+func TestFlowIndex(t *testing.T) {
+	s := testSpec()
+	var x FlowIndex
+	if _, ok := x.Find(0, 1); ok || x.Spec() != nil {
+		t.Fatal("the zero FlowIndex found a flow")
+	}
+	x.Reset(s)
+	for i, f := range s.Flows {
+		if fi, ok := x.Find(f.Src, f.Dst); !ok || fi != FlowID(i) {
+			t.Fatalf("Find(%d,%d) = %d, %v, want %d", f.Src, f.Dst, fi, ok, i)
+		}
+	}
+	for _, pair := range [][2]CoreID{{1, 2}, {0, 3}, {-1, 0}, {3, 4}} {
+		if fi, ok := x.Find(pair[0], pair[1]); ok {
+			t.Fatalf("Find(%d,%d) found flow %d the spec lacks", pair[0], pair[1], fi)
+		}
+	}
+	s.Flows = append(s.Flows, Flow{Src: 0, Dst: 3, BandwidthBps: 1e6})
+	if _, ok := x.Find(0, 3); ok {
+		t.Fatal("Find used an index built before the flows grew")
+	}
+	x.Reset(s)
+	if fi, ok := x.Find(0, 3); !ok || fi != 4 {
+		t.Fatalf("after Reset, Find(0,3) = %d, %v, want 4", fi, ok)
+	}
+}
+
 func TestCoreClassString(t *testing.T) {
 	if ClassDSP.String() != "dsp" || ClassMemCtrl.String() != "memctrl" {
 		t.Fatal("class names wrong")

@@ -258,13 +258,14 @@ func WriteTopology(w io.Writer, top *topology.Topology) error {
 	var walk []topology.SwitchID
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
-		walk = top.Walk(walk, r.Flow, r.Links)
+		f := top.Spec.Flows[r.Flow]
+		walk = top.Walk(walk, f, top.PathLinks(r.Links))
 		tr := topoRoute{
-			Src: top.Spec.Cores[r.Flow.Src].Name, Dst: top.Spec.Cores[r.Flow.Dst].Name,
+			Src: top.Spec.Cores[f.Src].Name, Dst: top.Spec.Cores[f.Dst].Name,
 			Switches: intWalk(walk),
 		}
 		for _, b := range r.Backups {
-			walk = top.Walk(walk, r.Flow, b.Links)
+			walk = top.Walk(walk, f, top.PathLinks(b))
 			tr.Backups = append(tr.Backups, intWalk(walk))
 		}
 		out.Routes = append(out.Routes, tr)
@@ -289,23 +290,24 @@ func intWalk(ids []topology.SwitchID) []int {
 	return out
 }
 
-// addRoute adds rt, the JSON route of flow f, to the built top as
-// route ri, its backups included. Each walk narrows into the reused
-// scratch *walk and resolves into fresh link storage through
-// top.WalkLinks; AddRoute and AddBackup check the links.
-func addRoute(top *topology.Topology, ri int, f soc.Flow, rt topoRoute, walk *[]topology.SwitchID) error {
+// addRoute adds rt, the JSON route of spec flow fi, to the built top
+// as route ri, its backups included. Each walk narrows into the reused
+// scratch *walk and resolves into links through top.WalkLinks;
+// AddRoute and AddBackup check the links.
+func addRoute(top *topology.Topology, ri int, fi soc.FlowID, rt topoRoute, walk *[]topology.SwitchID) error {
+	f := top.Spec.Flows[fi]
 	links, err := readWalk(top, f, walk, "route switch", rt.Switches)
 	if err != nil {
 		return err
 	}
-	if err := top.AddRoute(topology.Route{Flow: f, Links: links}); err != nil {
+	if err := top.AddRoute(fi, links); err != nil {
 		return err
 	}
 	for _, b := range rt.Backups {
 		if links, err = readWalk(top, f, walk, "backup switch", b); err != nil {
 			return err
 		}
-		if err := top.AddBackup(ri, topology.Path{Links: links}); err != nil {
+		if err := top.AddBackup(ri, links); err != nil {
 			return err
 		}
 	}
@@ -411,6 +413,8 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 	if err := top.Build(); err != nil {
 		return nil, fmt.Errorf("specio: %w", err)
 	}
+	var flows soc.FlowIndex
+	flows.Reset(spec)
 	var walk []topology.SwitchID
 	for ri, rt := range in.Routes {
 		src, ok := coreID[rt.Src]
@@ -421,11 +425,11 @@ func ReadTopology(r io.Reader, spec *soc.Spec, lib *model.Library) (*topology.To
 		if !ok {
 			return nil, fmt.Errorf("specio: route references unknown core %q", rt.Dst)
 		}
-		f, ok := spec.FlowBetween(src, dst)
+		fi, ok := flows.Find(src, dst)
 		if !ok {
 			return nil, fmt.Errorf("specio: route %q->%q has no flow in the spec", rt.Src, rt.Dst)
 		}
-		if err := addRoute(top, ri, f, rt, &walk); err != nil {
+		if err := addRoute(top, ri, fi, rt, &walk); err != nil {
 			return nil, fmt.Errorf("specio: %w", err)
 		}
 	}

@@ -312,7 +312,7 @@ func TestTopologyRoundTripKeepsBackups(t *testing.T) {
 			t.Fatalf("route %d: %d backups, want %d", ri, len(b), len(a))
 		}
 		for bi := range a {
-			if !slices.Equal(a[bi].Links, b[bi].Links) {
+			if !slices.Equal(orig.PathLinks(a[bi]), back.PathLinks(b[bi])) {
 				t.Fatalf("route %d backup %d differs", ri, bi)
 			}
 		}

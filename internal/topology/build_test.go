@@ -40,14 +40,36 @@ func buildSpec() *soc.Spec {
 	}
 }
 
+// spelled is one route as a reader adds it: its spec flow, its links
+// and each backup's links.
+type spelled struct {
+	flow    soc.FlowID
+	links   []topology.LinkID
+	backups [][]topology.LinkID
+}
+
+// spell returns the routes of top as a reader would add them.
+func spell(top *topology.Topology) []spelled {
+	out := make([]spelled, 0, len(top.Routes))
+	for _, r := range top.Routes {
+		sp := spelled{flow: r.Flow, links: top.PathLinks(r.Links)}
+		for _, b := range r.Backups {
+			sp.backups = append(sp.backups, top.PathLinks(b))
+		}
+		out = append(out, sp)
+	}
+	return out
+}
+
 // buildFields fills the construction fields of a valid design over
-// buildSpec without building it: one direct switch per island, an
-// indirect switch in the NoC island (3), and the flows from island 2
-// routed over link 0 (s2->s0), each with the backup over links 1 and 2
+// buildSpec without building it, and returns them with the routes a
+// reader adds after Build: one direct switch per island, an indirect
+// switch in the NoC island (3), and the flows from island 2 routed over
+// link 0 (s2->s0), each with the backup over links 1 and 2
 // (s2->s3->s0).
-func buildFields() *topology.Topology {
+func buildFields() (*topology.Topology, []spelled) {
 	spec := buildSpec()
-	return &topology.Topology{
+	top := &topology.Topology{
 		Spec:          spec,
 		Lib:           model.Default65nm(),
 		NoCIsland:     3,
@@ -58,21 +80,20 @@ func buildFields() *topology.Topology {
 		Links: []topology.Link{
 			{From: 2, To: 0, LengthMM: 1.5}, {From: 2, To: 3, LengthMM: 0.5}, {From: 3, To: 0, LengthMM: 0.75},
 		},
-		Routes: []topology.Route{
-			{Flow: spec.Flows[0]},
-			{Flow: spec.Flows[1]},
-			{Flow: spec.Flows[2], Links: links(0), Backups: []topology.Path{{Links: links(1, 2)}}},
-			{Flow: spec.Flows[3], Links: links(0), Backups: []topology.Path{{Links: links(1, 2)}}},
-			{Flow: spec.Flows[4], Links: links(0), Backups: []topology.Path{{Links: links(1, 2)}}},
-		},
+	}
+	backup := [][]topology.LinkID{links(1, 2)}
+	return top, []spelled{
+		{flow: 0},
+		{flow: 1},
+		{flow: 2, links: links(0), backups: backup},
+		{flow: 3, links: links(0), backups: backup},
+		{flow: 4, links: links(0), backups: backup},
 	}
 }
 
 // buildRouted builds top from its construction fields as a reader
-// does: Build without the routes, then addRoutes.
-func buildRouted(top *topology.Topology) error {
-	routes := top.Routes
-	top.Routes = nil
+// does: Build, then addRoutes.
+func buildRouted(top *topology.Topology, routes []spelled) error {
 	if err := top.Build(); err != nil {
 		return err
 	}
@@ -81,12 +102,12 @@ func buildRouted(top *topology.Topology) error {
 
 // addRoutes adds routes to the built top in order, each through
 // AddRoute and its backups through AddBackup.
-func addRoutes(top *topology.Topology, routes []topology.Route) error {
+func addRoutes(top *topology.Topology, routes []spelled) error {
 	for i, r := range routes {
-		if err := top.AddRoute(topology.Route{Flow: r.Flow, Links: r.Links}); err != nil {
+		if err := top.AddRoute(r.flow, r.links); err != nil {
 			return err
 		}
-		for _, b := range r.Backups {
+		for _, b := range r.backups {
 			if err := top.AddBackup(i, b); err != nil {
 				return err
 			}
@@ -98,7 +119,9 @@ func addRoutes(top *topology.Topology, routes []topology.Route) error {
 // TestBuildTakesNoRoutes: routes enter a topology only through AddRoute
 // and AddBackup, so Build refuses construction fields that carry any.
 func TestBuildTakesNoRoutes(t *testing.T) {
-	if err := buildFields().Build(); !errors.Is(err, topology.ErrWalk) {
+	top, _ := buildFields()
+	top.Routes = make([]topology.Route, 1)
+	if err := top.Build(); !errors.Is(err, topology.ErrWalk) {
 		t.Fatalf("Build with routes: got %v, want an error wrapping %q", err, topology.ErrWalk)
 	}
 }
@@ -107,8 +130,8 @@ func TestBuildTakesNoRoutes(t *testing.T) {
 // and checks every derived quantity against the same design grown by
 // the mutators, link traffic to the bit.
 func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
-	got := buildFields()
-	if err := buildRouted(got); err != nil {
+	got, routes := buildFields()
+	if err := buildRouted(got, routes); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.Validate(); err != nil {
@@ -118,7 +141,7 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 		t.Fatalf("built fixture is not survivable: %v", err)
 	}
 
-	f := buildFields()
+	f, _ := buildFields()
 	want := topology.New(f.Spec, f.Lib)
 	for i := range f.Spec.Islands {
 		want.SetIslandFreq(soc.IslandID(i), f.IslandFreqHz[i])
@@ -140,7 +163,7 @@ func TestBuildDerivesWhatTheMutatorsDo(t *testing.T) {
 		}
 		want.Links[id].LengthMM = l.LengthMM
 	}
-	if err := addRoutes(want, f.Routes); err != nil {
+	if err := addRoutes(want, routes); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,10 +208,11 @@ func links(ids ...topology.LinkID) []topology.LinkID { return ids }
 
 // TestBuildRejectsMalformed holds every check of Build, AddRoute and
 // AddBackup to its typed error, never a panic. A case edits either the
-// fixture's construction fields, which buildRouted reads directly, or
-// its JSON, which specio.ReadTopology maps into those fields and walks;
-// cases marked cache also encode the edited fields and decode them with
-// cache.DecodeResult, so each reader is shown to reach the checks. The
+// fixture's construction fields and routes, which buildRouted reads
+// directly, or its JSON, which specio.ReadTopology maps into those
+// fields and walks; cases marked cache also encode the edited design,
+// its routes stored unchecked, and decode it with cache.DecodeResult,
+// so each reader is shown to reach the checks. The
 // cache's own walk defects, which no link list can spell, are
 // TestDecodeRejectsBadWalks in package cache. A core attached twice and
 // a second NoC island cannot be written in the fields (SwitchOf holds
@@ -197,97 +221,105 @@ func TestBuildRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name  string
 		want  error
-		edit  func(top *topology.Topology)
+		edit  func(top *topology.Topology, routes []spelled)
 		json  func(doc map[string]any)
 		cache bool
 	}{
 		{name: "switch in unknown island", want: topology.ErrSwitch, cache: true,
-			edit: func(top *topology.Topology) { top.Switches[1].Island = 4 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.Switches[1].Island = 4 }},
 		{name: "switch in negative island", want: topology.ErrSwitch,
-			edit: func(top *topology.Topology) { top.Switches[1].Island = -1 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.Switches[1].Island = -1 }},
 		{name: "NoC island inside the spec", want: topology.ErrIslands,
-			edit: func(top *topology.Topology) { top.NoCIsland = 1 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.NoCIsland = 1 }},
 		{name: "second NoC island", want: topology.ErrIslands,
 			json: func(doc map[string]any) {
 				doc["islands"] = append(doc["islands"].([]any), map[string]any{"id": 4, "name": "noc_vi2", "intermediate": true})
 			}},
 		{name: "island table of the wrong length", want: topology.ErrIslands, cache: true,
-			edit: func(top *topology.Topology) { top.IslandFreqHz = top.IslandFreqHz[:3] }},
+			edit: func(top *topology.Topology, routes []spelled) { top.IslandFreqHz = top.IslandFreqHz[:3] }},
 		{name: "supply table of the wrong length", want: topology.ErrIslands,
-			edit: func(top *topology.Topology) { top.IslandVoltage = append(top.IslandVoltage, 1) }},
+			edit: func(top *topology.Topology, routes []spelled) { top.IslandVoltage = append(top.IslandVoltage, 1) }},
 		{name: "core table of the wrong length", want: topology.ErrAttach,
-			edit: func(top *topology.Topology) { top.SwitchOf = top.SwitchOf[:4] }},
+			edit: func(top *topology.Topology, routes []spelled) { top.SwitchOf = top.SwitchOf[:4] }},
 		{name: "core attached out of range", want: topology.ErrAttach, cache: true,
-			edit: func(top *topology.Topology) { top.SwitchOf[4] = 4 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.SwitchOf[4] = 4 }},
 		{name: "core attached below range", want: topology.ErrAttach,
-			edit: func(top *topology.Topology) { top.SwitchOf[4] = -2 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.SwitchOf[4] = -2 }},
 		{name: "core attached to an indirect switch", want: topology.ErrAttach,
-			edit: func(top *topology.Topology) { top.SwitchOf[4] = 3 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.SwitchOf[4] = 3 }},
 		{name: "core attached across islands", want: topology.ErrAttach,
-			edit: func(top *topology.Topology) { top.SwitchOf[4] = 0 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.SwitchOf[4] = 0 }},
 		{name: "core attached twice", want: topology.ErrAttach,
 			json: func(doc map[string]any) {
 				doc["network_interfaces"] = append(doc["network_interfaces"].([]any), map[string]any{"core": "usb", "switch": 2})
 			}},
 		{name: "link endpoint out of range", want: topology.ErrLink, cache: true,
-			edit: func(top *topology.Topology) { top.Links[1].To = 4 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.Links[1].To = 4 }},
 		{name: "negative link endpoint", want: topology.ErrLink,
 			json: func(doc map[string]any) { doc["links"].([]any)[1].(map[string]any)["from"] = -1 }},
 		{name: "self link", want: topology.ErrLink, cache: true,
-			edit: func(top *topology.Topology) { top.Links[1].To = 2 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.Links[1].To = 2 }},
 		{name: "duplicate link", want: topology.ErrLink,
-			edit: func(top *topology.Topology) { top.Links = append(top.Links, top.Links[0]) }},
+			edit: func(top *topology.Topology, routes []spelled) { top.Links = append(top.Links, top.Links[0]) }},
 		{name: "no links between two switches", want: topology.ErrWalk, cache: true,
-			edit: func(top *topology.Topology) { top.Routes[2].Links = nil }},
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].links = nil }},
 		{name: "empty route walk", want: topology.ErrWalk,
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{} }},
 		{name: "one-switch route off its source switch", want: topology.ErrWalk,
 			json: func(doc map[string]any) { jsonRoute(doc, 0)["switches"] = []int{1} }},
 		{name: "route walks an unknown switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Links = links(7) },
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].links = links(7) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{2, 7} }},
 		{name: "route uses a missing link", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Links = links(1, 0) },
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].links = links(1, 0) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{2, 1, 0} }},
 		{name: "route starts off its source switch", want: topology.ErrWalk, cache: true,
-			edit: func(top *topology.Topology) { top.Routes[2].Links = links(2) },
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].links = links(2) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{3, 0} }},
 		{name: "route ends off its destination switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Links = links(1) },
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].links = links(1) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["switches"] = []int{2, 3} }},
 		{name: "route names an unknown core", want: topology.ErrWalk, cache: true,
-			edit: func(top *topology.Topology) { top.Routes[0].Flow.Dst = 5 }},
+			edit: func(top *topology.Topology, routes []spelled) { top.Spec.Flows[0].Dst = 6 }},
+		{name: "route names an unknown flow", want: topology.ErrWalk,
+			edit: func(top *topology.Topology, routes []spelled) { routes[0].flow = 5 }},
+		{name: "route names a negative flow", want: topology.ErrWalk,
+			edit: func(top *topology.Topology, routes []spelled) { routes[0].flow = -1 }},
 		{name: "backup with no links between two switches", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = nil }},
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].backups[0] = nil }},
 		{name: "empty backup walk", want: topology.ErrWalk,
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{}} }},
 		{name: "one-switch backup off its source switch", want: topology.ErrWalk,
 			json: func(doc map[string]any) { jsonRoute(doc, 0)["backups"] = [][]int{{1}} }},
 		{name: "backup walks an unknown switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(-1) },
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].backups[0] = links(-1) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{2, -1, 0}} }},
 		{name: "backup uses a missing link", want: topology.ErrWalk, cache: true,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(0, 2) },
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].backups[0] = links(0, 2) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{2, 1, 0}} }},
 		{name: "backup starts off its source switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(2) },
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].backups[0] = links(2) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{3, 0}} }},
 		{name: "backup ends off its destination switch", want: topology.ErrWalk,
-			edit: func(top *topology.Topology) { top.Routes[2].Backups[0].Links = links(1) },
+			edit: func(top *topology.Topology, routes []spelled) { routes[2].backups[0] = links(1) },
 			json: func(doc map[string]any) { jsonRoute(doc, 2)["backups"] = [][]int{{2, 3}} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var errs []error
 			if tc.edit != nil {
-				top := buildFields()
-				tc.edit(top)
+				top, routes := buildFields()
+				tc.edit(top, routes)
 				if tc.cache {
-					blob := cache.EncodeResult(&core.Result{Points: []core.DesignPoint{{Top: top}}})
+					stored := *top
+					for _, r := range routes {
+						topology.AddRouteUnchecked(&stored, r.flow, r.links, r.backups...)
+					}
+					blob := cache.EncodeResult(&core.Result{Points: []core.DesignPoint{{Top: &stored}}})
 					_, err := cache.DecodeResult(blob, top.Spec, top.Lib)
 					errs = append(errs, err)
 				}
-				errs = append(errs, buildRouted(top))
+				errs = append(errs, buildRouted(top, routes))
 			}
 			if tc.json != nil {
 				errs = append(errs, readEdited(t, tc.json))
@@ -310,8 +342,8 @@ func jsonRoute(doc map[string]any, i int) map[string]any {
 // document and reads it back with specio.ReadTopology.
 func readEdited(t *testing.T, edit func(doc map[string]any)) error {
 	t.Helper()
-	top := buildFields()
-	if err := buildRouted(top); err != nil {
+	top, routes := buildFields()
+	if err := buildRouted(top, routes); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -339,9 +371,7 @@ func readEdited(t *testing.T, edit func(doc map[string]any)) error {
 // the second Build must allocate nothing and derive the same design,
 // which then takes its routes.
 func TestBuildRecyclesStorage(t *testing.T) {
-	top := buildFields()
-	routes := top.Routes
-	top.Routes = nil
+	top, routes := buildFields()
 	if err := top.Build(); err != nil {
 		t.Fatal(err)
 	}

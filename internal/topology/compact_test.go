@@ -73,7 +73,9 @@ func rebuild(t *testing.T, dst, u *topology.Topology) {
 	}
 }
 
-// sameExported asserts two topologies agree on every exported field.
+// sameExported asserts two topologies agree on every exported field,
+// routes compared as spelled: their flows, links and backups' links,
+// wherever in the link table the runs lie.
 func sameExported(t *testing.T, label string, a, b *topology.Topology) {
 	t.Helper()
 	if a.Spec != b.Spec || a.Lib != b.Lib || a.NoCIsland != b.NoCIsland {
@@ -85,7 +87,7 @@ func sameExported(t *testing.T, label string, a, b *topology.Topology) {
 	}{
 		{"Switches", a.Switches, b.Switches},
 		{"Links", a.Links, b.Links},
-		{"Routes", a.Routes, b.Routes},
+		{"Routes", spell(a), spell(b)},
 		{"IslandFreqHz", a.IslandFreqHz, b.IslandFreqHz},
 		{"IslandVoltage", a.IslandVoltage, b.IslandVoltage},
 		{"SwitchOf", a.SwitchOf, b.SwitchOf},
@@ -157,39 +159,61 @@ func TestCompactMatchesSource(t *testing.T) {
 }
 
 // TestCompactSurvivesSourceRebuild: a copy is unchanged after its
-// source is Reset and rebuilt as a different candidate, which recycles
-// the source's route buffers.
+// source is Reset and rebuilt as a different candidate, which reuses
+// the source's link table and backup lists.
 func TestCompactSurvivesSourceRebuild(t *testing.T) {
 	cands := routedCandidates(t, 2)
 	src := cands[0]
 	c, want := src.Compact(), src.Compact()
 	rebuild(t, src, cands[1])
-	if reflect.DeepEqual(src.Switches, want.Switches) && reflect.DeepEqual(src.Routes, want.Routes) {
+	if reflect.DeepEqual(src.Switches, want.Switches) && reflect.DeepEqual(spell(src), spell(want)) {
 		t.Fatal("the source was not rebuilt as a different candidate")
 	}
 	sameExported(t, "copy after source rebuild", want, c)
 }
 
-// TestCompactPathAppendIsolated: the copy's paths share backing
-// arrays, so an append to any one of them must reallocate instead of
-// writing over its neighbour.
+// TestCompactPathAppendIsolated: the copy's paths are runs of one link
+// table and its backup lists share one array, so an append to a path's
+// links or to a route's backups must reallocate instead of writing
+// over its neighbour.
 func TestCompactPathAppendIsolated(t *testing.T) {
 	src := routedCandidates(t, 1)[0]
 	c, want := src.Compact(), src.Compact()
 	for i := range c.Routes {
 		r := &c.Routes[i]
-		ln, bk := r.Links, r.Backups
-		r.Links = append(r.Links, -1)
-		for j := range r.Backups {
-			b := &r.Backups[j]
-			bl := b.Links
-			b.Links = append(b.Links, -1)
-			b.Links = bl
+		_ = append(c.PathLinks(r.Links), -1)
+		for _, b := range r.Backups {
+			_ = append(c.PathLinks(b), -1)
 		}
-		r.Backups = append(r.Backups, topology.Path{})
-		r.Links, r.Backups = ln, bk
+		_ = append(r.Backups, topology.Path{})
 	}
 	sameExported(t, "copy after appends", want, c)
+}
+
+// TestCompactPacksRoutesInOrder: the copy's link table holds each
+// route's primary run followed by its backups' runs, in route order,
+// with no gap — the order a reader adds them in — although the router
+// added every primary before any backup.
+func TestCompactPacksRoutesInOrder(t *testing.T) {
+	for i, src := range routedCandidates(t, 2) {
+		c := src.Compact()
+		off := int32(0)
+		next := func(p topology.Path) {
+			if p.Off != off {
+				t.Fatalf("candidate %d: run at %d, want %d", i, p.Off, off)
+			}
+			off += p.N
+		}
+		for _, r := range c.Routes {
+			next(r.Links)
+			for _, b := range r.Backups {
+				next(b)
+			}
+		}
+		if want := int32(len(c.PathLinks(topology.Path{N: off}))); off != want {
+			t.Fatalf("candidate %d: runs cover %d links of %d", i, off, want)
+		}
+	}
 }
 
 // tinyDesigns returns two designs of one two-core, one-island spec with
@@ -240,8 +264,7 @@ func tinyDesigns(t *testing.T) (oneSwitch, twoSwitches *topology.Topology) {
 
 // replay builds u into dst, which the caller has just created, Reset or
 // rebound to u's spec and library: island tables, switches, core
-// attachments, links in u's order, and routes with their backups in
-// storage taken from dst, as the router takes it.
+// attachments, links in u's order, and routes with their backups.
 func replay(t *testing.T, dst, u *topology.Topology) {
 	t.Helper()
 	for j := range u.Spec.Islands {
@@ -264,23 +287,8 @@ func replay(t *testing.T, dst, u *topology.Topology) {
 			t.Fatal(err)
 		}
 	}
-	path := func(lnks []topology.LinkID) []topology.LinkID {
-		if lnks == nil {
-			return nil // a single-switch route holds no link list
-		}
-		l := dst.TakeRouteLinks(len(lnks))
-		copy(l, lnks)
-		return l
-	}
-	for ri, r := range u.Routes {
-		if err := dst.AddRoute(topology.Route{Flow: r.Flow, Links: path(r.Links)}); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range r.Backups {
-			if err := dst.AddBackup(ri, topology.Path{Links: path(b.Links)}); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := addRoutes(dst, spell(u)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -48,12 +48,12 @@ func TestIslandTablesAreTheOneSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range top.Spec.Flows {
-			r := topology.Route{Flow: f}
+		for fi, f := range top.Spec.Flows {
+			var lks []topology.LinkID
 			if top.Spec.IslandOf[f.Src] == 2 {
-				r.Links = links(lid)
+				lks = links(lid)
 			}
-			if err := top.AddRoute(r); err != nil {
+			if err := top.AddRoute(soc.FlowID(fi), lks); err != nil {
 				t.Fatal(err)
 			}
 		}

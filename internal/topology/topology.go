@@ -58,20 +58,19 @@ type Link struct {
 	LengthMM float64
 }
 
-// Path is one link walk between a flow's endpoint switches, used for
-// the pre-synthesized backup routes of survivable designs. Like a
-// Route, it stores only its links; Walk derives its switches.
+// Path is one link walk of a route, its primary or a backup: the run of
+// N links from Off in the topology's link table, which PathLinks reads.
 type Path struct {
-	Links []LinkID // in traversal order
+	Off, N int32
 }
 
-// Route is the path assigned to one traffic flow: the links it
-// traverses, in order, from the switch of the flow's source core to
-// the switch of its destination core (none when both cores share a
-// switch). The switch walk is not stored; Walk derives it.
+// Route is the path assigned to one traffic flow, which Flow indexes in
+// Spec.Flows: the links it traverses, in order, from the switch of the
+// flow's source core to the switch of its destination core (none when
+// both cores share a switch). Walk derives the switch walk.
 type Route struct {
-	Flow  soc.Flow
-	Links []LinkID // in traversal order
+	Flow  soc.FlowID
+	Links Path
 
 	// Backups holds the pre-synthesized link-disjoint alternates of a
 	// survivable design (core.Options.Survivability k stores k of them
@@ -129,14 +128,10 @@ type Topology struct {
 	inPorts  []int32
 	outPorts []int32
 
-	// lnkPathFree recycles Route.Links backing arrays across Rebind
-	// cycles: Rebind harvests the dismantled routes' slices,
-	// TakeRouteLinks hands them back to the router, so a reused topology
-	// routes without growing fresh arrays. A slice lives either in the
-	// free list or in a route, never both. Backup paths share the same
-	// free list; bakFree recycles the outer Route.Backups arrays.
-	lnkPathFree [][]LinkID
-	bakFree     [][]Path
+	// pathLinks is the link table every Path is a run of, and bakFree
+	// recycles the Route.Backups arrays across Rebind cycles.
+	pathLinks []LinkID
+	bakFree   [][]Path
 }
 
 // New creates an empty topology over the given spec and library, with
@@ -160,8 +155,9 @@ func (t *Topology) Reset() { t.Rebind(t.Spec, t.Lib) }
 // Rebind re-targets t at spec and lib and returns it to the state
 // New(spec, lib) would produce, while retaining the backing storage of
 // every earlier build: the switch, link and route slices and the link
-// index keep their capacity, the island and core tables are resized in
-// place, and the route paths are recycled through internal free lists.
+// index and the link table keep their capacity, the island and core
+// tables are resized in place, and the backup lists are recycled
+// through an internal free list.
 // The synthesis arena rebinds one topology per worker across candidates
 // and across engine calls instead of allocating a fresh one each time.
 //
@@ -169,14 +165,6 @@ func (t *Topology) Reset() { t.Rebind(t.Spec, t.Lib) }
 // escaped into a DesignPoint.
 func (t *Topology) Rebind(spec *soc.Spec, lib *model.Library) {
 	for i := range t.Routes {
-		if l := t.Routes[i].Links; cap(l) > 0 {
-			t.lnkPathFree = append(t.lnkPathFree, l[:0])
-		}
-		for _, b := range t.Routes[i].Backups {
-			if cap(b.Links) > 0 {
-				t.lnkPathFree = append(t.lnkPathFree, b.Links[:0])
-			}
-		}
 		if b := t.Routes[i].Backups; cap(b) > 0 {
 			t.bakFree = append(t.bakFree, b[:0])
 		}
@@ -185,6 +173,7 @@ func (t *Topology) Rebind(spec *soc.Spec, lib *model.Library) {
 	t.Switches = t.Switches[:0]
 	t.Links = t.Links[:0]
 	t.Routes = t.Routes[:0]
+	t.pathLinks = t.pathLinks[:0]
 	t.NoCIsland = soc.NoIsland
 	t.IslandFreqHz = sized(t.IslandFreqHz, len(spec.Islands))
 	t.IslandVoltage = sized(t.IslandVoltage, len(spec.Islands))
@@ -213,13 +202,13 @@ func sized[T any](s []T, n int) []T {
 
 // Compact returns a copy of t that shares no storage with it, each
 // slice cut at exactly its length: the switch, link, route and island
-// tables and the link index are copied verbatim, and every path's
-// Links, backups included, is cut from one backing array, with all
-// Backups from one []Path. The cuts are 3-index slices, so an append to
-// one path never overwrites the next. Empty switch, link and route
-// tables and link index are nil, nil paths stay nil and the free lists
-// start empty, so the copy does not depend on the history of t's
-// storage. A worker that keeps building in t publishes the copy.
+// tables and the link index are copied verbatim, and the link table is
+// packed in route order, each primary's run and then its backups', as
+// a reader adds them. All Backups are cut from one []Path as 3-index
+// slices, so an append to one never overwrites the next. Empty tables
+// are nil, nil Backups stay nil and the free list starts empty, so the
+// copy does not depend on the history of t's storage. A worker that
+// keeps building in t publishes the copy.
 func (t *Topology) Compact() *Topology {
 	c := &Topology{
 		Spec:          t.Spec,
@@ -236,24 +225,23 @@ func (t *Topology) Compact() *Topology {
 		inPorts:       exact(t.inPorts),
 		outPorts:      exact(t.outPorts),
 	}
-	nLnk, nBak := 0, 0
+	nBak := 0
 	for i := range t.Routes {
-		r := &t.Routes[i]
-		nLnk += len(r.Links)
-		nBak += len(r.Backups)
-		for _, b := range r.Backups {
-			nLnk += len(b.Links)
-		}
+		nBak += len(t.Routes[i].Backups)
 	}
-	lnks := make([]LinkID, 0, nLnk)
 	baks := make([]Path, 0, nBak)
+	if len(t.pathLinks) > 0 {
+		c.pathLinks = make([]LinkID, 0, len(t.pathLinks))
+	}
 	for i := range c.Routes {
 		r := &c.Routes[i]
-		r.Links, lnks = cut(lnks, r.Links)
-		r.Backups, baks = cut(baks, r.Backups)
-		for j := range r.Backups {
-			b := &r.Backups[j]
-			b.Links, lnks = cut(lnks, b.Links)
+		r.Links = c.addPath(t.PathLinks(r.Links))
+		if r.Backups != nil {
+			lo := len(baks)
+			for _, b := range r.Backups {
+				baks = append(baks, c.addPath(t.PathLinks(b)))
+			}
+			r.Backups = baks[lo:len(baks):len(baks)]
 		}
 	}
 	return c
@@ -267,18 +255,6 @@ func exact[T any](s []T) []T {
 		return nil
 	}
 	return slices.Clip(slices.Clone(s))
-}
-
-// cut appends s to buf, whose capacity the caller sized for every cut,
-// and returns the appended window as a 3-index slice (nil for nil s)
-// together with the grown buf.
-func cut[T any](buf, s []T) (window, rest []T) {
-	if s == nil {
-		return nil, buf
-	}
-	lo := len(buf)
-	buf = append(buf, s...)
-	return buf[lo:len(buf):len(buf)], buf
 }
 
 // AddNoCIsland declares the intermediate NoC island with the given clock
@@ -364,21 +340,28 @@ func (t *Topology) checkAttach(c soc.CoreID, sw SwitchID) error {
 	return nil
 }
 
-// TakeRouteLinks returns a length-n link buffer for a Route or backup
-// Path that will be added to this topology, recycling storage
-// reclaimed by Rebind when possible. The buffer belongs to the
-// topology's route storage from the moment it is taken: callers must
-// store it in an added Route or Path (or discard it entirely), never
-// retain it elsewhere.
-func (t *Topology) TakeRouteLinks(n int) []LinkID {
-	if k := len(t.lnkPathFree); k > 0 {
-		l := t.lnkPathFree[k-1]
-		t.lnkPathFree = t.lnkPathFree[:k-1]
-		if cap(l) >= n {
-			return l[:n]
-		}
+// PathLinks returns the links of p, a path of one of t's routes, in
+// traversal order: a 3-index window of the link table, so an append to
+// it never overwrites the next run. The caller must not modify it.
+func (t *Topology) PathLinks(p Path) []LinkID {
+	return t.pathLinks[p.Off : p.Off+p.N : p.Off+p.N]
+}
+
+// SetLinkStorage makes buf's storage the link table of t, which must
+// hold no routes yet: a reader that knows how many links its routes
+// hold passes exactly that capacity, and t owns buf from then on.
+func (t *Topology) SetLinkStorage(buf []LinkID) {
+	if len(t.Routes) > 0 {
+		panic("topology: SetLinkStorage on a topology with routes")
 	}
-	return make([]LinkID, n)
+	t.pathLinks = buf[:0]
+}
+
+// addPath appends links to the link table and returns their run.
+func (t *Topology) addPath(links []LinkID) Path {
+	p := Path{Off: int32(len(t.pathLinks)), N: int32(len(links))}
+	t.pathLinks = append(t.pathLinks, links...)
+	return p
 }
 
 // FindLink returns the directed link from->to when it exists. It walks
@@ -507,12 +490,12 @@ func (t *Topology) SwitchSize(sw SwitchID) int {
 // links, with a converter penalty on each link that crosses islands.
 func (t *Topology) ZeroLoadLatencyCycles(r *Route) float64 {
 	crossings := 0
-	for _, lid := range r.Links {
+	for _, lid := range t.PathLinks(r.Links) {
 		if l := &t.Links[lid]; t.CrossesIslands(l.From, l.To) {
 			crossings++
 		}
 	}
-	return latencyCycles(len(r.Links)+1, crossings)
+	return latencyCycles(int(r.Links.N)+1, crossings)
 }
 
 // Walk appends to buf[:0] the switch walk of a route or backup of flow
@@ -581,37 +564,42 @@ func (t *Topology) MeanZeroLoadLatency() float64 {
 	return sum / float64(len(t.Routes))
 }
 
-// AddRoute records the route for a flow, accounting its bandwidth on
-// every traversed link. The route must already be structurally valid.
-func (t *Topology) AddRoute(r Route) error {
-	if err := t.checkPath(r.Flow, r.Links); err != nil {
+// AddRoute records the route of spec flow fi over links, copied into
+// the link table, and accounts the flow's bandwidth on every traversed
+// link. The walk must already be structurally valid.
+func (t *Topology) AddRoute(fi soc.FlowID, links []LinkID) error {
+	if fi < 0 || int(fi) >= len(t.Spec.Flows) {
+		return fmt.Errorf("%w: route for unknown flow %d", ErrWalk, fi)
+	}
+	f := &t.Spec.Flows[fi]
+	if err := t.checkPath(f, links); err != nil {
 		return err
 	}
-	for _, lid := range r.Links {
-		t.Links[lid].TrafficBps += r.Flow.BandwidthBps
+	for _, lid := range links {
+		t.Links[lid].TrafficBps += f.BandwidthBps
 	}
-	t.Routes = append(t.Routes, r)
+	t.Routes = append(t.Routes, Route{Flow: fi, Links: t.addPath(links)})
 	return nil
 }
 
-// AddBackup records a pre-synthesized alternate path on the route at
-// index ri. The path must be structurally valid for the route's flow;
-// it is stored cold — no traffic is accounted on its links. Disjointness
-// against the primary and the other backups is ValidateSurvivable's
-// job, not enforced here.
-func (t *Topology) AddBackup(ri int, p Path) error {
+// AddBackup records a pre-synthesized alternate walk over links, copied
+// into the link table, on the route at index ri. The walk must be
+// structurally valid for the route's flow; it is stored cold — no
+// traffic is accounted on its links. Disjointness is
+// ValidateSurvivable's job, not enforced here.
+func (t *Topology) AddBackup(ri int, links []LinkID) error {
 	if ri < 0 || ri >= len(t.Routes) {
 		return fmt.Errorf("%w: backup for unknown route %d", ErrWalk, ri)
 	}
 	r := &t.Routes[ri]
-	if err := t.checkPath(r.Flow, p.Links); err != nil {
+	if err := t.checkPath(&t.Spec.Flows[r.Flow], links); err != nil {
 		return err
 	}
 	if r.Backups == nil && len(t.bakFree) > 0 {
 		r.Backups = t.bakFree[len(t.bakFree)-1]
 		t.bakFree = t.bakFree[:len(t.bakFree)-1]
 	}
-	r.Backups = append(r.Backups, p)
+	r.Backups = append(r.Backups, t.addPath(links))
 	return nil
 }
 
@@ -620,7 +608,7 @@ func (t *Topology) AddBackup(ri int, p Path) error {
 // core's switch, each starting where the one before it ends, and the
 // walk ending on the destination core's switch — so a flow with no
 // links needs both cores on one switch.
-func (t *Topology) checkPath(f soc.Flow, links []LinkID) error {
+func (t *Topology) checkPath(f *soc.Flow, links []LinkID) error {
 	if f.Src < 0 || int(f.Src) >= len(t.SwitchOf) || f.Dst < 0 || int(f.Dst) >= len(t.SwitchOf) {
 		return fmt.Errorf("%w: flow %d->%d names an unknown core", ErrWalk, f.Src, f.Dst)
 	}
@@ -783,18 +771,24 @@ func (t *Topology) Validate() error {
 }
 
 // checkEachFlowRouted proves, given as many routes as spec flows, that
-// each spec flow is routed exactly once: every route carries a spec
-// flow (a spec has no duplicate flows) that no earlier route carries.
+// each spec flow is routed exactly once: every route names a spec flow
+// that no earlier route names. One pass marks the flows, on the stack
+// up to 1,024 of them.
 func (t *Topology) checkEachFlowRouted() error {
+	var small [1024]bool
+	seen := small[:]
+	if len(t.Spec.Flows) > len(small) {
+		seen = make([]bool, len(t.Spec.Flows))
+	}
 	for i := range t.Routes {
-		f := &t.Routes[i].Flow
-		if _, ok := t.Spec.FlowBetween(f.Src, f.Dst); !ok {
-			return fmt.Errorf("topology: route %d carries flow %d->%d, which the spec does not have", i, f.Src, f.Dst)
-		}
-		for j := range i {
-			if g := &t.Routes[j].Flow; g.Src == f.Src && g.Dst == f.Dst {
-				return fmt.Errorf("topology: flow %d->%d is routed more than once", f.Src, f.Dst)
-			}
+		switch fi := t.Routes[i].Flow; {
+		case fi < 0 || int(fi) >= len(t.Spec.Flows):
+			return fmt.Errorf("topology: route %d carries flow %d, which the spec does not have", i, fi)
+		case seen[fi]:
+			f := &t.Spec.Flows[fi]
+			return fmt.Errorf("topology: flow %d->%d is routed more than once", f.Src, f.Dst)
+		default:
+			seen[fi] = true
 		}
 	}
 	return nil
@@ -802,20 +796,22 @@ func (t *Topology) checkEachFlowRouted() error {
 
 // ValidateRouted checks the routes the topology actually holds — route
 // structure, latency constraints, link capacities, switch feasibility —
-// without requiring a route for every spec flow. This is the check a
+// without requiring a route for every spec flow. Each route must name a
+// spec flow, as AddRoute ensures. This is the check a
 // power-state fault campaign needs: flows touching gated islands are
 // deliberately left unrouted, and only the surviving traffic has to be
 // well-formed. Validate composes it with the completeness checks.
 func (t *Topology) ValidateRouted() error {
 	for i := range t.Routes {
 		r := &t.Routes[i]
-		if err := t.checkPath(r.Flow, r.Links); err != nil {
+		f := &t.Spec.Flows[r.Flow]
+		if err := t.checkPath(f, t.PathLinks(r.Links)); err != nil {
 			return err
 		}
-		if r.Flow.MaxLatencyCycles > 0 {
-			if lat := t.ZeroLoadLatencyCycles(r); lat > r.Flow.MaxLatencyCycles {
+		if f.MaxLatencyCycles > 0 {
+			if lat := t.ZeroLoadLatencyCycles(r); lat > f.MaxLatencyCycles {
 				return fmt.Errorf("topology: flow %d->%d latency %.1f exceeds constraint %.1f",
-					r.Flow.Src, r.Flow.Dst, lat, r.Flow.MaxLatencyCycles)
+					f.Src, f.Dst, lat, f.MaxLatencyCycles)
 			}
 		}
 	}
@@ -886,17 +882,19 @@ func (t *Topology) severed(off []bool, also soc.IslandID) error {
 	}
 	for ri := range t.Routes {
 		r := &t.Routes[ri]
-		srcIsl := t.Spec.IslandOf[r.Flow.Src]
-		dstIsl := t.Spec.IslandOf[r.Flow.Dst]
+		f := &t.Spec.Flows[r.Flow]
+		srcIsl := t.Spec.IslandOf[f.Src]
+		dstIsl := t.Spec.IslandOf[f.Dst]
 		if gated(srcIsl) || gated(dstIsl) {
 			continue // legitimately lost with its endpoint island
 		}
-		for i := 0; i <= len(r.Links); i++ {
-			sw := t.WalkSwitch(r.Flow, r.Links, i)
+		links := t.PathLinks(r.Links)
+		for i := 0; i <= len(links); i++ {
+			sw := t.WalkSwitch(*f, links, i)
 			if isl := t.Switches[sw].Island; gated(isl) {
 				return fmt.Errorf(
 					"topology: shutting down island %d (%s) would sever flow %d->%d (islands %d->%d) at switch %d",
-					isl, t.Spec.Islands[isl].Name, r.Flow.Src, r.Flow.Dst, srcIsl, dstIsl, sw)
+					isl, t.Spec.Islands[isl].Name, f.Src, f.Dst, srcIsl, dstIsl, sw)
 			}
 		}
 	}
@@ -922,28 +920,29 @@ func (t *Topology) ValidateSurvivable(k int) error {
 	}
 	for ri := range t.Routes {
 		r := &t.Routes[ri]
-		if len(r.Links) == 0 {
+		if r.Links.N == 0 {
 			continue // single-switch route: no link a fault could sever
 		}
+		f := &t.Spec.Flows[r.Flow]
 		if len(r.Backups) < k {
 			return fmt.Errorf("topology: flow %d->%d has %d backup route(s), survivability %d requires %d",
-				r.Flow.Src, r.Flow.Dst, len(r.Backups), k, k)
+				f.Src, f.Dst, len(r.Backups), k, k)
 		}
-		srcIsl := t.Spec.IslandOf[r.Flow.Src]
-		dstIsl := t.Spec.IslandOf[r.Flow.Dst]
-		owner := make(map[LinkID]int, len(r.Links))
-		for _, lid := range r.Links {
+		srcIsl := t.Spec.IslandOf[f.Src]
+		dstIsl := t.Spec.IslandOf[f.Dst]
+		owner := make(map[LinkID]int, r.Links.N)
+		for _, lid := range t.PathLinks(r.Links) {
 			owner[lid] = -1
 		}
-		for bi := range r.Backups {
-			b := &r.Backups[bi]
-			if err := t.checkPath(r.Flow, b.Links); err != nil {
+		for bi, b := range r.Backups {
+			links := t.PathLinks(b)
+			if err := t.checkPath(f, links); err != nil {
 				return err
 			}
-			if err := t.checkIslandDiscipline(r.Flow, b.Links, srcIsl, dstIsl); err != nil {
+			if err := t.checkIslandDiscipline(f, links, srcIsl, dstIsl); err != nil {
 				return err
 			}
-			for _, lid := range b.Links {
+			for _, lid := range links {
 				if prev, ok := owner[lid]; ok {
 					with := "the primary route"
 					if prev >= 0 {
@@ -951,7 +950,7 @@ func (t *Topology) ValidateSurvivable(k int) error {
 						with = fmt.Sprintf("backup %d", prev)
 					}
 					return fmt.Errorf("topology: flow %d->%d backup %d shares link %d with %s",
-						r.Flow.Src, r.Flow.Dst, bi, lid, with)
+						f.Src, f.Dst, bi, lid, with)
 				}
 				owner[lid] = bi
 			}
@@ -967,11 +966,11 @@ func (t *Topology) ValidateSurvivable(k int) error {
 // that order. When
 // source and destination coincide every admissible move is legal,
 // mirroring the router's subgraph construction.
-func (t *Topology) checkIslandDiscipline(f soc.Flow, links []LinkID, srcIsl, dstIsl soc.IslandID) error {
+func (t *Topology) checkIslandDiscipline(f *soc.Flow, links []LinkID, srcIsl, dstIsl soc.IslandID) error {
 	mid := t.NoCIsland
 	prev := int8(0)
 	for i := 0; i <= len(links); i++ {
-		sw := t.WalkSwitch(f, links, i)
+		sw := t.WalkSwitch(*f, links, i)
 		isl := t.Switches[sw].Island
 		var rk int8
 		switch {

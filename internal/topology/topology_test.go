@@ -55,15 +55,15 @@ func buildValid(t *testing.T) *Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustRoute := func(r Route) {
+	mustRoute := func(fi soc.FlowID, links ...LinkID) {
 		t.Helper()
-		if err := top.AddRoute(r); err != nil {
+		if err := top.AddRoute(fi, links); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustRoute(Route{Flow: spec.Flows[0]})
-	mustRoute(Route{Flow: spec.Flows[1]})
-	mustRoute(Route{Flow: spec.Flows[2], Links: []LinkID{l20}})
+	mustRoute(0)
+	mustRoute(1)
+	mustRoute(2, l20)
 	return top
 }
 
@@ -161,14 +161,19 @@ func TestZeroLoadLatency(t *testing.T) {
 
 func TestRouteValidationErrors(t *testing.T) {
 	top := buildValid(t)
-	bad := []Route{
-		{Flow: top.Spec.Flows[2]},                        // no links between two switches
-		{Flow: top.Spec.Flows[0], Links: []LinkID{5}},    // unknown link
-		{Flow: top.Spec.Flows[0], Links: []LinkID{0}},    // wrong start
-		{Flow: top.Spec.Flows[2], Links: []LinkID{0, 0}}, // broken chain
+	bad := []struct {
+		flow  soc.FlowID
+		links []LinkID
+	}{
+		{2, nil},            // no links between two switches
+		{0, []LinkID{5}},    // unknown link
+		{0, []LinkID{0}},    // wrong start
+		{2, []LinkID{0, 0}}, // broken chain
+		{3, nil},            // unknown flow
+		{-1, nil},           // unknown flow
 	}
 	for i, r := range bad {
-		if err := top.AddRoute(r); err == nil {
+		if err := top.AddRoute(r.flow, r.links); err == nil {
 			t.Fatalf("bad route %d accepted", i)
 		}
 	}
@@ -184,7 +189,7 @@ func TestValidateCatchesOverload(t *testing.T) {
 
 func TestValidateCatchesLatencyViolation(t *testing.T) {
 	top := buildValid(t)
-	top.Routes[0].Flow.MaxLatencyCycles = 1
+	top.Spec.Flows[top.Routes[0].Flow].MaxLatencyCycles = 1
 	if err := top.Validate(); err == nil || !strings.Contains(err.Error(), "latency") {
 		t.Fatalf("latency violation not caught: %v", err)
 	}
@@ -246,7 +251,7 @@ func TestShutdownSafetyViolation(t *testing.T) {
 	l21, _ := top.AddLink(s2, s1)
 	l10, _ := top.AddLink(s1, s0)
 	// flow usb(io isl 2) -> mem(sys isl 0) routed THROUGH media island 1
-	if err := top.AddRoute(Route{Flow: spec.Flows[2], Links: []LinkID{l21, l10}}); err != nil {
+	if err := top.AddRoute(2, []LinkID{l21, l10}); err != nil {
 		t.Fatal(err)
 	}
 	err := top.ValidateShutdownSafe()
@@ -284,12 +289,8 @@ func TestIntermediateIslandSafe(t *testing.T) {
 	}
 	l2m, _ := top.AddLink(s2, mid)
 	lm0, _ := top.AddLink(mid, s0)
-	for _, r := range []Route{
-		{Flow: spec.Flows[0]},
-		{Flow: spec.Flows[1]},
-		{Flow: spec.Flows[2], Links: []LinkID{l2m, lm0}},
-	} {
-		if err := top.AddRoute(r); err != nil {
+	for fi, links := range [][]LinkID{nil, nil, {l2m, lm0}} {
+		if err := top.AddRoute(soc.FlowID(fi), links); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,7 +348,7 @@ func TestValidateEachFlowRoutedOnce(t *testing.T) {
 		t.Fatalf("a flow routed twice was not caught: %v", err)
 	}
 	top = buildValid(t)
-	top.Routes[0].Flow.Src, top.Routes[0].Flow.Dst = 1, 0 // both on s0, not a spec flow
+	top.Routes[0].Flow = 3 // the spec has flows 0 to 2
 	if err := top.Validate(); err == nil || !strings.Contains(err.Error(), "does not have") {
 		t.Fatalf("a route for a flow outside the spec was not caught: %v", err)
 	}

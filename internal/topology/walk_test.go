@@ -38,18 +38,16 @@ func TestLinksOnlyWalkRejected(t *testing.T) {
 				}
 			}
 
-			top := buildFields()
-			top.Routes = top.Routes[:ri]
-			if err := buildRouted(top); err != nil {
+			top, routes := buildFields()
+			if err := buildRouted(top, routes[:ri]); err != nil {
 				t.Fatal(err)
 			}
-			f := top.Spec.Flows[ri]
-			wantWalkErr("AddRoute", top.AddRoute(topology.Route{Flow: f, Links: tc.links}))
-			if err := top.AddRoute(topology.Route{Flow: f, Links: links(0)}); err != nil {
+			wantWalkErr("AddRoute", top.AddRoute(ri, tc.links))
+			if err := top.AddRoute(ri, links(0)); err != nil {
 				t.Fatal(err)
 			}
-			wantWalkErr("AddBackup", top.AddBackup(ri, topology.Path{Links: tc.links}))
-			if err := top.AddBackup(ri, topology.Path{Links: links(1, 2)}); err != nil {
+			wantWalkErr("AddBackup", top.AddBackup(ri, tc.links))
+			if err := top.AddBackup(ri, links(1, 2)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -100,7 +98,7 @@ func TestZeroLoadLatencyMatchesWalk(t *testing.T) {
 	for _, top := range tops {
 		for ri := range top.Routes {
 			r := &top.Routes[ri]
-			walk = top.Walk(walk, r.Flow, r.Links)
+			walk = top.Walk(walk, top.Spec.Flows[r.Flow], top.PathLinks(r.Links))
 			if got, want := top.ZeroLoadLatencyCycles(r), top.PathLatencyCycles(walk); got != want {
 				t.Fatalf("%s route %d (walk %v): ZeroLoadLatencyCycles %v, PathLatencyCycles %v",
 					top.Spec.Name, ri, walk, got, want)

@@ -104,8 +104,8 @@ func TestSignoffCatchesOverload(t *testing.T) {
 func roundTripUtilization(top *topology.Topology) float64 {
 	traffic := make([]float64, len(top.Links))
 	for ri := range top.Routes {
-		for _, l := range top.Routes[ri].Links {
-			traffic[l] += top.Routes[ri].Flow.BandwidthBps
+		for _, l := range top.PathLinks(top.Routes[ri].Links) {
+			traffic[l] += top.Spec.Flows[top.Routes[ri].Flow].BandwidthBps
 		}
 	}
 	var worst float64

@@ -293,13 +293,13 @@ func (e *engine) build() error {
 	// Route output sequences.
 	e.routeOut = make([][]int, len(top.Routes))
 	for ri := range top.Routes {
-		r := &top.Routes[ri]
-		seq := make([]int, len(r.Links)+1)
+		links := top.PathLinks(top.Routes[ri].Links)
+		seq := make([]int, len(links)+1)
 		for i := range seq {
-			if i == len(r.Links) {
-				seq[i] = e.coreOut[r.Flow.Dst]
+			if i == len(links) {
+				seq[i] = e.coreOut[top.Spec.Flows[top.Routes[ri].Flow].Dst]
 			} else {
-				lid := r.Links[i]
+				lid := links[i]
 				if lid < 0 || int(lid) >= len(top.Links) {
 					return fmt.Errorf("wormhole: route %d uses unknown link %d", ri, lid)
 				}
@@ -327,7 +327,8 @@ func (e *engine) simulate() {
 	perCore := make([][]pending, len(top.Spec.Cores))
 	for p := 0; p < cfg.perFlow(); p++ {
 		for ri := range top.Routes {
-			perCore[top.Routes[ri].Flow.Src] = append(perCore[top.Routes[ri].Flow.Src], pending{
+			src := top.Spec.Flows[top.Routes[ri].Flow].Src
+			perCore[src] = append(perCore[src], pending{
 				route: ri,
 				at:    p*cfg.gap() + ri%5, // slight deterministic stagger
 			})
@@ -394,9 +395,9 @@ func (e *engine) simulate() {
 			if pkt == nil {
 				continue
 			}
-			r := pkt.route
-			sw := int(top.WalkSwitch(r.Flow, r.Links, 0))
-			in := e.inPorts[sw][e.coreIn[r.Flow.Src]]
+			f := top.Spec.Flows[pkt.route.Flow]
+			sw := int(top.WalkSwitch(f, top.PathLinks(pkt.route.Links), 0))
+			in := e.inPorts[sw][e.coreIn[f.Src]]
 			if in.free() == 0 {
 				continue
 			}
@@ -495,5 +496,6 @@ func (e *engine) wantsOutput(si int, f flit, oi int) bool {
 
 // hopSwitch returns the switch at index pk.hop of pk's route walk.
 func (e *engine) hopSwitch(pk *packet) int {
-	return int(e.top.WalkSwitch(pk.route.Flow, pk.route.Links, pk.hop))
+	top := e.top
+	return int(top.WalkSwitch(top.Spec.Flows[pk.route.Flow], top.PathLinks(pk.route.Links), pk.hop))
 }

@@ -48,11 +48,8 @@ func ring(t *testing.T) *topology.Topology {
 	for i := 0; i < 4; i++ {
 		links[i], _ = top.AddLink(sw[i], sw[(i+1)%4])
 	}
-	for i, f := range spec.Flows {
-		if err := top.AddRoute(topology.Route{
-			Flow:  f,
-			Links: []topology.LinkID{links[i], links[(i+1)%4]},
-		}); err != nil {
+	for i := range spec.Flows {
+		if err := top.AddRoute(soc.FlowID(i), []topology.LinkID{links[i], links[(i+1)%4]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,11 +252,12 @@ func TestLonePacketMatchesAnalytic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s route %d: %v", top.Spec.Name, ri, err)
 			}
-			switches := len(r.Links) + 1
+			switches := int(r.Links.N) + 1
+			f := top.Spec.Flows[r.Flow]
 			want := top.ZeroLoadLatencyCycles(r) - float64(2*switches) - 2 + packetFlits
 			if res.Delivered != 1 || res.MeanLatencyCycles != want {
 				t.Fatalf("%s route %d (%d->%d, %d switches): delivered %d, latency %v cycles, want %v",
-					top.Spec.Name, ri, r.Flow.Src, r.Flow.Dst, switches,
+					top.Spec.Name, ri, f.Src, f.Dst, switches,
 					res.Delivered, res.MeanLatencyCycles, want)
 			}
 			routes++
@@ -273,7 +271,7 @@ func TestLonePacketMatchesAnalytic(t *testing.T) {
 func TestRunRejectsUnknownLink(t *testing.T) {
 	for _, lid := range []topology.LinkID{4, 99, -1} {
 		top := ring(t)
-		top.Routes[1].Links[0] = lid
+		top.PathLinks(top.Routes[1].Links)[0] = lid
 		if _, err := Run(top, Config{}); err == nil {
 			t.Fatalf("route over link %d accepted", lid)
 		}

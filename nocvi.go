@@ -68,6 +68,9 @@ type (
 	CoreID = soc.CoreID
 	// IslandID identifies a voltage island within a Spec (an int32).
 	IslandID = soc.IslandID
+	// FlowID indexes Spec.Flows (an int32); a topology's route names
+	// its flow by one.
+	FlowID = soc.FlowID
 	// CoreClass coarsely classifies a core's function.
 	CoreClass = soc.CoreClass
 )

@@ -21,10 +21,13 @@
 // Benchmarks following the `Suite/workers=K` sub-benchmark convention
 // additionally get a "parallel_efficiency" section: per suite, the
 // speedup of the widest workers variant over workers=1, taken from the
-// widest GOMAXPROCS lane that measured both. Lanes measured at
-// GOMAXPROCS=1 are never used — a "speedup" with one schedulable CPU
-// is timing noise, not efficiency — so a record produced entirely on a
-// single-core machine carries an efficiency_note instead of numbers.
+// widest GOMAXPROCS lane that measured both. A `Suite/pair` lane that
+// reports a w1/wN metric (workers=1 and workers=N timed back to back,
+// the median of the per-pair ratios) gives its suite's entry instead,
+// marked paired. Lanes measured at GOMAXPROCS=1 are never used — a
+// "speedup" with one schedulable CPU is timing noise, not efficiency —
+// so a record produced entirely on a single-core machine carries an
+// efficiency_note instead of numbers.
 //
 // With -floor F the tool additionally asserts that every suite's
 // speedup is at least F and exits nonzero otherwise, which is how the
@@ -65,8 +68,9 @@ import (
 )
 
 // result is one benchmark line: iterations plus the -benchmem triple,
-// the custom pruned_frac metric the SynthesizePrune lanes report, and
-// the median miss/hit ratio the SynthesizeCached/pair lane reports.
+// the custom pruned_frac metric the SynthesizePrune lanes report, the
+// median miss/hit ratio the SynthesizeCached/pair lane reports and the
+// median w1/wN ratio a SynthesizeParallel pair lane reports.
 type result struct {
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -74,6 +78,7 @@ type result struct {
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	PrunedFrac  float64 `json:"pruned_frac,omitempty"`
 	MissHit     float64 `json:"miss_hit,omitempty"`
+	W1WN        float64 `json:"w1_wn,omitempty"`
 }
 
 // delta compares current against baseline for one benchmark. Ratios
@@ -85,11 +90,14 @@ type delta struct {
 
 // efficiency summarizes one Suite/workers=K family: the speedup of the
 // widest measured worker count over workers=1 (ns(w=1)/ns(w=max)),
-// within the widest GOMAXPROCS lane that measured both legs.
+// within the widest GOMAXPROCS lane that measured both legs — or, when
+// Paired, the median w1/wN ratio of the suite's pair lane, whose N is
+// its GOMAXPROCS.
 type efficiency struct {
 	Workers int     `json:"workers"`
 	Procs   int     `json:"gomaxprocs"`
 	Speedup float64 `json:"speedup_vs_workers1"`
+	Paired  bool    `json:"paired,omitempty"`
 }
 
 // cacheSummary condenses the BenchmarkSynthesizeCached lanes: the
@@ -363,6 +371,8 @@ func parseBench(r io.Reader) (map[string]result, []int, error) {
 				res.PrunedFrac, err = strconv.ParseFloat(val, 64)
 			case "miss/hit":
 				res.MissHit, err = strconv.ParseFloat(val, 64)
+			case "w1/wN":
+				res.W1WN, err = strconv.ParseFloat(val, 64)
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
@@ -404,6 +414,7 @@ func medianResult(rs []result) result {
 		AllocsPerOp: int64(median(func(r result) float64 { return float64(r.AllocsPerOp) })),
 		PrunedFrac:  median(func(r result) float64 { return r.PrunedFrac }),
 		MissHit:     median(func(r result) float64 { return r.MissHit }),
+		W1WN:        median(func(r result) float64 { return r.W1WN }),
 	}
 }
 
@@ -430,11 +441,32 @@ func splitKey(key string) (suite string, workers, procs int, ok bool) {
 	return key[:i], w, procs, true
 }
 
+// splitPairKey parses a `suite/pair@pN` record key whose result
+// carries a w1/wN ratio. ok is false for any other key.
+func splitPairKey(key string, r result) (suite string, procs int, ok bool) {
+	if r.W1WN <= 0 {
+		return "", 0, false
+	}
+	procs = 1
+	if i := strings.LastIndex(key, "@p"); i >= 0 {
+		p, err := strconv.Atoi(key[i+2:])
+		if err != nil {
+			return "", 0, false
+		}
+		procs = p
+		key = key[:i]
+	}
+	suite, ok = strings.CutSuffix(key, "/pair")
+	return suite, procs, ok
+}
+
 // hasWorkerSuites reports whether any record key follows the
-// Suite/workers=K convention, at any lane.
+// Suite/workers=K or Suite/pair convention, at any lane.
 func hasWorkerSuites(results map[string]result) bool {
-	for key := range results {
-		if _, _, _, ok := splitKey(key); ok {
+	for key, r := range results {
+		_, _, _, ok := splitKey(key)
+		_, _, paired := splitPairKey(key, r)
+		if ok || paired {
 			return true
 		}
 	}
@@ -486,6 +518,22 @@ func efficiencies(results map[string]result) map[string]efficiency {
 			continue // keep the widest lane per suite
 		}
 		out[lk.suite] = efficiency{Workers: l.maxW, Procs: lk.procs, Speedup: round2(l.w1 / l.maxWNs)}
+	}
+	// A suite's pair lane replaces its workers= entry: the widest lane
+	// (>1) wins among its pair lanes.
+	paired := make(map[string]efficiency)
+	for key, r := range results {
+		suite, procs, ok := splitPairKey(key, r)
+		if !ok || procs <= 1 {
+			continue
+		}
+		if prev, ok := paired[suite]; ok && prev.Procs >= procs {
+			continue
+		}
+		paired[suite] = efficiency{Workers: procs, Procs: procs, Speedup: round2(r.W1WN), Paired: true}
+	}
+	for suite, e := range paired {
+		out[suite] = e
 	}
 	if len(out) == 0 {
 		return nil
@@ -619,12 +667,16 @@ func assertFloor(results map[string]result, floor float64) (string, error) {
 	sort.Strings(suites)
 	slowest := slices.MinFunc(suites, func(a, b string) int { return cmp.Compare(effs[a].Speedup, effs[b].Speedup) })
 	e := effs[slowest]
-	if e.Speedup < floor {
-		return "", fmt.Errorf("parallel efficiency floor violated: %s workers=%d@p%d speedup %.2f < %.2f",
-			slowest, e.Workers, e.Procs, e.Speedup, floor)
+	how := ""
+	if e.Paired {
+		how = ", median over pairs"
 	}
-	return fmt.Sprintf("[parallel speedup %.2f (%s workers=%d@p%d over workers=1, slowest of %d suites), floor %.2f]",
-		e.Speedup, slowest, e.Workers, e.Procs, len(suites), floor), nil
+	if e.Speedup < floor {
+		return "", fmt.Errorf("parallel efficiency floor violated: %s workers=%d@p%d speedup %.2f%s < %.2f",
+			slowest, e.Workers, e.Procs, e.Speedup, how, floor)
+	}
+	return fmt.Sprintf("[parallel speedup %.2f (%s workers=%d@p%d over workers=1%s, slowest of %d suites), floor %.2f]",
+		e.Speedup, slowest, e.Workers, e.Procs, how, len(suites), floor), nil
 }
 
 // assertCacheFloor enforces the full-hit floor on the paired

@@ -149,6 +149,40 @@ func TestEfficiencies(t *testing.T) {
 	}
 }
 
+// TestPairedEfficiency: a suite's pair lane, which reports the median
+// w1/wN ratio over back-to-back pairs, replaces the suite's workers=
+// entry at its widest lane above one CPU; a pair lane at one CPU, or
+// one without the metric (the cache's miss/hit pair), is no entry.
+func TestPairedEfficiency(t *testing.T) {
+	lines := `BenchmarkS/d48/workers=1-2   3   1600 ns/op
+BenchmarkS/d48/workers=8-2   3    800 ns/op
+BenchmarkS/d48/pair          20  2000 ns/op   1.01 w1/wN
+BenchmarkS/d48/pair-2        20  2400 ns/op   1.70 w1/wN
+BenchmarkS/d48/pair-2        20  2400 ns/op   1.50 w1/wN
+BenchmarkS/d48/pair-2        20  2400 ns/op   1.60 w1/wN
+BenchmarkSynthesizeCached/pair-2   100   9 ns/op   6.1 miss/hit
+`
+	results, _, err := parseBench(strings.NewReader(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results["S/d48/pair@p2"].W1WN; got != 1.6 {
+		t.Fatalf("pair lane w1/wN = %v, want the median 1.6", got)
+	}
+	effs := efficiencies(results)
+	want := map[string]efficiency{"S/d48": {Workers: 2, Procs: 2, Speedup: 1.6, Paired: true}}
+	if !reflect.DeepEqual(effs, want) {
+		t.Fatalf("efficiencies = %+v, want %+v", effs, want)
+	}
+	if _, err := assertFloor(results, 1.7); err == nil || !strings.Contains(err.Error(), "median over pairs") {
+		t.Fatalf("floor 1.7 over a paired 1.6: got %v, want a failure naming the pairs", err)
+	}
+	single := map[string]result{"S/d48/pair@p1": {NsPerOp: 1, W1WN: 3}}
+	if effs := efficiencies(single); effs != nil || !hasWorkerSuites(single) {
+		t.Fatalf("a one-CPU pair lane gave %v (hasWorkerSuites %v), want no entry but a note", effs, hasWorkerSuites(single))
+	}
+}
+
 // TestEfficienciesRefuseSingleProcs pins the honesty rule: lanes
 // measured at GOMAXPROCS=1 never produce an efficiency entry, and the
 // widest multi-proc lane wins when several exist.
@@ -336,6 +370,9 @@ func TestFloorsReportWhatPassed(t *testing.T) {
 			"B/d26/workers=1@p2": {NsPerOp: 1400},
 			"B/d26/workers=2@p2": {NsPerOp: 1000},
 		}, 1.2, "[parallel speedup 1.40 (B/d26 workers=2@p2 over workers=1, slowest of 2 suites), floor 1.20]"},
+		{"floor over pairs", assertFloor, map[string]result{
+			"SynthesizeParallel/d48_network/pair@p2": {NsPerOp: 1, W1WN: 1.62},
+		}, 1.2, "[parallel speedup 1.62 (SynthesizeParallel/d48_network workers=2@p2 over workers=1, median over pairs, slowest of 1 suites), floor 1.20]"},
 		{"prune-floor", assertPruneFloor, map[string]result{
 			"SynthesizePrune/d48_sweep/prune@p1":   {NsPerOp: 2000, PrunedFrac: 0.97},
 			"SynthesizePrune/d48_sweep/noprune@p1": {NsPerOp: 5000},
