@@ -418,17 +418,24 @@ func medianResult(rs []result) result {
 	}
 }
 
+// splitProcs parses a `name@pN` record key into the benchmark name and
+// its GOMAXPROCS lane (1 without the suffix). ok is false for a
+// malformed lane.
+func splitProcs(key string) (name string, procs int, ok bool) {
+	i := strings.LastIndex(key, "@p")
+	if i < 0 {
+		return key, 1, true
+	}
+	p, err := strconv.Atoi(key[i+2:])
+	return key[:i], p, err == nil
+}
+
 // splitKey parses a `suite/workers=K@pN` record key. ok is false for
 // keys without a workers= leg.
 func splitKey(key string) (suite string, workers, procs int, ok bool) {
-	procs = 1
-	if i := strings.LastIndex(key, "@p"); i >= 0 {
-		p, err := strconv.Atoi(key[i+2:])
-		if err != nil {
-			return "", 0, 0, false
-		}
-		procs = p
-		key = key[:i]
+	key, procs, ok = splitProcs(key)
+	if !ok {
+		return "", 0, 0, false
 	}
 	i := strings.LastIndex(key, "/workers=")
 	if i < 0 {
@@ -447,17 +454,9 @@ func splitPairKey(key string, r result) (suite string, procs int, ok bool) {
 	if r.W1WN <= 0 {
 		return "", 0, false
 	}
-	procs = 1
-	if i := strings.LastIndex(key, "@p"); i >= 0 {
-		p, err := strconv.Atoi(key[i+2:])
-		if err != nil {
-			return "", 0, false
-		}
-		procs = p
-		key = key[:i]
-	}
-	suite, ok = strings.CutSuffix(key, "/pair")
-	return suite, procs, ok
+	key, procs, ok = splitProcs(key)
+	suite, pair := strings.CutSuffix(key, "/pair")
+	return suite, procs, ok && pair
 }
 
 // hasWorkerSuites reports whether any record key follows the
@@ -548,17 +547,9 @@ func efficiencies(results map[string]result) map[string]efficiency {
 func cacheSummaryFrom(results map[string]result) *cacheSummary {
 	perLane := make(map[int]*cacheSummary)
 	for key, r := range results {
-		procs := 1
-		if i := strings.LastIndex(key, "@p"); i >= 0 {
-			p, err := strconv.Atoi(key[i+2:])
-			if err != nil {
-				continue
-			}
-			procs = p
-			key = key[:i]
-		}
-		lane, ok := strings.CutPrefix(key, "SynthesizeCached/")
-		if !ok || r.NsPerOp <= 0 {
+		name, procs, ok := splitProcs(key)
+		lane, cached := strings.CutPrefix(name, "SynthesizeCached/")
+		if !ok || !cached || r.NsPerOp <= 0 {
 			continue
 		}
 		cs := perLane[procs]
@@ -597,17 +588,9 @@ func cacheSummaryFrom(results map[string]result) *cacheSummary {
 func pruneSummaryFrom(results map[string]result) *pruneSummary {
 	perLane := make(map[int]*pruneSummary)
 	for key, r := range results {
-		procs := 1
-		if i := strings.LastIndex(key, "@p"); i >= 0 {
-			p, err := strconv.Atoi(key[i+2:])
-			if err != nil {
-				continue
-			}
-			procs = p
-			key = key[:i]
-		}
-		rest, ok := strings.CutPrefix(key, "SynthesizePrune/")
-		if !ok || r.NsPerOp <= 0 {
+		name, procs, ok := splitProcs(key)
+		rest, prune := strings.CutPrefix(name, "SynthesizePrune/")
+		if !ok || !prune || r.NsPerOp <= 0 {
 			continue
 		}
 		ps := perLane[procs]
